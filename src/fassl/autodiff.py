@@ -14,7 +14,7 @@ each get their own tape).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "transpose",
     "reshape",
     "gather_rows",
-    "concat_cols",
     "l2_normalize_rows",
     "detached_rowmax",
 ]
@@ -315,17 +314,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         return (out,)
 
     return _make(a.data[idx], (a,), vjp)
-
-
-def concat_cols(tensors: Iterable[Tensor]) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    widths = [t.shape[1] for t in ts]
-    offsets = np.cumsum([0] + widths)
-
-    def vjp(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(ts)))
-
-    return _make(np.concatenate([t.data for t in ts], axis=1), ts, vjp)
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:

@@ -1,4 +1,4 @@
-"""Binary serialization for parameter trees and synthetic datasets.
+"""Binary serialization for parameter trees.
 
 Checkpoint container layout (all integers little-endian):
 
@@ -7,12 +7,13 @@ Checkpoint container layout (all integers little-endian):
                | payload as little-endian f64
 
 Entries are written in canonical name order, so identical trees produce
-byte-identical files. Dataset dumps reuse the same container with tensors
-named per clip, which is enough for reproducibility audits.
+byte-identical files. Decoding rejects any malformed or truncated container
+with ContractError.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -45,26 +46,31 @@ def _unpack_entries(blob: bytes, source: str) -> list[tuple[str, Tensor]]:
     if blob[:4] != MAGIC:
         raise ContractError(f"{source}: bad magic bytes (not a checkpoint container)")
     offset = 4
-    (version,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
-    if version != FORMAT_VERSION:
-        raise ContractError(f"{source}: unsupported format version {version}")
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
     entries = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
+    try:
+        (version,) = struct.unpack_from("<H", blob, offset)
         offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        dims = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
-        offset += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        payload = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(dims)
-        offset += 8 * n
-        entries.append((name, Tensor(payload.astype(np.float64))))
+        if version != FORMAT_VERSION:
+            raise ContractError(f"{source}: unsupported format version {version}")
+        (count,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", blob, offset)
+            offset += 2
+            name = blob[offset:offset + name_len].decode("utf-8")
+            offset += name_len
+            (rank,) = struct.unpack_from("<B", blob, offset)
+            offset += 1
+            dims = struct.unpack_from(f"<{rank}I", blob, offset)
+            offset += 4 * rank
+            n = math.prod(dims)
+            if offset + 8 * n > len(blob):
+                raise ContractError(f"{source}: entry {name!r} runs past the end of the file")
+            payload = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(dims)
+            offset += 8 * n
+            entries.append((name, Tensor(payload.astype(np.float64))))
+    except (struct.error, UnicodeDecodeError) as exc:  # short header reads, non-UTF-8 names
+        raise ContractError(f"{source}: truncated or corrupt checkpoint ({exc})") from exc
     if offset != len(blob):
         raise ContractError(f"{source}: {len(blob) - offset} trailing bytes after last entry")
     return entries
@@ -81,40 +87,3 @@ def load_params(path: str | Path) -> ParamTree:
 def params_bytes(params: ParamTree) -> bytes:
     """Serialized form without touching disk (used for byte-equality checks)."""
     return _pack_entries(list(params.items()))
-
-
-def save_dataset(dataset, path: str | Path) -> None:
-    """Dump a SynthDataset into the container format (same header discipline)."""
-    entries = [
-        ("meta.n_classes", Tensor(float(dataset.n_classes))),
-        ("meta.split", Tensor(float({"train": 0, "test": 1}[dataset.split]))),
-    ]
-    for key in sorted(dataset.generator):
-        entries.append((f"gen.{key}", Tensor(np.asarray(dataset.generator[key], dtype=np.float64))))
-    for clip in dataset.clips:
-        entries.append((f"clip.{clip.clip_id:08d}.features", clip.features))
-        entries.append((f"clip.{clip.clip_id:08d}.label", Tensor(float(clip.label))))
-    Path(path).write_bytes(_pack_entries(entries))
-
-
-def load_dataset(path: str | Path):
-    from .data import Clip, SynthDataset
-
-    entries = dict(_unpack_entries(Path(path).read_bytes(), str(path)))
-    n_classes = int(entries.pop("meta.n_classes").item())
-    split = {0: "train", 1: "test"}[int(entries.pop("meta.split").item())]
-    generator = {}
-    clips_raw: dict[int, dict] = {}
-    for name, tensor in entries.items():
-        if name.startswith("gen."):
-            generator[name[len("gen."):]] = tensor.data
-        elif name.startswith("clip."):
-            _, cid, field = name.split(".")
-            clips_raw.setdefault(int(cid), {})[field] = tensor
-        else:
-            raise ContractError(f"{path}: unexpected entry {name!r} in dataset dump")
-    clips = [
-        Clip(features=fields["features"], label=int(fields["label"].item()), clip_id=cid)
-        for cid, fields in sorted(clips_raw.items())
-    ]
-    return SynthDataset(clips=clips, n_classes=n_classes, generator=generator, split=split)

@@ -56,39 +56,18 @@ def _build_datasets(cfg: RunConfig):
     return pretext, tasks
 
 
-def _resolved_config_text(name: str, cfg: RunConfig) -> str:
-    lines = [f"# resolved configuration for cell {name}"]
-    lines.append(f"strategy = {cfg.strategy.kind}")
-    lines.append(f"scope = {cfg.scope}")
-    lines.append(f"ssl_task = {cfg.ssl_task}")
-    lines.append(f"local_epochs = {cfg.local_epochs}")
-    lines.append(f"rounds = {cfg.rounds}")
-    lines.append(f"clients = {cfg.n_clients}")
-    lines.append(f"clients_per_round = {cfg.clients_per_round}")
-    lines.append(f"batch_size = {cfg.batch_size}")
-    lines.append(f"lr = {cfg.lr}")
-    lines.append(f"alpha = {cfg.alpha}")
-    lines.append(f"master_seed = {cfg.master_seed}")
-    lines.append(f"eval_every = {cfg.eval_every}")
-    lines.append(f"k = {cfg.k}")
-    lines.append(f"metric = {cfg.metric}")
-    lines.append(f"feature_layer = {cfg.feature_layer}")
-    lines.append(f"fedu_mu = {cfg.strategy.fedu_mu}")
-    lines.append(f"loss_weight_direction = {cfg.strategy.loss_direction}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     root = _out_root(spec)
-    cells = spec.cells()
+    cells = [(name, cell, cell.base_run_config()) for name, cell in spec.cells()]
     failures = []
-    for name, cfg in cells:
+    for name, cell, cfg in cells:
         cell_dir = root / name
         try:
             pretext, tasks = _build_datasets(cfg)
             cell_dir.mkdir(parents=True, exist_ok=True)
-            (cell_dir / "config.txt").write_text(_resolved_config_text(name, cfg), encoding="utf-8")
+            config_text = cell.to_text(f"resolved configuration for cell {name}")
+            (cell_dir / "config.txt").write_text(config_text, encoding="utf-8")
             result = run(cfg, pretext, tasks, out_dir=cell_dir)
         except Exception as exc:  # noqa: BLE001 - cell isolation; partial results stay on disk
             failures.append((name, exc))

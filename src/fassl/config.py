@@ -3,7 +3,10 @@
 The file format is one ``key = value`` per line; blank lines and lines
 starting with ``#`` are ignored. Unknown keys and malformed or out-of-range
 values are rejected with the offending line number. Flags override file
-values, which override defaults.
+values, which override defaults. ``SCHEMA`` is the one table of keys: it
+maps each key to the ``RunConfig`` field it sets, and run defaults are read
+from the dataclasses, so a spec, its ``RunConfig`` and its config text
+cannot drift apart.
 
 Matrix keys (``strategies``, ``scopes``, ``local_epochs_list``) are
 comma-separated lists; when empty they fall back to the corresponding
@@ -14,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
-from .aggregation import STRATEGY_KINDS, Strategy
+from .aggregation import STRATEGY_KINDS
 from .errors import ConfigError, ContractError
 from .orchestrator import SSL_TASKS, RunConfig
-from .ssl_tasks import AugmentPolicy
 
 
 def _parse_bool(raw: str) -> bool:
@@ -90,45 +93,53 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(_positive_int(s.strip()) for s in raw.split(",") if s.strip())
 
 
-# key -> (parser, default, help)
+# key -> (parser, RunConfig field path, help). A dotted path reaches into
+# the nested Strategy / AugmentPolicy; None marks a key that configures the
+# CLI rather than a run, whose default lives in CLI_DEFAULTS. Every other
+# default is read from RunConfig().
 SCHEMA: dict[str, tuple] = {
-    "rounds": (_positive_int, 100, "federated rounds R"),
-    "clients": (_positive_int, 100, "client pool size N"),
-    "clients_per_round": (_positive_int, 10, "clients sampled per round s"),
-    "local_epochs": (_positive_int, 1, "local epochs E per round"),
-    "batch_size": (_positive_int, 64, "local batch size"),
-    "lr": (_positive_float, 0.05, "constant SGD learning rate"),
-    "ssl_task": (_choice(*SSL_TASKS), "simclr", "pretext task"),
-    "strategy": (_choice(*STRATEGY_KINDS), "fedavg", "aggregation strategy"),
-    "scope": (_choice("full", "backbone"), "full", "transceived parameter scope"),
-    "alpha": (_positive_float, 0.1, "Dirichlet heterogeneity coefficient"),
-    "master_seed": (int, 7, "root seed for every stream"),
-    "eval_every": (_positive_int, 10, "rounds between downstream evaluations"),
-    "k": (_positive_int, 1, "k for retrieval"),
-    "workers": (_positive_int, 4, "thread pool size for client training"),
-    "fedu_mu": (_positive_float, 0.5, "relative divergence gate for fedu heads"),
-    "loss_weight_direction": (_choice("high", "low"), "high", "loss strategy: weigh high- or low-loss clients"),
-    "tau": (_positive_float, 0.5, "contrastive temperature"),
-    "bt_lambda": (_nonneg_float, 5e-3, "off-diagonal weight of the matching loss"),
-    "bt_eps": (_positive_float, 1e-9, "std guard in column standardization"),
-    "crop_fraction": (_unit_fraction, 0.7, "time-crop fraction for views"),
-    "noise_std": (_nonneg_float, 0.05, "additive view noise std"),
-    "band_mask_prob": (_probability, 0.1, "per-band dropout probability"),
-    "pretext_classes": (_positive_int, 8, "pretext dataset classes"),
-    "pretext_per_class": (_positive_int, 100, "pretext clips per class"),
-    "frames": (_positive_int, 32, "frames per clip"),
-    "bands": (_positive_int, 16, "bands per clip"),
-    "hidden_dim": (_positive_int, 32, "encoder hidden width"),
-    "embed_dim": (_positive_int, 16, "backbone embedding width"),
-    "projection_dim": (_positive_int, 16, "projection head output width"),
-    "feature_layer": (_choice("backbone", "projection"), "backbone", "retrieval feature layer"),
-    "metric": (_choice("cosine", "euclidean"), "cosine", "retrieval distance"),
-    "out_dir": (str, "results", "output directory (FASSL_OUT env overrides)"),
-    "plot": (_parse_bool, False, "emit SVG plots after a run"),
-    "strategies": (_str_list(STRATEGY_KINDS), (), "matrix axis; empty = [strategy]"),
-    "scopes": (_str_list(("full", "backbone")), (), "matrix axis; empty = [scope]"),
-    "local_epochs_list": (_int_list, (), "matrix axis; empty = [local_epochs]"),
+    "rounds": (_positive_int, "rounds", "federated rounds R"),
+    "clients": (_positive_int, "n_clients", "client pool size N"),
+    "clients_per_round": (_positive_int, "clients_per_round", "clients sampled per round s"),
+    "local_epochs": (_positive_int, "local_epochs", "local epochs E per round"),
+    "batch_size": (_positive_int, "batch_size", "local batch size"),
+    "lr": (_positive_float, "lr", "constant SGD learning rate"),
+    "ssl_task": (_choice(*SSL_TASKS), "ssl_task", "pretext task"),
+    "strategy": (_choice(*STRATEGY_KINDS), "strategy.kind", "aggregation strategy"),
+    "scope": (_choice("full", "backbone"), "scope", "transceived parameter scope"),
+    "alpha": (_positive_float, "alpha", "Dirichlet heterogeneity coefficient"),
+    "master_seed": (int, "master_seed", "root seed for every stream"),
+    "eval_every": (_positive_int, "eval_every", "rounds between downstream evaluations"),
+    "k": (_positive_int, "k", "k for retrieval"),
+    "workers": (_positive_int, "workers", "thread pool size for client training"),
+    "fedu_mu": (_positive_float, "strategy.fedu_mu", "relative divergence gate for fedu heads"),
+    "loss_weight_direction": (
+        _choice("high", "low"), "strategy.loss_direction", "loss strategy: weigh high- or low-loss clients"
+    ),
+    "tau": (_positive_float, "tau", "contrastive temperature"),
+    "bt_lambda": (_nonneg_float, "bt_lambda", "off-diagonal weight of the matching loss"),
+    "bt_eps": (_positive_float, "bt_eps", "std guard in column standardization"),
+    "crop_fraction": (_unit_fraction, "augment.crop_fraction", "time-crop fraction for views"),
+    "noise_std": (_nonneg_float, "augment.noise_std", "additive view noise std"),
+    "band_mask_prob": (_probability, "augment.band_mask_prob", "per-band dropout probability"),
+    "pretext_classes": (_positive_int, "pretext_classes", "pretext dataset classes"),
+    "pretext_per_class": (_positive_int, "pretext_per_class", "pretext clips per class"),
+    "frames": (_positive_int, "frames", "frames per clip"),
+    "bands": (_positive_int, "bands", "bands per clip"),
+    "hidden_dim": (_positive_int, "hidden_dim", "encoder hidden width"),
+    "embed_dim": (_positive_int, "embed_dim", "backbone embedding width"),
+    "projection_dim": (_positive_int, "projection_dim", "projection head output width"),
+    "feature_layer": (_choice("backbone", "projection"), "feature_layer", "retrieval feature layer"),
+    "metric": (_choice("cosine", "euclidean"), "metric", "retrieval distance"),
+    "out_dir": (str, None, "output directory (FASSL_OUT env overrides)"),
+    "plot": (_parse_bool, None, "emit SVG plots after a run"),
+    "strategies": (_str_list(STRATEGY_KINDS), None, "matrix axis; empty = [strategy]"),
+    "scopes": (_str_list(("full", "backbone")), None, "matrix axis; empty = [scope]"),
+    "local_epochs_list": (_int_list, None, "matrix axis; empty = [local_epochs]"),
 }
+
+CLI_DEFAULTS = {"out_dir": "results", "plot": False, "strategies": (), "scopes": (), "local_epochs_list": ()}
+_DEFAULT_RUN = RunConfig()
 
 
 @dataclass(frozen=True)
@@ -141,46 +152,17 @@ class ExperimentSpec:
         return self.values[key]
 
     def base_run_config(self) -> RunConfig:
-        return self.run_config_for(self["strategy"], self["scope"], self["local_epochs"])
-
-    def run_config_for(self, strategy: str, scope: str, local_epochs: int) -> RunConfig:
-        v = self.values
+        """The run the single-value keys describe; each key lands on its SCHEMA path."""
+        top: dict = {}
+        nested: dict[str, dict] = {}
+        for key, (_, path, _) in SCHEMA.items():
+            if path is not None:
+                head, _, name = path.rpartition(".")
+                (nested.setdefault(head, {}) if head else top)[name] = self.values[key]
         try:
-            return RunConfig(
-                rounds=v["rounds"],
-                n_clients=v["clients"],
-                clients_per_round=v["clients_per_round"],
-                local_epochs=local_epochs,
-                batch_size=v["batch_size"],
-                lr=v["lr"],
-                ssl_task=v["ssl_task"],
-                strategy=Strategy(
-                    kind=strategy, fedu_mu=v["fedu_mu"], loss_direction=v["loss_weight_direction"]
-                ),
-                scope=scope,
-                alpha=v["alpha"],
-                master_seed=v["master_seed"],
-                eval_every=v["eval_every"],
-                k=v["k"],
-                workers=v["workers"],
-                tau=v["tau"],
-                bt_lambda=v["bt_lambda"],
-                bt_eps=v["bt_eps"],
-                augment=AugmentPolicy(
-                    crop_fraction=v["crop_fraction"],
-                    noise_std=v["noise_std"],
-                    band_mask_prob=v["band_mask_prob"],
-                ),
-                frames=v["frames"],
-                bands=v["bands"],
-                hidden_dim=v["hidden_dim"],
-                embed_dim=v["embed_dim"],
-                projection_dim=v["projection_dim"],
-                pretext_classes=v["pretext_classes"],
-                pretext_per_class=v["pretext_per_class"],
-                feature_layer=v["feature_layer"],
-                metric=v["metric"],
-            )
+            for head, kwargs in nested.items():
+                top[head] = type(getattr(_DEFAULT_RUN, head))(**kwargs)
+            return RunConfig(**top)
         except ContractError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -190,21 +172,40 @@ class ExperimentSpec:
         epochs = self["local_epochs_list"] or (self["local_epochs"],)
         return strategies, scopes, epochs
 
-    def cells(self) -> list[tuple[str, RunConfig]]:
-        """(cell name, run config) per point of the strategy x scope x E grid."""
+    def cells(self) -> list[tuple[str, ExperimentSpec]]:
+        """(cell name, single-cell spec) per point of the strategy x scope x E grid."""
         out = []
         for strategy, scope, epochs in itertools.product(*self.matrix_axes()):
             name = f"{self['ssl_task']}-{strategy}-{scope}-e{epochs}"
-            out.append((name, self.run_config_for(strategy, scope, epochs)))
+            values = dict(
+                self.values, strategy=strategy, scope=scope, local_epochs=epochs,
+                strategies=(), scopes=(), local_epochs_list=(),
+            )
+            out.append((name, ExperimentSpec(values=values)))
         return out
+
+    def to_text(self, title: str = "experiment configuration") -> str:
+        """Config file text; parsing it back yields this spec exactly."""
+        lines = [f"# {title} (key = value; '#' starts a comment line)"]
+        for key, (_, _, doc) in SCHEMA.items():
+            value = self[key]
+            if value == ():
+                lines.append(f"# {key} = <comma list>  ({doc})")
+            else:
+                lines.append(f"# {doc}")
+                lines.append(f"{key} = {_format_value(value)}")
+        return "\n".join(lines) + "\n"
 
 
 def default_spec() -> ExperimentSpec:
-    return ExperimentSpec(values={k: default for k, (_, default, _) in SCHEMA.items()})
+    return ExperimentSpec(values={
+        key: CLI_DEFAULTS[key] if path is None else attrgetter(path)(_DEFAULT_RUN)
+        for key, (_, path, _) in SCHEMA.items()
+    })
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentSpec:
-    values = {k: default for k, (_, default, _) in SCHEMA.items()}
+    values = dict(default_spec().values)
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -259,11 +260,4 @@ def _format_value(value) -> str:
 
 def emit_defaults() -> str:
     """Default config file; parsing it back yields the default spec exactly."""
-    lines = ["# experiment configuration (key = value; '#' starts a comment line)"]
-    for key, (_, default, doc) in SCHEMA.items():
-        if isinstance(default, tuple) and not default:
-            lines.append(f"# {key} = <comma list>  ({doc})")
-        else:
-            lines.append(f"# {doc}")
-            lines.append(f"{key} = {_format_value(default)}")
-    return "\n".join(lines) + "\n"
+    return default_spec().to_text()

@@ -63,11 +63,6 @@ class SynthDataset:
         return np.stack([c.features.data.reshape(-1) for c in self.clips])
 
 
-def features_flat(clip: Clip) -> Tensor:
-    """Row-major flattening of the clip's feature matrix."""
-    return Tensor(clip.features.data.reshape(-1))
-
-
 def resample_frames(features: np.ndarray, target_frames: int) -> np.ndarray:
     """Nearest-frame resampling along the time axis to a fixed frame count.
 

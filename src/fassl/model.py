@@ -208,21 +208,6 @@ def flatten_layer(params: ParamTree, layer: str) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def unflatten_layer(params: ParamTree, layer: str, vec: np.ndarray) -> list[tuple[str, Tensor]]:
-    """Inverse of flatten_layer against the layer's shapes in ``params``."""
-    entries = [(name, t) for name, t in params.items() if name.rsplit(".", 1)[0] == layer]
-    if not entries:
-        raise ContractError(f"unknown layer {layer!r}")
-    if vec.size != sum(t.size for _, t in entries):
-        raise ContractError(f"vector length {vec.size} does not match layer {layer!r}")
-    out = []
-    offset = 0
-    for name, t in entries:
-        out.append((name, Tensor(vec[offset:offset + t.size].reshape(t.shape))))
-        offset += t.size
-    return out
-
-
 def sgd_step(params: ParamTree, grads: Mapping[str, Tensor], lr: float) -> ParamTree:
     """p <- p - lr*g for every named parameter with a gradient; others unchanged."""
     if lr <= 0:

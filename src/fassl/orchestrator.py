@@ -59,7 +59,7 @@ class RunConfig:
     master_seed: int = 7
     eval_every: int = 10
     k: int = 1
-    workers: int = 4
+    workers: int = 1
     tau: float = 0.5
     bt_lambda: float = 5e-3
     bt_eps: float = 1e-9

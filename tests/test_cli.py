@@ -1,5 +1,6 @@
 """Config parsing, CLI subcommands, and SVG plotting tests."""
 
+import dataclasses
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from fassl.cli import main
 from fassl.config import (
+    SCHEMA,
     apply_overrides,
     default_spec,
     emit_defaults,
@@ -14,6 +16,7 @@ from fassl.config import (
     parse_config_text,
 )
 from fassl.errors import ConfigError
+from fassl.orchestrator import RunConfig
 from fassl.plotting import collect_series, plot_results
 
 
@@ -76,6 +79,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             apply_overrides(default_spec(), {"rounds": "zero"})
 
+    def test_every_run_config_field_is_set_by_exactly_one_key(self):
+        base = RunConfig()
+        fields = []
+        for f in dataclasses.fields(RunConfig):
+            value = getattr(base, f.name)
+            if dataclasses.is_dataclass(value):
+                fields += [f"{f.name}.{g.name}" for g in dataclasses.fields(value)]
+            else:
+                fields.append(f.name)
+        paths = [path for _, path, _ in SCHEMA.values() if path is not None]
+        assert sorted(paths) == sorted(fields)
+
 
 FAST_FLAGS = [
     "--rounds", "2", "--clients", "6", "--clients-per-round", "2", "--eval-every", "1",
@@ -130,6 +145,56 @@ class TestCmdRun:
         # simulate a crash: never close the sink; the file must already be complete
         text = (tmp_path / "results.csv").read_text()
         assert text == CSV_HEADER + "\n10,fedavg,full,simclr,1,x,1,0.500000\n"
+
+
+# A value other than the default for every schema key; the matrix axes give
+# a 2x2 strategy x scope grid.
+NON_DEFAULT = {
+    "rounds": "2", "clients": "6", "clients_per_round": "3", "local_epochs": "2",
+    "batch_size": "8", "lr": "0.03", "ssl_task": "barlow_twins", "strategy": "ldawa",
+    "scope": "backbone", "alpha": "0.5", "master_seed": "11", "eval_every": "1", "k": "3",
+    "workers": "2", "fedu_mu": "0.7", "loss_weight_direction": "low", "tau": "0.3",
+    "bt_lambda": "0.01", "bt_eps": "1e-8", "crop_fraction": "0.6", "noise_std": "0.02",
+    "band_mask_prob": "0.2", "pretext_classes": "3", "pretext_per_class": "8", "frames": "16",
+    "bands": "8", "hidden_dim": "8", "embed_dim": "6", "projection_dim": "5",
+    "feature_layer": "projection", "metric": "euclidean", "out_dir": "elsewhere", "plot": "true",
+    "strategies": "fedu,loss", "scopes": "full,backbone", "local_epochs_list": "2",
+}
+
+
+class TestCellConfigReproducesCell:
+    @pytest.fixture(scope="class")
+    def matrix_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("matrix")
+        flags = [arg for key, raw in NON_DEFAULT.items() for arg in (f"--{key.replace('_', '-')}", raw)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("FASSL_OUT", str(out))
+            assert main(["run", *flags]) == 0
+        return out, apply_overrides(default_spec(), NON_DEFAULT)
+
+    def test_every_key_is_off_default(self):
+        spec = apply_overrides(default_spec(), NON_DEFAULT)
+        assert sorted(NON_DEFAULT) == sorted(SCHEMA)
+        defaults = default_spec()
+        assert [k for k in SCHEMA if spec[k] == defaults[k]] == []
+
+    def test_config_txt_parses_to_the_cell_run_config(self, matrix_run):
+        out, spec = matrix_run
+        cells = spec.cells()
+        assert len(cells) == 4
+        for name, cell in cells:
+            parsed = parse_config(out / name / "config.txt")
+            assert parsed == cell
+            assert parsed.base_run_config() == cell.base_run_config()
+
+    def test_rerun_from_config_txt_is_byte_identical(self, matrix_run, tmp_path, monkeypatch):
+        out, _ = matrix_run
+        cell = "barlow_twins-loss-backbone-e2"
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        assert main(["run", "--config", str(out / cell / "config.txt")]) == 0
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [cell]
+        for artifact in ("results.csv", "final.ckpt"):
+            assert (tmp_path / cell / artifact).read_bytes() == (out / cell / artifact).read_bytes()
 
 
 class TestCmdPartitionStats:

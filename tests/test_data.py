@@ -6,17 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fassl.data import (
-    Clip,
     dirichlet_partition,
     downstream_suite,
-    features_flat,
     label_entropy,
     partition_label_entropies,
     resample_frames,
     synth_dataset,
 )
 from fassl.errors import ContractError
-from fassl.autodiff import Tensor
 
 
 def dataset_bytes(ds) -> bytes:
@@ -80,22 +77,6 @@ class TestDownstreamSuite:
         for (_, tr_a, te_a), (_, tr_b, te_b) in zip(a, b):
             assert dataset_bytes(tr_a) == dataset_bytes(tr_b)
             assert dataset_bytes(te_a) == dataset_bytes(te_b)
-
-
-class TestFeaturesFlat:
-    def test_row_major(self):
-        clip = Clip(features=Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), label=0, clip_id=0)
-        np.testing.assert_array_equal(features_flat(clip).data, [1, 2, 3, 4, 5, 6])
-
-    def test_length(self):
-        ds = synth_dataset(2, 3, 7, 5, seed=0)
-        assert features_flat(ds.clips[0]).shape == (35,)
-
-    def test_identical_clips_flatten_identically(self):
-        ds = synth_dataset(2, 3, 7, 5, seed=0)
-        a = features_flat(ds.clips[0]).data
-        b = features_flat(ds.clips[0]).data
-        np.testing.assert_array_equal(a, b)
 
 
 class TestResampleFrames:

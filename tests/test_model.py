@@ -14,10 +14,8 @@ from fassl.model import (
     encode,
     flatten_layer,
     init_encoder,
-    layer_names,
     merge,
     split,
-    unflatten_layer,
 )
 
 CFG = EncoderConfig(input_dim=64, hidden_dim=32, embed_dim=16, projection_dim=8, acop_classes=6)
@@ -135,14 +133,6 @@ class TestFlattenLayer:
         tree = ParamTree([("l.weight", Tensor([[1.0, 2.0], [3.0, 4.0]]))])
         np.testing.assert_array_equal(flatten_layer(tree, "l"), [1.0, 2.0, 3.0, 4.0])
 
-    def test_roundtrip_identity(self):
-        tree = init_encoder(CFG, seed=4)
-        for layer in layer_names(tree):
-            vec = flatten_layer(tree, layer)
-            rebuilt = unflatten_layer(tree, layer, vec)
-            for name, t in rebuilt:
-                np.testing.assert_array_equal(t.data, tree.get(name).data)
-
     def test_layer_concatenation_follows_canonical_name_order(self):
         tree = ParamTree([
             ("l.weight", Tensor([[1.0, 2.0]])),
@@ -206,21 +196,19 @@ class TestCheckpointFormat:
         with pytest.raises(ContractError, match="trailing"):
             load_params(path)
 
+    def test_every_truncation_rejected(self, tmp_path):
+        tree = ParamTree([("a.bias", Tensor([1.0, 2.0])), ("a.weight", Tensor([[3.0], [4.0]])), ("s", Tensor(5.0))])
+        blob = params_bytes(tree)
+        path = tmp_path / "cut.ckpt"
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ContractError):
+                load_params(path)
 
-class TestDatasetDump:
-    def test_roundtrip(self, tmp_path):
-        from fassl.checkpoint import load_dataset, save_dataset
-        from fassl.data import synth_dataset
-
-        ds = synth_dataset(n_classes=3, n_per_class=4, frames=8, bands=5, seed=17)
-        path = tmp_path / "data.ckpt"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back.n_classes == ds.n_classes
-        assert back.split == ds.split
-        assert len(back) == len(ds)
-        for a, b in zip(ds.clips, back.clips):
-            assert a.clip_id == b.clip_id and a.label == b.label
-            np.testing.assert_array_equal(a.features.data, b.features.data)
-        for key, val in ds.generator.items():
-            np.testing.assert_array_equal(back.generator[key], val)
+    def test_invalid_utf8_name_rejected(self, tmp_path):
+        blob = params_bytes(ParamTree([("a", Tensor([1.0]))]))
+        assert blob[12:13] == b"a"
+        path = tmp_path / "bad_name.ckpt"
+        path.write_bytes(blob[:12] + b"\xff" + blob[13:])
+        with pytest.raises(ContractError, match="corrupt"):
+            load_params(path)
