@@ -16,6 +16,7 @@ single-value key, and ``cells()`` yields the cartesian product.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -52,15 +53,15 @@ def _positive_int(raw: str) -> int:
 
 def _positive_float(raw: str) -> float:
     v = float(raw)
-    if v <= 0:
-        raise ValueError(f"expected a positive number, got {v}")
+    if not 0 < v < math.inf:
+        raise ValueError(f"expected a finite positive number, got {v}")
     return v
 
 
 def _nonneg_float(raw: str) -> float:
     v = float(raw)
-    if v < 0:
-        raise ValueError(f"expected a non-negative number, got {v}")
+    if not 0 <= v < math.inf:
+        raise ValueError(f"expected a finite non-negative number, got {v}")
     return v
 
 

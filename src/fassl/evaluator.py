@@ -50,7 +50,7 @@ def knn_retrieval_accuracy(
     Cosine distance is 1 - cosine similarity on eps-normalized rows
     (invariant to any common positive feature scaling); "euclidean" is the
     flag-switchable alternative. Distance ties resolve to the lower
-    training index.
+    training index. Features must be finite.
     """
     train = _as_array(train_feats)
     test = _as_array(test_feats)
@@ -60,6 +60,8 @@ def knn_retrieval_accuracy(
         raise ContractError(f"feature shapes disagree: train {train.shape}, test {test.shape}")
     if train.shape[0] == 0 or test.shape[0] == 0:
         raise ContractError("knn retrieval needs non-empty train and test sets")
+    if not (np.isfinite(train).all() and np.isfinite(test).all()):
+        raise ContractError("knn retrieval needs finite features")
     if k < 1 or k > train.shape[0]:
         raise ContractError(f"k must lie in [1, {train.shape[0]}], got {k}")
     if metric == "cosine":

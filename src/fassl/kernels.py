@@ -1,34 +1,19 @@
-"""Hot numeric kernels for retrieval evaluation, with optional numba JIT.
+"""Numeric kernels for retrieval evaluation.
 
-The per-query k-nearest scan with its lowest-index tie rule is the one
-loop-dominated hot path in the package (the benchmark shows ~20x from JIT);
-it carries a numba ``@njit`` version and a pure-numpy fallback producing
-identical results. Pairwise cosine goes through BLAS on every path: the same
-benchmark shows a numba loop losing to BLAS at all sizes, so both env
-settings share one bit-identical similarity computation.
-
-Path selection: env var ``FASSL_NUMBA`` ("1" default) picks the JIT path
-when numba imports cleanly; ``FASSL_NUMBA=0`` forces pure numpy. The flag is
-read at import time. See ``benchmarks/bench_kernels.py``.
+Pairwise cosine similarity runs through one BLAS matrix product; the
+k-nearest scan is one vectorized pass over the whole distance matrix. Both
+resolve distance ties toward the lower training index. Distances must be
+finite: ``evaluator.knn_retrieval_accuracy`` rejects non-finite features
+before they get here.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("FASSL_NUMBA", "1") != "0"
-
-if _WANT_NUMBA:
-    try:
-        import numba
-    except ImportError:
-        numba = None
-else:
-    numba = None
-
-USING_NUMBA = numba is not None
+# Always False: the scan has a single numpy implementation. Kept because the
+# benchmark (perfbench/worker.py) records it in its environment record.
+USING_NUMBA = False
 
 
 def pairwise_cosine(x: np.ndarray, y: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -40,52 +25,18 @@ def pairwise_cosine(x: np.ndarray, y: np.ndarray, eps: float = 1e-12) -> np.ndar
     return xn @ yn.T
 
 
-def _topk_hits_np(dist: np.ndarray, train_labels: np.ndarray, test_labels: np.ndarray, k: int) -> np.ndarray:
-    hits = np.zeros(dist.shape[0], dtype=np.int64)
-    for q in range(dist.shape[0]):
-        # stable sort: equal distances resolve to the lower training index
-        nearest = np.argsort(dist[q], kind="stable")[:k]
-        hits[q] = 1 if np.any(train_labels[nearest] == test_labels[q]) else 0
-    return hits
-
-
-if USING_NUMBA:
-
-    @numba.njit(cache=True)
-    def _topk_hits_nb(dist, train_labels, test_labels, k):  # pragma: no cover - dispatch-tested
-        q_count, n = dist.shape
-        hits = np.zeros(q_count, dtype=np.int64)
-        taken = np.zeros(n, dtype=np.bool_)
-        for q in range(q_count):
-            taken[:] = False
-            hit = 0
-            for _ in range(k):
-                best = -1
-                best_d = np.inf
-                for j in range(n):
-                    # strict < keeps the lowest index among equal distances
-                    if not taken[j] and dist[q, j] < best_d:
-                        best_d = dist[q, j]
-                        best = j
-                taken[best] = True
-                if train_labels[best] == test_labels[q]:
-                    hit = 1
-                    break
-            hits[q] = hit
-        return hits
-
-
 def topk_hits(dist: np.ndarray, train_labels: np.ndarray, test_labels: np.ndarray, k: int) -> np.ndarray:
-    """Per query: 1 if the true class appears among the k nearest columns.
+    """Per query (row of ``dist``): 1 if its class is among the k nearest columns.
 
-    Ties break toward the lower training index; both paths implement the
-    same rule (stable argsort vs. repeated strict-minimum scan) and return
-    identical results.
+    Equal distances resolve to the lower training index: ``argmin`` returns
+    the first minimum, and a stable argsort keeps index order among ties.
     """
-    dist = np.ascontiguousarray(dist, dtype=np.float64)
-    train_labels = np.ascontiguousarray(train_labels, dtype=np.int64)
-    test_labels = np.ascontiguousarray(test_labels, dtype=np.int64)
+    dist = np.asarray(dist, dtype=np.float64)
+    train_labels = np.asarray(train_labels, dtype=np.int64)
+    test_labels = np.asarray(test_labels, dtype=np.int64)
     k = min(k, dist.shape[1])
-    if USING_NUMBA:
-        return _topk_hits_nb(dist, train_labels, test_labels, k)
-    return _topk_hits_np(dist, train_labels, test_labels, k)
+    if k == 1:
+        nearest = np.argmin(dist, axis=1)[:, None]
+    else:
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return (train_labels[nearest] == test_labels[:, None]).any(axis=1).astype(np.int64)

@@ -231,10 +231,14 @@ class RunSink:
                 self._csv.write(csv_row(cfg, acc) + "\n")
                 self._csv.flush()
 
-    def close(self, cfg: RunConfig, final_params: ParamTree, tracker: OptimaTracker) -> None:
+    def close_csv(self) -> None:
+        """Close the results file; safe to call more than once."""
         if self._csv is not None:
             self._csv.close()
             self._csv = None
+
+    def close(self, cfg: RunConfig, final_params: ParamTree, tracker: OptimaTracker) -> None:
+        self.close_csv()
         if self.out_dir is not None:
             save_params(final_params, self.out_dir / "final.ckpt")
             (self.out_dir / "optima.csv").write_text(optima_csv(tracker), encoding="utf-8")
@@ -317,9 +321,13 @@ def run(
     tracker = OptimaTracker()
     sink = RunSink(out_dir)
     total_steps = 0
-    for _ in range(cfg.rounds):
-        state, steps = run_round(state, cfg, partition, pretext, tasks, tracker, sink)
-        total_steps += steps
+    try:
+        for _ in range(cfg.rounds):
+            state, steps = run_round(state, cfg, partition, pretext, tasks, tracker, sink)
+            total_steps += steps
+    finally:
+        # a failed run keeps its results.csv prefix but writes no final.ckpt / optima.csv
+        sink.close_csv()
     sink.close(cfg, state.global_params, tracker)
     return RunResult(
         rows=sink.rows,

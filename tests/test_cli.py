@@ -35,6 +35,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r":2:"):
             parse_config_text("rounds = 5\nalpha = -1\n")
 
+    @pytest.mark.parametrize("line", [
+        "lr = nan", "alpha = inf", "tau = nan", "bt_lambda = inf",
+        "noise_std = nan", "fedu_mu = inf", "bt_eps = nan",
+    ])
+    def test_nonfinite_value_is_range_error_with_line_number(self, line):
+        with pytest.raises(ConfigError, match=r":2: bad value"):
+            parse_config_text(f"rounds = 5\n{line}\n")
+
     def test_unknown_key_rejected_with_line_number(self):
         with pytest.raises(ConfigError, match=r":1:.*unknown key"):
             parse_config_text("nonsense = 5\n")
@@ -133,6 +141,7 @@ class TestCmdRun:
     def test_config_error_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path))
         assert main(["run", "--alpha", "-3"]) == 1
+        assert main(["run", "--lr", "nan"]) == 1
 
     def test_partial_csv_on_crash_is_valid_prefix(self, tmp_path):
         """Line-buffered appends: a truncated run leaves a parseable CSV."""

@@ -1,4 +1,4 @@
-"""Retrieval evaluation, kernel-path parity, and optimum-tracker tests."""
+"""Retrieval evaluation, retrieval kernels, and optimum-tracker tests."""
 
 import numpy as np
 import pytest
@@ -95,6 +95,14 @@ class TestKnnRetrieval:
         with pytest.raises(ContractError):
             knn_retrieval_accuracy(x, [0, 1, 2], x, [0, 1, 2], k=4)
 
+    @pytest.mark.parametrize("side", ["train", "test"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_features_rejected(self, rng, bad, side):
+        feats = {"train": rng.normal(size=(5, 3)), "test": rng.normal(size=(2, 3))}
+        feats[side][1, 2] = bad
+        with pytest.raises(ContractError, match="finite"):
+            knn_retrieval_accuracy(feats["train"], [0, 1, 2, 0, 1], feats["test"], [0, 1], k=1)
+
     def test_euclidean_matches_oracle(self, rng):
         train = rng.normal(size=(12, 3))
         test = rng.normal(size=(5, 3))
@@ -105,19 +113,29 @@ class TestKnnRetrieval:
 
 
 class TestKernelPaths:
-    def test_topk_paths_agree(self, rng):
-        for _ in range(50):
-            n, q = int(rng.integers(3, 30)), int(rng.integers(1, 10))
+    @staticmethod
+    def oracle_hits(dist, train_labels, test_labels, k):
+        """Per query: sort (distance, index) pairs and look for the class in the first k."""
+        hits = []
+        for q, row in enumerate(dist):
+            order = sorted((float(d), j) for j, d in enumerate(row))
+            hits.append(int(any(train_labels[j] == test_labels[q] for _, j in order[:k])))
+        return np.array(hits, dtype=np.int64)
+
+    def test_topk_matches_sorted_pairs_oracle_on_exact_ties(self, rng):
+        for trial in range(40):
+            n, q = int(rng.integers(2, 40)), int(rng.integers(1, 8))
             dist = rng.normal(size=(q, n))
-            # inject exact ties
-            if n > 4:
-                dist[:, 1] = dist[:, 3]
+            if trial % 2:
+                dist = np.round(dist, 1)  # many exact ties across columns
+            else:
+                dist[:, -1] = dist[:, 0]  # a duplicated column
             tl = rng.integers(0, 3, n)
             ql = rng.integers(0, 3, q)
-            k = int(rng.integers(1, n + 1))
-            np_path = kernels._topk_hits_np(dist, tl.astype(np.int64), ql.astype(np.int64), k)
-            dispatched = kernels.topk_hits(dist, tl, ql, k)
-            np.testing.assert_array_equal(np_path, dispatched)
+            for k in range(1, n + 3):
+                out = kernels.topk_hits(dist, tl, ql, k)
+                assert out.dtype == np.int64
+                np.testing.assert_array_equal(out, self.oracle_hits(dist, tl, ql, k))
 
     def test_pairwise_cosine_unit_rows(self, rng):
         x = rng.normal(size=(4, 3))

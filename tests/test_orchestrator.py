@@ -230,3 +230,33 @@ class TestRun:
         assert (tmp_path / "final.ckpt").exists()
         assert (tmp_path / "round_0001.ckpt").exists()
         assert (tmp_path / "optima.csv").read_text().startswith("task,best_round,best_accuracy")
+
+    def test_failed_run_closes_csv_and_keeps_prefix(self, tmp_path, monkeypatch):
+        import fassl.orchestrator as orchestrator
+
+        cfg = replace(SMALL, rounds=3, eval_every=1)
+        pretext, tasks = small_world(cfg)
+        real_eval = orchestrator.evaluate_global
+
+        def eval_failing_at_round_2(w_g, tasks, k, round_idx=0, **kwargs):
+            if round_idx == 2:
+                raise ContractError("evaluation failed")
+            return real_eval(w_g, tasks, k, round_idx=round_idx, **kwargs)
+
+        handles = []
+        real_init = RunSink.__init__
+
+        def recording_init(self, out_dir=None):
+            real_init(self, out_dir)
+            handles.append(self._csv)
+
+        monkeypatch.setattr(orchestrator, "evaluate_global", eval_failing_at_round_2)
+        monkeypatch.setattr(RunSink, "__init__", recording_init)
+        with pytest.raises(ContractError, match="evaluation failed"):
+            run(cfg, pretext, tasks, out_dir=tmp_path)
+        assert len(handles) == 1 and handles[0].closed
+        lines = (tmp_path / "results.csv").read_text().strip().split("\n")
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["1"] * len(tasks)
+        assert not (tmp_path / "final.ckpt").exists()
+        assert not (tmp_path / "optima.csv").exists()
