@@ -1,9 +1,17 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The engine is define-by-run: while a ``Graph`` context is active, every op
-appends a record to the tape, and ``backward`` replays the tape in exact
-reverse construction order. With no active graph the same ops run as plain
-numpy forward computations, which is what evaluation-only code paths use.
+with at least one tracked input appends a record to the tape, and
+``backward`` replays the tape in exact reverse construction order. Each
+record keeps one vjp per input and ``None`` in the slot of an untracked
+input, so backward never forms a gradient nobody uses (the first layer's
+gradient with respect to the input batch, for one). With no active graph the
+same ops run as plain numpy forward computations, which is what
+evaluation-only code paths use.
+
+Every ``Tensor`` construction checks its values are finite, intermediates
+included; an input that already is a C-contiguous float64 ndarray is stored
+as is, without a conversion pass.
 
 Tensors are immutable values; ``data`` must never be mutated after
 construction. Graphs and the tensors recorded on them are confined to one
@@ -14,7 +22,7 @@ each get their own tape).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -56,8 +64,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if not np.all(np.isfinite(arr)):
+        if type(data) is np.ndarray and data.dtype == np.float64 and data.ndim and data.flags.c_contiguous:
+            arr = data
+        else:  # ascontiguousarray also lifts a 0-d input to shape (1,)
+            arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        if not np.isfinite(arr).all():
             raise ContractError("tensor values must be finite (got NaN or Inf)")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -84,14 +95,18 @@ class Tensor:
 
 
 class _Node:
-    """One tape record: output tensor, input tensors, and the local vjp."""
+    """One tape record: output tensor, input tensors, and one vjp per input.
 
-    __slots__ = ("out", "inputs", "vjp")
+    ``vjps[i]`` maps the output gradient to input i's gradient; it is None
+    when input i was untracked at record time, so backward skips it.
+    """
 
-    def __init__(self, out: Tensor, inputs: Sequence[Tensor], vjp: Callable):
+    __slots__ = ("out", "inputs", "vjps")
+
+    def __init__(self, out: Tensor, inputs: tuple, vjps: tuple):
         self.out = out
-        self.inputs = tuple(inputs)
-        self.vjp = vjp
+        self.inputs = inputs
+        self.vjps = vjps
 
 
 _STACK = threading.local()
@@ -133,8 +148,8 @@ class Graph:
     def _tracks(self, t: Tensor) -> bool:
         return t.requires_grad or id(t) in self._tracked
 
-    def _record(self, out: Tensor, inputs: Sequence[Tensor], vjp: Callable) -> None:
-        self.nodes.append(_Node(out, inputs, vjp))
+    def _record(self, out: Tensor, inputs: tuple, vjps: tuple) -> None:
+        self.nodes.append(_Node(out, inputs, vjps))
         self._tracked.add(id(out))
 
 
@@ -152,9 +167,10 @@ def backward(graph: Graph, loss: Tensor, leaves: Mapping[str, Tensor]) -> dict[s
         g_out = grads.pop(id(node.out), None)
         if g_out is None:
             continue
-        for t, g_in in zip(node.inputs, node.vjp(g_out)):
-            if g_in is None or not graph._tracks(t):
+        for t, vjp in zip(node.inputs, node.vjps):
+            if vjp is None:
                 continue
+            g_in = vjp(g_out)
             acc = grads.get(id(t))
             grads[id(t)] = g_in if acc is None else acc + g_in
     out: dict[str, Tensor] = {}
@@ -180,11 +196,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _make(out_data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
+def _make(out_data, inputs: tuple, vjps: tuple) -> Tensor:
+    """Wrap an op's output and, under an active graph, record its tracked inputs' vjps."""
     out = Tensor(out_data)
     g = _active_graph()
-    if g is not None and any(g._tracks(t) for t in inputs):
-        g._record(out, inputs, vjp)
+    if g is not None:
+        kept = tuple([vjp if g._tracks(t) else None for t, vjp in zip(inputs, vjps)])
+        if any(kept):
+            g._record(out, inputs, kept)
     return out
 
 
@@ -193,7 +212,7 @@ def add(a, b) -> Tensor:
     return _make(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
     )
 
 
@@ -202,7 +221,7 @@ def sub(a, b) -> Tensor:
     return _make(
         a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
     )
 
 
@@ -211,7 +230,7 @@ def mul(a, b) -> Tensor:
     return _make(
         a.data * b.data,
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        (lambda g: _unbroadcast(g * b.data, a.shape), lambda g: _unbroadcast(g * a.data, b.shape)),
     )
 
 
@@ -220,9 +239,9 @@ def div(a, b) -> Tensor:
     return _make(
         a.data / b.data,
         (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+        (
+            lambda g: _unbroadcast(g / b.data, a.shape),
+            lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
         ),
     )
 
@@ -231,52 +250,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return _make(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
+    return _make(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ContractError(f"transpose needs a 2-d tensor, got shape {a.shape}")
-    return _make(a.data.T, (a,), lambda g: (g.T,))
+    return _make(a.data.T, (a,), (lambda g: g.T,))
 
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     # Subgradient at 0 is fixed to 0 for determinism.
-    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
+    return _make(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
 
 
 def exp(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out_data = np.exp(a.data)
-    return _make(out_data, (a,), lambda g: (g * out_data,))
+    return _make(out_data, (a,), (lambda g: g * out_data,))
 
 
 def log(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return _make(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out_data = np.sqrt(a.data)
-    return _make(out_data, (a,), lambda g: (g * 0.5 / out_data,))
+    return _make(out_data, (a,), (lambda g: g * 0.5 / out_data,))
 
 
 def maximum_const(a: Tensor, c: float) -> Tensor:
     """Elementwise max(a, c) with constant c; gradient passes only where a > c."""
     a = _as_tensor(a)
-    return _make(np.maximum(a.data, c), (a,), lambda g: (g * (a.data > c),))
+    return _make(np.maximum(a.data, c), (a,), (lambda g: g * (a.data > c),))
 
 
 def sum_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    return _make(np.sum(a.data), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    return _make(np.sum(a.data), (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
@@ -284,7 +299,7 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
     return _make(
         np.sum(a.data, axis=axis, keepdims=True),
         (a,),
-        lambda g: (np.broadcast_to(g, a.shape).copy(),),
+        (lambda g: np.broadcast_to(g, a.shape).copy(),),
     )
 
 
@@ -294,13 +309,13 @@ def mean_all(a: Tensor) -> Tensor:
     return _make(
         np.sum(a.data) / n,
         (a,),
-        lambda g: (np.broadcast_to(g / n, a.shape).copy(),),
+        (lambda g: np.broadcast_to(g / n, a.shape).copy(),),
     )
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     a = _as_tensor(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    return _make(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -311,9 +326,9 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     def vjp(g):
         out = np.zeros_like(a.data)
         np.add.at(out, idx, g)
-        return (out,)
+        return out
 
-    return _make(a.data[idx], (a,), vjp)
+    return _make(a.data[idx], (a,), (vjp,))
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:

@@ -7,13 +7,16 @@ Checkpoint container layout (all integers little-endian):
                | payload as little-endian f64
 
 Entries are written in canonical name order, so identical trees produce
-byte-identical files. Decoding rejects any malformed or truncated container
-with ContractError.
+byte-identical files. A file is written to a temporary sibling and renamed
+over its target, so a killed process or a failed write leaves either the old
+file or the new one, never a torn one. Decoding rejects any malformed or
+truncated container with ContractError.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -77,7 +80,15 @@ def _unpack_entries(blob: bytes, source: str) -> list[tuple[str, Tensor]]:
 
 
 def save_params(params: ParamTree, path: str | Path) -> None:
-    Path(path).write_bytes(_pack_entries(list(params.items())))
+    path = Path(path)
+    blob = _pack_entries(list(params.items()))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_params(path: str | Path) -> ParamTree:

@@ -67,8 +67,7 @@ def knn_retrieval_accuracy(
     if metric == "cosine":
         dist = 1.0 - kernels.pairwise_cosine(test, train)
     elif metric == "euclidean":
-        d2 = ((test[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
-        dist = np.sqrt(d2)
+        dist = kernels.pairwise_euclidean(test, train)
     else:
         raise ContractError(f"unknown metric {metric!r}")
     hits = kernels.topk_hits(dist, train_labels, test_labels, k)

@@ -5,6 +5,13 @@ consume two augmented views per clip; the predictive task shuffles clip
 segments and classifies which permutation was applied. All losses are built
 from the autodiff primitives so their gradients come from the tape, and all
 use max-subtraction where a log-sum-exp appears.
+
+Batch assembly writes each view (or presented segment) straight into its row
+of one preallocated float64 array, gathering through a crop/resample index
+table built once per batch, and wraps the batch in a single ``Tensor``. The
+random draws are the per-view ones in the per-view order (crop start, noise,
+band-dropout coins per view; one permutation draw per clip), so a batch is
+bit-identical to stacking ``augment`` calls made one view at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +55,47 @@ class AugmentPolicy:
             raise ContractError(f"band_mask_prob must be in [0, 1], got {self.band_mask_prob}")
 
 
+def _clip_shape(clips: list[Clip], what: str) -> tuple[int, int]:
+    """The (frames, bands) every clip of a batch shares."""
+    if not clips:
+        raise ContractError(f"{what} needs at least one clip")
+    shape = clips[0].features.shape
+    for clip in clips:
+        if clip.features.shape != shape:
+            raise ContractError(f"{what} needs clips of one shape, got {shape} and {clip.features.shape}")
+    return shape
+
+
+def _crop_rows(frames: int, policy: AugmentPolicy) -> np.ndarray | None:
+    """Source rows of every possible crop, resampled to frames; None when uncropped.
+
+    Row s of the table is what cropping at start s and nearest-frame
+    resampling back to frames picks, so one view is one gather.
+    """
+    if frames < 2:
+        raise ContractError("augment needs a clip with >= 2 frames")
+    crop_len = max(1, int(round(policy.crop_fraction * frames)))
+    if crop_len >= frames:
+        return None
+    return np.arange(frames - crop_len + 1)[:, None] + resample_frames(np.arange(crop_len), frames)
+
+
+def _write_view(feats: np.ndarray, policy: AugmentPolicy, rng, crop_rows, out: np.ndarray) -> None:
+    """Write one augmented view of feats (frames, bands) into out, same shape.
+
+    Draws, in order: the crop start, the (frames, bands) noise, the band
+    dropout coin flips, each only when the policy uses it.
+    """
+    if crop_rows is None:
+        np.copyto(out, feats)
+    else:
+        feats.take(crop_rows[rng.integers(0, len(crop_rows))], axis=0, out=out)
+    if policy.noise_std > 0:
+        out += rng.normal(0.0, policy.noise_std, size=feats.shape)
+    if policy.band_mask_prob > 0:
+        np.copyto(out, 0.0, where=rng.uniform(size=feats.shape[1]) < policy.band_mask_prob)
+
+
 def augment(clip: Clip, policy: AugmentPolicy, rng: np.random.Generator) -> Tensor:
     """One flattened view: crop + nearest-frame resample, noise, band dropout.
 
@@ -55,33 +103,25 @@ def augment(clip: Clip, policy: AugmentPolicy, rng: np.random.Generator) -> Tens
     returns the original features bit-exactly.
     """
     feats = clip.features.data
-    frames, bands = feats.shape
-    if frames < 2:
-        raise ContractError("augment needs a clip with >= 2 frames")
-    crop_len = max(1, int(round(policy.crop_fraction * frames)))
-    if crop_len >= frames:
-        crop = feats
-    else:
-        start = int(rng.integers(0, frames - crop_len + 1))
-        crop = feats[start:start + crop_len]
-    view = resample_frames(crop, frames)
-    if policy.noise_std > 0:
-        view = view + rng.normal(0.0, policy.noise_std, size=view.shape)
-    else:
-        view = view.copy()
-    if policy.band_mask_prob > 0:
-        masked = rng.uniform(size=bands) < policy.band_mask_prob
-        view[:, masked] = 0.0
+    view = np.empty(feats.shape)
+    _write_view(feats, policy, rng, _crop_rows(feats.shape[0], policy), view)
     return Tensor(view.reshape(-1))
 
 
 def two_view_batch(clips: list[Clip], policy: AugmentPolicy, rng: np.random.Generator) -> Tensor:
-    """Interleaved view matrix: rows (2i, 2i+1) are the two views of clip i."""
-    rows = []
-    for clip in clips:
-        rows.append(augment(clip, policy, rng).data)
-        rows.append(augment(clip, policy, rng).data)
-    return Tensor(np.stack(rows))
+    """Interleaved view matrix: rows (2i, 2i+1) are the two views of clip i.
+
+    Draws the same stream as two ``augment`` calls per clip in clip order
+    and writes each view straight into its row of one batch array.
+    """
+    frames, bands = _clip_shape(clips, "two_view_batch")
+    crop_rows = _crop_rows(frames, policy)
+    views = np.empty((2 * len(clips), frames, bands))
+    for i, clip in enumerate(clips):
+        feats = clip.features.data
+        _write_view(feats, policy, rng, crop_rows, views[2 * i])
+        _write_view(feats, policy, rng, crop_rows, views[2 * i + 1])
+    return Tensor(views.reshape(2 * len(clips), frames * bands))
 
 
 def nt_xent_loss(z: Tensor, tau: float) -> Tensor:
@@ -169,25 +209,23 @@ def acop_make_batch(
     """
     if m < 2:
         raise ContractError(f"need m >= 2 segments, got {m}")
-    if not clips:
-        raise ContractError("acop_make_batch needs at least one clip")
+    frames, bands = _clip_shape(clips, "acop_make_batch")
+    seg_len = frames // m
+    if seg_len < 2:
+        raise ContractError(f"clip {clips[0].clip_id} too short for {m} segments ({frames} frames)")
     n_perms = len(perm_table)
-    rows = []
-    labels = []
-    for clip in clips:
-        frames = clip.frames
-        seg_len = frames // m
-        if seg_len < 2:
-            raise ContractError(f"clip {clip.clip_id} too short for {m} segments ({frames} frames)")
-        feats = clip.features.data
-        segs = [feats[i * seg_len:(i + 1) * seg_len] for i in range(m)]
+    # perm_rows[p, k] = source frames of the k-th presented segment under permutation p
+    seg_rows = np.arange(m)[:, None] * seg_len + resample_frames(np.arange(seg_len), frames)
+    perm_rows = seg_rows[np.asarray(perm_table, dtype=np.intp)]
+    segments = np.empty((len(clips), m, frames, bands))
+    labels = np.empty(len(clips), dtype=np.int64)
+    for i, clip in enumerate(clips):
         p = int(rng.integers(0, n_perms))
-        labels.append(p)
-        for j in perm_table[p]:
-            rows.append(resample_frames(segs[j], frames).reshape(-1))
+        labels[i] = p
+        clip.features.data.take(perm_rows[p], axis=0, out=segments[i])
     return AcopBatch(
-        segments=Tensor(np.stack(rows)),
-        labels=np.array(labels, dtype=np.int64),
+        segments=Tensor(segments.reshape(len(clips) * m, frames * bands)),
+        labels=labels,
         m=m,
         n_perms=n_perms,
     )

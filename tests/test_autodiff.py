@@ -6,7 +6,18 @@ import pytest
 from fassl import autodiff as ad
 from fassl.autodiff import Graph, Tensor, backward
 from fassl.errors import ContractError
-from fassl.model import ParamTree, finite_diff_grad, sgd_step
+from fassl.data import synth_dataset
+from fassl.model import EncoderConfig, ParamTree, encode, finite_diff_grad, init_encoder, project, sgd_step
+from fassl.seeding import rng_for
+from fassl.ssl_tasks import (
+    AugmentPolicy,
+    acop_loss,
+    acop_make_batch,
+    barlow_twins_loss,
+    canonical_permutations,
+    nt_xent_loss,
+    two_view_batch,
+)
 
 from conftest import gradclose
 
@@ -23,6 +34,46 @@ class TestTensor:
         assert t.data.dtype == np.float64
         assert t.data.flags["C_CONTIGUOUS"]
         assert t.shape == (2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_contiguous_float64_array(self, rng, bad):
+        for shape, at in [((7,), (6,)), ((3, 4), (0, 0)), ((3, 4), (2, 1)), ((2, 3, 2), (1, 2, 1))]:
+            arr = rng.normal(size=shape)
+            arr[at] = bad
+            assert arr.dtype == np.float64 and arr.flags["C_CONTIGUOUS"]
+            with pytest.raises(ContractError, match="finite"):
+                Tensor(arr)
+
+    def test_intermediate_values_still_checked(self):
+        x = Tensor([1000.0], requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(ContractError, match="finite"):
+            with Graph():
+                ad.exp(x)
+
+    def test_contiguous_float64_array_is_stored_as_is(self, rng):
+        arr = rng.normal(size=(3, 4))
+        assert Tensor(arr).data is arr
+
+    def test_non_contiguous_input_is_stored_c_contiguous(self, rng):
+        x = rng.normal(size=(3, 5))
+        for view in (x.T, x[:, ::2]):
+            t = Tensor(view)
+            assert t.data.flags["C_CONTIGUOUS"]
+            assert t.shape == view.shape
+            np.testing.assert_array_equal(t.data, view)
+
+    def test_zero_d_input_becomes_shape_one(self):
+        for value in (np.array(2.5), np.float64(2.5), 2.5):
+            t = Tensor(value)
+            assert t.shape == (1,)
+            assert t.data.tolist() == [2.5]
+        assert ad.sum_all(Tensor([1.0, 2.0])).shape == (1,)
+
+    def test_other_dtypes_are_converted(self):
+        for arr in (np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32), np.array([1.0, 2.0], dtype=">f8")):
+            t = Tensor(arr)
+            assert t.data.dtype == np.dtype(np.float64) and t.data.dtype.isnative
+            assert t.data.tolist() == [1.0, 2.0]
 
 
 class TestMatmul:
@@ -139,6 +190,81 @@ class TestBackward:
         with Graph() as g:
             loss = ad.sum_all(ad.add(ad.mul(x, x), x))  # x^2 + x -> 2x + 1
         np.testing.assert_allclose(backward(g, loss, {"x": x})["x"].data, [5.0])
+
+
+class TestTrackedInputsOnly:
+    """A tape node keeps a vjp only for inputs that are tracked when it is recorded."""
+
+    BINARY_OPS = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "div": ad.div, "matmul": ad.matmul}
+
+    def operands(self, rng, op):
+        if op == "matmul":
+            return rng.normal(size=(5, 4)), rng.normal(size=(4, 3))
+        return rng.normal(size=(5, 3)), rng.uniform(1.0, 2.0, size=(1, 3))
+
+    def test_untracked_matmul_input_has_no_vjp(self, rng):
+        x = Tensor(rng.normal(size=(6, 4)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        with Graph() as g:
+            loss = ad.sum_all(ad.matmul(x, w))
+        node = g.nodes[0]
+        assert node.inputs == (x, w)
+        assert node.vjps[0] is None and node.vjps[1] is not None
+        grads = backward(g, loss, {"x": x, "w": w})
+        assert set(grads) == {"w"}
+        assert grads["w"].data.tobytes() == (x.data.T @ np.ones((6, 3))).tobytes()
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    @pytest.mark.parametrize("tracked_side", [0, 1])
+    def test_one_tracked_side_gives_the_same_bytes_as_both_tracked(self, rng, op, tracked_side):
+        fn = self.BINARY_OPS[op]
+        arrays = self.operands(rng, op)
+
+        def grad_of(tracked):
+            ts = [Tensor(a, requires_grad=i in tracked) for i, a in enumerate(arrays)]
+            with Graph() as g:
+                loss = ad.sum_all(ad.mul(fn(*ts), fn(*ts)))
+            assert all(
+                (vjp is None) == (i not in tracked)
+                for node in g.nodes[:2]
+                for i, vjp in enumerate(node.vjps)
+            )
+            return backward(g, loss, {"t": ts[tracked_side]})["t"].data
+
+        assert grad_of({tracked_side}).tobytes() == grad_of({0, 1}).tobytes()
+
+    def test_untracked_vjp_never_runs(self, rng):
+        x = Tensor(rng.normal(size=(4, 3)))
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        with Graph() as g:
+            loss = ad.sum_all(ad.matmul(x, w))
+        calls = []
+        for node in g.nodes:
+            node.vjps = tuple(
+                None if vjp is None else (lambda gr, vjp=vjp, i=i: calls.append(i) or vjp(gr))
+                for i, vjp in enumerate(node.vjps)
+            )
+        backward(g, loss, {"w": w})
+        assert calls == [0, 1]  # sum_all's only input, then matmul's w; never matmul's x
+
+    def test_step_tape_node_counts(self):
+        """Nodes per step, as recorded before vjps were pruned (perfbench's autodiff.tape_nodes)."""
+        ds = synth_dataset(2, 4, 12, 4, seed=0)
+        cfg = EncoderConfig(input_dim=48, hidden_dim=7, embed_dim=6, projection_dim=5, acop_classes=6)
+        params = init_encoder(cfg, seed=1).clone(requires_grad=True)
+        clips = ds.clips[:4]
+        with Graph() as g:
+            z = project(params, encode(params, two_view_batch(clips, AugmentPolicy(), rng_for(0, "v"))))
+            nt_xent_loss(z, 0.5)
+        assert len(g.nodes) == 33
+        assert g.nodes[0].vjps[0] is None  # the view batch is never differentiated
+        with Graph() as g:
+            z = project(params, encode(params, two_view_batch(clips, AugmentPolicy(), rng_for(0, "v"))))
+            barlow_twins_loss(ad.gather_rows(z, np.arange(0, 8, 2)), ad.gather_rows(z, np.arange(1, 8, 2)), 5e-3)
+        assert len(g.nodes) == 43
+        with Graph() as g:
+            acop_loss(params, acop_make_batch(clips, 3, canonical_permutations(3), rng_for(0, "a")))
+        assert len(g.nodes) == 18
 
 
 class TestOpGradientsAgainstFiniteDifferences:

@@ -1,5 +1,7 @@
 """Retrieval evaluation, retrieval kernels, and optimum-tracker tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,41 @@ class TestKernelPaths:
         sims = kernels.pairwise_cosine(x, x)
         np.testing.assert_allclose(np.diag(sims), 1.0, atol=1e-12)
         assert np.all(sims <= 1.0 + 1e-12)
+
+
+class TestPairwiseEuclidean:
+    @staticmethod
+    def broadcast_reference(x, y):
+        return np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2))
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 17, 64, 129])
+    def test_bytes_match_broadcast_on_random_inputs(self, rng, dim):
+        x, y = rng.normal(size=(23, dim)), rng.normal(size=(41, dim))
+        ours = kernels.pairwise_euclidean(x, y)
+        assert ours.shape == (23, 41)
+        assert ours.tobytes() == self.broadcast_reference(x, y).tobytes()
+
+    def test_bytes_match_broadcast_with_duplicated_rows(self, rng):
+        base = np.round(rng.normal(size=(6, 16)), 1)
+        y = base[rng.integers(0, 6, size=40)]  # every train row repeated, exact ties
+        x = np.concatenate([base, base[::-1], rng.normal(size=(4, 16))])
+        ours = kernels.pairwise_euclidean(x, y)
+        assert ours.tobytes() == self.broadcast_reference(x, y).tobytes()
+        assert (ours == 0.0).sum() >= 40
+        labels = np.arange(40) % 3
+        hits = kernels.topk_hits(ours, labels, np.zeros(len(x), dtype=np.int64), 3)
+        ref_hits = kernels.topk_hits(self.broadcast_reference(x, y), labels, np.zeros(len(x), dtype=np.int64), 3)
+        np.testing.assert_array_equal(hits, ref_hits)
+
+    def test_peak_memory_has_no_three_d_temporary(self, rng):
+        x, y = rng.normal(size=(300, 64)), rng.normal(size=(600, 64))
+        tracemalloc.start()
+        try:
+            kernels.pairwise_euclidean(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20  # the broadcast held 300 * 600 * 64 * 8 B = 92 MB
 
 
 class TestEvaluateGlobal:

@@ -1,5 +1,8 @@
 """Parameter tree, encoder init/forward, scoping, and checkpoint format tests."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +207,38 @@ class TestCheckpointFormat:
             path.write_bytes(blob[:cut])
             with pytest.raises(ContractError):
                 load_params(path)
+
+    @pytest.mark.parametrize("failure", ["write", "replace"])
+    def test_failed_save_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "final.ckpt"
+        save_params(init_encoder(CFG, seed=1), path)
+        old = path.read_bytes()
+        if failure == "write":
+            real_write_bytes = Path.write_bytes
+
+            def torn_write(self, data):
+                real_write_bytes(self, data[: len(data) // 2])
+                raise OSError("disk full")
+
+            monkeypatch.setattr(Path, "write_bytes", torn_write)
+        else:
+            def failing_replace(src, dst):
+                raise OSError("rename failed")
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            save_params(init_encoder(CFG, seed=2), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["final.ckpt"]
+
+    def test_save_overwrites_atomically_named_target(self, tmp_path):
+        path = tmp_path / "round_0001.ckpt"
+        save_params(init_encoder(CFG, seed=1), path)
+        tree = init_encoder(CFG, seed=2)
+        save_params(tree, path)
+        assert path.read_bytes() == params_bytes(tree)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["round_0001.ckpt"]
 
     def test_invalid_utf8_name_rejected(self, tmp_path):
         blob = params_bytes(ParamTree([("a", Tensor([1.0]))]))

@@ -1,11 +1,13 @@
 """Pretext task tests: augmentation statistics, loss values, loss gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from fassl import autodiff as ad
 from fassl.autodiff import Graph, Tensor, backward
-from fassl.data import Clip, synth_dataset
+from fassl.data import Clip, resample_frames, synth_dataset
 from fassl.errors import ContractError
 from fassl.model import EncoderConfig, encode, finite_diff_grad, init_encoder, project, sgd_step
 from fassl.seeding import rng_for
@@ -159,8 +161,6 @@ class TestAcopBatch:
         assert batch.labels.tolist() == [0]
         for i in range(3):
             seg = clip.features.data[i * 4:(i + 1) * 4]
-            from fassl.data import resample_frames
-
             np.testing.assert_array_equal(
                 batch.segments.data[i], resample_frames(seg, 12).reshape(-1)
             )
@@ -334,3 +334,156 @@ class TestTwoViewBatch:
             flat = clip.features.data.reshape(-1)
             np.testing.assert_array_equal(batch.data[2 * i], flat)
             np.testing.assert_array_equal(batch.data[2 * i + 1], flat)
+
+
+def reference_augment(clip, policy, rng) -> np.ndarray:
+    """Per-view oracle: crop, resample_frames, noise, band dropout, one view at a time."""
+    feats = clip.features.data
+    frames, bands = feats.shape
+    crop_len = max(1, int(round(policy.crop_fraction * frames)))
+    if crop_len >= frames:
+        crop = feats
+    else:
+        start = int(rng.integers(0, frames - crop_len + 1))
+        crop = feats[start:start + crop_len]
+    view = resample_frames(crop, frames)
+    if policy.noise_std > 0:
+        view = view + rng.normal(0.0, policy.noise_std, size=view.shape)
+    else:
+        view = view.copy()
+    if policy.band_mask_prob > 0:
+        masked = rng.uniform(size=bands) < policy.band_mask_prob
+        view[:, masked] = 0.0
+    return view.reshape(-1)
+
+
+def reference_two_view_batch(clips, policy, rng) -> np.ndarray:
+    rows = []
+    for clip in clips:
+        rows.append(reference_augment(clip, policy, rng))
+        rows.append(reference_augment(clip, policy, rng))
+    return np.stack(rows)
+
+
+def reference_acop_make_batch(clips, m, perm_table, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment oracle: one permutation draw per clip, one resample per segment."""
+    rows, labels = [], []
+    for clip in clips:
+        frames = clip.frames
+        seg_len = frames // m
+        feats = clip.features.data
+        segs = [feats[i * seg_len:(i + 1) * seg_len] for i in range(m)]
+        p = int(rng.integers(0, len(perm_table)))
+        labels.append(p)
+        for j in perm_table[p]:
+            rows.append(resample_frames(segs[j], frames).reshape(-1))
+    return np.stack(rows), np.array(labels, dtype=np.int64)
+
+
+ORACLE_POLICIES = {
+    "identity": AugmentPolicy(1.0, 0.0, 0.0),
+    "crop_only": AugmentPolicy(0.7, 0.0, 0.0),
+    "noise_only": AugmentPolicy(1.0, 0.05, 0.0),
+    "band_mask_0": AugmentPolicy(0.6, 0.05, 0.0),
+    "band_mask_1": AugmentPolicy(0.6, 0.05, 1.0),
+    "default": AugmentPolicy(),
+}
+ORACLE_SHAPES = [(32, 16), (31, 5), (14, 3)]  # none has a frame count divisible by 3
+
+
+def oracle_clips(n, frames, bands, seed=0) -> list[Clip]:
+    src = rng_for(seed, "oracle-clips", frames, bands)
+    return [
+        Clip(features=Tensor(src.normal(0.0, 1.0, size=(frames, bands))), label=i % 3, clip_id=i)
+        for i in range(n)
+    ]
+
+
+def assert_same_bytes(ours: np.ndarray, ref: np.ndarray) -> None:
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+class TestBatchBuildersMatchPerViewOracle:
+    """The batch builders draw the per-view stream and write the per-view bytes."""
+
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES.values(), ids=ORACLE_POLICIES.keys())
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_two_view_batch(self, policy, n, shape):
+        clips = oracle_clips(n, *shape)
+        ours_rng, ref_rng = rng_for(9, "oracle-views", n), rng_for(9, "oracle-views", n)
+        batch = two_view_batch(clips, policy, ours_rng)
+        assert_same_bytes(batch.data, reference_two_view_batch(clips, policy, ref_rng))
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES.values(), ids=ORACLE_POLICIES.keys())
+    def test_augment(self, policy):
+        clip = oracle_clips(1, 31, 5)[0]
+        ours_rng, ref_rng = rng_for(4, "oracle-view"), rng_for(4, "oracle-view")
+        for _ in range(5):
+            assert_same_bytes(augment(clip, policy, ours_rng).data, reference_augment(clip, policy, ref_rng))
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_acop_make_batch(self, n, shape):
+        clips = oracle_clips(n, *shape)
+        perms = canonical_permutations(ACOP_SEGMENTS)
+        ours_rng, ref_rng = rng_for(8, "oracle-acop", n), rng_for(8, "oracle-acop", n)
+        batch = acop_make_batch(clips, ACOP_SEGMENTS, perms, ours_rng)
+        ref_segments, ref_labels = reference_acop_make_batch(clips, ACOP_SEGMENTS, perms, ref_rng)
+        assert_same_bytes(batch.segments.data, ref_segments)
+        assert_same_bytes(batch.labels, ref_labels)
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_acop_two_segments(self):
+        clips = oracle_clips(5, 31, 5)
+        perms = canonical_permutations(2)
+        batch = acop_make_batch(clips, 2, perms, rng_for(1, "oracle-acop-2"))
+        ref_segments, ref_labels = reference_acop_make_batch(clips, 2, perms, rng_for(1, "oracle-acop-2"))
+        assert_same_bytes(batch.segments.data, ref_segments)
+        assert_same_bytes(batch.labels, ref_labels)
+
+
+def pinned_clips() -> list[Clip]:
+    src = rng_for(0, "pinned-clips")
+    return [Clip(features=Tensor(src.uniform(0.0, 1.5, size=(32, 16))), label=0, clip_id=i) for i in range(8)]
+
+
+class TestPinnedBatchDigests:
+    """SHA-256 of batch bytes recorded from the per-view implementation.
+
+    Batch assembly uses no BLAS (draws, gathers, adds, comparisons), so the
+    digests hold on every platform numpy's Generator streams are stable on.
+    """
+
+    def test_two_view_batch_default_policy(self):
+        batch = two_view_batch(pinned_clips(), AugmentPolicy(), rng_for(1, "pinned-views"))
+        assert batch.shape == (16, 512)
+        assert hashlib.sha256(batch.data.tobytes()).hexdigest() == (
+            "ed95d056b6584e581ad915c5729bcfbccf14271a1fea3e9625007ca0998b172d"
+        )
+
+    def test_acop_make_batch(self):
+        batch = acop_make_batch(pinned_clips(), 3, canonical_permutations(3), rng_for(2, "pinned-acop"))
+        assert batch.segments.shape == (24, 512)
+        assert batch.labels.tolist() == [2, 0, 5, 5, 4, 5, 1, 0]
+        assert hashlib.sha256(batch.segments.data.tobytes()).hexdigest() == (
+            "94d2b660c57cf5b4d4c24706db0db2593116ae6b7d35940007f56009f6c6d06d"
+        )
+
+
+class TestBatchShapeContract:
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractError, match="at least one clip"):
+            two_view_batch([], AugmentPolicy(), rng_for(0, "x"))
+        with pytest.raises(ContractError, match="at least one clip"):
+            acop_make_batch([], 3, canonical_permutations(3), rng_for(0, "x"))
+
+    def test_mixed_clip_shapes_rejected(self, rng):
+        clips = [make_clip(rng, frames=12, bands=4), make_clip(rng, frames=8, bands=6, clip_id=1)]
+        with pytest.raises(ContractError, match="one shape"):
+            two_view_batch(clips, AugmentPolicy(), rng_for(0, "x"))
+        with pytest.raises(ContractError, match="one shape"):
+            acop_make_batch(clips, 3, canonical_permutations(3), rng_for(0, "x"))
