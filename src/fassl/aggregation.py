@@ -7,15 +7,20 @@ uniform, loss magnitude, per-layer angular similarity, or divergence-gated).
 Arithmetic discipline: updates are sorted by client_id before any math, and
 combinations are computed as  ref + sum_i beta_i * (w_i - ref)  with the
 first client as reference. That form makes unanimity and single-client
-identity bit-exact while remaining the same convex combination.
+identity bit-exact while remaining the same convex combination. Each entry
+is accumulated through one scratch array per entry, in the same client
+order and with the same bits as ``acc += beta_i * (w_i - ref)``. The
+updates are sorted and checked once per ``aggregate`` call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import ContractError
 from .model import BACKBONE_PREFIX, ParamTree, flatten_layer, layer_names, merge
 
@@ -33,6 +38,8 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ContractError(f"unknown strategy {self.kind!r}, expected one of {STRATEGY_KINDS}")
+        if not math.isfinite(self.fedu_mu):
+            raise ContractError(f"fedu_mu must be finite, got {self.fedu_mu}")
         if self.kind == "fedu" and self.fedu_mu <= 0:
             raise ContractError(f"fedu divergence threshold must be positive, got {self.fedu_mu}")
         if self.loss_direction not in ("high", "low"):
@@ -80,10 +87,14 @@ def _combine(trees: list[ParamTree], weights: np.ndarray) -> ParamTree:
     ref = trees[0]
 
     def combine_entry(name, ref_t):
-        acc = ref_t.data.copy()
+        r = ref_t.data
+        acc = r.copy()
+        tmp = np.empty_like(r)
         for tree, w in zip(trees, weights):
-            acc += w * (tree.get(name).data - ref_t.data)
-        return type(ref_t)(acc)
+            np.subtract(tree.get(name).data, r, out=tmp)
+            tmp *= w
+            acc += tmp
+        return Tensor(acc)
 
     return ref.map_values(combine_entry)
 
@@ -114,11 +125,8 @@ def beta_loss(updates: list[ClientUpdate], direction: str = "high") -> np.ndarra
     return losses / total
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(a, b)) / denom
+def _subtree(tree: ParamTree, names: list[str]) -> ParamTree:
+    return ParamTree._from_canonical([(n, tree.get(n)) for n in names])
 
 
 def ldawa_aggregate(global_prev: ParamTree, updates: list[ClientUpdate]) -> ParamTree:
@@ -128,34 +136,29 @@ def ldawa_aggregate(global_prev: ParamTree, updates: list[ClientUpdate]) -> Para
     renormalized; a layer whose betas all vanish falls back to uniform.
     """
     ups = _sorted_updates(updates)
-    scope = _restrict(global_prev, ups[0].params.names())
-    entries: list[tuple[str, object]] = []
+    return _ldawa(_restrict(global_prev, ups[0].params.names()), ups)
+
+
+def _ldawa(scope: ParamTree, ups: list[ClientUpdate]) -> ParamTree:
+    entries: list[tuple[str, Tensor]] = []
     for layer in layer_names(scope):
+        names = [n for n in scope.names() if n.rsplit(".", 1)[0] == layer]
         g_flat = flatten_layer(scope, layer)
-        betas = np.array([
-            min(max(_cosine(flatten_layer(u.params, layer), g_flat), 0.0), 1.0) for u in ups
-        ])
+        g_norm = float(np.linalg.norm(g_flat))
+        betas = []
+        for u in ups:
+            u_flat = flatten_layer(u.params, layer)
+            denom = float(np.linalg.norm(u_flat)) * g_norm
+            cos = 0.0 if denom == 0.0 else float(np.dot(u_flat, g_flat)) / denom
+            betas.append(min(max(cos, 0.0), 1.0))
+        betas = np.array(betas)
         total = betas.sum()
         if total < 1e-12:
             weights = np.full(len(ups), 1.0 / len(ups))
         else:
             weights = betas / total
-        layer_trees = [
-            ParamTree([(n, t) for n, t in u.params.items() if n.rsplit(".", 1)[0] == layer])
-            for u in ups
-        ]
-        entries.extend(_combine(layer_trees, weights).items())
+        entries.extend(_combine([_subtree(u.params, names) for u in ups], weights).items())
     return ParamTree(entries)
-
-
-def _backbone_divergence(update: ParamTree, global_scope: ParamTree) -> float:
-    bb_u = np.concatenate([t.data.reshape(-1) for n, t in update.items() if n.startswith(BACKBONE_PREFIX)])
-    bb_g = np.concatenate([t.data.reshape(-1) for n, t in global_scope.items() if n.startswith(BACKBONE_PREFIX)])
-    denom = float(np.linalg.norm(bb_g))
-    diff = float(np.linalg.norm(bb_u - bb_g))
-    if denom == 0.0:
-        return 0.0 if diff == 0.0 else float("inf")
-    return diff / denom
 
 
 def fedu_aggregate(global_prev: ParamTree, updates: list[ClientUpdate], mu: float) -> ParamTree:
@@ -168,19 +171,31 @@ def fedu_aggregate(global_prev: ParamTree, updates: list[ClientUpdate], mu: floa
     if mu <= 0:
         raise ContractError(f"mu must be positive, got {mu}")
     ups = _sorted_updates(updates)
-    scope = _restrict(global_prev, ups[0].params.names())
+    return _fedu(_restrict(global_prev, ups[0].params.names()), ups, mu)
+
+
+def _fedu(scope: ParamTree, ups: list[ClientUpdate], mu: float) -> ParamTree:
     bb_names = [n for n in scope.names() if n.startswith(BACKBONE_PREFIX)]
     head_names = [n for n in scope.names() if not n.startswith(BACKBONE_PREFIX)]
 
-    bb_trees = [ParamTree([(n, u.params.get(n)) for n in bb_names]) for u in ups]
-    out = list(_combine(bb_trees, beta_fedavg(ups)).items())
+    out = list(_combine([_subtree(u.params, bb_names) for u in ups], beta_fedavg(ups)).items())
 
     if head_names:
-        passing = [u for u in ups if _backbone_divergence(u.params, scope) < mu]
+        bb_g = np.concatenate([scope.get(n).data.reshape(-1) for n in bb_names])
+        g_norm = float(np.linalg.norm(bb_g))
+
+        def divergence(u: ClientUpdate) -> float:
+            bb_u = np.concatenate([u.params.get(n).data.reshape(-1) for n in bb_names])
+            diff = float(np.linalg.norm(bb_u - bb_g))
+            if g_norm == 0.0:
+                return 0.0 if diff == 0.0 else float("inf")
+            return diff / g_norm
+
+        passing = [u for u in ups if divergence(u) < mu]
         if not passing:
             out.extend((n, scope.get(n)) for n in head_names)
         else:
-            head_trees = [ParamTree([(n, u.params.get(n)) for n in head_names]) for u in passing]
+            head_trees = [_subtree(u.params, head_names) for u in passing]
             out.extend(_combine(head_trees, beta_fedavg(passing)).items())
     return ParamTree(out)
 
@@ -188,11 +203,11 @@ def fedu_aggregate(global_prev: ParamTree, updates: list[ClientUpdate], mu: floa
 def aggregate(strategy: Strategy, global_prev: ParamTree, updates: list[ClientUpdate]) -> ParamTree:
     """New global tree over the transceived scope, per the strategy's weighting."""
     ups = _sorted_updates(updates)
-    _restrict(global_prev, ups[0].params.names())  # congruence with the global scope
+    scope = _restrict(global_prev, ups[0].params.names())  # congruence with the global scope
     if strategy.kind == "ldawa":
-        return ldawa_aggregate(global_prev, ups)
+        return _ldawa(scope, ups)
     if strategy.kind == "fedu":
-        return fedu_aggregate(global_prev, ups, strategy.fedu_mu)
+        return _fedu(scope, ups, strategy.fedu_mu)
     if strategy.kind == "fedavg":
         weights = beta_fedavg(ups)
     elif strategy.kind == "fairavg":

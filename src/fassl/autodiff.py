@@ -11,7 +11,9 @@ evaluation-only code paths use.
 
 Every ``Tensor`` construction checks its values are finite, intermediates
 included; an input that already is a C-contiguous float64 ndarray is stored
-as is, without a conversion pass.
+as is, without a conversion pass. A plain Python ``float``/``int`` operand
+(a temperature, a count, a loss weight) is lifted to a shape-(1,) float64
+array directly, so it takes that fast path too.
 
 Tensors are immutable values; ``data`` must never be mutated after
 construction. Graphs and the tensors recorded on them are confined to one
@@ -53,6 +55,10 @@ __all__ = [
 ]
 
 
+_FLOAT64 = np.dtype(np.float64)
+_all_finite = np.logical_and.reduce  # np.all without its Python-level wrapper
+
+
 class Tensor:
     """A dense float64 array plus a requires_grad flag.
 
@@ -64,11 +70,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        if type(data) is np.ndarray and data.dtype == np.float64 and data.ndim and data.flags.c_contiguous:
+        if type(data) is np.ndarray and data.dtype is _FLOAT64 and data.ndim and data.flags.c_contiguous:
             arr = data
         else:  # ascontiguousarray also lifts a 0-d input to shape (1,)
             arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if not np.isfinite(arr).all():
+        if not _all_finite(np.isfinite(arr), axis=None):
             raise ContractError("tensor values must be finite (got NaN or Inf)")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -85,10 +91,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def copy(self, requires_grad: bool | None = None) -> "Tensor":
-        rg = self.requires_grad if requires_grad is None else requires_grad
-        return Tensor(self.data.copy(), requires_grad=rg)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -118,11 +120,6 @@ def _graph_stack() -> list:
         stack = []
         _STACK.graphs = stack
     return stack
-
-
-def _active_graph() -> "Graph | None":
-    stack = _graph_stack()
-    return stack[-1] if stack else None
 
 
 class Graph:
@@ -183,7 +180,11 @@ def backward(graph: Graph, loss: Tensor, leaves: Mapping[str, Tensor]) -> dict[s
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    if isinstance(x, Tensor):
+        return x
+    if type(x) is float or type(x) is int:
+        return Tensor(np.full(1, x, dtype=np.float64))
+    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -199,11 +200,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _make(out_data, inputs: tuple, vjps: tuple) -> Tensor:
     """Wrap an op's output and, under an active graph, record its tracked inputs' vjps."""
     out = Tensor(out_data)
-    g = _active_graph()
-    if g is not None:
-        kept = tuple([vjp if g._tracks(t) else None for t, vjp in zip(inputs, vjps)])
-        if any(kept):
-            g._record(out, inputs, kept)
+    stack = getattr(_STACK, "graphs", None)
+    if not stack:
+        return out
+    g = stack[-1]
+    tracks = g._tracks
+    if len(inputs) == 1:
+        if tracks(inputs[0]):
+            g._record(out, inputs, vjps)
+        return out
+    a, b = inputs
+    ta, tb = tracks(a), tracks(b)
+    if ta or tb:
+        g._record(out, inputs, vjps if ta and tb else (vjps[0] if ta else None, vjps[1] if tb else None))
     return out
 
 

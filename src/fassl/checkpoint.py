@@ -69,7 +69,10 @@ def _unpack_entries(blob: bytes, source: str) -> list[tuple[str, Tensor]]:
             n = math.prod(dims)
             if offset + 8 * n > len(blob):
                 raise ContractError(f"{source}: entry {name!r} runs past the end of the file")
-            payload = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(dims)
+            try:
+                payload = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(dims)
+            except ValueError as exc:  # over numpy's dimension limit, or an unindexable empty shape
+                raise ContractError(f"{source}: entry {name!r} has an unsupported shape {dims}") from exc
             offset += 8 * n
             entries.append((name, Tensor(payload.astype(np.float64))))
     except (struct.error, UnicodeDecodeError) as exc:  # short header reads, non-UTF-8 names

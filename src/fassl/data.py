@@ -60,7 +60,15 @@ class SynthDataset:
 
     def feature_matrix(self) -> np.ndarray:
         """All clips flattened row-major into an (n, frames*bands) matrix."""
-        return np.stack([c.features.data.reshape(-1) for c in self.clips])
+        if not self.clips:
+            raise ContractError("feature_matrix needs at least one clip")
+        shape = self.clips[0].features.shape
+        for c in self.clips:
+            if c.features.shape != shape:
+                raise ContractError(
+                    f"feature_matrix needs clips of one shape, got {shape} and {c.features.shape} (clip {c.clip_id})"
+                )
+        return np.concatenate([c.features.data for c in self.clips]).reshape(len(self.clips), -1)
 
 
 def resample_frames(features: np.ndarray, target_frames: int) -> np.ndarray:

@@ -8,7 +8,11 @@ transceiving operates on.
 
 ParamTree is an immutable value: entries are kept in canonical
 (lexicographic) name order so aggregation arithmetic and serialization are
-deterministic and identical trees serialize to identical bytes.
+deterministic and identical trees serialize to identical bytes. Because
+tensors never change their arrays, ``clone`` shares them: it builds new
+``Tensor`` objects with the requested flag over the same immutable data, so
+handing a tree to a client costs no parameter copy. ``sgd_step`` writes each
+new parameter into one array of its own.
 """
 
 from __future__ import annotations
@@ -46,6 +50,14 @@ class ParamTree:
         self._index = {name: t for name, t in items}
 
     @classmethod
+    def _from_canonical(cls, items: list) -> "ParamTree":
+        """A tree from (name, Tensor) pairs already in canonical order with unique names."""
+        tree = cls.__new__(cls)
+        tree._entries = tuple(items)
+        tree._index = dict(items)
+        return tree
+
+    @classmethod
     def empty(cls) -> "ParamTree":
         return cls([])
 
@@ -76,10 +88,17 @@ class ParamTree:
         )
 
     def map_values(self, fn: Callable[[str, Tensor], Tensor]) -> "ParamTree":
-        return ParamTree([(name, fn(name, t)) for name, t in self._entries])
+        items = []
+        for name, t in self._entries:
+            v = fn(name, t)
+            items.append((name, v if isinstance(v, Tensor) else Tensor(v)))
+        return ParamTree._from_canonical(items)
 
     def clone(self, requires_grad: bool | None = None) -> "ParamTree":
-        return self.map_values(lambda _, t: t.copy(requires_grad=requires_grad))
+        """New tensors over the same (immutable) arrays, with the flag set when given."""
+        return self.map_values(
+            lambda _, t: Tensor(t.data, requires_grad=t.requires_grad if requires_grad is None else requires_grad)
+        )
 
     def n_scalars(self) -> int:
         return sum(t.size for _, t in self._entries)
@@ -178,7 +197,7 @@ def split(params: ParamTree, scope: str) -> tuple[ParamTree, ParamTree]:
     if scope == "backbone":
         trans = [(n, t) for n, t in params.items() if n.startswith(BACKBONE_PREFIX)]
         kept = [(n, t) for n, t in params.items() if not n.startswith(BACKBONE_PREFIX)]
-        return ParamTree(trans), ParamTree(kept)
+        return ParamTree._from_canonical(trans), ParamTree._from_canonical(kept)
     raise ContractError(f"unknown scope {scope!r} (expected 'full' or 'backbone')")
 
 
@@ -209,10 +228,15 @@ def flatten_layer(params: ParamTree, layer: str) -> np.ndarray:
 
 
 def sgd_step(params: ParamTree, grads: Mapping[str, Tensor], lr: float) -> ParamTree:
-    """p <- p - lr*g for every named parameter with a gradient; others unchanged."""
+    """p <- p - lr*g for every named parameter with a gradient; others unchanged.
+
+    Each new parameter is computed in one fresh array: lr*g first, then p
+    minus it written over that same array, which gives the bits of
+    ``p - lr * g``. Neither ``params`` nor ``grads`` is written to.
+    """
     if lr <= 0:
         raise ContractError(f"lr must be positive, got {lr}")
-    unknown = set(grads) - set(params.names())
+    unknown = [name for name in grads if name not in params]
     if unknown:
         raise ContractError(f"gradients for unknown parameters: {sorted(unknown)}")
 
@@ -222,7 +246,9 @@ def sgd_step(params: ParamTree, grads: Mapping[str, Tensor], lr: float) -> Param
             return t
         if g.shape != t.shape:
             raise ContractError(f"gradient shape {g.shape} != parameter shape {t.shape} for {name!r}")
-        return Tensor(t.data - lr * g.data, requires_grad=t.requires_grad)
+        upd = g.data * lr
+        np.subtract(t.data, upd, out=upd)
+        return Tensor(upd, requires_grad=t.requires_grad)
 
     return params.map_values(step)
 

@@ -14,6 +14,7 @@ client is sampled. The server's own head copy is never updated.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -81,8 +82,15 @@ class RunConfig:
             )
         if self.rounds < 1 or self.local_epochs < 1 or self.batch_size < 1:
             raise ContractError("rounds, local_epochs and batch_size must all be >= 1")
+        for name in ("lr", "alpha", "tau", "bt_lambda", "bt_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ContractError(f"lr must be positive, got {self.lr}")
+        if self.tau <= 0 or self.bt_eps <= 0:
+            raise ContractError(f"tau and bt_eps must be positive, got {self.tau} and {self.bt_eps}")
+        if self.bt_lambda < 0:
+            raise ContractError(f"bt_lambda must be >= 0, got {self.bt_lambda}")
         if self.ssl_task not in SSL_TASKS:
             raise ContractError(f"unknown ssl_task {self.ssl_task!r}, expected one of {SSL_TASKS}")
         if self.scope not in ("full", "backbone"):
@@ -160,7 +168,10 @@ def local_train(
 
     The local model starts from the transceived global merged with the
     client's retained head (empty in full scope). Batches too small for the
-    task (fewer than 2 clips for the pair losses) are dropped.
+    task (fewer than 2 clips for the pair losses) are dropped. Every tree
+    here shares its arrays with the one it came from and every step makes
+    new ones, so neither input tree is written to and the trained trees are
+    handed out as they are (their tensors keep requires_grad set).
     """
     if not shard:
         raise ContractError(f"client {client_id} has an empty shard")
@@ -191,13 +202,8 @@ def local_train(
         sum(l * n for l, n in final_epoch_losses) / total_clips if total_clips else 0.0
     )
     transceived, retained = split(params, cfg.scope)
-    update = ClientUpdate(
-        client_id=client_id,
-        params=transceived.clone(requires_grad=False),
-        n_samples=len(shard),
-        mean_loss=mean_loss,
-    )
-    return update, retained.clone(requires_grad=False), steps
+    update = ClientUpdate(client_id=client_id, params=transceived, n_samples=len(shard), mean_loss=mean_loss)
+    return update, retained, steps
 
 
 class RunSink:

@@ -22,20 +22,47 @@ PALETTE = [
 ]
 
 
+INT_COLUMNS = ("round", "local_epochs", "k")
+
+
 def read_results_csv(path: Path) -> list[dict]:
-    text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
+    """Rows of one results.csv, with round/local_epochs/k as int and accuracy as float.
+
+    Any row that is not what ``run`` writes (a wrong field count, a
+    non-integer count, an accuracy that is not a finite number in [0, 1])
+    is a ContractError naming the file and its line.
+    """
+    blob = path.read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob[:exc.start].count(b"\n") + 1
+        raise ContractError(f"{path}:{line}: not valid UTF-8") from None
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
     if not lines:
         raise ContractError(f"empty results file: {path}")
-    if lines[0] != CSV_HEADER:
-        raise ContractError(f"{path}: unexpected CSV header {lines[0]!r}")
-    header = lines[0].split(",")
+    if lines[0][1] != CSV_HEADER:
+        raise ContractError(f"{path}:{lines[0][0]}: unexpected CSV header {lines[0][1]!r}")
+    header = CSV_HEADER.split(",")
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
-            raise ContractError(f"{path}: malformed row {ln!r}")
-        rows.append(dict(zip(header, parts)))
+            raise ContractError(f"{path}:{lineno}: malformed row {ln!r}")
+        row: dict = dict(zip(header, parts))
+        for col in INT_COLUMNS:
+            try:
+                row[col] = int(row[col])
+            except ValueError:
+                raise ContractError(f"{path}:{lineno}: {col} must be an integer, got {row[col]!r}") from None
+        try:
+            acc = float(row["accuracy"])
+        except ValueError:
+            acc = float("nan")
+        if not 0.0 <= acc <= 1.0:  # also false for NaN
+            raise ContractError(f"{path}:{lineno}: accuracy must be a number in [0, 1], got {row['accuracy']!r}")
+        row["accuracy"] = acc
+        rows.append(row)
     return rows
 
 
@@ -45,8 +72,7 @@ def collect_series(csv_paths: list[Path]) -> dict[str, dict[str, list[tuple[int,
     for path in csv_paths:
         for row in read_results_csv(path):
             label = f"{row['strategy']}/{row['scope']}/E{row['local_epochs']}"
-            pts = series.setdefault(row["task"], {}).setdefault(label, [])
-            pts.append((int(row["round"]), float(row["accuracy"])))
+            series.setdefault(row["task"], {}).setdefault(label, []).append((row["round"], row["accuracy"]))
     for by_label in series.values():
         for pts in by_label.values():
             pts.sort()

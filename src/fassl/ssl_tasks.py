@@ -17,6 +17,7 @@ bit-identical to stacking ``augment`` calls made one view at a time.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class AugmentPolicy:
     def __post_init__(self):
         if not 0.0 < self.crop_fraction <= 1.0:
             raise ContractError(f"crop_fraction must be in (0, 1], got {self.crop_fraction}")
-        if self.noise_std < 0:
-            raise ContractError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0.0 <= self.noise_std < math.inf:  # also false for NaN
+            raise ContractError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not 0.0 <= self.band_mask_prob <= 1.0:
             raise ContractError(f"band_mask_prob must be in [0, 1], got {self.band_mask_prob}")
 

@@ -15,8 +15,9 @@ from fassl.aggregation import (
     scope_apply,
 )
 from fassl.autodiff import Tensor
+from fassl.checkpoint import params_bytes
 from fassl.errors import ContractError
-from fassl.model import ParamTree, split
+from fassl.model import BACKBONE_PREFIX, ParamTree, flatten_layer, layer_names, split
 
 ALL_STRATEGIES = [
     Strategy("fedavg"),
@@ -256,6 +257,12 @@ class TestFedU:
         with pytest.raises(ContractError):
             fedu_aggregate(tree_from(rng), [update(0, tree_from(rng))], mu=0.0)
 
+    @pytest.mark.parametrize("kind", ["fedu", "fedavg"])
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_mu_rejected_for_every_kind(self, kind, mu):
+        with pytest.raises(ContractError, match="finite"):
+            Strategy(kind, fedu_mu=mu)
+
 
 class TestScopeApply:
     def test_full_returns_aggregated(self, rng):
@@ -287,3 +294,158 @@ class TestClientUpdateValidation:
     def test_nonfinite_loss(self, rng):
         with pytest.raises(ContractError):
             ClientUpdate(client_id=0, params=tree_from(rng), n_samples=1, mean_loss=float("nan"))
+
+
+# Reference copies of the aggregation arithmetic as it was before the
+# scratch-array accumulation: a fresh temporary per client and entry, and
+# the cosine recomputing the global layer's norm for every client.
+def reference_combine(trees, weights) -> ParamTree:
+    ref = trees[0]
+    out = []
+    for name, ref_t in ref.items():
+        acc = ref_t.data.copy()
+        for tree, w in zip(trees, weights):
+            acc += w * (tree.get(name).data - ref_t.data)
+        out.append((name, Tensor(acc)))
+    return ParamTree(out)
+
+
+def reference_cosine(a, b) -> float:
+    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+    if denom == 0.0:
+        return 0.0
+    return float(np.dot(a, b)) / denom
+
+
+def reference_aggregate(strategy: Strategy, global_prev: ParamTree, updates) -> ParamTree:
+    ups = sorted(updates, key=lambda u: u.client_id)
+    scope = ParamTree([(n, global_prev.get(n)) for n in ups[0].params.names()])
+    if strategy.kind == "ldawa":
+        entries = []
+        for layer in layer_names(scope):
+            g_flat = flatten_layer(scope, layer)
+            betas = np.array([
+                min(max(reference_cosine(flatten_layer(u.params, layer), g_flat), 0.0), 1.0) for u in ups
+            ])
+            total = betas.sum()
+            weights = np.full(len(ups), 1.0 / len(ups)) if total < 1e-12 else betas / total
+            layer_trees = [
+                ParamTree([(n, t) for n, t in u.params.items() if n.rsplit(".", 1)[0] == layer]) for u in ups
+            ]
+            entries.extend(reference_combine(layer_trees, weights).items())
+        return ParamTree(entries)
+    if strategy.kind == "fedu":
+        bb_names = [n for n in scope.names() if n.startswith(BACKBONE_PREFIX)]
+        head_names = [n for n in scope.names() if not n.startswith(BACKBONE_PREFIX)]
+        bb_trees = [ParamTree([(n, u.params.get(n)) for n in bb_names]) for u in ups]
+        out = list(reference_combine(bb_trees, beta_fedavg(ups)).items())
+        if head_names:
+            def divergence(tree):
+                bb_u = np.concatenate([tree.get(n).data.reshape(-1) for n in bb_names])
+                bb_g = np.concatenate([scope.get(n).data.reshape(-1) for n in bb_names])
+                denom = float(np.linalg.norm(bb_g))
+                diff = float(np.linalg.norm(bb_u - bb_g))
+                if denom == 0.0:
+                    return 0.0 if diff == 0.0 else float("inf")
+                return diff / denom
+
+            passing = [u for u in ups if divergence(u.params) < strategy.fedu_mu]
+            if not passing:
+                out.extend((n, scope.get(n)) for n in head_names)
+            else:
+                head_trees = [ParamTree([(n, u.params.get(n)) for n in head_names]) for u in passing]
+                out.extend(reference_combine(head_trees, beta_fedavg(passing)).items())
+        return ParamTree(out)
+    if strategy.kind == "fedavg":
+        weights = beta_fedavg(ups)
+    elif strategy.kind == "fairavg":
+        weights = beta_fairavg(ups)
+    else:
+        weights = beta_loss(ups, strategy.loss_direction)
+    return reference_combine([u.params for u in ups], weights)
+
+
+WIDE_SHAPES = {
+    "backbone.fc1.weight": (5, 4),
+    "backbone.fc1.bias": (4,),
+    "backbone.fc2.weight": (4, 3),
+    "backbone.fc2.bias": (3,),
+    "head.proj.fc1.weight": (3, 2),
+    "head.proj.fc1.bias": (2,),
+}
+
+
+def mixed_round(rng, scope: str):
+    """A global tree and client updates with identical clients and all-zero layers.
+
+    The global's backbone.fc2 layer is all zeros (every ldawa cosine 0 there),
+    one client equals the global, two clients are equal to each other, one
+    has an all-zero head, one points against the global, and the rest sit
+    at near and far distances, so fedu's gate both passes and rejects.
+    """
+    g = tree_from(rng, WIDE_SHAPES)
+    g = g.map_values(lambda n, t: Tensor(np.zeros(t.shape)) if n.startswith("backbone.fc2.") else t)
+    if scope == "backbone":
+        g_scope, _ = split(g, "backbone")
+    else:
+        g_scope = g
+
+    def near(scale):
+        return g_scope.map_values(lambda _, t: Tensor(t.data + rng.normal(0.0, scale, size=t.shape)))
+
+    twin = near(0.05)
+    trees = [
+        g_scope,
+        twin,
+        twin,
+        g_scope.map_values(lambda n, t: Tensor(np.zeros(t.shape)) if n.startswith("head.") else t),
+        g_scope.map_values(lambda _, t: Tensor(-t.data)),
+        near(0.01),
+        near(0.3),
+        near(3.0),
+    ]
+    ids = rng.permutation(1000)[: len(trees)]
+    ups = [
+        update(int(cid), tree, n_samples=int(rng.integers(1, 40)), mean_loss=float(rng.uniform(0.1, 3.0)))
+        for cid, tree in zip(ids, trees)
+    ]
+    return g, ups
+
+
+BYTE_IDENTITY_STRATEGIES = [
+    Strategy("fedavg"),
+    Strategy("fairavg"),
+    Strategy("loss"),
+    Strategy("loss", loss_direction="low"),
+    Strategy("ldawa"),
+    Strategy("fedu", fedu_mu=0.5),
+    Strategy("fedu", fedu_mu=0.05),
+    Strategy("fedu", fedu_mu=1e-12),
+]
+
+
+class TestMatchesReferenceArithmetic:
+    @pytest.mark.parametrize("scope", ["full", "backbone"])
+    @pytest.mark.parametrize("strategy", BYTE_IDENTITY_STRATEGIES, ids=lambda s: f"{s.kind}-{s.fedu_mu}-{s.loss_direction}")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_aggregate_bytes_match_reference(self, strategy, scope, seed):
+        g, ups = mixed_round(np.random.default_rng(seed), scope)
+        before = [params_bytes(u.params) for u in ups] + [params_bytes(g)]
+        out = aggregate(strategy, g, list(reversed(ups)))
+        assert params_bytes(out) == params_bytes(reference_aggregate(strategy, g, ups))
+        assert [params_bytes(u.params) for u in ups] + [params_bytes(g)] == before
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_public_ldawa_and_fedu_match_reference(self, seed):
+        g, ups = mixed_round(np.random.default_rng(seed), "full")
+        ref_l = reference_aggregate(Strategy("ldawa"), g, ups)
+        ref_f = reference_aggregate(Strategy("fedu", fedu_mu=0.5), g, ups)
+        assert params_bytes(ldawa_aggregate(g, ups)) == params_bytes(ref_l)
+        assert params_bytes(fedu_aggregate(g, ups, mu=0.5)) == params_bytes(ref_f)
+
+    def test_random_trees_match_reference(self, rng):
+        for _ in range(20):
+            g = tree_from(rng)
+            ups = random_updates(rng, int(rng.integers(1, 9)))
+            for strategy in ALL_STRATEGIES:
+                assert params_bytes(aggregate(strategy, g, ups)) == params_bytes(reference_aggregate(strategy, g, ups))

@@ -371,6 +371,66 @@ class TestSgdStep:
             sgd_step(p, {"zz": Tensor([2.0])}, lr=0.1)
 
 
+    @pytest.mark.parametrize("lr", [0.05, 0.1, 1e-3, 0.3, 1, 2.5e-7])
+    def test_bytes_match_reference_and_inputs_untouched(self, rng, lr):
+        shapes = {"a.bias": (5,), "a.weight": (4, 5), "b.weight": (5, 3), "c": (1,)}
+        p = ParamTree([(n, Tensor(rng.normal(size=s), requires_grad=True)) for n, s in shapes.items()])
+        grads = {n: Tensor(rng.normal(scale=10.0, size=s)) for n, s in shapes.items() if n != "b.weight"}
+        p_before = [t.data.tobytes() for _, t in p.items()]
+        g_before = {n: g.data.tobytes() for n, g in grads.items()}
+        out = sgd_step(p, grads, lr=lr)
+        for name, t in out.items():
+            old = p.get(name)
+            if name in grads:
+                assert t.data.tobytes() == (old.data - lr * grads[name].data).tobytes()
+                assert not np.shares_memory(t.data, old.data)
+                assert not np.shares_memory(t.data, grads[name].data)
+            else:
+                assert t is old
+            assert t.requires_grad
+        assert [t.data.tobytes() for _, t in p.items()] == p_before
+        assert {n: g.data.tobytes() for n, g in grads.items()} == g_before
+
+
+class TestScalarOperands:
+    """Python float/int operands take the fast path with the bytes of a wrapped operand."""
+
+    @pytest.mark.parametrize(
+        "op, scalar",
+        [(ad.div, 0.5), (ad.mul, 3), (ad.div, float(64)), (ad.mul, 5e-3), (ad.add, 2), (ad.sub, -1.25)],
+        ids=["div-half", "mul-int", "div-float-n", "mul-lambda", "add-int", "sub-float"],
+    )
+    @pytest.mark.parametrize("scalar_first", [False, True])
+    def test_same_bytes_as_tensor_wrapped(self, rng, op, scalar, scalar_first):
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+
+        def run(operand):
+            args = (operand, x) if scalar_first else (x, operand)
+            with Graph() as g:
+                y = op(*args)
+                loss = ad.sum_all(ad.mul(y, y))
+            return y, len(g.nodes), backward(g, loss, {"x": x})["x"]
+
+        y_fast, nodes_fast, g_fast = run(scalar)
+        y_ref, nodes_ref, g_ref = run(Tensor(np.asarray(scalar, dtype=np.float64)))
+        assert y_fast.shape == y_ref.shape
+        assert y_fast.data.tobytes() == y_ref.data.tobytes()
+        assert g_fast.data.tobytes() == g_ref.data.tobytes()
+        assert nodes_fast == nodes_ref
+
+    @pytest.mark.parametrize("scalar", [0.5, 3, -7, 1e300, 2**60])
+    def test_scalar_becomes_shape_one_float64(self, scalar):
+        t = ad._as_tensor(scalar)
+        ref = Tensor(np.asarray(scalar, dtype=np.float64))
+        assert t.shape == (1,) and t.data.dtype == np.float64
+        assert t.data.tobytes() == ref.data.tobytes()
+        assert not t.requires_grad
+
+    def test_nonfinite_scalar_rejected(self):
+        with pytest.raises(ContractError, match="finite"):
+            ad.div(Tensor([1.0]), float("nan"))
+
+
 class TestNoGraphMode:
     def test_ops_work_without_active_graph(self):
         out = ad.relu(ad.matmul(Tensor([[1.0, -2.0]]), Tensor([[1.0], [1.0]])))

@@ -16,7 +16,7 @@ from fassl.config import (
     parse_config_text,
 )
 from fassl.errors import ConfigError
-from fassl.orchestrator import RunConfig
+from fassl.orchestrator import CSV_HEADER, RunConfig
 from fassl.plotting import collect_series, plot_results
 
 
@@ -276,6 +276,45 @@ class TestCmdPlot:
 
     def test_missing_results_named_error(self, tmp_path):
         assert main(["plot", str(tmp_path / "nothing")]) == 2
+
+    GOOD_ROWS = ["1,fedavg,full,simclr,1,bandprofile,1,0.250000", "2,fedavg,full,simclr,1,bandprofile,1,0.500000"]
+
+    def _write_csv(self, tmp_path, rows, encoding="utf-8"):
+        path = tmp_path / "cell" / "results.csv"
+        path.parent.mkdir(parents=True)
+        path.write_bytes("\n".join([CSV_HEADER, *rows, ""]).encode(encoding))
+        return path
+
+    def test_hand_written_csv_plots(self, tmp_path):
+        self._write_csv(tmp_path, self.GOOD_ROWS)
+        assert main(["plot", str(tmp_path)]) == 0
+        assert (tmp_path / "task_bandprofile.svg").exists()
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            "x,fedavg,full,simclr,1,bandprofile,1,0.500000",
+            "3,fedavg,full,simclr,one,bandprofile,1,0.500000",
+            "3,fedavg,full,simclr,1,bandprofile,1.5,0.500000",
+            "3,fedavg,full,simclr,1,bandprofile,1,nan",
+            "3,fedavg,full,simclr,1,bandprofile,1,inf",
+            "3,fedavg,full,simclr,1,bandprofile,1,1.5",
+            "3,fedavg,full,simclr,1,bandprofile,1,-0.1",
+            "3,fedavg,full,simclr,1,bandprofile,1,abc",
+            "3,fedavg,full,simclr,1,bandprofile,1",
+        ],
+        ids=["round", "local_epochs", "k", "acc-nan", "acc-inf", "acc-above-one", "acc-negative", "acc-text", "short"],
+    )
+    def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, bad_row):
+        path = self._write_csv(tmp_path, [*self.GOOD_ROWS, bad_row])
+        assert main(["plot", str(tmp_path)]) == 2
+        assert f"{path}:4:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.svg"))
+
+    def test_non_utf8_csv_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        path = self._write_csv(tmp_path, [*self.GOOD_ROWS, "3,fedavg,full,simclr,1,bändprofile,1,0.5"], encoding="latin-1")
+        assert main(["plot", str(tmp_path)]) == 2
+        assert f"{path}:4:" in capsys.readouterr().err
 
     def test_single_run_single_polyline_per_task(self, tmp_path, monkeypatch):
         self._run_results(tmp_path, monkeypatch)

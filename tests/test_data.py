@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fassl.autodiff import Tensor
 from fassl.data import (
+    Clip,
+    SynthDataset,
     dirichlet_partition,
     downstream_suite,
     label_entropy,
@@ -49,6 +52,33 @@ class TestSynthDataset:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ContractError):
             synth_dataset(0, 5, 8, 4, seed=0)
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize("shape", [(32, 16), (7, 3), (1, 5)])
+    def test_equals_stack_of_flattened_clips(self, shape):
+        ds = synth_dataset(3, 7, *shape, seed=11)
+        reference = np.stack([c.features.data.reshape(-1) for c in ds.clips])
+        x = ds.feature_matrix()
+        assert x.shape == reference.shape == (21, shape[0] * shape[1])
+        assert x.dtype == reference.dtype and x.flags["C_CONTIGUOUS"]
+        assert x.tobytes() == reference.tobytes()
+        assert not any(np.shares_memory(x, c.features.data) for c in ds.clips)
+
+    def test_downstream_suite_matrices_equal_stack(self):
+        for _, train, test in downstream_suite(3, 16, 8):
+            for ds in (train, test):
+                reference = np.stack([c.features.data.reshape(-1) for c in ds.clips])
+                assert ds.feature_matrix().tobytes() == reference.tobytes()
+
+    def test_mixed_shapes_rejected(self, rng):
+        clips = [Clip(Tensor(rng.normal(size=s)), 0, i) for i, s in enumerate([(32, 16), (16, 16), (48, 16)])]
+        with pytest.raises(ContractError, match="one shape"):
+            SynthDataset(clips, 1, {}).feature_matrix()
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ContractError):
+            SynthDataset([], 1, {}).feature_matrix()
 
 
 class TestDownstreamSuite:

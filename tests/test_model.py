@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fassl.autodiff import Tensor
@@ -39,6 +39,51 @@ class TestParamTree:
         c = ParamTree([("x", Tensor([[3.0, 4.0]]))])
         assert a.congruent_with(b)
         assert not a.congruent_with(c)
+
+
+class TestClone:
+    def _mixed_tree(self):
+        return ParamTree([
+            ("a", Tensor([1.0, 2.0], requires_grad=True)),
+            ("b", Tensor([[3.0], [4.0]])),
+        ])
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_shares_arrays_and_sets_flags(self, flag):
+        src = self._mixed_tree()
+        out = src.clone(requires_grad=flag)
+        assert out.names() == src.names()
+        for (_, new), (_, old) in zip(out.items(), src.items()):
+            assert new is not old
+            assert np.shares_memory(new.data, old.data)
+            assert new.requires_grad is flag
+        assert [t.requires_grad for _, t in src.items()] == [True, False]
+
+    def test_default_keeps_each_flag(self):
+        src = self._mixed_tree()
+        out = src.clone()
+        assert [t.requires_grad for _, t in out.items()] == [True, False]
+        assert all(np.shares_memory(a.data, b.data) for (_, a), (_, b) in zip(out.items(), src.items()))
+
+    def test_clone_is_a_full_tree(self):
+        out = init_encoder(CFG, seed=3).clone(requires_grad=True)
+        assert out.get("backbone.fc1.weight") is out.as_dict()["backbone.fc1.weight"]
+        assert "head.acop.fc.bias" in out and len(out) == 10
+        assert params_bytes(out) == params_bytes(init_encoder(CFG, seed=3))
+
+
+class TestMapValues:
+    def test_wraps_arrays_and_keeps_canonical_order(self):
+        tree = ParamTree([("b", Tensor([1.0])), ("a", Tensor([2.0]))])
+        out = tree.map_values(lambda _, t: t.data * 2.0)
+        assert out.names() == ["a", "b"]
+        assert all(isinstance(t, Tensor) for _, t in out.items())
+        assert out.get("a").data.tolist() == [4.0]
+
+    def test_wrapped_values_are_still_checked(self):
+        tree = ParamTree([("a", Tensor([2.0]))])
+        with pytest.raises(ContractError, match="finite"):
+            tree.map_values(lambda _, t: np.array([np.nan]))
 
 
 class TestInitEncoder:
@@ -247,3 +292,57 @@ class TestCheckpointFormat:
         path.write_bytes(blob[:12] + b"\xff" + blob[13:])
         with pytest.raises(ContractError, match="corrupt"):
             load_params(path)
+
+
+FUZZ_TREE = ParamTree([
+    ("a.bias", Tensor([1.0, -2.0])),
+    ("a.weight", Tensor([[3.0, 0.5], [4.0, -0.25]])),
+    ("s", Tensor(5.0)),
+])
+FUZZ_BLOB = params_bytes(FUZZ_TREE)
+# byte offsets of the first entry's rank and dims ("a.bias": 10 + 2 + 6)
+FUZZ_RANK_AT = 18
+
+
+def _with_first_entry_shape(dims: list[int]) -> bytes:
+    """FUZZ_BLOB with the first entry's rank and dims replaced (payload left as is)."""
+    head = FUZZ_BLOB[:FUZZ_RANK_AT]
+    rest = FUZZ_BLOB[FUZZ_RANK_AT + 1 + 4:]
+    return head + bytes([len(dims)]) + b"".join(d.to_bytes(4, "little") for d in dims) + rest
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    overwrites=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(FUZZ_BLOB) - 1), st.integers(min_value=0, max_value=255)),
+        max_size=8,
+    ),
+    cut=st.none() | st.integers(min_value=0, max_value=len(FUZZ_BLOB)),
+    tail=st.binary(max_size=24),
+)
+@example(overwrites=[], cut=None, tail=b"")  # the untouched container loads
+@example(overwrites=[(FUZZ_RANK_AT, 65)], cut=None, tail=b"\x01\x00\x00\x00" * 70)  # rank past numpy's limit
+def test_corrupt_checkpoint_loads_or_raises_contract_error(tmp_path, overwrites, cut, tail):
+    blob = bytearray(FUZZ_BLOB)
+    for pos, value in overwrites:
+        blob[pos] = value
+    if cut is not None:
+        del blob[cut:]
+    blob += tail
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        tree = load_params(path)
+    except ContractError:
+        return
+    assert isinstance(tree, ParamTree)
+    if bytes(blob) == FUZZ_BLOB:
+        assert params_bytes(tree) == FUZZ_BLOB
+
+
+@pytest.mark.parametrize("dims", [[1] * 65, [0, 2**32 - 1, 2**32 - 1, 2**32 - 1]], ids=["rank65", "zero_size_too_big"])
+def test_unrepresentable_entry_shape_rejected(tmp_path, dims):
+    path = tmp_path / "shape.ckpt"
+    path.write_bytes(_with_first_entry_shape(dims))
+    with pytest.raises(ContractError):
+        load_params(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fassl.checkpoint import params_bytes
-from fassl.data import downstream_suite, synth_dataset
+from fassl.data import dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ContractError
 from fassl.evaluator import OptimaTracker
 from fassl.model import split
@@ -127,6 +127,55 @@ class TestLocalTrain:
         upd, retained, _ = local_train(self._shard(), trans, state.initial_heads, cfg, 0, 1)
         assert all(n.startswith("backbone.") for n in upd.params.names())
         assert all(not n.startswith("backbone.") for n in retained.names())
+
+
+    @pytest.mark.parametrize("ssl_task", ["simclr", "barlow_twins", "acop"])
+    @pytest.mark.parametrize("scope", ["full", "backbone"])
+    def test_inputs_keep_their_bytes(self, ssl_task, scope):
+        cfg = replace(SMALL, ssl_task=ssl_task, scope=scope)
+        state = initial_state(cfg)
+        trans, _ = split(state.global_params, scope)
+        head = state.initial_heads if scope == "backbone" else None
+        before = (params_bytes(state.global_params), params_bytes(state.initial_heads))
+        flags = [t.requires_grad for _, t in state.global_params.items()]
+        upd, retained, steps = local_train(self._shard(), trans, head, cfg, 0, 1)
+        assert steps > 0
+        assert (params_bytes(state.global_params), params_bytes(state.initial_heads)) == before
+        assert [t.requires_grad for _, t in state.global_params.items()] == flags
+        assert not upd.params.equal_bytes(trans)
+
+    def test_run_round_leaves_previous_global_bytes(self):
+        pretext, tasks = small_world()
+        cfg = replace(SMALL, scope="backbone", workers=1)
+        partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition"))
+        state = initial_state(cfg)
+        for _ in range(2):
+            before = params_bytes(state.global_params)
+            heads = {cid: params_bytes(h) for cid, h in state.retained_heads.items()}
+            new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
+            assert params_bytes(state.global_params) == before
+            assert {cid: params_bytes(h) for cid, h in state.retained_heads.items()} == heads
+            state = new_state
+
+
+class TestRunConfigValidation:
+    @pytest.mark.parametrize("field", ["lr", "alpha", "tau", "bt_lambda", "bt_eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_values_rejected(self, field, value):
+        with pytest.raises(ContractError, match="finite"):
+            replace(SMALL, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tau", 0.0), ("tau", -0.5), ("bt_eps", 0.0), ("bt_eps", -1e-9), ("bt_lambda", -1e-3)],
+    )
+    def test_loss_parameters_range_checked(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            replace(SMALL, **{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = replace(SMALL, bt_lambda=0.0, tau=1e-3, bt_eps=1e-12)
+        assert cfg.bt_lambda == 0.0
 
 
 class TestRunRound:

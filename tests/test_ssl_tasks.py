@@ -66,6 +66,12 @@ class TestAugment:
         with pytest.raises(ContractError):
             AugmentPolicy(band_mask_prob=1.5)
 
+    @pytest.mark.parametrize("field", ["crop_fraction", "noise_std", "band_mask_prob"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_policy_rejects_nonfinite(self, field, value):
+        with pytest.raises(ContractError):
+            AugmentPolicy(**{field: value})
+
 
 class TestNtXentLoss:
     def test_all_identical_embeddings_gives_log3(self):
