@@ -129,17 +129,12 @@ def _subtree(tree: ParamTree, names: list[str]) -> ParamTree:
     return ParamTree._from_canonical([(n, tree.get(n)) for n in names])
 
 
-def ldawa_aggregate(global_prev: ParamTree, updates: list[ClientUpdate]) -> ParamTree:
+def _ldawa(scope: ParamTree, ups: list[ClientUpdate]) -> ParamTree:
     """Layer-wise angular weighting against the previous global model.
 
     Per layer, beta_i = clamp(cos angle(client layer, global layer), 0, 1),
     renormalized; a layer whose betas all vanish falls back to uniform.
     """
-    ups = _sorted_updates(updates)
-    return _ldawa(_restrict(global_prev, ups[0].params.names()), ups)
-
-
-def _ldawa(scope: ParamTree, ups: list[ClientUpdate]) -> ParamTree:
     entries: list[tuple[str, Tensor]] = []
     for layer in layer_names(scope):
         names = [n for n in scope.names() if n.rsplit(".", 1)[0] == layer]
@@ -161,20 +156,13 @@ def _ldawa(scope: ParamTree, ups: list[ClientUpdate]) -> ParamTree:
     return ParamTree(entries)
 
 
-def fedu_aggregate(global_prev: ParamTree, updates: list[ClientUpdate], mu: float) -> ParamTree:
+def _fedu(scope: ParamTree, ups: list[ClientUpdate], mu: float) -> ParamTree:
     """Sample-weighted backbone; heads only from clients within the divergence gate.
 
     A client passes the gate when its relative backbone L2 divergence from
     the previous global is below mu. With no passing client the heads keep
     the previous global values.
     """
-    if mu <= 0:
-        raise ContractError(f"mu must be positive, got {mu}")
-    ups = _sorted_updates(updates)
-    return _fedu(_restrict(global_prev, ups[0].params.names()), ups, mu)
-
-
-def _fedu(scope: ParamTree, ups: list[ClientUpdate], mu: float) -> ParamTree:
     bb_names = [n for n in scope.names() if n.startswith(BACKBONE_PREFIX)]
     head_names = [n for n in scope.names() if not n.startswith(BACKBONE_PREFIX)]
 

@@ -96,8 +96,3 @@ def save_params(params: ParamTree, path: str | Path) -> None:
 
 def load_params(path: str | Path) -> ParamTree:
     return ParamTree(_unpack_entries(Path(path).read_bytes(), str(path)))
-
-
-def params_bytes(params: ParamTree) -> bytes:
-    """Serialized form without touching disk (used for byte-equality checks)."""
-    return _pack_entries(list(params.items()))

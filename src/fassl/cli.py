@@ -17,7 +17,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ExperimentSpec, apply_overrides, default_spec, emit_defaults, parse_config
-from .data import dirichlet_partition, downstream_suite, label_entropy, synth_dataset
+from .data import dirichlet_partition, downstream_suite, partition_label_entropies, synth_dataset
 from .errors import ConfigError, ContractError
 from .orchestrator import RunConfig, run
 from .plotting import plot_results
@@ -99,11 +99,8 @@ def cmd_partition_stats(args: argparse.Namespace) -> int:
     )
     print(f"alpha = {cfg.alpha}, clients = {cfg.n_clients}, clips = {len(pretext)}")
     print(f"{'client':>6s} {'size':>6s} {'label_entropy':>14s}")
-    entropies = []
-    for client, shard in enumerate(partition.shards):
-        labels = np.array([pretext.by_id(cid).label for cid in shard])
-        h = label_entropy(labels)
-        entropies.append(h)
+    entropies = partition_label_entropies(pretext, partition)
+    for client, (shard, h) in enumerate(zip(partition.shards, entropies)):
         print(f"{client:>6d} {len(shard):>6d} {h:>14.4f}")
     print(
         f"entropy mean/min/max = {np.mean(entropies):.4f}/{np.min(entropies):.4f}/{np.max(entropies):.4f}"

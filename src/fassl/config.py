@@ -232,7 +232,14 @@ def parse_config(path: str | Path) -> ExperimentSpec:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"), source=str(p))
+    blob = p.read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; count lines the way parse_config_text does
+        line = len((blob[:exc.start] + b"x").decode("utf-8").splitlines())
+        raise ConfigError(f"{p}:{line}: not valid UTF-8") from None
+    return parse_config_text(text, source=str(p))
 
 
 def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> ExperimentSpec:

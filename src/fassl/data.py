@@ -27,14 +27,6 @@ class Clip:
     label: int
     clip_id: int
 
-    @property
-    def frames(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def bands(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass
 class SynthDataset:

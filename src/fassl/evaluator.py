@@ -33,10 +33,6 @@ class TaskAccuracy:
             raise ContractError(f"accuracy must lie in [0, 1], got {self.top1_retrieval}")
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
 def knn_retrieval_accuracy(
     train_feats,
     train_labels,
@@ -52,12 +48,17 @@ def knn_retrieval_accuracy(
     flag-switchable alternative. Distance ties resolve to the lower
     training index. Features must be finite.
     """
-    train = _as_array(train_feats)
-    test = _as_array(test_feats)
+    train = np.asarray(train_feats, dtype=np.float64)
+    test = np.asarray(test_feats, dtype=np.float64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
     if train.ndim != 2 or test.ndim != 2 or train.shape[1] != test.shape[1]:
         raise ContractError(f"feature shapes disagree: train {train.shape}, test {test.shape}")
+    if train_labels.shape != (train.shape[0],) or test_labels.shape != (test.shape[0],):
+        raise ContractError(
+            f"need one label per feature row: train {train_labels.shape} for {train.shape[0]} rows,"
+            f" test {test_labels.shape} for {test.shape[0]} rows"
+        )
     if train.shape[0] == 0 or test.shape[0] == 0:
         raise ContractError("knn retrieval needs non-empty train and test sets")
     if not (np.isfinite(train).all() and np.isfinite(test).all()):

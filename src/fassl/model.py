@@ -27,7 +27,6 @@ from .autodiff import Tensor
 from .errors import ContractError
 
 BACKBONE_PREFIX = "backbone."
-HEAD_PREFIX = "head."
 
 
 class ParamTree:
@@ -98,17 +97,6 @@ class ParamTree:
         """New tensors over the same (immutable) arrays, with the flag set when given."""
         return self.map_values(
             lambda _, t: Tensor(t.data, requires_grad=t.requires_grad if requires_grad is None else requires_grad)
-        )
-
-    def n_scalars(self) -> int:
-        return sum(t.size for _, t in self._entries)
-
-    def allclose(self, other: "ParamTree", rtol: float = 0.0, atol: float = 0.0) -> bool:
-        if not self.congruent_with(other):
-            return False
-        return all(
-            np.allclose(a.data, b.data, rtol=rtol, atol=atol)
-            for (_, a), (_, b) in zip(self._entries, other._entries)
         )
 
     def equal_bytes(self, other: "ParamTree") -> bool:
@@ -251,33 +239,3 @@ def sgd_step(params: ParamTree, grads: Mapping[str, Tensor], lr: float) -> Param
         return Tensor(upd, requires_grad=t.requires_grad)
 
     return params.map_values(step)
-
-
-def finite_diff_grad(f: Callable[[ParamTree], float], params: ParamTree, step: float) -> dict[str, Tensor]:
-    """Central-difference gradient of a scalar function of the tree.
-
-    Test oracle: O(2 * n_scalars) evaluations of f, so keep fixtures small.
-    """
-    if step <= 0:
-        raise ContractError(f"step must be positive, got {step}")
-    grads: dict[str, Tensor] = {}
-    for name, t in params.items():
-        g = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            for sign in (+1.0, -1.0):
-                bumped = flat.copy()
-                bumped[i] += sign * step
-                probe = params.map_values(
-                    lambda n, old, name=name, bumped=bumped: Tensor(bumped.reshape(old.shape), requires_grad=old.requires_grad)
-                    if n == name
-                    else old
-                )
-                if sign > 0:
-                    f_plus = f(probe)
-                else:
-                    f_minus = f(probe)
-            gflat[i] = (f_plus - f_minus) / (2.0 * step)
-        grads[name] = Tensor(g)
-    return grads

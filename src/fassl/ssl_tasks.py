@@ -9,9 +9,9 @@ use max-subtraction where a log-sum-exp appears.
 Batch assembly writes each view (or presented segment) straight into its row
 of one preallocated float64 array, gathering through a crop/resample index
 table built once per batch, and wraps the batch in a single ``Tensor``. The
-random draws are the per-view ones in the per-view order (crop start, noise,
-band-dropout coins per view; one permutation draw per clip), so a batch is
-bit-identical to stacking ``augment`` calls made one view at a time.
+random draws are made view by view in row order by ``_write_view`` (crop
+start, noise, band-dropout coins per view) and, for the predictive task, as
+one permutation draw per clip.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _crop_rows(frames: int, policy: AugmentPolicy) -> np.ndarray | None:
     resampling back to frames picks, so one view is one gather.
     """
     if frames < 2:
-        raise ContractError("augment needs a clip with >= 2 frames")
+        raise ContractError("view augmentation needs clips with >= 2 frames")
     crop_len = max(1, int(round(policy.crop_fraction * frames)))
     if crop_len >= frames:
         return None
@@ -97,23 +97,13 @@ def _write_view(feats: np.ndarray, policy: AugmentPolicy, rng, crop_rows, out: n
         np.copyto(out, 0.0, where=rng.uniform(size=feats.shape[1]) < policy.band_mask_prob)
 
 
-def augment(clip: Clip, policy: AugmentPolicy, rng: np.random.Generator) -> Tensor:
-    """One flattened view: crop + nearest-frame resample, noise, band dropout.
-
-    Pure in (clip, policy, rng state); the identity policy (1.0, 0, 0)
-    returns the original features bit-exactly.
-    """
-    feats = clip.features.data
-    view = np.empty(feats.shape)
-    _write_view(feats, policy, rng, _crop_rows(feats.shape[0], policy), view)
-    return Tensor(view.reshape(-1))
-
-
 def two_view_batch(clips: list[Clip], policy: AugmentPolicy, rng: np.random.Generator) -> Tensor:
     """Interleaved view matrix: rows (2i, 2i+1) are the two views of clip i.
 
-    Draws the same stream as two ``augment`` calls per clip in clip order
-    and writes each view straight into its row of one batch array.
+    Each view is crop + nearest-frame resample, noise and band dropout,
+    drawn by ``_write_view`` in row order and written straight into its row
+    of one batch array. Pure in (clips, policy, rng state); the identity
+    policy (1.0, 0, 0) repeats each clip's features bit-exactly.
     """
     frames, bands = _clip_shape(clips, "two_view_batch")
     crop_rows = _crop_rows(frames, policy)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+from typing import Callable
+
 import numpy as np
 import pytest
 
 from fassl.autodiff import Tensor
-from fassl.model import EncoderConfig, init_encoder
+from fassl.checkpoint import save_params
+from fassl.errors import ContractError
+from fassl.model import EncoderConfig, ParamTree, init_encoder
 
 
 def gradclose(analytic: dict, numeric: dict, rtol: float = 1e-4, atol: float = 1e-8) -> bool:
@@ -20,6 +26,44 @@ def gradclose(analytic: dict, numeric: dict, rtol: float = 1e-4, atol: float = 1
         np.allclose(numeric[name].data, analytic[name].data, rtol=rtol, atol=atol)
         for name in analytic
     )
+
+
+def finite_diff_grad(f: Callable[[ParamTree], float], params: ParamTree, step: float) -> dict[str, Tensor]:
+    """Central-difference gradient of a scalar function of the tree.
+
+    Test oracle: O(2 * n_scalars) evaluations of f, so keep fixtures small.
+    """
+    if step <= 0:
+        raise ContractError(f"step must be positive, got {step}")
+    grads: dict[str, Tensor] = {}
+    for name, t in params.items():
+        g = np.zeros_like(t.data)
+        flat = t.data.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            for sign in (+1.0, -1.0):
+                bumped = flat.copy()
+                bumped[i] += sign * step
+                probe = params.map_values(
+                    lambda n, old, name=name, bumped=bumped: Tensor(bumped.reshape(old.shape), requires_grad=old.requires_grad)
+                    if n == name
+                    else old
+                )
+                if sign > 0:
+                    f_plus = f(probe)
+                else:
+                    f_minus = f(probe)
+            gflat[i] = (f_plus - f_minus) / (2.0 * step)
+        grads[name] = Tensor(g)
+    return grads
+
+
+def params_bytes(tree: ParamTree) -> bytes:
+    """The checkpoint container of tree: the bytes save_params writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tree.ckpt"
+        save_params(tree, path)
+        return path.read_bytes()
 
 
 def tiny_encoder_config(input_dim: int = 10) -> EncoderConfig:

@@ -10,18 +10,18 @@ from dataclasses import replace
 import numpy as np
 
 from fassl import autodiff as ad
-from fassl.aggregation import Strategy, aggregate, fedu_aggregate
+from fassl.aggregation import Strategy, aggregate
 from fassl.autodiff import Graph, Tensor, backward
 from fassl.checkpoint import load_params
 from fassl.cli import main as cli_main
 from fassl.data import dirichlet_partition, downstream_suite, partition_label_entropies, synth_dataset
 from fassl.evaluator import OptimaTracker, TaskAccuracy, evaluate_global, knn_retrieval_accuracy, update_optima
-from fassl.model import encode, finite_diff_grad, project, split
+from fassl.model import encode, project, split
 from fassl.orchestrator import RunConfig, initial_state, run
 from fassl.seeding import derive_seed, rng_for
 from fassl.ssl_tasks import acop_loss, acop_make_batch, barlow_twins_loss, canonical_permutations, nt_xent_loss
 
-from conftest import fd_fixture_ok, gradclose, perturbed_params, tiny_encoder_config
+from conftest import fd_fixture_ok, finite_diff_grad, gradclose, perturbed_params, tiny_encoder_config
 from test_aggregation import ldawa_oracle, random_updates, tree_from, update
 from test_evaluator import brute_force_accuracy
 
@@ -369,9 +369,9 @@ def test_criterion_10_fedu_gating():
     for _ in range(20):
         g = tree_from(rng)
         ups = random_updates(rng, int(rng.integers(2, 6)))
-        open_gate = fedu_aggregate(g, ups, mu=1e12)
+        open_gate = aggregate(Strategy("fedu", fedu_mu=1e12), g, ups)
         ok &= open_gate.equal_bytes(aggregate(Strategy("fedavg"), g, ups))
-        closed = fedu_aggregate(g, ups, mu=1e-12)
+        closed = aggregate(Strategy("fedu", fedu_mu=1e-12), g, ups)
         for name in g.names():
             if not name.startswith("backbone."):
                 ok &= closed.get(name).data.tobytes() == g.get(name).data.tobytes()

@@ -7,7 +7,7 @@ from fassl import autodiff as ad
 from fassl.autodiff import Graph, Tensor, backward
 from fassl.errors import ContractError
 from fassl.data import synth_dataset
-from fassl.model import EncoderConfig, ParamTree, encode, finite_diff_grad, init_encoder, project, sgd_step
+from fassl.model import EncoderConfig, ParamTree, encode, init_encoder, project, sgd_step
 from fassl.seeding import rng_for
 from fassl.ssl_tasks import (
     AugmentPolicy,
@@ -19,7 +19,7 @@ from fassl.ssl_tasks import (
     two_view_batch,
 )
 
-from conftest import gradclose
+from conftest import finite_diff_grad, gradclose
 
 
 class TestTensor:

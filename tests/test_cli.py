@@ -5,10 +5,13 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fassl.cli import main
 from fassl.config import (
     SCHEMA,
+    ExperimentSpec,
     apply_overrides,
     default_spec,
     emit_defaults,
@@ -107,6 +110,27 @@ FAST_FLAGS = [
 ]
 
 
+# pieces that reach past the line splitter into the key and value parsers
+CONFIG_FRAGMENTS = [key.encode() for key in SCHEMA] + [
+    b" = ", b"=", b"\n", b"\r\n", b"\r", b"#", b",", b"0", b"1", b"-1", b"0.5", b"1e400", b"nan", b"true",
+    b"fedu", b"backbone", b"\xff", b"\xc3", b"\xe2\x80\xa8", b"\x00",
+]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=st.lists(st.binary(max_size=6) | st.sampled_from(CONFIG_FRAGMENTS), max_size=24).map(b"".join))
+@example(blob=b"rounds = 2\n\xff\xfe = 3\n")
+@example(blob=b"clients = 3\nclients_per_round = 4\n")
+def test_config_bytes_parse_or_raise_config_error(tmp_path, blob):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(blob)
+    try:
+        spec = parse_config(path)
+    except ConfigError:
+        return
+    assert isinstance(spec, ExperimentSpec)
+
+
 class TestCmdRun:
     def test_matrix_produces_one_directory_per_cell(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
@@ -142,6 +166,14 @@ class TestCmdRun:
         monkeypatch.setenv("FASSL_OUT", str(tmp_path))
         assert main(["run", "--alpha", "-3"]) == 1
         assert main(["run", "--lr", "nan"]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "partition-stats"])
+    def test_non_utf8_config_exits_1_naming_file_and_line(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"rounds = 2\n\xff\xfe = 3\n")
+        assert main([command, "--config", str(path)]) == 1
+        assert f"{path}:2: not valid UTF-8" in capsys.readouterr().err
 
     def test_partial_csv_on_crash_is_valid_prefix(self, tmp_path):
         """Line-buffered appends: a truncated run leaves a parseable CSV."""

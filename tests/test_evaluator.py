@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fassl import kernels
 from fassl.autodiff import Tensor
-from fassl.checkpoint import params_bytes
 from fassl.data import downstream_suite
 from fassl.errors import ContractError
 from fassl.evaluator import (
@@ -22,6 +21,8 @@ from fassl.evaluator import (
 )
 from fassl.model import init_encoder
 from fassl.orchestrator import RunConfig
+
+from conftest import params_bytes
 
 
 def brute_force_accuracy(train, train_labels, test, test_labels, k, metric="cosine"):
@@ -91,6 +92,15 @@ class TestKnnRetrieval:
             knn_retrieval_accuracy(np.zeros((0, 2)), [], x, [0, 1, 2], k=1)
         with pytest.raises(ContractError):
             knn_retrieval_accuracy(x, [0, 1, 2], np.zeros((0, 2)), [], k=1)
+
+    @pytest.mark.parametrize(
+        "train_labels, test_labels",
+        [([0, 1, 0], [0]), ([0, 1], [0, 1]), ([0, 1, 0, 1, 0], [0, 1])],
+        ids=["short-test", "short-train", "long-train"],
+    )
+    def test_label_count_must_match_feature_rows(self, rng, train_labels, test_labels):
+        with pytest.raises(ContractError, match="one label per feature row"):
+            knn_retrieval_accuracy(rng.normal(size=(3, 2)), train_labels, rng.normal(size=(2, 2)), test_labels, k=1)
 
     def test_k_out_of_range_rejected(self, rng):
         x = rng.normal(size=(3, 2))

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fassl.autodiff import Tensor
-from fassl.checkpoint import load_params, params_bytes, save_params
+from fassl.checkpoint import load_params, save_params
 from fassl.errors import ContractError
 from fassl.model import (
     EncoderConfig,
@@ -20,6 +20,8 @@ from fassl.model import (
     merge,
     split,
 )
+
+from conftest import params_bytes
 
 CFG = EncoderConfig(input_dim=64, hidden_dim=32, embed_dim=16, projection_dim=8, acop_classes=6)
 
@@ -99,7 +101,7 @@ class TestInitEncoder:
         # in*hidden + hidden + hidden*embed + embed
         tree = init_encoder(CFG, seed=0)
         backbone, _ = split(tree, "backbone")
-        assert backbone.n_scalars() == 64 * 32 + 32 + 32 * 16 + 16 == 2608
+        assert sum(t.data.size for _, t in backbone.items()) == 64 * 32 + 32 + 32 * 16 + 16 == 2608
 
     def test_biases_zero_weights_bounded(self):
         tree = init_encoder(CFG, seed=3)

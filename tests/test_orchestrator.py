@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fassl.checkpoint import params_bytes
 from fassl.data import dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ContractError
 from fassl.evaluator import OptimaTracker
@@ -21,6 +20,8 @@ from fassl.orchestrator import (
     sample_clients,
 )
 from fassl.seeding import derive_seed
+
+from conftest import params_bytes
 
 SMALL = RunConfig(
     rounds=6,
