@@ -3,14 +3,19 @@
 Every strategy produces a new global tree as a weighted combination of the
 client trees; they differ only in how the weights are formed (sample counts,
 uniform, loss magnitude, per-layer angular similarity, or divergence-gated).
+So each strategy only forms its weight groups, ``(entry names, member
+updates, weights)``: one group over every entry for fedavg, fairavg and
+loss, one per layer for ldawa, and for fedu the backbone over all updates
+then the heads over the clients its gate lets through. Every entry of every
+group then goes through one fold.
 
 Arithmetic discipline: updates are sorted by client_id before any math, and
-combinations are computed as  ref + sum_i beta_i * (w_i - ref)  with the
-first client as reference. That form makes unanimity and single-client
-identity bit-exact while remaining the same convex combination. Each entry
-is accumulated through one scratch array per entry, in the same client
-order and with the same bits as ``acc += beta_i * (w_i - ref)``. The
-updates are sorted and checked once per ``aggregate`` call.
+each entry is folded as  ref + sum_i beta_i * (w_i - ref)  with the group's
+first member as reference. That form makes unanimity and single-client
+identity bit-exact while remaining the same convex combination. The fold
+accumulates through one scratch array per entry, in the same client order
+and with the same bits as ``acc += beta_i * (w_i - ref)``. The updates are
+sorted and checked once per ``aggregate`` call.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError
-from .model import BACKBONE_PREFIX, ParamTree, flatten_layer, layer_names, merge
+from .model import ParamTree, flatten_layer, layer_names, merge, split
 
 STRATEGY_KINDS = ("fedavg", "fairavg", "loss", "fedu", "ldawa")
 
@@ -75,28 +80,20 @@ def _sorted_updates(updates: list[ClientUpdate]) -> list[ClientUpdate]:
     return ups
 
 
-def _restrict(global_prev: ParamTree, names: list[str]) -> ParamTree:
-    missing = [n for n in names if n not in global_prev]
-    if missing:
-        raise ContractError(f"updates carry parameters unknown to the global model: {missing}")
-    return ParamTree([(n, global_prev.get(n)) for n in names])
+def _fold(name: str, members: list[ClientUpdate], weights: np.ndarray) -> Tensor:
+    """ref + sum_i w_i * (member_i - ref) for one entry; weights are expected to sum to 1."""
+    r = members[0].params.get(name).data
+    acc = r.copy()
+    tmp = np.empty_like(r)
+    for u, w in zip(members, weights):
+        np.subtract(u.params.get(name).data, r, out=tmp)
+        tmp *= w
+        acc += tmp
+    return Tensor(acc)
 
 
-def _combine(trees: list[ParamTree], weights: np.ndarray) -> ParamTree:
-    """ref + sum_i w_i * (tree_i - ref); weights are expected to sum to 1."""
-    ref = trees[0]
-
-    def combine_entry(name, ref_t):
-        r = ref_t.data
-        acc = r.copy()
-        tmp = np.empty_like(r)
-        for tree, w in zip(trees, weights):
-            np.subtract(tree.get(name).data, r, out=tmp)
-            tmp *= w
-            acc += tmp
-        return Tensor(acc)
-
-    return ref.map_values(combine_entry)
+def _flat(tree: ParamTree, names: list[str]) -> np.ndarray:
+    return np.concatenate([tree.get(n).data.reshape(-1) for n in names])
 
 
 def beta_fedavg(updates: list[ClientUpdate]) -> np.ndarray:
@@ -125,20 +122,17 @@ def beta_loss(updates: list[ClientUpdate], direction: str = "high") -> np.ndarra
     return losses / total
 
 
-def _subtree(tree: ParamTree, names: list[str]) -> ParamTree:
-    return ParamTree._from_canonical([(n, tree.get(n)) for n in names])
-
-
-def _ldawa(scope: ParamTree, ups: list[ClientUpdate]) -> ParamTree:
+def _ldawa(global_prev: ParamTree, ups: list[ClientUpdate]) -> list[tuple]:
     """Layer-wise angular weighting against the previous global model.
 
     Per layer, beta_i = clamp(cos angle(client layer, global layer), 0, 1),
     renormalized; a layer whose betas all vanish falls back to uniform.
     """
-    entries: list[tuple[str, Tensor]] = []
-    for layer in layer_names(scope):
-        names = [n for n in scope.names() if n.rsplit(".", 1)[0] == layer]
-        g_flat = flatten_layer(scope, layer)
+    first = ups[0].params
+    groups = []
+    for layer in layer_names(first):
+        names = [n for n in first.names() if n.rsplit(".", 1)[0] == layer]
+        g_flat = _flat(global_prev, names)
         g_norm = float(np.linalg.norm(g_flat))
         betas = []
         for u in ups:
@@ -152,69 +146,65 @@ def _ldawa(scope: ParamTree, ups: list[ClientUpdate]) -> ParamTree:
             weights = np.full(len(ups), 1.0 / len(ups))
         else:
             weights = betas / total
-        entries.extend(_combine([_subtree(u.params, names) for u in ups], weights).items())
-    return ParamTree(entries)
+        groups.append((names, ups, weights))
+    return groups
 
 
-def _fedu(scope: ParamTree, ups: list[ClientUpdate], mu: float) -> ParamTree:
+def _fedu(global_prev: ParamTree, ups: list[ClientUpdate], mu: float) -> list[tuple]:
     """Sample-weighted backbone; heads only from clients within the divergence gate.
 
     A client passes the gate when its relative backbone L2 divergence from
-    the previous global is below mu. With no passing client the heads keep
-    the previous global values.
+    the previous global is below mu. With no passing client the heads group
+    has no members, so the heads keep the previous global values.
     """
-    bb_names = [n for n in scope.names() if n.startswith(BACKBONE_PREFIX)]
-    head_names = [n for n in scope.names() if not n.startswith(BACKBONE_PREFIX)]
-
-    out = list(_combine([_subtree(u.params, bb_names) for u in ups], beta_fedavg(ups)).items())
-
-    if head_names:
-        bb_g = np.concatenate([scope.get(n).data.reshape(-1) for n in bb_names])
+    backbone, heads = (t.names() for t in split(ups[0].params, "backbone"))
+    groups = [(backbone, ups, beta_fedavg(ups))]
+    if heads:
+        bb_g = _flat(global_prev, backbone)
         g_norm = float(np.linalg.norm(bb_g))
 
         def divergence(u: ClientUpdate) -> float:
-            bb_u = np.concatenate([u.params.get(n).data.reshape(-1) for n in bb_names])
-            diff = float(np.linalg.norm(bb_u - bb_g))
+            diff = float(np.linalg.norm(_flat(u.params, backbone) - bb_g))
             if g_norm == 0.0:
                 return 0.0 if diff == 0.0 else float("inf")
             return diff / g_norm
 
         passing = [u for u in ups if divergence(u) < mu]
-        if not passing:
-            out.extend((n, scope.get(n)) for n in head_names)
-        else:
-            head_trees = [_subtree(u.params, head_names) for u in passing]
-            out.extend(_combine(head_trees, beta_fedavg(passing)).items())
-    return ParamTree(out)
+        groups.append((heads, passing, beta_fedavg(passing)))
+    return groups
 
 
 def aggregate(strategy: Strategy, global_prev: ParamTree, updates: list[ClientUpdate]) -> ParamTree:
-    """New global tree over the transceived scope, per the strategy's weighting."""
+    """New global tree over the transceived scope, per the strategy's weighting.
+
+    Every entry of every weight group is folded over the group's members;
+    a group with no members keeps the previous global values.
+    """
     ups = _sorted_updates(updates)
-    scope = _restrict(global_prev, ups[0].params.names())  # congruence with the global scope
+    names = ups[0].params.names()
+    missing = [n for n in names if n not in global_prev]
+    if missing:
+        raise ContractError(f"updates carry parameters unknown to the global model: {missing}")
     if strategy.kind == "ldawa":
-        return _ldawa(scope, ups)
-    if strategy.kind == "fedu":
-        return _fedu(scope, ups, strategy.fedu_mu)
-    if strategy.kind == "fedavg":
-        weights = beta_fedavg(ups)
+        groups = _ldawa(global_prev, ups)
+    elif strategy.kind == "fedu":
+        groups = _fedu(global_prev, ups, strategy.fedu_mu)
+    elif strategy.kind == "fedavg":
+        groups = [(names, ups, beta_fedavg(ups))]
     elif strategy.kind == "fairavg":
-        weights = beta_fairavg(ups)
+        groups = [(names, ups, beta_fairavg(ups))]
     else:
-        weights = beta_loss(ups, strategy.loss_direction)
-    return _combine([u.params for u in ups], weights)
+        groups = [(names, ups, beta_loss(ups, strategy.loss_direction))]
+    folded: dict[str, Tensor] = {}
+    for group_names, members, weights in groups:
+        for name in group_names:
+            folded[name] = _fold(name, members, weights) if members else global_prev.get(name)
+    return ParamTree._from_canonical([(n, folded[n]) for n in names])
 
 
 def scope_apply(scope: str, global_prev: ParamTree, aggregated: ParamTree) -> ParamTree:
     """Fold an aggregated transceived scope back into a full global tree."""
-    if scope == "full":
-        if aggregated.names() != global_prev.names():
-            raise ContractError("full-scope aggregate does not cover the global tree")
-        return aggregated
-    if scope == "backbone":
-        expected = [n for n in global_prev.names() if n.startswith(BACKBONE_PREFIX)]
-        if aggregated.names() != expected:
-            raise ContractError("backbone-scope aggregate does not match the global backbone")
-        heads = ParamTree([(n, t) for n, t in global_prev.items() if not n.startswith(BACKBONE_PREFIX)])
-        return merge(aggregated, heads)
-    raise ContractError(f"unknown scope {scope!r} (expected 'full' or 'backbone')")
+    transceived, kept = split(global_prev, scope)
+    if aggregated.names() != transceived.names():
+        raise ContractError(f"{scope}-scope aggregate does not match the global tree's {scope} part")
+    return merge(aggregated, kept) if len(kept) else aggregated

@@ -19,7 +19,7 @@ from . import config as cfgmod
 from .config import ExperimentSpec, apply_overrides, default_spec, emit_defaults, parse_config
 from .data import dirichlet_partition, downstream_suite, partition_label_entropies, synth_dataset
 from .errors import ConfigError, ContractError
-from .orchestrator import RunConfig, run
+from .orchestrator import run
 from .plotting import plot_results
 from .seeding import derive_seed
 
@@ -47,13 +47,11 @@ def _out_root(spec: ExperimentSpec) -> Path:
     return Path(os.environ.get("FASSL_OUT", spec["out_dir"]))
 
 
-def _build_datasets(cfg: RunConfig):
-    pretext = synth_dataset(
-        cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands,
-        seed=derive_seed(cfg.master_seed, "pretext-data"),
+def _build_pretext(spec: ExperimentSpec):
+    return synth_dataset(
+        spec["pretext_classes"], spec["pretext_per_class"], spec["frames"], spec["bands"],
+        seed=derive_seed(spec["master_seed"], "pretext-data"),
     )
-    tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
-    return pretext, tasks
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -64,7 +62,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     for name, cell, cfg in cells:
         cell_dir = root / name
         try:
-            pretext, tasks = _build_datasets(cfg)
+            pretext = _build_pretext(cell)
+            tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
             cell_dir.mkdir(parents=True, exist_ok=True)
             config_text = cell.to_text(f"resolved configuration for cell {name}")
             (cell_dir / "config.txt").write_text(config_text, encoding="utf-8")
@@ -92,12 +91,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_partition_stats(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    cfg = spec.base_run_config()
-    pretext, _ = _build_datasets(cfg)
+    pretext = _build_pretext(spec)
     partition = dirichlet_partition(
-        pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition")
+        pretext, spec["clients"], spec["alpha"], derive_seed(spec["master_seed"], "partition")
     )
-    print(f"alpha = {cfg.alpha}, clients = {cfg.n_clients}, clips = {len(pretext)}")
+    print(f"alpha = {spec['alpha']}, clients = {spec['clients']}, clips = {len(pretext)}")
     print(f"{'client':>6s} {'size':>6s} {'label_entropy':>14s}")
     entropies = partition_label_entropies(pretext, partition)
     for client, (shard, h) in enumerate(zip(partition.shards, entropies)):

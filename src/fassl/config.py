@@ -2,11 +2,13 @@
 
 The file format is one ``key = value`` per line; blank lines and lines
 starting with ``#`` are ignored. Unknown keys and malformed or out-of-range
-values are rejected with the offending line number. Flags override file
-values, which override defaults. ``SCHEMA`` is the one table of keys: it
-maps each key to the ``RunConfig`` field it sets, and run defaults are read
-from the dataclasses, so a spec, its ``RunConfig`` and its config text
-cannot drift apart.
+values are rejected with the offending line number. Rules across keys
+(``clients_per_round <= clients``) are checked when ``base_run_config``
+builds the run, so a command that trains nothing does not enforce them.
+Flags override file values, which override defaults. ``SCHEMA`` is the one
+table of keys: it maps each key to the ``RunConfig`` field it sets, and run
+defaults are read from the dataclasses, so a spec, its ``RunConfig`` and
+its config text cannot drift apart.
 
 Matrix keys (``strategies``, ``scopes``, ``local_epochs_list``) are
 comma-separated lists; when empty they fall back to the corresponding
@@ -23,6 +25,8 @@ from pathlib import Path
 
 from .aggregation import STRATEGY_KINDS
 from .errors import ConfigError, ContractError
+from .evaluator import FEATURE_LAYERS, METRICS
+from .model import SCOPES
 from .orchestrator import SSL_TASKS, RunConfig
 
 
@@ -107,7 +111,7 @@ SCHEMA: dict[str, tuple] = {
     "lr": (_positive_float, "lr", "constant SGD learning rate"),
     "ssl_task": (_choice(*SSL_TASKS), "ssl_task", "pretext task"),
     "strategy": (_choice(*STRATEGY_KINDS), "strategy.kind", "aggregation strategy"),
-    "scope": (_choice("full", "backbone"), "scope", "transceived parameter scope"),
+    "scope": (_choice(*SCOPES), "scope", "transceived parameter scope"),
     "alpha": (_positive_float, "alpha", "Dirichlet heterogeneity coefficient"),
     "master_seed": (int, "master_seed", "root seed for every stream"),
     "eval_every": (_positive_int, "eval_every", "rounds between downstream evaluations"),
@@ -130,12 +134,12 @@ SCHEMA: dict[str, tuple] = {
     "hidden_dim": (_positive_int, "hidden_dim", "encoder hidden width"),
     "embed_dim": (_positive_int, "embed_dim", "backbone embedding width"),
     "projection_dim": (_positive_int, "projection_dim", "projection head output width"),
-    "feature_layer": (_choice("backbone", "projection"), "feature_layer", "retrieval feature layer"),
-    "metric": (_choice("cosine", "euclidean"), "metric", "retrieval distance"),
+    "feature_layer": (_choice(*FEATURE_LAYERS), "feature_layer", "retrieval feature layer"),
+    "metric": (_choice(*METRICS), "metric", "retrieval distance"),
     "out_dir": (str, None, "output directory (FASSL_OUT env overrides)"),
     "plot": (_parse_bool, None, "emit SVG plots after a run"),
     "strategies": (_str_list(STRATEGY_KINDS), None, "matrix axis; empty = [strategy]"),
-    "scopes": (_str_list(("full", "backbone")), None, "matrix axis; empty = [scope]"),
+    "scopes": (_str_list(SCOPES), None, "matrix axis; empty = [scope]"),
     "local_epochs_list": (_int_list, None, "matrix axis; empty = [local_epochs]"),
 }
 
@@ -223,9 +227,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentSpec:
             values[key] = parser(raw_value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
-    spec = ExperimentSpec(values=values)
-    spec.base_run_config()  # cross-field validation (s <= N, ...)
-    return spec
+    return ExperimentSpec(values=values)
 
 
 def parse_config(path: str | Path) -> ExperimentSpec:
@@ -253,9 +255,7 @@ def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> Experime
             values[key] = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for flag --{key.replace('_', '-')}: {exc}") from exc
-    spec = ExperimentSpec(values=values)
-    spec.base_run_config()
-    return spec
+    return ExperimentSpec(values=values)
 
 
 def _format_value(value) -> str:

@@ -20,6 +20,9 @@ from .data import SynthDataset
 from .errors import ContractError
 from .model import ParamTree, encode, project
 
+FEATURE_LAYERS = ("backbone", "projection")
+METRICS = ("cosine", "euclidean")
+
 
 @dataclass(frozen=True)
 class TaskAccuracy:
@@ -70,7 +73,7 @@ def knn_retrieval_accuracy(
     elif metric == "euclidean":
         dist = kernels.pairwise_euclidean(test, train)
     else:
-        raise ContractError(f"unknown metric {metric!r}")
+        raise ContractError(f"unknown metric {metric!r}, expected one of {METRICS}")
     hits = kernels.topk_hits(dist, train_labels, test_labels, k)
     return float(hits.sum()) / test.shape[0]
 
@@ -80,7 +83,7 @@ def _dataset_features(w_g: ParamTree, dataset: SynthDataset, feature_layer: str)
     if feature_layer == "projection":
         emb = project(w_g, emb)
     elif feature_layer != "backbone":
-        raise ContractError(f"unknown feature layer {feature_layer!r}")
+        raise ContractError(f"unknown feature layer {feature_layer!r}, expected one of {FEATURE_LAYERS}")
     return emb.data
 
 

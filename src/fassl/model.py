@@ -27,6 +27,7 @@ from .autodiff import Tensor
 from .errors import ContractError
 
 BACKBONE_PREFIX = "backbone."
+SCOPES = ("full", "backbone")
 
 
 class ParamTree:
@@ -186,7 +187,7 @@ def split(params: ParamTree, scope: str) -> tuple[ParamTree, ParamTree]:
         trans = [(n, t) for n, t in params.items() if n.startswith(BACKBONE_PREFIX)]
         kept = [(n, t) for n, t in params.items() if not n.startswith(BACKBONE_PREFIX)]
         return ParamTree._from_canonical(trans), ParamTree._from_canonical(kept)
-    raise ContractError(f"unknown scope {scope!r} (expected 'full' or 'backbone')")
+    raise ContractError(f"unknown scope {scope!r}, expected one of {SCOPES}")
 
 
 def merge(a: ParamTree, b: ParamTree) -> ParamTree:

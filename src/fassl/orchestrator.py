@@ -9,7 +9,11 @@ and checkpoints regardless of the worker pool size.
 In backbone-only scope the server transmits and receives just the backbone;
 each client's head lives in the server-side state purely as simulation
 bookkeeping (``retained_heads``) and evolves only in rounds where that
-client is sampled. The server's own head copy is never updated.
+client is sampled. The server's own head copy is never updated: every
+round's ``scope_apply`` carries the previous global heads over unchanged,
+so the global heads are bit for bit the initial heads and stand in for them
+as the starting head of a client not sampled before. In full scope nothing
+is retained, so ``retained_heads`` stays empty.
 """
 
 from __future__ import annotations
@@ -29,8 +33,16 @@ from .autodiff import Graph, backward
 from .checkpoint import save_params
 from .data import Clip, Partition, SynthDataset, dirichlet_partition
 from .errors import ContractError
-from .evaluator import OptimaTracker, TaskAccuracy, evaluate_global, optima_csv, update_optima
-from .model import EncoderConfig, ParamTree, encode, init_encoder, merge, project, sgd_step, split
+from .evaluator import (
+    FEATURE_LAYERS,
+    METRICS,
+    OptimaTracker,
+    TaskAccuracy,
+    evaluate_global,
+    optima_csv,
+    update_optima,
+)
+from .model import SCOPES, EncoderConfig, ParamTree, encode, init_encoder, merge, project, sgd_step, split
 from .seeding import derive_seed, rng_for
 from .ssl_tasks import AugmentPolicy, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 
@@ -91,10 +103,11 @@ class RunConfig:
             raise ContractError(f"tau and bt_eps must be positive, got {self.tau} and {self.bt_eps}")
         if self.bt_lambda < 0:
             raise ContractError(f"bt_lambda must be >= 0, got {self.bt_lambda}")
-        if self.ssl_task not in SSL_TASKS:
-            raise ContractError(f"unknown ssl_task {self.ssl_task!r}, expected one of {SSL_TASKS}")
-        if self.scope not in ("full", "backbone"):
-            raise ContractError(f"unknown scope {self.scope!r}")
+        for name, choices in (
+            ("ssl_task", SSL_TASKS), ("scope", SCOPES), ("feature_layer", FEATURE_LAYERS), ("metric", METRICS)
+        ):
+            if getattr(self, name) not in choices:
+                raise ContractError(f"unknown {name} {getattr(self, name)!r}, expected one of {choices}")
         if self.alpha <= 0 or self.eval_every < 1 or self.k < 1 or self.workers < 1:
             raise ContractError("alpha, eval_every, k and workers must be positive")
 
@@ -118,8 +131,6 @@ class RoundState:
     round_idx: int  # completed rounds so far
     global_params: ParamTree
     retained_heads: dict[int, ParamTree]
-    initial_heads: ParamTree
-    master_seed: int
 
 
 @dataclass
@@ -261,14 +272,12 @@ def run_round(
 ) -> tuple[RoundState, int]:
     """One federated round; returns the advanced state and the sgd steps taken."""
     round_idx = state.round_idx + 1
-    sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, round_idx, state.master_seed)
-    transceived_global, _ = split(state.global_params, cfg.scope)
+    sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, round_idx, cfg.master_seed)
+    transceived_global, global_heads = split(state.global_params, cfg.scope)
 
     def job(client_id: int):
         shard = [pretext.by_id(cid) for cid in partition.shards[client_id]]
-        retained = None
-        if cfg.scope == "backbone":
-            retained = state.retained_heads.get(client_id, state.initial_heads)
+        retained = state.retained_heads.get(client_id, global_heads)
         return local_train(shard, transceived_global, retained, cfg, client_id, round_idx)
 
     if cfg.workers > 1 and len(sampled) > 1:
@@ -279,8 +288,8 @@ def run_round(
 
     updates = [r[0] for r in results]
     retained_heads = dict(state.retained_heads)
-    if cfg.scope == "backbone":
-        for client_id, (_, retained, _) in zip(sampled, results):
+    for client_id, (_, retained, _) in zip(sampled, results):
+        if len(retained):
             retained_heads[client_id] = retained
     steps = sum(r[2] for r in results)
 
@@ -303,14 +312,7 @@ def run_round(
 
 def initial_state(cfg: RunConfig) -> RoundState:
     params = init_encoder(cfg.encoder_config(), derive_seed(cfg.master_seed, "init"))
-    _, heads = split(params, "backbone")
-    return RoundState(
-        round_idx=0,
-        global_params=params,
-        retained_heads={},
-        initial_heads=heads,
-        master_seed=cfg.master_seed,
-    )
+    return RoundState(round_idx=0, global_params=params, retained_heads={})
 
 
 def run(

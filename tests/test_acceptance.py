@@ -339,7 +339,7 @@ def test_criterion_09_backbone_scoping(tmp_path):
     tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
     result = run(cfg, pretext, tasks, out_dir=tmp_path)
 
-    init_heads = initial_state(cfg).initial_heads
+    init_heads = split(initial_state(cfg).global_params, "backbone")[1]
     heads_frozen = True
     for ckpt in sorted(tmp_path.glob("round_*.ckpt")):
         _, heads = split(load_params(ckpt), "backbone")

@@ -67,7 +67,7 @@ class TestParseConfig:
 
     def test_cross_field_validation(self):
         with pytest.raises(ConfigError):
-            parse_config_text("clients = 5\nclients_per_round = 10\n")
+            parse_config_text("clients = 5\nclients_per_round = 10\n").base_run_config()
 
     def test_matrix_axes_default_to_singletons(self):
         spec = parse_config_text("strategy = ldawa\nscope = backbone\n")
@@ -167,6 +167,12 @@ class TestCmdRun:
         assert main(["run", "--alpha", "-3"]) == 1
         assert main(["run", "--lr", "nan"]) == 1
 
+    def test_cross_field_error_exits_1_before_any_cell_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
+        assert main(["run", *FAST_FLAGS, "--clients", "5", "--clients-per-round", "10"]) == 1
+        assert "clients_per_round" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "partition-stats"])
     def test_non_utf8_config_exits_1_naming_file_and_line(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path))
@@ -256,6 +262,13 @@ class TestCmdPartitionStats:
         ])
         assert code == 0
         assert " 10 " in capsys.readouterr().out.replace("\n", " ")
+
+    def test_clients_below_default_clients_per_round(self, capsys):
+        """Only training needs clients_per_round <= clients; partition-stats reads neither rule."""
+        assert main(["partition-stats", "--clients", "7", "--alpha", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("alpha = 5.0, clients = 7, clips = 800\n")
+        assert "sizes sum = 800" in out
 
     def test_entropy_higher_for_large_alpha(self, capsys):
         args = [

@@ -124,8 +124,8 @@ class TestLocalTrain:
     def test_backbone_scope_returns_backbone_update_and_head(self):
         cfg = replace(SMALL, scope="backbone")
         state = initial_state(cfg)
-        trans, _ = split(state.global_params, "backbone")
-        upd, retained, _ = local_train(self._shard(), trans, state.initial_heads, cfg, 0, 1)
+        trans, heads = split(state.global_params, "backbone")
+        upd, retained, _ = local_train(self._shard(), trans, heads, cfg, 0, 1)
         assert all(n.startswith("backbone.") for n in upd.params.names())
         assert all(not n.startswith("backbone.") for n in retained.names())
 
@@ -136,12 +136,13 @@ class TestLocalTrain:
         cfg = replace(SMALL, ssl_task=ssl_task, scope=scope)
         state = initial_state(cfg)
         trans, _ = split(state.global_params, scope)
-        head = state.initial_heads if scope == "backbone" else None
-        before = (params_bytes(state.global_params), params_bytes(state.initial_heads))
+        initial_heads = split(state.global_params, "backbone")[1]
+        head = initial_heads if scope == "backbone" else None
+        before = (params_bytes(state.global_params), params_bytes(initial_heads))
         flags = [t.requires_grad for _, t in state.global_params.items()]
         upd, retained, steps = local_train(self._shard(), trans, head, cfg, 0, 1)
         assert steps > 0
-        assert (params_bytes(state.global_params), params_bytes(state.initial_heads)) == before
+        assert (params_bytes(state.global_params), params_bytes(initial_heads)) == before
         assert [t.requires_grad for _, t in state.global_params.items()] == flags
         assert not upd.params.equal_bytes(trans)
 
@@ -172,6 +173,11 @@ class TestRunConfigValidation:
     )
     def test_loss_parameters_range_checked(self, field, value):
         with pytest.raises(ContractError, match=field):
+            replace(SMALL, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("feature_layer", "fc1"), ("metric", "l1")])
+    def test_unknown_choice_rejected_at_construction(self, field, value):
+        with pytest.raises(ContractError, match=f"unknown {field}"):
             replace(SMALL, **{field: value})
 
     def test_boundary_values_accepted(self):
@@ -256,12 +262,23 @@ class TestRun:
         cfg = replace(SMALL, scope="backbone", ssl_task="barlow_twins", rounds=4)
         pretext, tasks = small_world(cfg)
         result = run(cfg, pretext, tasks)
-        init_heads = initial_state(cfg).initial_heads
+        init_heads = split(initial_state(cfg).global_params, "backbone")[1]
         _, final_heads = split(result.final_params, "backbone")
         assert final_heads.equal_bytes(init_heads)
         assert len(result.state.retained_heads) >= 2
         trained = [h for h in result.state.retained_heads.values() if not h.equal_bytes(init_heads)]
         assert trained, "sampled clients should have locally evolved heads"
+
+    @pytest.mark.parametrize("scope", ["full", "backbone"])
+    def test_retained_heads_hold_exactly_the_sampled_clients(self, scope):
+        cfg = replace(SMALL, scope=scope, rounds=2, workers=1)
+        pretext, tasks = small_world(cfg)
+        result = run(cfg, pretext, tasks)
+        sampled = set().union(*(
+            sample_clients(cfg.n_clients, cfg.clients_per_round, r, cfg.master_seed) for r in range(1, cfg.rounds + 1)
+        ))
+        assert len(sampled) < cfg.n_clients
+        assert set(result.state.retained_heads) == (sampled if scope == "backbone" else set())
 
     def test_acop_task_runs(self):
         cfg = replace(SMALL, ssl_task="acop", rounds=2)
