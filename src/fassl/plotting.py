@@ -22,15 +22,17 @@ PALETTE = [
 ]
 
 
-INT_COLUMNS = ("round", "local_epochs", "k")
+# integer columns and the least value ``run`` writes in each
+INT_COLUMNS = {"round": 0, "local_epochs": 1, "k": 1}
 
 
 def read_results_csv(path: Path) -> list[dict]:
     """Rows of one results.csv, with round/local_epochs/k as int and accuracy as float.
 
-    Any row that is not what ``run`` writes (a wrong field count, a
-    non-integer count, an accuracy that is not a finite number in [0, 1])
-    is a ContractError naming the file and its line.
+    Any row that is not what ``run`` writes (a wrong field count, a count
+    that is not an ASCII decimal integer at or above its least value, an
+    accuracy that is not a finite number in [0, 1]) is a ContractError
+    naming the file and its line.
     """
     blob = path.read_bytes()
     try:
@@ -50,11 +52,15 @@ def read_results_csv(path: Path) -> list[dict]:
         if len(parts) != len(header):
             raise ContractError(f"{path}:{lineno}: malformed row {ln!r}")
         row: dict = dict(zip(header, parts))
-        for col in INT_COLUMNS:
+        for col, least in INT_COLUMNS.items():
+            raw = row[col]
             try:
-                row[col] = int(row[col])
-            except ValueError:
-                raise ContractError(f"{path}:{lineno}: {col} must be an integer, got {row[col]!r}") from None
+                value = int(raw) if raw.isascii() and raw.isdigit() else -1
+            except ValueError:  # more digits than int() converts
+                value = -1
+            if value < least:
+                raise ContractError(f"{path}:{lineno}: {col} must be an integer >= {least}, got {raw!r}")
+            row[col] = value
         try:
             acc = float(row["accuracy"])
         except ValueError:

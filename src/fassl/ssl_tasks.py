@@ -6,12 +6,12 @@ segments and classifies which permutation was applied. All losses are built
 from the autodiff primitives so their gradients come from the tape, and all
 use max-subtraction where a log-sum-exp appears.
 
-Batch assembly writes each view (or presented segment) straight into its row
-of one preallocated float64 array, gathering through a crop/resample index
-table built once per batch, and wraps the batch in a single ``Tensor``. The
-random draws are made view by view in row order by ``_write_view`` (crop
-start, noise, band-dropout coins per view) and, for the predictive task, as
-one permutation draw per clip.
+Batch assembly gathers every view (or presented segment) of a batch through a
+crop/resample index table built once per batch and wraps the batch in a
+single ``Tensor``. A two-view batch of n clips makes three batched draws, in
+this order and each only when the policy uses it: all 2n crop starts, then
+the noise of every view, then the band-dropout coins of every view. The
+predictive task makes one permutation draw per clip.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _crop_rows(frames: int, policy: AugmentPolicy) -> np.ndarray | None:
     """Source rows of every possible crop, resampled to frames; None when uncropped.
 
     Row s of the table is what cropping at start s and nearest-frame
-    resampling back to frames picks, so one view is one gather.
+    resampling back to frames picks, so a batch of views is one gather.
     """
     if frames < 2:
         raise ContractError("view augmentation needs clips with >= 2 frames")
@@ -81,38 +81,34 @@ def _crop_rows(frames: int, policy: AugmentPolicy) -> np.ndarray | None:
     return np.arange(frames - crop_len + 1)[:, None] + resample_frames(np.arange(crop_len), frames)
 
 
-def _write_view(feats: np.ndarray, policy: AugmentPolicy, rng, crop_rows, out: np.ndarray) -> None:
-    """Write one augmented view of feats (frames, bands) into out, same shape.
-
-    Draws, in order: the crop start, the (frames, bands) noise, the band
-    dropout coin flips, each only when the policy uses it.
-    """
-    if crop_rows is None:
-        np.copyto(out, feats)
-    else:
-        feats.take(crop_rows[rng.integers(0, len(crop_rows))], axis=0, out=out)
-    if policy.noise_std > 0:
-        out += rng.normal(0.0, policy.noise_std, size=feats.shape)
-    if policy.band_mask_prob > 0:
-        np.copyto(out, 0.0, where=rng.uniform(size=feats.shape[1]) < policy.band_mask_prob)
-
-
 def two_view_batch(clips: list[Clip], policy: AugmentPolicy, rng: np.random.Generator) -> Tensor:
     """Interleaved view matrix: rows (2i, 2i+1) are the two views of clip i.
 
-    Each view is crop + nearest-frame resample, noise and band dropout,
-    drawn by ``_write_view`` in row order and written straight into its row
-    of one batch array. Pure in (clips, policy, rng state); the identity
-    policy (1.0, 0, 0) repeats each clip's features bit-exactly.
+    Each view is crop + nearest-frame resample, noise and band dropout. The
+    draws are batched, in order and each only when the policy uses it:
+    ``integers`` for the 2n crop starts, ``normal`` for the (2n, frames,
+    bands) noise, ``uniform`` for the (2n, bands) band-dropout coins, a
+    dropped band zeroed across every frame of its one view. Pure in (clips,
+    policy, rng state); the identity policy (1.0, 0, 0) repeats each clip's
+    features bit-exactly.
     """
     frames, bands = _clip_shape(clips, "two_view_batch")
     crop_rows = _crop_rows(frames, policy)
-    views = np.empty((2 * len(clips), frames, bands))
-    for i, clip in enumerate(clips):
-        feats = clip.features.data
-        _write_view(feats, policy, rng, crop_rows, views[2 * i])
-        _write_view(feats, policy, rng, crop_rows, views[2 * i + 1])
-    return Tensor(views.reshape(2 * len(clips), frames * bands))
+    n_views = 2 * len(clips)
+    # stacked clip rows; view v reads clip v // 2, whose first row is first[v]
+    feats = np.concatenate([clip.features.data for clip in clips])
+    first = np.arange(0, len(feats), frames).repeat(2)[:, None]
+    if crop_rows is None:
+        rows = np.arange(frames)
+    else:
+        rows = crop_rows[rng.integers(0, len(crop_rows), size=n_views)]
+    views = feats.take(first + rows, axis=0)  # (2n, frames, bands)
+    if policy.noise_std > 0:
+        views += rng.normal(0.0, policy.noise_std, size=views.shape)
+    if policy.band_mask_prob > 0:
+        dropped = rng.uniform(size=(n_views, bands)) < policy.band_mask_prob
+        views.transpose(0, 2, 1)[dropped] = 0.0
+    return Tensor(views.reshape(n_views, frames * bands))
 
 
 def nt_xent_loss(z: Tensor, tau: float) -> Tensor:

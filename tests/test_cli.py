@@ -18,9 +18,9 @@ from fassl.config import (
     parse_config,
     parse_config_text,
 )
-from fassl.errors import ConfigError
+from fassl.errors import ConfigError, ContractError
 from fassl.orchestrator import CSV_HEADER, RunConfig
-from fassl.plotting import collect_series, plot_results
+from fassl.plotting import INT_COLUMNS, collect_series, plot_results, read_results_csv
 
 
 class TestParseConfig:
@@ -129,6 +129,35 @@ def test_config_bytes_parse_or_raise_config_error(tmp_path, blob):
     except ConfigError:
         return
     assert isinstance(spec, ExperimentSpec)
+
+
+# pieces that reach past the header check into the field parsers
+CSV_FRAGMENTS = [field.encode() for field in CSV_HEADER.split(",")] + [
+    CSV_HEADER.encode() + b"\n", b"\n", b"\r\n", b",", b",,,,,,,", b"0", b"1", b"3", b"-3", b"1_0", b" 1",
+    b"0.5", b"1e400", b"nan", b"inf", b"-0.0", "\u0663".encode(), b"\xff", b"\xc3", b"\x00",
+]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.booleans(),
+    blob=st.lists(st.binary(max_size=6) | st.sampled_from(CSV_FRAGMENTS), max_size=32).map(b"".join),
+)
+@example(header=True, blob=b"1,fedavg,full,simclr,1,bandprofile,1,0.5\n")
+@example(header=True, blob=b"0,a,b,c,1,t,1,1e400\n")
+def test_results_csv_bytes_parse_or_raise_contract_error(tmp_path, header, blob):
+    path = tmp_path / "results.csv"
+    path.write_bytes((CSV_HEADER.encode() + b"\n" if header else b"") + blob)
+    try:
+        rows = read_results_csv(path)
+    except ContractError:
+        return
+    for row in rows:
+        assert list(row) == CSV_HEADER.split(",")
+        for col, least in INT_COLUMNS.items():
+            assert type(row[col]) is int and row[col] >= least
+        assert type(row["accuracy"]) is float and 0.0 <= row["accuracy"] <= 1.0
+        assert all(type(row[col]) is str for col in ("strategy", "scope", "ssl_task", "task"))
 
 
 class TestCmdRun:
@@ -347,8 +376,16 @@ class TestCmdPlot:
             "3,fedavg,full,simclr,1,bandprofile,1,-0.1",
             "3,fedavg,full,simclr,1,bandprofile,1,abc",
             "3,fedavg,full,simclr,1,bandprofile,1",
+            "-3,fedavg,full,simclr,1,bandprofile,1,0.500000",
+            "3,fedavg,full,simclr,0,bandprofile,1,0.500000",
+            "3,fedavg,full,simclr,1,bandprofile,0,0.500000",
+            "\u0663,fedavg,full,simclr,1,bandprofile,1,0.500000",
+            "3,fedavg,full,simclr,1,bandprofile,1_0,0.500000",
         ],
-        ids=["round", "local_epochs", "k", "acc-nan", "acc-inf", "acc-above-one", "acc-negative", "acc-text", "short"],
+        ids=[
+            "round", "local_epochs", "k", "acc-nan", "acc-inf", "acc-above-one", "acc-negative", "acc-text", "short",
+            "round-negative", "local_epochs-zero", "k-zero", "round-arabic-indic-digit", "k-underscore",
+        ],
     )
     def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, bad_row):
         path = self._write_csv(tmp_path, [*self.GOOD_ROWS, bad_row])

@@ -13,6 +13,9 @@ skips and names both; it never compares digests across environments.
 To change bits on purpose, regenerate the file and say why in CHANGES.md::
 
     python tests/test_golden.py --write
+
+Before overwriting, it prints which cells changed, stayed, appeared or went
+relative to the file it replaces.
 """
 
 from __future__ import annotations
@@ -87,10 +90,32 @@ def test_cell_bytes_match_golden(cell, golden, tmp_path):
     assert cell_digests(cell, tmp_path) == golden[cell]
 
 
+def blast_radius(old: dict, new: dict) -> list[str]:
+    """Lines naming the cells whose digests changed, stayed, appeared or went."""
+    kept = old.keys() & new.keys()
+    groups = {
+        "changed": [c for c in kept if old[c] != new[c]],
+        "unchanged": [c for c in kept if old[c] == new[c]],
+        "added": list(new.keys() - old.keys()),
+        "removed": list(old.keys() - new.keys()),
+    }
+    return [f"{what} {len(cells)}: {' '.join(sorted(cells))}".rstrip() for what, cells in groups.items()]
+
+
+def test_blast_radius_names_every_cell_once():
+    old = {"a": 1, "b": 2, "c": 3}
+    new = {"a": 1, "b": 9, "d": 4}
+    assert blast_radius(old, new) == ["changed 1: b", "unchanged 1: a", "added 1: d", "removed 1: c"]
+
+
 def write_digest_file() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cells = {cell: cell_digests(cell, Path(tmp) / cell.replace("/", "-")) for cell in CELLS}
     payload = {"environment": environment(), "cells": cells}
+    old = json.loads(DIGEST_FILE.read_text(encoding="utf-8")) if DIGEST_FILE.exists() else {"cells": {}}
+    if old["cells"] and old["environment"] != payload["environment"]:
+        print(f"note: the replaced file was written on {old['environment']}; digests differ across environments")
+    print("\n".join(blast_radius(old["cells"], cells)))
     DIGEST_FILE.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(cells)} cells to {DIGEST_FILE}")
 

@@ -341,32 +341,29 @@ class TestTwoViewBatch:
             np.testing.assert_array_equal(batch.data[2 * i + 1], flat)
 
 
-def reference_augment(clip, policy, rng) -> np.ndarray:
-    """Per-view oracle: crop, resample_frames, noise, band dropout, one view at a time."""
-    feats = clip.features.data
-    frames, bands = feats.shape
-    crop_len = max(1, int(round(policy.crop_fraction * frames)))
-    if crop_len >= frames:
-        crop = feats
-    else:
-        start = int(rng.integers(0, frames - crop_len + 1))
-        crop = feats[start:start + crop_len]
-    view = resample_frames(crop, frames)
-    if policy.noise_std > 0:
-        view = view + rng.normal(0.0, policy.noise_std, size=view.shape)
-    else:
-        view = view.copy()
-    if policy.band_mask_prob > 0:
-        masked = rng.uniform(size=bands) < policy.band_mask_prob
-        view[:, masked] = 0.0
-    return view.reshape(-1)
-
-
 def reference_two_view_batch(clips, policy, rng) -> np.ndarray:
+    """Loop oracle: the batched draws in documented order, then one view at a time.
+
+    Draws all 2n crop starts, then the (2n, frames, bands) noise, then the
+    (2n, bands) band-dropout coins, each only when the policy uses it; view
+    v is clip v // 2 cropped, resampled, noised and band-masked.
+    """
+    frames, bands = clips[0].features.shape
+    n_views = 2 * len(clips)
+    crop_len = max(1, int(round(policy.crop_fraction * frames)))
+    starts = rng.integers(0, frames - crop_len + 1, size=n_views) if crop_len < frames else None
+    noise = rng.normal(0.0, policy.noise_std, size=(n_views, frames, bands)) if policy.noise_std > 0 else None
+    coins = rng.uniform(size=(n_views, bands)) if policy.band_mask_prob > 0 else None
     rows = []
-    for clip in clips:
-        rows.append(reference_augment(clip, policy, rng))
-        rows.append(reference_augment(clip, policy, rng))
+    for v in range(n_views):
+        feats = clips[v // 2].features.data
+        crop = feats if starts is None else feats[starts[v]:starts[v] + crop_len]
+        view = resample_frames(crop, frames).copy()
+        if noise is not None:
+            view = view + noise[v]
+        if coins is not None:
+            view[:, coins[v] < policy.band_mask_prob] = 0.0
+        rows.append(view.reshape(-1))
     return np.stack(rows)
 
 
@@ -409,8 +406,67 @@ def assert_same_bytes(ours: np.ndarray, ref: np.ndarray) -> None:
     assert ours.tobytes() == ref.tobytes()
 
 
+class TestBatchedViewDraw:
+    """Distribution of the batched draw over many seeded batches."""
+
+    FRAMES, BANDS, N = 32, 16, 64
+
+    def clips(self, fill) -> list[Clip]:
+        """N identical clips whose features are fill(element index)."""
+        features = fill(np.arange(self.FRAMES * self.BANDS, dtype=float).reshape(self.FRAMES, self.BANDS))
+        return [Clip(features=Tensor(features), label=0, clip_id=i) for i in range(self.N)]
+
+    def batches(self, clips, policy, count, purpose):
+        stream = rng_for(11, purpose)
+        for _ in range(count):
+            yield two_view_batch(clips, policy, stream).data.reshape(2 * self.N, self.FRAMES, self.BANDS)
+
+    def test_every_crop_start_occurs(self):
+        # frame f of every clip holds f, so a view's first frame is its crop start
+        clips = self.clips(lambda x: x // self.BANDS)
+        policy = AugmentPolicy(0.7, 0.0, 0.0)
+        crop_len = round(0.7 * self.FRAMES)
+        seen = set()
+        for views in self.batches(clips, policy, 20, "starts"):
+            seen.update(views[:, 0, 0].astype(int).tolist())
+        assert seen == set(range(self.FRAMES - crop_len + 1))
+
+    def test_dropped_band_rate_within_binomial_bound(self):
+        p = 0.3
+        clips = self.clips(lambda x: np.ones_like(x))
+        dropped = trials = 0
+        for views in self.batches(clips, AugmentPolicy(1.0, 0.0, p), 50, "rate"):
+            dropped += int((views[:, 0, :] == 0.0).sum())
+            trials += views.shape[0] * self.BANDS
+        assert abs(dropped / trials - p) <= 5 * np.sqrt(p * (1 - p) / trials)
+
+    def test_band_dropout_is_per_view_and_spans_every_frame(self):
+        p = 0.3
+        clips = self.clips(lambda x: 1.0 + x)  # positive; noise of std 0.05 never reaches 0
+        both = pairs = 0
+        for views in self.batches(clips, AugmentPolicy(0.7, 0.05, p), 50, "spans"):
+            zero = views == 0.0
+            band_dropped = zero.all(axis=1)  # (2n, bands)
+            assert (zero.any(axis=1) == band_dropped).all(), "a band is zeroed in only some frames"
+            both += int((band_dropped[0::2] & band_dropped[1::2]).sum())
+            pairs += self.N * self.BANDS
+        # independent coins per view: both siblings drop a band at rate p^2, not p
+        assert abs(both / pairs - p * p) <= 5 * np.sqrt(p * p * (1 - p * p) / pairs)
+
+    def test_default_policy_views_of_one_clip_differ(self):
+        clips = self.clips(lambda x: 1.0 + x)
+        for views in self.batches(clips, AugmentPolicy(), 5, "differ"):
+            assert all(not np.array_equal(views[2 * i], views[2 * i + 1]) for i in range(self.N))
+
+    def test_identity_policy_bit_exact_at_full_batch(self):
+        clips = oracle_clips(self.N, self.FRAMES, self.BANDS)
+        batch = two_view_batch(clips, AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "identity"))
+        expected = np.stack([clip.features.data.reshape(-1) for clip in clips]).repeat(2, axis=0)
+        assert_same_bytes(batch.data, expected)
+
+
 class TestBatchBuildersMatchPerViewOracle:
-    """The batch builders draw the per-view stream and write the per-view bytes."""
+    """The batch builders draw the loop oracles' streams and write their bytes."""
 
     @pytest.mark.parametrize("policy", ORACLE_POLICIES.values(), ids=ORACLE_POLICIES.keys())
     @pytest.mark.parametrize("n", [1, 64])
@@ -449,7 +505,7 @@ def pinned_clips() -> list[Clip]:
 
 
 class TestPinnedBatchDigests:
-    """SHA-256 of batch bytes recorded from the per-view implementation.
+    """SHA-256 of batch bytes: the batched view draw and the per-clip acop draw.
 
     Batch assembly uses no BLAS (draws, gathers, adds, comparisons), so the
     digests hold on every platform numpy's Generator streams are stable on.
@@ -459,7 +515,7 @@ class TestPinnedBatchDigests:
         batch = two_view_batch(pinned_clips(), AugmentPolicy(), rng_for(1, "pinned-views"))
         assert batch.shape == (16, 512)
         assert hashlib.sha256(batch.data.tobytes()).hexdigest() == (
-            "ed95d056b6584e581ad915c5729bcfbccf14271a1fea3e9625007ca0998b172d"
+            "e7ba38fde58c417fc1cbb189a0a5cb850b3e9b50869f6e2af7e28a4299894e49"
         )
 
     def test_acop_make_batch(self):
