@@ -138,6 +138,15 @@ class Graph:
         popped = _graph_stack().pop()
         assert popped is self
 
+    def read(self, leaves: Mapping[str, Tensor]) -> dict[str, Tensor]:
+        """The entries of ``leaves`` that some recorded op took as a tracked input.
+
+        A leaf no op read cannot reach the loss; a caller that hands
+        ``backward`` only these leaves gets no zero gradient for the rest.
+        """
+        read = {id(t) for node in self.nodes for t, vjp in zip(node.inputs, node.vjps) if vjp is not None}
+        return {name: t for name, t in leaves.items() if id(t) in read}
+
     def _tracks(self, t: Tensor) -> bool:
         return t.requires_grad or id(t) in self._tracked
 

@@ -4,6 +4,12 @@ Clips are frame x band matrices of log-energy-like values. Each generator
 family builds class identity from a different ingredient (band profile,
 temporal envelope, or noise texture), which gives the downstream suite
 heterogeneous tasks whose generators are disjoint from the pretext set's.
+
+A generated dataset owns one read-only (n, frames*bands) matrix, and each
+clip's features are a view of its row. The generators draw a split's noise
+in one ``normal`` call straight into that matrix (the same stream and bytes
+as one call per clip) and wrap its rows without copying, so evaluation reads
+the matrix as it is instead of re-concatenating the clips.
 """
 
 from __future__ import annotations
@@ -30,13 +36,33 @@ class Clip:
 
 @dataclass
 class SynthDataset:
+    """Clips plus, for a generated dataset, the one matrix that holds their features.
+
+    The generators fill one C-contiguous, read-only (n, frames*bands) matrix
+    and pass it as ``_features``: row i is clip i's features flattened
+    row-major, and the clip's feature tensor is a view of that row, so
+    ``feature_matrix`` returns the matrix without copying. A dataset built
+    from any other clip list keeps the clips as given, so a selection from a
+    generated dataset goes on viewing that dataset's rows and copies nothing;
+    its ``feature_matrix`` stacks them into a new matrix on each call. Clips
+    of mixed shapes are a ContractError at construction.
+    """
+
     clips: list[Clip]
     n_classes: int
     generator: dict[str, np.ndarray]
     split: str = "train"
     _by_id: dict[int, Clip] = field(default_factory=dict, repr=False)
+    _features: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self._features is None and self.clips:
+            shape = self.clips[0].features.shape
+            for c in self.clips:
+                if c.features.shape != shape:
+                    raise ContractError(
+                        f"a dataset needs clips of one shape, got {shape} and {c.features.shape} (clip {c.clip_id})"
+                    )
         self._by_id = {c.clip_id: c for c in self.clips}
         if len(self._by_id) != len(self.clips):
             raise ContractError("duplicate clip_ids in dataset")
@@ -51,16 +77,26 @@ class SynthDataset:
         return np.array([c.label for c in self.clips], dtype=np.int64)
 
     def feature_matrix(self) -> np.ndarray:
-        """All clips flattened row-major into an (n, frames*bands) matrix."""
+        """All clips flattened row-major into an (n, frames*bands) matrix; a generated dataset's own, read-only."""
         if not self.clips:
             raise ContractError("feature_matrix needs at least one clip")
-        shape = self.clips[0].features.shape
-        for c in self.clips:
-            if c.features.shape != shape:
-                raise ContractError(
-                    f"feature_matrix needs clips of one shape, got {shape} and {c.features.shape} (clip {c.clip_id})"
-                )
+        if self._features is not None:
+            return self._features
         return np.concatenate([c.features.data for c in self.clips]).reshape(len(self.clips), -1)
+
+
+def _class_block_dataset(matrix, frames, bands, n_classes, id_offset, generator, split) -> SynthDataset:
+    """A generated dataset over matrix: equal runs of classes 0, 1, ... with consecutive clip ids.
+
+    The matrix becomes read-only, and every clip's features view its row.
+    """
+    matrix.flags.writeable = False
+    per_class = len(matrix) // n_classes
+    clips = [
+        Clip(features=Tensor(row.reshape(frames, bands)), label=i // per_class, clip_id=id_offset + i)
+        for i, row in enumerate(matrix)
+    ]
+    return SynthDataset(clips=clips, n_classes=n_classes, generator=generator, split=split, _features=matrix)
 
 
 def resample_frames(features: np.ndarray, target_frames: int) -> np.ndarray:
@@ -113,31 +149,18 @@ def synth_dataset(
     gen_rng = rng_for(seed, "synth-generator")
     profiles = np.stack([_band_profile(gen_rng, bands) for _ in range(n_classes)])
     envelopes = np.stack([_envelope(gen_rng, frames) for _ in range(n_classes)])
-    clip_rng = rng_for(seed, "synth-clips")
-    clips = []
-    cid = id_offset
+    # every clip's noise in one draw, in clip order, then its class's base added in place
+    matrix = rng_for(seed, "synth-clips").normal(0.0, noise_std, size=(n_classes * n_per_class, frames * bands))
+    blocks = matrix.reshape(n_classes, n_per_class, frames, bands)
     for c in range(n_classes):
-        base = np.outer(envelopes[c], profiles[c])
-        for _ in range(n_per_class):
-            feats = base + clip_rng.normal(0.0, noise_std, size=(frames, bands))
-            clips.append(Clip(features=Tensor(feats), label=c, clip_id=cid))
-            cid += 1
+        blocks[c] += np.outer(envelopes[c], profiles[c])
     generator = {
         "kind": np.array([0.0]),  # 0 = profile-x-envelope mixture family
         "profiles": profiles,
         "envelopes": envelopes,
         "noise_std": np.array([noise_std]),
     }
-    return SynthDataset(clips=clips, n_classes=n_classes, generator=generator, split=split)
-
-
-def _texture_clip(rng, frames, bands, smooth, scale, base):
-    noise = rng.normal(0.0, 1.0, size=(frames, bands))
-    width = min(max(int(smooth), 1), bands)  # convolve("same") needs kernel <= signal
-    kernel = np.ones(width) / width
-    for t in range(frames):
-        noise[t] = np.convolve(noise[t], kernel, mode="same")
-    return base + scale * noise
+    return _class_block_dataset(matrix, frames, bands, n_classes, id_offset, generator, split)
 
 
 def _make_task(
@@ -149,6 +172,7 @@ def _make_task(
     frames: int,
     bands: int,
 ) -> tuple[SynthDataset, SynthDataset]:
+    """A train/test pair of one task family; ``fill`` turns a class's block of raw noise into its clips in place."""
     gen_rng = rng_for(seed, f"task-{kind}-generator")
     if kind == "bandprofile":
         profiles = np.stack([_band_profile(gen_rng, bands) for _ in range(n_classes)])
@@ -156,8 +180,8 @@ def _make_task(
         generator = {"kind": np.array([1.0]), "profiles": profiles, "envelope": shared_env}
         noise_std = 0.35
 
-        def make(rng, c):
-            return np.outer(shared_env, profiles[c]) + rng.normal(0.0, noise_std, size=(frames, bands))
+        def fill(block, c):
+            block += np.outer(shared_env, profiles[c])
 
     elif kind == "temporal":
         shared_profile = _band_profile(gen_rng, bands)
@@ -165,30 +189,34 @@ def _make_task(
         generator = {"kind": np.array([2.0]), "profile": shared_profile, "envelopes": envelopes}
         noise_std = 0.25
 
-        def make(rng, c):
-            return np.outer(envelopes[c], shared_profile) + rng.normal(0.0, noise_std, size=(frames, bands))
+        def fill(block, c):
+            block += np.outer(envelopes[c], shared_profile)
 
     elif kind == "texture":
         smooths = gen_rng.permutation(np.arange(1, n_classes + 1)) * 2
         scales = gen_rng.uniform(0.5, 1.0, size=n_classes)
         base = 0.3 * np.outer(_envelope(gen_rng, frames), _band_profile(gen_rng, bands))
         generator = {"kind": np.array([3.0]), "smooths": smooths.astype(float), "scales": scales}
+        noise_std = 1.0
 
-        def make(rng, c):
-            return _texture_clip(rng, frames, bands, smooths[c], scales[c], base)
+        def fill(block, c):
+            width = min(max(int(smooths[c]), 1), bands)  # convolve("same") needs kernel <= signal
+            kernel = np.ones(width) / width
+            for row in block.reshape(-1, bands):  # every frame of every clip, smoothed along its bands
+                row[:] = np.convolve(row, kernel, mode="same")
+            block *= scales[c]
+            block += base
 
     else:
         raise ContractError(f"unknown task kind {kind!r}")
 
     def build(split: str, n_each: int, id_offset: int) -> SynthDataset:
         rng = rng_for(seed, f"task-{kind}-{split}")
-        clips = []
-        cid = id_offset
+        matrix = rng.normal(0.0, noise_std, size=(n_classes * n_each, frames * bands))
+        blocks = matrix.reshape(n_classes, n_each, frames, bands)
         for c in range(n_classes):
-            for _ in range(n_each):
-                clips.append(Clip(features=Tensor(make(rng, c)), label=c, clip_id=cid))
-                cid += 1
-        return SynthDataset(clips=clips, n_classes=n_classes, generator=generator, split=split)
+            fill(blocks[c], c)
+        return _class_block_dataset(matrix, frames, bands, n_classes, id_offset, generator, split)
 
     train = build("train", n_train, 0)
     test = build("test", n_test, n_classes * n_train)

@@ -6,6 +6,11 @@ the classes of its k nearest training samples. The tracker keeps, per task,
 the best accuracy seen so far together with the round and checkpoint that
 produced it, replacing only on strict improvement (ties keep the earlier
 model).
+
+A generated dataset is encoded straight from the one feature matrix it
+owns, so evaluating it copies no clip. The orchestrator evaluates after a
+round's client updates are released, so the evaluation's temporaries reuse
+their memory.
 """
 
 from __future__ import annotations

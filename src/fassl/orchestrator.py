@@ -14,6 +14,12 @@ round's ``scope_apply`` carries the previous global heads over unchanged,
 so the global heads are bit for bit the initial heads and stand in for them
 as the starting head of a client not sampled before. In full scope nothing
 is retained, so ``retained_heads`` stays empty.
+
+Memory: a client differentiates only what its task's graph read, so the
+head its task never reads is not copied; every retained head shares that
+head's arrays with the global tree. A round releases its client results and
+updates as soon as ``aggregate`` returns, so the checkpoint and the
+evaluation do not run on top of every sampled client's tree.
 """
 
 from __future__ import annotations
@@ -183,6 +189,12 @@ def local_train(
     here shares its arrays with the one it came from and every step makes
     new ones, so neither input tree is written to and the trained trees are
     handed out as they are (their tensors keep requires_grad set).
+
+    Each step differentiates only the parameters its recorded graph read.
+    The head the task never reads (``head.proj`` under acop, ``head.acop``
+    under the pair losses) gets no gradient and no SGD copy, so the returned
+    trees share its arrays with the input trees; its values are what a zero
+    gradient step would have left, bit for bit.
     """
     if not shard:
         raise ContractError(f"client {client_id} has an empty shard")
@@ -202,7 +214,7 @@ def local_train(
             clips = [shard[i] for i in idx]
             with Graph() as g:
                 loss = _batch_loss(params, clips, cfg, rng)
-            grads = backward(g, loss, params.as_dict())
+            grads = backward(g, loss, g.read(params.as_dict()))
             params = sgd_step(params, grads, cfg.lr)
             steps += 1
             losses.append((loss.item(), len(clips)))
@@ -294,6 +306,7 @@ def run_round(
     steps = sum(r[2] for r in results)
 
     aggregated = aggregate(cfg.strategy, state.global_params, updates)
+    del results, updates  # the checkpoint and eval temporaries reuse the client trees' memory
     new_global = scope_apply(cfg.scope, state.global_params, aggregated)
     new_state = replace(
         state, round_idx=round_idx, global_params=new_global, retained_heads=retained_heads

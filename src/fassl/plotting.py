@@ -7,6 +7,7 @@ ElementTree, with no scripting or interactivity.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -24,6 +25,8 @@ PALETTE = [
 
 # integer columns and the least value ``run`` writes in each
 INT_COLUMNS = {"round": 0, "local_epochs": 1, "k": 1}
+# the accuracy forms read back: ASCII digits with an optional ASCII fraction
+ACCURACY = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 def read_results_csv(path: Path) -> list[dict]:
@@ -31,8 +34,8 @@ def read_results_csv(path: Path) -> list[dict]:
 
     Any row that is not what ``run`` writes (a wrong field count, a count
     that is not an ASCII decimal integer at or above its least value, an
-    accuracy that is not a finite number in [0, 1]) is a ContractError
-    naming the file and its line.
+    accuracy that is not ASCII ``digits[.digits]`` in [0, 1]) is a
+    ContractError naming the file and its line.
     """
     blob = path.read_bytes()
     try:
@@ -61,10 +64,7 @@ def read_results_csv(path: Path) -> list[dict]:
             if value < least:
                 raise ContractError(f"{path}:{lineno}: {col} must be an integer >= {least}, got {raw!r}")
             row[col] = value
-        try:
-            acc = float(row["accuracy"])
-        except ValueError:
-            acc = float("nan")
+        acc = float(row["accuracy"]) if ACCURACY.fullmatch(row["accuracy"]) else float("nan")
         if not 0.0 <= acc <= 1.0:  # also false for NaN
             raise ContractError(f"{path}:{lineno}: accuracy must be a number in [0, 1], got {row['accuracy']!r}")
         row["accuracy"] = acc

@@ -172,6 +172,18 @@ class TestBackward:
         grads = backward(g, loss, {"x": x, "other": other})
         np.testing.assert_array_equal(grads["other"].data, [[0.0, 0.0]])
 
+    def test_read_names_exactly_the_leaves_an_op_took_as_tracked_input(self):
+        x = Tensor([1.0], requires_grad=True)
+        w = Tensor([2.0], requires_grad=True)
+        frozen = Tensor([3.0])
+        unread = Tensor([[1.0, 2.0]], requires_grad=True)
+        with Graph() as g:
+            loss = ad.sum_all(ad.mul(ad.add(x, frozen), w))
+        leaves = {"w": w, "unread": unread, "frozen": frozen, "x": x}
+        read = g.read(leaves)
+        assert list(read) == ["w", "x"] and read["x"] is x
+        assert backward(g, loss, read).keys() == {"w", "x"}
+
     def test_deterministic_bit_identical(self, rng):
         x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)

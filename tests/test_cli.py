@@ -381,10 +381,14 @@ class TestCmdPlot:
             "3,fedavg,full,simclr,1,bandprofile,0,0.500000",
             "\u0663,fedavg,full,simclr,1,bandprofile,1,0.500000",
             "3,fedavg,full,simclr,1,bandprofile,1_0,0.500000",
+            "3,fedavg,full,simclr,1,bandprofile,1,0.2_5",
+            "3,fedavg,full,simclr,1,bandprofile,1,\u0660.\u0665",
+            "3,fedavg,full,simclr,1,bandprofile,1, 0.5 ",
         ],
         ids=[
             "round", "local_epochs", "k", "acc-nan", "acc-inf", "acc-above-one", "acc-negative", "acc-text", "short",
             "round-negative", "local_epochs-zero", "k-zero", "round-arabic-indic-digit", "k-underscore",
+            "acc-underscore", "acc-arabic-indic-digits", "acc-spaces",
         ],
     )
     def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, bad_row):

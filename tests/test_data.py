@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 from fassl.autodiff import Tensor
 from fassl.data import (
+    PRETEXT_NOISE_STD,
     Clip,
     SynthDataset,
+    _band_profile,
+    _envelope,
+    _make_task,
     dirichlet_partition,
     downstream_suite,
     label_entropy,
@@ -17,6 +21,7 @@ from fassl.data import (
     synth_dataset,
 )
 from fassl.errors import ContractError
+from fassl.seeding import rng_for
 
 
 def dataset_bytes(ds) -> bytes:
@@ -63,7 +68,7 @@ class TestFeatureMatrix:
         assert x.shape == reference.shape == (21, shape[0] * shape[1])
         assert x.dtype == reference.dtype and x.flags["C_CONTIGUOUS"]
         assert x.tobytes() == reference.tobytes()
-        assert not any(np.shares_memory(x, c.features.data) for c in ds.clips)
+        assert all(np.shares_memory(x, c.features.data) for c in ds.clips)
 
     def test_downstream_suite_matrices_equal_stack(self):
         for _, train, test in downstream_suite(3, 16, 8):
@@ -76,9 +81,106 @@ class TestFeatureMatrix:
         with pytest.raises(ContractError, match="one shape"):
             SynthDataset(clips, 1, {}).feature_matrix()
 
+    def test_mixed_shapes_rejected_at_construction(self, rng):
+        clips = [Clip(Tensor(rng.normal(size=s)), 0, i) for i, s in enumerate([(8, 4), (8, 4), (4, 8)])]
+        with pytest.raises(ContractError, match="one shape"):
+            SynthDataset(clips, 1, {})
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
             SynthDataset([], 1, {}).feature_matrix()
+
+    @pytest.mark.parametrize("kind", ["synth", "bandprofile", "temporal", "texture"])
+    def test_generated_clips_view_rows_of_the_matrix(self, kind):
+        datasets = [synth_dataset(3, 4, 8, 4, seed=2)] if kind == "synth" else _make_task(kind, 2, 3, 4, 2, 8, 4)
+        for ds in datasets:
+            x = ds.feature_matrix()
+            assert x is ds.feature_matrix() and not x.flags.writeable
+            for i, clip in enumerate(ds.clips):
+                assert np.shares_memory(x[i], clip.features.data)
+                assert not clip.features.data.flags.writeable
+
+    def test_clip_list_keeps_its_clips_and_copies_nothing(self):
+        source = synth_dataset(2, 5, 8, 4, seed=3)
+        picked = [c for j, c in enumerate(source.clips) if j % 5 < 3]
+        ds = SynthDataset(picked, 2, source.generator)
+        assert all(a is b for a, b in zip(ds.clips, picked)) and len(ds.clips) == len(picked)
+        assert ds.by_id(picked[2].clip_id) is picked[2]
+        x = ds.feature_matrix()
+        assert x.tobytes() == b"".join(c.features.data.tobytes() for c in picked)
+        assert x.shape == (6, 32) and x.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(x, source.feature_matrix())
+
+
+def oracle_synth_dataset(n_classes, n_per_class, frames, bands, seed, noise_std=PRETEXT_NOISE_STD):
+    """The per-clip loop synth_dataset replaced: one normal draw per clip, in clip order."""
+    gen_rng = rng_for(seed, "synth-generator")
+    profiles = np.stack([_band_profile(gen_rng, bands) for _ in range(n_classes)])
+    envelopes = np.stack([_envelope(gen_rng, frames) for _ in range(n_classes)])
+    clip_rng = rng_for(seed, "synth-clips")
+    return [
+        np.outer(envelopes[c], profiles[c]) + clip_rng.normal(0.0, noise_std, size=(frames, bands))
+        for c in range(n_classes) for _ in range(n_per_class)
+    ]
+
+
+def oracle_make_task(kind, seed, n_classes, n_train, n_test, frames, bands):
+    """The per-clip loop _make_task replaced, as (train, test) lists of feature arrays."""
+    gen_rng = rng_for(seed, f"task-{kind}-generator")
+    if kind == "bandprofile":
+        profiles = np.stack([_band_profile(gen_rng, bands) for _ in range(n_classes)])
+        env = _envelope(gen_rng, frames)
+
+        def make(rng, c):
+            return np.outer(env, profiles[c]) + rng.normal(0.0, 0.35, size=(frames, bands))
+
+    elif kind == "temporal":
+        profile = _band_profile(gen_rng, bands)
+        envelopes = np.stack([_envelope(gen_rng, frames) for _ in range(n_classes)])
+
+        def make(rng, c):
+            return np.outer(envelopes[c], profile) + rng.normal(0.0, 0.25, size=(frames, bands))
+
+    else:
+        smooths = gen_rng.permutation(np.arange(1, n_classes + 1)) * 2
+        scales = gen_rng.uniform(0.5, 1.0, size=n_classes)
+        base = 0.3 * np.outer(_envelope(gen_rng, frames), _band_profile(gen_rng, bands))
+
+        def make(rng, c):
+            noise = rng.normal(0.0, 1.0, size=(frames, bands))
+            width = min(max(int(smooths[c]), 1), bands)
+            for t in range(frames):
+                noise[t] = np.convolve(noise[t], np.ones(width) / width, mode="same")
+            return base + scales[c] * noise
+
+    def build(split, n_each):
+        rng = rng_for(seed, f"task-{kind}-{split}")
+        return [make(rng, c) for c in range(n_classes) for _ in range(n_each)]
+
+    return build("train", n_train), build("test", n_test)
+
+
+class TestGeneratorOracles:
+    """The batched generators give the per-clip loops' bytes, labels and ids."""
+
+    @pytest.mark.parametrize("args", [(3, 5, 8, 4, 42, 0.1), (8, 25, 32, 16, 7, 0.9), (1, 1, 1, 1, 0, 0.1)])
+    def test_synth_dataset_matches_per_clip_loop(self, args):
+        n_classes, n_per_class, frames, bands, seed, noise = args
+        ds = synth_dataset(n_classes, n_per_class, frames, bands, seed=seed, id_offset=5, noise_std=noise)
+        expected = oracle_synth_dataset(n_classes, n_per_class, frames, bands, seed, noise)
+        assert dataset_bytes(ds) == b"".join(f.tobytes() for f in expected)
+        assert [c.label for c in ds.clips] == [i // n_per_class for i in range(len(expected))]
+        assert [c.clip_id for c in ds.clips] == list(range(5, 5 + len(expected)))
+
+    @pytest.mark.parametrize("kind", ["bandprofile", "temporal", "texture"])
+    @pytest.mark.parametrize("frames,bands", [(32, 16), (7, 3), (4, 40)])
+    def test_make_task_matches_per_clip_loop(self, kind, frames, bands):
+        train, test = _make_task(kind, 5, 4, 6, 3, frames, bands)
+        expected_train, expected_test = oracle_make_task(kind, 5, 4, 6, 3, frames, bands)
+        assert dataset_bytes(train) == b"".join(f.tobytes() for f in expected_train)
+        assert dataset_bytes(test) == b"".join(f.tobytes() for f in expected_test)
+        assert [c.clip_id for c in train.clips + test.clips] == list(range(4 * 6 + 4 * 3))
+        assert [c.label for c in test.clips] == [i // 3 for i in range(12)]
 
 
 class TestDownstreamSuite:

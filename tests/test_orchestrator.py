@@ -1,5 +1,6 @@
 """Round loop tests: sampling, local training, state advance, determinism."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,10 @@ def small_world(cfg=SMALL):
     pretext = synth_dataset(cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands, seed=5)
     tasks = downstream_suite(6, cfg.frames, cfg.bands)
     return pretext, tasks
+
+
+# the head each pretext task's loss never reads
+UNREAD_HEAD = {"simclr": "head.acop.", "barlow_twins": "head.acop.", "acop": "head.proj."}
 
 
 class TestSampleClients:
@@ -145,6 +150,21 @@ class TestLocalTrain:
         assert (params_bytes(state.global_params), params_bytes(initial_heads)) == before
         assert [t.requires_grad for _, t in state.global_params.items()] == flags
         assert not upd.params.equal_bytes(trans)
+
+    @pytest.mark.parametrize("ssl_task", ["simclr", "barlow_twins", "acop"])
+    @pytest.mark.parametrize("scope", ["full", "backbone"])
+    def test_unread_head_shares_the_input_arrays(self, ssl_task, scope):
+        """The head the loss never reads is handed back as it came in; everything else is trained."""
+        cfg = replace(SMALL, ssl_task=ssl_task, scope=scope)
+        state = initial_state(cfg)
+        trans, heads = split(state.global_params, scope)
+        upd, retained, steps = local_train(self._shard(), trans, heads if scope == "backbone" else None, cfg, 0, 1)
+        assert steps > 0
+        returned = list(upd.params.items()) + list(retained.items())
+        assert sorted(name for name, _ in returned) == state.global_params.names()
+        for name, t in returned:
+            shared = np.shares_memory(t.data, state.global_params.get(name).data)
+            assert shared == name.startswith(UNREAD_HEAD[ssl_task]), name
 
     def test_run_round_leaves_previous_global_bytes(self):
         pretext, tasks = small_world()
@@ -279,6 +299,47 @@ class TestRun:
         ))
         assert len(sampled) < cfg.n_clients
         assert set(result.state.retained_heads) == (sampled if scope == "backbone" else set())
+
+    @pytest.mark.parametrize("ssl_task", ["simclr", "acop"])
+    def test_retained_heads_share_the_global_unread_head(self, ssl_task):
+        cfg = replace(SMALL, scope="backbone", ssl_task=ssl_task, rounds=3, workers=1)
+        pretext, tasks = small_world(cfg)
+        result = run(cfg, pretext, tasks)
+        partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition"))
+        trained = [cid for cid in result.state.retained_heads if len(partition.shards[cid]) >= 2]
+        assert trained
+        for cid in trained:
+            for name, t in result.state.retained_heads[cid].items():
+                shared = np.shares_memory(t.data, result.final_params.get(name).data)
+                assert shared == name.startswith(UNREAD_HEAD[ssl_task]), name
+
+    @pytest.mark.parametrize("scope", ["full", "backbone"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_updates_released_before_eval(self, scope, workers, monkeypatch):
+        import fassl.orchestrator as orchestrator
+
+        cfg = replace(SMALL, scope=scope, workers=workers, rounds=2, eval_every=1)
+        pretext, tasks = small_world(cfg)
+        refs = []
+        evals = []
+        real_aggregate, real_eval = orchestrator.aggregate, orchestrator.evaluate_global
+
+        def recording_aggregate(strategy, global_prev, updates):
+            for u in updates:
+                for name, t in u.params.items():
+                    if t.data is not global_prev.get(name).data:  # the unread head is the global's own
+                        refs.append(weakref.ref(t.data))
+            return real_aggregate(strategy, global_prev, updates)
+
+        def checking_eval(*args, **kwargs):
+            evals.append([r() is None for r in refs])
+            return real_eval(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "aggregate", recording_aggregate)
+        monkeypatch.setattr(orchestrator, "evaluate_global", checking_eval)
+        run(cfg, pretext, tasks)
+        assert len(evals) == cfg.rounds
+        assert all(dead and all(dead) for dead in evals)
 
     def test_acop_task_runs(self):
         cfg = replace(SMALL, ssl_task="acop", rounds=2)
