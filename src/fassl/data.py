@@ -6,10 +6,14 @@ temporal envelope, or noise texture), which gives the downstream suite
 heterogeneous tasks whose generators are disjoint from the pretext set's.
 
 A generated dataset owns one read-only (n, frames*bands) matrix, and each
-clip's features are a view of its row. The generators draw a split's noise
-in one ``normal`` call straight into that matrix (the same stream and bytes
-as one call per clip) and wrap its rows without copying, so evaluation reads
-the matrix as it is instead of re-concatenating the clips.
+clip's features are the (frames, bands) view of its row: a plain float64
+array, not a tensor, since nothing differentiates a clip. The generators
+draw a split's noise in one ``normal`` call straight into that matrix (the
+same stream and bytes as one call per clip), check the whole matrix for
+finiteness once, and wrap its rows without copying, so evaluation reads the
+matrix as it is instead of re-concatenating the clips. Clip values reach a
+computation only through a ``Tensor`` that checks them again: a training
+batch in ``ssl_tasks``, an encoded dataset in ``evaluator``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ContractError
 from .seeding import rng_for
 
@@ -27,11 +30,25 @@ PRETEXT_NOISE_STD = 0.1
 
 @dataclass
 class Clip:
-    """One synthetic clip: features[frames, bands], a class label, and an id."""
+    """One synthetic clip: a (frames, bands) float64 feature array, a class label, and an id.
 
-    features: Tensor
+    A generated clip's features are the read-only view of its row in its
+    dataset's matrix. Construction checks the type only: anything but a 2-d
+    float64 ndarray is a ContractError, and nothing is converted, so a
+    float32 clip cannot silently change the view arithmetic. Finiteness is
+    checked where values are used: once per generated matrix, and through
+    the ``Tensor`` of every batch and every encoded dataset.
+    """
+
+    features: np.ndarray
     label: int
     clip_id: int
+
+    def __post_init__(self):
+        f = self.features
+        if not isinstance(f, np.ndarray) or f.ndim != 2 or f.dtype != np.float64:
+            what = f"{f.ndim}-d {f.dtype} array" if isinstance(f, np.ndarray) else type(f).__name__
+            raise ContractError(f"clip {self.clip_id} features must be a 2-d float64 ndarray, got a {what}")
 
 
 @dataclass
@@ -40,7 +57,7 @@ class SynthDataset:
 
     The generators fill one C-contiguous, read-only (n, frames*bands) matrix
     and pass it as ``_features``: row i is clip i's features flattened
-    row-major, and the clip's feature tensor is a view of that row, so
+    row-major, and the clip's feature array is a view of that row, so
     ``feature_matrix`` returns the matrix without copying. A dataset built
     from any other clip list keeps the clips as given, so a selection from a
     generated dataset goes on viewing that dataset's rows and copies nothing;
@@ -82,19 +99,22 @@ class SynthDataset:
             raise ContractError("feature_matrix needs at least one clip")
         if self._features is not None:
             return self._features
-        return np.concatenate([c.features.data for c in self.clips]).reshape(len(self.clips), -1)
+        return np.concatenate([c.features for c in self.clips]).reshape(len(self.clips), -1)
 
 
 def _class_block_dataset(matrix, frames, bands, n_classes, id_offset, generator, split) -> SynthDataset:
     """A generated dataset over matrix: equal runs of classes 0, 1, ... with consecutive clip ids.
 
-    The matrix becomes read-only, and every clip's features view its row.
+    The matrix is checked for finiteness once and becomes read-only, and
+    every clip's features are the (frames, bands) view of its row.
     """
+    if not np.isfinite(matrix).all():
+        raise ContractError("generated clip features must be finite (got NaN or Inf)")
     matrix.flags.writeable = False
     per_class = len(matrix) // n_classes
     clips = [
-        Clip(features=Tensor(row.reshape(frames, bands)), label=i // per_class, clip_id=id_offset + i)
-        for i, row in enumerate(matrix)
+        Clip(features=row, label=i // per_class, clip_id=id_offset + i)
+        for i, row in enumerate(matrix.reshape(len(matrix), frames, bands))
     ]
     return SynthDataset(clips=clips, n_classes=n_classes, generator=generator, split=split, _features=matrix)
 
@@ -269,13 +289,16 @@ def dirichlet_partition(dataset: SynthDataset, n_clients: int, alpha: float, see
         assign = rng.choice(n_clients, size=class_ids.size, p=p)
         for cid, client in zip(class_ids, assign):
             shards[int(client)].append(int(cid))
-    # Repair: every shard must be non-empty.
-    while True:
-        empties = [i for i, s in enumerate(shards) if not s]
-        if not empties:
-            break
-        donor = max(range(n_clients), key=lambda i: (len(shards[i]), -i))
-        shards[empties[0]].append(shards[donor].pop())
+    # Repair: every shard must be non-empty. Empty shards are filled in index
+    # order, each from the largest shard (lowest index on ties). A donor never
+    # empties: while a shard is empty the others hold >= n_clients clips, so
+    # the largest holds at least two.
+    sizes = np.array([len(s) for s in shards])
+    for empty in np.flatnonzero(sizes == 0):
+        donor = int(np.argmax(sizes))
+        shards[empty].append(shards[donor].pop())
+        sizes[donor] -= 1
+        sizes[empty] = 1
     return Partition(shards=shards)
 
 

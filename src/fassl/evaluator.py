@@ -84,6 +84,7 @@ def knn_retrieval_accuracy(
 
 
 def _dataset_features(w_g: ParamTree, dataset: SynthDataset, feature_layer: str) -> np.ndarray:
+    """The dataset's encodings; its Tensor rejects non-finite clip values."""
     emb = encode(w_g, Tensor(dataset.feature_matrix()))
     if feature_layer == "projection":
         emb = project(w_g, emb)

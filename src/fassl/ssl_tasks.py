@@ -6,12 +6,14 @@ segments and classifies which permutation was applied. All losses are built
 from the autodiff primitives so their gradients come from the tape, and all
 use max-subtraction where a log-sum-exp appears.
 
-Batch assembly gathers every view (or presented segment) of a batch through a
-crop/resample index table built once per batch and wraps the batch in a
-single ``Tensor``. A two-view batch of n clips makes three batched draws, in
-this order and each only when the policy uses it: all 2n crop starts, then
-the noise of every view, then the band-dropout coins of every view. The
-predictive task makes one permutation draw per clip.
+Batch assembly gathers every view (or presented segment) of a batch from the
+clips' feature arrays through a crop/resample index table built once per
+batch and wraps the batch in a single ``Tensor``; that construction is
+where clip values are checked for finiteness on their way to the model. A
+two-view batch of n clips makes three batched draws, in this order and each
+only when the policy uses it: all 2n crop starts, then the noise of every
+view, then the band-dropout coins of every view. The predictive task makes
+one permutation draw per clip.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def two_view_batch(clips: list[Clip], policy: AugmentPolicy, rng: np.random.Gene
     crop_rows = _crop_rows(frames, policy)
     n_views = 2 * len(clips)
     # stacked clip rows; view v reads clip v // 2, whose first row is first[v]
-    feats = np.concatenate([clip.features.data for clip in clips])
+    feats = np.concatenate([clip.features for clip in clips])
     first = np.arange(0, len(feats), frames).repeat(2)[:, None]
     if crop_rows is None:
         rows = np.arange(frames)
@@ -209,7 +211,7 @@ def acop_make_batch(
     for i, clip in enumerate(clips):
         p = int(rng.integers(0, n_perms))
         labels[i] = p
-        clip.features.data.take(perm_rows[p], axis=0, out=segments[i])
+        clip.features.take(perm_rows[p], axis=0, out=segments[i])
     return AcopBatch(
         segments=Tensor(segments.reshape(len(clips) * m, frames * bands)),
         labels=labels,

@@ -82,7 +82,7 @@ def test_criterion_01_loss_gradients():
         rng = np.random.default_rng(seed)
         params = perturbed_params(cfg, seed=seed)
         clips = [
-            Clip(features=Tensor(rng.uniform(0.0, 1.5, size=(10, 1))), label=0, clip_id=i)
+            Clip(features=rng.uniform(0.0, 1.5, size=(10, 1)), label=0, clip_id=i)
             for i in range(4)
         ]
         batch = acop_make_batch(clips, 3, canonical_permutations(3), rng_for(seed, "acop-fixture"))

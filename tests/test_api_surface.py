@@ -1,4 +1,4 @@
-"""Guard: every public module-level name in the package has a caller outside the tests.
+"""Guards on the package's shape: public names have program callers, and data stays off autodiff.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -59,6 +59,41 @@ def references(tree: ast.Module, own_module: str | None) -> set[tuple[str, str]]
             if node.value.id in module_aliases:
                 found.add((module_aliases[node.value.id], node.attr))
     return found
+
+
+def imported_package_modules(tree: ast.Module) -> set[str]:
+    """Top-level package modules this file imports, however it names them."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _package_module(node)
+            if module:
+                found.add(module.split(".")[0])
+            elif module == "":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "fassl" and rest:
+                    found.add(rest.split(".")[0])
+    return found
+
+
+def test_data_does_not_import_autodiff():
+    """Datasets hold plain arrays; tensors are what autodiff computes on."""
+    path = ROOT / "src" / "fassl" / "data.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert "autodiff" not in imported_package_modules(tree)
+
+
+def test_imported_package_modules_sees_every_import_form():
+    for source in (
+        "from .autodiff import Tensor", "from . import autodiff", "from . import autodiff as ad",
+        "from fassl.autodiff import Tensor", "from fassl import autodiff", "import fassl.autodiff",
+        "def f():\n    from .autodiff import Tensor",
+    ):
+        assert imported_package_modules(ast.parse(source)) == {"autodiff"}, source
+    assert imported_package_modules(ast.parse("import numpy\nfrom .errors import ContractError")) == {"errors"}
 
 
 def test_every_public_name_has_a_program_caller():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fassl.autodiff import Tensor
 from fassl.data import (
     PRETEXT_NOISE_STD,
     Clip,
@@ -25,7 +24,7 @@ from fassl.seeding import rng_for
 
 
 def dataset_bytes(ds) -> bytes:
-    return b"".join(c.features.data.tobytes() for c in ds.clips)
+    return b"".join(c.features.tobytes() for c in ds.clips)
 
 
 class TestSynthDataset:
@@ -58,31 +57,55 @@ class TestSynthDataset:
         with pytest.raises(ContractError):
             synth_dataset(0, 5, 8, 4, seed=0)
 
+    def test_non_finite_noise_rejected_at_generation(self):
+        with pytest.raises(ContractError, match="finite"):
+            synth_dataset(2, 3, 8, 4, seed=0, noise_std=float("inf"))
+
+
+class TestClip:
+    def test_keeps_a_float64_matrix_as_given(self, rng):
+        x = rng.normal(size=(8, 4))
+        assert Clip(x, 0, 0).features is x
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            [[0.0, 1.0], [2.0, 3.0]],
+            np.zeros((8, 4), dtype=np.float32),
+            np.zeros(8),
+            np.zeros((2, 8, 4)),
+        ],
+        ids=["list", "float32", "1-d", "3-d"],
+    )
+    def test_rejects_anything_but_a_2d_float64_ndarray(self, features):
+        with pytest.raises(ContractError, match="2-d float64"):
+            Clip(features, 0, 0)
+
 
 class TestFeatureMatrix:
     @pytest.mark.parametrize("shape", [(32, 16), (7, 3), (1, 5)])
     def test_equals_stack_of_flattened_clips(self, shape):
         ds = synth_dataset(3, 7, *shape, seed=11)
-        reference = np.stack([c.features.data.reshape(-1) for c in ds.clips])
+        reference = np.stack([c.features.reshape(-1) for c in ds.clips])
         x = ds.feature_matrix()
         assert x.shape == reference.shape == (21, shape[0] * shape[1])
         assert x.dtype == reference.dtype and x.flags["C_CONTIGUOUS"]
         assert x.tobytes() == reference.tobytes()
-        assert all(np.shares_memory(x, c.features.data) for c in ds.clips)
+        assert all(np.shares_memory(x, c.features) for c in ds.clips)
 
     def test_downstream_suite_matrices_equal_stack(self):
         for _, train, test in downstream_suite(3, 16, 8):
             for ds in (train, test):
-                reference = np.stack([c.features.data.reshape(-1) for c in ds.clips])
+                reference = np.stack([c.features.reshape(-1) for c in ds.clips])
                 assert ds.feature_matrix().tobytes() == reference.tobytes()
 
     def test_mixed_shapes_rejected(self, rng):
-        clips = [Clip(Tensor(rng.normal(size=s)), 0, i) for i, s in enumerate([(32, 16), (16, 16), (48, 16)])]
+        clips = [Clip(rng.normal(size=s), 0, i) for i, s in enumerate([(32, 16), (16, 16), (48, 16)])]
         with pytest.raises(ContractError, match="one shape"):
             SynthDataset(clips, 1, {}).feature_matrix()
 
     def test_mixed_shapes_rejected_at_construction(self, rng):
-        clips = [Clip(Tensor(rng.normal(size=s)), 0, i) for i, s in enumerate([(8, 4), (8, 4), (4, 8)])]
+        clips = [Clip(rng.normal(size=s), 0, i) for i, s in enumerate([(8, 4), (8, 4), (4, 8)])]
         with pytest.raises(ContractError, match="one shape"):
             SynthDataset(clips, 1, {})
 
@@ -97,8 +120,9 @@ class TestFeatureMatrix:
             x = ds.feature_matrix()
             assert x is ds.feature_matrix() and not x.flags.writeable
             for i, clip in enumerate(ds.clips):
-                assert np.shares_memory(x[i], clip.features.data)
-                assert not clip.features.data.flags.writeable
+                assert type(clip.features) is np.ndarray
+                assert np.shares_memory(x[i], clip.features)
+                assert not clip.features.flags.writeable
 
     def test_clip_list_keeps_its_clips_and_copies_nothing(self):
         source = synth_dataset(2, 5, 8, 4, seed=3)
@@ -107,7 +131,7 @@ class TestFeatureMatrix:
         assert all(a is b for a, b in zip(ds.clips, picked)) and len(ds.clips) == len(picked)
         assert ds.by_id(picked[2].clip_id) is picked[2]
         x = ds.feature_matrix()
-        assert x.tobytes() == b"".join(c.features.data.tobytes() for c in picked)
+        assert x.tobytes() == b"".join(c.features.tobytes() for c in picked)
         assert x.shape == (6, 32) and x.flags["C_CONTIGUOUS"]
         assert not np.shares_memory(x, source.feature_matrix())
 
@@ -257,6 +281,42 @@ class TestDirichletPartition:
         a = dirichlet_partition(ds, 10, 0.1, seed=9)
         b = dirichlet_partition(ds, 10, 0.1, seed=9)
         assert a.shards == b.shards
+
+
+def oracle_dirichlet_partition(dataset, n_clients, alpha, seed):
+    """The per-repair max over all shards dirichlet_partition replaced, as (shards, repairs)."""
+    rng = rng_for(seed, "dirichlet-partition")
+    shards = [[] for _ in range(n_clients)]
+    labels = dataset.labels()
+    ids = np.array([c.clip_id for c in dataset.clips], dtype=np.int64)
+    for c in range(dataset.n_classes):
+        class_ids = ids[labels == c]
+        if class_ids.size == 0:
+            continue
+        p = rng.dirichlet(np.full(n_clients, alpha))
+        assign = rng.choice(n_clients, size=class_ids.size, p=p)
+        for cid, client in zip(class_ids, assign):
+            shards[int(client)].append(int(cid))
+    repairs = 0
+    while True:
+        empties = [i for i, s in enumerate(shards) if not s]
+        if not empties:
+            break
+        donor = max(range(n_clients), key=lambda i: (len(shards[i]), -i))
+        shards[empties[0]].append(shards[donor].pop())
+        repairs += 1
+    return shards, repairs
+
+
+@pytest.mark.parametrize("n_clients,alpha", [(100, 0.1), (100, 0.02), (60, 0.05), (200, 0.01)])
+def test_partition_repair_matches_max_over_shards_oracle(n_clients, alpha):
+    ds = synth_dataset(10, 20, 4, 2, seed=4)
+    repairs = 0
+    for seed in range(12):
+        expected, n = oracle_dirichlet_partition(ds, n_clients, alpha, seed)
+        assert dirichlet_partition(ds, n_clients, alpha, seed).shards == expected
+        repairs += n
+    assert repairs >= 100  # every setting leaves many shards empty, so the repair runs often
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fassl import kernels
 from fassl.autodiff import Tensor
-from fassl.data import downstream_suite
+from fassl.data import Clip, SynthDataset, downstream_suite
 from fassl.errors import ContractError
 from fassl.evaluator import (
     OptimaTracker,
@@ -227,6 +227,18 @@ class TestEvaluateGlobal:
         params = init_encoder(self.CFG.encoder_config(), seed=4)
         accs = evaluate_global(params, self._tasks(), k=1, feature_layer="projection")
         assert len(accs) == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_clip_in_clip_list_dataset_rejected(self, bad):
+        params = init_encoder(self.CFG.encoder_config(), seed=0)
+        name, train, test = self._tasks()[0]
+        features = test.clips[2].features.copy()
+        features[3, 1] = bad
+        clips = list(test.clips)
+        clips[2] = Clip(features=features, label=clips[2].label, clip_id=clips[2].clip_id)
+        bad_test = SynthDataset(clips=clips, n_classes=test.n_classes, generator=test.generator, split="test")
+        with pytest.raises(ContractError, match="finite"):
+            evaluate_global(params, [(name, train, bad_test)], k=1)
 
     def test_empty_tasks_rejected(self):
         params = init_encoder(self.CFG.encoder_config(), seed=0)

@@ -27,14 +27,14 @@ from conftest import fd_fixture_ok, finite_diff_grad, gradclose, perturbed_param
 
 
 def make_clip(rng, frames=12, bands=4, clip_id=0) -> Clip:
-    return Clip(features=Tensor(rng.uniform(0.0, 1.5, size=(frames, bands))), label=0, clip_id=clip_id)
+    return Clip(features=rng.uniform(0.0, 1.5, size=(frames, bands)), label=0, clip_id=clip_id)
 
 
 class TestAugment:
     def test_identity_policy_returns_original(self, rng):
         clip = make_clip(rng)
         views = two_view_batch([clip], AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "aug"))
-        np.testing.assert_array_equal(views.data, np.tile(clip.features.data.reshape(-1), (2, 1)))
+        np.testing.assert_array_equal(views.data, np.tile(clip.features.reshape(-1), (2, 1)))
 
     def test_same_rng_state_same_view(self, rng):
         clip = make_clip(rng)
@@ -46,7 +46,7 @@ class TestAugment:
     def test_noise_magnitude_monte_carlo(self, rng):
         """|view - clean| has half-normal mean std*sqrt(2/pi) ~ 0.0798 at std 0.1."""
         clip = make_clip(rng)
-        clean = clip.features.data.reshape(-1)
+        clean = clip.features.reshape(-1)
         policy = AugmentPolicy(1.0, 0.1, 0.0)
         stream = rng_for(4, "aug-mc")
         devs = [np.mean(np.abs(two_view_batch([clip], policy, stream).data - clean)) for _ in range(500)]
@@ -55,7 +55,7 @@ class TestAugment:
     def test_band_mask_zeroes_columns(self, rng):
         clip = make_clip(rng)
         views = two_view_batch([clip], AugmentPolicy(1.0, 0.0, 1.0), rng_for(5, "aug"))
-        np.testing.assert_array_equal(views.data, np.zeros((2, clip.features.data.size)))
+        np.testing.assert_array_equal(views.data, np.zeros((2, clip.features.size)))
 
     def test_policy_validation(self):
         with pytest.raises(ContractError):
@@ -165,7 +165,7 @@ class TestAcopBatch:
         batch = acop_make_batch([clip], 3, perms, rng_for(seed, "acop-identity"))
         assert batch.labels.tolist() == [0]
         for i in range(3):
-            seg = clip.features.data[i * 4:(i + 1) * 4]
+            seg = clip.features[i * 4:(i + 1) * 4]
             np.testing.assert_array_equal(
                 batch.segments.data[i], resample_frames(seg, 12).reshape(-1)
             )
@@ -336,9 +336,29 @@ class TestTwoViewBatch:
         batch = two_view_batch(ds.clips[:3], AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "v"))
         assert batch.shape == (6, 48)
         for i, clip in enumerate(ds.clips[:3]):
-            flat = clip.features.data.reshape(-1)
+            flat = clip.features.reshape(-1)
             np.testing.assert_array_equal(batch.data[2 * i], flat)
             np.testing.assert_array_equal(batch.data[2 * i + 1], flat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteClipRejectedByBatch:
+    """A clip is not checked at construction; the batch Tensor rejects its values."""
+
+    def clips(self, rng, bad):
+        clips = [make_clip(rng, clip_id=i) for i in range(3)]
+        features = clips[1].features.copy()
+        features[0, 0] = bad  # frame 0 is in every uncropped view and in acop's first segment
+        clips[1] = Clip(features=features, label=0, clip_id=1)
+        return clips
+
+    def test_two_view_batch(self, rng, bad):
+        with pytest.raises(ContractError, match="finite"):
+            two_view_batch(self.clips(rng, bad), AugmentPolicy(1.0, 0.05, 0.0), rng_for(0, "v"))
+
+    def test_acop_make_batch(self, rng, bad):
+        with pytest.raises(ContractError, match="finite"):
+            acop_make_batch(self.clips(rng, bad), 3, canonical_permutations(3), rng_for(0, "x"))
 
 
 def reference_two_view_batch(clips, policy, rng) -> np.ndarray:
@@ -356,7 +376,7 @@ def reference_two_view_batch(clips, policy, rng) -> np.ndarray:
     coins = rng.uniform(size=(n_views, bands)) if policy.band_mask_prob > 0 else None
     rows = []
     for v in range(n_views):
-        feats = clips[v // 2].features.data
+        feats = clips[v // 2].features
         crop = feats if starts is None else feats[starts[v]:starts[v] + crop_len]
         view = resample_frames(crop, frames).copy()
         if noise is not None:
@@ -373,7 +393,7 @@ def reference_acop_make_batch(clips, m, perm_table, rng) -> tuple[np.ndarray, np
     for clip in clips:
         frames = clip.features.shape[0]
         seg_len = frames // m
-        feats = clip.features.data
+        feats = clip.features
         segs = [feats[i * seg_len:(i + 1) * seg_len] for i in range(m)]
         p = int(rng.integers(0, len(perm_table)))
         labels.append(p)
@@ -396,7 +416,7 @@ ORACLE_SHAPES = [(32, 16), (31, 5), (14, 3)]  # none has a frame count divisible
 def oracle_clips(n, frames, bands, seed=0) -> list[Clip]:
     src = rng_for(seed, "oracle-clips", frames, bands)
     return [
-        Clip(features=Tensor(src.normal(0.0, 1.0, size=(frames, bands))), label=i % 3, clip_id=i)
+        Clip(features=src.normal(0.0, 1.0, size=(frames, bands)), label=i % 3, clip_id=i)
         for i in range(n)
     ]
 
@@ -414,7 +434,7 @@ class TestBatchedViewDraw:
     def clips(self, fill) -> list[Clip]:
         """N identical clips whose features are fill(element index)."""
         features = fill(np.arange(self.FRAMES * self.BANDS, dtype=float).reshape(self.FRAMES, self.BANDS))
-        return [Clip(features=Tensor(features), label=0, clip_id=i) for i in range(self.N)]
+        return [Clip(features=features, label=0, clip_id=i) for i in range(self.N)]
 
     def batches(self, clips, policy, count, purpose):
         stream = rng_for(11, purpose)
@@ -461,7 +481,7 @@ class TestBatchedViewDraw:
     def test_identity_policy_bit_exact_at_full_batch(self):
         clips = oracle_clips(self.N, self.FRAMES, self.BANDS)
         batch = two_view_batch(clips, AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "identity"))
-        expected = np.stack([clip.features.data.reshape(-1) for clip in clips]).repeat(2, axis=0)
+        expected = np.stack([clip.features.reshape(-1) for clip in clips]).repeat(2, axis=0)
         assert_same_bytes(batch.data, expected)
 
 
@@ -501,7 +521,7 @@ class TestBatchBuildersMatchPerViewOracle:
 
 def pinned_clips() -> list[Clip]:
     src = rng_for(0, "pinned-clips")
-    return [Clip(features=Tensor(src.uniform(0.0, 1.5, size=(32, 16))), label=0, clip_id=i) for i in range(8)]
+    return [Clip(features=src.uniform(0.0, 1.5, size=(32, 16)), label=0, clip_id=i) for i in range(8)]
 
 
 class TestPinnedBatchDigests:
