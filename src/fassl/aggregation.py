@@ -27,7 +27,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError
-from .model import ParamTree, flatten_layer, layer_names, merge, split
+from .model import ParamTree, layer_names, merge, split
 
 STRATEGY_KINDS = ("fedavg", "fairavg", "loss", "fedu", "ldawa")
 
@@ -136,7 +136,7 @@ def _ldawa(global_prev: ParamTree, ups: list[ClientUpdate]) -> list[tuple]:
         g_norm = float(np.linalg.norm(g_flat))
         betas = []
         for u in ups:
-            u_flat = flatten_layer(u.params, layer)
+            u_flat = _flat(u.params, names)
             denom = float(np.linalg.norm(u_flat)) * g_norm
             cos = 0.0 if denom == 0.0 else float(np.dot(u_flat, g_flat)) / denom
             betas.append(min(max(cos, 0.0), 1.0))

@@ -16,14 +16,13 @@ as is, without a conversion pass. A plain Python ``float``/``int`` operand
 array directly, so it takes that fast path too.
 
 Tensors are immutable values; ``data`` must never be mutated after
-construction. Graphs and the tensors recorded on them are confined to one
-worker thread (the active-graph stack is thread-local, so concurrent workers
-each get their own tape).
+construction. The active graphs form one module-level stack, so graphs are
+recorded from one thread only; parallel work runs in separate processes,
+each with its own stack.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Mapping
 
 import numpy as np
@@ -107,15 +106,7 @@ class _Node:
         self.vjps = vjps
 
 
-_STACK = threading.local()
-
-
-def _graph_stack() -> list:
-    stack = getattr(_STACK, "graphs", None)
-    if stack is None:
-        stack = []
-        _STACK.graphs = stack
-    return stack
+_GRAPHS: list["Graph"] = []  # active graphs, innermost last
 
 
 class Graph:
@@ -131,11 +122,11 @@ class Graph:
         self._tracked: set[int] = set()
 
     def __enter__(self) -> "Graph":
-        _graph_stack().append(self)
+        _GRAPHS.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _graph_stack().pop()
+        popped = _GRAPHS.pop()
         assert popped is self
 
     def read(self, leaves: Mapping[str, Tensor]) -> dict[str, Tensor]:
@@ -205,10 +196,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _make(out_data, inputs: tuple, vjps: tuple) -> Tensor:
     """Wrap an op's output and, under an active graph, record its tracked inputs' vjps."""
     out = Tensor(out_data)
-    stack = getattr(_STACK, "graphs", None)
-    if not stack:
+    if not _GRAPHS:
         return out
-    g = stack[-1]
+    g = _GRAPHS[-1]
     tracks = g._tracks
     if len(inputs) == 1:
         if tracks(inputs[0]):

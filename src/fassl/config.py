@@ -3,16 +3,19 @@
 The file format is one ``key = value`` per line; blank lines and lines
 starting with ``#`` are ignored. Unknown keys and malformed or out-of-range
 values are rejected with the offending line number. Rules across keys
-(``clients_per_round <= clients``) are checked when ``base_run_config``
-builds the run, so a command that trains nothing does not enforce them.
+(``clients_per_round <= clients``, enough pretext clips for every client,
+enough frames for the pretext task's views or segments) are checked when
+``base_run_config`` builds the run, so a command that trains nothing does
+not enforce them.
 Flags override file values, which override defaults. ``SCHEMA`` is the one
 table of keys: it maps each key to the ``RunConfig`` field it sets, and run
 defaults are read from the dataclasses, so a spec, its ``RunConfig`` and
 its config text cannot drift apart.
 
 Matrix keys (``strategies``, ``scopes``, ``local_epochs_list``) are
-comma-separated lists; when empty they fall back to the corresponding
-single-value key, and ``cells()`` yields the cartesian product.
+comma-separated lists of distinct values; when empty they fall back to the
+corresponding single-value key, and ``cells()`` yields the cartesian
+product, so every cell has a directory of its own.
 """
 
 from __future__ import annotations
@@ -83,19 +86,27 @@ def _probability(raw: str) -> float:
     return v
 
 
+def _distinct(items: tuple) -> tuple:
+    """The axis values as given; a repeat is an error, since its two cells would share one directory."""
+    repeated = sorted({str(v) for v in items if items.count(v) > 1})
+    if repeated:
+        raise ValueError(f"repeated values {repeated}")
+    return items
+
+
 def _str_list(options: tuple[str, ...]):
     def parse(raw: str) -> tuple[str, ...]:
         items = tuple(s.strip() for s in raw.split(",") if s.strip())
         bad = [s for s in items if s not in options]
         if bad:
             raise ValueError(f"unknown values {bad}, expected from {options}")
-        return items
+        return _distinct(items)
 
     return parse
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(_positive_int(s.strip()) for s in raw.split(",") if s.strip())
+    return _distinct(tuple(_positive_int(s.strip()) for s in raw.split(",") if s.strip()))
 
 
 # key -> (parser, RunConfig field path, help). A dotted path reaches into
@@ -116,7 +127,9 @@ SCHEMA: dict[str, tuple] = {
     "master_seed": (int, "master_seed", "root seed for every stream"),
     "eval_every": (_positive_int, "eval_every", "rounds between downstream evaluations"),
     "k": (_positive_int, "k", "k for retrieval"),
-    "workers": (_positive_int, "workers", "thread pool size for client training"),
+    "workers": (
+        _positive_int, "workers", "processes `fassl run` spreads matrix cells over; a single run ignores it"
+    ),
     "fedu_mu": (_positive_float, "strategy.fedu_mu", "relative divergence gate for fedu heads"),
     "loss_weight_direction": (
         _choice("high", "low"), "strategy.loss_direction", "loss strategy: weigh high- or low-loss clients"

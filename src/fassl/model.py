@@ -208,14 +208,6 @@ def layer_names(params: ParamTree) -> list[str]:
     return seen
 
 
-def flatten_layer(params: ParamTree, layer: str) -> np.ndarray:
-    """Row-major concatenation of a layer's entries in canonical name order."""
-    parts = [t.data.reshape(-1) for name, t in params.items() if name.rsplit(".", 1)[0] == layer]
-    if not parts:
-        raise ContractError(f"unknown layer {layer!r}")
-    return np.concatenate(parts)
-
-
 def sgd_step(params: ParamTree, grads: Mapping[str, Tensor], lr: float) -> ParamTree:
     """p <- p - lr*g for every named parameter with a gradient; others unchanged.
 

@@ -1,10 +1,12 @@
 """The federated round loop: sample, train locally, aggregate, advance.
 
 Determinism contract: every stream is keyed by (master_seed, purpose tag,
-round, client id), client training jobs share no mutable state, and updates
-are sorted by client_id before aggregation so the floating-point reduction
-order is fixed. Two runs with the same config produce byte-identical CSVs
-and checkpoints regardless of the worker pool size.
+round, client id), clients train one after another in ascending id order
+and share no mutable state, and updates are sorted by client_id before
+aggregation so the floating-point reduction order is fixed. Two runs with
+the same config produce byte-identical CSVs and checkpoints, whether they
+run alone or next to other cells in parallel processes (``workers`` is read
+only by ``fassl run``, which spreads matrix cells over that many processes).
 
 In backbone-only scope the server transmits and receives just the backbone;
 each client's head lives in the server-side state purely as simulation
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -78,7 +79,7 @@ class RunConfig:
     master_seed: int = 7
     eval_every: int = 10
     k: int = 1
-    workers: int = 1
+    workers: int = 1  # processes `fassl run` spreads matrix cells over; a single run ignores it
     tau: float = 0.5
     bt_lambda: float = 5e-3
     bt_eps: float = 1e-9
@@ -114,6 +115,12 @@ class RunConfig:
         ):
             if getattr(self, name) not in choices:
                 raise ContractError(f"unknown {name} {getattr(self, name)!r}, expected one of {choices}")
+        min_frames = ssl_tasks.MIN_FRAMES * (ssl_tasks.ACOP_SEGMENTS if self.ssl_task == "acop" else 1)
+        if self.frames < min_frames:
+            raise ContractError(f"{self.ssl_task} needs frames >= {min_frames}, got {self.frames}")
+        pretext_clips = self.pretext_classes * self.pretext_per_class
+        if self.n_clients > pretext_clips:
+            raise ContractError(f"{pretext_clips} pretext clips cannot cover n_clients={self.n_clients}")
         if self.alpha <= 0 or self.eval_every < 1 or self.k < 1 or self.workers < 1:
             raise ContractError("alpha, eval_every, k and workers must be positive")
 
@@ -287,16 +294,14 @@ def run_round(
     sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, round_idx, cfg.master_seed)
     transceived_global, global_heads = split(state.global_params, cfg.scope)
 
-    def job(client_id: int):
-        shard = [pretext.by_id(cid) for cid in partition.shards[client_id]]
-        retained = state.retained_heads.get(client_id, global_heads)
-        return local_train(shard, transceived_global, retained, cfg, client_id, round_idx)
-
-    if cfg.workers > 1 and len(sampled) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(job, sampled))
-    else:
-        results = [job(cid) for cid in sampled]
+    results = [
+        local_train(
+            [pretext.by_id(cid) for cid in partition.shards[client_id]],
+            transceived_global, state.retained_heads.get(client_id, global_heads),
+            cfg, client_id, round_idx,
+        )
+        for client_id in sampled
+    ]
 
     updates = [r[0] for r in results]
     retained_heads = dict(state.retained_heads)

@@ -31,6 +31,8 @@ from .data import Clip, resample_frames
 from .errors import ContractError
 
 ACOP_SEGMENTS = 3
+# Fewest frames a view's source clip and an acop segment may have.
+MIN_FRAMES = 2
 
 # Additive mask that zeroes self-similarity terms after exp(); finite so it
 # survives tensor validation, small enough that exp underflows to exactly 0.
@@ -75,8 +77,8 @@ def _crop_rows(frames: int, policy: AugmentPolicy) -> np.ndarray | None:
     Row s of the table is what cropping at start s and nearest-frame
     resampling back to frames picks, so a batch of views is one gather.
     """
-    if frames < 2:
-        raise ContractError("view augmentation needs clips with >= 2 frames")
+    if frames < MIN_FRAMES:
+        raise ContractError(f"view augmentation needs clips with >= {MIN_FRAMES} frames")
     crop_len = max(1, int(round(policy.crop_fraction * frames)))
     if crop_len >= frames:
         return None
@@ -200,7 +202,7 @@ def acop_make_batch(
         raise ContractError(f"need m >= 2 segments, got {m}")
     frames, bands = _clip_shape(clips, "acop_make_batch")
     seg_len = frames // m
-    if seg_len < 2:
+    if seg_len < MIN_FRAMES:
         raise ContractError(f"clip {clips[0].clip_id} too short for {m} segments ({frames} frames)")
     n_perms = len(perm_table)
     # perm_rows[p, k] = source frames of the k-th presented segment under permutation p

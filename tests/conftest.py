@@ -66,6 +66,14 @@ def params_bytes(tree: ParamTree) -> bytes:
         return path.read_bytes()
 
 
+def flatten_layer(params: ParamTree, layer: str) -> np.ndarray:
+    """Row-major concatenation of a layer's entries in canonical name order (ldawa oracle)."""
+    parts = [t.data.reshape(-1) for name, t in params.items() if name.rsplit(".", 1)[0] == layer]
+    if not parts:
+        raise ContractError(f"unknown layer {layer!r}")
+    return np.concatenate(parts)
+
+
 def tiny_encoder_config(input_dim: int = 10) -> EncoderConfig:
     return EncoderConfig(
         input_dim=input_dim, hidden_dim=7, embed_dim=6, projection_dim=5, acop_classes=6

@@ -263,7 +263,7 @@ def test_criterion_06_tracker_oracle():
 
 
 # --------------------------------------------------------------------------
-# 7. End-to-end determinism through the CLI with client parallelism on
+# 7. End-to-end determinism through the CLI with matrix cells in parallel
 # --------------------------------------------------------------------------
 
 
@@ -272,18 +272,19 @@ def test_criterion_07_end_to_end_determinism(tmp_path, monkeypatch):
         "run", "--rounds", "6", "--clients", "10", "--clients-per-round", "4",
         "--eval-every", "2", "--pretext-classes", "4", "--pretext-per-class", "15",
         "--frames", "16", "--bands", "8", "--hidden-dim", "12", "--embed-dim", "8",
-        "--projection-dim", "8", "--workers", "4",
+        "--projection-dim", "8", "--workers", "4", "--strategies", "fedavg,ldawa",
     ]
     outputs = []
     for sub in ("first", "second"):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path / sub))
         assert cli_main(flags) == 0
-        cell = tmp_path / sub / "simclr-fedavg-full-e1"
-        outputs.append(
-            ((cell / "results.csv").read_bytes(), (cell / "final.ckpt").read_bytes())
-        )
-    ok = outputs[0][0] == outputs[1][0] and outputs[0][1] == outputs[1][1]
-    _report(7, "two runs produce byte-identical CSVs and checkpoints with workers=4", ok)
+        outputs.append({
+            (cell.name, artifact): (cell / artifact).read_bytes()
+            for cell in sorted((tmp_path / sub).iterdir())
+            for artifact in ("results.csv", "final.ckpt")
+        })
+    ok = len(outputs[0]) == 4 and outputs[0] == outputs[1]
+    _report(7, "two runs of 2 cells on up to 4 processes give byte-identical CSVs and checkpoints", ok)
 
 
 # --------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from fassl.aggregation import (
 )
 from fassl.autodiff import Tensor
 from fassl.errors import ContractError
-from fassl.model import BACKBONE_PREFIX, ParamTree, flatten_layer, layer_names, split
+from fassl.model import BACKBONE_PREFIX, ParamTree, layer_names, split
 
-from conftest import params_bytes
+from conftest import flatten_layer, params_bytes
 
 ALL_STRATEGIES = [
     Strategy("fedavg"),

@@ -1,4 +1,4 @@
-"""Guards on the package's shape: public names have program callers, and data stays off autodiff.
+"""Guards on the package's shape: public names have callers, data stays off autodiff, concurrency stays in the CLI.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -84,6 +84,35 @@ def test_data_does_not_import_autodiff():
     path = ROOT / "src" / "fassl" / "data.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert "autodiff" not in imported_package_modules(tree)
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the absolute imports in this file (``concurrent`` for ``concurrent.futures``)."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_concurrency_lives_only_in_the_cli():
+    """The library runs one thing at a time; ``fassl run`` alone spreads cells over processes."""
+    for path in PACKAGE:
+        imported = imported_modules(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        assert "threading" not in imported, path.name
+        if path.name != "cli.py":
+            assert not imported & {"concurrent", "multiprocessing"}, path.name
+
+
+def test_imported_modules_sees_every_import_form():
+    for source in (
+        "import threading", "import concurrent.futures", "from concurrent.futures import ProcessPoolExecutor",
+        "import multiprocessing as mp", "def f():\n    from threading import Lock",
+    ):
+        assert len(imported_modules(ast.parse(source))) == 1, source
+    assert imported_modules(ast.parse("from . import threading\nfrom .x import y")) == set()
 
 
 def test_imported_package_modules_sees_every_import_form():

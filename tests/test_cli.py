@@ -1,6 +1,8 @@
 """Config parsing, CLI subcommands, and SVG plotting tests."""
 
 import dataclasses
+import os
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fassl import cli
 from fassl.cli import main
 from fassl.config import (
     SCHEMA,
@@ -72,6 +75,13 @@ class TestParseConfig:
     def test_matrix_axes_default_to_singletons(self):
         spec = parse_config_text("strategy = ldawa\nscope = backbone\n")
         assert spec.matrix_axes() == (("ldawa",), ("backbone",), (1,))
+
+    @pytest.mark.parametrize("line, lineno", [
+        ("strategies = fedavg,ldawa,fedavg", 2), ("local_epochs_list = 1,2,1", 2), ("scopes = full, full", 2),
+    ])
+    def test_repeated_matrix_value_is_error_with_line_number(self, line, lineno):
+        with pytest.raises(ConfigError, match=rf"<config>:{lineno}: .*repeated values"):
+            parse_config_text(f"rounds = 2\n{line}\n")
 
     def test_matrix_cells_cartesian_product(self):
         spec = parse_config_text(
@@ -160,6 +170,16 @@ def test_results_csv_bytes_parse_or_raise_contract_error(tmp_path, header, blob)
         assert all(type(row[col]) is str for col in ("strategy", "scope", "ssl_task", "task"))
 
 
+def _exit_process(job):
+    """Stands in for a cell whose process dies; spawned children import it from this module."""
+    os._exit(70)
+
+
+def _blas_threads(job):
+    """Stands in for a cell; its error text is the BLAS thread count its process started with."""
+    return os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+
+
 class TestCmdRun:
     def test_matrix_produces_one_directory_per_cell(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
@@ -196,10 +216,27 @@ class TestCmdRun:
         assert main(["run", "--alpha", "-3"]) == 1
         assert main(["run", "--lr", "nan"]) == 1
 
-    def test_cross_field_error_exits_1_before_any_cell_directory(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("flags, message", [
+        (["--clients", "5", "--clients-per-round", "10"], "clients_per_round"),
+        (["--ssl-task", "acop", "--frames", "5"], "acop needs frames >= 6"),
+        (["--frames", "1"], "simclr needs frames >= 2"),
+        (["--ssl-task", "barlow_twins", "--frames", "1"], "barlow_twins needs frames >= 2"),
+        (["--clients", "40", "--pretext-classes", "2", "--pretext-per-class", "4"], "8 pretext clips cannot cover"),
+    ])
+    def test_cross_field_error_exits_1_before_any_cell_directory(self, tmp_path, monkeypatch, capsys, flags, message):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
-        assert main(["run", *FAST_FLAGS, "--clients", "5", "--clients-per-round", "10"]) == 1
-        assert "clients_per_round" in capsys.readouterr().err
+        assert main(["run", *FAST_FLAGS, *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--strategies", "fedavg,fedavg", "--local-epochs-list", "1,1"],
+        ["--scopes", "backbone,full,backbone"],
+    ])
+    def test_repeated_matrix_flag_value_exits_1_before_any_cell_directory(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
+        assert main(["run", *FAST_FLAGS, *flags]) == 1
+        assert "repeated values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "partition-stats"])
@@ -209,6 +246,71 @@ class TestCmdRun:
         path.write_bytes(b"rounds = 2\n\xff\xfe = 3\n")
         assert main([command, "--config", str(path)]) == 1
         assert f"{path}:2: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_cell_is_isolated_and_exits_2(self, tmp_path, monkeypatch, capsys, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two cells on two processes on any host
+        monkeypatch.setattr(sys, "stderr", sys.stdout)  # one stream shows the print order
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "simclr-fedavg-full-e1").write_text("a file where the first cell's directory goes\n")
+        monkeypatch.setenv("FASSL_OUT", str(out))
+        flags = [*FAST_FLAGS, "--strategies", "fedavg,fairavg", "--workers", workers]
+        assert main(["run", *flags]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[simclr-fedavg-full-e1] FAILED: ")
+        assert "simclr-fedavg-full-e1" in lines[0].partition("FAILED: ")[2]  # the mkdir error names the path
+        assert lines[1] == "[simclr-fairavg-full-e1] optimal global model per task (accuracy % (round)):"
+        assert len(lines) == 5
+        assert (out / "simclr-fedavg-full-e1").is_file()
+        survivor = out / "simclr-fairavg-full-e1"
+        assert sorted(p.name for p in survivor.iterdir()) == [
+            "config.txt", "final.ckpt", "optima.csv", "results.csv", "round_0001.ckpt", "round_0002.ckpt",
+        ]
+
+    def test_workers_change_no_cell_byte(self, tmp_path, monkeypatch, capsys):
+        """A 2x2 grid on one process and on two gives the same bytes and the same summary."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        stdout = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("FASSL_OUT", str(tmp_path / workers))
+            flags = [*FAST_FLAGS, "--strategies", "fedavg,ldawa", "--scopes", "full,backbone", "--workers", workers]
+            assert main(["run", *flags]) == 0
+            stdout[workers] = capsys.readouterr().out
+        assert stdout["1"] == stdout["2"]
+        serial, parallel = ([p.relative_to(tmp_path / w) for p in sorted((tmp_path / w).rglob("*"))] for w in "12")
+        assert serial == parallel
+        assert len([p for p in serial if p.suffix == ".ckpt"]) == 4 * 3
+        for rel in serial:
+            a, b = (tmp_path / "1" / rel), (tmp_path / "2" / rel)
+            if rel.name == "config.txt":
+                diff = set(a.read_text().splitlines()) ^ set(b.read_text().splitlines())
+                assert diff == {"workers = 1", "workers = 2"}
+            elif a.is_file():
+                assert a.read_bytes() == b.read_bytes(), rel
+
+    def test_dead_cell_process_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_run_cell", _exit_process)
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        assert main(["run", *FAST_FLAGS, "--strategies", "fedavg,fairavg"]) == 2
+        assert "a cell process died" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+    def test_cell_processes_keep_blas_to_one_thread_unless_set(self, tmp_path, monkeypatch, capsys, preset, seen):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for var in cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if preset is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        monkeypatch.setattr(cli, "_run_cell", _blas_threads)
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        assert main(["run", *FAST_FLAGS, "--strategies", "fedavg,fairavg"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"[simclr-fedavg-full-e1] FAILED: {seen}", f"[simclr-fairavg-full-e1] FAILED: {seen}",
+        ]
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == preset
+        assert [var for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS") if var in os.environ] == []
 
     def test_partial_csv_on_crash_is_valid_prefix(self, tmp_path):
         """Line-buffered appends: a truncated run leaves a parseable CSV."""

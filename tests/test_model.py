@@ -15,13 +15,12 @@ from fassl.model import (
     EncoderConfig,
     ParamTree,
     encode,
-    flatten_layer,
     init_encoder,
     merge,
     split,
 )
 
-from conftest import params_bytes
+from conftest import flatten_layer, params_bytes
 
 CFG = EncoderConfig(input_dim=64, hidden_dim=32, embed_dim=16, projection_dim=8, acop_classes=6)
 

@@ -10,8 +10,10 @@ from fassl.data import dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ContractError
 from fassl.evaluator import OptimaTracker
 from fassl.model import split
+from fassl import ssl_tasks
 from fassl.orchestrator import (
     CSV_HEADER,
+    SSL_TASKS,
     RunConfig,
     RunSink,
     initial_state,
@@ -38,7 +40,6 @@ SMALL = RunConfig(
     embed_dim=8,
     projection_dim=8,
     master_seed=21,
-    workers=3,
 )
 
 
@@ -168,7 +169,7 @@ class TestLocalTrain:
 
     def test_run_round_leaves_previous_global_bytes(self):
         pretext, tasks = small_world()
-        cfg = replace(SMALL, scope="backbone", workers=1)
+        cfg = replace(SMALL, scope="backbone")
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition"))
         state = initial_state(cfg)
         for _ in range(2):
@@ -203,6 +204,22 @@ class TestRunConfigValidation:
     def test_boundary_values_accepted(self):
         cfg = replace(SMALL, bt_lambda=0.0, tau=1e-3, bt_eps=1e-12)
         assert cfg.bt_lambda == 0.0
+
+    @pytest.mark.parametrize("ssl_task", SSL_TASKS)
+    def test_frames_bound_is_the_fewest_a_step_takes(self, ssl_task):
+        least = ssl_tasks.MIN_FRAMES * (ssl_tasks.ACOP_SEGMENTS if ssl_task == "acop" else 1)
+        with pytest.raises(ContractError, match=f"frames >= {least}"):
+            replace(SMALL, ssl_task=ssl_task, frames=least - 1)
+        cfg = replace(SMALL, ssl_task=ssl_task, frames=least)
+        shard = synth_dataset(2, 4, cfg.frames, cfg.bands, seed=5).clips
+        _, _, steps = local_train(shard, initial_state(cfg).global_params, None, cfg, 0, 1)
+        assert steps == 1
+
+    def test_clients_bound_is_the_pretext_clip_count(self):
+        clips = SMALL.pretext_classes * SMALL.pretext_per_class
+        assert replace(SMALL, n_clients=clips).n_clients == clips
+        with pytest.raises(ContractError, match="cannot cover"):
+            replace(SMALL, n_clients=clips + 1)
 
 
 class TestRunRound:
@@ -261,21 +278,13 @@ class TestRun:
         result = run(cfg, pretext, tasks)
         assert result.final_params.equal_bytes(manual.global_params)
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_end_to_end_determinism_across_worker_counts(self, workers):
-        """Same config twice -> byte-identical results, parallelism on or off."""
-        cfg = replace(SMALL, workers=workers)
-        pretext, tasks = small_world(cfg)
-        r1 = run(cfg, pretext, tasks)
-        r2 = run(cfg, pretext, tasks)
+    def test_end_to_end_determinism(self):
+        """Same config twice -> byte-identical results."""
+        pretext, tasks = small_world()
+        r1 = run(SMALL, pretext, tasks)
+        r2 = run(SMALL, pretext, tasks)
         assert params_bytes(r1.final_params) == params_bytes(r2.final_params)
         assert [a.top1_retrieval for a in r1.rows] == [a.top1_retrieval for a in r2.rows]
-
-    def test_worker_count_does_not_change_results(self):
-        pretext, tasks = small_world()
-        seq = run(replace(SMALL, workers=1), pretext, tasks)
-        par = run(replace(SMALL, workers=4), pretext, tasks)
-        assert params_bytes(seq.final_params) == params_bytes(par.final_params)
 
     def test_backbone_scope_heads(self):
         """Server heads never move; a sampled client's retained head does."""
@@ -291,7 +300,7 @@ class TestRun:
 
     @pytest.mark.parametrize("scope", ["full", "backbone"])
     def test_retained_heads_hold_exactly_the_sampled_clients(self, scope):
-        cfg = replace(SMALL, scope=scope, rounds=2, workers=1)
+        cfg = replace(SMALL, scope=scope, rounds=2)
         pretext, tasks = small_world(cfg)
         result = run(cfg, pretext, tasks)
         sampled = set().union(*(
@@ -302,7 +311,7 @@ class TestRun:
 
     @pytest.mark.parametrize("ssl_task", ["simclr", "acop"])
     def test_retained_heads_share_the_global_unread_head(self, ssl_task):
-        cfg = replace(SMALL, scope="backbone", ssl_task=ssl_task, rounds=3, workers=1)
+        cfg = replace(SMALL, scope="backbone", ssl_task=ssl_task, rounds=3)
         pretext, tasks = small_world(cfg)
         result = run(cfg, pretext, tasks)
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition"))
@@ -314,11 +323,10 @@ class TestRun:
                 assert shared == name.startswith(UNREAD_HEAD[ssl_task]), name
 
     @pytest.mark.parametrize("scope", ["full", "backbone"])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_updates_released_before_eval(self, scope, workers, monkeypatch):
+    def test_updates_released_before_eval(self, scope, monkeypatch):
         import fassl.orchestrator as orchestrator
 
-        cfg = replace(SMALL, scope=scope, workers=workers, rounds=2, eval_every=1)
+        cfg = replace(SMALL, scope=scope, rounds=2, eval_every=1)
         pretext, tasks = small_world(cfg)
         refs = []
         evals = []
