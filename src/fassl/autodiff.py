@@ -1,13 +1,14 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The engine is define-by-run: while a ``Graph`` context is active, every op
-with at least one tracked input appends a record to the tape, and
-``backward`` replays the tape in exact reverse construction order. Each
-record keeps one vjp per input and ``None`` in the slot of an untracked
-input, so backward never forms a gradient nobody uses (the first layer's
-gradient with respect to the input batch, for one). With no active graph the
-same ops run as plain numpy forward computations, which is what
-evaluation-only code paths use.
+The engine is define-by-run: a ``Graph`` names the leaf tensors a step
+differentiates, and while it is active every op with a tracked input (a
+leaf or a recorded op's output) appends a record to the tape. ``backward``
+replays the tape in exact reverse construction order and returns the
+gradient of every leaf the loss reaches. Each record keeps one vjp per input
+and ``None`` in the slot of an untracked input, so backward never forms a
+gradient nobody uses (the first layer's gradient with respect to the input
+batch, for one). With no active graph the same ops run as plain numpy
+forward computations, which is what evaluation-only code paths use.
 
 Every ``Tensor`` construction checks its values are finite, intermediates
 included; an input that already is a C-contiguous float64 ndarray is stored
@@ -15,10 +16,10 @@ as is, without a conversion pass. A plain Python ``float``/``int`` operand
 (a temperature, a count, a loss weight) is lifted to a shape-(1,) float64
 array directly, so it takes that fast path too.
 
-Tensors are immutable values; ``data`` must never be mutated after
-construction. The active graphs form one module-level stack, so graphs are
-recorded from one thread only; parallel work runs in separate processes,
-each with its own stack.
+Tensors are immutable values (``data`` must never be mutated after
+construction), so one tensor can be a leaf of any number of graphs. The
+active graphs form one module-level stack: graphs are recorded from one
+thread only, and parallel work runs in processes, each with its own stack.
 """
 
 from __future__ import annotations
@@ -59,16 +60,16 @@ _all_finite = np.logical_and.reduce  # np.all without its Python-level wrapper
 
 
 class Tensor:
-    """A dense float64 array plus a requires_grad flag.
+    """A dense float64 array.
 
     Values are validated to be finite at construction; NaN/Inf anywhere is a
     contract violation, which keeps numerical blow-ups loud instead of
     silently propagating.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data",)
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         if type(data) is np.ndarray and data.dtype is _FLOAT64 and data.ndim and data.flags.c_contiguous:
             arr = data
         else:  # ascontiguousarray also lifts a 0-d input to shape (1,)
@@ -76,7 +77,6 @@ class Tensor:
         if not _all_finite(np.isfinite(arr), axis=None):
             raise ContractError("tensor values must be finite (got NaN or Inf)")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
 
     @property
     def shape(self) -> tuple:
@@ -88,7 +88,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 class _Node:
@@ -110,48 +110,39 @@ _GRAPHS: list["Graph"] = []  # active graphs, innermost last
 
 
 class Graph:
-    """Records ops in construction order; acyclic by construction.
+    """Records the ops computed from its named leaves; acyclic by construction.
 
     Use as a context manager around a forward pass, then call
-    ``backward(graph, loss, leaves)``. A graph is single-use per forward
-    pass; rebuild it for the next one.
+    ``backward(graph, loss)``. Only the leaves and the outputs of recorded
+    ops are tracked; every other tensor is a constant. A graph is single-use
+    per forward pass; rebuild it for the next one.
     """
 
-    def __init__(self):
+    def __init__(self, leaves: Mapping[str, Tensor]):
+        self.leaves = dict(leaves)
         self.nodes: list[_Node] = []
-        self._tracked: set[int] = set()
+        self._tracked: set[int] = {id(t) for t in self.leaves.values()}
 
     def __enter__(self) -> "Graph":
         _GRAPHS.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _GRAPHS.pop()
-        assert popped is self
-
-    def read(self, leaves: Mapping[str, Tensor]) -> dict[str, Tensor]:
-        """The entries of ``leaves`` that some recorded op took as a tracked input.
-
-        A leaf no op read cannot reach the loss; a caller that hands
-        ``backward`` only these leaves gets no zero gradient for the rest.
-        """
-        read = {id(t) for node in self.nodes for t, vjp in zip(node.inputs, node.vjps) if vjp is not None}
-        return {name: t for name, t in leaves.items() if id(t) in read}
-
-    def _tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._tracked
+        if not _GRAPHS or _GRAPHS[-1] is not self:
+            raise ContractError("graphs must exit innermost first")
+        _GRAPHS.pop()
 
     def _record(self, out: Tensor, inputs: tuple, vjps: tuple) -> None:
         self.nodes.append(_Node(out, inputs, vjps))
         self._tracked.add(id(out))
 
 
-def backward(graph: Graph, loss: Tensor, leaves: Mapping[str, Tensor]) -> dict[str, Tensor]:
-    """Gradients of a scalar loss w.r.t. every requires_grad leaf.
+def backward(graph: Graph, loss: Tensor) -> dict[str, Tensor]:
+    """Gradients of a scalar loss w.r.t. every leaf of ``graph`` it reaches, by name.
 
     Walks the tape in exact reverse construction order, so results are
-    bit-identical for identical graphs. Leaves that do not reach the loss
-    get an explicit zero gradient.
+    bit-identical for identical graphs. A leaf the loss does not reach gets
+    no entry.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -166,13 +157,7 @@ def backward(graph: Graph, loss: Tensor, leaves: Mapping[str, Tensor]) -> dict[s
             g_in = vjp(g_out)
             acc = grads.get(id(t))
             grads[id(t)] = g_in if acc is None else acc + g_in
-    out: dict[str, Tensor] = {}
-    for name, leaf in leaves.items():
-        if not leaf.requires_grad:
-            continue
-        g = grads.get(id(leaf))
-        out[name] = Tensor(np.zeros_like(leaf.data) if g is None else g)
-    return out
+    return {name: Tensor(grads[id(leaf)]) for name, leaf in graph.leaves.items() if id(leaf) in grads}
 
 
 def _as_tensor(x) -> Tensor:
@@ -199,13 +184,13 @@ def _make(out_data, inputs: tuple, vjps: tuple) -> Tensor:
     if not _GRAPHS:
         return out
     g = _GRAPHS[-1]
-    tracks = g._tracks
+    tracked = g._tracked
     if len(inputs) == 1:
-        if tracks(inputs[0]):
+        if id(inputs[0]) in tracked:
             g._record(out, inputs, vjps)
         return out
     a, b = inputs
-    ta, tb = tracks(a), tracks(b)
+    ta, tb = id(a) in tracked, id(b) in tracked
     if ta or tb:
         g._record(out, inputs, vjps if ta and tb else (vjps[0] if ta else None, vjps[1] if tb else None))
     return out

@@ -10,7 +10,8 @@ Entries are written in canonical name order, so identical trees produce
 byte-identical files. A file is written to a temporary sibling and renamed
 over its target, so a killed process or a failed write leaves either the old
 file or the new one, never a torn one. Decoding rejects any malformed or
-truncated container with ContractError.
+truncated container, non-finite payload or repeated entry name with a
+ContractError that names the file.
 """
 
 from __future__ import annotations
@@ -45,16 +46,16 @@ def _pack_entries(entries) -> bytes:
     return b"".join(chunks)
 
 
-def _unpack_entries(blob: bytes, source: str) -> list[tuple[str, Tensor]]:
+def _unpack_entries(blob: bytes) -> list[tuple[str, Tensor]]:
     if blob[:4] != MAGIC:
-        raise ContractError(f"{source}: bad magic bytes (not a checkpoint container)")
+        raise ContractError("bad magic bytes (not a checkpoint container)")
     offset = 4
     entries = []
     try:
         (version,) = struct.unpack_from("<H", blob, offset)
         offset += 2
         if version != FORMAT_VERSION:
-            raise ContractError(f"{source}: unsupported format version {version}")
+            raise ContractError(f"unsupported format version {version}")
         (count,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         for _ in range(count):
@@ -68,17 +69,17 @@ def _unpack_entries(blob: bytes, source: str) -> list[tuple[str, Tensor]]:
             offset += 4 * rank
             n = math.prod(dims)
             if offset + 8 * n > len(blob):
-                raise ContractError(f"{source}: entry {name!r} runs past the end of the file")
+                raise ContractError(f"entry {name!r} runs past the end of the file")
             try:
                 payload = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(dims)
             except ValueError as exc:  # over numpy's dimension limit, or an unindexable empty shape
-                raise ContractError(f"{source}: entry {name!r} has an unsupported shape {dims}") from exc
+                raise ContractError(f"entry {name!r} has an unsupported shape {dims}") from exc
             offset += 8 * n
             entries.append((name, Tensor(payload.astype(np.float64))))
     except (struct.error, UnicodeDecodeError) as exc:  # short header reads, non-UTF-8 names
-        raise ContractError(f"{source}: truncated or corrupt checkpoint ({exc})") from exc
+        raise ContractError(f"truncated or corrupt checkpoint ({exc})") from exc
     if offset != len(blob):
-        raise ContractError(f"{source}: {len(blob) - offset} trailing bytes after last entry")
+        raise ContractError(f"{len(blob) - offset} trailing bytes after last entry")
     return entries
 
 
@@ -95,4 +96,8 @@ def save_params(params: ParamTree, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> ParamTree:
-    return ParamTree(_unpack_entries(Path(path).read_bytes(), str(path)))
+    blob = Path(path).read_bytes()
+    try:
+        return ParamTree(_unpack_entries(blob))
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from exc

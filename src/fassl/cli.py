@@ -26,7 +26,10 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ExperimentSpec, apply_overrides, default_spec, emit_defaults, parse_config
-from .data import dirichlet_partition, downstream_suite, partition_label_entropies, synth_dataset
+from .data import (
+    SUITE_CLASSES, SUITE_TRAIN_PER_CLASS, dirichlet_partition, downstream_suite, partition_label_entropies,
+    synth_dataset,
+)
 from .errors import ConfigError, ContractError
 from .orchestrator import RunConfig, run
 from .plotting import plot_results
@@ -113,6 +116,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     root = _out_root(spec)
     # every cell resolves before any runs, so a config error leaves no cell directory
     jobs = [(name, cell, cell.base_run_config(), root / name) for name, cell in spec.cells()]
+    suite_train = SUITE_CLASSES * SUITE_TRAIN_PER_CLASS
+    if spec["k"] > suite_train:
+        raise ConfigError(f"k must lie in [1, {suite_train}] (train clips per downstream task), got {spec['k']}")
     failures = 0
     try:
         with _cell_mapper(min(spec["workers"], len(jobs), os.cpu_count() or 1)) as cell_map:

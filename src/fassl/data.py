@@ -243,13 +243,21 @@ def _make_task(
     return train, test
 
 
+# Each downstream task's classes and clips per class; retrieval's k is at most
+# SUITE_CLASSES * SUITE_TRAIN_PER_CLASS, the train clips of a task.
+SUITE_CLASSES = 4
+SUITE_TRAIN_PER_CLASS = 30
+
+
 def downstream_suite(
     seed: int, frames: int = 32, bands: int = 16
 ) -> list[tuple[str, SynthDataset, SynthDataset]]:
     """Three retrieval tasks whose class identity lives in different ingredients."""
     tasks = []
     for kind in ("bandprofile", "temporal", "texture"):
-        train, test = _make_task(kind, seed, n_classes=4, n_train=30, n_test=10, frames=frames, bands=bands)
+        train, test = _make_task(
+            kind, seed, n_classes=SUITE_CLASSES, n_train=SUITE_TRAIN_PER_CLASS, n_test=10, frames=frames, bands=bands
+        )
         tasks.append((kind, train, test))
     return tasks
 

@@ -9,10 +9,9 @@ transceiving operates on.
 ParamTree is an immutable value: entries are kept in canonical
 (lexicographic) name order so aggregation arithmetic and serialization are
 deterministic and identical trees serialize to identical bytes. Because
-tensors never change their arrays, ``clone`` shares them: it builds new
-``Tensor`` objects with the requested flag over the same immutable data, so
-handing a tree to a client costs no parameter copy. ``sgd_step`` writes each
-new parameter into one array of its own.
+tensors never change their arrays, a client trains on the global tree's own
+tensors with no copy: a step names them as its graph's leaves, and
+``sgd_step`` writes each new parameter into one array of its own.
 """
 
 from __future__ import annotations
@@ -94,11 +93,13 @@ class ParamTree:
             items.append((name, v if isinstance(v, Tensor) else Tensor(v)))
         return ParamTree._from_canonical(items)
 
-    def clone(self, requires_grad: bool | None = None) -> "ParamTree":
-        """New tensors over the same (immutable) arrays, with the flag set when given."""
-        return self.map_values(
-            lambda _, t: Tensor(t.data, requires_grad=t.requires_grad if requires_grad is None else requires_grad)
-        )
+    def clone(self) -> "ParamTree":
+        """New tensors over the same (immutable) arrays.
+
+        No library code calls it. Kept, like ``kernels.USING_NUMBA``, because
+        the benchmark (perfbench/tracing.py) wraps it.
+        """
+        return self.map_values(lambda _, t: Tensor(t.data))
 
     def equal_bytes(self, other: "ParamTree") -> bool:
         if not self.congruent_with(other):
@@ -147,8 +148,8 @@ def init_encoder(cfg: EncoderConfig, seed: int) -> ParamTree:
     for layer, fan_in, fan_out in _linear_layers(cfg):
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        entries.append((f"{layer}.weight", Tensor(w, requires_grad=True)))
-        entries.append((f"{layer}.bias", Tensor(np.zeros(fan_out), requires_grad=True)))
+        entries.append((f"{layer}.weight", Tensor(w)))
+        entries.append((f"{layer}.bias", Tensor(np.zeros(fan_out))))
     return ParamTree(entries)
 
 
@@ -229,6 +230,6 @@ def sgd_step(params: ParamTree, grads: Mapping[str, Tensor], lr: float) -> Param
             raise ContractError(f"gradient shape {g.shape} != parameter shape {t.shape} for {name!r}")
         upd = g.data * lr
         np.subtract(t.data, upd, out=upd)
-        return Tensor(upd, requires_grad=t.requires_grad)
+        return Tensor(upd)
 
     return params.map_values(step)

@@ -17,9 +17,10 @@ so the global heads are bit for bit the initial heads and stand in for them
 as the starting head of a client not sampled before. In full scope nothing
 is retained, so ``retained_heads`` stays empty.
 
-Memory: a client differentiates only what its task's graph read, so the
-head its task never reads is not copied; every retained head shares that
-head's arrays with the global tree. A round releases its client results and
+Memory: a client trains on the global tree's own immutable tensors and
+gets gradients only for the parameters its loss reaches, so the head its
+task never reads is never copied; every retained head shares that head's
+arrays with the global tree. A round releases its client results and
 updates as soon as ``aggregate`` returns, so the checkpoint and the
 evaluation do not run on top of every sampled client's tree.
 """
@@ -192,21 +193,20 @@ def local_train(
 
     The local model starts from the transceived global merged with the
     client's retained head (empty in full scope). Batches too small for the
-    task (fewer than 2 clips for the pair losses) are dropped. Every tree
-    here shares its arrays with the one it came from and every step makes
+    task (fewer than 2 clips for the pair losses) are dropped. Training
+    starts on the input trees' own immutable tensors and every step makes
     new ones, so neither input tree is written to and the trained trees are
-    handed out as they are (their tensors keep requires_grad set).
+    handed out as they are.
 
-    Each step differentiates only the parameters its recorded graph read.
-    The head the task never reads (``head.proj`` under acop, ``head.acop``
-    under the pair losses) gets no gradient and no SGD copy, so the returned
-    trees share its arrays with the input trees; its values are what a zero
-    gradient step would have left, bit for bit.
+    Each step's graph has every local parameter as a leaf. The head the task
+    never reads (``head.proj`` under acop, ``head.acop`` under the pair
+    losses) gets no gradient and no SGD copy, so the returned trees share
+    its arrays with the input trees; its values are what a zero gradient
+    step would have left, bit for bit.
     """
     if not shard:
         raise ContractError(f"client {client_id} has an empty shard")
-    local = w_g if retained_head is None or len(retained_head) == 0 else merge(w_g, retained_head)
-    params = local.clone(requires_grad=True)
+    params = w_g if retained_head is None or len(retained_head) == 0 else merge(w_g, retained_head)
     rng = rng_for(cfg.master_seed, "train", round_idx, client_id)
     min_clips = 1 if cfg.ssl_task == "acop" else 2
     steps = 0
@@ -219,9 +219,9 @@ def local_train(
             if len(idx) < min_clips:
                 continue
             clips = [shard[i] for i in idx]
-            with Graph() as g:
+            with Graph(params.as_dict()) as g:
                 loss = _batch_loss(params, clips, cfg, rng)
-            grads = backward(g, loss, g.read(params.as_dict()))
+            grads = backward(g, loss)
             params = sgd_step(params, grads, cfg.lr)
             steps += 1
             losses.append((loss.item(), len(clips)))

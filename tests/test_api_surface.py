@@ -1,4 +1,4 @@
-"""Guards on the package's shape: public names have callers, data stays off autodiff, concurrency stays in the CLI.
+"""Guards on the package's shape: public names have callers, no autodiff in data, concurrency in the CLI, no asserts.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -123,6 +123,14 @@ def test_imported_package_modules_sees_every_import_form():
     ):
         assert imported_package_modules(ast.parse(source)) == {"autodiff"}, source
     assert imported_package_modules(ast.parse("import numpy\nfrom .errors import ContractError")) == {"errors"}
+
+
+def test_no_assert_statement_in_the_package():
+    """``python -O`` strips asserts, so a runtime check raises an error instead."""
+    for path in sorted((ROOT / "src" / "fassl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
 def test_every_public_name_has_a_program_caller():

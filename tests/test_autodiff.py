@@ -45,9 +45,9 @@ class TestTensor:
                 Tensor(arr)
 
     def test_intermediate_values_still_checked(self):
-        x = Tensor([1000.0], requires_grad=True)
+        x = Tensor([1000.0])
         with np.errstate(over="ignore"), pytest.raises(ContractError, match="finite"):
-            with Graph():
+            with Graph({"x": x}):
                 ad.exp(x)
 
     def test_contiguous_float64_array_is_stored_as_is(self, rng):
@@ -106,22 +106,22 @@ class TestRelu:
         np.testing.assert_array_equal(ad.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
     def test_all_negative_gives_zero_output_and_gradient(self):
-        x = Tensor([-3.0, -1.0], requires_grad=True)
-        with Graph() as g:
+        x = Tensor([-3.0, -1.0])
+        with Graph({"x": x}) as g:
             loss = ad.sum_all(ad.relu(x))
-        grads = backward(g, loss, {"x": x})
+        grads = backward(g, loss)
         np.testing.assert_array_equal(grads["x"].data, [0.0, 0.0])
 
     def test_subgradient_at_zero_is_zero(self):
-        x = Tensor([-1.0, 3.0], requires_grad=True)
-        with Graph() as g:
+        x = Tensor([-1.0, 3.0])
+        with Graph({"x": x}) as g:
             loss = ad.sum_all(ad.relu(x))
-        grads = backward(g, loss, {"x": x})
+        grads = backward(g, loss)
         np.testing.assert_array_equal(grads["x"].data, [0.0, 1.0])
-        x0 = Tensor([0.0], requires_grad=True)
-        with Graph() as g:
+        x0 = Tensor([0.0])
+        with Graph({"x": x0}) as g:
             loss = ad.sum_all(ad.relu(x0))
-        np.testing.assert_array_equal(backward(g, loss, {"x": x0})["x"].data, [0.0])
+        np.testing.assert_array_equal(backward(g, loss)["x"].data, [0.0])
 
 
 class TestL2NormalizeRows:
@@ -146,62 +146,90 @@ class TestL2NormalizeRows:
 
 class TestBackward:
     def test_grad_of_sum_is_ones(self):
-        x = Tensor([2.0, 5.0], requires_grad=True)
-        with Graph() as g:
+        x = Tensor([2.0, 5.0])
+        with Graph({"x": x}) as g:
             loss = ad.sum_all(x)
-        np.testing.assert_array_equal(backward(g, loss, {"x": x})["x"].data, [1.0, 1.0])
+        np.testing.assert_array_equal(backward(g, loss)["x"].data, [1.0, 1.0])
 
     def test_grad_of_square(self):
-        x = Tensor([3.0], requires_grad=True)
-        with Graph() as g:
+        x = Tensor([3.0])
+        with Graph({"x": x}) as g:
             loss = ad.sum_all(ad.mul(x, x))
-        np.testing.assert_allclose(backward(g, loss, {"x": x})["x"].data, [6.0])
+        np.testing.assert_allclose(backward(g, loss)["x"].data, [6.0])
 
     def test_non_scalar_loss_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        with Graph() as g:
+        x = Tensor([1.0, 2.0])
+        with Graph({"x": x}) as g:
             y = ad.mul(x, x)
         with pytest.raises(ContractError):
-            backward(g, y, {"x": x})
+            backward(g, y)
 
-    def test_unreached_leaf_gets_zero_gradient(self):
-        x = Tensor([1.0], requires_grad=True)
-        other = Tensor([[1.0, 2.0]], requires_grad=True)
-        with Graph() as g:
+    def test_unreached_leaf_gets_no_gradient(self):
+        x = Tensor([1.0])
+        other = Tensor([[1.0, 2.0]])
+        with Graph({"x": x, "other": other}) as g:
             loss = ad.sum_all(ad.mul(x, x))
-        grads = backward(g, loss, {"x": x, "other": other})
-        np.testing.assert_array_equal(grads["other"].data, [[0.0, 0.0]])
+        assert list(backward(g, loss)) == ["x"]
 
-    def test_read_names_exactly_the_leaves_an_op_took_as_tracked_input(self):
-        x = Tensor([1.0], requires_grad=True)
-        w = Tensor([2.0], requires_grad=True)
-        frozen = Tensor([3.0])
-        unread = Tensor([[1.0, 2.0]], requires_grad=True)
-        with Graph() as g:
+    def test_backward_names_exactly_the_leaves_the_loss_reaches(self):
+        x = Tensor([1.0])
+        w = Tensor([2.0])
+        frozen = Tensor([3.0])  # an operand, not a leaf
+        unread = Tensor([[1.0, 2.0]])
+        dead_end = Tensor([4.0])  # read by an op whose output the loss never uses
+        with Graph({"w": w, "unread": unread, "dead_end": dead_end, "x": x}) as g:
+            ad.mul(dead_end, dead_end)
             loss = ad.sum_all(ad.mul(ad.add(x, frozen), w))
-        leaves = {"w": w, "unread": unread, "frozen": frozen, "x": x}
-        read = g.read(leaves)
-        assert list(read) == ["w", "x"] and read["x"] is x
-        assert backward(g, loss, read).keys() == {"w", "x"}
+        grads = backward(g, loss)
+        assert list(grads) == ["w", "x"]
+        assert grads["w"].data.tolist() == [4.0] and grads["x"].data.tolist() == [2.0]
 
     def test_deterministic_bit_identical(self, rng):
-        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(6, 4)))
+        w = Tensor(rng.normal(size=(4, 3)))
 
         def grads_once():
-            with Graph() as g:
+            with Graph({"x": x, "w": w}) as g:
                 loss = ad.mean_all(ad.relu(ad.matmul(x, w)))
-            return backward(g, loss, {"x": x, "w": w})
+            return backward(g, loss)
 
         g1, g2 = grads_once(), grads_once()
         assert g1["x"].data.tobytes() == g2["x"].data.tobytes()
         assert g1["w"].data.tobytes() == g2["w"].data.tobytes()
 
     def test_reused_input_accumulates(self):
-        x = Tensor([2.0], requires_grad=True)
-        with Graph() as g:
+        x = Tensor([2.0])
+        with Graph({"x": x}) as g:
             loss = ad.sum_all(ad.add(ad.mul(x, x), x))  # x^2 + x -> 2x + 1
-        np.testing.assert_allclose(backward(g, loss, {"x": x})["x"].data, [5.0])
+        np.testing.assert_allclose(backward(g, loss)["x"].data, [5.0])
+
+
+class TestGraphStack:
+    def test_exiting_out_of_order_raises_and_keeps_the_stack(self):
+        outer, inner = Graph({}), Graph({})
+        try:
+            outer.__enter__()
+            inner.__enter__()
+            with pytest.raises(ContractError, match="innermost first"):
+                outer.__exit__(None, None, None)
+            assert ad._GRAPHS == [outer, inner]
+            inner.__exit__(None, None, None)
+            outer.__exit__(None, None, None)
+            assert ad._GRAPHS == []
+        finally:
+            ad._GRAPHS.clear()
+
+    def test_exiting_a_graph_never_entered_raises(self):
+        with pytest.raises(ContractError, match="innermost first"):
+            Graph({}).__exit__(None, None, None)
+
+    def test_only_the_named_leaves_are_tracked(self):
+        x, w = Tensor([1.0]), Tensor([2.0])
+        with Graph({"x": x}) as g:
+            ad.mul(w, w)
+            loss = ad.sum_all(ad.mul(x, w))
+        assert len(g.nodes) == 2
+        assert list(backward(g, loss)) == ["x"]
 
 
 class TestTrackedInputsOnly:
@@ -216,13 +244,13 @@ class TestTrackedInputsOnly:
 
     def test_untracked_matmul_input_has_no_vjp(self, rng):
         x = Tensor(rng.normal(size=(6, 4)))
-        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        with Graph() as g:
+        w = Tensor(rng.normal(size=(4, 3)))
+        with Graph({"w": w}) as g:
             loss = ad.sum_all(ad.matmul(x, w))
         node = g.nodes[0]
         assert node.inputs == (x, w)
         assert node.vjps[0] is None and node.vjps[1] is not None
-        grads = backward(g, loss, {"x": x, "w": w})
+        grads = backward(g, loss)
         assert set(grads) == {"w"}
         assert grads["w"].data.tobytes() == (x.data.T @ np.ones((6, 3))).tobytes()
 
@@ -233,22 +261,22 @@ class TestTrackedInputsOnly:
         arrays = self.operands(rng, op)
 
         def grad_of(tracked):
-            ts = [Tensor(a, requires_grad=i in tracked) for i, a in enumerate(arrays)]
-            with Graph() as g:
+            ts = [Tensor(a) for a in arrays]
+            with Graph({str(i): ts[i] for i in tracked}) as g:
                 loss = ad.sum_all(ad.mul(fn(*ts), fn(*ts)))
             assert all(
                 (vjp is None) == (i not in tracked)
                 for node in g.nodes[:2]
                 for i, vjp in enumerate(node.vjps)
             )
-            return backward(g, loss, {"t": ts[tracked_side]})["t"].data
+            return backward(g, loss)[str(tracked_side)].data
 
         assert grad_of({tracked_side}).tobytes() == grad_of({0, 1}).tobytes()
 
     def test_untracked_vjp_never_runs(self, rng):
         x = Tensor(rng.normal(size=(4, 3)))
-        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        with Graph() as g:
+        w = Tensor(rng.normal(size=(3, 2)))
+        with Graph({"w": w}) as g:
             loss = ad.sum_all(ad.matmul(x, w))
         calls = []
         for node in g.nodes:
@@ -256,25 +284,25 @@ class TestTrackedInputsOnly:
                 None if vjp is None else (lambda gr, vjp=vjp, i=i: calls.append(i) or vjp(gr))
                 for i, vjp in enumerate(node.vjps)
             )
-        backward(g, loss, {"w": w})
+        backward(g, loss)
         assert calls == [0, 1]  # sum_all's only input, then matmul's w; never matmul's x
 
     def test_step_tape_node_counts(self):
         """Nodes per step, as recorded before vjps were pruned (perfbench's autodiff.tape_nodes)."""
         ds = synth_dataset(2, 4, 12, 4, seed=0)
         cfg = EncoderConfig(input_dim=48, hidden_dim=7, embed_dim=6, projection_dim=5, acop_classes=6)
-        params = init_encoder(cfg, seed=1).clone(requires_grad=True)
+        params = init_encoder(cfg, seed=1)
         clips = ds.clips[:4]
-        with Graph() as g:
+        with Graph(params.as_dict()) as g:
             z = project(params, encode(params, two_view_batch(clips, AugmentPolicy(), rng_for(0, "v"))))
             nt_xent_loss(z, 0.5)
         assert len(g.nodes) == 33
         assert g.nodes[0].vjps[0] is None  # the view batch is never differentiated
-        with Graph() as g:
+        with Graph(params.as_dict()) as g:
             z = project(params, encode(params, two_view_batch(clips, AugmentPolicy(), rng_for(0, "v"))))
             barlow_twins_loss(ad.gather_rows(z, np.arange(0, 8, 2)), ad.gather_rows(z, np.arange(1, 8, 2)), 5e-3)
         assert len(g.nodes) == 43
-        with Graph() as g:
+        with Graph(params.as_dict()) as g:
             acop_loss(params, acop_make_batch(clips, 3, canonical_permutations(3), rng_for(0, "a")))
         assert len(g.nodes) == 18
 
@@ -285,9 +313,9 @@ class TestOpGradientsAgainstFiniteDifferences:
     @pytest.mark.parametrize("seed", range(100))
     def test_random_compositions(self, seed):
         rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        c = Tensor(rng.uniform(0.5, 2.0, size=(3, 2)), requires_grad=True)
+        a = Tensor(rng.normal(size=(3, 4)))
+        b = Tensor(rng.normal(size=(4, 2)))
+        c = Tensor(rng.uniform(0.5, 2.0, size=(3, 2)))
         params = ParamTree([("a", a), ("b", b), ("c", c)])
 
         def forward(p):
@@ -300,32 +328,36 @@ class TestOpGradientsAgainstFiniteDifferences:
             return ad.add(ad.mean_all(n), t)
 
         def f(p):
-            with Graph():
-                return forward(p).item()
+            return forward(p).item()
 
-        with Graph() as g:
+        with Graph(params.as_dict()) as g:
             loss = forward(params)
-        analytic = backward(g, loss, params.as_dict())
+        analytic = backward(g, loss)
         numeric = finite_diff_grad(f, params, step=1e-5)
         assert gradclose(analytic, numeric)
 
 
 class TestFiniteDiffGrad:
     def test_sum_of_squares(self):
-        p = ParamTree([("x", Tensor([1.0, 2.0], requires_grad=True))])
+        p = ParamTree([("x", Tensor([1.0, 2.0]))])
         grads = finite_diff_grad(lambda t: float(np.sum(t.get("x").data ** 2)), p, step=1e-5)
         np.testing.assert_allclose(grads["x"].data, [2.0, 4.0], atol=1e-8)
 
     def test_constant_function_gives_zero(self):
-        p = ParamTree([("x", Tensor([1.0, 2.0], requires_grad=True))])
+        p = ParamTree([("x", Tensor([1.0, 2.0]))])
         grads = finite_diff_grad(lambda t: 7.5, p, step=1e-5)
         np.testing.assert_array_equal(grads["x"].data, [0.0, 0.0])
 
+    def test_gradclose_compares_a_missing_name_as_zeros(self):
+        numeric = {"x": Tensor([1.0]), "head": Tensor([0.0, 1e-9])}
+        assert gradclose({"x": Tensor([1.0])}, numeric)
+        assert not gradclose({"x": Tensor([1.0])}, {**numeric, "head": Tensor([0.0, 1e-3])})
+
     def test_matches_backward_on_two_layer_mlp_with_mse(self, rng):
-        w1 = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        b1 = Tensor(rng.normal(size=5), requires_grad=True)
-        w2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-        b2 = Tensor(rng.normal(size=2), requires_grad=True)
+        w1 = Tensor(rng.normal(size=(4, 5)))
+        b1 = Tensor(rng.normal(size=5))
+        w2 = Tensor(rng.normal(size=(5, 2)))
+        b2 = Tensor(rng.normal(size=2))
         params = ParamTree([("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)])
         x = Tensor(rng.normal(size=(6, 4)))
         y = Tensor(rng.normal(size=(6, 2)))
@@ -336,13 +368,12 @@ class TestFiniteDiffGrad:
             err = ad.sub(pred, y)
             return ad.mean_all(ad.mul(err, err))
 
-        with Graph() as g:
+        with Graph(params.as_dict()) as g:
             loss = forward(params)
-        analytic = backward(g, loss, params.as_dict())
+        analytic = backward(g, loss)
 
         def f(p):
-            with Graph():
-                return forward(p).item()
+            return forward(p).item()
 
         numeric = finite_diff_grad(f, params, step=1e-5)
         assert gradclose(analytic, numeric)
@@ -350,35 +381,35 @@ class TestFiniteDiffGrad:
 
 class TestSgdStep:
     def test_hand_arithmetic(self):
-        p = ParamTree([("x", Tensor([5.0], requires_grad=True))])
+        p = ParamTree([("x", Tensor([5.0]))])
         out = sgd_step(p, {"x": Tensor([2.0])}, lr=0.1)
         np.testing.assert_allclose(out.get("x").data, [4.8])
 
     def test_missing_grad_leaves_parameter_unchanged(self):
         p = ParamTree([
-            ("x", Tensor([5.0], requires_grad=True)),
-            ("y", Tensor([1.0], requires_grad=True)),
+            ("x", Tensor([5.0])),
+            ("y", Tensor([1.0])),
         ])
         out = sgd_step(p, {"x": Tensor([2.0])}, lr=0.1)
         np.testing.assert_array_equal(out.get("y").data, [1.0])
 
     def test_two_steps_on_square(self):
         # f = x^2, grad 2x; x0 = 1, lr = 0.1 -> 0.8 -> 0.64
-        p = ParamTree([("x", Tensor([1.0], requires_grad=True))])
+        p = ParamTree([("x", Tensor([1.0]))])
         for _ in range(2):
             x = p.get("x")
-            with Graph() as g:
+            with Graph(p.as_dict()) as g:
                 loss = ad.sum_all(ad.mul(x, x))
-            p = sgd_step(p, backward(g, loss, p.as_dict()), lr=0.1)
+            p = sgd_step(p, backward(g, loss), lr=0.1)
         np.testing.assert_allclose(p.get("x").data, [0.64])
 
     def test_shape_mismatch_rejected(self):
-        p = ParamTree([("x", Tensor([5.0, 1.0], requires_grad=True))])
+        p = ParamTree([("x", Tensor([5.0, 1.0]))])
         with pytest.raises(ContractError):
             sgd_step(p, {"x": Tensor([[2.0]])}, lr=0.1)
 
     def test_unknown_grad_key_rejected(self):
-        p = ParamTree([("x", Tensor([5.0], requires_grad=True))])
+        p = ParamTree([("x", Tensor([5.0]))])
         with pytest.raises(ContractError):
             sgd_step(p, {"zz": Tensor([2.0])}, lr=0.1)
 
@@ -386,7 +417,7 @@ class TestSgdStep:
     @pytest.mark.parametrize("lr", [0.05, 0.1, 1e-3, 0.3, 1, 2.5e-7])
     def test_bytes_match_reference_and_inputs_untouched(self, rng, lr):
         shapes = {"a.bias": (5,), "a.weight": (4, 5), "b.weight": (5, 3), "c": (1,)}
-        p = ParamTree([(n, Tensor(rng.normal(size=s), requires_grad=True)) for n, s in shapes.items()])
+        p = ParamTree([(n, Tensor(rng.normal(size=s))) for n, s in shapes.items()])
         grads = {n: Tensor(rng.normal(scale=10.0, size=s)) for n, s in shapes.items() if n != "b.weight"}
         p_before = [t.data.tobytes() for _, t in p.items()]
         g_before = {n: g.data.tobytes() for n, g in grads.items()}
@@ -399,7 +430,6 @@ class TestSgdStep:
                 assert not np.shares_memory(t.data, grads[name].data)
             else:
                 assert t is old
-            assert t.requires_grad
         assert [t.data.tobytes() for _, t in p.items()] == p_before
         assert {n: g.data.tobytes() for n, g in grads.items()} == g_before
 
@@ -414,14 +444,14 @@ class TestScalarOperands:
     )
     @pytest.mark.parametrize("scalar_first", [False, True])
     def test_same_bytes_as_tensor_wrapped(self, rng, op, scalar, scalar_first):
-        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(6, 4)))
 
         def run(operand):
             args = (operand, x) if scalar_first else (x, operand)
-            with Graph() as g:
+            with Graph({"x": x}) as g:
                 y = op(*args)
                 loss = ad.sum_all(ad.mul(y, y))
-            return y, len(g.nodes), backward(g, loss, {"x": x})["x"]
+            return y, len(g.nodes), backward(g, loss)["x"]
 
         y_fast, nodes_fast, g_fast = run(scalar)
         y_ref, nodes_ref, g_ref = run(Tensor(np.asarray(scalar, dtype=np.float64)))
@@ -436,7 +466,6 @@ class TestScalarOperands:
         ref = Tensor(np.asarray(scalar, dtype=np.float64))
         assert t.shape == (1,) and t.data.dtype == np.float64
         assert t.data.tobytes() == ref.data.tobytes()
-        assert not t.requires_grad
 
     def test_nonfinite_scalar_rejected(self):
         with pytest.raises(ContractError, match="finite"):

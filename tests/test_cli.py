@@ -222,12 +222,19 @@ class TestCmdRun:
         (["--frames", "1"], "simclr needs frames >= 2"),
         (["--ssl-task", "barlow_twins", "--frames", "1"], "barlow_twins needs frames >= 2"),
         (["--clients", "40", "--pretext-classes", "2", "--pretext-per-class", "4"], "8 pretext clips cannot cover"),
+        (["--k", "121"], "k must lie in [1, 120]"),
     ])
     def test_cross_field_error_exits_1_before_any_cell_directory(self, tmp_path, monkeypatch, capsys, flags, message):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
         assert main(["run", *FAST_FLAGS, *flags]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_k_bound_is_the_downstream_train_clip_count(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        assert main(["run", *FAST_FLAGS, "--k", "120"]) == 0
+        rows = (tmp_path / "simclr-fedavg-full-e1" / "results.csv").read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[6] == "120" for row in rows)
 
     @pytest.mark.parametrize("flags", [
         ["--strategies", "fedavg,fedavg", "--local-epochs-list", "1,1"],

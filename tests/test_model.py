@@ -43,31 +43,16 @@ class TestParamTree:
 
 
 class TestClone:
-    def _mixed_tree(self):
-        return ParamTree([
-            ("a", Tensor([1.0, 2.0], requires_grad=True)),
-            ("b", Tensor([[3.0], [4.0]])),
-        ])
-
-    @pytest.mark.parametrize("flag", [True, False])
-    def test_shares_arrays_and_sets_flags(self, flag):
-        src = self._mixed_tree()
-        out = src.clone(requires_grad=flag)
+    def test_new_tensors_share_the_arrays(self):
+        src = ParamTree([("a", Tensor([1.0, 2.0])), ("b", Tensor([[3.0], [4.0]]))])
+        out = src.clone()
         assert out.names() == src.names()
         for (_, new), (_, old) in zip(out.items(), src.items()):
             assert new is not old
             assert np.shares_memory(new.data, old.data)
-            assert new.requires_grad is flag
-        assert [t.requires_grad for _, t in src.items()] == [True, False]
-
-    def test_default_keeps_each_flag(self):
-        src = self._mixed_tree()
-        out = src.clone()
-        assert [t.requires_grad for _, t in out.items()] == [True, False]
-        assert all(np.shares_memory(a.data, b.data) for (_, a), (_, b) in zip(out.items(), src.items()))
 
     def test_clone_is_a_full_tree(self):
-        out = init_encoder(CFG, seed=3).clone(requires_grad=True)
+        out = init_encoder(CFG, seed=3).clone()
         assert out.get("backbone.fc1.weight") is out.as_dict()["backbone.fc1.weight"]
         assert "head.acop.fc.bias" in out and len(out) == 10
         assert params_bytes(out) == params_bytes(init_encoder(CFG, seed=3))
@@ -115,7 +100,7 @@ class TestInitEncoder:
 class TestEncode:
     def test_zero_weights_give_zero_embedding(self):
         tree = init_encoder(CFG, seed=0).map_values(
-            lambda _, t: Tensor(np.zeros_like(t.data), requires_grad=True)
+            lambda _, t: Tensor(np.zeros_like(t.data))
         )
         out = encode(tree, Tensor(np.ones((3, 64))))
         np.testing.assert_array_equal(out.data, np.zeros((3, 16)))
@@ -293,6 +278,21 @@ class TestCheckpointFormat:
         path.write_bytes(blob[:12] + b"\xff" + blob[13:])
         with pytest.raises(ContractError, match="corrupt"):
             load_params(path)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda blob: blob[:-8] + np.array([np.nan], dtype="<f8").tobytes(), "finite"),
+        (lambda blob: blob[:-8] + np.array([-np.inf], dtype="<f8").tobytes(), "finite"),
+        (lambda blob: blob[:28] + b"a" + blob[29:], r"duplicate parameter names: \['a'\]"),
+        (lambda blob: b"JUNK" + blob[4:], "magic"),
+    ], ids=["nan", "inf", "duplicate_name", "magic"])
+    def test_decode_error_names_the_file(self, tmp_path, corrupt, message):
+        blob = params_bytes(ParamTree([("a", Tensor([1.0])), ("b", Tensor([2.0]))]))
+        assert blob[28:29] == b"b"  # header 10 + entry "a" 16 + name length 2
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(corrupt(blob))
+        with pytest.raises(ContractError, match=message) as info:
+            load_params(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 FUZZ_TREE = ParamTree([

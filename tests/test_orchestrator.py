@@ -145,11 +145,9 @@ class TestLocalTrain:
         initial_heads = split(state.global_params, "backbone")[1]
         head = initial_heads if scope == "backbone" else None
         before = (params_bytes(state.global_params), params_bytes(initial_heads))
-        flags = [t.requires_grad for _, t in state.global_params.items()]
         upd, retained, steps = local_train(self._shard(), trans, head, cfg, 0, 1)
         assert steps > 0
         assert (params_bytes(state.global_params), params_bytes(initial_heads)) == before
-        assert [t.requires_grad for _, t in state.global_params.items()] == flags
         assert not upd.params.equal_bytes(trans)
 
     @pytest.mark.parametrize("ssl_task", ["simclr", "barlow_twins", "acop"])

@@ -210,7 +210,7 @@ class TestAcopLoss:
     def test_uniform_logits_give_log_p(self, rng):
         cfg = tiny_encoder_config()
         params = init_encoder(cfg, seed=1).map_values(
-            lambda n, t: Tensor(np.zeros_like(t.data), requires_grad=True)
+            lambda n, t: Tensor(np.zeros_like(t.data))
             if n.startswith("head.acop")
             else t
         )
@@ -226,12 +226,11 @@ class TestAcopLoss:
         batch = acop_make_batch(clips, 3, canonical_permutations(3), rng_for(1, "x"))
 
         def f(p):
-            with Graph():
-                return acop_loss(p, batch).item()
+            return acop_loss(p, batch).item()
 
-        with Graph() as g:
+        with Graph(params.as_dict()) as g:
             loss = acop_loss(params, batch)
-        analytic = backward(g, loss, params.as_dict())
+        analytic = backward(g, loss)
         numeric = finite_diff_grad(f, params, step=1e-5)
         assert gradclose(analytic, numeric)
 
@@ -247,9 +246,9 @@ class TestAcopLoss:
         last = None
         for step in range(50):
             batch = acop_make_batch(clips, 3, perms, stream)
-            with Graph() as g:
+            with Graph(params.as_dict()) as g:
                 loss = acop_loss(params, batch)
-            params = sgd_step(params, backward(g, loss, params.as_dict()), lr=0.1)
+            params = sgd_step(params, backward(g, loss), lr=0.1)
             if first is None:
                 first = loss.item()
             last = loss.item()
@@ -268,26 +267,24 @@ class TestLossGradientsThroughEncoder:
         assert fd_fixture_ok(params, xb.data), "fixture seeds are pre-screened; regenerate if this trips"
 
         def f_nt(p):
-            with Graph():
-                return nt_xent_loss(project(p, encode(p, xb)), tau=0.5).item()
+            return nt_xent_loss(project(p, encode(p, xb)), tau=0.5).item()
 
-        with Graph() as g:
+        with Graph(params.as_dict()) as g:
             loss = nt_xent_loss(project(params, encode(params, xb)), tau=0.5)
-        assert gradclose(backward(g, loss, params.as_dict()), finite_diff_grad(f_nt, params, 1e-5))
+        assert gradclose(backward(g, loss), finite_diff_grad(f_nt, params, 1e-5))
 
         even, odd = np.arange(0, 8, 2), np.arange(1, 8, 2)
 
         def f_bt(p):
-            with Graph():
-                zz = project(p, encode(p, xb))
-                return barlow_twins_loss(
-                    ad.gather_rows(zz, even), ad.gather_rows(zz, odd), lam=0.005
-                ).item()
+            zz = project(p, encode(p, xb))
+            return barlow_twins_loss(
+                ad.gather_rows(zz, even), ad.gather_rows(zz, odd), lam=0.005
+            ).item()
 
-        with Graph() as g:
+        with Graph(params.as_dict()) as g:
             zz = project(params, encode(params, xb))
             loss = barlow_twins_loss(ad.gather_rows(zz, even), ad.gather_rows(zz, odd), lam=0.005)
-        assert gradclose(backward(g, loss, params.as_dict()), finite_diff_grad(f_bt, params, 1e-5))
+        assert gradclose(backward(g, loss), finite_diff_grad(f_bt, params, 1e-5))
 
 
 class TestSeparableFixtureTraining:
@@ -306,9 +303,9 @@ class TestSeparableFixtureTraining:
         stream = rng_for(13, "nt-train")
         for _ in range(60):
             batch = two_view_batch(ds.clips, policy, stream)
-            with Graph() as g:
+            with Graph(params.as_dict()) as g:
                 loss = nt_xent_loss(project(params, encode(params, batch)), tau=0.5)
-            params = sgd_step(params, backward(g, loss, params.as_dict()), lr=0.01)
+            params = sgd_step(params, backward(g, loss), lr=0.01)
         assert probe_loss(params) < before
 
 
