@@ -2,8 +2,8 @@
 
 Subcommands: run, plot, partition-stats, emit-defaults. Every config key is
 also available as a flag (flag > file > default); the FASSL_OUT env var
-overrides the output directory. Exit codes: 0 success, 1 config error,
-2 runtime failure.
+overrides the output directory. Exit codes: 0 success, 1 config or usage
+error, 2 runtime failure.
 
 ``run`` resolves every matrix cell up front and runs them on
 ``min(workers, cells, cpu count)`` spawned processes, or in this process
@@ -40,8 +40,17 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors (exit 1), not argparse's own exit 2; subparsers inherit this."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _add_schema_flags(parser: argparse.ArgumentParser) -> None:
     for key, (_, _, doc) in cfgmod.SCHEMA.items():
+        if key in cfgmod.AXES:
+            doc += " (comma list: a matrix axis)"
         parser.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="V", help=doc)
 
 
@@ -171,7 +180,7 @@ def cmd_emit_defaults(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fassl", description=__doc__)
+    parser = _Parser(prog="fassl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute the experiment matrix")
@@ -194,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

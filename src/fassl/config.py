@@ -12,10 +12,11 @@ table of keys: it maps each key to the ``RunConfig`` field it sets, and run
 defaults are read from the dataclasses, so a spec, its ``RunConfig`` and
 its config text cannot drift apart.
 
-Matrix keys (``strategies``, ``scopes``, ``local_epochs_list``) are
-comma-separated lists of distinct values; when empty they fall back to the
-corresponding single-value key, and ``cells()`` yields the cartesian
-product, so every cell has a directory of its own.
+The matrix axes (``AXES``: ``strategy``, ``scope``, ``local_epochs``) take
+a comma-separated list of distinct values, and one value is a one-cell
+axis. ``cells()`` yields one single-cell spec per point of their cartesian
+product, so every cell has a directory of its own; ``base_run_config``
+describes one cell and rejects an axis that lists more than one value.
 """
 
 from __future__ import annotations
@@ -94,20 +95,20 @@ def _distinct(items: tuple) -> tuple:
     return items
 
 
-def _str_list(options: tuple[str, ...]):
-    def parse(raw: str) -> tuple[str, ...]:
-        items = tuple(s.strip() for s in raw.split(",") if s.strip())
-        bad = [s for s in items if s not in options]
-        if bad:
-            raise ValueError(f"unknown values {bad}, expected from {options}")
+def _axis(parse_one):
+    """Parser of a matrix axis: a comma list of distinct values, each read by parse_one."""
+
+    def parse(raw: str) -> tuple:
+        items = tuple(parse_one(s.strip()) for s in raw.split(",") if s.strip())
+        if not items:
+            raise ValueError("expected at least one value")
         return _distinct(items)
 
     return parse
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    return _distinct(tuple(_positive_int(s.strip()) for s in raw.split(",") if s.strip()))
-
+# Keys whose value is a tuple of distinct values, one matrix cell per point.
+AXES = ("strategy", "scope", "local_epochs")
 
 # key -> (parser, RunConfig field path, help). A dotted path reaches into
 # the nested Strategy / AugmentPolicy; None marks a key that configures the
@@ -117,12 +118,12 @@ SCHEMA: dict[str, tuple] = {
     "rounds": (_positive_int, "rounds", "federated rounds R"),
     "clients": (_positive_int, "n_clients", "client pool size N"),
     "clients_per_round": (_positive_int, "clients_per_round", "clients sampled per round s"),
-    "local_epochs": (_positive_int, "local_epochs", "local epochs E per round"),
+    "local_epochs": (_axis(_positive_int), "local_epochs", "local epochs E per round"),
     "batch_size": (_positive_int, "batch_size", "local batch size"),
     "lr": (_positive_float, "lr", "constant SGD learning rate"),
     "ssl_task": (_choice(*SSL_TASKS), "ssl_task", "pretext task"),
-    "strategy": (_choice(*STRATEGY_KINDS), "strategy.kind", "aggregation strategy"),
-    "scope": (_choice(*SCOPES), "scope", "transceived parameter scope"),
+    "strategy": (_axis(_choice(*STRATEGY_KINDS)), "strategy.kind", "aggregation strategy"),
+    "scope": (_axis(_choice(*SCOPES)), "scope", "transceived parameter scope"),
     "alpha": (_positive_float, "alpha", "Dirichlet heterogeneity coefficient"),
     "master_seed": (int, "master_seed", "root seed for every stream"),
     "eval_every": (_positive_int, "eval_every", "rounds between downstream evaluations"),
@@ -151,18 +152,15 @@ SCHEMA: dict[str, tuple] = {
     "metric": (_choice(*METRICS), "metric", "retrieval distance"),
     "out_dir": (str, None, "output directory (FASSL_OUT env overrides)"),
     "plot": (_parse_bool, None, "emit SVG plots after a run"),
-    "strategies": (_str_list(STRATEGY_KINDS), None, "matrix axis; empty = [strategy]"),
-    "scopes": (_str_list(SCOPES), None, "matrix axis; empty = [scope]"),
-    "local_epochs_list": (_int_list, None, "matrix axis; empty = [local_epochs]"),
 }
 
-CLI_DEFAULTS = {"out_dir": "results", "plot": False, "strategies": (), "scopes": (), "local_epochs_list": ()}
+CLI_DEFAULTS = {"out_dir": "results", "plot": False}
 _DEFAULT_RUN = RunConfig()
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Resolved experiment: one base run plus the sweep axes."""
+    """Resolved experiment: every key's value, a tuple for each of AXES."""
 
     values: dict = field(default_factory=dict)
 
@@ -170,13 +168,19 @@ class ExperimentSpec:
         return self.values[key]
 
     def base_run_config(self) -> RunConfig:
-        """The run the single-value keys describe; each key lands on its SCHEMA path."""
+        """The run of a single-cell spec; each key lands on its SCHEMA path."""
         top: dict = {}
         nested: dict[str, dict] = {}
         for key, (_, path, _) in SCHEMA.items():
-            if path is not None:
-                head, _, name = path.rpartition(".")
-                (nested.setdefault(head, {}) if head else top)[name] = self.values[key]
+            if path is None:
+                continue
+            value = self.values[key]
+            if key in AXES:
+                if len(value) != 1:
+                    raise ConfigError(f"{key} lists {len(value)} values, but one run takes one")
+                (value,) = value
+            head, _, name = path.rpartition(".")
+            (nested.setdefault(head, {}) if head else top)[name] = value
         try:
             for head, kwargs in nested.items():
                 top[head] = type(getattr(_DEFAULT_RUN, head))(**kwargs)
@@ -184,21 +188,12 @@ class ExperimentSpec:
         except ContractError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def matrix_axes(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]:
-        strategies = self["strategies"] or (self["strategy"],)
-        scopes = self["scopes"] or (self["scope"],)
-        epochs = self["local_epochs_list"] or (self["local_epochs"],)
-        return strategies, scopes, epochs
-
     def cells(self) -> list[tuple[str, ExperimentSpec]]:
         """(cell name, single-cell spec) per point of the strategy x scope x E grid."""
         out = []
-        for strategy, scope, epochs in itertools.product(*self.matrix_axes()):
+        for strategy, scope, epochs in itertools.product(*(self[key] for key in AXES)):
             name = f"{self['ssl_task']}-{strategy}-{scope}-e{epochs}"
-            values = dict(
-                self.values, strategy=strategy, scope=scope, local_epochs=epochs,
-                strategies=(), scopes=(), local_epochs_list=(),
-            )
+            values = dict(self.values, strategy=(strategy,), scope=(scope,), local_epochs=(epochs,))
             out.append((name, ExperimentSpec(values=values)))
         return out
 
@@ -206,20 +201,17 @@ class ExperimentSpec:
         """Config file text; parsing it back yields this spec exactly."""
         lines = [f"# {title} (key = value; '#' starts a comment line)"]
         for key, (_, _, doc) in SCHEMA.items():
-            value = self[key]
-            if value == ():
-                lines.append(f"# {key} = <comma list>  ({doc})")
-            else:
-                lines.append(f"# {doc}")
-                lines.append(f"{key} = {_format_value(value)}")
+            lines.append(f"# {doc}")
+            lines.append(f"{key} = {_format_value(self[key])}")
         return "\n".join(lines) + "\n"
 
 
 def default_spec() -> ExperimentSpec:
-    return ExperimentSpec(values={
+    values = {
         key: CLI_DEFAULTS[key] if path is None else attrgetter(path)(_DEFAULT_RUN)
         for key, (_, path, _) in SCHEMA.items()
-    })
+    }
+    return ExperimentSpec(values=dict(values, **{key: (values[key],) for key in AXES}))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentSpec:

@@ -16,6 +16,7 @@ tensors with no copy: a step names them as its graph's leaves, and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -28,6 +29,11 @@ from .errors import ContractError
 BACKBONE_PREFIX = "backbone."
 SCOPES = ("full", "backbone")
 
+# The clip-order task cuts a clip into ACOP_SEGMENTS segments and presents
+# them in one of ACOP_ORDERS (lexicographic); an order's index is its class.
+ACOP_SEGMENTS = 3
+ACOP_ORDERS = tuple(itertools.permutations(range(ACOP_SEGMENTS)))
+
 
 class ParamTree:
     """Ordered, named map of parameter tensors.
@@ -36,7 +42,7 @@ class ParamTree:
     shapes; every aggregation/splitting operation preserves congruence.
     """
 
-    __slots__ = ("_entries", "_index")
+    __slots__ = ("_params",)
 
     def __init__(self, entries):
         items = [(str(name), t if isinstance(t, Tensor) else Tensor(t)) for name, t in entries]
@@ -45,15 +51,13 @@ class ParamTree:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ContractError(f"duplicate parameter names: {dupes}")
-        self._entries = tuple(items)
-        self._index = {name: t for name, t in items}
+        self._params = dict(items)  # insertion order is the canonical order
 
     @classmethod
     def _from_canonical(cls, items: list) -> "ParamTree":
         """A tree from (name, Tensor) pairs already in canonical order with unique names."""
         tree = cls.__new__(cls)
-        tree._entries = tuple(items)
-        tree._index = dict(items)
+        tree._params = dict(items)
         return tree
 
     @classmethod
@@ -61,34 +65,34 @@ class ParamTree:
         return cls([])
 
     def names(self) -> list[str]:
-        return [name for name, _ in self._entries]
+        return list(self._params)
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
-        return iter(self._entries)
+        return iter(self._params.items())
 
     def as_dict(self) -> dict[str, Tensor]:
-        return dict(self._entries)
+        return dict(self._params)
 
     def get(self, name: str) -> Tensor:
         try:
-            return self._index[name]
+            return self._params[name]
         except KeyError:
             raise ContractError(f"unknown parameter {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self._params
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._params)
 
     def congruent_with(self, other: "ParamTree") -> bool:
         return self.names() == other.names() and all(
-            a.shape == b.shape for (_, a), (_, b) in zip(self._entries, other._entries)
+            a.shape == b.shape for a, b in zip(self._params.values(), other._params.values())
         )
 
     def map_values(self, fn: Callable[[str, Tensor], Tensor]) -> "ParamTree":
         items = []
-        for name, t in self._entries:
+        for name, t in self._params.items():
             v = fn(name, t)
             items.append((name, v if isinstance(v, Tensor) else Tensor(v)))
         return ParamTree._from_canonical(items)
@@ -106,7 +110,7 @@ class ParamTree:
             return False
         return all(
             a.data.tobytes() == b.data.tobytes()
-            for (_, a), (_, b) in zip(self._entries, other._entries)
+            for a, b in zip(self._params.values(), other._params.values())
         )
 
 
@@ -118,11 +122,9 @@ class EncoderConfig:
     hidden_dim: int
     embed_dim: int
     projection_dim: int
-    acop_classes: int
-    acop_segments: int = 3
 
     def __post_init__(self):
-        for field in ("input_dim", "hidden_dim", "embed_dim", "projection_dim", "acop_classes", "acop_segments"):
+        for field in ("input_dim", "hidden_dim", "embed_dim", "projection_dim"):
             if getattr(self, field) < 1:
                 raise ContractError(f"{field} must be >= 1")
 
@@ -133,7 +135,7 @@ def _linear_layers(cfg: EncoderConfig) -> list[tuple[str, int, int]]:
         ("backbone.fc2", cfg.hidden_dim, cfg.embed_dim),
         ("head.proj.fc1", cfg.embed_dim, cfg.hidden_dim),
         ("head.proj.fc2", cfg.hidden_dim, cfg.projection_dim),
-        ("head.acop.fc", cfg.acop_segments * cfg.embed_dim, cfg.acop_classes),
+        ("head.acop.fc", ACOP_SEGMENTS * cfg.embed_dim, len(ACOP_ORDERS)),
     ]
 
 

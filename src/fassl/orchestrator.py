@@ -50,7 +50,9 @@ from .evaluator import (
     optima_csv,
     update_optima,
 )
-from .model import SCOPES, EncoderConfig, ParamTree, encode, init_encoder, merge, project, sgd_step, split
+from .model import (
+    ACOP_SEGMENTS, SCOPES, EncoderConfig, ParamTree, encode, init_encoder, merge, project, sgd_step, split,
+)
 from .seeding import derive_seed, rng_for
 from .ssl_tasks import AugmentPolicy, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 
@@ -116,14 +118,15 @@ class RunConfig:
         ):
             if getattr(self, name) not in choices:
                 raise ContractError(f"unknown {name} {getattr(self, name)!r}, expected one of {choices}")
-        min_frames = ssl_tasks.MIN_FRAMES * (ssl_tasks.ACOP_SEGMENTS if self.ssl_task == "acop" else 1)
+        min_frames = ssl_tasks.MIN_FRAMES * (ACOP_SEGMENTS if self.ssl_task == "acop" else 1)
         if self.frames < min_frames:
             raise ContractError(f"{self.ssl_task} needs frames >= {min_frames}, got {self.frames}")
         pretext_clips = self.pretext_classes * self.pretext_per_class
         if self.n_clients > pretext_clips:
             raise ContractError(f"{pretext_clips} pretext clips cannot cover n_clients={self.n_clients}")
-        if self.alpha <= 0 or self.eval_every < 1 or self.k < 1 or self.workers < 1:
-            raise ContractError("alpha, eval_every, k and workers must be positive")
+        for name in ("alpha", "eval_every", "k", "workers"):
+            if getattr(self, name) <= 0:
+                raise ContractError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def input_dim(self) -> int:
@@ -135,8 +138,6 @@ class RunConfig:
             hidden_dim=self.hidden_dim,
             embed_dim=self.embed_dim,
             projection_dim=self.projection_dim,
-            acop_classes=len(ssl_tasks.canonical_permutations(ssl_tasks.ACOP_SEGMENTS)),
-            acop_segments=ssl_tasks.ACOP_SEGMENTS,
         )
 
 
@@ -166,10 +167,7 @@ def sample_clients(n_clients: int, s: int, round_idx: int, master_seed: int) -> 
 
 def _batch_loss(params: ParamTree, clips: list[Clip], cfg: RunConfig, rng):
     if cfg.ssl_task == "acop":
-        batch = acop_make_batch(
-            clips, ssl_tasks.ACOP_SEGMENTS, ssl_tasks.canonical_permutations(ssl_tasks.ACOP_SEGMENTS), rng
-        )
-        return acop_loss(params, batch)
+        return acop_loss(params, acop_make_batch(clips, rng))
     views = ssl_tasks.two_view_batch(clips, cfg.augment, rng)
     z = project(params, encode(params, views))
     if cfg.ssl_task == "simclr":
@@ -340,6 +338,10 @@ def run(
     out_dir: str | os.PathLike | None = None,
 ) -> RunResult:
     """Execute R federated rounds from a seeded init; returns the full log."""
+    # checked before RunSink creates out_dir, so a k no task can serve leaves no files
+    for name, train, _ in tasks:
+        if cfg.k > len(train):
+            raise ContractError(f"k must lie in [1, {len(train)}] (train clips of task {name!r}), got {cfg.k}")
     partition = dirichlet_partition(
         pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition")
     )

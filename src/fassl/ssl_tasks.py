@@ -18,7 +18,6 @@ one permutation draw per clip.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ from .autodiff import Tensor
 from .data import Clip, resample_frames
 from .errors import ContractError
 
-ACOP_SEGMENTS = 3
 # Fewest frames a view's source clip and an acop segment may have.
 MIN_FRAMES = 2
 
@@ -115,6 +113,12 @@ def two_view_batch(clips: list[Clip], policy: AugmentPolicy, rng: np.random.Gene
     return Tensor(views.reshape(n_views, frames * bands))
 
 
+def _row_logsumexp(x: Tensor) -> Tensor:
+    """Per-row log-sum-exp of a 2-d tensor, the row max subtracted before exp()."""
+    mx = ad.detached_rowmax(x)
+    return ad.add(ad.log(ad.sum_axis(ad.exp(ad.sub(x, mx)), axis=1)), mx)
+
+
 def nt_xent_loss(z: Tensor, tau: float) -> Tensor:
     """Contrastive pair loss over an interleaved 2n x d embedding matrix.
 
@@ -129,9 +133,7 @@ def nt_xent_loss(z: Tensor, tau: float) -> Tensor:
     zn = ad.l2_normalize_rows(z, eps=_NORM_EPS)
     sims = ad.div(ad.matmul(zn, ad.transpose(zn)), tau)
     mask = Tensor(np.diag(np.full(two_n, _NEG_MASK)))
-    masked = ad.add(sims, mask)
-    mx = ad.detached_rowmax(masked)
-    lse = ad.add(ad.log(ad.sum_axis(ad.exp(ad.sub(masked, mx)), axis=1)), mx)
+    lse = _row_logsumexp(ad.add(sims, mask))
     even = ad.gather_rows(zn, np.arange(0, two_n, 2))
     odd = ad.gather_rows(zn, np.arange(1, two_n, 2))
     pos = ad.sum_axis(ad.mul(even, odd), axis=1)
@@ -171,55 +173,36 @@ def barlow_twins_loss(za: Tensor, zb: Tensor, lam: float, eps: float = 1e-9) -> 
     return ad.add(on_diag, ad.mul(off_diag, lam))
 
 
-def canonical_permutations(m: int) -> tuple[tuple[int, ...], ...]:
-    """All permutations of range(m) in lexicographic order; index = class label."""
-    return tuple(itertools.permutations(range(m)))
-
-
 @dataclass
 class AcopBatch:
-    """Segment rows grouped per clip in presented order, plus permutation labels."""
+    """Segment rows grouped per clip in presented order, plus order labels."""
 
-    segments: Tensor  # (n*m, frames*bands)
-    labels: np.ndarray  # (n,) ints in [0, n_perms)
-    m: int
-    n_perms: int
+    segments: Tensor  # (n * model.ACOP_SEGMENTS, frames*bands)
+    labels: np.ndarray  # (n,) indices into model.ACOP_ORDERS
 
 
-def acop_make_batch(
-    clips: list[Clip],
-    m: int,
-    perm_table: tuple[tuple[int, ...], ...],
-    rng: np.random.Generator,
-) -> AcopBatch:
-    """Split each clip into m equal segments and present them shuffled.
+def acop_make_batch(clips: list[Clip], rng: np.random.Generator) -> AcopBatch:
+    """Split each clip into ``model.ACOP_SEGMENTS`` equal segments and present them shuffled.
 
-    The permutation index is sampled uniformly and becomes the class label.
-    Segments are nearest-frame resampled back to the clip's frame count so
-    the shared backbone sees its usual input width.
+    The order's index in ``model.ACOP_ORDERS`` is sampled uniformly and
+    becomes the class label. Segments are nearest-frame resampled back to
+    the clip's frame count so the shared backbone sees its usual input width.
     """
-    if m < 2:
-        raise ContractError(f"need m >= 2 segments, got {m}")
+    m = model.ACOP_SEGMENTS
     frames, bands = _clip_shape(clips, "acop_make_batch")
     seg_len = frames // m
     if seg_len < MIN_FRAMES:
         raise ContractError(f"clip {clips[0].clip_id} too short for {m} segments ({frames} frames)")
-    n_perms = len(perm_table)
-    # perm_rows[p, k] = source frames of the k-th presented segment under permutation p
+    # order_rows[p, k] = source frames of the k-th presented segment under order p
     seg_rows = np.arange(m)[:, None] * seg_len + resample_frames(np.arange(seg_len), frames)
-    perm_rows = seg_rows[np.asarray(perm_table, dtype=np.intp)]
+    order_rows = seg_rows[np.asarray(model.ACOP_ORDERS, dtype=np.intp)]
     segments = np.empty((len(clips), m, frames, bands))
     labels = np.empty(len(clips), dtype=np.int64)
     for i, clip in enumerate(clips):
-        p = int(rng.integers(0, n_perms))
+        p = int(rng.integers(0, len(order_rows)))
         labels[i] = p
-        clip.features.take(perm_rows[p], axis=0, out=segments[i])
-    return AcopBatch(
-        segments=Tensor(segments.reshape(len(clips) * m, frames * bands)),
-        labels=labels,
-        m=m,
-        n_perms=n_perms,
-    )
+        clip.features.take(order_rows[p], axis=0, out=segments[i])
+    return AcopBatch(segments=Tensor(segments.reshape(len(clips) * m, frames * bands)), labels=labels)
 
 
 def acop_loss(params: model.ParamTree, batch: AcopBatch) -> Tensor:
@@ -227,11 +210,10 @@ def acop_loss(params: model.ParamTree, batch: AcopBatch) -> Tensor:
     emb = model.encode(params, batch.segments)
     n = len(batch.labels)
     embed_dim = emb.shape[1]
-    concat = ad.reshape(emb, (n, batch.m * embed_dim))
+    concat = ad.reshape(emb, (n, model.ACOP_SEGMENTS * embed_dim))
     logits = model.acop_logits(params, concat)
-    mx = ad.detached_rowmax(logits)
-    lse = ad.add(ad.log(ad.sum_axis(ad.exp(ad.sub(logits, mx)), axis=1)), mx)
-    onehot = np.zeros((n, batch.n_perms))
+    lse = _row_logsumexp(logits)
+    onehot = np.zeros((n, len(model.ACOP_ORDERS)))
     onehot[np.arange(n), batch.labels] = 1.0
     picked = ad.sum_axis(ad.mul(logits, Tensor(onehot)), axis=1)
     return ad.mean_all(ad.sub(lse, picked))

@@ -79,7 +79,7 @@ def flatten_layer(params: ParamTree, layer: str) -> np.ndarray:
 
 def tiny_encoder_config(input_dim: int = 10) -> EncoderConfig:
     return EncoderConfig(
-        input_dim=input_dim, hidden_dim=7, embed_dim=6, projection_dim=5, acop_classes=6
+        input_dim=input_dim, hidden_dim=7, embed_dim=6, projection_dim=5
     )
 
 

@@ -19,7 +19,7 @@ from fassl.evaluator import OptimaTracker, TaskAccuracy, evaluate_global, knn_re
 from fassl.model import encode, project, split
 from fassl.orchestrator import RunConfig, initial_state, run
 from fassl.seeding import derive_seed, rng_for
-from fassl.ssl_tasks import acop_loss, acop_make_batch, barlow_twins_loss, canonical_permutations, nt_xent_loss
+from fassl.ssl_tasks import acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 
 from conftest import fd_fixture_ok, finite_diff_grad, gradclose, perturbed_params, tiny_encoder_config
 from test_aggregation import ldawa_oracle, random_updates, tree_from, update
@@ -83,7 +83,7 @@ def test_criterion_01_loss_gradients():
             Clip(features=rng.uniform(0.0, 1.5, size=(10, 1)), label=0, clip_id=i)
             for i in range(4)
         ]
-        batch = acop_make_batch(clips, 3, canonical_permutations(3), rng_for(seed, "acop-fixture"))
+        batch = acop_make_batch(clips, rng_for(seed, "acop-fixture"))
         seed += 1
         # kink-margin screen on the segment batch
         x = batch.segments.data
@@ -269,7 +269,7 @@ def test_criterion_07_end_to_end_determinism(tmp_path, monkeypatch):
         "run", "--rounds", "6", "--clients", "10", "--clients-per-round", "4",
         "--eval-every", "2", "--pretext-classes", "4", "--pretext-per-class", "15",
         "--frames", "16", "--bands", "8", "--hidden-dim", "12", "--embed-dim", "8",
-        "--projection-dim", "8", "--workers", "4", "--strategies", "fedavg,ldawa",
+        "--projection-dim", "8", "--workers", "4", "--strategy", "fedavg,ldawa",
     ]
     outputs = []
     for sub in ("first", "second"):

@@ -14,7 +14,6 @@ from fassl.ssl_tasks import (
     acop_loss,
     acop_make_batch,
     barlow_twins_loss,
-    canonical_permutations,
     nt_xent_loss,
     two_view_batch,
 )
@@ -290,7 +289,7 @@ class TestTrackedInputsOnly:
     def test_step_tape_node_counts(self):
         """Nodes per step, as recorded before vjps were pruned (perfbench's autodiff.tape_nodes)."""
         ds = synth_dataset(2, 4, 12, 4, seed=0)
-        cfg = EncoderConfig(input_dim=48, hidden_dim=7, embed_dim=6, projection_dim=5, acop_classes=6)
+        cfg = EncoderConfig(input_dim=48, hidden_dim=7, embed_dim=6, projection_dim=5)
         params = init_encoder(cfg, seed=1)
         clips = ds.clips[:4]
         with Graph(params.as_dict()) as g:
@@ -303,7 +302,7 @@ class TestTrackedInputsOnly:
             barlow_twins_loss(ad.gather_rows(z, np.arange(0, 8, 2)), ad.gather_rows(z, np.arange(1, 8, 2)), 5e-3)
         assert len(g.nodes) == 43
         with Graph(params.as_dict()) as g:
-            acop_loss(params, acop_make_batch(clips, 3, canonical_permutations(3), rng_for(0, "a")))
+            acop_loss(params, acop_make_batch(clips, rng_for(0, "a")))
         assert len(g.nodes) == 18
 
 

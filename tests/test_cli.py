@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fassl import cli
 from fassl.cli import main
 from fassl.config import (
+    AXES,
     SCHEMA,
     ExperimentSpec,
     apply_overrides,
@@ -74,27 +75,63 @@ class TestParseConfig:
 
     def test_matrix_axes_default_to_singletons(self):
         spec = parse_config_text("strategy = ldawa\nscope = backbone\n")
-        assert spec.matrix_axes() == (("ldawa",), ("backbone",), (1,))
+        [(name, cell)] = spec.cells()
+        assert name == "simclr-ldawa-backbone-e1"
+        assert cell == spec
+        assert [cell[key] for key in AXES] == [("ldawa",), ("backbone",), (1,)]
 
     @pytest.mark.parametrize("line, lineno", [
-        ("strategies = fedavg,ldawa,fedavg", 2), ("local_epochs_list = 1,2,1", 2), ("scopes = full, full", 2),
+        ("strategy = fedavg,ldawa,fedavg", 2), ("local_epochs = 1,2,1", 2), ("scope = full, full", 2),
     ])
     def test_repeated_matrix_value_is_error_with_line_number(self, line, lineno):
         with pytest.raises(ConfigError, match=rf"<config>:{lineno}: .*repeated values"):
             parse_config_text(f"rounds = 2\n{line}\n")
 
+    @pytest.mark.parametrize("key", AXES)
+    @pytest.mark.parametrize("raw", ["", ",", " , "])
+    def test_empty_axis_is_error_with_line_number(self, key, raw):
+        with pytest.raises(ConfigError, match=rf"<config>:2: bad value for '{key}': expected at least one value"):
+            parse_config_text(f"rounds = 2\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("key", ["strategies", "scopes", "local_epochs_list"])
+    def test_replaced_axis_keys_are_unknown_but_their_old_comments_parse(self, key):
+        with pytest.raises(ConfigError, match=rf"<config>:2: unknown key '{key}'"):
+            parse_config_text(f"rounds = 2\n{key} = 1\n")
+        old_comment = f"# {key} = <comma list>  (matrix axis; empty = [{key}])\n"
+        assert parse_config_text(emit_defaults() + old_comment) == default_spec()
+
     def test_matrix_cells_cartesian_product(self):
         spec = parse_config_text(
-            "strategies = fedavg,ldawa\nscopes = full,backbone\nlocal_epochs_list = 1,5\n"
+            "strategy = fedavg,ldawa\nscope = full,backbone\nlocal_epochs = 1,5\n"
         )
         names = [name for name, _ in spec.cells()]
         assert len(names) == 8
         assert "simclr-ldawa-backbone-e5" in names
 
-    def test_flag_overrides_file(self):
-        spec = parse_config_text("rounds = 7\n")
-        spec = apply_overrides(spec, {"rounds": "9"})
-        assert spec["rounds"] == 9
+    @pytest.mark.parametrize("key", AXES)
+    def test_multi_value_axis_has_no_single_run(self, key):
+        spec = parse_config_text("strategy = fedavg,ldawa\nscope = full,backbone\nlocal_epochs = 1,5\n")
+        one_axis_open = ExperimentSpec({**spec.values, **{other: spec[other][:1] for other in AXES if other != key}})
+        with pytest.raises(ConfigError, match=rf"^{key} lists 2 values, but one run takes one$"):
+            one_axis_open.base_run_config()
+        assert [cell.base_run_config().local_epochs for _, cell in spec.cells()] == [1, 5] * 4
+
+    @pytest.mark.parametrize("key", SCHEMA)
+    def test_flag_overrides_file(self, tmp_path, key):
+        defaults = dict(line.split(" = ", 1) for line in emit_defaults().splitlines() if not line.startswith("#"))
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key} = {NON_DEFAULT[key]}\n")
+        from_file = cli._build_spec(cli.build_parser().parse_args(["run", "--config", str(path)]))
+        assert from_file[key] != default_spec()[key]
+        flag = f"--{key.replace('_', '-')}"
+        args = cli.build_parser().parse_args(["run", "--config", str(path), flag, defaults[key]])
+        assert cli._build_spec(args) == default_spec()
+
+    def test_axis_flag_replaces_the_file_axis(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("strategy = fedavg,ldawa\n")
+        args = cli.build_parser().parse_args(["run", "--config", str(path), "--strategy", "fedu"])
+        assert [name for name, _ in cli._build_spec(args).cells()] == ["simclr-fedu-full-e1"]
 
     def test_bad_flag_value(self):
         with pytest.raises(ConfigError):
@@ -183,7 +220,7 @@ def _blas_threads(job):
 class TestCmdRun:
     def test_matrix_produces_one_directory_per_cell(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
-        code = main(["run", *FAST_FLAGS, "--strategies", "fedavg,fairavg", "--scopes", "full,backbone"])
+        code = main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg", "--scope", "full,backbone"])
         assert code == 0
         dirs = sorted(p.name for p in (tmp_path / "out").iterdir() if p.is_dir())
         assert len(dirs) == 4
@@ -211,6 +248,15 @@ class TestCmdRun:
         assert "optimal global model per task" in out
         assert "(" in out and ")" in out  # "acc (round)" style
 
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "--strategies", "fedavg,ldawa"], "unrecognized arguments: --strategies"),
+        (["run", "--rounds"], "argument --rounds: expected one argument"),
+        ([], "required: command"),
+    ])
+    def test_usage_error_exits_1_naming_the_flag(self, capsys, argv, named):
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path))
         assert main(["run", "--alpha", "-3"]) == 1
@@ -237,8 +283,8 @@ class TestCmdRun:
         assert rows and all(row.split(",")[6] == "120" for row in rows)
 
     @pytest.mark.parametrize("flags", [
-        ["--strategies", "fedavg,fedavg", "--local-epochs-list", "1,1"],
-        ["--scopes", "backbone,full,backbone"],
+        ["--strategy", "fedavg,fedavg", "--local-epochs", "1,1"],
+        ["--scope", "backbone,full,backbone"],
     ])
     def test_repeated_matrix_flag_value_exits_1_before_any_cell_directory(self, tmp_path, monkeypatch, capsys, flags):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
@@ -262,7 +308,7 @@ class TestCmdRun:
         out.mkdir()
         (out / "simclr-fedavg-full-e1").write_text("a file where the first cell's directory goes\n")
         monkeypatch.setenv("FASSL_OUT", str(out))
-        flags = [*FAST_FLAGS, "--strategies", "fedavg,fairavg", "--workers", workers]
+        flags = [*FAST_FLAGS, "--strategy", "fedavg,fairavg", "--workers", workers]
         assert main(["run", *flags]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("[simclr-fedavg-full-e1] FAILED: ")
@@ -281,7 +327,7 @@ class TestCmdRun:
         stdout = {}
         for workers in ("1", "2"):
             monkeypatch.setenv("FASSL_OUT", str(tmp_path / workers))
-            flags = [*FAST_FLAGS, "--strategies", "fedavg,ldawa", "--scopes", "full,backbone", "--workers", workers]
+            flags = [*FAST_FLAGS, "--strategy", "fedavg,ldawa", "--scope", "full,backbone", "--workers", workers]
             assert main(["run", *flags]) == 0
             stdout[workers] = capsys.readouterr().out
         assert stdout["1"] == stdout["2"]
@@ -300,7 +346,7 @@ class TestCmdRun:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "_run_cell", _exit_process)
         monkeypatch.setenv("FASSL_OUT", str(tmp_path))
-        assert main(["run", *FAST_FLAGS, "--strategies", "fedavg,fairavg"]) == 2
+        assert main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg"]) == 2
         assert "a cell process died" in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
@@ -312,7 +358,7 @@ class TestCmdRun:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
         monkeypatch.setattr(cli, "_run_cell", _blas_threads)
         monkeypatch.setenv("FASSL_OUT", str(tmp_path))
-        assert main(["run", *FAST_FLAGS, "--strategies", "fedavg,fairavg"]) == 2
+        assert main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg"]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"[simclr-fedavg-full-e1] FAILED: {seen}", f"[simclr-fairavg-full-e1] FAILED: {seen}",
         ]
@@ -336,14 +382,13 @@ class TestCmdRun:
 # a 2x2 strategy x scope grid.
 NON_DEFAULT = {
     "rounds": "2", "clients": "6", "clients_per_round": "3", "local_epochs": "2",
-    "batch_size": "8", "lr": "0.03", "ssl_task": "barlow_twins", "strategy": "ldawa",
-    "scope": "backbone", "alpha": "0.5", "master_seed": "11", "eval_every": "1", "k": "3",
+    "batch_size": "8", "lr": "0.03", "ssl_task": "barlow_twins", "strategy": "fedu,loss",
+    "scope": "full,backbone", "alpha": "0.5", "master_seed": "11", "eval_every": "1", "k": "3",
     "workers": "2", "fedu_mu": "0.7", "loss_weight_direction": "low", "tau": "0.3",
     "bt_lambda": "0.01", "bt_eps": "1e-8", "crop_fraction": "0.6", "noise_std": "0.02",
     "band_mask_prob": "0.2", "pretext_classes": "3", "pretext_per_class": "8", "frames": "16",
     "bands": "8", "hidden_dim": "8", "embed_dim": "6", "projection_dim": "5",
     "feature_layer": "projection", "metric": "euclidean", "out_dir": "elsewhere", "plot": "true",
-    "strategies": "fedu,loss", "scopes": "full,backbone", "local_epochs_list": "2",
 }
 
 

@@ -22,7 +22,7 @@ from fassl.model import (
 
 from conftest import flatten_layer, params_bytes
 
-CFG = EncoderConfig(input_dim=64, hidden_dim=32, embed_dim=16, projection_dim=8, acop_classes=6)
+CFG = EncoderConfig(input_dim=64, hidden_dim=32, embed_dim=16, projection_dim=8)
 
 
 class TestParamTree:

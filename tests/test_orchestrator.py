@@ -9,7 +9,7 @@ import pytest
 from fassl.data import dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ContractError
 from fassl.evaluator import OptimaTracker
-from fassl.model import split
+from fassl.model import ACOP_SEGMENTS, split
 from fassl import ssl_tasks
 from fassl.orchestrator import (
     CSV_HEADER,
@@ -199,13 +199,18 @@ class TestRunConfigValidation:
         with pytest.raises(ContractError, match=f"unknown {field}"):
             replace(SMALL, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [("alpha", 0.0), ("eval_every", 0), ("k", 0), ("workers", -1)])
+    def test_positive_field_error_names_the_field_and_value(self, field, value):
+        with pytest.raises(ContractError, match=rf"^{field} must be positive, got {value}$"):
+            replace(SMALL, **{field: value})
+
     def test_boundary_values_accepted(self):
         cfg = replace(SMALL, bt_lambda=0.0, tau=1e-3, bt_eps=1e-12)
         assert cfg.bt_lambda == 0.0
 
     @pytest.mark.parametrize("ssl_task", SSL_TASKS)
     def test_frames_bound_is_the_fewest_a_step_takes(self, ssl_task):
-        least = ssl_tasks.MIN_FRAMES * (ssl_tasks.ACOP_SEGMENTS if ssl_task == "acop" else 1)
+        least = ssl_tasks.MIN_FRAMES * (ACOP_SEGMENTS if ssl_task == "acop" else 1)
         with pytest.raises(ContractError, match=f"frames >= {least}"):
             replace(SMALL, ssl_task=ssl_task, frames=least - 1)
         cfg = replace(SMALL, ssl_task=ssl_task, frames=least)
@@ -352,6 +357,17 @@ class TestRun:
         pretext, tasks = small_world(cfg)
         result = run(cfg, pretext, tasks)
         assert result.total_steps > 0
+
+    def test_k_above_a_task_train_size_raises_before_any_file(self, tmp_path):
+        cfg = replace(SMALL, rounds=2, eval_every=1)
+        pretext, tasks = small_world(cfg)
+        tasks = [tasks[0], ("tiny", synth_dataset(2, 3, cfg.frames, cfg.bands, seed=1), tasks[0][2])]
+        out = tmp_path / "run"
+        with pytest.raises(ContractError, match=r"k must lie in \[1, 6\] \(train clips of task 'tiny'\), got 7"):
+            run(replace(cfg, k=7), pretext, tasks, out_dir=out)
+        assert not out.exists()
+        result = run(replace(cfg, k=6), pretext, tasks, out_dir=out)
+        assert [(row.task, row.k) for row in result.rows] == [(tasks[0][0], 6), ("tiny", 6)] * 2
 
     def test_csv_and_checkpoints_written(self, tmp_path):
         cfg = replace(SMALL, rounds=2, eval_every=1)

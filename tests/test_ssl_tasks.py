@@ -1,6 +1,7 @@
 """Pretext task tests: augmentation statistics, loss values, loss gradients."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -9,16 +10,14 @@ from fassl import autodiff as ad
 from fassl.autodiff import Graph, Tensor, backward
 from fassl.data import Clip, resample_frames, synth_dataset
 from fassl.errors import ContractError
-from fassl.model import EncoderConfig, encode, init_encoder, project, sgd_step
+from fassl.model import ACOP_ORDERS, EncoderConfig, encode, init_encoder, project, sgd_step
 from fassl.seeding import rng_for
 from fassl.ssl_tasks import (
-    ACOP_SEGMENTS,
     AcopBatch,
     AugmentPolicy,
     acop_loss,
     acop_make_batch,
     barlow_twins_loss,
-    canonical_permutations,
     nt_xent_loss,
     two_view_batch,
 )
@@ -155,14 +154,13 @@ class TestBarlowTwinsLoss:
 
 class TestAcopBatch:
     def test_identity_permutation_keeps_order(self, rng):
-        perms = canonical_permutations(3)
-        assert perms[0] == (0, 1, 2)
+        assert ACOP_ORDERS[0] == (0, 1, 2)
         clip = make_clip(rng, frames=12, bands=2)
         # find a stream whose first draw picks the identity permutation
         seed = next(
-            s for s in range(100) if rng_for(s, "acop-identity").integers(0, len(perms)) == 0
+            s for s in range(100) if rng_for(s, "acop-identity").integers(0, len(ACOP_ORDERS)) == 0
         )
-        batch = acop_make_batch([clip], 3, perms, rng_for(seed, "acop-identity"))
+        batch = acop_make_batch([clip], rng_for(seed, "acop-identity"))
         assert batch.labels.tolist() == [0]
         for i in range(3):
             seg = clip.features[i * 4:(i + 1) * 4]
@@ -173,11 +171,10 @@ class TestAcopBatch:
     def test_label_distribution_approximately_uniform(self, rng):
         """Frequency-count oracle over 10000 draws, generous chi-square bound."""
         clips = [make_clip(rng, clip_id=i) for i in range(10)]
-        perms = canonical_permutations(3)
         stream = rng_for(1, "acop-freq")
         counts = np.zeros(6)
         for _ in range(1000):
-            batch = acop_make_batch(clips, 3, perms, stream)
+            batch = acop_make_batch(clips, stream)
             for lab in batch.labels:
                 counts[lab] += 1
         total = counts.sum()
@@ -188,20 +185,19 @@ class TestAcopBatch:
 
     def test_same_rng_state_same_batch(self, rng):
         clips = [make_clip(rng, clip_id=i) for i in range(4)]
-        perms = canonical_permutations(3)
-        a = acop_make_batch(clips, 3, perms, rng_for(2, "acop"))
-        b = acop_make_batch(clips, 3, perms, rng_for(2, "acop"))
+        a = acop_make_batch(clips, rng_for(2, "acop"))
+        b = acop_make_batch(clips, rng_for(2, "acop"))
         np.testing.assert_array_equal(a.segments.data, b.segments.data)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_short_clip_rejected(self, rng):
         clip = make_clip(rng, frames=5)  # 5 // 3 = 1 frame per segment
         with pytest.raises(ContractError, match="too short"):
-            acop_make_batch([clip], 3, canonical_permutations(3), rng_for(0, "x"))
+            acop_make_batch([clip], rng_for(0, "x"))
 
     def test_segments_shape(self, rng):
         clips = [make_clip(rng, clip_id=i) for i in range(4)]
-        batch = acop_make_batch(clips, 3, canonical_permutations(3), rng_for(0, "x"))
+        batch = acop_make_batch(clips, rng_for(0, "x"))
         assert batch.segments.shape == (12, 12 * 4)
         assert batch.labels.shape == (4,)
 
@@ -215,7 +211,7 @@ class TestAcopLoss:
             else t
         )
         clips = [make_clip(rng, frames=10, bands=1, clip_id=i) for i in range(3)]
-        batch = acop_make_batch(clips, 3, canonical_permutations(3), rng_for(0, "x"))
+        batch = acop_make_batch(clips, rng_for(0, "x"))
         loss = acop_loss(params, batch)
         np.testing.assert_allclose(loss.item(), np.log(6.0), rtol=1e-12)
 
@@ -223,7 +219,7 @@ class TestAcopLoss:
         cfg = tiny_encoder_config()
         params = perturbed_params(cfg, seed=5)
         clips = [make_clip(rng, frames=10, bands=1, clip_id=i) for i in range(4)]
-        batch = acop_make_batch(clips, 3, canonical_permutations(3), rng_for(1, "x"))
+        batch = acop_make_batch(clips, rng_for(1, "x"))
 
         def f(p):
             return acop_loss(p, batch).item()
@@ -240,12 +236,11 @@ class TestAcopLoss:
         cfg = tiny_encoder_config()
         params = init_encoder(cfg, seed=7)
         clips = [make_clip(data_rng, frames=10, bands=1, clip_id=i) for i in range(32)]
-        perms = canonical_permutations(3)
         stream = rng_for(9, "acop-train")
         first = None
         last = None
         for step in range(50):
-            batch = acop_make_batch(clips, 3, perms, stream)
+            batch = acop_make_batch(clips, stream)
             with Graph(params.as_dict()) as g:
                 loss = acop_loss(params, batch)
             params = sgd_step(params, backward(g, loss), lr=0.1)
@@ -291,7 +286,7 @@ class TestSeparableFixtureTraining:
     def test_nt_xent_decreases_under_gradient_steps(self):
         """The pair loss has no floor claim; instead it must train down."""
         ds = synth_dataset(4, 8, 16, 8, seed=13)
-        cfg = EncoderConfig(input_dim=128, hidden_dim=12, embed_dim=8, projection_dim=8, acop_classes=6)
+        cfg = EncoderConfig(input_dim=128, hidden_dim=12, embed_dim=8, projection_dim=8)
         params = init_encoder(cfg, seed=13)
         policy = AugmentPolicy(0.8, 0.05, 0.1)
         probe = two_view_batch(ds.clips, policy, rng_for(14, "nt-probe"))
@@ -312,7 +307,7 @@ class TestSeparableFixtureTraining:
 class TestAcopLossBatchOrder:
     def test_loss_invariant_to_consistent_clip_reshuffle(self, rng):
         clips = [make_clip(rng, frames=9, bands=2, clip_id=i) for i in range(5)]
-        batch = acop_make_batch(clips, 3, canonical_permutations(3), rng_for(3, "x"))
+        batch = acop_make_batch(clips, rng_for(3, "x"))
         cfg = tiny_encoder_config(input_dim=18)
         params = perturbed_params(cfg, seed=3)
         base = acop_loss(params, batch).item()
@@ -321,8 +316,6 @@ class TestAcopLossBatchOrder:
         shuffled = AcopBatch(
             segments=Tensor(batch.segments.data[seg_rows]),
             labels=batch.labels[order],
-            m=3,
-            n_perms=6,
         )
         np.testing.assert_allclose(acop_loss(params, shuffled).item(), base, rtol=1e-12)
 
@@ -355,7 +348,7 @@ class TestNonFiniteClipRejectedByBatch:
 
     def test_acop_make_batch(self, rng, bad):
         with pytest.raises(ContractError, match="finite"):
-            acop_make_batch(self.clips(rng, bad), 3, canonical_permutations(3), rng_for(0, "x"))
+            acop_make_batch(self.clips(rng, bad), rng_for(0, "x"))
 
 
 def reference_two_view_batch(clips, policy, rng) -> np.ndarray:
@@ -384,8 +377,10 @@ def reference_two_view_batch(clips, policy, rng) -> np.ndarray:
     return np.stack(rows)
 
 
-def reference_acop_make_batch(clips, m, perm_table, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment oracle: one permutation draw per clip, one resample per segment."""
+def reference_acop_make_batch(clips, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment oracle over 3 segments: one lexicographic-order draw per clip, one resample per segment."""
+    m = 3
+    perm_table = list(itertools.permutations(range(m)))
     rows, labels = [], []
     for clip in clips:
         frames = clip.features.shape[0]
@@ -499,21 +494,12 @@ class TestBatchBuildersMatchPerViewOracle:
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     def test_acop_make_batch(self, n, shape):
         clips = oracle_clips(n, *shape)
-        perms = canonical_permutations(ACOP_SEGMENTS)
         ours_rng, ref_rng = rng_for(8, "oracle-acop", n), rng_for(8, "oracle-acop", n)
-        batch = acop_make_batch(clips, ACOP_SEGMENTS, perms, ours_rng)
-        ref_segments, ref_labels = reference_acop_make_batch(clips, ACOP_SEGMENTS, perms, ref_rng)
+        batch = acop_make_batch(clips, ours_rng)
+        ref_segments, ref_labels = reference_acop_make_batch(clips, ref_rng)
         assert_same_bytes(batch.segments.data, ref_segments)
         assert_same_bytes(batch.labels, ref_labels)
         assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
-
-    def test_acop_two_segments(self):
-        clips = oracle_clips(5, 31, 5)
-        perms = canonical_permutations(2)
-        batch = acop_make_batch(clips, 2, perms, rng_for(1, "oracle-acop-2"))
-        ref_segments, ref_labels = reference_acop_make_batch(clips, 2, perms, rng_for(1, "oracle-acop-2"))
-        assert_same_bytes(batch.segments.data, ref_segments)
-        assert_same_bytes(batch.labels, ref_labels)
 
 
 def pinned_clips() -> list[Clip]:
@@ -536,7 +522,7 @@ class TestPinnedBatchDigests:
         )
 
     def test_acop_make_batch(self):
-        batch = acop_make_batch(pinned_clips(), 3, canonical_permutations(3), rng_for(2, "pinned-acop"))
+        batch = acop_make_batch(pinned_clips(), rng_for(2, "pinned-acop"))
         assert batch.segments.shape == (24, 512)
         assert batch.labels.tolist() == [2, 0, 5, 5, 4, 5, 1, 0]
         assert hashlib.sha256(batch.segments.data.tobytes()).hexdigest() == (
@@ -549,11 +535,11 @@ class TestBatchShapeContract:
         with pytest.raises(ContractError, match="at least one clip"):
             two_view_batch([], AugmentPolicy(), rng_for(0, "x"))
         with pytest.raises(ContractError, match="at least one clip"):
-            acop_make_batch([], 3, canonical_permutations(3), rng_for(0, "x"))
+            acop_make_batch([], rng_for(0, "x"))
 
     def test_mixed_clip_shapes_rejected(self, rng):
         clips = [make_clip(rng, frames=12, bands=4), make_clip(rng, frames=8, bands=6, clip_id=1)]
         with pytest.raises(ContractError, match="one shape"):
             two_view_batch(clips, AugmentPolicy(), rng_for(0, "x"))
         with pytest.raises(ContractError, match="one shape"):
-            acop_make_batch(clips, 3, canonical_permutations(3), rng_for(0, "x"))
+            acop_make_batch(clips, rng_for(0, "x"))
