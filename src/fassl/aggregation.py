@@ -20,13 +20,12 @@ sorted and checked once per ``aggregate`` call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ContractError
+from .errors import POSITIVE, ContractError, check_fields, one_of
 from .model import ParamTree, layer_names, merge, split
 
 STRATEGY_KINDS = ("fedavg", "fairavg", "loss", "fedu", "ldawa")
@@ -34,21 +33,16 @@ STRATEGY_KINDS = ("fedavg", "fairavg", "loss", "fedu", "ldawa")
 
 @dataclass(frozen=True)
 class Strategy:
-    """Aggregation strategy selector plus its parameters."""
+    """Aggregation strategy selector plus its parameters; only fedu reads fedu_mu, but every kind checks it."""
 
     kind: str
     fedu_mu: float = 0.5
     loss_direction: str = "high"  # "high": underfit clients weigh more; "low": inverse
 
+    RULES = {"kind": one_of(*STRATEGY_KINDS), "fedu_mu": POSITIVE, "loss_direction": one_of("high", "low")}
+
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ContractError(f"unknown strategy {self.kind!r}, expected one of {STRATEGY_KINDS}")
-        if not math.isfinite(self.fedu_mu):
-            raise ContractError(f"fedu_mu must be finite, got {self.fedu_mu}")
-        if self.kind == "fedu" and self.fedu_mu <= 0:
-            raise ContractError(f"fedu divergence threshold must be positive, got {self.fedu_mu}")
-        if self.loss_direction not in ("high", "low"):
-            raise ContractError(f"loss_direction must be 'high' or 'low', got {self.loss_direction!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

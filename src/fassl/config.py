@@ -1,12 +1,16 @@
 """Flat key=value experiment configuration.
 
 The file format is one ``key = value`` per line; blank lines and lines
-starting with ``#`` are ignored. Unknown keys and malformed or out-of-range
-values are rejected with the offending line number. Rules across keys
-(``clients_per_round <= clients``, enough pretext clips for every client,
-enough frames for the pretext task's views or segments) are checked when
-``base_run_config`` builds the run, so a command that trains nothing does
-not enforce them.
+starting with ``#`` are ignored. An unknown key, a key set twice, and a
+malformed or out-of-range value are rejected with the line number. The
+parser only converts text (``SCHEMA``'s converters are ``int``, ``float``,
+``str``, a boolean, or a comma list of one), then checks each value, under
+its key's name, by the ``RULES`` entry of the dataclass that owns the key's
+field (see ``errors``), so the message is the one that dataclass gives.
+Rules across keys (``clients_per_round <= clients``, enough pretext clips
+for every client, enough frames for the pretext task's views or segments)
+are checked when ``base_run_config`` builds the run, so a command that
+trains nothing does not enforce them.
 Flags override file values, which override defaults. ``SCHEMA`` is the one
 table of keys: it maps each key to the ``RunConfig`` field it sets, and run
 defaults are read from the dataclasses, so a spec, its ``RunConfig`` and
@@ -22,16 +26,12 @@ describes one cell and rejects an axis that lists more than one value.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
-from .aggregation import STRATEGY_KINDS
-from .errors import ConfigError, ContractError
-from .evaluator import FEATURE_LAYERS, METRICS
-from .model import SCOPES
-from .orchestrator import SSL_TASKS, RunConfig
+from .errors import ConfigError, ContractError, check
+from .orchestrator import RunConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -43,66 +43,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _choice(*options: str):
-    def parse(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"expected one of {options}, got {raw!r}")
-        return raw
-
-    return parse
-
-
-def _positive_int(raw: str) -> int:
-    v = int(raw)
-    if v < 1:
-        raise ValueError(f"expected a positive integer, got {v}")
-    return v
-
-
-def _positive_float(raw: str) -> float:
-    v = float(raw)
-    if not 0 < v < math.inf:
-        raise ValueError(f"expected a finite positive number, got {v}")
-    return v
-
-
-def _nonneg_float(raw: str) -> float:
-    v = float(raw)
-    if not 0 <= v < math.inf:
-        raise ValueError(f"expected a finite non-negative number, got {v}")
-    return v
-
-
-def _unit_fraction(raw: str) -> float:
-    v = float(raw)
-    if not 0.0 < v <= 1.0:
-        raise ValueError(f"expected a value in (0, 1], got {v}")
-    return v
-
-
-def _probability(raw: str) -> float:
-    v = float(raw)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"expected a value in [0, 1], got {v}")
-    return v
-
-
-def _distinct(items: tuple) -> tuple:
-    """The axis values as given; a repeat is an error, since its two cells would share one directory."""
-    repeated = sorted({str(v) for v in items if items.count(v) > 1})
-    if repeated:
-        raise ValueError(f"repeated values {repeated}")
-    return items
-
-
-def _axis(parse_one):
-    """Parser of a matrix axis: a comma list of distinct values, each read by parse_one."""
+def _axis(convert):
+    """Converter of a matrix axis: a comma list of distinct values, each read by convert."""
 
     def parse(raw: str) -> tuple:
-        items = tuple(parse_one(s.strip()) for s in raw.split(",") if s.strip())
+        items = tuple(convert(s.strip()) for s in raw.split(",") if s.strip())
         if not items:
             raise ValueError("expected at least one value")
-        return _distinct(items)
+        repeated = sorted({str(v) for v in items if items.count(v) > 1})
+        if repeated:  # the two cells of a repeated value would share one directory
+            raise ValueError(f"repeated values {repeated}")
+        return items
 
     return parse
 
@@ -110,52 +61,54 @@ def _axis(parse_one):
 # Keys whose value is a tuple of distinct values, one matrix cell per point.
 AXES = ("strategy", "scope", "local_epochs")
 
-# key -> (parser, RunConfig field path, help). A dotted path reaches into
+# key -> (converter, RunConfig field path, help). A dotted path reaches into
 # the nested Strategy / AugmentPolicy; None marks a key that configures the
 # CLI rather than a run, whose default lives in CLI_DEFAULTS. Every other
-# default is read from RunConfig().
+# default is read from RunConfig(), and every other rule from the RULES
+# table of the dataclass that owns the path's field.
 SCHEMA: dict[str, tuple] = {
-    "rounds": (_positive_int, "rounds", "federated rounds R"),
-    "clients": (_positive_int, "n_clients", "client pool size N"),
-    "clients_per_round": (_positive_int, "clients_per_round", "clients sampled per round s"),
-    "local_epochs": (_axis(_positive_int), "local_epochs", "local epochs E per round"),
-    "batch_size": (_positive_int, "batch_size", "local batch size"),
-    "lr": (_positive_float, "lr", "constant SGD learning rate"),
-    "ssl_task": (_choice(*SSL_TASKS), "ssl_task", "pretext task"),
-    "strategy": (_axis(_choice(*STRATEGY_KINDS)), "strategy.kind", "aggregation strategy"),
-    "scope": (_axis(_choice(*SCOPES)), "scope", "transceived parameter scope"),
-    "alpha": (_positive_float, "alpha", "Dirichlet heterogeneity coefficient"),
+    "rounds": (int, "rounds", "federated rounds R"),
+    "clients": (int, "n_clients", "client pool size N"),
+    "clients_per_round": (int, "clients_per_round", "clients sampled per round s"),
+    "local_epochs": (_axis(int), "local_epochs", "local epochs E per round"),
+    "batch_size": (int, "batch_size", "local batch size"),
+    "lr": (float, "lr", "constant SGD learning rate"),
+    "ssl_task": (str, "ssl_task", "pretext task"),
+    "strategy": (_axis(str), "strategy.kind", "aggregation strategy"),
+    "scope": (_axis(str), "scope", "transceived parameter scope"),
+    "alpha": (float, "alpha", "Dirichlet heterogeneity coefficient"),
     "master_seed": (int, "master_seed", "root seed for every stream"),
-    "eval_every": (_positive_int, "eval_every", "rounds between downstream evaluations"),
-    "k": (_positive_int, "k", "k for retrieval"),
-    "workers": (
-        _positive_int, "workers", "processes `fassl run` spreads matrix cells over; a single run ignores it"
-    ),
-    "fedu_mu": (_positive_float, "strategy.fedu_mu", "relative divergence gate for fedu heads"),
-    "loss_weight_direction": (
-        _choice("high", "low"), "strategy.loss_direction", "loss strategy: weigh high- or low-loss clients"
-    ),
-    "tau": (_positive_float, "tau", "contrastive temperature"),
-    "bt_lambda": (_nonneg_float, "bt_lambda", "off-diagonal weight of the matching loss"),
-    "bt_eps": (_positive_float, "bt_eps", "std guard in column standardization"),
-    "crop_fraction": (_unit_fraction, "augment.crop_fraction", "time-crop fraction for views"),
-    "noise_std": (_nonneg_float, "augment.noise_std", "additive view noise std"),
-    "band_mask_prob": (_probability, "augment.band_mask_prob", "per-band dropout probability"),
-    "pretext_classes": (_positive_int, "pretext_classes", "pretext dataset classes"),
-    "pretext_per_class": (_positive_int, "pretext_per_class", "pretext clips per class"),
-    "frames": (_positive_int, "frames", "frames per clip"),
-    "bands": (_positive_int, "bands", "bands per clip"),
-    "hidden_dim": (_positive_int, "hidden_dim", "encoder hidden width"),
-    "embed_dim": (_positive_int, "embed_dim", "backbone embedding width"),
-    "projection_dim": (_positive_int, "projection_dim", "projection head output width"),
-    "feature_layer": (_choice(*FEATURE_LAYERS), "feature_layer", "retrieval feature layer"),
-    "metric": (_choice(*METRICS), "metric", "retrieval distance"),
+    "eval_every": (int, "eval_every", "rounds between downstream evaluations"),
+    "k": (int, "k", "k for retrieval"),
+    "workers": (int, "workers", "processes `fassl run` spreads matrix cells over; a single run ignores it"),
+    "fedu_mu": (float, "strategy.fedu_mu", "relative divergence gate for fedu heads"),
+    "loss_weight_direction": (str, "strategy.loss_direction", "loss strategy: weigh high- or low-loss clients"),
+    "tau": (float, "tau", "contrastive temperature"),
+    "bt_lambda": (float, "bt_lambda", "off-diagonal weight of the matching loss"),
+    "bt_eps": (float, "bt_eps", "std guard in column standardization"),
+    "crop_fraction": (float, "augment.crop_fraction", "time-crop fraction for views"),
+    "noise_std": (float, "augment.noise_std", "additive view noise std"),
+    "band_mask_prob": (float, "augment.band_mask_prob", "per-band dropout probability"),
+    "pretext_classes": (int, "pretext_classes", "pretext dataset classes"),
+    "pretext_per_class": (int, "pretext_per_class", "pretext clips per class"),
+    "frames": (int, "frames", "frames per clip"),
+    "bands": (int, "bands", "bands per clip"),
+    "hidden_dim": (int, "hidden_dim", "encoder hidden width"),
+    "embed_dim": (int, "embed_dim", "backbone embedding width"),
+    "projection_dim": (int, "projection_dim", "projection head output width"),
+    "feature_layer": (str, "feature_layer", "retrieval feature layer"),
+    "metric": (str, "metric", "retrieval distance"),
     "out_dir": (str, None, "output directory (FASSL_OUT env overrides)"),
     "plot": (_parse_bool, None, "emit SVG plots after a run"),
 }
 
 CLI_DEFAULTS = {"out_dir": "results", "plot": False}
 _DEFAULT_RUN = RunConfig()
+
+
+def _owner(head: str) -> type:
+    """The dataclass that owns the fields under a SCHEMA path's head ('' for RunConfig's own)."""
+    return type(getattr(_DEFAULT_RUN, head)) if head else RunConfig
 
 
 @dataclass(frozen=True)
@@ -183,7 +136,7 @@ class ExperimentSpec:
             (nested.setdefault(head, {}) if head else top)[name] = value
         try:
             for head, kwargs in nested.items():
-                top[head] = type(getattr(_DEFAULT_RUN, head))(**kwargs)
+                top[head] = _owner(head)(**kwargs)
             return RunConfig(**top)
         except ContractError as exc:
             raise ConfigError(str(exc)) from exc
@@ -214,8 +167,20 @@ def default_spec() -> ExperimentSpec:
     return ExperimentSpec(values=dict(values, **{key: (values[key],) for key in AXES}))
 
 
+def _parse(key: str, raw: str):
+    """Convert a key's text, then check each value against the rule its owner states for the field."""
+    convert, path, _ = SCHEMA[key]
+    value = convert(raw)
+    if path is not None:
+        head, _, name = path.rpartition(".")
+        for item in value if key in AXES else (value,):
+            check(key, item, _owner(head).RULES[name])
+    return value
+
+
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentSpec:
     values = dict(default_spec().values)
+    first_line: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -224,12 +189,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentSpec:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        raw_value = raw_value.strip()
         if key not in SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        parser = SCHEMA[key][0]
+        if key in first_line:
+            raise ConfigError(f"{source}:{lineno}: key {key!r} is already set on line {first_line[key]}")
+        first_line[key] = lineno
         try:
-            values[key] = parser(raw_value)
+            values[key] = _parse(key, raw_value.strip())
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentSpec(values=values)
@@ -255,9 +221,8 @@ def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> Experime
     for key, raw in overrides.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        parser = SCHEMA[key][0]
         try:
-            values[key] = parser(raw)
+            values[key] = _parse(key, raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for flag --{key.replace('_', '-')}: {exc}") from exc
     return ExperimentSpec(values=values)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError
+from .errors import COUNT, ContractError, check_fields
 
 BACKBONE_PREFIX = "backbone."
 SCOPES = ("full", "backbone")
@@ -123,10 +123,10 @@ class EncoderConfig:
     embed_dim: int
     projection_dim: int
 
+    RULES = {"input_dim": COUNT, "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT}
+
     def __post_init__(self):
-        for field in ("input_dim", "hidden_dim", "embed_dim", "projection_dim"):
-            if getattr(self, field) < 1:
-                raise ContractError(f"{field} must be >= 1")
+        check_fields(self)
 
 
 def _linear_layers(cfg: EncoderConfig) -> list[tuple[str, int, int]]:

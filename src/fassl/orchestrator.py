@@ -7,6 +7,9 @@ aggregation so the floating-point reduction order is fixed. Two runs with
 the same config produce byte-identical CSVs and checkpoints, whether they
 run alone or next to other cells in parallel processes (``workers`` is read
 only by ``fassl run``, which spreads matrix cells over that many processes).
+``RunConfig`` states each field's rule in its ``RULES`` table (see
+``errors``) and checks the rules across fields after it, so a bad setting
+fails where the config is built and never inside a round.
 
 In backbone-only scope the server transmits and receives just the backbone;
 each client's head lives in the server-side state purely as simulation
@@ -27,7 +30,6 @@ evaluation do not run on top of every sampled client's tree.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -40,7 +42,7 @@ from .aggregation import ClientUpdate, Strategy, aggregate, scope_apply
 from .autodiff import Graph, backward
 from .checkpoint import save_params
 from .data import Clip, Partition, SynthDataset, dirichlet_partition
-from .errors import ContractError
+from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check_fields, instance_of, one_of
 from .evaluator import (
     FEATURE_LAYERS,
     METRICS,
@@ -97,36 +99,28 @@ class RunConfig:
     feature_layer: str = "backbone"
     metric: str = "cosine"
 
+    RULES = {
+        "rounds": COUNT, "n_clients": COUNT, "clients_per_round": COUNT, "local_epochs": COUNT, "batch_size": COUNT,
+        "lr": POSITIVE, "ssl_task": one_of(*SSL_TASKS), "strategy": instance_of(Strategy), "scope": one_of(*SCOPES),
+        "alpha": POSITIVE,
+        # derive_seed reads the seed as 64 unsigned bits, so a seed outside them would alias another's streams
+        "master_seed": (int, lambda v: 0 <= v < 2**64, "{name} must lie in [0, 2**64), got {value}"),
+        "eval_every": COUNT, "k": COUNT, "workers": COUNT, "tau": POSITIVE, "bt_lambda": NON_NEGATIVE,
+        "bt_eps": POSITIVE, "augment": instance_of(AugmentPolicy), "frames": COUNT, "bands": COUNT,
+        "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT, "pretext_classes": COUNT,
+        "pretext_per_class": COUNT, "feature_layer": one_of(*FEATURE_LAYERS), "metric": one_of(*METRICS),
+    }
+
     def __post_init__(self):
-        if not 1 <= self.clients_per_round <= self.n_clients:
-            raise ContractError(
-                f"need 1 <= clients_per_round <= n_clients, got {self.clients_per_round}/{self.n_clients}"
-            )
-        if self.rounds < 1 or self.local_epochs < 1 or self.batch_size < 1:
-            raise ContractError("rounds, local_epochs and batch_size must all be >= 1")
-        for name in ("lr", "alpha", "tau", "bt_lambda", "bt_eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ContractError(f"lr must be positive, got {self.lr}")
-        if self.tau <= 0 or self.bt_eps <= 0:
-            raise ContractError(f"tau and bt_eps must be positive, got {self.tau} and {self.bt_eps}")
-        if self.bt_lambda < 0:
-            raise ContractError(f"bt_lambda must be >= 0, got {self.bt_lambda}")
-        for name, choices in (
-            ("ssl_task", SSL_TASKS), ("scope", SCOPES), ("feature_layer", FEATURE_LAYERS), ("metric", METRICS)
-        ):
-            if getattr(self, name) not in choices:
-                raise ContractError(f"unknown {name} {getattr(self, name)!r}, expected one of {choices}")
+        check_fields(self)
+        if self.clients_per_round > self.n_clients:
+            raise ContractError(f"need clients_per_round <= n_clients, got {self.clients_per_round}/{self.n_clients}")
         min_frames = ssl_tasks.MIN_FRAMES * (ACOP_SEGMENTS if self.ssl_task == "acop" else 1)
         if self.frames < min_frames:
             raise ContractError(f"{self.ssl_task} needs frames >= {min_frames}, got {self.frames}")
         pretext_clips = self.pretext_classes * self.pretext_per_class
         if self.n_clients > pretext_clips:
             raise ContractError(f"{pretext_clips} pretext clips cannot cover n_clients={self.n_clients}")
-        for name in ("alpha", "eval_every", "k", "workers"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def input_dim(self) -> int:

@@ -18,7 +18,6 @@ one permutation draw per clip.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from . import autodiff as ad
 from . import model
 from .autodiff import Tensor
 from .data import Clip, resample_frames
-from .errors import ContractError
+from .errors import NON_NEGATIVE, ContractError, check_fields
 
 # Fewest frames a view's source clip and an acop segment may have.
 MIN_FRAMES = 2
@@ -49,13 +48,14 @@ class AugmentPolicy:
     noise_std: float = 0.05
     band_mask_prob: float = 0.1
 
+    RULES = {
+        "crop_fraction": (float, lambda v: 0.0 < v <= 1.0, "{name} must be in (0, 1], got {value}"),
+        "noise_std": NON_NEGATIVE,
+        "band_mask_prob": (float, lambda v: 0.0 <= v <= 1.0, "{name} must be in [0, 1], got {value}"),
+    }
+
     def __post_init__(self):
-        if not 0.0 < self.crop_fraction <= 1.0:
-            raise ContractError(f"crop_fraction must be in (0, 1], got {self.crop_fraction}")
-        if not 0.0 <= self.noise_std < math.inf:  # also false for NaN
-            raise ContractError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if not 0.0 <= self.band_mask_prob <= 1.0:
-            raise ContractError(f"band_mask_prob must be in [0, 1], got {self.band_mask_prob}")
+        check_fields(self)
 
 
 def _clip_shape(clips: list[Clip], what: str) -> tuple[int, int]:

@@ -256,6 +256,11 @@ class TestFedU:
         with pytest.raises(ContractError):
             Strategy("fedu", fedu_mu=0.0)
 
+    @pytest.mark.parametrize("kind", ["fedavg", "ldawa"])
+    def test_mu_must_be_positive_for_every_kind(self, kind):
+        with pytest.raises(ContractError, match=r"^fedu_mu must be positive, got -1.0$"):
+            Strategy(kind, fedu_mu=-1.0)
+
     @pytest.mark.parametrize("kind", ["fedu", "fedavg"])
     @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_mu_rejected_for_every_kind(self, kind, mu):

@@ -1,4 +1,5 @@
-"""Guards on the package's shape: public names have callers, no autodiff in data, concurrency in the CLI, no asserts.
+"""Guards on the package's shape: public names have callers, no autodiff in data, concurrency in the CLI, no asserts,
+and config states no rule of its own.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -12,6 +13,8 @@ the tests.
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,6 +126,23 @@ def test_imported_package_modules_sees_every_import_form():
     ):
         assert imported_package_modules(ast.parse(source)) == {"autodiff"}, source
     assert imported_package_modules(ast.parse("import numpy\nfrom .errors import ContractError")) == {"errors"}
+
+
+def test_config_only_converts_text():
+    """A key's rule lives in its dataclass's RULES: SCHEMA holds plain converters, and config imports no choices."""
+    from fassl import config
+
+    plain = {int, float, str, config._parse_bool}
+    for key, (convert, _, _) in config.SCHEMA.items():
+        if convert.__qualname__ == "_axis.<locals>.parse":
+            convert = inspect.getclosurevars(convert).nonlocals["convert"]
+        assert convert in plain, key
+    path = ROOT / "src" / "fassl" / "config.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        module = _package_module(node) if isinstance(node, ast.ImportFrom) else None
+        for alias in node.names if module is not None else ():
+            imported = getattr(importlib.import_module(f"fassl.{module}" if module else "fassl"), alias.name)
+            assert not isinstance(imported, tuple), f"config imports the choice tuple {alias.name}"
 
 
 def test_no_assert_statement_in_the_package():

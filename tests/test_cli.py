@@ -73,6 +73,38 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config_text("clients = 5\nclients_per_round = 10\n").base_run_config()
 
+    def test_repeated_key_is_error_naming_both_lines(self):
+        with pytest.raises(ConfigError, match=r"^<config>:3: key 'strategy' is already set on line 1$"):
+            parse_config_text("strategy = fedavg\n# a later line sets it again\nstrategy = ldawa\n")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_master_seed_range_ends_parse(self, seed):
+        assert parse_config_text(f"master_seed = {seed}\n").base_run_config().master_seed == seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_64_bits_is_error_with_line_number(self, seed):
+        message = rf"^<config>:2: bad value for 'master_seed': master_seed must lie in \[0, 2\*\*64\), got {seed}$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"rounds = 2\nmaster_seed = {seed}\n")
+
+    @pytest.mark.parametrize("key", [key for key, (_, path, _) in SCHEMA.items() if path is not None])
+    def test_bad_value_error_is_its_owner_error_with_line_number(self, key):
+        """Config states no rule: a value's error past the line number is its dataclass's, named by the key."""
+        convert, path, _ = SCHEMA[key]
+        raw = REJECTED[key]
+        value = convert(raw)
+        if key in AXES:
+            (value,) = value
+        head, _, name = path.rpartition(".")
+        owner = getattr(RunConfig(), head) if head else RunConfig()
+        with pytest.raises(ContractError) as owner_error:
+            dataclasses.replace(owner, **{name: value})
+        with pytest.raises(ConfigError) as config_error:
+            parse_config_text(f"# one value its owner rejects\n{key} = {raw}\n")
+        message = str(config_error.value)
+        assert message.startswith(f"<config>:2: bad value for '{key}': ")
+        assert message.endswith(str(owner_error.value).replace(name, key, 1))
+
     def test_matrix_axes_default_to_singletons(self):
         spec = parse_config_text("strategy = ldawa\nscope = backbone\n")
         [(name, cell)] = spec.cells()
@@ -148,6 +180,18 @@ class TestParseConfig:
                 fields.append(f.name)
         paths = [path for _, path, _ in SCHEMA.values() if path is not None]
         assert sorted(paths) == sorted(fields)
+
+
+# A value the owner of each key's field rejects, as config text.
+REJECTED = {
+    "rounds": "0", "clients": "0", "clients_per_round": "0", "local_epochs": "0", "batch_size": "-1",
+    "lr": "nan", "ssl_task": "rotation", "strategy": "fedprox", "scope": "head", "alpha": "-0.5",
+    "master_seed": "-1", "eval_every": "0", "k": "0", "workers": "0", "fedu_mu": "-1",
+    "loss_weight_direction": "middle", "tau": "0", "bt_lambda": "-0.001", "bt_eps": "inf",
+    "crop_fraction": "1.5", "noise_std": "-0.1", "band_mask_prob": "1.01", "pretext_classes": "0",
+    "pretext_per_class": "0", "frames": "0", "bands": "0", "hidden_dim": "0", "embed_dim": "-3",
+    "projection_dim": "0", "feature_layer": "fc1", "metric": "l1",
+}
 
 
 FAST_FLAGS = [

@@ -1,15 +1,16 @@
 """Round loop tests: sampling, local training, state advance, determinism."""
 
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from fassl.aggregation import Strategy
 from fassl.data import dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ContractError
 from fassl.evaluator import OptimaTracker
-from fassl.model import ACOP_SEGMENTS, split
+from fassl.model import ACOP_SEGMENTS, EncoderConfig, split
 from fassl import ssl_tasks
 from fassl.orchestrator import (
     CSV_HEADER,
@@ -23,6 +24,7 @@ from fassl.orchestrator import (
     sample_clients,
 )
 from fassl.seeding import derive_seed
+from fassl.ssl_tasks import AugmentPolicy
 
 from conftest import params_bytes
 
@@ -199,7 +201,9 @@ class TestRunConfigValidation:
         with pytest.raises(ContractError, match=f"unknown {field}"):
             replace(SMALL, **{field: value})
 
-    @pytest.mark.parametrize("field, value", [("alpha", 0.0), ("eval_every", 0), ("k", 0), ("workers", -1)])
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", 0.0), ("eval_every", 0), ("k", 0), ("workers", -1), ("hidden_dim", 0), ("bands", 0), ("embed_dim", -3),
+    ])
     def test_positive_field_error_names_the_field_and_value(self, field, value):
         with pytest.raises(ContractError, match=rf"^{field} must be positive, got {value}$"):
             replace(SMALL, **{field: value})
@@ -207,6 +211,31 @@ class TestRunConfigValidation:
     def test_boundary_values_accepted(self):
         cfg = replace(SMALL, bt_lambda=0.0, tau=1e-3, bt_eps=1e-12)
         assert cfg.bt_lambda == 0.0
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("rounds", 2.5, "an integer"), ("batch_size", True, "an integer"), ("k", 1.0, "an integer"),
+        ("n_clients", "8", "an integer"), ("lr", "0.1", "a number"), ("tau", True, "a number"),
+        ("metric", 1, "a string"), ("strategy", "fedavg", "of type Strategy"),
+    ])
+    def test_value_of_another_type_is_refused_naming_the_type(self, field, value, kind):
+        with pytest.raises(ContractError, match=rf"^{field} must be {kind}, got {value!r}$"):
+            replace(SMALL, **{field: value})
+
+    def test_integer_fields_take_any_integral_value(self):
+        assert replace(SMALL, rounds=np.int64(3)).rounds == 3
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_master_seed_range_ends_accepted(self, seed):
+        assert replace(SMALL, master_seed=seed).master_seed == seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ContractError, match=rf"^master_seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            replace(SMALL, master_seed=seed)
+
+    @pytest.mark.parametrize("owner", [RunConfig, Strategy, AugmentPolicy, EncoderConfig])
+    def test_rules_table_covers_every_field_in_order(self, owner):
+        assert list(owner.RULES) == [f.name for f in fields(owner)]
 
     @pytest.mark.parametrize("ssl_task", SSL_TASKS)
     def test_frames_bound_is_the_fewest_a_step_takes(self, ssl_task):
