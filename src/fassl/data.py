@@ -5,15 +5,17 @@ family builds class identity from a different ingredient (band profile,
 temporal envelope, or noise texture), which gives the downstream suite
 heterogeneous tasks whose generators are disjoint from the pretext set's.
 
-A generated dataset owns one read-only (n, frames*bands) matrix, and each
-clip's features are the (frames, bands) view of its row: a plain float64
-array, not a tensor, since nothing differentiates a clip. The generators
-draw a split's noise in one ``normal`` call straight into that matrix (the
-same stream and bytes as one call per clip), check the whole matrix for
-finiteness once, and wrap its rows without copying, so evaluation reads the
-matrix as it is instead of re-concatenating the clips. Clip values reach a
-computation only through a ``Tensor`` that checks them again: a training
-batch in ``ssl_tasks``, an encoded dataset in ``evaluator``.
+A generated dataset owns one read-only (n, frames*bands) matrix: row i is
+clip i, and its label is ``labels()[i]``. The generators draw a split's
+noise in one ``normal`` call straight into that matrix (the same stream and
+bytes as one call per clip) and check the whole matrix for finiteness once.
+Training and evaluation read the rows: a partition's shards are row
+indices, a client trains on ``clip_array()`` rows taken by its shard, and
+evaluation encodes the matrix as it is. Each ``Clip`` is a plain float64
+view of its row, not a tensor, since nothing differentiates a clip. Clip
+values reach a computation only through a ``Tensor`` that checks them
+again: a training batch in ``ssl_tasks``, an encoded dataset in
+``evaluator``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ PRETEXT_NOISE_STD = 0.1
 
 @dataclass
 class Clip:
-    """One synthetic clip: a (frames, bands) float64 feature array, a class label, and an id.
+    """One synthetic clip: a (frames, bands) float64 feature array and a class label.
 
     A generated clip's features are the read-only view of its row in its
     dataset's matrix. Construction checks the type only: anything but a 2-d
@@ -42,13 +44,12 @@ class Clip:
 
     features: np.ndarray
     label: int
-    clip_id: int
 
     def __post_init__(self):
         f = self.features
         if not isinstance(f, np.ndarray) or f.ndim != 2 or f.dtype != np.float64:
             what = f"{f.ndim}-d {f.dtype} array" if isinstance(f, np.ndarray) else type(f).__name__
-            raise ContractError(f"clip {self.clip_id} features must be a 2-d float64 ndarray, got a {what}")
+            raise ContractError(f"clip features must be a 2-d float64 ndarray, got a {what}")
 
 
 @dataclass
@@ -58,37 +59,30 @@ class SynthDataset:
     The generators fill one C-contiguous, read-only (n, frames*bands) matrix
     and pass it as ``_features``: row i is clip i's features flattened
     row-major, and the clip's feature array is a view of that row, so
-    ``feature_matrix`` returns the matrix without copying. A dataset built
-    from any other clip list keeps the clips as given, so a selection from a
-    generated dataset goes on viewing that dataset's rows and copies nothing;
-    its ``feature_matrix`` stacks them into a new matrix on each call. Clips
-    of mixed shapes are a ContractError at construction.
+    ``feature_matrix`` and ``clip_array`` return the matrix without copying.
+    A dataset built from any other clip list keeps the clips as given, so a
+    selection from a generated dataset goes on viewing that dataset's rows
+    and copies nothing; its ``feature_matrix`` stacks them into a new matrix
+    on each call. Clips of mixed shapes are a ContractError at construction.
     """
 
     clips: list[Clip]
     n_classes: int
     generator: dict[str, np.ndarray]
     split: str = "train"
-    _by_id: dict[int, Clip] = field(default_factory=dict, repr=False)
     _features: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self._features is None and self.clips:
             shape = self.clips[0].features.shape
-            for c in self.clips:
+            for row, c in enumerate(self.clips):
                 if c.features.shape != shape:
                     raise ContractError(
-                        f"a dataset needs clips of one shape, got {shape} and {c.features.shape} (clip {c.clip_id})"
+                        f"a dataset needs clips of one shape, got {shape} and {c.features.shape} (row {row})"
                     )
-        self._by_id = {c.clip_id: c for c in self.clips}
-        if len(self._by_id) != len(self.clips):
-            raise ContractError("duplicate clip_ids in dataset")
 
     def __len__(self) -> int:
         return len(self.clips)
-
-    def by_id(self, clip_id: int) -> Clip:
-        return self._by_id[clip_id]
 
     def labels(self) -> np.ndarray:
         return np.array([c.label for c in self.clips], dtype=np.int64)
@@ -101,9 +95,13 @@ class SynthDataset:
             return self._features
         return np.concatenate([c.features for c in self.clips]).reshape(len(self.clips), -1)
 
+    def clip_array(self) -> np.ndarray:
+        """The (n, frames, bands) view of ``feature_matrix``: row i is clip i's features."""
+        return self.feature_matrix().reshape(len(self.clips), *self.clips[0].features.shape)
 
-def _class_block_dataset(matrix, frames, bands, n_classes, id_offset, generator, split) -> SynthDataset:
-    """A generated dataset over matrix: equal runs of classes 0, 1, ... with consecutive clip ids.
+
+def _class_block_dataset(matrix, frames, bands, n_classes, generator, split) -> SynthDataset:
+    """A generated dataset over matrix: equal runs of rows of classes 0, 1, ....
 
     The matrix is checked for finiteness once and becomes read-only, and
     every clip's features are the (frames, bands) view of its row.
@@ -113,8 +111,7 @@ def _class_block_dataset(matrix, frames, bands, n_classes, id_offset, generator,
     matrix.flags.writeable = False
     per_class = len(matrix) // n_classes
     clips = [
-        Clip(features=row, label=i // per_class, clip_id=id_offset + i)
-        for i, row in enumerate(matrix.reshape(len(matrix), frames, bands))
+        Clip(features=row, label=i // per_class) for i, row in enumerate(matrix.reshape(len(matrix), frames, bands))
     ]
     return SynthDataset(clips=clips, n_classes=n_classes, generator=generator, split=split, _features=matrix)
 
@@ -160,7 +157,6 @@ def synth_dataset(
     bands: int,
     seed: int,
     split: str = "train",
-    id_offset: int = 0,
     noise_std: float = PRETEXT_NOISE_STD,
 ) -> SynthDataset:
     """Pretext-style generator: per-class band profile x temporal envelope + noise."""
@@ -180,7 +176,7 @@ def synth_dataset(
         "envelopes": envelopes,
         "noise_std": np.array([noise_std]),
     }
-    return _class_block_dataset(matrix, frames, bands, n_classes, id_offset, generator, split)
+    return _class_block_dataset(matrix, frames, bands, n_classes, generator, split)
 
 
 def _make_task(
@@ -230,17 +226,15 @@ def _make_task(
     else:
         raise ContractError(f"unknown task kind {kind!r}")
 
-    def build(split: str, n_each: int, id_offset: int) -> SynthDataset:
+    def build(split: str, n_each: int) -> SynthDataset:
         rng = rng_for(seed, f"task-{kind}-{split}")
         matrix = rng.normal(0.0, noise_std, size=(n_classes * n_each, frames * bands))
         blocks = matrix.reshape(n_classes, n_each, frames, bands)
         for c in range(n_classes):
             fill(blocks[c], c)
-        return _class_block_dataset(matrix, frames, bands, n_classes, id_offset, generator, split)
+        return _class_block_dataset(matrix, frames, bands, n_classes, generator, split)
 
-    train = build("train", n_train, 0)
-    test = build("test", n_test, n_classes * n_train)
-    return train, test
+    return build("train", n_train), build("test", n_test)
 
 
 # Each downstream task's classes and clips per class; retrieval's k is at most
@@ -264,7 +258,7 @@ def downstream_suite(
 
 @dataclass
 class Partition:
-    """Disjoint clip-id shards, one per client; union covers the dataset."""
+    """Disjoint shards of dataset row indices (plain ints), one per client; their union covers the dataset."""
 
     shards: list[list[int]]
 
@@ -276,8 +270,10 @@ def dirichlet_partition(dataset: SynthDataset, n_clients: int, alpha: float, see
     """Class-wise Dirichlet split: per class, client proportions ~ Dir(alpha).
 
     Lower alpha concentrates each class on few clients (more heterogeneity).
-    Empty shards are repaired by stealing one clip from the largest shard so
-    every client holds data.
+    Each class's rows are read from ``labels()``. Empty shards are repaired
+    by stealing one row from the largest shard so every client holds data.
+    An alpha so large that the draw overflows (1e307 over 100 clients) gives
+    proportions that do not sum to 1, which is a ContractError.
     """
     if n_clients < 1:
         raise ContractError(f"n_clients must be >= 1, got {n_clients}")
@@ -288,18 +284,19 @@ def dirichlet_partition(dataset: SynthDataset, n_clients: int, alpha: float, see
     rng = rng_for(seed, "dirichlet-partition")
     shards: list[list[int]] = [[] for _ in range(n_clients)]
     labels = dataset.labels()
-    ids = np.array([c.clip_id for c in dataset.clips], dtype=np.int64)
     for c in range(dataset.n_classes):
-        class_ids = ids[labels == c]
-        if class_ids.size == 0:
+        rows = np.flatnonzero(labels == c)
+        if rows.size == 0:
             continue
         p = rng.dirichlet(np.full(n_clients, alpha))
-        assign = rng.choice(n_clients, size=class_ids.size, p=p)
-        for cid, client in zip(class_ids, assign):
-            shards[int(client)].append(int(cid))
+        if not np.isfinite(p).all() or abs(p.sum() - 1.0) > 1e-8:  # choice() allows sqrt(eps), 1.5e-8
+            raise ContractError(f"alpha={alpha} is too large for {n_clients} clients: its proportions do not sum to 1")
+        assign = rng.choice(n_clients, size=rows.size, p=p)
+        for row, client in zip(rows.tolist(), assign.tolist()):
+            shards[client].append(row)
     # Repair: every shard must be non-empty. Empty shards are filled in index
     # order, each from the largest shard (lowest index on ties). A donor never
-    # empties: while a shard is empty the others hold >= n_clients clips, so
+    # empties: while a shard is empty the others hold >= n_clients rows, so
     # the largest holds at least two.
     sizes = np.array([len(s) for s in shards])
     for empty in np.flatnonzero(sizes == 0):
@@ -320,7 +317,5 @@ def label_entropy(labels: np.ndarray) -> float:
 
 
 def partition_label_entropies(dataset: SynthDataset, partition: Partition) -> list[float]:
-    return [
-        label_entropy(np.array([dataset.by_id(cid).label for cid in shard]))
-        for shard in partition.shards
-    ]
+    labels = dataset.labels()
+    return [label_entropy(labels[shard]) for shard in partition.shards]

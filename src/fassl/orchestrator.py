@@ -11,6 +11,10 @@ only by ``fassl run``, which spreads matrix cells over that many processes).
 ``errors``) and checks the rules across fields after it, so a bad setting
 fails where the config is built and never inside a round.
 
+Clients train on rows: a partition's shard names rows of the pretext, and
+each round views the pretext as one (n, frames, bands) clip array and hands
+every sampled client the rows of its shard, taken as one array.
+
 In backbone-only scope the server transmits and receives just the backbone;
 each client's head lives in the server-side state purely as simulation
 bookkeeping (``retained_heads``) and evolves only in rounds where that
@@ -41,7 +45,7 @@ from . import ssl_tasks
 from .aggregation import ClientUpdate, Strategy, aggregate, scope_apply
 from .autodiff import Graph, backward
 from .checkpoint import save_params
-from .data import Clip, Partition, SynthDataset, dirichlet_partition
+from .data import Partition, SynthDataset, dirichlet_partition
 from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check_fields, instance_of, one_of
 from .evaluator import (
     FEATURE_LAYERS,
@@ -145,7 +149,6 @@ class RoundState:
 @dataclass
 class RunResult:
     rows: list[TaskAccuracy]
-    final_params: ParamTree
     tracker: OptimaTracker
     total_steps: int
     state: RoundState
@@ -159,7 +162,7 @@ def sample_clients(n_clients: int, s: int, round_idx: int, master_seed: int) -> 
     return sorted(int(c) for c in rng.choice(n_clients, size=s, replace=False))
 
 
-def _batch_loss(params: ParamTree, clips: list[Clip], cfg: RunConfig, rng):
+def _batch_loss(params: ParamTree, clips: np.ndarray, cfg: RunConfig, rng):
     if cfg.ssl_task == "acop":
         return acop_loss(params, acop_make_batch(clips, rng))
     views = ssl_tasks.two_view_batch(clips, cfg.augment, rng)
@@ -174,7 +177,7 @@ def _batch_loss(params: ParamTree, clips: list[Clip], cfg: RunConfig, rng):
 
 
 def local_train(
-    shard: list[Clip],
+    shard: np.ndarray,
     w_g: ParamTree,
     retained_head: ParamTree | None,
     cfg: RunConfig,
@@ -183,9 +186,11 @@ def local_train(
 ) -> tuple[ClientUpdate, ParamTree, int]:
     """Train a local copy for E epochs; returns (update, retained part, sgd steps).
 
-    The local model starts from the transceived global merged with the
-    client's retained head (empty in full scope). Batches too small for the
-    task (fewer than 2 clips for the pair losses) are dropped. Training
+    The shard is the client's clips as one non-empty (n, frames, bands)
+    float64 array, and each batch is one ``take`` of its rows. The local
+    model starts from the transceived global merged with the client's
+    retained head (empty in full scope). Batches too small for the task
+    (fewer than 2 clips for the pair losses) are dropped. Training
     starts on the input trees' own immutable tensors and every step makes
     new ones, so neither input tree is written to and the trained trees are
     handed out as they are.
@@ -196,27 +201,25 @@ def local_train(
     its arrays with the input trees; its values are what a zero gradient
     step would have left, bit for bit.
     """
-    if not shard:
-        raise ContractError(f"client {client_id} has an empty shard")
+    n_clips = ssl_tasks.clips_shape(shard, f"client {client_id}'s shard")[0]
     params = w_g if retained_head is None or len(retained_head) == 0 else merge(w_g, retained_head)
     rng = rng_for(cfg.master_seed, "train", round_idx, client_id)
     min_clips = 1 if cfg.ssl_task == "acop" else 2
     steps = 0
     final_epoch_losses: list[tuple[float, int]] = []
     for epoch in range(cfg.local_epochs):
-        order = rng.permutation(len(shard))
+        order = rng.permutation(n_clips)
         losses: list[tuple[float, int]] = []
-        for start in range(0, len(shard), cfg.batch_size):
+        for start in range(0, n_clips, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             if len(idx) < min_clips:
                 continue
-            clips = [shard[i] for i in idx]
             with Graph(params.as_dict()) as g:
-                loss = _batch_loss(params, clips, cfg, rng)
+                loss = _batch_loss(params, shard.take(idx, axis=0), cfg, rng)
             grads = backward(g, loss)
             params = sgd_step(params, grads, cfg.lr)
             steps += 1
-            losses.append((loss.item(), len(clips)))
+            losses.append((loss.item(), len(idx)))
         if epoch == cfg.local_epochs - 1:
             final_epoch_losses = losses
     total_clips = sum(n for _, n in final_epoch_losses)
@@ -224,7 +227,7 @@ def local_train(
         sum(l * n for l, n in final_epoch_losses) / total_clips if total_clips else 0.0
     )
     transceived, retained = split(params, cfg.scope)
-    update = ClientUpdate(client_id=client_id, params=transceived, n_samples=len(shard), mean_loss=mean_loss)
+    update = ClientUpdate(client_id=client_id, params=transceived, n_samples=n_clips, mean_loss=mean_loss)
     return update, retained, steps
 
 
@@ -282,13 +285,16 @@ def run_round(
     sink: RunSink,
 ) -> tuple[RoundState, int]:
     """One federated round; returns the advanced state and the sgd steps taken."""
+    clips = pretext.clip_array()
+    if clips.shape[1:] != (cfg.frames, cfg.bands):
+        raise ContractError(f"pretext clips are {clips.shape[1:]}, not the config's ({cfg.frames}, {cfg.bands})")
     round_idx = state.round_idx + 1
     sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, round_idx, cfg.master_seed)
     transceived_global, global_heads = split(state.global_params, cfg.scope)
 
     results = [
         local_train(
-            [pretext.by_id(cid) for cid in partition.shards[client_id]],
+            clips.take(partition.shards[client_id], axis=0),
             transceived_global, state.retained_heads.get(client_id, global_heads),
             cfg, client_id, round_idx,
         )
@@ -351,10 +357,4 @@ def run(
         # a failed run keeps its results.csv prefix but writes no final.ckpt / optima.csv
         sink.close_csv()
     sink.close(cfg, state.global_params, tracker)
-    return RunResult(
-        rows=sink.rows,
-        final_params=state.global_params,
-        tracker=tracker,
-        total_steps=total_steps,
-        state=state,
-    )
+    return RunResult(rows=sink.rows, tracker=tracker, total_steps=total_steps, state=state)

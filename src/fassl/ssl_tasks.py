@@ -6,9 +6,10 @@ segments and classifies which permutation was applied. All losses are built
 from the autodiff primitives so their gradients come from the tape, and all
 use max-subtraction where a log-sum-exp appears.
 
-Batch assembly gathers every view (or presented segment) of a batch from the
-clips' feature arrays through a crop/resample index table built once per
-batch and wraps the batch in a single ``Tensor``; that construction is
+A batch of n clips is one (n, frames, bands) float64 array, the rows its
+client took from the pretext matrix. Batch assembly gathers every view (or
+presented segment) from it through a crop/resample index table built once
+per batch and wraps the batch in a single ``Tensor``; that construction is
 where clip values are checked for finiteness on their way to the model. A
 two-view batch of n clips makes three batched draws, in this order and each
 only when the policy uses it: all 2n crop starts, then the noise of every
@@ -25,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model
 from .autodiff import Tensor
-from .data import Clip, resample_frames
+from .data import resample_frames
 from .errors import NON_NEGATIVE, ContractError, check_fields
 
 # Fewest frames a view's source clip and an acop segment may have.
@@ -58,15 +59,12 @@ class AugmentPolicy:
         check_fields(self)
 
 
-def _clip_shape(clips: list[Clip], what: str) -> tuple[int, int]:
-    """The (frames, bands) every clip of a batch shares."""
-    if not clips:
-        raise ContractError(f"{what} needs at least one clip")
-    shape = clips[0].features.shape
-    for clip in clips:
-        if clip.features.shape != shape:
-            raise ContractError(f"{what} needs clips of one shape, got {shape} and {clip.features.shape}")
-    return shape
+def clips_shape(clips: np.ndarray, what: str) -> tuple[int, int, int]:
+    """The (n, frames, bands) of a batch of clips, which must be a non-empty 3-d float64 ndarray."""
+    if not (isinstance(clips, np.ndarray) and clips.ndim == 3 and clips.dtype == np.float64 and len(clips)):
+        got = f"{clips.shape} {clips.dtype} array" if isinstance(clips, np.ndarray) else type(clips).__name__
+        raise ContractError(f"{what} needs a non-empty (n, frames, bands) float64 array, got a {got}")
+    return clips.shape
 
 
 def _crop_rows(frames: int, policy: AugmentPolicy) -> np.ndarray | None:
@@ -83,7 +81,7 @@ def _crop_rows(frames: int, policy: AugmentPolicy) -> np.ndarray | None:
     return np.arange(frames - crop_len + 1)[:, None] + resample_frames(np.arange(crop_len), frames)
 
 
-def two_view_batch(clips: list[Clip], policy: AugmentPolicy, rng: np.random.Generator) -> Tensor:
+def two_view_batch(clips: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> Tensor:
     """Interleaved view matrix: rows (2i, 2i+1) are the two views of clip i.
 
     Each view is crop + nearest-frame resample, noise and band dropout. The
@@ -94,17 +92,16 @@ def two_view_batch(clips: list[Clip], policy: AugmentPolicy, rng: np.random.Gene
     policy, rng state); the identity policy (1.0, 0, 0) repeats each clip's
     features bit-exactly.
     """
-    frames, bands = _clip_shape(clips, "two_view_batch")
+    n, frames, bands = clips_shape(clips, "two_view_batch")
     crop_rows = _crop_rows(frames, policy)
-    n_views = 2 * len(clips)
-    # stacked clip rows; view v reads clip v // 2, whose first row is first[v]
-    feats = np.concatenate([clip.features for clip in clips])
-    first = np.arange(0, len(feats), frames).repeat(2)[:, None]
+    n_views = 2 * n
+    # the clips' frames stacked; view v reads clip v // 2, whose first frame is first[v]
+    first = np.arange(0, n * frames, frames).repeat(2)[:, None]
     if crop_rows is None:
         rows = np.arange(frames)
     else:
         rows = crop_rows[rng.integers(0, len(crop_rows), size=n_views)]
-    views = feats.take(first + rows, axis=0)  # (2n, frames, bands)
+    views = clips.reshape(n * frames, bands).take(first + rows, axis=0)  # (2n, frames, bands)
     if policy.noise_std > 0:
         views += rng.normal(0.0, policy.noise_std, size=views.shape)
     if policy.band_mask_prob > 0:
@@ -181,7 +178,7 @@ class AcopBatch:
     labels: np.ndarray  # (n,) indices into model.ACOP_ORDERS
 
 
-def acop_make_batch(clips: list[Clip], rng: np.random.Generator) -> AcopBatch:
+def acop_make_batch(clips: np.ndarray, rng: np.random.Generator) -> AcopBatch:
     """Split each clip into ``model.ACOP_SEGMENTS`` equal segments and present them shuffled.
 
     The order's index in ``model.ACOP_ORDERS`` is sampled uniformly and
@@ -189,20 +186,17 @@ def acop_make_batch(clips: list[Clip], rng: np.random.Generator) -> AcopBatch:
     the clip's frame count so the shared backbone sees its usual input width.
     """
     m = model.ACOP_SEGMENTS
-    frames, bands = _clip_shape(clips, "acop_make_batch")
+    n, frames, bands = clips_shape(clips, "acop_make_batch")
     seg_len = frames // m
     if seg_len < MIN_FRAMES:
-        raise ContractError(f"clip {clips[0].clip_id} too short for {m} segments ({frames} frames)")
+        raise ContractError(f"clips of {frames} frames are too short for {m} segments")
     # order_rows[p, k] = source frames of the k-th presented segment under order p
     seg_rows = np.arange(m)[:, None] * seg_len + resample_frames(np.arange(seg_len), frames)
     order_rows = seg_rows[np.asarray(model.ACOP_ORDERS, dtype=np.intp)]
-    segments = np.empty((len(clips), m, frames, bands))
-    labels = np.empty(len(clips), dtype=np.int64)
-    for i, clip in enumerate(clips):
-        p = int(rng.integers(0, len(order_rows)))
-        labels[i] = p
-        clip.features.take(order_rows[p], axis=0, out=segments[i])
-    return AcopBatch(segments=Tensor(segments.reshape(len(clips) * m, frames * bands)), labels=labels)
+    labels = np.array([rng.integers(0, len(order_rows)) for _ in range(n)], dtype=np.int64)
+    first = np.arange(0, n * frames, frames)[:, None, None]
+    segments = clips.reshape(n * frames, bands).take(first + order_rows[labels], axis=0)  # (n, m, frames, bands)
+    return AcopBatch(segments=Tensor(segments.reshape(n * m, frames * bands)), labels=labels)
 
 
 def acop_loss(params: model.ParamTree, batch: AcopBatch) -> Tensor:

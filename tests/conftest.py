@@ -15,6 +15,18 @@ from fassl.errors import ContractError
 from fassl.model import EncoderConfig, ParamTree, init_encoder
 
 
+# Inputs that are not a batch of clips; the batch builders and local_train reject each.
+BAD_BATCHES = {
+    "empty": np.zeros((0, 12, 4)),
+    "2-d": np.zeros((12, 4)),
+    "4-d": np.zeros((2, 1, 12, 4)),
+    "float32": np.zeros((3, 12, 4), dtype=np.float32),
+    "int64": np.zeros((3, 12, 4), dtype=np.int64),
+    "list": [np.zeros((12, 4))] * 3,
+}
+BAD_BATCH_MESSAGE = r"needs a non-empty \(n, frames, bands\) float64 array, got a "
+
+
 def gradclose(analytic: dict, numeric: dict, rtol: float = 1e-4, atol: float = 1e-8) -> bool:
     """Gradient-map comparison at the finite-difference tolerance.
 

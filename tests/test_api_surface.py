@@ -89,6 +89,30 @@ def test_data_does_not_import_autodiff():
     assert "autodiff" not in imported_package_modules(tree)
 
 
+def imported_names(tree: ast.Module) -> set[str]:
+    """Names this file imports from the package's modules (``Clip`` for ``from .data import Clip``)."""
+    return {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and _package_module(node)
+        for alias in node.names
+    }
+
+
+def test_training_path_does_not_import_clip():
+    """Clients train on rows of the pretext matrix; a ``Clip`` object is not how training reads a clip."""
+    for name in ("ssl_tasks.py", "orchestrator.py"):
+        path = ROOT / "src" / "fassl" / name
+        assert "Clip" not in imported_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))), name
+
+
+def test_imported_names_sees_every_package_import_form():
+    for source in (
+        "from .data import Clip", "from fassl.data import Clip", "from .data import Partition, Clip as C",
+        "def f():\n    from .data import Clip",
+    ):
+        assert "Clip" in imported_names(ast.parse(source)), source
+    assert imported_names(ast.parse("from numpy import Clip\nfrom . import data")) == set()
+
+
 def imported_modules(tree: ast.Module) -> set[str]:
     """Top-level names of the absolute imports in this file (``concurrent`` for ``concurrent.futures``)."""
     found: set[str] = set()

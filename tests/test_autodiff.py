@@ -291,7 +291,7 @@ class TestTrackedInputsOnly:
         ds = synth_dataset(2, 4, 12, 4, seed=0)
         cfg = EncoderConfig(input_dim=48, hidden_dim=7, embed_dim=6, projection_dim=5)
         params = init_encoder(cfg, seed=1)
-        clips = ds.clips[:4]
+        clips = ds.clip_array()[:4]
         with Graph(params.as_dict()) as g:
             z = project(params, encode(params, two_view_batch(clips, AugmentPolicy(), rng_for(0, "v"))))
             nt_xent_loss(z, 0.5)

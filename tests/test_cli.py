@@ -1,6 +1,7 @@
 """Config parsing, CLI subcommands, and SVG plotting tests."""
 
 import dataclasses
+import hashlib
 import os
 import sys
 import xml.etree.ElementTree as ET
@@ -386,6 +387,13 @@ class TestCmdRun:
             elif a.is_file():
                 assert a.read_bytes() == b.read_bytes(), rel
 
+    def test_alpha_whose_draw_overflows_is_the_cell_failed_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        assert main(["run", *FAST_FLAGS, "--alpha", "1e308"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "[simclr-fedavg-full-e1] FAILED: alpha=1e+308 is too large for 6 clients: its proportions do not sum to 1",
+        ]
+
     def test_dead_cell_process_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "_run_cell", _exit_process)
@@ -472,6 +480,18 @@ class TestCellConfigReproducesCell:
 
 
 class TestCmdPartitionStats:
+    def test_default_partition_bytes_pinned(self, capsys):
+        assert main(["partition-stats", "--clients", "20", "--alpha", "0.3"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "22f37d3901c115d7f0530d14b514f6f2292211e3804848f2e67bc28490f12fd3"
+        )
+
+    def test_alpha_whose_draw_overflows_exits_2_with_one_error_line(self, capsys):
+        assert main(["partition-stats", "--alpha", "1e308", "--clients", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha=1e+308 is too large for 3 clients: its proportions do not sum to 1\n"
+
     def test_stats_output(self, capsys):
         code = main([
             "partition-stats", "--clients", "6", "--clients-per-round", "2",

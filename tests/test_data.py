@@ -1,5 +1,7 @@
 """Dataset generators and Dirichlet partition tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,7 +67,7 @@ class TestSynthDataset:
 class TestClip:
     def test_keeps_a_float64_matrix_as_given(self, rng):
         x = rng.normal(size=(8, 4))
-        assert Clip(x, 0, 0).features is x
+        assert Clip(x, 0).features is x
 
     @pytest.mark.parametrize(
         "features",
@@ -79,7 +81,7 @@ class TestClip:
     )
     def test_rejects_anything_but_a_2d_float64_ndarray(self, features):
         with pytest.raises(ContractError, match="2-d float64"):
-            Clip(features, 0, 0)
+            Clip(features, 0)
 
 
 class TestFeatureMatrix:
@@ -100,13 +102,13 @@ class TestFeatureMatrix:
                 assert ds.feature_matrix().tobytes() == reference.tobytes()
 
     def test_mixed_shapes_rejected(self, rng):
-        clips = [Clip(rng.normal(size=s), 0, i) for i, s in enumerate([(32, 16), (16, 16), (48, 16)])]
+        clips = [Clip(rng.normal(size=s), 0) for s in [(32, 16), (16, 16), (48, 16)]]
         with pytest.raises(ContractError, match="one shape"):
             SynthDataset(clips, 1, {}).feature_matrix()
 
     def test_mixed_shapes_rejected_at_construction(self, rng):
-        clips = [Clip(rng.normal(size=s), 0, i) for i, s in enumerate([(8, 4), (8, 4), (4, 8)])]
-        with pytest.raises(ContractError, match="one shape"):
+        clips = [Clip(rng.normal(size=s), 0) for s in [(8, 4), (8, 4), (4, 8)]]
+        with pytest.raises(ContractError, match=r"one shape, got \(8, 4\) and \(4, 8\) \(row 2\)"):
             SynthDataset(clips, 1, {})
 
     def test_empty_dataset_rejected(self):
@@ -129,11 +131,20 @@ class TestFeatureMatrix:
         picked = [c for j, c in enumerate(source.clips) if j % 5 < 3]
         ds = SynthDataset(picked, 2, source.generator)
         assert all(a is b for a, b in zip(ds.clips, picked)) and len(ds.clips) == len(picked)
-        assert ds.by_id(picked[2].clip_id) is picked[2]
         x = ds.feature_matrix()
         assert x.tobytes() == b"".join(c.features.tobytes() for c in picked)
         assert x.shape == (6, 32) and x.flags["C_CONTIGUOUS"]
         assert not np.shares_memory(x, source.feature_matrix())
+        assert ds.clip_array().tobytes() == x.tobytes() and ds.clip_array().shape == (6, 8, 4)
+
+    @pytest.mark.parametrize("kind", ["synth", "bandprofile", "temporal", "texture"])
+    def test_clip_array_views_the_matrix_as_clips(self, kind):
+        datasets = [synth_dataset(3, 4, 8, 5, seed=2)] if kind == "synth" else _make_task(kind, 2, 3, 4, 2, 8, 5)
+        for ds in datasets:
+            clips = ds.clip_array()
+            assert clips.shape == (len(ds), 8, 5) and clips.base is ds.feature_matrix()
+            assert not clips.flags.writeable
+            assert all(np.array_equal(clips[i], clip.features) for i, clip in enumerate(ds.clips))
 
 
 def oracle_synth_dataset(n_classes, n_per_class, frames, bands, seed, noise_std=PRETEXT_NOISE_STD):
@@ -185,16 +196,15 @@ def oracle_make_task(kind, seed, n_classes, n_train, n_test, frames, bands):
 
 
 class TestGeneratorOracles:
-    """The batched generators give the per-clip loops' bytes, labels and ids."""
+    """The batched generators give the per-clip loops' bytes and labels."""
 
     @pytest.mark.parametrize("args", [(3, 5, 8, 4, 42, 0.1), (8, 25, 32, 16, 7, 0.9), (1, 1, 1, 1, 0, 0.1)])
     def test_synth_dataset_matches_per_clip_loop(self, args):
         n_classes, n_per_class, frames, bands, seed, noise = args
-        ds = synth_dataset(n_classes, n_per_class, frames, bands, seed=seed, id_offset=5, noise_std=noise)
+        ds = synth_dataset(n_classes, n_per_class, frames, bands, seed=seed, noise_std=noise)
         expected = oracle_synth_dataset(n_classes, n_per_class, frames, bands, seed, noise)
         assert dataset_bytes(ds) == b"".join(f.tobytes() for f in expected)
         assert [c.label for c in ds.clips] == [i // n_per_class for i in range(len(expected))]
-        assert [c.clip_id for c in ds.clips] == list(range(5, 5 + len(expected)))
 
     @pytest.mark.parametrize("kind", ["bandprofile", "temporal", "texture"])
     @pytest.mark.parametrize("frames,bands", [(32, 16), (7, 3), (4, 40)])
@@ -203,7 +213,7 @@ class TestGeneratorOracles:
         expected_train, expected_test = oracle_make_task(kind, 5, 4, 6, 3, frames, bands)
         assert dataset_bytes(train) == b"".join(f.tobytes() for f in expected_train)
         assert dataset_bytes(test) == b"".join(f.tobytes() for f in expected_test)
-        assert [c.clip_id for c in train.clips + test.clips] == list(range(4 * 6 + 4 * 3))
+        assert [c.label for c in train.clips] == [i // 6 for i in range(24)]
         assert [c.label for c in test.clips] == [i // 3 for i in range(12)]
 
 
@@ -212,12 +222,6 @@ class TestDownstreamSuite:
         tasks = downstream_suite(seed=0)
         names = [name for name, _, _ in tasks]
         assert len(names) == len(set(names)) and len(names) >= 3
-
-    def test_train_test_clip_ids_disjoint(self):
-        for _, train, test in downstream_suite(seed=1):
-            train_ids = {c.clip_id for c in train.clips}
-            test_ids = {c.clip_id for c in test.clips}
-            assert not train_ids & test_ids
 
     def test_generators_differ_from_pretext_and_each_other(self):
         pretext = synth_dataset(4, 5, 32, 16, seed=3)
@@ -250,14 +254,14 @@ class TestDirichletPartition:
     def test_single_client_gets_everything(self):
         ds = synth_dataset(3, 4, 8, 4, seed=2)
         part = dirichlet_partition(ds, n_clients=1, alpha=0.5, seed=0)
-        assert sorted(part.shards[0]) == sorted(c.clip_id for c in ds.clips)
+        assert sorted(part.shards[0]) == list(range(len(ds)))
 
     def test_disjoint_cover(self):
         ds = synth_dataset(4, 25, 8, 4, seed=2)
         part = dirichlet_partition(ds, n_clients=10, alpha=0.1, seed=1)
         seen = [cid for shard in part.shards for cid in shard]
         assert len(seen) == len(ds)
-        assert set(seen) == {c.clip_id for c in ds.clips}
+        assert set(seen) == set(range(len(ds)))
 
     def test_entropy_ordering_oracle(self):
         """Lower alpha -> more heterogeneity -> lower mean per-client entropy."""
@@ -282,13 +286,30 @@ class TestDirichletPartition:
         b = dirichlet_partition(ds, 10, 0.1, seed=9)
         assert a.shards == b.shards
 
+    @pytest.mark.parametrize("n_clients,alpha", [(3, 1e308), (3, 1.7e308), (100, 1e307)])
+    def test_alpha_whose_draw_overflows_rejected(self, n_clients, alpha):
+        ds = synth_dataset(2, 50, 4, 2, seed=0)
+        with pytest.raises(ContractError, match="^" + re.escape(f"alpha={alpha} is too large for {n_clients} clients:")):
+            dirichlet_partition(ds, n_clients, alpha, seed=0)
+
+    def test_largest_alpha_that_normalizes_still_partitions(self):
+        ds = synth_dataset(2, 50, 4, 2, seed=0)
+        assert sum(dirichlet_partition(ds, 3, 1e307, seed=0).sizes()) == 100
+
+    def test_clip_list_dataset_is_partitioned_by_rows(self):
+        source = synth_dataset(3, 10, 4, 2, seed=1)
+        ds = SynthDataset([c for j, c in enumerate(source.clips) if j % 10 < 4], 3, source.generator)
+        part = dirichlet_partition(ds, 4, 0.5, seed=2)
+        assert sorted(row for shard in part.shards for row in shard) == list(range(12))
+        assert partition_label_entropies(ds, part) == [label_entropy(ds.labels()[s]) for s in part.shards]
+
 
 def oracle_dirichlet_partition(dataset, n_clients, alpha, seed):
-    """The per-repair max over all shards dirichlet_partition replaced, as (shards, repairs)."""
+    """The per-repair max over all shards dirichlet_partition replaced, as (shards, repairs) of row indices."""
     rng = rng_for(seed, "dirichlet-partition")
     shards = [[] for _ in range(n_clients)]
     labels = dataset.labels()
-    ids = np.array([c.clip_id for c in dataset.clips], dtype=np.int64)
+    ids = np.arange(len(dataset))
     for c in range(dataset.n_classes):
         class_ids = ids[labels == c]
         if class_ids.size == 0:

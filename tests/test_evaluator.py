@@ -235,7 +235,7 @@ class TestEvaluateGlobal:
         features = test.clips[2].features.copy()
         features[3, 1] = bad
         clips = list(test.clips)
-        clips[2] = Clip(features=features, label=clips[2].label, clip_id=clips[2].clip_id)
+        clips[2] = Clip(features=features, label=clips[2].label)
         bad_test = SynthDataset(clips=clips, n_classes=test.n_classes, generator=test.generator, split="test")
         with pytest.raises(ContractError, match="finite"):
             evaluate_global(params, [(name, train, bad_test)], k=1)

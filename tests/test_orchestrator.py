@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fassl.aggregation import Strategy
-from fassl.data import dirichlet_partition, downstream_suite, synth_dataset
+from fassl.data import SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ContractError
 from fassl.evaluator import OptimaTracker
 from fassl.model import ACOP_SEGMENTS, EncoderConfig, split
@@ -26,7 +26,7 @@ from fassl.orchestrator import (
 from fassl.seeding import derive_seed
 from fassl.ssl_tasks import AugmentPolicy
 
-from conftest import params_bytes
+from conftest import BAD_BATCH_MESSAGE, BAD_BATCHES, params_bytes
 
 SMALL = RunConfig(
     rounds=6,
@@ -85,7 +85,7 @@ class TestSampleClients:
 class TestLocalTrain:
     def _shard(self, n=10):
         pretext, _ = small_world()
-        return pretext.clips[:n]
+        return pretext.clip_array()[:n]
 
     def test_lr_semantics_zero_step_equivalent(self):
         """With an empty schedule (batch too small for pairs), params are untouched."""
@@ -115,7 +115,7 @@ class TestLocalTrain:
     def test_more_epochs_lower_loss_on_separable_shard(self):
         """Training oracle: mean loss after E=5 is below mean loss after E=1."""
         pretext, _ = small_world()
-        shard = pretext.clips[:24]
+        shard = pretext.clip_array()[:24]
         cfg1 = replace(SMALL, local_epochs=1, lr=0.1)
         cfg5 = replace(SMALL, local_epochs=5, lr=0.1)
         state = initial_state(cfg1)
@@ -123,11 +123,11 @@ class TestLocalTrain:
         loss5 = local_train(shard, state.global_params, None, cfg5, 0, 1)[0].mean_loss
         assert loss5 < loss1
 
-    def test_empty_shard_rejected(self):
-        cfg = SMALL
-        state = initial_state(cfg)
-        with pytest.raises(ContractError):
-            local_train([], state.global_params, None, cfg, 0, 1)
+    @pytest.mark.parametrize("shard", BAD_BATCHES.values(), ids=BAD_BATCHES.keys())
+    def test_bad_shard_rejected(self, shard):
+        state = initial_state(SMALL)
+        with pytest.raises(ContractError, match="^client 3's shard " + BAD_BATCH_MESSAGE):
+            local_train(shard, state.global_params, None, SMALL, 3, 1)
 
     def test_backbone_scope_returns_backbone_update_and_head(self):
         cfg = replace(SMALL, scope="backbone")
@@ -243,7 +243,7 @@ class TestRunConfigValidation:
         with pytest.raises(ContractError, match=f"frames >= {least}"):
             replace(SMALL, ssl_task=ssl_task, frames=least - 1)
         cfg = replace(SMALL, ssl_task=ssl_task, frames=least)
-        shard = synth_dataset(2, 4, cfg.frames, cfg.bands, seed=5).clips
+        shard = synth_dataset(2, 4, cfg.frames, cfg.bands, seed=5).clip_array()
         _, _, steps = local_train(shard, initial_state(cfg).global_params, None, cfg, 0, 1)
         assert steps == 1
 
@@ -264,7 +264,7 @@ class TestRunRound:
 
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, partition_seed)
         sampled = sample_clients(cfg.n_clients, 1, 1, cfg.master_seed)
-        shard = [pretext.by_id(c) for c in partition.shards[sampled[0]]]
+        shard = pretext.clip_array()[partition.shards[sampled[0]]]
         expected, _, _ = local_train(shard, state.global_params, None, cfg, sampled[0], 1)
         new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
         assert new_state.global_params.equal_bytes(expected.params)
@@ -278,6 +278,27 @@ class TestRunRound:
         state = initial_state(cfg)
         new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
         assert new_state.round_idx == state.round_idx + 1
+
+    def test_pretext_of_another_clip_shape_rejected_before_any_client_trains(self, monkeypatch):
+        import fassl.orchestrator as orchestrator
+
+        cfg = SMALL  # 16 frames x 8 bands; the pretext below has 8 x 16, the same input width
+        pretext = synth_dataset(cfg.pretext_classes, cfg.pretext_per_class, cfg.bands, cfg.frames, seed=5)
+        _, tasks = small_world(cfg)
+        partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, 0)
+        monkeypatch.setattr(orchestrator, "local_train", lambda *args: pytest.fail("a client trained"))
+        with pytest.raises(ContractError, match=r"^pretext clips are \(8, 16\), not the config's \(16, 8\)$"):
+            run_round(initial_state(cfg), cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
+
+    def test_clip_list_pretext_trains_the_same_rows(self):
+        cfg = SMALL
+        pretext, tasks = small_world(cfg)
+        listed = SynthDataset(list(pretext.clips), pretext.n_classes, pretext.generator)
+        partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, 0)
+        state = initial_state(cfg)
+        a, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
+        b, _ = run_round(state, cfg, partition, listed, tasks, OptimaTracker(), RunSink())
+        assert a.global_params.equal_bytes(b.global_params)
 
     def test_congruence_preserved(self):
         cfg = SMALL
@@ -308,14 +329,14 @@ class TestRun:
         state = initial_state(cfg)
         manual, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
         result = run(cfg, pretext, tasks)
-        assert result.final_params.equal_bytes(manual.global_params)
+        assert result.state.global_params.equal_bytes(manual.global_params)
 
     def test_end_to_end_determinism(self):
         """Same config twice -> byte-identical results."""
         pretext, tasks = small_world()
         r1 = run(SMALL, pretext, tasks)
         r2 = run(SMALL, pretext, tasks)
-        assert params_bytes(r1.final_params) == params_bytes(r2.final_params)
+        assert params_bytes(r1.state.global_params) == params_bytes(r2.state.global_params)
         assert [a.top1_retrieval for a in r1.rows] == [a.top1_retrieval for a in r2.rows]
 
     def test_backbone_scope_heads(self):
@@ -324,7 +345,7 @@ class TestRun:
         pretext, tasks = small_world(cfg)
         result = run(cfg, pretext, tasks)
         init_heads = split(initial_state(cfg).global_params, "backbone")[1]
-        _, final_heads = split(result.final_params, "backbone")
+        _, final_heads = split(result.state.global_params, "backbone")
         assert final_heads.equal_bytes(init_heads)
         assert len(result.state.retained_heads) >= 2
         trained = [h for h in result.state.retained_heads.values() if not h.equal_bytes(init_heads)]
@@ -351,7 +372,7 @@ class TestRun:
         assert trained
         for cid in trained:
             for name, t in result.state.retained_heads[cid].items():
-                shared = np.shares_memory(t.data, result.final_params.get(name).data)
+                shared = np.shares_memory(t.data, result.state.global_params.get(name).data)
                 assert shared == name.startswith(UNREAD_HEAD[ssl_task]), name
 
     @pytest.mark.parametrize("scope", ["full", "backbone"])

@@ -8,7 +8,7 @@ import pytest
 
 from fassl import autodiff as ad
 from fassl.autodiff import Graph, Tensor, backward
-from fassl.data import Clip, resample_frames, synth_dataset
+from fassl.data import resample_frames, synth_dataset
 from fassl.errors import ContractError
 from fassl.model import ACOP_ORDERS, EncoderConfig, encode, init_encoder, project, sgd_step
 from fassl.seeding import rng_for
@@ -22,39 +22,44 @@ from fassl.ssl_tasks import (
     two_view_batch,
 )
 
-from conftest import fd_fixture_ok, finite_diff_grad, gradclose, perturbed_params, tiny_encoder_config
+from conftest import BAD_BATCH_MESSAGE, BAD_BATCHES, fd_fixture_ok, finite_diff_grad, gradclose, perturbed_params, tiny_encoder_config
 
 
-def make_clip(rng, frames=12, bands=4, clip_id=0) -> Clip:
-    return Clip(features=rng.uniform(0.0, 1.5, size=(frames, bands)), label=0, clip_id=clip_id)
+def make_clip(rng, frames=12, bands=4) -> np.ndarray:
+    return rng.uniform(0.0, 1.5, size=(frames, bands))
+
+
+def make_clips(rng, n, frames=12, bands=4) -> np.ndarray:
+    """n clips drawn one after another, stacked into an (n, frames, bands) batch."""
+    return np.stack([make_clip(rng, frames, bands) for _ in range(n)])
 
 
 class TestAugment:
     def test_identity_policy_returns_original(self, rng):
         clip = make_clip(rng)
-        views = two_view_batch([clip], AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "aug"))
-        np.testing.assert_array_equal(views.data, np.tile(clip.features.reshape(-1), (2, 1)))
+        views = two_view_batch(clip[None], AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "aug"))
+        np.testing.assert_array_equal(views.data, np.tile(clip.reshape(-1), (2, 1)))
 
     def test_same_rng_state_same_view(self, rng):
         clip = make_clip(rng)
         policy = AugmentPolicy(0.6, 0.1, 0.2)
-        a = two_view_batch([clip], policy, rng_for(3, "aug"))
-        b = two_view_batch([clip], policy, rng_for(3, "aug"))
+        a = two_view_batch(clip[None], policy, rng_for(3, "aug"))
+        b = two_view_batch(clip[None], policy, rng_for(3, "aug"))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_noise_magnitude_monte_carlo(self, rng):
         """|view - clean| has half-normal mean std*sqrt(2/pi) ~ 0.0798 at std 0.1."""
         clip = make_clip(rng)
-        clean = clip.features.reshape(-1)
+        clean = clip.reshape(-1)
         policy = AugmentPolicy(1.0, 0.1, 0.0)
         stream = rng_for(4, "aug-mc")
-        devs = [np.mean(np.abs(two_view_batch([clip], policy, stream).data - clean)) for _ in range(500)]
+        devs = [np.mean(np.abs(two_view_batch(clip[None], policy, stream).data - clean)) for _ in range(500)]
         assert 0.05 < np.mean(devs) < 0.15
 
     def test_band_mask_zeroes_columns(self, rng):
         clip = make_clip(rng)
-        views = two_view_batch([clip], AugmentPolicy(1.0, 0.0, 1.0), rng_for(5, "aug"))
-        np.testing.assert_array_equal(views.data, np.zeros((2, clip.features.size)))
+        views = two_view_batch(clip[None], AugmentPolicy(1.0, 0.0, 1.0), rng_for(5, "aug"))
+        np.testing.assert_array_equal(views.data, np.zeros((2, clip.size)))
 
     def test_policy_validation(self):
         with pytest.raises(ContractError):
@@ -160,17 +165,17 @@ class TestAcopBatch:
         seed = next(
             s for s in range(100) if rng_for(s, "acop-identity").integers(0, len(ACOP_ORDERS)) == 0
         )
-        batch = acop_make_batch([clip], rng_for(seed, "acop-identity"))
+        batch = acop_make_batch(clip[None], rng_for(seed, "acop-identity"))
         assert batch.labels.tolist() == [0]
         for i in range(3):
-            seg = clip.features[i * 4:(i + 1) * 4]
+            seg = clip[i * 4:(i + 1) * 4]
             np.testing.assert_array_equal(
                 batch.segments.data[i], resample_frames(seg, 12).reshape(-1)
             )
 
     def test_label_distribution_approximately_uniform(self, rng):
         """Frequency-count oracle over 10000 draws, generous chi-square bound."""
-        clips = [make_clip(rng, clip_id=i) for i in range(10)]
+        clips = make_clips(rng, 10)
         stream = rng_for(1, "acop-freq")
         counts = np.zeros(6)
         for _ in range(1000):
@@ -184,7 +189,7 @@ class TestAcopBatch:
         assert chi2 < 30.0  # df=5; p ~ 1e-5 cutoff, generous
 
     def test_same_rng_state_same_batch(self, rng):
-        clips = [make_clip(rng, clip_id=i) for i in range(4)]
+        clips = make_clips(rng, 4)
         a = acop_make_batch(clips, rng_for(2, "acop"))
         b = acop_make_batch(clips, rng_for(2, "acop"))
         np.testing.assert_array_equal(a.segments.data, b.segments.data)
@@ -193,10 +198,10 @@ class TestAcopBatch:
     def test_short_clip_rejected(self, rng):
         clip = make_clip(rng, frames=5)  # 5 // 3 = 1 frame per segment
         with pytest.raises(ContractError, match="too short"):
-            acop_make_batch([clip], rng_for(0, "x"))
+            acop_make_batch(clip[None], rng_for(0, "x"))
 
     def test_segments_shape(self, rng):
-        clips = [make_clip(rng, clip_id=i) for i in range(4)]
+        clips = make_clips(rng, 4)
         batch = acop_make_batch(clips, rng_for(0, "x"))
         assert batch.segments.shape == (12, 12 * 4)
         assert batch.labels.shape == (4,)
@@ -210,7 +215,7 @@ class TestAcopLoss:
             if n.startswith("head.acop")
             else t
         )
-        clips = [make_clip(rng, frames=10, bands=1, clip_id=i) for i in range(3)]
+        clips = make_clips(rng, 3, frames=10, bands=1)
         batch = acop_make_batch(clips, rng_for(0, "x"))
         loss = acop_loss(params, batch)
         np.testing.assert_allclose(loss.item(), np.log(6.0), rtol=1e-12)
@@ -218,7 +223,7 @@ class TestAcopLoss:
     def test_gradient_matches_finite_differences(self, rng):
         cfg = tiny_encoder_config()
         params = perturbed_params(cfg, seed=5)
-        clips = [make_clip(rng, frames=10, bands=1, clip_id=i) for i in range(4)]
+        clips = make_clips(rng, 4, frames=10, bands=1)
         batch = acop_make_batch(clips, rng_for(1, "x"))
 
         def f(p):
@@ -235,7 +240,7 @@ class TestAcopLoss:
         data_rng = np.random.default_rng(77)
         cfg = tiny_encoder_config()
         params = init_encoder(cfg, seed=7)
-        clips = [make_clip(data_rng, frames=10, bands=1, clip_id=i) for i in range(32)]
+        clips = make_clips(data_rng, 32, frames=10, bands=1)
         stream = rng_for(9, "acop-train")
         first = None
         last = None
@@ -289,7 +294,7 @@ class TestSeparableFixtureTraining:
         cfg = EncoderConfig(input_dim=128, hidden_dim=12, embed_dim=8, projection_dim=8)
         params = init_encoder(cfg, seed=13)
         policy = AugmentPolicy(0.8, 0.05, 0.1)
-        probe = two_view_batch(ds.clips, policy, rng_for(14, "nt-probe"))
+        probe = two_view_batch(ds.clip_array(), policy, rng_for(14, "nt-probe"))
 
         def probe_loss(p):
             return nt_xent_loss(project(p, encode(p, probe)), tau=0.5).item()
@@ -297,7 +302,7 @@ class TestSeparableFixtureTraining:
         before = probe_loss(params)
         stream = rng_for(13, "nt-train")
         for _ in range(60):
-            batch = two_view_batch(ds.clips, policy, stream)
+            batch = two_view_batch(ds.clip_array(), policy, stream)
             with Graph(params.as_dict()) as g:
                 loss = nt_xent_loss(project(params, encode(params, batch)), tau=0.5)
             params = sgd_step(params, backward(g, loss), lr=0.01)
@@ -306,7 +311,7 @@ class TestSeparableFixtureTraining:
 
 class TestAcopLossBatchOrder:
     def test_loss_invariant_to_consistent_clip_reshuffle(self, rng):
-        clips = [make_clip(rng, frames=9, bands=2, clip_id=i) for i in range(5)]
+        clips = make_clips(rng, 5, frames=9, bands=2)
         batch = acop_make_batch(clips, rng_for(3, "x"))
         cfg = tiny_encoder_config(input_dim=18)
         params = perturbed_params(cfg, seed=3)
@@ -323,23 +328,21 @@ class TestAcopLossBatchOrder:
 class TestTwoViewBatch:
     def test_interleaved_rows(self, rng):
         ds = synth_dataset(2, 3, 12, 4, seed=0)
-        batch = two_view_batch(ds.clips[:3], AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "v"))
+        batch = two_view_batch(ds.clip_array()[:3], AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "v"))
         assert batch.shape == (6, 48)
-        for i, clip in enumerate(ds.clips[:3]):
-            flat = clip.features.reshape(-1)
+        for i, clip in enumerate(ds.clip_array()[:3]):
+            flat = clip.reshape(-1)
             np.testing.assert_array_equal(batch.data[2 * i], flat)
             np.testing.assert_array_equal(batch.data[2 * i + 1], flat)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 class TestNonFiniteClipRejectedByBatch:
-    """A clip is not checked at construction; the batch Tensor rejects its values."""
+    """A batch's values are not checked before its Tensor, which rejects them."""
 
     def clips(self, rng, bad):
-        clips = [make_clip(rng, clip_id=i) for i in range(3)]
-        features = clips[1].features.copy()
-        features[0, 0] = bad  # frame 0 is in every uncropped view and in acop's first segment
-        clips[1] = Clip(features=features, label=0, clip_id=1)
+        clips = make_clips(rng, 3)
+        clips[1, 0, 0] = bad  # frame 0 is in every uncropped view and in acop's first segment
         return clips
 
     def test_two_view_batch(self, rng, bad):
@@ -358,7 +361,7 @@ def reference_two_view_batch(clips, policy, rng) -> np.ndarray:
     (2n, bands) band-dropout coins, each only when the policy uses it; view
     v is clip v // 2 cropped, resampled, noised and band-masked.
     """
-    frames, bands = clips[0].features.shape
+    frames, bands = clips.shape[1:]
     n_views = 2 * len(clips)
     crop_len = max(1, int(round(policy.crop_fraction * frames)))
     starts = rng.integers(0, frames - crop_len + 1, size=n_views) if crop_len < frames else None
@@ -366,7 +369,7 @@ def reference_two_view_batch(clips, policy, rng) -> np.ndarray:
     coins = rng.uniform(size=(n_views, bands)) if policy.band_mask_prob > 0 else None
     rows = []
     for v in range(n_views):
-        feats = clips[v // 2].features
+        feats = clips[v // 2]
         crop = feats if starts is None else feats[starts[v]:starts[v] + crop_len]
         view = resample_frames(crop, frames).copy()
         if noise is not None:
@@ -382,10 +385,9 @@ def reference_acop_make_batch(clips, rng) -> tuple[np.ndarray, np.ndarray]:
     m = 3
     perm_table = list(itertools.permutations(range(m)))
     rows, labels = [], []
-    for clip in clips:
-        frames = clip.features.shape[0]
+    for feats in clips:
+        frames = feats.shape[0]
         seg_len = frames // m
-        feats = clip.features
         segs = [feats[i * seg_len:(i + 1) * seg_len] for i in range(m)]
         p = int(rng.integers(0, len(perm_table)))
         labels.append(p)
@@ -405,12 +407,9 @@ ORACLE_POLICIES = {
 ORACLE_SHAPES = [(32, 16), (31, 5), (14, 3)]  # none has a frame count divisible by 3
 
 
-def oracle_clips(n, frames, bands, seed=0) -> list[Clip]:
+def oracle_clips(n, frames, bands, seed=0) -> np.ndarray:
     src = rng_for(seed, "oracle-clips", frames, bands)
-    return [
-        Clip(features=src.normal(0.0, 1.0, size=(frames, bands)), label=i % 3, clip_id=i)
-        for i in range(n)
-    ]
+    return np.stack([src.normal(0.0, 1.0, size=(frames, bands)) for _ in range(n)])
 
 
 def assert_same_bytes(ours: np.ndarray, ref: np.ndarray) -> None:
@@ -423,10 +422,10 @@ class TestBatchedViewDraw:
 
     FRAMES, BANDS, N = 32, 16, 64
 
-    def clips(self, fill) -> list[Clip]:
+    def clips(self, fill) -> np.ndarray:
         """N identical clips whose features are fill(element index)."""
         features = fill(np.arange(self.FRAMES * self.BANDS, dtype=float).reshape(self.FRAMES, self.BANDS))
-        return [Clip(features=features, label=0, clip_id=i) for i in range(self.N)]
+        return np.tile(features, (self.N, 1, 1))
 
     def batches(self, clips, policy, count, purpose):
         stream = rng_for(11, purpose)
@@ -473,7 +472,7 @@ class TestBatchedViewDraw:
     def test_identity_policy_bit_exact_at_full_batch(self):
         clips = oracle_clips(self.N, self.FRAMES, self.BANDS)
         batch = two_view_batch(clips, AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "identity"))
-        expected = np.stack([clip.features.reshape(-1) for clip in clips]).repeat(2, axis=0)
+        expected = clips.reshape(self.N, -1).repeat(2, axis=0)
         assert_same_bytes(batch.data, expected)
 
 
@@ -502,9 +501,9 @@ class TestBatchBuildersMatchPerViewOracle:
         assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def pinned_clips() -> list[Clip]:
+def pinned_clips() -> np.ndarray:
     src = rng_for(0, "pinned-clips")
-    return [Clip(features=src.uniform(0.0, 1.5, size=(32, 16)), label=0, clip_id=i) for i in range(8)]
+    return np.stack([src.uniform(0.0, 1.5, size=(32, 16)) for _ in range(8)])
 
 
 class TestPinnedBatchDigests:
@@ -530,16 +529,12 @@ class TestPinnedBatchDigests:
         )
 
 
-class TestBatchShapeContract:
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ContractError, match="at least one clip"):
-            two_view_batch([], AugmentPolicy(), rng_for(0, "x"))
-        with pytest.raises(ContractError, match="at least one clip"):
-            acop_make_batch([], rng_for(0, "x"))
+@pytest.mark.parametrize("batch", BAD_BATCHES.values(), ids=BAD_BATCHES.keys())
+class TestBatchInputContract:
+    def test_two_view_batch_rejects(self, batch):
+        with pytest.raises(ContractError, match="^two_view_batch " + BAD_BATCH_MESSAGE):
+            two_view_batch(batch, AugmentPolicy(), rng_for(0, "x"))
 
-    def test_mixed_clip_shapes_rejected(self, rng):
-        clips = [make_clip(rng, frames=12, bands=4), make_clip(rng, frames=8, bands=6, clip_id=1)]
-        with pytest.raises(ContractError, match="one shape"):
-            two_view_batch(clips, AugmentPolicy(), rng_for(0, "x"))
-        with pytest.raises(ContractError, match="one shape"):
-            acop_make_batch(clips, rng_for(0, "x"))
+    def test_acop_make_batch_rejects(self, batch):
+        with pytest.raises(ContractError, match="^acop_make_batch " + BAD_BATCH_MESSAGE):
+            acop_make_batch(batch, rng_for(0, "x"))
