@@ -12,9 +12,11 @@ forward computations, which is what evaluation-only code paths use.
 
 Every ``Tensor`` construction checks its values are finite, intermediates
 included; an input that already is a C-contiguous float64 ndarray is stored
-as is, without a conversion pass. A plain Python ``float``/``int`` operand
-(a temperature, a count, a loss weight) is lifted to a shape-(1,) float64
-array directly, so it takes that fast path too.
+as is, without a conversion pass. A plain Python ``float``/``int`` operand of
+``mul`` or ``div`` (a temperature, a count, a loss weight) is a constant of
+the op: it is checked finite, never becomes a ``Tensor`` and is no tape
+input, and it gives the bits of the same value wrapped in a ``Tensor``.
+``add``/``sub`` lift such an operand to a shape-(1,) float64 array.
 
 Tensors are immutable values (``data`` must never be mutated after
 construction), so one tensor can be a leaf of any number of graphs. The
@@ -24,6 +26,7 @@ thread only, and parallel work runs in processes, each with its own stack.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -132,10 +135,6 @@ class Graph:
             raise ContractError("graphs must exit innermost first")
         _GRAPHS.pop()
 
-    def _record(self, out: Tensor, inputs: tuple, vjps: tuple) -> None:
-        self.nodes.append(_Node(out, inputs, vjps))
-        self._tracked.add(id(out))
-
 
 def backward(graph: Graph, loss: Tensor) -> dict[str, Tensor]:
     """Gradients of a scalar loss w.r.t. every leaf of ``graph`` it reaches, by name.
@@ -147,35 +146,54 @@ def backward(graph: Graph, loss: Tensor) -> dict[str, Tensor]:
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    pop, get = grads.pop, grads.get
     for node in reversed(graph.nodes):
-        g_out = grads.pop(id(node.out), None)
+        g_out = pop(id(node.out), None)
         if g_out is None:
             continue
         for t, vjp in zip(node.inputs, node.vjps):
             if vjp is None:
                 continue
             g_in = vjp(g_out)
-            acc = grads.get(id(t))
-            grads[id(t)] = g_in if acc is None else acc + g_in
+            key = id(t)
+            acc = get(key)
+            grads[key] = g_in if acc is None else acc + g_in
     return {name: Tensor(grads[id(leaf)]) for name, leaf in graph.leaves.items() if id(leaf) in grads}
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
+    if type(x) is Tensor:
         return x
     if type(x) is float or type(x) is int:
         return Tensor(np.full(1, x, dtype=np.float64))
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _constant(x) -> float:
+    """A Python float/int operand as a finite float constant of its op."""
+    c = float(x)
+    if not math.isfinite(c):
+        raise ContractError("tensor values must be finite (got NaN or Inf)")
+    return c
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcasted gradient back to the operand's shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
+            g = np.add.reduce(g, axis=axis, keepdims=True)
     return g.reshape(shape)
+
+
+def _filled(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """A new array of ``shape`` holding ``g`` broadcast (a reduction's vjp)."""
+    out = np.empty(shape)
+    out[...] = g
+    return out
 
 
 def _make(out_data, inputs: tuple, vjps: tuple) -> Tensor:
@@ -186,13 +204,17 @@ def _make(out_data, inputs: tuple, vjps: tuple) -> Tensor:
     g = _GRAPHS[-1]
     tracked = g._tracked
     if len(inputs) == 1:
-        if id(inputs[0]) in tracked:
-            g._record(out, inputs, vjps)
-        return out
-    a, b = inputs
-    ta, tb = id(a) in tracked, id(b) in tracked
-    if ta or tb:
-        g._record(out, inputs, vjps if ta and tb else (vjps[0] if ta else None, vjps[1] if tb else None))
+        if id(inputs[0]) not in tracked:
+            return out
+    else:
+        a, b = inputs
+        ta, tb = id(a) in tracked, id(b) in tracked
+        if not (ta or tb):
+            return out
+        if not (ta and tb):
+            vjps = (vjps[0] if ta else None, vjps[1] if tb else None)
+    g.nodes.append(_Node(out, inputs, vjps))
+    tracked.add(id(out))
     return out
 
 
@@ -215,6 +237,12 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    if type(a) is float or type(a) is int:
+        a, b = b, a  # x * c and c * x are the same IEEE product
+    if type(b) is float or type(b) is int:
+        c = _constant(b)
+        a = _as_tensor(a)
+        return _make(a.data * c, (a,), (lambda g: g * c,))
     a, b = _as_tensor(a), _as_tensor(b)
     return _make(
         a.data * b.data,
@@ -224,6 +252,14 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
+    if type(b) is float or type(b) is int:
+        c = _constant(b)
+        a = _as_tensor(a)
+        return _make(a.data / c, (a,), (lambda g: g / c,))
+    if type(a) is float or type(a) is int:
+        c = _constant(a)
+        b = _as_tensor(b)
+        return _make(c / b.data, (b,), (lambda g: -g * c / (b.data * b.data),))
     a, b = _as_tensor(a), _as_tensor(b)
     return _make(
         a.data / b.data,
@@ -280,15 +316,15 @@ def maximum_const(a: Tensor, c: float) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    return _make(np.sum(a.data), (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
+    return _make(np.add.reduce(a.data, axis=None), (a,), (lambda g: _filled(g, a.shape),))
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     a = _as_tensor(a)
     return _make(
-        np.sum(a.data, axis=axis, keepdims=True),
+        np.add.reduce(a.data, axis=axis, keepdims=True),
         (a,),
-        (lambda g: np.broadcast_to(g, a.shape).copy(),),
+        (lambda g: _filled(g, a.shape),),
     )
 
 
@@ -296,9 +332,9 @@ def mean_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size
     return _make(
-        np.sum(a.data) / n,
+        np.add.reduce(a.data, axis=None) / n,
         (a,),
-        (lambda g: np.broadcast_to(g / n, a.shape).copy(),),
+        (lambda g: _filled(g / n, a.shape),),
     )
 
 
@@ -313,7 +349,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
 
     def vjp(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(a.shape)
         np.add.at(out, idx, g)
         return out
 
@@ -332,4 +368,4 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
 
 def detached_rowmax(a: Tensor) -> Tensor:
     """Per-row max as a constant (no gradient); used to stabilize log-sum-exp."""
-    return Tensor(np.max(a.data, axis=1, keepdims=True))
+    return Tensor(np.maximum.reduce(a.data, axis=1, keepdims=True))

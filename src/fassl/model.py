@@ -224,14 +224,14 @@ def sgd_step(params: ParamTree, grads: Mapping[str, Tensor], lr: float) -> Param
     if unknown:
         raise ContractError(f"gradients for unknown parameters: {sorted(unknown)}")
 
-    def step(name: str, t: Tensor) -> Tensor:
+    items = []
+    for name, t in params.items():
         g = grads.get(name)
-        if g is None:
-            return t
-        if g.shape != t.shape:
-            raise ContractError(f"gradient shape {g.shape} != parameter shape {t.shape} for {name!r}")
-        upd = g.data * lr
-        np.subtract(t.data, upd, out=upd)
-        return Tensor(upd)
-
-    return params.map_values(step)
+        if g is not None:
+            if g.shape != t.shape:
+                raise ContractError(f"gradient shape {g.shape} != parameter shape {t.shape} for {name!r}")
+            upd = g.data * lr
+            np.subtract(t.data, upd, out=upd)
+            t = Tensor(upd)
+        items.append((name, t))
+    return ParamTree._from_canonical(items)

@@ -73,6 +73,11 @@ def csv_row(cfg: "RunConfig", acc: TaskAccuracy) -> str:
     )
 
 
+def _min_batch_clips(ssl_task: str) -> int:
+    """Fewest clips a batch of the task trains on: the pair losses need two."""
+    return 1 if ssl_task == "acop" else 2
+
+
 @dataclass(frozen=True)
 class RunConfig:
     rounds: int = 100
@@ -122,6 +127,10 @@ class RunConfig:
         min_frames = ssl_tasks.MIN_FRAMES * (ACOP_SEGMENTS if self.ssl_task == "acop" else 1)
         if self.frames < min_frames:
             raise ContractError(f"{self.ssl_task} needs frames >= {min_frames}, got {self.frames}")
+        min_batch = _min_batch_clips(self.ssl_task)
+        if self.batch_size < min_batch:
+            # local_train drops a batch too small for the loss, so such a run would never step
+            raise ContractError(f"{self.ssl_task} needs batch_size >= {min_batch}, got {self.batch_size}")
         pretext_clips = self.pretext_classes * self.pretext_per_class
         if self.n_clients > pretext_clips:
             raise ContractError(f"{pretext_clips} pretext clips cannot cover n_clients={self.n_clients}")
@@ -204,7 +213,7 @@ def local_train(
     n_clips = ssl_tasks.clips_shape(shard, f"client {client_id}'s shard")[0]
     params = w_g if retained_head is None or len(retained_head) == 0 else merge(w_g, retained_head)
     rng = rng_for(cfg.master_seed, "train", round_idx, client_id)
-    min_clips = 1 if cfg.ssl_task == "acop" else 2
+    min_clips = _min_batch_clips(cfg.ssl_task)
     steps = 0
     final_epoch_losses: list[tuple[float, int]] = []
     for epoch in range(cfg.local_epochs):

@@ -15,10 +15,19 @@ two-view batch of n clips makes three batched draws, in this order and each
 only when the policy uses it: all 2n crop starts, then the noise of every
 view, then the band-dropout coins of every view. The predictive task makes
 one permutation draw per clip.
+
+What a batch reads that depends only on its shape (the crop table, the
+acop order rows, the losses' masks and pair indices) is built once per shape
+and kept read-only, so a step shares it without copying and nothing can
+write to it. Each cache holds at most ``_SHAPES_KEPT`` shapes: at a batch
+of up to 64 clips every contrastive shape fits (2n = 4, 6, ..., 128), about
+2.9 MB in all, and at larger batches the bound keeps it from growing with
+every tail batch.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +48,13 @@ _NEG_MASK = -1e30
 # Row-norm guard for the contrastive loss. ReLU-terminated encoders can emit
 # exactly-zero rows; the guard bounds the normalization gradient at 1/eps.
 _NORM_EPS = 1e-6
+
+_SHAPES_KEPT = 64
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -67,7 +83,8 @@ def clips_shape(clips: np.ndarray, what: str) -> tuple[int, int, int]:
     return clips.shape
 
 
-def _crop_rows(frames: int, policy: AugmentPolicy) -> np.ndarray | None:
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _crop_rows(frames: int, crop_fraction: float) -> np.ndarray | None:
     """Source rows of every possible crop, resampled to frames; None when uncropped.
 
     Row s of the table is what cropping at start s and nearest-frame
@@ -75,10 +92,10 @@ def _crop_rows(frames: int, policy: AugmentPolicy) -> np.ndarray | None:
     """
     if frames < MIN_FRAMES:
         raise ContractError(f"view augmentation needs clips with >= {MIN_FRAMES} frames")
-    crop_len = max(1, int(round(policy.crop_fraction * frames)))
+    crop_len = max(1, int(round(crop_fraction * frames)))
     if crop_len >= frames:
         return None
-    return np.arange(frames - crop_len + 1)[:, None] + resample_frames(np.arange(crop_len), frames)
+    return _read_only(np.arange(frames - crop_len + 1)[:, None] + resample_frames(np.arange(crop_len), frames))
 
 
 def two_view_batch(clips: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> Tensor:
@@ -93,7 +110,7 @@ def two_view_batch(clips: np.ndarray, policy: AugmentPolicy, rng: np.random.Gene
     features bit-exactly.
     """
     n, frames, bands = clips_shape(clips, "two_view_batch")
-    crop_rows = _crop_rows(frames, policy)
+    crop_rows = _crop_rows(frames, policy.crop_fraction)
     n_views = 2 * n
     # the clips' frames stacked; view v reads clip v // 2, whose first frame is first[v]
     first = np.arange(0, n * frames, frames).repeat(2)[:, None]
@@ -116,6 +133,16 @@ def _row_logsumexp(x: Tensor) -> Tensor:
     return ad.add(ad.log(ad.sum_axis(ad.exp(ad.sub(x, mx)), axis=1)), mx)
 
 
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _pair_constants(two_n: int) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
+    """nt_xent's constants at 2n rows: the self-similarity mask, even rows, odd rows, each anchor's pair."""
+    mask = Tensor(_read_only(np.diag(np.full(two_n, _NEG_MASK))))
+    even = _read_only(np.arange(0, two_n, 2))
+    odd = _read_only(np.arange(1, two_n, 2))
+    pair = _read_only(np.repeat(np.arange(two_n // 2), 2))
+    return mask, even, odd, pair
+
+
 def nt_xent_loss(z: Tensor, tau: float) -> Tensor:
     """Contrastive pair loss over an interleaved 2n x d embedding matrix.
 
@@ -129,13 +156,19 @@ def nt_xent_loss(z: Tensor, tau: float) -> Tensor:
         raise ContractError(f"need an even number >= 4 of rows (pairs), got {two_n}")
     zn = ad.l2_normalize_rows(z, eps=_NORM_EPS)
     sims = ad.div(ad.matmul(zn, ad.transpose(zn)), tau)
-    mask = Tensor(np.diag(np.full(two_n, _NEG_MASK)))
+    mask, even_rows, odd_rows, pair_rows = _pair_constants(two_n)
     lse = _row_logsumexp(ad.add(sims, mask))
-    even = ad.gather_rows(zn, np.arange(0, two_n, 2))
-    odd = ad.gather_rows(zn, np.arange(1, two_n, 2))
+    even = ad.gather_rows(zn, even_rows)
+    odd = ad.gather_rows(zn, odd_rows)
     pos = ad.sum_axis(ad.mul(even, odd), axis=1)
-    pos_per_anchor = ad.gather_rows(pos, np.repeat(np.arange(two_n // 2), 2))
+    pos_per_anchor = ad.gather_rows(pos, pair_rows)
     return ad.mean_all(ad.sub(lse, ad.div(pos_per_anchor, tau)))
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _eye_constants(d: int) -> tuple[Tensor, Tensor]:
+    """barlow_twins' (d, d) identity and off-diagonal mask."""
+    return Tensor(_read_only(np.eye(d))), Tensor(_read_only(1.0 - np.eye(d)))
 
 
 def barlow_twins_loss(za: Tensor, zb: Tensor, lam: float, eps: float = 1e-9) -> Tensor:
@@ -162,8 +195,7 @@ def barlow_twins_loss(za: Tensor, zb: Tensor, lam: float, eps: float = 1e-9) -> 
         return ad.div(centered, ad.sqrt(ad.maximum_const(var, eps * eps)))
 
     c = ad.div(ad.matmul(ad.transpose(standardize(za)), standardize(zb)), float(n))
-    eye = Tensor(np.eye(d))
-    off_mask = Tensor(1.0 - np.eye(d))
+    eye, off_mask = _eye_constants(d)
     diag_err = ad.sub(eye, c)
     on_diag = ad.sum_all(ad.mul(ad.mul(diag_err, diag_err), eye))
     off_diag = ad.sum_all(ad.mul(ad.mul(c, c), off_mask))
@@ -178,6 +210,17 @@ class AcopBatch:
     labels: np.ndarray  # (n,) indices into model.ACOP_ORDERS
 
 
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _order_rows(frames: int) -> np.ndarray:
+    """order_rows[p, k] = source frames of the k-th presented segment under order p."""
+    m = model.ACOP_SEGMENTS
+    seg_len = frames // m
+    if seg_len < MIN_FRAMES:
+        raise ContractError(f"clips of {frames} frames are too short for {m} segments")
+    seg_rows = np.arange(m)[:, None] * seg_len + resample_frames(np.arange(seg_len), frames)
+    return _read_only(seg_rows[np.asarray(model.ACOP_ORDERS, dtype=np.intp)])
+
+
 def acop_make_batch(clips: np.ndarray, rng: np.random.Generator) -> AcopBatch:
     """Split each clip into ``model.ACOP_SEGMENTS`` equal segments and present them shuffled.
 
@@ -185,18 +228,12 @@ def acop_make_batch(clips: np.ndarray, rng: np.random.Generator) -> AcopBatch:
     becomes the class label. Segments are nearest-frame resampled back to
     the clip's frame count so the shared backbone sees its usual input width.
     """
-    m = model.ACOP_SEGMENTS
     n, frames, bands = clips_shape(clips, "acop_make_batch")
-    seg_len = frames // m
-    if seg_len < MIN_FRAMES:
-        raise ContractError(f"clips of {frames} frames are too short for {m} segments")
-    # order_rows[p, k] = source frames of the k-th presented segment under order p
-    seg_rows = np.arange(m)[:, None] * seg_len + resample_frames(np.arange(seg_len), frames)
-    order_rows = seg_rows[np.asarray(model.ACOP_ORDERS, dtype=np.intp)]
+    order_rows = _order_rows(frames)
     labels = np.array([rng.integers(0, len(order_rows)) for _ in range(n)], dtype=np.int64)
     first = np.arange(0, n * frames, frames)[:, None, None]
     segments = clips.reshape(n * frames, bands).take(first + order_rows[labels], axis=0)  # (n, m, frames, bands)
-    return AcopBatch(segments=Tensor(segments.reshape(n * m, frames * bands)), labels=labels)
+    return AcopBatch(segments=Tensor(segments.reshape(n * model.ACOP_SEGMENTS, frames * bands)), labels=labels)
 
 
 def acop_loss(params: model.ParamTree, batch: AcopBatch) -> Tensor:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 from pathlib import Path
 from typing import Callable
@@ -130,6 +131,39 @@ def fd_fixture_ok(params, batch: np.ndarray, step: float = 1e-5) -> bool:
         if rows.std(axis=0).min() < 1e-3:
             return False
     return True
+
+
+# Uncached oracles of the per-shape constants ssl_tasks builds once and keeps
+# read-only, each written out from its definition.
+def oracle_pair_constants(two_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """nt_xent at 2n rows: the -1e30 self-similarity mask, the even rows, the odd rows, each anchor's pair."""
+    mask = np.zeros((two_n, two_n))
+    np.fill_diagonal(mask, -1e30)
+    anchors = np.arange(two_n)
+    return mask, anchors[anchors % 2 == 0], anchors[anchors % 2 == 1], anchors // 2
+
+
+def oracle_eye_constants(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """barlow_twins at d columns: the identity and the off-diagonal mask."""
+    eye = np.array([[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)])
+    return eye, 1.0 - eye
+
+
+def oracle_crop_rows(frames: int, crop_fraction: float) -> np.ndarray | None:
+    """Row s: the source frame of each output frame when cropping at s and resampling back; None when uncropped."""
+    crop_len = max(1, int(round(crop_fraction * frames)))
+    if crop_len >= frames:
+        return None
+    return np.array([[s + f * crop_len // frames for f in range(frames)] for s in range(frames - crop_len + 1)])
+
+
+def oracle_order_rows(frames: int, segments: int = 3) -> np.ndarray:
+    """[p, k]: the source frames of the k-th segment shown under the p-th lexicographic order."""
+    seg_len = frames // segments
+    return np.array([
+        [[j * seg_len + f * seg_len // frames for f in range(frames)] for j in order]
+        for order in itertools.permutations(range(segments))
+    ])
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from fassl.autodiff import Graph, Tensor, backward
 from fassl.errors import ContractError
 from fassl.data import synth_dataset
 from fassl.model import EncoderConfig, ParamTree, encode, init_encoder, project, sgd_step
+from fassl.orchestrator import RunConfig, initial_state, local_train
 from fassl.seeding import rng_for
 from fassl.ssl_tasks import (
     AugmentPolicy,
@@ -304,6 +305,29 @@ class TestTrackedInputsOnly:
         with Graph(params.as_dict()) as g:
             acop_loss(params, acop_make_batch(clips, rng_for(0, "a")))
         assert len(g.nodes) == 18
+
+    @pytest.mark.parametrize("ssl_task, constructions", [("simclr", 51), ("barlow_twins", 60), ("acop", 33)])
+    def test_step_tensor_constructions(self, monkeypatch, ssl_task, constructions):
+        """Tensors one client step builds (views, forward, backward, sgd_step) once its batch shape was seen.
+
+        The same fixture as the node counts: a 4-clip batch and every
+        parameter a leaf. Each count is the batch tensor, one per tape node,
+        the untracked row max (the pair losses and acop) and acop's one-hot
+        labels, then one gradient and one SGD result per parameter the loss
+        reaches (8 of 10 under the pair losses, 6 under acop). A per-step
+        constant (a mask, an identity, a scalar operand) built again would
+        raise it.
+        """
+        cfg = RunConfig(ssl_task=ssl_task, batch_size=4, frames=12, bands=4, hidden_dim=7, embed_dim=6, projection_dim=5)
+        shard = synth_dataset(2, 4, 12, 4, seed=0).clip_array()[:4]
+        params = initial_state(cfg).global_params
+        local_train(shard, params, None, cfg, 0, 1)  # sees the batch shape
+        built = []
+        init = Tensor.__init__
+        monkeypatch.setattr(Tensor, "__init__", lambda self, data: built.append(1) or init(self, data))
+        _, _, steps = local_train(shard, params, None, cfg, 0, 1)
+        assert steps == 1
+        assert len(built) == constructions
 
 
 class TestOpGradientsAgainstFiniteDifferences:

@@ -312,6 +312,8 @@ class TestCmdRun:
         (["--ssl-task", "acop", "--frames", "5"], "acop needs frames >= 6"),
         (["--frames", "1"], "simclr needs frames >= 2"),
         (["--ssl-task", "barlow_twins", "--frames", "1"], "barlow_twins needs frames >= 2"),
+        (["--batch-size", "1"], "simclr needs batch_size >= 2"),
+        (["--ssl-task", "barlow_twins", "--batch-size", "1"], "barlow_twins needs batch_size >= 2"),
         (["--clients", "40", "--pretext-classes", "2", "--pretext-per-class", "4"], "8 pretext clips cannot cover"),
         (["--k", "121"], "k must lie in [1, 120]"),
     ])
@@ -320,6 +322,11 @@ class TestCmdRun:
         assert main(["run", *FAST_FLAGS, *flags]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_acop_runs_on_one_clip_batches(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        assert main(["run", *FAST_FLAGS, "--ssl-task", "acop", "--batch-size", "1"]) == 0
+        assert (tmp_path / "acop-fedavg-full-e1" / "final.ckpt").is_file()
 
     def test_k_bound_is_the_downstream_train_clip_count(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FASSL_OUT", str(tmp_path))

@@ -247,6 +247,23 @@ class TestRunConfigValidation:
         _, _, steps = local_train(shard, initial_state(cfg).global_params, None, cfg, 0, 1)
         assert steps == 1
 
+    @pytest.mark.parametrize("ssl_task", ["simclr", "barlow_twins"])
+    def test_pair_loss_rejects_one_clip_batches(self, ssl_task):
+        """A pair loss drops a one-clip batch, so batch_size 1 would train no client at all."""
+        with pytest.raises(ContractError, match=f"^{ssl_task} needs batch_size >= 2, got 1$"):
+            RunConfig(rounds=3, n_clients=4, clients_per_round=2, batch_size=1, pretext_per_class=5, ssl_task=ssl_task)
+        cfg = replace(SMALL, ssl_task=ssl_task, batch_size=2)
+        shard = synth_dataset(2, 3, cfg.frames, cfg.bands, seed=5).clip_array()
+        _, _, steps = local_train(shard, initial_state(cfg).global_params, None, cfg, 0, 1)
+        assert steps == 3
+
+    def test_acop_trains_on_one_clip_batches(self):
+        cfg = replace(SMALL, ssl_task="acop", batch_size=1)
+        shard = synth_dataset(2, 3, cfg.frames, cfg.bands, seed=5).clip_array()
+        upd, _, steps = local_train(shard, initial_state(cfg).global_params, None, cfg, 0, 1)
+        assert steps == 6
+        assert not upd.params.equal_bytes(initial_state(cfg).global_params)
+
     def test_clients_bound_is_the_pretext_clip_count(self):
         clips = SMALL.pretext_classes * SMALL.pretext_per_class
         assert replace(SMALL, n_clients=clips).n_clients == clips

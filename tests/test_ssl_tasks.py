@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fassl import autodiff as ad
+from fassl import ssl_tasks
 from fassl.autodiff import Graph, Tensor, backward
 from fassl.data import resample_frames, synth_dataset
 from fassl.errors import ContractError
@@ -22,7 +23,19 @@ from fassl.ssl_tasks import (
     two_view_batch,
 )
 
-from conftest import BAD_BATCH_MESSAGE, BAD_BATCHES, fd_fixture_ok, finite_diff_grad, gradclose, perturbed_params, tiny_encoder_config
+from conftest import (
+    BAD_BATCH_MESSAGE,
+    BAD_BATCHES,
+    fd_fixture_ok,
+    finite_diff_grad,
+    gradclose,
+    oracle_crop_rows,
+    oracle_eye_constants,
+    oracle_order_rows,
+    oracle_pair_constants,
+    perturbed_params,
+    tiny_encoder_config,
+)
 
 
 def make_clip(rng, frames=12, bands=4) -> np.ndarray:
@@ -538,3 +551,68 @@ class TestBatchInputContract:
     def test_acop_make_batch_rejects(self, batch):
         with pytest.raises(ContractError, match="^acop_make_batch " + BAD_BATCH_MESSAGE):
             acop_make_batch(batch, rng_for(0, "x"))
+
+
+def loss_and_grad_bytes(loss_fn, *arrays) -> bytes:
+    """The loss and the gradient of every input, as bytes, with each input a leaf."""
+    leaves = {str(i): Tensor(a) for i, a in enumerate(arrays)}
+    with Graph(leaves) as g:
+        loss = loss_fn(*leaves.values())
+    grads = backward(g, loss)
+    return loss.data.tobytes() + b"".join(grads[name].data.tobytes() for name in leaves)
+
+
+class TestShapeConstantCaches:
+    """What a step reads per batch shape is built once, kept read-only and keyed by the whole shape."""
+
+    POLICIES = (AugmentPolicy(), AugmentPolicy(0.5, 0.05, 0.2))
+    # 2n = 4, 6, 4 for the pair losses; frame counts and policies alternate under them
+    SEQUENCE = [(2, 16, POLICIES[0]), (3, 31, POLICIES[1]), (2, 31, POLICIES[0]), (3, 16, POLICIES[1]), (2, 16, POLICIES[1])]
+
+    def cached_arrays(self) -> list[np.ndarray]:
+        mask, even, odd, pair = ssl_tasks._pair_constants(8)
+        eye, off_mask = ssl_tasks._eye_constants(5)
+        return [mask.data, even, odd, pair, eye.data, off_mask.data, ssl_tasks._crop_rows(16, 0.7), ssl_tasks._order_rows(16)]
+
+    def test_every_cached_array_is_read_only(self):
+        for a in self.cached_arrays():
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+
+    def test_shape_sequence_gives_the_uncached_oracle_bytes(self, monkeypatch):
+        for n, frames, policy in self.SEQUENCE:
+            clips = oracle_clips(n, frames, 4, seed=n)
+            for ours, ref in zip(ssl_tasks._pair_constants(2 * n), oracle_pair_constants(2 * n)):
+                assert_same_bytes(ours.data if isinstance(ours, Tensor) else ours, ref)
+            for ours, ref in zip(ssl_tasks._eye_constants(n + 3), oracle_eye_constants(n + 3)):
+                assert_same_bytes(ours.data, ref)
+            assert_same_bytes(ssl_tasks._crop_rows(frames, policy.crop_fraction), oracle_crop_rows(frames, policy.crop_fraction))
+            assert_same_bytes(ssl_tasks._order_rows(frames), oracle_order_rows(frames))
+
+            views = two_view_batch(clips, policy, rng_for(1, "cache-views", n, frames))
+            assert_same_bytes(views.data, reference_two_view_batch(clips, policy, rng_for(1, "cache-views", n, frames)))
+            segments = acop_make_batch(clips, rng_for(1, "cache-acop", n, frames)).segments
+            assert_same_bytes(segments.data, reference_acop_make_batch(clips, rng_for(1, "cache-acop", n, frames))[0])
+
+            z = views.data[:, : n + 3]
+            pair_losses = [
+                lambda z: nt_xent_loss(z, 0.5),
+                lambda z: barlow_twins_loss(ad.gather_rows(z, np.arange(0, 2 * n, 2)), ad.gather_rows(z, np.arange(1, 2 * n, 2)), 5e-3),
+            ]
+            cached = [loss_and_grad_bytes(fn, z) for fn in pair_losses]
+            with monkeypatch.context() as m:
+                m.setattr(ssl_tasks, "_pair_constants", lambda two_n: (Tensor(oracle_pair_constants(two_n)[0]), *oracle_pair_constants(two_n)[1:]))
+                m.setattr(ssl_tasks, "_eye_constants", lambda d: tuple(Tensor(a) for a in oracle_eye_constants(d)))
+                assert cached == [loss_and_grad_bytes(fn, z) for fn in pair_losses]
+
+    def test_caches_stay_small_at_a_64_clip_batch(self):
+        """Every contrastive shape of a batch of up to 64 clips stays cached, in under 4 MB with the rest."""
+        ssl_tasks._pair_constants.cache_clear()
+        pair = {two_n: ssl_tasks._pair_constants(two_n) for two_n in range(4, 129, 2)}
+        assert all(ssl_tasks._pair_constants(two_n) is kept for two_n, kept in pair.items())
+        assert max(kept[0].data.nbytes for kept in pair.values()) <= 128 * 1024
+        arrays = [a.data if isinstance(a, Tensor) else a for kept in pair.values() for a in kept]
+        arrays += [t.data for t in ssl_tasks._eye_constants(16)]
+        arrays += [ssl_tasks._crop_rows(32, AugmentPolicy().crop_fraction), ssl_tasks._order_rows(32)]
+        assert sum(a.nbytes for a in arrays) < 4 * 2**20
+
