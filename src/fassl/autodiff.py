@@ -12,11 +12,12 @@ forward computations, which is what evaluation-only code paths use.
 
 Every ``Tensor`` construction checks its values are finite, intermediates
 included; an input that already is a C-contiguous float64 ndarray is stored
-as is, without a conversion pass. A plain Python ``float``/``int`` operand of
-``mul`` or ``div`` (a temperature, a count, a loss weight) is a constant of
-the op: it is checked finite, never becomes a ``Tensor`` and is no tape
-input, and it gives the bits of the same value wrapped in a ``Tensor``.
-``add``/``sub`` lift such an operand to a shape-(1,) float64 array.
+as is, without a conversion pass. Every operand of an op is a ``Tensor``,
+with one exception: the right-hand operand of ``mul`` or ``div`` may be a
+plain Python ``float``/``int`` (a temperature, a count, a loss weight). Such
+a constant is checked finite, never becomes a ``Tensor`` and is no tape
+input, and it gives the bits of the same value wrapped in a ``Tensor``. Any
+other operand is a ``ContractError``.
 
 Tensors are immutable values (``data`` must never be mutated after
 construction), so one tensor can be a leaf of any number of graphs. The
@@ -161,12 +162,11 @@ def backward(graph: Graph, loss: Tensor) -> dict[str, Tensor]:
     return {name: Tensor(grads[id(leaf)]) for name, leaf in graph.leaves.items() if id(leaf) in grads}
 
 
-def _as_tensor(x) -> Tensor:
+def _tensor(x) -> Tensor:
+    """An op's operand, which must be a ``Tensor``."""
     if type(x) is Tensor:
         return x
-    if type(x) is float or type(x) is int:
-        return Tensor(np.full(1, x, dtype=np.float64))
-    return Tensor(np.asarray(x, dtype=np.float64))
+    raise ContractError(f"op operands must be Tensors, got {type(x).__name__}")
 
 
 def _constant(x) -> float:
@@ -218,8 +218,8 @@ def _make(out_data, inputs: tuple, vjps: tuple) -> Tensor:
     return out
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
     return _make(
         a.data + b.data,
         (a, b),
@@ -227,8 +227,8 @@ def add(a, b) -> Tensor:
     )
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
     return _make(
         a.data - b.data,
         (a, b),
@@ -236,14 +236,12 @@ def sub(a, b) -> Tensor:
     )
 
 
-def mul(a, b) -> Tensor:
-    if type(a) is float or type(a) is int:
-        a, b = b, a  # x * c and c * x are the same IEEE product
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
+    a = _tensor(a)
     if type(b) is float or type(b) is int:
         c = _constant(b)
-        a = _as_tensor(a)
         return _make(a.data * c, (a,), (lambda g: g * c,))
-    a, b = _as_tensor(a), _as_tensor(b)
+    b = _tensor(b)
     return _make(
         a.data * b.data,
         (a, b),
@@ -251,16 +249,12 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a, b) -> Tensor:
+def div(a: Tensor, b: Tensor | float) -> Tensor:
+    a = _tensor(a)
     if type(b) is float or type(b) is int:
         c = _constant(b)
-        a = _as_tensor(a)
         return _make(a.data / c, (a,), (lambda g: g / c,))
-    if type(a) is float or type(a) is int:
-        c = _constant(a)
-        b = _as_tensor(b)
-        return _make(c / b.data, (b,), (lambda g: -g * c / (b.data * b.data),))
-    a, b = _as_tensor(a), _as_tensor(b)
+    b = _tensor(b)
     return _make(
         a.data / b.data,
         (a, b),
@@ -272,55 +266,55 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _tensor(a), _tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     return _make(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
+    a = _tensor(a)
     if a.data.ndim != 2:
         raise ContractError(f"transpose needs a 2-d tensor, got shape {a.shape}")
     return _make(a.data.T, (a,), (lambda g: g.T,))
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
+    a = _tensor(a)
     # Subgradient at 0 is fixed to 0 for determinism.
     return _make(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
 
 
 def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
+    a = _tensor(a)
     out_data = np.exp(a.data)
     return _make(out_data, (a,), (lambda g: g * out_data,))
 
 
 def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
+    a = _tensor(a)
     return _make(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
+    a = _tensor(a)
     out_data = np.sqrt(a.data)
     return _make(out_data, (a,), (lambda g: g * 0.5 / out_data,))
 
 
 def maximum_const(a: Tensor, c: float) -> Tensor:
     """Elementwise max(a, c) with constant c; gradient passes only where a > c."""
-    a = _as_tensor(a)
+    a = _tensor(a)
     return _make(np.maximum(a.data, c), (a,), (lambda g: g * (a.data > c),))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
+    a = _tensor(a)
     return _make(np.add.reduce(a.data, axis=None), (a,), (lambda g: _filled(g, a.shape),))
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
-    a = _as_tensor(a)
+    a = _tensor(a)
     return _make(
         np.add.reduce(a.data, axis=axis, keepdims=True),
         (a,),
@@ -329,7 +323,7 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def mean_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
+    a = _tensor(a)
     n = a.data.size
     return _make(
         np.add.reduce(a.data, axis=None) / n,
@@ -339,13 +333,13 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    a = _as_tensor(a)
+    a = _tensor(a)
     return _make(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows by an integer index array; backward scatter-adds."""
-    a = _as_tensor(a)
+    a = _tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
 
     def vjp(g):
@@ -360,7 +354,6 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Divide each row by max(||row||_2, eps); zero rows stay zero."""
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
-    x = _as_tensor(x)
     ss = sum_axis(mul(x, x), axis=1)
     denom = sqrt(maximum_const(ss, eps * eps))
     return div(x, denom)
@@ -368,4 +361,4 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
 
 def detached_rowmax(a: Tensor) -> Tensor:
     """Per-row max as a constant (no gradient); used to stabilize log-sum-exp."""
-    return Tensor(np.maximum.reduce(a.data, axis=1, keepdims=True))
+    return Tensor(np.maximum.reduce(_tensor(a).data, axis=1, keepdims=True))

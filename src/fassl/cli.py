@@ -26,12 +26,9 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ExperimentSpec, apply_overrides, default_spec, emit_defaults, parse_config
-from .data import (
-    SUITE_CLASSES, SUITE_TRAIN_PER_CLASS, dirichlet_partition, downstream_suite, partition_label_entropies,
-    synth_dataset,
-)
+from .data import dirichlet_partition, downstream_suite, partition_label_entropies, synth_dataset
 from .errors import ConfigError, ContractError
-from .orchestrator import RunConfig, run
+from .orchestrator import RunConfig, check_k, run
 from .plotting import plot_results
 from .seeding import derive_seed
 
@@ -125,9 +122,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     root = _out_root(spec)
     # every cell resolves before any runs, so a config error leaves no cell directory
     jobs = [(name, cell, cell.base_run_config(), root / name) for name, cell in spec.cells()]
-    suite_train = SUITE_CLASSES * SUITE_TRAIN_PER_CLASS
-    if spec["k"] > suite_train:
-        raise ConfigError(f"k must lie in [1, {suite_train}] (train clips per downstream task), got {spec['k']}")
+    # k is checked against each distinct suite the cells score on, so a k no task can serve leaves no directory
+    for seed, frames, bands in sorted({(cfg.master_seed, cfg.frames, cfg.bands) for _, _, cfg, _ in jobs}):
+        try:
+            check_k(spec["k"], downstream_suite(derive_seed(seed, "downstream-data"), frames, bands))
+        except ContractError as exc:
+            raise ConfigError(str(exc)) from exc
     failures = 0
     try:
         with _cell_mapper(min(spec["workers"], len(jobs), os.cpu_count() or 1)) as cell_map:

@@ -3,9 +3,10 @@
 Evaluation is training-free: test-set features query the training-set
 features, and a query counts as correct when its true class appears among
 the classes of its k nearest training samples. The tracker keeps, per task,
-the best accuracy seen so far together with the round and checkpoint that
-produced it, replacing only on strict improvement (ties keep the earlier
-model).
+the best accuracy seen so far together with the round that produced it,
+replacing only on strict improvement (ties keep the earlier model). A run
+with an output directory saves that round's model as
+``round_<r:04d>.ckpt``.
 
 A generated dataset is encoded straight from the one feature matrix it
 owns, so evaluating it copies no clip. The orchestrator evaluates after a
@@ -125,7 +126,6 @@ def evaluate_global(
 class TaskBest:
     accuracy: float
     round: int
-    checkpoint: str
 
 
 @dataclass
@@ -139,12 +139,7 @@ class OptimaTracker:
         return [(task, b.round, b.accuracy) for task, b in sorted(self.best.items())]
 
 
-def update_optima(
-    tracker: OptimaTracker,
-    round_idx: int,
-    accs: list[TaskAccuracy],
-    checkpoint: str,
-) -> OptimaTracker:
+def update_optima(tracker: OptimaTracker, round_idx: int, accs: list[TaskAccuracy]) -> None:
     """Install strictly better accuracies; on ties the earlier round stays."""
     if round_idx <= tracker.last_round:
         raise ContractError(
@@ -154,10 +149,7 @@ def update_optima(
     for acc in accs:
         cur = tracker.best.get(acc.task)
         if cur is None or acc.top1_retrieval > cur.accuracy:
-            tracker.best[acc.task] = TaskBest(
-                accuracy=acc.top1_retrieval, round=round_idx, checkpoint=checkpoint
-            )
-    return tracker
+            tracker.best[acc.task] = TaskBest(accuracy=acc.top1_retrieval, round=round_idx)
 
 
 def optima_csv(tracker: OptimaTracker) -> str:

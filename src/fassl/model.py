@@ -161,7 +161,8 @@ def _linear(params: ParamTree, layer: str, x: Tensor) -> Tensor:
 
 def encode(params: ParamTree, batch: Tensor) -> Tensor:
     """Backbone forward: the per-sample embedding used as the retrieval feature."""
-    batch = batch if isinstance(batch, Tensor) else Tensor(batch)
+    if type(batch) is not Tensor:
+        raise ContractError(f"encode needs a Tensor batch, got {type(batch).__name__}")
     expected = params.get("backbone.fc1.weight").shape[0]
     if batch.data.ndim != 2 or batch.shape[1] != expected:
         raise ContractError(

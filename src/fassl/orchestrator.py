@@ -178,17 +178,14 @@ def _batch_loss(params: ParamTree, clips: np.ndarray, cfg: RunConfig, rng):
     z = project(params, encode(params, views))
     if cfg.ssl_task == "simclr":
         return nt_xent_loss(z, cfg.tau)
-    even = np.arange(0, z.shape[0], 2)
-    odd = np.arange(1, z.shape[0], 2)
-    return barlow_twins_loss(
-        ad.gather_rows(z, even), ad.gather_rows(z, odd), cfg.bt_lambda, cfg.bt_eps
-    )
+    even, odd = ssl_tasks.view_rows(z.shape[0])
+    return barlow_twins_loss(ad.gather_rows(z, even), ad.gather_rows(z, odd), cfg.bt_lambda, cfg.bt_eps)
 
 
 def local_train(
     shard: np.ndarray,
     w_g: ParamTree,
-    retained_head: ParamTree | None,
+    retained_head: ParamTree,
     cfg: RunConfig,
     client_id: int,
     round_idx: int,
@@ -211,7 +208,7 @@ def local_train(
     step would have left, bit for bit.
     """
     n_clips = ssl_tasks.clips_shape(shard, f"client {client_id}'s shard")[0]
-    params = w_g if retained_head is None or len(retained_head) == 0 else merge(w_g, retained_head)
+    params = merge(w_g, retained_head) if len(retained_head) else w_g
     rng = rng_for(cfg.master_seed, "train", round_idx, client_id)
     min_clips = _min_batch_clips(cfg.ssl_task)
     steps = 0
@@ -257,12 +254,10 @@ class RunSink:
             self._csv.write(CSV_HEADER + "\n")
             self._csv.flush()
 
-    def checkpoint_ref(self, round_idx: int, params: ParamTree) -> str:
-        if self.out_dir is None:
-            return f"round:{round_idx}"
-        path = self.out_dir / f"round_{round_idx:04d}.ckpt"
-        save_params(params, path)
-        return str(path)
+    def save_round(self, round_idx: int, params: ParamTree) -> None:
+        """Write an eval round's global model as ``round_<r:04d>.ckpt``; nothing without a directory."""
+        if self.out_dir is not None:
+            save_params(params, self.out_dir / f"round_{round_idx:04d}.ckpt")
 
     def on_eval(self, cfg: RunConfig, accs: list[TaskAccuracy]) -> None:
         self.rows.extend(accs)
@@ -325,12 +320,12 @@ def run_round(
     )
 
     if round_idx % cfg.eval_every == 0:
-        ckpt = sink.checkpoint_ref(round_idx, new_global)
+        sink.save_round(round_idx, new_global)
         accs = evaluate_global(
             new_global, tasks, cfg.k, round_idx=round_idx,
             feature_layer=cfg.feature_layer, metric=cfg.metric,
         )
-        update_optima(tracker, round_idx, accs, ckpt)
+        update_optima(tracker, round_idx, accs)
         sink.on_eval(cfg, accs)
     return new_state, steps
 
@@ -340,6 +335,13 @@ def initial_state(cfg: RunConfig) -> RoundState:
     return RoundState(round_idx=0, global_params=params, retained_heads={})
 
 
+def check_k(k: int, tasks: list[tuple[str, SynthDataset, SynthDataset]]) -> None:
+    """Every task's kNN query needs k train clips to rank."""
+    for name, train, _ in tasks:
+        if k > len(train):
+            raise ContractError(f"k must lie in [1, {len(train)}] (train clips of task {name!r}), got {k}")
+
+
 def run(
     cfg: RunConfig,
     pretext: SynthDataset,
@@ -347,10 +349,7 @@ def run(
     out_dir: str | os.PathLike | None = None,
 ) -> RunResult:
     """Execute R federated rounds from a seeded init; returns the full log."""
-    # checked before RunSink creates out_dir, so a k no task can serve leaves no files
-    for name, train, _ in tasks:
-        if cfg.k > len(train):
-            raise ContractError(f"k must lie in [1, {len(train)}] (train clips of task {name!r}), got {cfg.k}")
+    check_k(cfg.k, tasks)  # before RunSink creates out_dir, so a k no task can serve leaves no files
     partition = dirichlet_partition(
         pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition")
     )

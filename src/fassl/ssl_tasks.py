@@ -17,9 +17,9 @@ view, then the band-dropout coins of every view. The predictive task makes
 one permutation draw per clip.
 
 What a batch reads that depends only on its shape (the crop table, the
-acop order rows, the losses' masks and pair indices) is built once per shape
-and kept read-only, so a step shares it without copying and nothing can
-write to it. Each cache holds at most ``_SHAPES_KEPT`` shapes: at a batch
+acop order rows, the two views' rows, the losses' masks and pair indices)
+is built once per shape and kept read-only, so a step shares it without
+copying and nothing can write to it. Each cache holds at most ``_SHAPES_KEPT`` shapes: at a batch
 of up to 64 clips every contrastive shape fits (2n = 4, 6, ..., 128), about
 2.9 MB in all, and at larger batches the bound keeps it from growing with
 every tail batch.
@@ -134,13 +134,15 @@ def _row_logsumexp(x: Tensor) -> Tensor:
 
 
 @functools.lru_cache(maxsize=_SHAPES_KEPT)
-def _pair_constants(two_n: int) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
-    """nt_xent's constants at 2n rows: the self-similarity mask, even rows, odd rows, each anchor's pair."""
-    mask = Tensor(_read_only(np.diag(np.full(two_n, _NEG_MASK))))
-    even = _read_only(np.arange(0, two_n, 2))
-    odd = _read_only(np.arange(1, two_n, 2))
-    pair = _read_only(np.repeat(np.arange(two_n // 2), 2))
-    return mask, even, odd, pair
+def view_rows(two_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd rows of an interleaved 2n-row view matrix: every clip's first and second view."""
+    return _read_only(np.arange(0, two_n, 2)), _read_only(np.arange(1, two_n, 2))
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _pair_constants(two_n: int) -> tuple[Tensor, np.ndarray]:
+    """nt_xent's constants at 2n rows: the self-similarity mask and each anchor's pair."""
+    return Tensor(_read_only(np.diag(np.full(two_n, _NEG_MASK)))), _read_only(np.repeat(np.arange(two_n // 2), 2))
 
 
 def nt_xent_loss(z: Tensor, tau: float) -> Tensor:
@@ -156,7 +158,8 @@ def nt_xent_loss(z: Tensor, tau: float) -> Tensor:
         raise ContractError(f"need an even number >= 4 of rows (pairs), got {two_n}")
     zn = ad.l2_normalize_rows(z, eps=_NORM_EPS)
     sims = ad.div(ad.matmul(zn, ad.transpose(zn)), tau)
-    mask, even_rows, odd_rows, pair_rows = _pair_constants(two_n)
+    mask, pair_rows = _pair_constants(two_n)
+    even_rows, odd_rows = view_rows(two_n)
     lse = _row_logsumexp(ad.add(sims, mask))
     even = ad.gather_rows(zn, even_rows)
     odd = ad.gather_rows(zn, odd_rows)

@@ -238,18 +238,14 @@ def test_criterion_06_tracker_oracle():
         traj = np.round(rng.uniform(0, 1, size=length), 2)  # rounding forces ties
         tracker = OptimaTracker()
         for i, v in enumerate(traj, start=1):
-            update_optima(
-                tracker, i,
-                [TaskAccuracy(task="t", round=i, top1_retrieval=float(v), k=1)],
-                checkpoint=f"ck{i}",
-            )
+            update_optima(tracker, i, [TaskAccuracy(task="t", round=i, top1_retrieval=float(v), k=1)])
         best = tracker.best["t"]
         ok &= best.accuracy == float(traj.max())
         ok &= best.round == int(np.argmax(traj)) + 1  # earliest argmax
     # explicit strict-tie check
     tracker = OptimaTracker()
     for i, v in enumerate([0.4, 0.4, 0.4], start=1):
-        update_optima(tracker, i, [TaskAccuracy(task="t", round=i, top1_retrieval=v, k=1)], "ck")
+        update_optima(tracker, i, [TaskAccuracy(task="t", round=i, top1_retrieval=v, k=1)])
     ok &= tracker.best["t"].round == 1
     _report(6, "tracker equals max-with-earliest-argmax oracle; ties keep earlier", ok)
 

@@ -321,11 +321,11 @@ class TestTrackedInputsOnly:
         cfg = RunConfig(ssl_task=ssl_task, batch_size=4, frames=12, bands=4, hidden_dim=7, embed_dim=6, projection_dim=5)
         shard = synth_dataset(2, 4, 12, 4, seed=0).clip_array()[:4]
         params = initial_state(cfg).global_params
-        local_train(shard, params, None, cfg, 0, 1)  # sees the batch shape
+        local_train(shard, params, ParamTree.empty(), cfg, 0, 1)  # sees the batch shape
         built = []
         init = Tensor.__init__
         monkeypatch.setattr(Tensor, "__init__", lambda self, data: built.append(1) or init(self, data))
-        _, _, steps = local_train(shard, params, None, cfg, 0, 1)
+        _, _, steps = local_train(shard, params, ParamTree.empty(), cfg, 0, 1)
         assert steps == 1
         assert len(built) == constructions
 
@@ -458,21 +458,19 @@ class TestSgdStep:
 
 
 class TestScalarOperands:
-    """Python float/int operands take the fast path with the bytes of a wrapped operand."""
+    """A Python float/int on the right of mul/div takes the fast path with the bytes of a wrapped operand."""
 
     @pytest.mark.parametrize(
         "op, scalar",
-        [(ad.div, 0.5), (ad.mul, 3), (ad.div, float(64)), (ad.mul, 5e-3), (ad.add, 2), (ad.sub, -1.25)],
-        ids=["div-half", "mul-int", "div-float-n", "mul-lambda", "add-int", "sub-float"],
+        [(ad.div, 0.5), (ad.mul, 3), (ad.div, float(64)), (ad.mul, 5e-3), (ad.mul, -7), (ad.div, 2**60)],
+        ids=["div-half", "mul-int", "div-float-n", "mul-lambda", "mul-negative-int", "div-large-int"],
     )
-    @pytest.mark.parametrize("scalar_first", [False, True])
-    def test_same_bytes_as_tensor_wrapped(self, rng, op, scalar, scalar_first):
+    def test_same_bytes_as_tensor_wrapped(self, rng, op, scalar):
         x = Tensor(rng.normal(size=(6, 4)))
 
         def run(operand):
-            args = (operand, x) if scalar_first else (x, operand)
             with Graph({"x": x}) as g:
-                y = op(*args)
+                y = op(x, operand)
                 loss = ad.sum_all(ad.mul(y, y))
             return y, len(g.nodes), backward(g, loss)["x"]
 
@@ -483,16 +481,31 @@ class TestScalarOperands:
         assert g_fast.data.tobytes() == g_ref.data.tobytes()
         assert nodes_fast == nodes_ref
 
-    @pytest.mark.parametrize("scalar", [0.5, 3, -7, 1e300, 2**60])
-    def test_scalar_becomes_shape_one_float64(self, scalar):
-        t = ad._as_tensor(scalar)
-        ref = Tensor(np.asarray(scalar, dtype=np.float64))
-        assert t.shape == (1,) and t.data.dtype == np.float64
-        assert t.data.tobytes() == ref.data.tobytes()
-
     def test_nonfinite_scalar_rejected(self):
         with pytest.raises(ContractError, match="finite"):
             ad.div(Tensor([1.0]), float("nan"))
+
+
+_PARAMS_4 = init_encoder(EncoderConfig(input_dim=4, hidden_dim=3, embed_dim=2, projection_dim=2), seed=0)
+
+
+@pytest.mark.parametrize("call, type_name", [
+    (lambda x: ad.add(x, x.data), "ndarray"),
+    (lambda x: ad.relu(x.data.tolist()), "list"),
+    (lambda x: ad.mul(x, np.float64(2.0)), "float64"),
+    (lambda x: ad.add(x, 2), "int"),
+    (lambda x: ad.sub(x, 1.25), "float"),
+    (lambda x: ad.matmul(x, 3.0), "float"),
+    (lambda x: ad.mul(2.0, x), "float"),
+    (lambda x: ad.div(1, x), "int"),
+    (lambda x: ad.detached_rowmax(x.data), "ndarray"),
+    (lambda x: encode(_PARAMS_4, x.data), "ndarray"),
+], ids=["ndarray", "list", "numpy-scalar", "add-number", "sub-number", "matmul-number", "mul-left-number",
+        "div-numerator-number", "rowmax-ndarray", "encode-ndarray"])
+def test_non_tensor_operand_raises_naming_its_type(rng, call, type_name):
+    """Ops take Tensors, plus a Python float/int on the right of mul/div; any other operand is refused."""
+    with pytest.raises(ContractError, match=rf"got {type_name}$"):
+        call(Tensor(rng.normal(size=(3, 4))))
 
 
 class TestNoGraphMode:

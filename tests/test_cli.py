@@ -23,6 +23,7 @@ from fassl.config import (
     parse_config,
     parse_config_text,
 )
+from fassl.data import synth_dataset
 from fassl.errors import ConfigError, ContractError
 from fassl.orchestrator import CSV_HEADER, RunConfig
 from fassl.plotting import INT_COLUMNS, collect_series, plot_results, read_results_csv
@@ -333,6 +334,17 @@ class TestCmdRun:
         assert main(["run", *FAST_FLAGS, "--k", "120"]) == 0
         rows = (tmp_path / "simclr-fedavg-full-e1" / "results.csv").read_text().splitlines()[1:]
         assert rows and all(row.split(",")[6] == "120" for row in rows)
+
+    def test_k_bound_follows_the_suite_the_cells_score_on(self, tmp_path, monkeypatch, capsys):
+        def six_clip_suite(seed, frames, bands):
+            train = synth_dataset(2, 3, frames, bands, seed=seed)
+            return [("tiny", train, train)]
+
+        monkeypatch.setattr(cli, "downstream_suite", six_clip_suite)
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
+        assert main(["run", *FAST_FLAGS, "--k", "7"]) == 1
+        assert "k must lie in [1, 6] (train clips of task 'tiny')" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--strategy", "fedavg,fedavg", "--local-epochs", "1,1"],

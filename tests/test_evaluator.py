@@ -254,37 +254,37 @@ class TestOptimaTracker:
     def test_keeps_previous_on_decline(self):
         tracker = OptimaTracker()
         for rnd, value in [(1, 0.10), (2, 0.12), (3, 0.11)]:
-            update_optima(tracker, rnd, [acc("t", rnd, value)], checkpoint=f"ck{rnd}")
+            update_optima(tracker, rnd, [acc("t", rnd, value)])
         best = tracker.best["t"]
-        assert (best.accuracy, best.round, best.checkpoint) == (0.12, 2, "ck2")
+        assert (best.accuracy, best.round) == (0.12, 2)
 
     def test_first_evaluation_installs_itself(self):
         tracker = OptimaTracker()
-        update_optima(tracker, 5, [acc("t", 5, 0.0)], checkpoint="ck5")
+        update_optima(tracker, 5, [acc("t", 5, 0.0)])
         assert tracker.best["t"].round == 5
 
     def test_tie_keeps_earlier_round(self):
         tracker = OptimaTracker()
-        update_optima(tracker, 1, [acc("t", 1, 0.5)], "ck1")
-        update_optima(tracker, 2, [acc("t", 2, 0.5)], "ck2")
+        update_optima(tracker, 1, [acc("t", 1, 0.5)])
+        update_optima(tracker, 2, [acc("t", 2, 0.5)])
         assert tracker.best["t"].round == 1
 
     def test_out_of_order_round_rejected(self):
         tracker = OptimaTracker()
-        update_optima(tracker, 3, [acc("t", 3, 0.5)], "ck3")
+        update_optima(tracker, 3, [acc("t", 3, 0.5)])
         with pytest.raises(ContractError):
-            update_optima(tracker, 3, [acc("t", 3, 0.6)], "ck3b")
+            update_optima(tracker, 3, [acc("t", 3, 0.6)])
 
     def test_independent_of_task_order_within_round(self):
         a, b = OptimaTracker(), OptimaTracker()
         accs = [acc("x", 1, 0.3), acc("y", 1, 0.6)]
-        update_optima(a, 1, accs, "ck")
-        update_optima(b, 1, list(reversed(accs)), "ck")
+        update_optima(a, 1, accs)
+        update_optima(b, 1, list(reversed(accs)))
         assert a.summary_rows() == b.summary_rows()
 
     def test_summary_csv_format(self):
         tracker = OptimaTracker()
-        update_optima(tracker, 10, [acc("b", 10, 0.125), acc("a", 10, 0.5)], "ck")
+        update_optima(tracker, 10, [acc("b", 10, 0.125), acc("a", 10, 0.5)])
         assert optima_csv(tracker) == "task,best_round,best_accuracy\na,10,0.500000\nb,10,0.125000\n"
 
 
@@ -295,7 +295,7 @@ class TestOptimaTracker:
 def test_tracker_matches_max_with_earliest_argmax_oracle(trajectory):
     tracker = OptimaTracker()
     for i, value in enumerate(trajectory, start=1):
-        update_optima(tracker, i, [acc("t", i, value)], f"ck{i}")
+        update_optima(tracker, i, [acc("t", i, value)])
     best = tracker.best["t"]
     expected_best = max(trajectory)
     expected_round = trajectory.index(expected_best) + 1

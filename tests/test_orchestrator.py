@@ -10,7 +10,7 @@ from fassl.aggregation import Strategy
 from fassl.data import SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ContractError
 from fassl.evaluator import OptimaTracker
-from fassl.model import ACOP_SEGMENTS, EncoderConfig, split
+from fassl.model import ACOP_SEGMENTS, EncoderConfig, ParamTree, split
 from fassl import ssl_tasks
 from fassl.orchestrator import (
     CSV_HEADER,
@@ -91,7 +91,7 @@ class TestLocalTrain:
         """With an empty schedule (batch too small for pairs), params are untouched."""
         cfg = replace(SMALL, ssl_task="simclr")
         state = initial_state(cfg)
-        upd, _, steps = local_train(self._shard(1), state.global_params, None, cfg, 0, 1)
+        upd, _, steps = local_train(self._shard(1), state.global_params, ParamTree.empty(), cfg, 0, 1)
         assert steps == 0
         assert upd.params.equal_bytes(state.global_params)
         assert upd.mean_loss == 0.0
@@ -99,7 +99,7 @@ class TestLocalTrain:
     def test_tiny_lr_params_near_initialization(self):
         cfg = replace(SMALL, lr=1e-12)
         state = initial_state(cfg)
-        upd, _, steps = local_train(self._shard(), state.global_params, None, cfg, 0, 1)
+        upd, _, steps = local_train(self._shard(), state.global_params, ParamTree.empty(), cfg, 0, 1)
         assert steps > 0
         for name, t in upd.params.items():
             np.testing.assert_allclose(t.data, state.global_params.get(name).data, atol=1e-9)
@@ -107,8 +107,8 @@ class TestLocalTrain:
     def test_bit_identical_given_same_inputs(self):
         cfg = SMALL
         state = initial_state(cfg)
-        a = local_train(self._shard(), state.global_params, None, cfg, 4, 2)
-        b = local_train(self._shard(), state.global_params, None, cfg, 4, 2)
+        a = local_train(self._shard(), state.global_params, ParamTree.empty(), cfg, 4, 2)
+        b = local_train(self._shard(), state.global_params, ParamTree.empty(), cfg, 4, 2)
         assert params_bytes(a[0].params) == params_bytes(b[0].params)
         assert a[0].mean_loss == b[0].mean_loss
 
@@ -119,15 +119,15 @@ class TestLocalTrain:
         cfg1 = replace(SMALL, local_epochs=1, lr=0.1)
         cfg5 = replace(SMALL, local_epochs=5, lr=0.1)
         state = initial_state(cfg1)
-        loss1 = local_train(shard, state.global_params, None, cfg1, 0, 1)[0].mean_loss
-        loss5 = local_train(shard, state.global_params, None, cfg5, 0, 1)[0].mean_loss
+        loss1 = local_train(shard, state.global_params, ParamTree.empty(), cfg1, 0, 1)[0].mean_loss
+        loss5 = local_train(shard, state.global_params, ParamTree.empty(), cfg5, 0, 1)[0].mean_loss
         assert loss5 < loss1
 
     @pytest.mark.parametrize("shard", BAD_BATCHES.values(), ids=BAD_BATCHES.keys())
     def test_bad_shard_rejected(self, shard):
         state = initial_state(SMALL)
         with pytest.raises(ContractError, match="^client 3's shard " + BAD_BATCH_MESSAGE):
-            local_train(shard, state.global_params, None, SMALL, 3, 1)
+            local_train(shard, state.global_params, ParamTree.empty(), SMALL, 3, 1)
 
     def test_backbone_scope_returns_backbone_update_and_head(self):
         cfg = replace(SMALL, scope="backbone")
@@ -143,9 +143,8 @@ class TestLocalTrain:
     def test_inputs_keep_their_bytes(self, ssl_task, scope):
         cfg = replace(SMALL, ssl_task=ssl_task, scope=scope)
         state = initial_state(cfg)
-        trans, _ = split(state.global_params, scope)
+        trans, head = split(state.global_params, scope)  # head is the empty tree in full scope
         initial_heads = split(state.global_params, "backbone")[1]
-        head = initial_heads if scope == "backbone" else None
         before = (params_bytes(state.global_params), params_bytes(initial_heads))
         upd, retained, steps = local_train(self._shard(), trans, head, cfg, 0, 1)
         assert steps > 0
@@ -159,7 +158,7 @@ class TestLocalTrain:
         cfg = replace(SMALL, ssl_task=ssl_task, scope=scope)
         state = initial_state(cfg)
         trans, heads = split(state.global_params, scope)
-        upd, retained, steps = local_train(self._shard(), trans, heads if scope == "backbone" else None, cfg, 0, 1)
+        upd, retained, steps = local_train(self._shard(), trans, heads, cfg, 0, 1)  # heads is the empty tree in full scope
         assert steps > 0
         returned = list(upd.params.items()) + list(retained.items())
         assert sorted(name for name, _ in returned) == state.global_params.names()
@@ -244,7 +243,7 @@ class TestRunConfigValidation:
             replace(SMALL, ssl_task=ssl_task, frames=least - 1)
         cfg = replace(SMALL, ssl_task=ssl_task, frames=least)
         shard = synth_dataset(2, 4, cfg.frames, cfg.bands, seed=5).clip_array()
-        _, _, steps = local_train(shard, initial_state(cfg).global_params, None, cfg, 0, 1)
+        _, _, steps = local_train(shard, initial_state(cfg).global_params, ParamTree.empty(), cfg, 0, 1)
         assert steps == 1
 
     @pytest.mark.parametrize("ssl_task", ["simclr", "barlow_twins"])
@@ -254,13 +253,13 @@ class TestRunConfigValidation:
             RunConfig(rounds=3, n_clients=4, clients_per_round=2, batch_size=1, pretext_per_class=5, ssl_task=ssl_task)
         cfg = replace(SMALL, ssl_task=ssl_task, batch_size=2)
         shard = synth_dataset(2, 3, cfg.frames, cfg.bands, seed=5).clip_array()
-        _, _, steps = local_train(shard, initial_state(cfg).global_params, None, cfg, 0, 1)
+        _, _, steps = local_train(shard, initial_state(cfg).global_params, ParamTree.empty(), cfg, 0, 1)
         assert steps == 3
 
     def test_acop_trains_on_one_clip_batches(self):
         cfg = replace(SMALL, ssl_task="acop", batch_size=1)
         shard = synth_dataset(2, 3, cfg.frames, cfg.bands, seed=5).clip_array()
-        upd, _, steps = local_train(shard, initial_state(cfg).global_params, None, cfg, 0, 1)
+        upd, _, steps = local_train(shard, initial_state(cfg).global_params, ParamTree.empty(), cfg, 0, 1)
         assert steps == 6
         assert not upd.params.equal_bytes(initial_state(cfg).global_params)
 
@@ -282,7 +281,7 @@ class TestRunRound:
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, partition_seed)
         sampled = sample_clients(cfg.n_clients, 1, 1, cfg.master_seed)
         shard = pretext.clip_array()[partition.shards[sampled[0]]]
-        expected, _, _ = local_train(shard, state.global_params, None, cfg, sampled[0], 1)
+        expected, _, _ = local_train(shard, state.global_params, ParamTree.empty(), cfg, sampled[0], 1)
         new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
         assert new_state.global_params.equal_bytes(expected.params)
 

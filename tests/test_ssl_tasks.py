@@ -570,7 +570,8 @@ class TestShapeConstantCaches:
     SEQUENCE = [(2, 16, POLICIES[0]), (3, 31, POLICIES[1]), (2, 31, POLICIES[0]), (3, 16, POLICIES[1]), (2, 16, POLICIES[1])]
 
     def cached_arrays(self) -> list[np.ndarray]:
-        mask, even, odd, pair = ssl_tasks._pair_constants(8)
+        mask, pair = ssl_tasks._pair_constants(8)
+        even, odd = ssl_tasks.view_rows(8)
         eye, off_mask = ssl_tasks._eye_constants(5)
         return [mask.data, even, odd, pair, eye.data, off_mask.data, ssl_tasks._crop_rows(16, 0.7), ssl_tasks._order_rows(16)]
 
@@ -582,8 +583,9 @@ class TestShapeConstantCaches:
     def test_shape_sequence_gives_the_uncached_oracle_bytes(self, monkeypatch):
         for n, frames, policy in self.SEQUENCE:
             clips = oracle_clips(n, frames, 4, seed=n)
-            for ours, ref in zip(ssl_tasks._pair_constants(2 * n), oracle_pair_constants(2 * n)):
-                assert_same_bytes(ours.data if isinstance(ours, Tensor) else ours, ref)
+            (mask, pair), (even, odd) = ssl_tasks._pair_constants(2 * n), ssl_tasks.view_rows(2 * n)
+            for ours, ref in zip((mask.data, even, odd, pair), oracle_pair_constants(2 * n)):
+                assert_same_bytes(ours, ref)
             for ours, ref in zip(ssl_tasks._eye_constants(n + 3), oracle_eye_constants(n + 3)):
                 assert_same_bytes(ours.data, ref)
             assert_same_bytes(ssl_tasks._crop_rows(frames, policy.crop_fraction), oracle_crop_rows(frames, policy.crop_fraction))
@@ -597,21 +599,26 @@ class TestShapeConstantCaches:
             z = views.data[:, : n + 3]
             pair_losses = [
                 lambda z: nt_xent_loss(z, 0.5),
-                lambda z: barlow_twins_loss(ad.gather_rows(z, np.arange(0, 2 * n, 2)), ad.gather_rows(z, np.arange(1, 2 * n, 2)), 5e-3),
+                lambda z: barlow_twins_loss(*(ad.gather_rows(z, rows) for rows in ssl_tasks.view_rows(2 * n)), 5e-3),
             ]
             cached = [loss_and_grad_bytes(fn, z) for fn in pair_losses]
             with monkeypatch.context() as m:
-                m.setattr(ssl_tasks, "_pair_constants", lambda two_n: (Tensor(oracle_pair_constants(two_n)[0]), *oracle_pair_constants(two_n)[1:]))
+                m.setattr(ssl_tasks, "_pair_constants", lambda two_n: (Tensor(oracle_pair_constants(two_n)[0]), oracle_pair_constants(two_n)[3]))
+                m.setattr(ssl_tasks, "view_rows", lambda two_n: oracle_pair_constants(two_n)[1:3])
                 m.setattr(ssl_tasks, "_eye_constants", lambda d: tuple(Tensor(a) for a in oracle_eye_constants(d)))
                 assert cached == [loss_and_grad_bytes(fn, z) for fn in pair_losses]
 
     def test_caches_stay_small_at_a_64_clip_batch(self):
         """Every contrastive shape of a batch of up to 64 clips stays cached, in under 4 MB with the rest."""
         ssl_tasks._pair_constants.cache_clear()
+        ssl_tasks.view_rows.cache_clear()
         pair = {two_n: ssl_tasks._pair_constants(two_n) for two_n in range(4, 129, 2)}
+        rows = {two_n: ssl_tasks.view_rows(two_n) for two_n in range(4, 129, 2)}
         assert all(ssl_tasks._pair_constants(two_n) is kept for two_n, kept in pair.items())
+        assert all(ssl_tasks.view_rows(two_n) is kept for two_n, kept in rows.items())
         assert max(kept[0].data.nbytes for kept in pair.values()) <= 128 * 1024
         arrays = [a.data if isinstance(a, Tensor) else a for kept in pair.values() for a in kept]
+        arrays += [a for kept in rows.values() for a in kept]
         arrays += [t.data for t in ssl_tasks._eye_constants(16)]
         arrays += [ssl_tasks._crop_rows(32, AugmentPolicy().crop_fraction), ssl_tasks._order_rows(32)]
         assert sum(a.nbytes for a in arrays) < 4 * 2**20
