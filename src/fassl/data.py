@@ -116,19 +116,6 @@ def _class_block_dataset(matrix, frames, bands, n_classes, generator, split) -> 
     return SynthDataset(clips=clips, n_classes=n_classes, generator=generator, split=split, _features=matrix)
 
 
-def resample_frames(features: np.ndarray, target_frames: int) -> np.ndarray:
-    """Nearest-frame resampling along the time axis to a fixed frame count.
-
-    Identity when the frame count already matches, so unaugmented clips pass
-    through bit-exactly.
-    """
-    frames = features.shape[0]
-    if frames == target_frames:
-        return features
-    idx = (np.arange(target_frames) * frames) // target_frames
-    return features[idx]
-
-
 def _band_profile(rng: np.random.Generator, bands: int) -> np.ndarray:
     """Smooth band-energy profile: mixture of two Gaussian bumps."""
     centers = rng.uniform(0, bands, size=2)

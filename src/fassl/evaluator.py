@@ -3,9 +3,9 @@
 Evaluation is training-free: test-set features query the training-set
 features, and a query counts as correct when its true class appears among
 the classes of its k nearest training samples. The tracker keeps, per task,
-the best accuracy seen so far together with the round that produced it,
-replacing only on strict improvement (ties keep the earlier model). A run
-with an output directory saves that round's model as
+the best ``TaskAccuracy`` row seen so far, which names the round that
+produced it, replacing it only on strict improvement (ties keep the earlier
+model). A run with an output directory saves that round's model as
 ``round_<r:04d>.ckpt``.
 
 A generated dataset is encoded straight from the one feature matrix it
@@ -32,14 +32,16 @@ METRICS = ("cosine", "euclidean")
 
 @dataclass(frozen=True)
 class TaskAccuracy:
+    """A task's retrieval accuracy at one round: the rate of queries with a hit among the k nearest."""
+
     task: str
     round: int
-    top1_retrieval: float
+    accuracy: float
     k: int
 
     def __post_init__(self):
-        if not 0.0 <= self.top1_retrieval <= 1.0:
-            raise ContractError(f"accuracy must lie in [0, 1], got {self.top1_retrieval}")
+        if not 0.0 <= self.accuracy <= 1.0:
+            raise ContractError(f"accuracy must lie in [0, 1], got {self.accuracy}")
 
 
 def knn_retrieval_accuracy(
@@ -118,21 +120,15 @@ def evaluate_global(
             k,
             metric=metric,
         )
-        out.append(TaskAccuracy(task=name, round=round_idx, top1_retrieval=acc, k=k))
+        out.append(TaskAccuracy(task=name, round=round_idx, accuracy=acc, k=k))
     return out
-
-
-@dataclass
-class TaskBest:
-    accuracy: float
-    round: int
 
 
 @dataclass
 class OptimaTracker:
     """Per-task record of the best global model seen so far (strict improvement)."""
 
-    best: dict[str, TaskBest] = field(default_factory=dict)
+    best: dict[str, TaskAccuracy] = field(default_factory=dict)
     last_round: int = -1
 
     def summary_rows(self) -> list[tuple[str, int, float]]:
@@ -140,16 +136,19 @@ class OptimaTracker:
 
 
 def update_optima(tracker: OptimaTracker, round_idx: int, accs: list[TaskAccuracy]) -> None:
-    """Install strictly better accuracies; on ties the earlier round stays."""
+    """Install strictly better rows; on ties the earlier round stays. Every row must be of round_idx."""
     if round_idx <= tracker.last_round:
         raise ContractError(
             f"rounds must be presented in increasing order ({round_idx} after {tracker.last_round})"
         )
+    other = sorted({acc.round for acc in accs} - {round_idx})
+    if other:
+        raise ContractError(f"round {round_idx} was given rows of rounds {other}")
     tracker.last_round = round_idx
     for acc in accs:
         cur = tracker.best.get(acc.task)
-        if cur is None or acc.top1_retrieval > cur.accuracy:
-            tracker.best[acc.task] = TaskBest(accuracy=acc.top1_retrieval, round=round_idx)
+        if cur is None or acc.accuracy > cur.accuracy:
+            tracker.best[acc.task] = acc
 
 
 def optima_csv(tracker: OptimaTracker) -> str:

@@ -4,8 +4,9 @@ Pairwise cosine similarity runs through one BLAS matrix product; Euclidean
 distances are formed one query row at a time, so no (queries, train, dim)
 temporary is ever held. The k-nearest scan is one vectorized pass over the
 whole distance matrix and resolves distance ties toward the lower training
-index. Distances must be finite: ``evaluator.knn_retrieval_accuracy``
-rejects non-finite features before they get here.
+index. The kernels convert and check nothing:
+``evaluator.knn_retrieval_accuracy`` hands them finite float64 features and
+int64 labels of agreeing shapes, and a k in [1, train rows].
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ USING_NUMBA = False
 
 def pairwise_cosine(x: np.ndarray, y: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Cosine similarity matrix between row sets; rows normalized with an eps guard."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
     xn = x / np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), eps)
     yn = y / np.maximum(np.sqrt((y * y).sum(axis=1, keepdims=True)), eps)
     return xn @ yn.T
@@ -45,10 +44,6 @@ def topk_hits(dist: np.ndarray, train_labels: np.ndarray, test_labels: np.ndarra
     Equal distances resolve to the lower training index: ``argmin`` returns
     the first minimum, and a stable argsort keeps index order among ties.
     """
-    dist = np.asarray(dist, dtype=np.float64)
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    test_labels = np.asarray(test_labels, dtype=np.int64)
-    k = min(k, dist.shape[1])
     if k == 1:
         nearest = np.argmin(dist, axis=1)[:, None]
     else:

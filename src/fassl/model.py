@@ -6,19 +6,19 @@ classifier for the clip-order task. Names are dotted paths with a
 "backbone." or "head.<task>." prefix; that split is what backbone-only
 transceiving operates on.
 
-ParamTree is an immutable value: entries are kept in canonical
-(lexicographic) name order so aggregation arithmetic and serialization are
-deterministic and identical trees serialize to identical bytes. Because
-tensors never change their arrays, a client trains on the global tree's own
-tensors with no copy: a step names them as its graph's leaves, and
-``sgd_step`` writes each new parameter into one array of its own.
+ParamTree is an immutable value whose entries are ``Tensor``s, kept in
+canonical (lexicographic) name order so aggregation arithmetic and
+serialization are deterministic and identical trees serialize to identical
+bytes. Because tensors never change their arrays, a client trains on the
+global tree's own tensors with no copy: a step names them as its graph's
+leaves, and ``sgd_step`` writes each new parameter into one array of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -45,8 +45,10 @@ class ParamTree:
     __slots__ = ("_params",)
 
     def __init__(self, entries):
-        items = [(str(name), t if isinstance(t, Tensor) else Tensor(t)) for name, t in entries]
-        items.sort(key=lambda kv: kv[0])
+        items = sorted(((str(name), t) for name, t in entries), key=lambda kv: kv[0])
+        for name, t in items:
+            if not isinstance(t, Tensor):
+                raise ContractError(f"parameter {name!r} must be a Tensor, got {type(t).__name__}")
         names = [name for name, _ in items]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -90,20 +92,13 @@ class ParamTree:
             a.shape == b.shape for a, b in zip(self._params.values(), other._params.values())
         )
 
-    def map_values(self, fn: Callable[[str, Tensor], Tensor]) -> "ParamTree":
-        items = []
-        for name, t in self._params.items():
-            v = fn(name, t)
-            items.append((name, v if isinstance(v, Tensor) else Tensor(v)))
-        return ParamTree._from_canonical(items)
-
     def clone(self) -> "ParamTree":
         """New tensors over the same (immutable) arrays.
 
         No library code calls it. Kept, like ``kernels.USING_NUMBA``, because
         the benchmark (perfbench/tracing.py) wraps it.
         """
-        return self.map_values(lambda _, t: Tensor(t.data))
+        return ParamTree._from_canonical([(name, Tensor(t.data)) for name, t in self._params.items()])
 
     def equal_bytes(self, other: "ParamTree") -> bool:
         if not self.congruent_with(other):
@@ -195,10 +190,7 @@ def split(params: ParamTree, scope: str) -> tuple[ParamTree, ParamTree]:
 
 
 def merge(a: ParamTree, b: ParamTree) -> ParamTree:
-    """Disjoint union, re-sorted into canonical order."""
-    overlap = set(a.names()) & set(b.names())
-    if overlap:
-        raise ContractError(f"merge with overlapping names: {sorted(overlap)}")
+    """Disjoint union, re-sorted into canonical order; a shared name is a ContractError."""
     return ParamTree(list(a.items()) + list(b.items()))
 
 

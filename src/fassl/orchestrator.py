@@ -69,7 +69,7 @@ CSV_HEADER = "round,strategy,scope,ssl_task,local_epochs,task,k,accuracy"
 def csv_row(cfg: "RunConfig", acc: TaskAccuracy) -> str:
     return (
         f"{acc.round},{cfg.strategy.kind},{cfg.scope},{cfg.ssl_task},"
-        f"{cfg.local_epochs},{acc.task},{acc.k},{acc.top1_retrieval:.6f}"
+        f"{cfg.local_epochs},{acc.task},{acc.k},{acc.accuracy:.6f}"
     )
 
 
@@ -212,8 +212,7 @@ def local_train(
     rng = rng_for(cfg.master_seed, "train", round_idx, client_id)
     min_clips = _min_batch_clips(cfg.ssl_task)
     steps = 0
-    final_epoch_losses: list[tuple[float, int]] = []
-    for epoch in range(cfg.local_epochs):
+    for _ in range(cfg.local_epochs):  # RULES make local_epochs >= 1, so losses ends as the last epoch's
         order = rng.permutation(n_clips)
         losses: list[tuple[float, int]] = []
         for start in range(0, n_clips, cfg.batch_size):
@@ -226,12 +225,8 @@ def local_train(
             params = sgd_step(params, grads, cfg.lr)
             steps += 1
             losses.append((loss.item(), len(idx)))
-        if epoch == cfg.local_epochs - 1:
-            final_epoch_losses = losses
-    total_clips = sum(n for _, n in final_epoch_losses)
-    mean_loss = (
-        sum(l * n for l, n in final_epoch_losses) / total_clips if total_clips else 0.0
-    )
+    total_clips = sum(n for _, n in losses)
+    mean_loss = sum(l * n for l, n in losses) / total_clips if total_clips else 0.0
     transceived, retained = split(params, cfg.scope)
     update = ClientUpdate(client_id=client_id, params=transceived, n_samples=n_clips, mean_loss=mean_loss)
     return update, retained, steps

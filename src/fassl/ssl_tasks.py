@@ -35,7 +35,6 @@ import numpy as np
 from . import autodiff as ad
 from . import model
 from .autodiff import Tensor
-from .data import resample_frames
 from .errors import NON_NEGATIVE, ContractError, check_fields
 
 # Fewest frames a view's source clip and an acop segment may have.
@@ -88,14 +87,15 @@ def _crop_rows(frames: int, crop_fraction: float) -> np.ndarray | None:
     """Source rows of every possible crop, resampled to frames; None when uncropped.
 
     Row s of the table is what cropping at start s and nearest-frame
-    resampling back to frames picks, so a batch of views is one gather.
+    resampling back to frames picks, so a batch of views is one gather:
+    output frame f of a crop of c frames reads crop frame (f * c) // frames.
     """
     if frames < MIN_FRAMES:
         raise ContractError(f"view augmentation needs clips with >= {MIN_FRAMES} frames")
     crop_len = max(1, int(round(crop_fraction * frames)))
     if crop_len >= frames:
         return None
-    return _read_only(np.arange(frames - crop_len + 1)[:, None] + resample_frames(np.arange(crop_len), frames))
+    return _read_only(np.arange(frames - crop_len + 1)[:, None] + (np.arange(frames) * crop_len) // frames)
 
 
 def two_view_batch(clips: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> Tensor:
@@ -215,12 +215,15 @@ class AcopBatch:
 
 @functools.lru_cache(maxsize=_SHAPES_KEPT)
 def _order_rows(frames: int) -> np.ndarray:
-    """order_rows[p, k] = source frames of the k-th presented segment under order p."""
+    """order_rows[p, k] = source frames of the k-th presented segment under order p.
+
+    Output frame f of a segment of s frames reads segment frame (f * s) // frames.
+    """
     m = model.ACOP_SEGMENTS
     seg_len = frames // m
     if seg_len < MIN_FRAMES:
         raise ContractError(f"clips of {frames} frames are too short for {m} segments")
-    seg_rows = np.arange(m)[:, None] * seg_len + resample_frames(np.arange(seg_len), frames)
+    seg_rows = np.arange(m)[:, None] * seg_len + (np.arange(frames) * seg_len) // frames
     return _read_only(seg_rows[np.asarray(model.ACOP_ORDERS, dtype=np.intp)])
 
 

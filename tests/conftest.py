@@ -60,7 +60,8 @@ def finite_diff_grad(f: Callable[[ParamTree], float], params: ParamTree, step: f
             for sign in (+1.0, -1.0):
                 bumped = flat.copy()
                 bumped[i] += sign * step
-                probe = params.map_values(
+                probe = map_values(
+                    params,
                     lambda n, old, name=name, bumped=bumped: Tensor(bumped.reshape(old.shape))
                     if n == name
                     else old
@@ -72,6 +73,19 @@ def finite_diff_grad(f: Callable[[ParamTree], float], params: ParamTree, step: f
             gflat[i] = (f_plus - f_minus) / (2.0 * step)
         grads[name] = Tensor(g)
     return grads
+
+
+def map_values(tree: ParamTree, fn: Callable[[str, Tensor], Tensor]) -> ParamTree:
+    """The tree with each entry replaced by fn(name, tensor); fn returns a Tensor."""
+    return ParamTree([(name, fn(name, t)) for name, t in tree.items()])
+
+
+def resample_frames(features: np.ndarray, target_frames: int) -> np.ndarray:
+    """Nearest-frame resampling along the time axis: output frame f reads (f * frames) // target_frames.
+
+    Oracle for the crop and segment index tables of ``ssl_tasks``.
+    """
+    return features[(np.arange(target_frames) * features.shape[0]) // target_frames]
 
 
 def params_bytes(tree: ParamTree) -> bytes:
@@ -100,8 +114,8 @@ def perturbed_params(cfg: EncoderConfig, seed: int):
     """An encoder tree nudged off the zero-bias init, emulating mid-training state."""
     rng = np.random.default_rng(seed)
     base = init_encoder(cfg, seed=seed + 1000)
-    return base.map_values(
-        lambda _, t: Tensor(t.data + rng.normal(0.0, 0.3, size=t.shape))
+    return map_values(
+        base, lambda _, t: Tensor(t.data + rng.normal(0.0, 0.3, size=t.shape))
     )
 
 

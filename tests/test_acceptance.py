@@ -21,7 +21,7 @@ from fassl.orchestrator import RunConfig, initial_state, run
 from fassl.seeding import derive_seed, rng_for
 from fassl.ssl_tasks import acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 
-from conftest import fd_fixture_ok, finite_diff_grad, gradclose, perturbed_params, tiny_encoder_config
+from conftest import fd_fixture_ok, finite_diff_grad, gradclose, map_values, perturbed_params, tiny_encoder_config
 from test_aggregation import ldawa_oracle, random_updates, tree_from, update
 from test_evaluator import brute_force_accuracy
 
@@ -123,7 +123,7 @@ def test_criterion_02_aggregation_algebra():
             s = int(rng.integers(1, 7))
             # unanimity (fedu: the gate only admits near-global clients; the
             # gated-out branch is criterion 10's subject)
-            shared = g.map_values(lambda _, t: Tensor(t.data + rng.normal(0, 0.01, t.shape)))
+            shared = map_values(g, lambda _, t: Tensor(t.data + rng.normal(0, 0.01, t.shape)))
             ups = [
                 update(int(cid), shared, n_samples=int(rng.integers(1, 40)),
                        mean_loss=float(rng.uniform(0, 2)))
@@ -131,11 +131,11 @@ def test_criterion_02_aggregation_algebra():
             ]
             assert aggregate(strategy, g, ups).equal_bytes(shared)
             # single-client identity
-            solo = g.map_values(lambda _, t: Tensor(t.data + rng.normal(0, 0.01, t.shape)))
+            solo = map_values(g, lambda _, t: Tensor(t.data + rng.normal(0, 0.01, t.shape)))
             assert aggregate(strategy, g, [update(3, solo, n_samples=5)]).equal_bytes(solo)
             # order invariance on heterogeneous updates
             mixed = [
-                update(int(cid), g.map_values(lambda _, t: Tensor(t.data + rng.normal(0, 0.01, t.shape))),
+                update(int(cid), map_values(g, lambda _, t: Tensor(t.data + rng.normal(0, 0.01, t.shape))),
                        n_samples=int(rng.integers(1, 40)), mean_loss=float(rng.uniform(0, 2)))
                 for cid in rng.permutation(60)[:max(s, 2)]
             ]
@@ -238,14 +238,14 @@ def test_criterion_06_tracker_oracle():
         traj = np.round(rng.uniform(0, 1, size=length), 2)  # rounding forces ties
         tracker = OptimaTracker()
         for i, v in enumerate(traj, start=1):
-            update_optima(tracker, i, [TaskAccuracy(task="t", round=i, top1_retrieval=float(v), k=1)])
+            update_optima(tracker, i, [TaskAccuracy(task="t", round=i, accuracy=float(v), k=1)])
         best = tracker.best["t"]
         ok &= best.accuracy == float(traj.max())
         ok &= best.round == int(np.argmax(traj)) + 1  # earliest argmax
     # explicit strict-tie check
     tracker = OptimaTracker()
     for i, v in enumerate([0.4, 0.4, 0.4], start=1):
-        update_optima(tracker, i, [TaskAccuracy(task="t", round=i, top1_retrieval=v, k=1)])
+        update_optima(tracker, i, [TaskAccuracy(task="t", round=i, accuracy=v, k=1)])
     ok &= tracker.best["t"].round == 1
     _report(6, "tracker equals max-with-earliest-argmax oracle; ties keep earlier", ok)
 
@@ -290,11 +290,11 @@ def test_criterion_08_learning_improvement():
     tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
 
     baseline = {
-        a.task: a.top1_retrieval
+        a.task: a.accuracy
         for a in evaluate_global(initial_state(cfg).global_params, tasks, k=cfg.k)
     }
     fed = run(cfg, pretext, tasks)
-    fed_acc = {a.task: a.top1_retrieval for a in fed.rows if a.round == cfg.rounds}
+    fed_acc = {a.task: a.accuracy for a in fed.rows if a.round == cfg.rounds}
 
     # centralized twin: N = s = 1, matched total gradient steps
     probe = run(replace(cfg, n_clients=1, clients_per_round=1, rounds=1, eval_every=10**6),
@@ -302,7 +302,7 @@ def test_criterion_08_learning_improvement():
     cent_rounds = max(1, round(fed.total_steps / probe.total_steps))
     cent = run(replace(cfg, n_clients=1, clients_per_round=1, rounds=cent_rounds,
                        eval_every=cent_rounds), pretext, tasks)
-    cent_acc = {a.task: a.top1_retrieval for a in cent.rows if a.round == cent_rounds}
+    cent_acc = {a.task: a.accuracy for a in cent.rows if a.round == cent_rounds}
 
     gain = fed_acc["bandprofile"] - baseline["bandprofile"]
     gap = abs(fed_acc["bandprofile"] - cent_acc["bandprofile"])

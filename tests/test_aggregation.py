@@ -16,7 +16,7 @@ from fassl.autodiff import Tensor
 from fassl.errors import ContractError
 from fassl.model import BACKBONE_PREFIX, ParamTree, layer_names, split
 
-from conftest import flatten_layer, params_bytes
+from conftest import flatten_layer, map_values, params_bytes
 
 ALL_STRATEGIES = [
     Strategy("fedavg"),
@@ -102,7 +102,7 @@ class TestAggregateBasics:
         # fedu's head gate only admits clients within mu of the global, so the
         # unanimous tree must sit inside the gate (criterion: gated-out heads
         # intentionally break raw unanimity; that case is tested separately).
-        shared = g.map_values(lambda _, t: Tensor(t.data + rng.normal(0, 0.01, t.shape)))
+        shared = map_values(g, lambda _, t: Tensor(t.data + rng.normal(0, 0.01, t.shape)))
         ups = [update(cid, shared, n_samples=int(rng.integers(1, 9))) for cid in (3, 1, 7)]
         out = aggregate(strategy, g, ups)
         assert out.equal_bytes(shared)
@@ -110,7 +110,7 @@ class TestAggregateBasics:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.kind)
     def test_single_client_identity(self, strategy, rng):
         g = tree_from(rng)
-        tree = g.map_values(lambda _, t: Tensor(t.data + rng.normal(0, 0.01, t.shape)))
+        tree = map_values(g, lambda _, t: Tensor(t.data + rng.normal(0, 0.01, t.shape)))
         out = aggregate(strategy, g, [update(5, tree, n_samples=3)])
         assert out.equal_bytes(tree)
 
@@ -211,7 +211,7 @@ class TestLdawa:
         # clients at distinct positive scalings of the global direction: cos = 1 for all
         g = tree_from(rng)
         ups = [
-            update(i, g.map_values(lambda _, t, s=s: Tensor(t.data * s)))
+            update(i, map_values(g, lambda _, t, s=s: Tensor(t.data * s)))
             for i, s in enumerate((0.5, 1.5, 2.0))
         ]
         out = aggregate(Strategy("ldawa"), g, ups)
@@ -238,8 +238,8 @@ class TestFedU:
 
     def test_mixed_fixture_hand_gated_oracle(self, rng):
         g = tree_from(rng)
-        inside = update(0, g.map_values(lambda _, t: Tensor(t.data + 1e-6)), n_samples=2)
-        far = g.map_values(lambda n, t: Tensor(t.data + (10.0 if n.startswith("backbone.") else 0.5)))
+        inside = update(0, map_values(g, lambda _, t: Tensor(t.data + 1e-6)), n_samples=2)
+        far = map_values(g, lambda n, t: Tensor(t.data + (10.0 if n.startswith("backbone.") else 0.5)))
         outside = update(1, far, n_samples=6)
         out = aggregate(Strategy("fedu", fedu_mu=0.5), g, [inside, outside])
         # heads: only the inside client passes the gate
@@ -388,22 +388,22 @@ def mixed_round(rng, scope: str):
     at near and far distances, so fedu's gate both passes and rejects.
     """
     g = tree_from(rng, WIDE_SHAPES)
-    g = g.map_values(lambda n, t: Tensor(np.zeros(t.shape)) if n.startswith("backbone.fc2.") else t)
+    g = map_values(g, lambda n, t: Tensor(np.zeros(t.shape)) if n.startswith("backbone.fc2.") else t)
     if scope == "backbone":
         g_scope, _ = split(g, "backbone")
     else:
         g_scope = g
 
     def near(scale):
-        return g_scope.map_values(lambda _, t: Tensor(t.data + rng.normal(0.0, scale, size=t.shape)))
+        return map_values(g_scope, lambda _, t: Tensor(t.data + rng.normal(0.0, scale, size=t.shape)))
 
     twin = near(0.05)
     trees = [
         g_scope,
         twin,
         twin,
-        g_scope.map_values(lambda n, t: Tensor(np.zeros(t.shape)) if n.startswith("head.") else t),
-        g_scope.map_values(lambda _, t: Tensor(-t.data)),
+        map_values(g_scope, lambda n, t: Tensor(np.zeros(t.shape)) if n.startswith("head.") else t),
+        map_values(g_scope, lambda _, t: Tensor(-t.data)),
         near(0.01),
         near(0.3),
         near(3.0),

@@ -1,13 +1,15 @@
-"""Guards on the package's shape: public names have callers, no autodiff in data, concurrency in the CLI, no asserts,
-and config states no rule of its own.
+"""Guards on the package's shape: public names and methods have callers, no autodiff in data, no data in ssl_tasks,
+concurrency in the CLI, no asserts, and config states no rule of its own.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
 (its definition does not count), an import of it from another package
 module or from ``perfbench/``, or an attribute read through an imported
-module (``kernels.topk_hits``). ``__init__`` re-exports, ``__all__`` strings
-and the tests do not count, so a helper that only tests call must live in
-the tests.
+module (``kernels.topk_hits``). A public method of a public package class
+counts as used when some program file reads an attribute of its name, or
+when ``perfbench/`` names it in a string (its tracing patches methods by
+``getattr``). ``__init__`` re-exports, ``__all__`` strings and the tests do
+not count, so a helper that only tests call must live in the tests.
 """
 
 from __future__ import annotations
@@ -87,6 +89,13 @@ def test_data_does_not_import_autodiff():
     path = ROOT / "src" / "fassl" / "data.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert "autodiff" not in imported_package_modules(tree)
+
+
+def test_ssl_tasks_does_not_import_data():
+    """Pretext batches are built from plain arrays with index tables of ssl_tasks' own; datasets live elsewhere."""
+    path = ROOT / "src" / "fassl" / "ssl_tasks.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert "data" not in imported_package_modules(tree)
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -187,6 +196,45 @@ def test_every_public_name_has_a_program_caller():
         if (path.stem, name) not in used
     ]
     assert not unused, f"public names no program file uses (move them into the tests or delete them): {unused}"
+
+
+def public_methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, method) for each public method of each public top-level class."""
+    return [
+        (node.name, item.name) for node in tree.body if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+
+
+def attributes_read(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def string_constants(tree: ast.Module) -> set[str]:
+    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_public_method_has_a_program_caller():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE + BENCHMARK}
+    used = set().union(*(attributes_read(tree) for tree in trees.values()))
+    used |= set().union(*(string_constants(trees[p]) for p in BENCHMARK))
+    unused = [
+        f"{path.stem}.{cls}.{name}" for path in PACKAGE for cls, name in public_methods(trees[path])
+        if name not in used
+    ]
+    assert not unused, f"public methods no program file uses (move them into the tests or delete them): {unused}"
+
+
+def test_public_methods_and_their_uses_are_seen():
+    tree = ast.parse(
+        "class A:\n    def kept(self): pass\n    def _own(self): pass\n    @property\n    def size(self): pass\n"
+        "class _B:\n    def hidden(self): pass\n"
+        "a.kept(); x = a.size; a.stored = 1; setattr(A, 'named', f)\n"
+    )
+    assert public_methods(tree) == [("A", "kept"), ("A", "size")]
+    assert attributes_read(tree) == {"kept", "size"}
+    assert "named" in string_constants(tree)
 
 
 def test_references_resolve_through_module_aliases():

@@ -443,7 +443,7 @@ class TestCmdRun:
 
         sink = RunSink(tmp_path)
         cfg = RunConfig()
-        sink.on_eval(cfg, [TaskAccuracy(task="x", round=10, top1_retrieval=0.5, k=1)])
+        sink.on_eval(cfg, [TaskAccuracy(task="x", round=10, accuracy=0.5, k=1)])
         # simulate a crash: never close the sink; the file must already be complete
         text = (tmp_path / "results.csv").read_text()
         assert text == CSV_HEADER + "\n10,fedavg,full,simclr,1,x,1,0.500000\n"

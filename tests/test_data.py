@@ -18,7 +18,6 @@ from fassl.data import (
     downstream_suite,
     label_entropy,
     partition_label_entropies,
-    resample_frames,
     synth_dataset,
 )
 from fassl.errors import ContractError
@@ -237,17 +236,6 @@ class TestDownstreamSuite:
         for (_, tr_a, te_a), (_, tr_b, te_b) in zip(a, b):
             assert dataset_bytes(tr_a) == dataset_bytes(tr_b)
             assert dataset_bytes(te_a) == dataset_bytes(te_b)
-
-
-class TestResampleFrames:
-    def test_identity_when_count_matches(self, rng):
-        x = rng.normal(size=(8, 3))
-        assert resample_frames(x, 8) is x
-
-    def test_upsample_nearest(self):
-        x = np.array([[0.0], [1.0]])
-        out = resample_frames(x, 4)
-        np.testing.assert_array_equal(out[:, 0], [0.0, 0.0, 1.0, 1.0])
 
 
 class TestDirichletPartition:

@@ -22,7 +22,7 @@ from fassl.evaluator import (
 from fassl.model import init_encoder
 from fassl.orchestrator import RunConfig
 
-from conftest import params_bytes
+from conftest import map_values, params_bytes
 
 
 def brute_force_accuracy(train, train_labels, test, test_labels, k, metric="cosine"):
@@ -199,22 +199,23 @@ class TestEvaluateGlobal:
         return downstream_suite(seed=3, frames=16, bands=8)
 
     def test_zero_weight_backbone_is_deterministic(self):
-        params = init_encoder(self.CFG.encoder_config(), seed=0).map_values(
+        params = map_values(
+            init_encoder(self.CFG.encoder_config(), seed=0),
             lambda _, t: Tensor(np.zeros_like(t.data))
         )
         a = evaluate_global(params, self._tasks(), k=1)
         b = evaluate_global(params, self._tasks(), k=1)
-        assert [x.top1_retrieval for x in a] == [x.top1_retrieval for x in b]
+        assert [x.accuracy for x in a] == [x.accuracy for x in b]
 
     def test_accuracies_in_unit_interval(self):
         params = init_encoder(self.CFG.encoder_config(), seed=1)
         for acc in evaluate_global(params, self._tasks(), k=1):
-            assert 0.0 <= acc.top1_retrieval <= 1.0
+            assert 0.0 <= acc.accuracy <= 1.0
 
     def test_random_encoder_beats_chance_on_separable_task(self):
         """Random-feature baseline oracle: band-profile task has 4 classes."""
         params = init_encoder(self.CFG.encoder_config(), seed=2)
-        accs = {a.task: a.top1_retrieval for a in evaluate_global(params, self._tasks(), k=1)}
+        accs = {a.task: a.accuracy for a in evaluate_global(params, self._tasks(), k=1)}
         assert accs["bandprofile"] > 1.0 / 4.0
 
     def test_evaluation_does_not_mutate_model(self):
@@ -247,7 +248,7 @@ class TestEvaluateGlobal:
 
 
 def acc(task, rnd, value, k=1):
-    return TaskAccuracy(task=task, round=rnd, top1_retrieval=value, k=k)
+    return TaskAccuracy(task=task, round=rnd, accuracy=value, k=k)
 
 
 class TestOptimaTracker:
@@ -274,6 +275,18 @@ class TestOptimaTracker:
         update_optima(tracker, 3, [acc("t", 3, 0.5)])
         with pytest.raises(ContractError):
             update_optima(tracker, 3, [acc("t", 3, 0.6)])
+
+    def test_row_of_another_round_rejected(self):
+        tracker = OptimaTracker()
+        with pytest.raises(ContractError, match=r"round 2 was given rows of rounds \[1\]"):
+            update_optima(tracker, 2, [acc("x", 2, 0.3), acc("y", 1, 0.6)])
+        assert tracker.best == {} and tracker.last_round == -1
+
+    def test_keeps_the_row_it_was_given(self):
+        tracker = OptimaTracker()
+        row = acc("t", 4, 0.25, k=3)
+        update_optima(tracker, 4, [row])
+        assert tracker.best["t"] is row
 
     def test_independent_of_task_order_within_round(self):
         a, b = OptimaTracker(), OptimaTracker()

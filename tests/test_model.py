@@ -20,7 +20,7 @@ from fassl.model import (
     split,
 )
 
-from conftest import flatten_layer, params_bytes
+from conftest import flatten_layer, map_values, params_bytes
 
 CFG = EncoderConfig(input_dim=64, hidden_dim=32, embed_dim=16, projection_dim=8)
 
@@ -33,6 +33,11 @@ class TestParamTree:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ContractError):
             ParamTree([("x", Tensor([1.0])), ("x", Tensor([2.0]))])
+
+    @pytest.mark.parametrize("value", [np.array([1.0]), [1.0], 1.0], ids=["ndarray", "list", "float"])
+    def test_non_tensor_entry_rejected_naming_its_type(self, value):
+        with pytest.raises(ContractError, match=rf"'b\.w' must be a Tensor, got {type(value).__name__}"):
+            ParamTree([("a.w", Tensor([2.0])), ("b.w", value)])
 
     def test_congruence(self):
         a = ParamTree([("x", Tensor([1.0, 2.0]))])
@@ -56,20 +61,6 @@ class TestClone:
         assert out.get("backbone.fc1.weight") is out.as_dict()["backbone.fc1.weight"]
         assert "head.acop.fc.bias" in out and len(out) == 10
         assert params_bytes(out) == params_bytes(init_encoder(CFG, seed=3))
-
-
-class TestMapValues:
-    def test_wraps_arrays_and_keeps_canonical_order(self):
-        tree = ParamTree([("b", Tensor([1.0])), ("a", Tensor([2.0]))])
-        out = tree.map_values(lambda _, t: t.data * 2.0)
-        assert out.names() == ["a", "b"]
-        assert all(isinstance(t, Tensor) for _, t in out.items())
-        assert out.get("a").data.tolist() == [4.0]
-
-    def test_wrapped_values_are_still_checked(self):
-        tree = ParamTree([("a", Tensor([2.0]))])
-        with pytest.raises(ContractError, match="finite"):
-            tree.map_values(lambda _, t: np.array([np.nan]))
 
 
 class TestInitEncoder:
@@ -99,7 +90,8 @@ class TestInitEncoder:
 
 class TestEncode:
     def test_zero_weights_give_zero_embedding(self):
-        tree = init_encoder(CFG, seed=0).map_values(
+        tree = map_values(
+            init_encoder(CFG, seed=0),
             lambda _, t: Tensor(np.zeros_like(t.data))
         )
         out = encode(tree, Tensor(np.ones((3, 64))))

@@ -353,7 +353,7 @@ class TestRun:
         r1 = run(SMALL, pretext, tasks)
         r2 = run(SMALL, pretext, tasks)
         assert params_bytes(r1.state.global_params) == params_bytes(r2.state.global_params)
-        assert [a.top1_retrieval for a in r1.rows] == [a.top1_retrieval for a in r2.rows]
+        assert [a.accuracy for a in r1.rows] == [a.accuracy for a in r2.rows]
 
     def test_backbone_scope_heads(self):
         """Server heads never move; a sampled client's retained head does."""

@@ -9,7 +9,7 @@ import pytest
 from fassl import autodiff as ad
 from fassl import ssl_tasks
 from fassl.autodiff import Graph, Tensor, backward
-from fassl.data import resample_frames, synth_dataset
+from fassl.data import synth_dataset
 from fassl.errors import ContractError
 from fassl.model import ACOP_ORDERS, EncoderConfig, encode, init_encoder, project, sgd_step
 from fassl.seeding import rng_for
@@ -29,11 +29,13 @@ from conftest import (
     fd_fixture_ok,
     finite_diff_grad,
     gradclose,
+    map_values,
     oracle_crop_rows,
     oracle_eye_constants,
     oracle_order_rows,
     oracle_pair_constants,
     perturbed_params,
+    resample_frames,
     tiny_encoder_config,
 )
 
@@ -223,7 +225,8 @@ class TestAcopBatch:
 class TestAcopLoss:
     def test_uniform_logits_give_log_p(self, rng):
         cfg = tiny_encoder_config()
-        params = init_encoder(cfg, seed=1).map_values(
+        params = map_values(
+            init_encoder(cfg, seed=1),
             lambda n, t: Tensor(np.zeros_like(t.data))
             if n.startswith("head.acop")
             else t
