@@ -15,18 +15,22 @@ first member as reference. That form makes unanimity and single-client
 identity bit-exact while remaining the same convex combination. The fold
 accumulates through one scratch array per entry, in the same client order
 and with the same bits as ``acc += beta_i * (w_i - ref)``. The updates are
-sorted and checked once per ``aggregate`` call.
+sorted and checked once per ``aggregate`` call. Weights and gates are numpy
+reductions read in place: a norm or inner product over a group adds one
+einsum per entry in name order, with no BLAS call and no copy, so no byte
+depends on how many threads BLAS runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import POSITIVE, ContractError, check_fields, one_of
-from .model import ParamTree, layer_names, merge, split
+from .model import ParamTree, merge, split
 
 STRATEGY_KINDS = ("fedavg", "fairavg", "loss", "fedu", "ldawa")
 
@@ -86,8 +90,9 @@ def _fold(name: str, members: list[ClientUpdate], weights: np.ndarray) -> Tensor
     return Tensor(acc)
 
 
-def _flat(tree: ParamTree, names: list[str]) -> np.ndarray:
-    return np.concatenate([tree.get(n).data.reshape(-1) for n in names])
+def _dot(xs: list[np.ndarray], ys: list[np.ndarray]) -> float:
+    """sum_k <xs[k], ys[k]>: one numpy sum-of-products loop per entry pair, read in place, no BLAS."""
+    return sum(float(np.einsum("i,i->", x.reshape(-1), y.reshape(-1))) for x, y in zip(xs, ys))
 
 
 def beta_fedavg(updates: list[ClientUpdate]) -> np.ndarray:
@@ -122,24 +127,22 @@ def _ldawa(global_prev: ParamTree, ups: list[ClientUpdate]) -> list[tuple]:
     Per layer, beta_i = clamp(cos angle(client layer, global layer), 0, 1),
     renormalized; a layer whose betas all vanish falls back to uniform.
     """
-    first = ups[0].params
+    layers: dict[str, list[str]] = {}  # layer = entry name minus its last dotted component
+    for name in ups[0].params.names():
+        layers.setdefault(name.rsplit(".", 1)[0], []).append(name)
     groups = []
-    for layer in layer_names(first):
-        names = [n for n in first.names() if n.rsplit(".", 1)[0] == layer]
-        g_flat = _flat(global_prev, names)
-        g_norm = float(np.linalg.norm(g_flat))
+    for names in layers.values():
+        g = [global_prev.get(n).data for n in names]
+        g_norm = math.sqrt(_dot(g, g))
         betas = []
         for u in ups:
-            u_flat = _flat(u.params, names)
-            denom = float(np.linalg.norm(u_flat)) * g_norm
-            cos = 0.0 if denom == 0.0 else float(np.dot(u_flat, g_flat)) / denom
+            w = [u.params.get(n).data for n in names]
+            denom = math.sqrt(_dot(w, w)) * g_norm
+            cos = 0.0 if denom == 0.0 else _dot(w, g) / denom
             betas.append(min(max(cos, 0.0), 1.0))
         betas = np.array(betas)
         total = betas.sum()
-        if total < 1e-12:
-            weights = np.full(len(ups), 1.0 / len(ups))
-        else:
-            weights = betas / total
+        weights = beta_fairavg(ups) if total < 1e-12 else betas / total
         groups.append((names, ups, weights))
     return groups
 
@@ -154,11 +157,12 @@ def _fedu(global_prev: ParamTree, ups: list[ClientUpdate], mu: float) -> list[tu
     backbone, heads = (t.names() for t in split(ups[0].params, "backbone"))
     groups = [(backbone, ups, beta_fedavg(ups))]
     if heads:
-        bb_g = _flat(global_prev, backbone)
-        g_norm = float(np.linalg.norm(bb_g))
+        g = [global_prev.get(n).data for n in backbone]
+        g_norm = math.sqrt(_dot(g, g))
 
         def divergence(u: ClientUpdate) -> float:
-            diff = float(np.linalg.norm(_flat(u.params, backbone) - bb_g))
+            d = [u.params.get(n).data - x for n, x in zip(backbone, g)]
+            diff = math.sqrt(_dot(d, d))
             if g_norm == 0.0:
                 return 0.0 if diff == 0.0 else float("inf")
             return diff / g_norm

@@ -7,9 +7,9 @@ error, 2 runtime failure.
 
 ``run`` resolves every matrix cell up front and runs them on
 ``min(workers, cells, cpu count)`` spawned processes, or in this process
-through plain ``map`` when that count is 1. Cells share nothing but their
-read-only config, each writes only its own directory, and summaries print
-in cell order, so the outputs do not depend on ``workers``.
+through plain ``map`` when that count is 1. Cells share only a read-only
+config, write only their own directories, print in cell order and take no
+byte from BLAS threads, so outputs never depend on ``workers``, at any size.
 """
 
 from __future__ import annotations

@@ -45,10 +45,13 @@ class ParamTree:
     __slots__ = ("_params",)
 
     def __init__(self, entries):
-        items = sorted(((str(name), t) for name, t in entries), key=lambda kv: kv[0])
+        items = list(entries)
         for name, t in items:
+            if not isinstance(name, str):
+                raise ContractError(f"parameter name {name!r} must be a str, got {type(name).__name__}")
             if not isinstance(t, Tensor):
                 raise ContractError(f"parameter {name!r} must be a Tensor, got {type(t).__name__}")
+        items.sort(key=lambda kv: kv[0])
         names = [name for name, _ in items]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -192,16 +195,6 @@ def split(params: ParamTree, scope: str) -> tuple[ParamTree, ParamTree]:
 def merge(a: ParamTree, b: ParamTree) -> ParamTree:
     """Disjoint union, re-sorted into canonical order; a shared name is a ContractError."""
     return ParamTree(list(a.items()) + list(b.items()))
-
-
-def layer_names(params: ParamTree) -> list[str]:
-    """Layer = name minus its last dotted component, in canonical order."""
-    seen: list[str] = []
-    for name, _ in params.items():
-        layer = name.rsplit(".", 1)[0]
-        if layer not in seen:
-            seen.append(layer)
-    return seen
 
 
 def sgd_step(params: ParamTree, grads: Mapping[str, Tensor], lr: float) -> ParamTree:

@@ -4,9 +4,9 @@ Determinism contract: every stream is keyed by (master_seed, purpose tag,
 round, client id), clients train one after another in ascending id order
 and share no mutable state, and updates are sorted by client_id before
 aggregation so the floating-point reduction order is fixed. Two runs with
-the same config produce byte-identical CSVs and checkpoints, whether they
-run alone or next to other cells in parallel processes (``workers`` is read
-only by ``fassl run``, which spreads matrix cells over that many processes).
+the same config produce byte-identical CSVs and checkpoints at any model
+size and BLAS thread count, alone or next to other cells in processes (only
+``fassl run`` reads ``workers``: how many processes its cells spread over).
 ``RunConfig`` states each field's rule in its ``RULES`` table (see
 ``errors``) and checks the rules across fields after it, so a bad setting
 fails where the config is built and never inside a round.

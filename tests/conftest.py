@@ -96,12 +96,12 @@ def params_bytes(tree: ParamTree) -> bytes:
         return path.read_bytes()
 
 
-def flatten_layer(params: ParamTree, layer: str) -> np.ndarray:
-    """Row-major concatenation of a layer's entries in canonical name order (ldawa oracle)."""
+def flatten_layer(params: ParamTree, layer: str) -> list[np.ndarray]:
+    """A layer's entries, each flattened row-major, in canonical name order (the ldawa byte reference)."""
     parts = [t.data.reshape(-1) for name, t in params.items() if name.rsplit(".", 1)[0] == layer]
     if not parts:
         raise ContractError(f"unknown layer {layer!r}")
-    return np.concatenate(parts)
+    return parts
 
 
 def tiny_encoder_config(input_dim: int = 10) -> EncoderConfig:

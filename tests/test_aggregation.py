@@ -1,5 +1,7 @@
 """Aggregation strategy tests: beta formulas, algebraic properties, oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from fassl.aggregation import (
 )
 from fassl.autodiff import Tensor
 from fassl.errors import ContractError
-from fassl.model import BACKBONE_PREFIX, ParamTree, layer_names, split
+from fassl.model import BACKBONE_PREFIX, ParamTree, split
 
 from conftest import flatten_layer, map_values, params_bytes
 
@@ -302,7 +304,8 @@ class TestClientUpdateValidation:
 
 # Reference copies of the aggregation arithmetic as it was before the
 # scratch-array accumulation: a fresh temporary per client and entry, and
-# the cosine recomputing the global layer's norm for every client.
+# the cosine recomputing the global layer's norm for every client. Inner
+# products add one einsum per entry in canonical order, as aggregate does.
 def reference_combine(trees, weights) -> ParamTree:
     ref = trees[0]
     out = []
@@ -314,11 +317,18 @@ def reference_combine(trees, weights) -> ParamTree:
     return ParamTree(out)
 
 
+def reference_dot(xs, ys) -> float:
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total += float(np.einsum("i,i->", x, y))
+    return total
+
+
 def reference_cosine(a, b) -> float:
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+    denom = math.sqrt(reference_dot(a, a)) * math.sqrt(reference_dot(b, b))
     if denom == 0.0:
         return 0.0
-    return float(np.dot(a, b)) / denom
+    return reference_dot(a, b) / denom
 
 
 def reference_aggregate(strategy: Strategy, global_prev: ParamTree, updates) -> ParamTree:
@@ -326,7 +336,7 @@ def reference_aggregate(strategy: Strategy, global_prev: ParamTree, updates) -> 
     scope = ParamTree([(n, global_prev.get(n)) for n in ups[0].params.names()])
     if strategy.kind == "ldawa":
         entries = []
-        for layer in layer_names(scope):
+        for layer in dict.fromkeys(n.rsplit(".", 1)[0] for n in scope.names()):
             g_flat = flatten_layer(scope, layer)
             betas = np.array([
                 min(max(reference_cosine(flatten_layer(u.params, layer), g_flat), 0.0), 1.0) for u in ups
@@ -345,10 +355,10 @@ def reference_aggregate(strategy: Strategy, global_prev: ParamTree, updates) -> 
         out = list(reference_combine(bb_trees, beta_fedavg(ups)).items())
         if head_names:
             def divergence(tree):
-                bb_u = np.concatenate([tree.get(n).data.reshape(-1) for n in bb_names])
-                bb_g = np.concatenate([scope.get(n).data.reshape(-1) for n in bb_names])
-                denom = float(np.linalg.norm(bb_g))
-                diff = float(np.linalg.norm(bb_u - bb_g))
+                bb_g = [scope.get(n).data.reshape(-1) for n in bb_names]
+                diffs = [tree.get(n).data.reshape(-1) - g for n, g in zip(bb_names, bb_g)]
+                denom = math.sqrt(reference_dot(bb_g, bb_g))
+                diff = math.sqrt(reference_dot(diffs, diffs))
                 if denom == 0.0:
                     return 0.0 if diff == 0.0 else float("inf")
                 return diff / denom

@@ -387,11 +387,27 @@ class TestCmdRun:
 
     def test_workers_change_no_cell_byte(self, tmp_path, monkeypatch, capsys):
         """A 2x2 grid on one process and on two gives the same bytes and the same summary."""
+        self.check_workers_change_no_cell_byte(tmp_path, monkeypatch, capsys, ["--strategy", "fedavg,ldawa"])
+
+    def test_workers_change_no_cell_byte_at_a_real_model_size(self, tmp_path, monkeypatch, capsys):
+        """The same at a 512-input, 32-unit encoder: 16,384 backbone.fc1 weights, where FAST_FLAGS has 1,024.
+
+        Size matters because OpenBLAS splits a long dot product across its threads, and how it splits
+        changes the sum's last bits; 1,024 elements are too few for it to split. The spawned cells run
+        one BLAS thread, the in-process leg (--workers 1) as many as this process has, so an ldawa
+        cosine through BLAS gives the two legs different bytes here. On a 1-CPU host the in-process
+        leg runs one BLAS thread too, and this case cannot tell.
+        """
+        grid = ["--frames", "32", "--bands", "16", "--hidden-dim", "32", "--strategy", "ldawa,fedavg"]
+        self.check_workers_change_no_cell_byte(tmp_path, monkeypatch, capsys, grid)
+
+    @staticmethod
+    def check_workers_change_no_cell_byte(tmp_path, monkeypatch, capsys, grid):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         stdout = {}
         for workers in ("1", "2"):
             monkeypatch.setenv("FASSL_OUT", str(tmp_path / workers))
-            flags = [*FAST_FLAGS, "--strategy", "fedavg,ldawa", "--scope", "full,backbone", "--workers", workers]
+            flags = [*FAST_FLAGS, *grid, "--scope", "full,backbone", "--workers", workers]
             assert main(["run", *flags]) == 0
             stdout[workers] = capsys.readouterr().out
         assert stdout["1"] == stdout["2"]

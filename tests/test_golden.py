@@ -8,7 +8,10 @@ fails here.
 
 Float results can follow the BLAS build and the CPU's SIMD set, so the file
 stores the environment it was written in. On any other environment the test
-skips and names both; it never compares digests across environments.
+skips and names both; it never compares digests across environments. The
+BLAS thread count is not part of that environment: no byte of a cell may
+depend on it, which a test checks on the ldawa and fedu cells in two fresh
+processes, one running one BLAS thread and one running two.
 
 To change bits on purpose, regenerate the file and say why in CHANGES.md::
 
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -90,6 +95,36 @@ def test_cell_bytes_match_golden(cell, golden, tmp_path):
     assert cell_digests(cell, tmp_path) == golden[cell]
 
 
+def matrix_digests(cells: list[str]) -> dict[str, dict[str, str]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {cell: cell_digests(cell, Path(tmp) / cell.replace("/", "-")) for cell in cells}
+
+
+def test_blas_thread_count_changes_no_byte():
+    """The ldawa and fedu cells give the same bytes with one BLAS thread and with two.
+
+    These two strategies reduce over whole layers to form their weights. The
+    test compares two fresh processes, not the stored file, so unlike the
+    golden test it never skips.
+    """
+    cells = [c for c in CELLS if c.split("/")[1] in ("ldawa", "fedu")]
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(p for p in (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")) if p)
+    code = f"import json, test_golden; print(json.dumps(test_golden.matrix_digests({cells!r})))"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        )
+        for threads in ("1", "2")
+    ]
+    outputs = [proc.communicate()[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    one, two = (json.loads(out) for out in outputs)
+    assert sorted(one) == sorted(cells)
+    assert [c for c in cells if one[c] != two[c]] == []
+
+
 def blast_radius(old: dict, new: dict) -> list[str]:
     """Lines naming the cells whose digests changed, stayed, appeared or went."""
     kept = old.keys() & new.keys()
@@ -109,8 +144,7 @@ def test_blast_radius_names_every_cell_once():
 
 
 def write_digest_file() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        cells = {cell: cell_digests(cell, Path(tmp) / cell.replace("/", "-")) for cell in CELLS}
+    cells = matrix_digests(CELLS)
     payload = {"environment": environment(), "cells": cells}
     old = json.loads(DIGEST_FILE.read_text(encoding="utf-8")) if DIGEST_FILE.exists() else {"cells": {}}
     if old["cells"] and old["environment"] != payload["environment"]:

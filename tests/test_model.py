@@ -1,6 +1,7 @@
 """Parameter tree, encoder init/forward, scoping, and checkpoint format tests."""
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,11 @@ class TestParamTree:
     def test_non_tensor_entry_rejected_naming_its_type(self, value):
         with pytest.raises(ContractError, match=rf"'b\.w' must be a Tensor, got {type(value).__name__}"):
             ParamTree([("a.w", Tensor([2.0])), ("b.w", value)])
+
+    @pytest.mark.parametrize("name", [3, b"b.w", None], ids=["int", "bytes", "None"])
+    def test_non_str_name_rejected_naming_its_type(self, name):
+        with pytest.raises(ContractError, match=rf"name {re.escape(repr(name))} must be a str, got {type(name).__name__}"):
+            ParamTree([("a.w", Tensor([2.0])), (name, Tensor([1.0]))])
 
     def test_congruence(self):
         a = ParamTree([("x", Tensor([1.0, 2.0]))])
@@ -157,7 +163,7 @@ class TestSplitMerge:
 class TestFlattenLayer:
     def test_row_major_order(self):
         tree = ParamTree([("l.weight", Tensor([[1.0, 2.0], [3.0, 4.0]]))])
-        np.testing.assert_array_equal(flatten_layer(tree, "l"), [1.0, 2.0, 3.0, 4.0])
+        assert [part.tolist() for part in flatten_layer(tree, "l")] == [[1.0, 2.0, 3.0, 4.0]]
 
     def test_layer_concatenation_follows_canonical_name_order(self):
         tree = ParamTree([
@@ -165,7 +171,7 @@ class TestFlattenLayer:
             ("l.bias", Tensor([9.0])),
         ])
         # canonical order puts .bias before .weight
-        np.testing.assert_array_equal(flatten_layer(tree, "l"), [9.0, 1.0, 2.0])
+        assert [part.tolist() for part in flatten_layer(tree, "l")] == [[9.0], [1.0, 2.0]]
 
     def test_unknown_layer_rejected(self):
         with pytest.raises(ContractError):
