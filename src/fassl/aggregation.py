@@ -108,7 +108,7 @@ def beta_fairavg(updates: list[ClientUpdate]) -> np.ndarray:
     return np.full(s, 1.0 / s)
 
 
-def beta_loss(updates: list[ClientUpdate], direction: str = "high") -> np.ndarray:
+def beta_loss(updates: list[ClientUpdate], direction: str) -> np.ndarray:
     """Loss-proportional; zero total falls back to uniform."""
     losses = np.array([u.mean_loss for u in updates])
     if np.any(losses < 0):

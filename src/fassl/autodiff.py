@@ -350,7 +350,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _make(a.data[idx], (a,), (vjp,))
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
+def l2_normalize_rows(x: Tensor, eps: float) -> Tensor:
     """Divide each row by max(||row||_2, eps); zero rows stay zero."""
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")

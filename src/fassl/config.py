@@ -178,7 +178,7 @@ def _parse(key: str, raw: str):
     return value
 
 
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentSpec:
+def parse_config_text(text: str, source: str) -> ExperimentSpec:
     values = dict(default_spec().values)
     first_line: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):

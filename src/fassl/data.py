@@ -230,9 +230,7 @@ SUITE_CLASSES = 4
 SUITE_TRAIN_PER_CLASS = 30
 
 
-def downstream_suite(
-    seed: int, frames: int = 32, bands: int = 16
-) -> list[tuple[str, SynthDataset, SynthDataset]]:
+def downstream_suite(seed: int, frames: int, bands: int) -> list[tuple[str, SynthDataset, SynthDataset]]:
     """Three retrieval tasks whose class identity lives in different ingredients."""
     tasks = []
     for kind in ("bandprofile", "temporal", "texture"):

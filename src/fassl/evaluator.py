@@ -5,8 +5,7 @@ features, and a query counts as correct when its true class appears among
 the classes of its k nearest training samples. The tracker keeps, per task,
 the best ``TaskAccuracy`` row seen so far, which names the round that
 produced it, replacing it only on strict improvement (ties keep the earlier
-model). A run with an output directory saves that round's model as
-``round_<r:04d>.ckpt``.
+model). A run saves that round's model as ``round_<r:04d>.ckpt``.
 
 A generated dataset is encoded straight from the one feature matrix it
 owns, so evaluating it copies no clip. The orchestrator evaluates after a
@@ -44,14 +43,7 @@ class TaskAccuracy:
             raise ContractError(f"accuracy must lie in [0, 1], got {self.accuracy}")
 
 
-def knn_retrieval_accuracy(
-    train_feats,
-    train_labels,
-    test_feats,
-    test_labels,
-    k: int,
-    metric: str = "cosine",
-) -> float:
+def knn_retrieval_accuracy(train_feats, train_labels, test_feats, test_labels, k: int, metric: str) -> float:
     """Fraction of test queries whose class appears among the k nearest train rows.
 
     Cosine distance is 1 - cosine similarity on eps-normalized rows
@@ -100,9 +92,9 @@ def evaluate_global(
     w_g: ParamTree,
     tasks: list[tuple[str, SynthDataset, SynthDataset]],
     k: int,
-    round_idx: int = 0,
-    feature_layer: str = "backbone",
-    metric: str = "cosine",
+    round_idx: int,
+    feature_layer: str,
+    metric: str,
 ) -> list[TaskAccuracy]:
     """Retrieval accuracy of the global model on every downstream task.
 

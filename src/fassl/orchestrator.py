@@ -15,6 +15,9 @@ Clients train on rows: a partition's shard names rows of the pretext, and
 each round views the pretext as one (n, frames, bands) clip array and hands
 every sampled client the rows of its shard, taken as one array.
 
+A run's one record is the directory ``RunSink`` writes; ``RunResult`` keeps
+only the tracker, the step count and the final state.
+
 In backbone-only scope the server transmits and receives just the backbone;
 each client's head lives in the server-side state purely as simulation
 bookkeeping (``retained_heads``) and evolves only in rounds where that
@@ -157,7 +160,6 @@ class RoundState:
 
 @dataclass
 class RunResult:
-    rows: list[TaskAccuracy]
     tracker: OptimaTracker
     total_steps: int
     state: RoundState
@@ -232,34 +234,37 @@ def local_train(
     return update, retained, steps
 
 
-class RunSink:
-    """Collects evaluation rows and optionally persists CSV + checkpoints.
+# What a run writes besides results.csv, and the temporary siblings its checkpoints are written to.
+_RUN_FILES = ("round_*.ckpt", "round_*.ckpt.tmp", "final.ckpt", "final.ckpt.tmp", "optima.csv")
 
-    CSV writes are line-buffered appends so an interrupted run leaves a
-    valid prefix of the final file.
+
+class RunSink:
+    """Writes a run's cell directory: results.csv, round_*.ckpt, final.ckpt and optima.csv.
+
+    Opening the sink truncates results.csv and removes what an earlier run
+    left of the other files, so the directory never mixes two runs; any
+    other file (the CLI's config.txt) stays. CSV writes are line-buffered
+    appends so an interrupted run leaves a valid prefix of the final file.
     """
 
-    def __init__(self, out_dir: str | os.PathLike | None = None):
-        self.rows: list[TaskAccuracy] = []
-        self.out_dir = Path(out_dir) if out_dir is not None else None
-        self._csv = None
-        if self.out_dir is not None:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            self._csv = open(self.out_dir / "results.csv", "w", encoding="utf-8", newline="\n")
-            self._csv.write(CSV_HEADER + "\n")
-            self._csv.flush()
+    def __init__(self, out_dir: str | os.PathLike):
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        for pattern in _RUN_FILES:
+            for stale in self.out_dir.glob(pattern):
+                stale.unlink()
+        self._csv = open(self.out_dir / "results.csv", "w", encoding="utf-8", newline="\n")
+        self._csv.write(CSV_HEADER + "\n")
+        self._csv.flush()
 
     def save_round(self, round_idx: int, params: ParamTree) -> None:
-        """Write an eval round's global model as ``round_<r:04d>.ckpt``; nothing without a directory."""
-        if self.out_dir is not None:
-            save_params(params, self.out_dir / f"round_{round_idx:04d}.ckpt")
+        """Write an eval round's global model as ``round_<r:04d>.ckpt``."""
+        save_params(params, self.out_dir / f"round_{round_idx:04d}.ckpt")
 
     def on_eval(self, cfg: RunConfig, accs: list[TaskAccuracy]) -> None:
-        self.rows.extend(accs)
-        if self._csv is not None:
-            for acc in accs:
-                self._csv.write(csv_row(cfg, acc) + "\n")
-                self._csv.flush()
+        for acc in accs:
+            self._csv.write(csv_row(cfg, acc) + "\n")
+            self._csv.flush()
 
     def close_csv(self) -> None:
         """Close the results file; safe to call more than once."""
@@ -269,9 +274,8 @@ class RunSink:
 
     def close(self, cfg: RunConfig, final_params: ParamTree, tracker: OptimaTracker) -> None:
         self.close_csv()
-        if self.out_dir is not None:
-            save_params(final_params, self.out_dir / "final.ckpt")
-            (self.out_dir / "optima.csv").write_text(optima_csv(tracker), encoding="utf-8")
+        save_params(final_params, self.out_dir / "final.ckpt")
+        (self.out_dir / "optima.csv").write_text(optima_csv(tracker), encoding="utf-8")
 
 
 def run_round(
@@ -341,10 +345,10 @@ def run(
     cfg: RunConfig,
     pretext: SynthDataset,
     tasks: list[tuple[str, SynthDataset, SynthDataset]],
-    out_dir: str | os.PathLike | None = None,
+    out_dir: str | os.PathLike,
 ) -> RunResult:
-    """Execute R federated rounds from a seeded init; returns the full log."""
-    check_k(cfg.k, tasks)  # before RunSink creates out_dir, so a k no task can serve leaves no files
+    """Execute R federated rounds from a seeded init, writing the run into out_dir (see ``RunSink``)."""
+    check_k(cfg.k, tasks)  # before RunSink opens out_dir, so a k no task can serve leaves the directory as it was
     partition = dirichlet_partition(
         pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition")
     )
@@ -360,4 +364,4 @@ def run(
         # a failed run keeps its results.csv prefix but writes no final.ckpt / optima.csv
         sink.close_csv()
     sink.close(cfg, state.global_params, tracker)
-    return RunResult(rows=sink.rows, tracker=tracker, total_steps=total_steps, state=state)
+    return RunResult(tracker=tracker, total_steps=total_steps, state=state)

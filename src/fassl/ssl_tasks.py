@@ -174,7 +174,7 @@ def _eye_constants(d: int) -> tuple[Tensor, Tensor]:
     return Tensor(_read_only(np.eye(d))), Tensor(_read_only(1.0 - np.eye(d)))
 
 
-def barlow_twins_loss(za: Tensor, zb: Tensor, lam: float, eps: float = 1e-9) -> Tensor:
+def barlow_twins_loss(za: Tensor, zb: Tensor, lam: float, eps: float) -> Tensor:
     """Cross-correlation redundancy loss between two view embeddings.
 
     Columns are standardized to mean 0 / std 1 (population std, guarded by

@@ -18,6 +18,7 @@ from fassl.data import dirichlet_partition, downstream_suite, partition_label_en
 from fassl.evaluator import OptimaTracker, TaskAccuracy, evaluate_global, knn_retrieval_accuracy, update_optima
 from fassl.model import encode, project, split
 from fassl.orchestrator import RunConfig, initial_state, run
+from fassl.plotting import read_results_csv
 from fassl.seeding import derive_seed, rng_for
 from fassl.ssl_tasks import acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 
@@ -65,11 +66,11 @@ def test_criterion_01_loss_gradients():
 
             def f_bt(p):
                 z = project(p, encode(p, xb))
-                return barlow_twins_loss(ad.gather_rows(z, even), ad.gather_rows(z, odd), 0.005).item()
+                return barlow_twins_loss(ad.gather_rows(z, even), ad.gather_rows(z, odd), 0.005, eps=1e-9).item()
 
             with Graph(params.as_dict()) as g:
                 z = project(params, encode(params, xb))
-                loss = barlow_twins_loss(ad.gather_rows(z, even), ad.gather_rows(z, odd), 0.005)
+                loss = barlow_twins_loss(ad.gather_rows(z, even), ad.gather_rows(z, odd), 0.005, eps=1e-9)
             assert gradclose(backward(g, loss), finite_diff_grad(f_bt, params, 1e-5))
             checked["barlow"] += 1
 
@@ -218,7 +219,7 @@ def test_criterion_05_knn_oracle():
         train_labels = rng.integers(0, 4, size=n)
         test_labels = rng.integers(0, 4, size=q)
         k = int(rng.integers(1, n + 1))
-        ours = knn_retrieval_accuracy(train, train_labels, test, test_labels, k)
+        ours = knn_retrieval_accuracy(train, train_labels, test, test_labels, k, metric="cosine")
         oracle = brute_force_accuracy(train, train_labels, test, test_labels, k)
         mismatches += int(ours != oracle)
     ok = mismatches == 0
@@ -280,7 +281,7 @@ def test_criterion_07_end_to_end_determinism(tmp_path, monkeypatch):
 # --------------------------------------------------------------------------
 
 
-def test_criterion_08_learning_improvement():
+def test_criterion_08_learning_improvement(tmp_path):
     t0 = time.perf_counter()
     cfg = RunConfig(rounds=30, n_clients=20, clients_per_round=5, eval_every=10, master_seed=7)
     pretext = synth_dataset(
@@ -291,18 +292,23 @@ def test_criterion_08_learning_improvement():
 
     baseline = {
         a.task: a.accuracy
-        for a in evaluate_global(initial_state(cfg).global_params, tasks, k=cfg.k)
+        for a in evaluate_global(
+            initial_state(cfg).global_params, tasks, cfg.k,
+            round_idx=0, feature_layer=cfg.feature_layer, metric=cfg.metric,
+        )
     }
-    fed = run(cfg, pretext, tasks)
-    fed_acc = {a.task: a.accuracy for a in fed.rows if a.round == cfg.rounds}
+    fed = run(cfg, pretext, tasks, tmp_path / "fed")
+    fed_rows = read_results_csv(tmp_path / "fed" / "results.csv")
+    fed_acc = {a["task"]: a["accuracy"] for a in fed_rows if a["round"] == cfg.rounds}
 
     # centralized twin: N = s = 1, matched total gradient steps
     probe = run(replace(cfg, n_clients=1, clients_per_round=1, rounds=1, eval_every=10**6),
-                pretext, tasks)
+                pretext, tasks, tmp_path / "probe")
     cent_rounds = max(1, round(fed.total_steps / probe.total_steps))
-    cent = run(replace(cfg, n_clients=1, clients_per_round=1, rounds=cent_rounds,
-                       eval_every=cent_rounds), pretext, tasks)
-    cent_acc = {a.task: a.accuracy for a in cent.rows if a.round == cent_rounds}
+    run(replace(cfg, n_clients=1, clients_per_round=1, rounds=cent_rounds,
+                eval_every=cent_rounds), pretext, tasks, tmp_path / "cent")
+    cent_rows = read_results_csv(tmp_path / "cent" / "results.csv")
+    cent_acc = {a["task"]: a["accuracy"] for a in cent_rows if a["round"] == cent_rounds}
 
     gain = fed_acc["bandprofile"] - baseline["bandprofile"]
     gap = abs(fed_acc["bandprofile"] - cent_acc["bandprofile"])

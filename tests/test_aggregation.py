@@ -83,18 +83,18 @@ class TestBetaFormulas:
 
     def test_loss_examples(self):
         ups = [update(0, tree_from(0.0), mean_loss=1.0), update(1, tree_from(0.0), mean_loss=1.0)]
-        np.testing.assert_array_equal(beta_loss(ups), [0.5, 0.5])
+        np.testing.assert_array_equal(beta_loss(ups, "high"), [0.5, 0.5])
         ups = [update(0, tree_from(0.0), mean_loss=1.0), update(1, tree_from(0.0), mean_loss=3.0)]
-        np.testing.assert_array_equal(beta_loss(ups), [0.25, 0.75])
+        np.testing.assert_array_equal(beta_loss(ups, "high"), [0.25, 0.75])
 
     def test_loss_zero_total_falls_back_to_uniform(self):
         ups = [update(0, tree_from(0.0), mean_loss=0.0), update(1, tree_from(0.0), mean_loss=0.0)]
-        np.testing.assert_array_equal(beta_loss(ups), [0.5, 0.5])
+        np.testing.assert_array_equal(beta_loss(ups, "high"), [0.5, 0.5])
 
     def test_negative_loss_rejected(self):
         ups = [update(0, tree_from(0.0), mean_loss=-1.0)]
         with pytest.raises(ContractError):
-            beta_loss(ups)
+            beta_loss(ups, "high")
 
 
 class TestAggregateBasics:

@@ -1,5 +1,6 @@
-"""Guards on the package's shape: public names and methods have callers, no autodiff in data, no data in ssl_tasks,
-concurrency in the CLI, no asserts, and config states no rule of its own.
+"""Guards on the package's shape: public names and methods have callers, public defaults have callers that rely on
+them, no autodiff in data, no data in ssl_tasks, concurrency in the CLI, no asserts, and config states no rule of its
+own.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -10,6 +11,13 @@ counts as used when some program file reads an attribute of its name, or
 when ``perfbench/`` names it in a string (its tracing patches methods by
 ``getattr``). ``__init__`` re-exports, ``__all__`` strings and the tests do
 not count, so a helper that only tests call must live in the tests.
+
+A default of a public function or method (a class call reaches its
+``__init__``) counts as relied on when some program call leaves it out, or
+passes ``*args`` or ``**kwargs``. A default that every program call
+overrides is a second statement of a value the callers already own, so only
+tests would read it; a dataclass field's default is where a setting's value
+lives, and is no function's default.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(p for p in (ROOT / "src" / "fassl").glob("*.py") if p.name != "__init__.py")
@@ -246,3 +255,145 @@ def test_references_resolve_through_module_aliases():
         ("kernels", "topk_hits"), ("model", "encode"), ("data", "Clip"),
         ("evaluator", "k"), ("evaluator", "data"), ("evaluator", "cfg"), ("evaluator", "local_name"),
     }
+
+
+
+def reexports() -> dict[str, tuple[str, str]]:
+    """Names ``fassl/__init__.py`` re-exports, each mapped to the (module, name) that defines it."""
+    path = ROOT / "src" / "fassl" / "__init__.py"
+    return {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+class Callee(NamedTuple):
+    label: str  # module.function or module.Class.method
+    fn: ast.FunctionDef
+    offset: int  # leading parameters a call does not pass: 1 for self, else 0
+
+
+def public_functions(trees: dict[str, ast.Module]) -> tuple[dict[tuple[str, str], Callee], dict[str, list[Callee]]]:
+    """The package's public functions by (module, name), and its public classes' methods by name.
+
+    A public class's (module, name) maps to its ``__init__``, which a call of
+    the class reaches; a dataclass states its field defaults on the class, so
+    they are no function's.
+    """
+    functions: dict[tuple[str, str], Callee] = {}
+    methods: dict[str, list[Callee]] = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                functions[(module, node.name)] = Callee(f"{module}.{node.name}", node, 0)
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or (item.name.startswith("_") and item.name != "__init__"):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                callee = Callee(f"{module}.{node.name}.{item.name}", item, 0 if static else 1)
+                if item.name == "__init__":
+                    functions[(module, node.name)] = callee
+                else:
+                    methods.setdefault(item.name, []).append(callee)
+    return functions, methods
+
+
+def calls_reaching(tree: ast.Module, own_module: str | None, functions: dict, methods: dict, exported: dict):
+    """(call, callee) for each call in this file that may reach a public package function.
+
+    A callee resolves as ``references`` resolves a name: imported from a
+    package module or re-exported by the package, read through a package
+    module alias, or this package module's own. Any other ``x.name(...)`` may
+    reach each public method of that name, but ``subprocess.run(...)``
+    reaches nothing: ``subprocess`` is an imported module.
+    """
+    names: dict[str, tuple[str, str]] = {}
+    module_aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _package_module(node)
+            for alias in node.names if module is not None else ():
+                local = alias.asname or alias.name
+                if module:
+                    names[local] = (module, alias.name)
+                elif alias.name in exported:
+                    names[local] = exported[alias.name]
+                else:
+                    module_aliases[local] = alias.name
+        elif isinstance(node, ast.Import):
+            module_aliases.update({(alias.asname or alias.name).split(".")[0]: "" for alias in node.names})
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            found = [functions.get(names.get(func.id, (own_module, func.id)))]
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in module_aliases:
+            found = [functions.get((module_aliases[func.value.id], func.attr))]
+        elif isinstance(func, ast.Attribute):
+            found = methods.get(func.attr, [])
+        else:
+            found = []
+        yield from ((node, callee) for callee in found if callee is not None)
+
+
+def defaulted(fn: ast.FunctionDef) -> set[str]:
+    positional = fn.args.posonlyargs + fn.args.args
+    names = {a.arg for a in positional[len(positional) - len(fn.args.defaults):]}
+    return names | {a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None}
+
+
+def omitted_defaults(call: ast.Call, callee: Callee) -> set[str]:
+    """The defaulted parameters this call leaves to their default: all of them under ``*`` or ``**``."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return defaulted(callee.fn)
+    passed = (callee.fn.args.posonlyargs + callee.fn.args.args)[:callee.offset + len(call.args)]
+    return defaulted(callee.fn) - {a.arg for a in passed} - {k.arg for k in call.keywords}
+
+
+def defaults_no_program_call_omits() -> list[str]:
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE + BENCHMARK}
+    functions, methods = public_functions({p.stem: trees[p] for p in PACKAGE})
+    exported = reexports()
+    relied_on: set[tuple[str, str]] = set()
+    for path, tree in trees.items():
+        own = path.stem if path in PACKAGE else None
+        for call, callee in calls_reaching(tree, own, functions, methods, exported):
+            relied_on |= {(callee.label, name) for name in omitted_defaults(call, callee)}
+    callees = list(functions.values()) + [c for found in methods.values() for c in found]
+    return sorted(
+        f"{c.label}({name})" for c in callees for name in defaulted(c.fn) if (c.label, name) not in relied_on
+    )
+
+
+def test_every_public_default_is_omitted_by_a_program_call():
+    """A default that every program call overrides states the value a second time; the callers own it."""
+    unused = defaults_no_program_call_omits()
+    assert not unused, f"defaults no program call relies on (delete them; tests pass the value): {unused}"
+
+
+def test_calls_resolve_as_references_do():
+    functions, methods = public_functions({"orchestrator": ast.parse(
+        "def run(cfg, out_dir=None): pass\n"
+        "class Sink:\n    def __init__(self, out_dir=None): pass\n    def close(self, cfg, final=1): pass\n"
+    )})
+    tree = ast.parse(
+        "import subprocess\nfrom fassl import run as go\nfrom .orchestrator import Sink\n"
+        "subprocess.run(cmd)\ngo(cfg)\nSink(out)\nsink.close(cfg)\ngo(*args)\nSink(**kw)\n"
+    )
+    exported = {"run": ("orchestrator", "run")}
+    found = [
+        (call.lineno, callee.label, omitted_defaults(call, callee))
+        for call, callee in calls_reaching(tree, None, functions, methods, exported)
+    ]
+    assert sorted(found) == [
+        (5, "orchestrator.run", {"out_dir"}),
+        (6, "orchestrator.Sink.__init__", set()),
+        (7, "orchestrator.Sink.close", {"final"}),
+        (8, "orchestrator.run", {"out_dir"}),
+        (9, "orchestrator.Sink.__init__", {"out_dir"}),
+    ]

@@ -31,7 +31,7 @@ from fassl.plotting import INT_COLUMNS, collect_series, plot_results, read_resul
 
 class TestParseConfig:
     def test_empty_file_gives_all_defaults(self):
-        spec = parse_config_text("")
+        spec = parse_config_text("", "<config>")
         cfg = spec.base_run_config()
         assert cfg.rounds == 100
         assert cfg.n_clients == 100
@@ -42,7 +42,7 @@ class TestParseConfig:
 
     def test_negative_alpha_is_range_error_with_line_number(self):
         with pytest.raises(ConfigError, match=r":2:"):
-            parse_config_text("rounds = 5\nalpha = -1\n")
+            parse_config_text("rounds = 5\nalpha = -1\n", "<config>")
 
     @pytest.mark.parametrize("line", [
         "lr = nan", "alpha = inf", "tau = nan", "bt_lambda = inf",
@@ -50,44 +50,44 @@ class TestParseConfig:
     ])
     def test_nonfinite_value_is_range_error_with_line_number(self, line):
         with pytest.raises(ConfigError, match=r":2: bad value"):
-            parse_config_text(f"rounds = 5\n{line}\n")
+            parse_config_text(f"rounds = 5\n{line}\n", "<config>")
 
     def test_unknown_key_rejected_with_line_number(self):
         with pytest.raises(ConfigError, match=r":1:.*unknown key"):
-            parse_config_text("nonsense = 5\n")
+            parse_config_text("nonsense = 5\n", "<config>")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
-            parse_config_text("just some words\n")
+            parse_config_text("just some words\n", "<config>")
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "absent.cfg")
 
     def test_emit_defaults_round_trip(self):
-        assert parse_config_text(emit_defaults()) == default_spec()
+        assert parse_config_text(emit_defaults(), "<config>") == default_spec()
 
     def test_comments_and_blanks_ignored(self):
-        spec = parse_config_text("# a comment\n\nrounds = 7\n")
+        spec = parse_config_text("# a comment\n\nrounds = 7\n", "<config>")
         assert spec["rounds"] == 7
 
     def test_cross_field_validation(self):
         with pytest.raises(ConfigError):
-            parse_config_text("clients = 5\nclients_per_round = 10\n").base_run_config()
+            parse_config_text("clients = 5\nclients_per_round = 10\n", "<config>").base_run_config()
 
     def test_repeated_key_is_error_naming_both_lines(self):
         with pytest.raises(ConfigError, match=r"^<config>:3: key 'strategy' is already set on line 1$"):
-            parse_config_text("strategy = fedavg\n# a later line sets it again\nstrategy = ldawa\n")
+            parse_config_text("strategy = fedavg\n# a later line sets it again\nstrategy = ldawa\n", "<config>")
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_master_seed_range_ends_parse(self, seed):
-        assert parse_config_text(f"master_seed = {seed}\n").base_run_config().master_seed == seed
+        assert parse_config_text(f"master_seed = {seed}\n", "<config>").base_run_config().master_seed == seed
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_master_seed_outside_64_bits_is_error_with_line_number(self, seed):
         message = rf"^<config>:2: bad value for 'master_seed': master_seed must lie in \[0, 2\*\*64\), got {seed}$"
         with pytest.raises(ConfigError, match=message):
-            parse_config_text(f"rounds = 2\nmaster_seed = {seed}\n")
+            parse_config_text(f"rounds = 2\nmaster_seed = {seed}\n", "<config>")
 
     @pytest.mark.parametrize("key", [key for key, (_, path, _) in SCHEMA.items() if path is not None])
     def test_bad_value_error_is_its_owner_error_with_line_number(self, key):
@@ -102,13 +102,13 @@ class TestParseConfig:
         with pytest.raises(ContractError) as owner_error:
             dataclasses.replace(owner, **{name: value})
         with pytest.raises(ConfigError) as config_error:
-            parse_config_text(f"# one value its owner rejects\n{key} = {raw}\n")
+            parse_config_text(f"# one value its owner rejects\n{key} = {raw}\n", "<config>")
         message = str(config_error.value)
         assert message.startswith(f"<config>:2: bad value for '{key}': ")
         assert message.endswith(str(owner_error.value).replace(name, key, 1))
 
     def test_matrix_axes_default_to_singletons(self):
-        spec = parse_config_text("strategy = ldawa\nscope = backbone\n")
+        spec = parse_config_text("strategy = ldawa\nscope = backbone\n", "<config>")
         [(name, cell)] = spec.cells()
         assert name == "simclr-ldawa-backbone-e1"
         assert cell == spec
@@ -119,24 +119,24 @@ class TestParseConfig:
     ])
     def test_repeated_matrix_value_is_error_with_line_number(self, line, lineno):
         with pytest.raises(ConfigError, match=rf"<config>:{lineno}: .*repeated values"):
-            parse_config_text(f"rounds = 2\n{line}\n")
+            parse_config_text(f"rounds = 2\n{line}\n", "<config>")
 
     @pytest.mark.parametrize("key", AXES)
     @pytest.mark.parametrize("raw", ["", ",", " , "])
     def test_empty_axis_is_error_with_line_number(self, key, raw):
         with pytest.raises(ConfigError, match=rf"<config>:2: bad value for '{key}': expected at least one value"):
-            parse_config_text(f"rounds = 2\n{key} = {raw}\n")
+            parse_config_text(f"rounds = 2\n{key} = {raw}\n", "<config>")
 
     @pytest.mark.parametrize("key", ["strategies", "scopes", "local_epochs_list"])
     def test_replaced_axis_keys_are_unknown_but_their_old_comments_parse(self, key):
         with pytest.raises(ConfigError, match=rf"<config>:2: unknown key '{key}'"):
-            parse_config_text(f"rounds = 2\n{key} = 1\n")
+            parse_config_text(f"rounds = 2\n{key} = 1\n", "<config>")
         old_comment = f"# {key} = <comma list>  (matrix axis; empty = [{key}])\n"
-        assert parse_config_text(emit_defaults() + old_comment) == default_spec()
+        assert parse_config_text(emit_defaults() + old_comment, "<config>") == default_spec()
 
     def test_matrix_cells_cartesian_product(self):
         spec = parse_config_text(
-            "strategy = fedavg,ldawa\nscope = full,backbone\nlocal_epochs = 1,5\n"
+            "strategy = fedavg,ldawa\nscope = full,backbone\nlocal_epochs = 1,5\n", "<config>"
         )
         names = [name for name, _ in spec.cells()]
         assert len(names) == 8
@@ -144,7 +144,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key", AXES)
     def test_multi_value_axis_has_no_single_run(self, key):
-        spec = parse_config_text("strategy = fedavg,ldawa\nscope = full,backbone\nlocal_epochs = 1,5\n")
+        spec = parse_config_text("strategy = fedavg,ldawa\nscope = full,backbone\nlocal_epochs = 1,5\n", "<config>")
         one_axis_open = ExperimentSpec({**spec.values, **{other: spec[other][:1] for other in AXES if other != key}})
         with pytest.raises(ConfigError, match=rf"^{key} lists 2 values, but one run takes one$"):
             one_axis_open.base_run_config()
@@ -452,6 +452,21 @@ class TestCmdRun:
         assert os.environ.get("OPENBLAS_NUM_THREADS") == preset
         assert [var for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS") if var in os.environ] == []
 
+    def test_failed_rerun_leaves_no_file_of_the_previous_run(self, tmp_path, monkeypatch, capsys):
+        """A re-run replaces the cell's run files and keeps its config.txt, so a failed one shows no old result.
+
+        At tau = 1e-300 round 1 saves its model, then its evaluation overflows.
+        """
+        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        assert main(["run", *FAST_FLAGS]) == 0
+        assert main(["run", *FAST_FLAGS, "--tau", "1e-300"]) == 2
+        failed = "[simclr-fedavg-full-e1] FAILED: tensor values must be finite (got NaN or Inf)\n"
+        assert capsys.readouterr().err.endswith(failed)
+        cell = tmp_path / "simclr-fedavg-full-e1"
+        assert sorted(p.name for p in cell.iterdir()) == ["config.txt", "results.csv", "round_0001.ckpt"]
+        assert (cell / "results.csv").read_text() == CSV_HEADER + "\n"
+        assert "tau = 1e-300\n" in (cell / "config.txt").read_text()
+
     def test_partial_csv_on_crash_is_valid_prefix(self, tmp_path):
         """Line-buffered appends: a truncated run leaves a parseable CSV."""
         from fassl.orchestrator import CSV_HEADER, RunConfig, RunSink
@@ -573,7 +588,7 @@ class TestEmitDefaults:
     def test_round_trips_through_parser(self, capsys):
         assert main(["emit-defaults"]) == 0
         text = capsys.readouterr().out
-        assert parse_config_text(text) == default_spec()
+        assert parse_config_text(text, "<config>") == default_spec()
 
 
 class TestCmdPlot:

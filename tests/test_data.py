@@ -218,21 +218,21 @@ class TestGeneratorOracles:
 
 class TestDownstreamSuite:
     def test_task_names_unique(self):
-        tasks = downstream_suite(seed=0)
+        tasks = downstream_suite(seed=0, frames=32, bands=16)
         names = [name for name, _, _ in tasks]
         assert len(names) == len(set(names)) and len(names) >= 3
 
     def test_generators_differ_from_pretext_and_each_other(self):
         pretext = synth_dataset(4, 5, 32, 16, seed=3)
         kinds = {pretext.generator["kind"][0]}
-        for _, train, test in downstream_suite(seed=3):
+        for _, train, test in downstream_suite(seed=3, frames=32, bands=16):
             assert train.generator["kind"][0] == test.generator["kind"][0]
             kinds.add(train.generator["kind"][0])
         assert len(kinds) == 4  # pretext family plus three distinct task families
 
     def test_deterministic(self):
-        a = downstream_suite(seed=5)
-        b = downstream_suite(seed=5)
+        a = downstream_suite(seed=5, frames=32, bands=16)
+        b = downstream_suite(seed=5, frames=32, bands=16)
         for (_, tr_a, te_a), (_, tr_b, te_b) in zip(a, b):
             assert dataset_bytes(tr_a) == dataset_bytes(tr_b)
             assert dataset_bytes(te_a) == dataset_bytes(te_b)

@@ -48,7 +48,7 @@ def brute_force_accuracy(train, train_labels, test, test_labels, k, metric="cosi
 class TestKnnRetrieval:
     def test_exact_match_is_correct_at_k1(self):
         train = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = knn_retrieval_accuracy(train, [0, 1], train[:1], [0], k=1)
+        out = knn_retrieval_accuracy(train, [0, 1], train[:1], [0], k=1, metric="cosine")
         assert out == 1.0
 
     def test_k_equals_n_degenerates_to_label_presence(self, rng):
@@ -56,7 +56,7 @@ class TestKnnRetrieval:
         train_labels = np.array([0, 0, 1, 1, 2, 2])
         test = rng.normal(size=(5, 3))
         test_labels = np.array([0, 2, 1, 3, 3])
-        out = knn_retrieval_accuracy(train, train_labels, test, test_labels, k=6)
+        out = knn_retrieval_accuracy(train, train_labels, test, test_labels, k=6, metric="cosine")
         assert out == 3 / 5  # classes 0,1,2 present; 3 absent
 
     def test_matches_brute_force_oracle_exactly(self, rng):
@@ -67,7 +67,7 @@ class TestKnnRetrieval:
             train_labels = rng.integers(0, 4, size=n)
             test_labels = rng.integers(0, 4, size=q)
             k = int(rng.integers(1, n + 1))
-            ours = knn_retrieval_accuracy(train, train_labels, test, test_labels, k)
+            ours = knn_retrieval_accuracy(train, train_labels, test, test_labels, k, metric="cosine")
             oracle = brute_force_accuracy(train, train_labels, test, test_labels, k)
             assert ours == oracle
 
@@ -75,23 +75,23 @@ class TestKnnRetrieval:
         # duplicated training rows with different labels: index 0 wins
         train = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         test = np.array([[1.0, 0.0]])
-        assert knn_retrieval_accuracy(train, [5, 6, 7], test, [5], k=1) == 1.0
-        assert knn_retrieval_accuracy(train, [5, 6, 7], test, [6], k=1) == 0.0
+        assert knn_retrieval_accuracy(train, [5, 6, 7], test, [5], k=1, metric="cosine") == 1.0
+        assert knn_retrieval_accuracy(train, [5, 6, 7], test, [6], k=1, metric="cosine") == 0.0
 
     def test_scale_invariance_of_cosine(self, rng):
         train = rng.normal(size=(10, 4))
         test = rng.normal(size=(4, 4))
         tl, ql = rng.integers(0, 3, 10), rng.integers(0, 3, 4)
-        a = knn_retrieval_accuracy(train, tl, test, ql, k=3)
-        b = knn_retrieval_accuracy(train * 100.0, tl, test * 100.0, ql, k=3)
+        a = knn_retrieval_accuracy(train, tl, test, ql, k=3, metric="cosine")
+        b = knn_retrieval_accuracy(train * 100.0, tl, test * 100.0, ql, k=3, metric="cosine")
         assert a == b
 
     def test_empty_sets_rejected(self, rng):
         x = rng.normal(size=(3, 2))
         with pytest.raises(ContractError):
-            knn_retrieval_accuracy(np.zeros((0, 2)), [], x, [0, 1, 2], k=1)
+            knn_retrieval_accuracy(np.zeros((0, 2)), [], x, [0, 1, 2], k=1, metric="cosine")
         with pytest.raises(ContractError):
-            knn_retrieval_accuracy(x, [0, 1, 2], np.zeros((0, 2)), [], k=1)
+            knn_retrieval_accuracy(x, [0, 1, 2], np.zeros((0, 2)), [], k=1, metric="cosine")
 
     @pytest.mark.parametrize(
         "train_labels, test_labels",
@@ -100,12 +100,14 @@ class TestKnnRetrieval:
     )
     def test_label_count_must_match_feature_rows(self, rng, train_labels, test_labels):
         with pytest.raises(ContractError, match="one label per feature row"):
-            knn_retrieval_accuracy(rng.normal(size=(3, 2)), train_labels, rng.normal(size=(2, 2)), test_labels, k=1)
+            knn_retrieval_accuracy(
+                rng.normal(size=(3, 2)), train_labels, rng.normal(size=(2, 2)), test_labels, k=1, metric="cosine"
+            )
 
     def test_k_out_of_range_rejected(self, rng):
         x = rng.normal(size=(3, 2))
         with pytest.raises(ContractError):
-            knn_retrieval_accuracy(x, [0, 1, 2], x, [0, 1, 2], k=4)
+            knn_retrieval_accuracy(x, [0, 1, 2], x, [0, 1, 2], k=4, metric="cosine")
 
     @pytest.mark.parametrize("side", ["train", "test"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -113,7 +115,7 @@ class TestKnnRetrieval:
         feats = {"train": rng.normal(size=(5, 3)), "test": rng.normal(size=(2, 3))}
         feats[side][1, 2] = bad
         with pytest.raises(ContractError, match="finite"):
-            knn_retrieval_accuracy(feats["train"], [0, 1, 2, 0, 1], feats["test"], [0, 1], k=1)
+            knn_retrieval_accuracy(feats["train"], [0, 1, 2, 0, 1], feats["test"], [0, 1], k=1, metric="cosine")
 
     def test_euclidean_matches_oracle(self, rng):
         train = rng.normal(size=(12, 3))
@@ -203,30 +205,31 @@ class TestEvaluateGlobal:
             init_encoder(self.CFG.encoder_config(), seed=0),
             lambda _, t: Tensor(np.zeros_like(t.data))
         )
-        a = evaluate_global(params, self._tasks(), k=1)
-        b = evaluate_global(params, self._tasks(), k=1)
+        a = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
+        b = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
         assert [x.accuracy for x in a] == [x.accuracy for x in b]
 
     def test_accuracies_in_unit_interval(self):
         params = init_encoder(self.CFG.encoder_config(), seed=1)
-        for acc in evaluate_global(params, self._tasks(), k=1):
+        for acc in evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine"):
             assert 0.0 <= acc.accuracy <= 1.0
 
     def test_random_encoder_beats_chance_on_separable_task(self):
         """Random-feature baseline oracle: band-profile task has 4 classes."""
         params = init_encoder(self.CFG.encoder_config(), seed=2)
-        accs = {a.task: a.accuracy for a in evaluate_global(params, self._tasks(), k=1)}
+        accs = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
+        accs = {a.task: a.accuracy for a in accs}
         assert accs["bandprofile"] > 1.0 / 4.0
 
     def test_evaluation_does_not_mutate_model(self):
         params = init_encoder(self.CFG.encoder_config(), seed=3)
         before = params_bytes(params)
-        evaluate_global(params, self._tasks(), k=1)
+        evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
         assert params_bytes(params) == before
 
     def test_projection_feature_layer_runs(self):
         params = init_encoder(self.CFG.encoder_config(), seed=4)
-        accs = evaluate_global(params, self._tasks(), k=1, feature_layer="projection")
+        accs = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="projection", metric="cosine")
         assert len(accs) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -239,12 +242,14 @@ class TestEvaluateGlobal:
         clips[2] = Clip(features=features, label=clips[2].label)
         bad_test = SynthDataset(clips=clips, n_classes=test.n_classes, generator=test.generator, split="test")
         with pytest.raises(ContractError, match="finite"):
-            evaluate_global(params, [(name, train, bad_test)], k=1)
+            evaluate_global(
+                params, [(name, train, bad_test)], k=1, round_idx=0, feature_layer="backbone", metric="cosine"
+            )
 
     def test_empty_tasks_rejected(self):
         params = init_encoder(self.CFG.encoder_config(), seed=0)
         with pytest.raises(ContractError):
-            evaluate_global(params, [], k=1)
+            evaluate_global(params, [], k=1, round_idx=0, feature_layer="backbone", metric="cosine")
 
 
 def acc(task, rnd, value, k=1):

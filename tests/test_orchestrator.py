@@ -23,6 +23,7 @@ from fassl.orchestrator import (
     run_round,
     sample_clients,
 )
+from fassl.plotting import read_results_csv
 from fassl.seeding import derive_seed
 from fassl.ssl_tasks import AugmentPolicy
 
@@ -49,6 +50,14 @@ def small_world(cfg=SMALL):
     pretext = synth_dataset(cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands, seed=5)
     tasks = downstream_suite(6, cfg.frames, cfg.bands)
     return pretext, tasks
+
+
+@pytest.fixture
+def sink(tmp_path):
+    """A sink writing into the test's directory, its results file closed at teardown."""
+    opened = RunSink(tmp_path)
+    yield opened
+    opened.close_csv()
 
 
 # the head each pretext task's loss never reads
@@ -166,7 +175,7 @@ class TestLocalTrain:
             shared = np.shares_memory(t.data, state.global_params.get(name).data)
             assert shared == name.startswith(UNREAD_HEAD[ssl_task]), name
 
-    def test_run_round_leaves_previous_global_bytes(self):
+    def test_run_round_leaves_previous_global_bytes(self, sink):
         pretext, tasks = small_world()
         cfg = replace(SMALL, scope="backbone")
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition"))
@@ -174,7 +183,7 @@ class TestLocalTrain:
         for _ in range(2):
             before = params_bytes(state.global_params)
             heads = {cid: params_bytes(h) for cid, h in state.retained_heads.items()}
-            new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
+            new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), sink)
             assert params_bytes(state.global_params) == before
             assert {cid: params_bytes(h) for cid, h in state.retained_heads.items()} == heads
             state = new_state
@@ -271,7 +280,7 @@ class TestRunConfigValidation:
 
 
 class TestRunRound:
-    def test_single_client_full_scope_adopts_client_params(self):
+    def test_single_client_full_scope_adopts_client_params(self, sink):
         cfg = replace(SMALL, clients_per_round=1, rounds=1)
         pretext, tasks = small_world(cfg)
         state = initial_state(cfg)
@@ -282,20 +291,20 @@ class TestRunRound:
         sampled = sample_clients(cfg.n_clients, 1, 1, cfg.master_seed)
         shard = pretext.clip_array()[partition.shards[sampled[0]]]
         expected, _, _ = local_train(shard, state.global_params, ParamTree.empty(), cfg, sampled[0], 1)
-        new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
+        new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), sink)
         assert new_state.global_params.equal_bytes(expected.params)
 
-    def test_round_index_advances_by_one(self):
+    def test_round_index_advances_by_one(self, sink):
         cfg = SMALL
         pretext, tasks = small_world(cfg)
         from fassl.data import dirichlet_partition
 
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, 0)
         state = initial_state(cfg)
-        new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
+        new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), sink)
         assert new_state.round_idx == state.round_idx + 1
 
-    def test_pretext_of_another_clip_shape_rejected_before_any_client_trains(self, monkeypatch):
+    def test_pretext_of_another_clip_shape_rejected_before_any_client_trains(self, monkeypatch, sink):
         import fassl.orchestrator as orchestrator
 
         cfg = SMALL  # 16 frames x 8 bands; the pretext below has 8 x 16, the same input width
@@ -304,37 +313,37 @@ class TestRunRound:
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, 0)
         monkeypatch.setattr(orchestrator, "local_train", lambda *args: pytest.fail("a client trained"))
         with pytest.raises(ContractError, match=r"^pretext clips are \(8, 16\), not the config's \(16, 8\)$"):
-            run_round(initial_state(cfg), cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
+            run_round(initial_state(cfg), cfg, partition, pretext, tasks, OptimaTracker(), sink)
 
-    def test_clip_list_pretext_trains_the_same_rows(self):
+    def test_clip_list_pretext_trains_the_same_rows(self, sink):
         cfg = SMALL
         pretext, tasks = small_world(cfg)
         listed = SynthDataset(list(pretext.clips), pretext.n_classes, pretext.generator)
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, 0)
         state = initial_state(cfg)
-        a, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
-        b, _ = run_round(state, cfg, partition, listed, tasks, OptimaTracker(), RunSink())
+        a, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), sink)
+        b, _ = run_round(state, cfg, partition, listed, tasks, OptimaTracker(), sink)
         assert a.global_params.equal_bytes(b.global_params)
 
-    def test_congruence_preserved(self):
+    def test_congruence_preserved(self, sink):
         cfg = SMALL
         pretext, tasks = small_world(cfg)
         from fassl.data import dirichlet_partition
 
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, 0)
         state = initial_state(cfg)
-        new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
+        new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), sink)
         assert new_state.global_params.congruent_with(state.global_params)
 
 
 class TestRun:
-    def test_row_bookkeeping(self):
+    def test_row_bookkeeping(self, tmp_path):
         cfg = SMALL  # 6 rounds, eval every 2 -> 3 evals x 3 tasks
         pretext, tasks = small_world(cfg)
-        result = run(cfg, pretext, tasks)
-        assert len(result.rows) == (cfg.rounds // cfg.eval_every) * len(tasks)
+        run(cfg, pretext, tasks, tmp_path)
+        assert len(read_results_csv(tmp_path / "results.csv")) == (cfg.rounds // cfg.eval_every) * len(tasks)
 
-    def test_single_round_reproduces_run_round(self):
+    def test_single_round_reproduces_run_round(self, sink, tmp_path):
         cfg = replace(SMALL, rounds=1, eval_every=1)
         pretext, tasks = small_world(cfg)
         from fassl.data import dirichlet_partition
@@ -343,23 +352,23 @@ class TestRun:
             pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition")
         )
         state = initial_state(cfg)
-        manual, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), RunSink())
-        result = run(cfg, pretext, tasks)
+        manual, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), sink)
+        result = run(cfg, pretext, tasks, tmp_path / "run")
         assert result.state.global_params.equal_bytes(manual.global_params)
 
-    def test_end_to_end_determinism(self):
+    def test_end_to_end_determinism(self, tmp_path):
         """Same config twice -> byte-identical results."""
         pretext, tasks = small_world()
-        r1 = run(SMALL, pretext, tasks)
-        r2 = run(SMALL, pretext, tasks)
+        r1 = run(SMALL, pretext, tasks, tmp_path / "1")
+        r2 = run(SMALL, pretext, tasks, tmp_path / "2")
         assert params_bytes(r1.state.global_params) == params_bytes(r2.state.global_params)
-        assert [a.accuracy for a in r1.rows] == [a.accuracy for a in r2.rows]
+        assert (tmp_path / "1" / "results.csv").read_bytes() == (tmp_path / "2" / "results.csv").read_bytes()
 
-    def test_backbone_scope_heads(self):
+    def test_backbone_scope_heads(self, tmp_path):
         """Server heads never move; a sampled client's retained head does."""
         cfg = replace(SMALL, scope="backbone", ssl_task="barlow_twins", rounds=4)
         pretext, tasks = small_world(cfg)
-        result = run(cfg, pretext, tasks)
+        result = run(cfg, pretext, tasks, tmp_path)
         init_heads = split(initial_state(cfg).global_params, "backbone")[1]
         _, final_heads = split(result.state.global_params, "backbone")
         assert final_heads.equal_bytes(init_heads)
@@ -368,10 +377,10 @@ class TestRun:
         assert trained, "sampled clients should have locally evolved heads"
 
     @pytest.mark.parametrize("scope", ["full", "backbone"])
-    def test_retained_heads_hold_exactly_the_sampled_clients(self, scope):
+    def test_retained_heads_hold_exactly_the_sampled_clients(self, scope, tmp_path):
         cfg = replace(SMALL, scope=scope, rounds=2)
         pretext, tasks = small_world(cfg)
-        result = run(cfg, pretext, tasks)
+        result = run(cfg, pretext, tasks, tmp_path)
         sampled = set().union(*(
             sample_clients(cfg.n_clients, cfg.clients_per_round, r, cfg.master_seed) for r in range(1, cfg.rounds + 1)
         ))
@@ -379,10 +388,10 @@ class TestRun:
         assert set(result.state.retained_heads) == (sampled if scope == "backbone" else set())
 
     @pytest.mark.parametrize("ssl_task", ["simclr", "acop"])
-    def test_retained_heads_share_the_global_unread_head(self, ssl_task):
+    def test_retained_heads_share_the_global_unread_head(self, ssl_task, tmp_path):
         cfg = replace(SMALL, scope="backbone", ssl_task=ssl_task, rounds=3)
         pretext, tasks = small_world(cfg)
-        result = run(cfg, pretext, tasks)
+        result = run(cfg, pretext, tasks, tmp_path)
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition"))
         trained = [cid for cid in result.state.retained_heads if len(partition.shards[cid]) >= 2]
         assert trained
@@ -392,7 +401,7 @@ class TestRun:
                 assert shared == name.startswith(UNREAD_HEAD[ssl_task]), name
 
     @pytest.mark.parametrize("scope", ["full", "backbone"])
-    def test_updates_released_before_eval(self, scope, monkeypatch):
+    def test_updates_released_before_eval(self, scope, monkeypatch, tmp_path):
         import fassl.orchestrator as orchestrator
 
         cfg = replace(SMALL, scope=scope, rounds=2, eval_every=1)
@@ -414,14 +423,14 @@ class TestRun:
 
         monkeypatch.setattr(orchestrator, "aggregate", recording_aggregate)
         monkeypatch.setattr(orchestrator, "evaluate_global", checking_eval)
-        run(cfg, pretext, tasks)
+        run(cfg, pretext, tasks, tmp_path)
         assert len(evals) == cfg.rounds
         assert all(dead and all(dead) for dead in evals)
 
-    def test_acop_task_runs(self):
+    def test_acop_task_runs(self, tmp_path):
         cfg = replace(SMALL, ssl_task="acop", rounds=2)
         pretext, tasks = small_world(cfg)
-        result = run(cfg, pretext, tasks)
+        result = run(cfg, pretext, tasks, tmp_path)
         assert result.total_steps > 0
 
     def test_k_above_a_task_train_size_raises_before_any_file(self, tmp_path):
@@ -432,8 +441,24 @@ class TestRun:
         with pytest.raises(ContractError, match=r"k must lie in \[1, 6\] \(train clips of task 'tiny'\), got 7"):
             run(replace(cfg, k=7), pretext, tasks, out_dir=out)
         assert not out.exists()
-        result = run(replace(cfg, k=6), pretext, tasks, out_dir=out)
-        assert [(row.task, row.k) for row in result.rows] == [(tasks[0][0], 6), ("tiny", 6)] * 2
+        run(replace(cfg, k=6), pretext, tasks, out_dir=out)
+        rows = read_results_csv(out / "results.csv")
+        assert [(row["task"], row["k"]) for row in rows] == [(tasks[0][0], 6), ("tiny", 6)] * 2
+
+    def test_a_new_run_removes_the_previous_runs_files_and_no_other(self, tmp_path):
+        cfg = replace(SMALL, rounds=4, eval_every=1)
+        pretext, tasks = small_world(cfg)
+        run(cfg, pretext, tasks, tmp_path)
+        (tmp_path / "config.txt").write_text("# not a run's file\n")
+        (tmp_path / "round_0009.ckpt.tmp").write_bytes(b"torn")
+        run(replace(cfg, eval_every=2), pretext, tasks, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.txt", "final.ckpt", "optima.csv", "results.csv", "round_0002.ckpt", "round_0004.ckpt",
+        ]
+        with pytest.raises(ContractError, match="finite"):  # round 1 saves its model, then its evaluation overflows
+            run(replace(cfg, tau=1e-300), pretext, tasks, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "results.csv", "round_0001.ckpt"]
+        assert (tmp_path / "results.csv").read_text() == CSV_HEADER + "\n"
 
     def test_csv_and_checkpoints_written(self, tmp_path):
         cfg = replace(SMALL, rounds=2, eval_every=1)
@@ -454,7 +479,7 @@ class TestRun:
         pretext, tasks = small_world(cfg)
         real_eval = orchestrator.evaluate_global
 
-        def eval_failing_at_round_2(w_g, tasks, k, round_idx=0, **kwargs):
+        def eval_failing_at_round_2(w_g, tasks, k, round_idx, **kwargs):
             if round_idx == 2:
                 raise ContractError("evaluation failed")
             return real_eval(w_g, tasks, k, round_idx=round_idx, **kwargs)
@@ -462,7 +487,7 @@ class TestRun:
         handles = []
         real_init = RunSink.__init__
 
-        def recording_init(self, out_dir=None):
+        def recording_init(self, out_dir):
             real_init(self, out_dir)
             handles.append(self._csv)
 

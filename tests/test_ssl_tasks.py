@@ -134,13 +134,13 @@ class TestBarlowTwinsLoss:
         raw = rng.normal(size=(16, 4))
         q, _ = np.linalg.qr(raw - raw.mean(axis=0))
         z = (q - q.mean(axis=0)) / q.std(axis=0)
-        loss = barlow_twins_loss(Tensor(z), Tensor(z), lam=0.005)
+        loss = barlow_twins_loss(Tensor(z), Tensor(z), lam=0.005, eps=1e-9)
         assert loss.item() < 1e-20
 
     def test_lambda_zero_uses_only_diagonal(self, rng):
         za = Tensor(rng.normal(size=(8, 4)))
         zb = Tensor(rng.normal(size=(8, 4)))
-        loss_value = barlow_twins_loss(za, zb, lam=0.0).item()
+        loss_value = barlow_twins_loss(za, zb, lam=0.0, eps=1e-9).item()
         # direct-formula oracle, diagonal part only
         a = (za.data - za.data.mean(0)) / np.maximum(za.data.std(0), 1e-9)
         b = (zb.data - zb.data.mean(0)) / np.maximum(zb.data.std(0), 1e-9)
@@ -155,20 +155,20 @@ class TestBarlowTwinsLoss:
         b = (zb - zb.mean(0)) / np.maximum(zb.std(0), 1e-9)
         c = a.T @ b / 8.0
         expected = ((1 - np.diag(c)) ** 2).sum() + lam * (c**2 * (1 - np.eye(4))).sum()
-        loss = barlow_twins_loss(Tensor(za), Tensor(zb), lam=lam)
+        loss = barlow_twins_loss(Tensor(za), Tensor(zb), lam=lam, eps=1e-9)
         np.testing.assert_allclose(loss.item(), expected, atol=1e-10)
 
     def test_always_nonnegative(self, rng):
         for _ in range(50):
             za = Tensor(rng.normal(size=(6, 3)))
             zb = Tensor(rng.normal(size=(6, 3)))
-            assert barlow_twins_loss(za, zb, lam=0.01).item() >= 0.0
+            assert barlow_twins_loss(za, zb, lam=0.01, eps=1e-9).item() >= 0.0
 
     def test_pair_permutation_equivariance(self, rng):
         za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
-        base = barlow_twins_loss(Tensor(za), Tensor(zb), lam=0.005).item()
+        base = barlow_twins_loss(Tensor(za), Tensor(zb), lam=0.005, eps=1e-9).item()
         perm = rng.permutation(8)
-        shuffled = barlow_twins_loss(Tensor(za[perm]), Tensor(zb[perm]), lam=0.005).item()
+        shuffled = barlow_twins_loss(Tensor(za[perm]), Tensor(zb[perm]), lam=0.005, eps=1e-9).item()
         np.testing.assert_allclose(base, shuffled, rtol=1e-10)
 
 
@@ -294,12 +294,12 @@ class TestLossGradientsThroughEncoder:
         def f_bt(p):
             zz = project(p, encode(p, xb))
             return barlow_twins_loss(
-                ad.gather_rows(zz, even), ad.gather_rows(zz, odd), lam=0.005
+                ad.gather_rows(zz, even), ad.gather_rows(zz, odd), lam=0.005, eps=1e-9
             ).item()
 
         with Graph(params.as_dict()) as g:
             zz = project(params, encode(params, xb))
-            loss = barlow_twins_loss(ad.gather_rows(zz, even), ad.gather_rows(zz, odd), lam=0.005)
+            loss = barlow_twins_loss(ad.gather_rows(zz, even), ad.gather_rows(zz, odd), lam=0.005, eps=1e-9)
         assert gradclose(backward(g, loss), finite_diff_grad(f_bt, params, 1e-5))
 
 
@@ -602,7 +602,9 @@ class TestShapeConstantCaches:
             z = views.data[:, : n + 3]
             pair_losses = [
                 lambda z: nt_xent_loss(z, 0.5),
-                lambda z: barlow_twins_loss(*(ad.gather_rows(z, rows) for rows in ssl_tasks.view_rows(2 * n)), 5e-3),
+                lambda z: barlow_twins_loss(
+                    *(ad.gather_rows(z, rows) for rows in ssl_tasks.view_rows(2 * n)), 5e-3, 1e-9
+                ),
             ]
             cached = [loss_and_grad_bytes(fn, z) for fn in pair_losses]
             with monkeypatch.context() as m:
