@@ -1,14 +1,20 @@
 """Synthetic audio-like datasets and the non-iid client partitioner.
 
-Clips are frame x band matrices of log-energy-like values. Each generator
-family builds class identity from a different ingredient (band profile,
-temporal envelope, or noise texture), which gives the downstream suite
-heterogeneous tasks whose generators are disjoint from the pretext set's.
+Clips are frame x band matrices of log-energy-like values. Four generator
+families share one path: ``_family`` draws a family's parameters from its
+generator stream, and ``_generate`` draws a split's noise and fills each
+class's block in place. The pretext family and the ``bandprofile`` and
+``temporal`` tasks are a band profile x temporal envelope product; the
+pretext's classes each draw both, ``bandprofile``'s classes their own
+profile under one shared envelope, and ``temporal``'s their own envelope
+over one shared profile. ``texture``'s classes differ in how their noise
+is smoothed and scaled. So the downstream suite holds heterogeneous tasks
+whose generators are disjoint from the pretext set's.
 
 A generated dataset owns one read-only (n, frames*bands) matrix: row i is
-clip i, and its label is ``labels()[i]``. The generators draw a split's
-noise in one ``normal`` call straight into that matrix (the same stream and
-bytes as one call per clip) and check the whole matrix for finiteness once.
+clip i, and its label is ``labels()[i]``. A split's noise is one ``normal``
+call straight into that matrix (the same stream and bytes as one call per
+clip), and the whole matrix is checked for finiteness once.
 Training and evaluation read the rows: a partition's shards are row
 indices, a client trains on ``clip_array()`` rows taken by its shard, and
 evaluation encodes the matrix as it is. Each ``Clip`` is a plain float64
@@ -100,22 +106,6 @@ class SynthDataset:
         return self.feature_matrix().reshape(len(self.clips), *self.clips[0].features.shape)
 
 
-def _class_block_dataset(matrix, frames, bands, n_classes, generator, split) -> SynthDataset:
-    """A generated dataset over matrix: equal runs of rows of classes 0, 1, ....
-
-    The matrix is checked for finiteness once and becomes read-only, and
-    every clip's features are the (frames, bands) view of its row.
-    """
-    if not np.isfinite(matrix).all():
-        raise ContractError("generated clip features must be finite (got NaN or Inf)")
-    matrix.flags.writeable = False
-    per_class = len(matrix) // n_classes
-    clips = [
-        Clip(features=row, label=i // per_class) for i, row in enumerate(matrix.reshape(len(matrix), frames, bands))
-    ]
-    return SynthDataset(clips=clips, n_classes=n_classes, generator=generator, split=split, _features=matrix)
-
-
 def _band_profile(rng: np.random.Generator, bands: int) -> np.ndarray:
     """Smooth band-energy profile: mixture of two Gaussian bumps."""
     centers = rng.uniform(0, bands, size=2)
@@ -137,70 +127,33 @@ def _envelope(rng: np.random.Generator, frames: int) -> np.ndarray:
     return 1.0 + depth * np.sin(2 * np.pi * freq * t / frames + phase)
 
 
-def synth_dataset(
-    n_classes: int,
-    n_per_class: int,
-    frames: int,
-    bands: int,
-    seed: int,
-    split: str = "train",
-    noise_std: float = PRETEXT_NOISE_STD,
-) -> SynthDataset:
-    """Pretext-style generator: per-class band profile x temporal envelope + noise."""
-    if min(n_classes, n_per_class, frames, bands) < 1:
-        raise ContractError("n_classes, n_per_class, frames, bands must all be >= 1")
-    gen_rng = rng_for(seed, "synth-generator")
-    profiles = np.stack([_band_profile(gen_rng, bands) for _ in range(n_classes)])
-    envelopes = np.stack([_envelope(gen_rng, frames) for _ in range(n_classes)])
-    # every clip's noise in one draw, in clip order, then its class's base added in place
-    matrix = rng_for(seed, "synth-clips").normal(0.0, noise_std, size=(n_classes * n_per_class, frames * bands))
-    blocks = matrix.reshape(n_classes, n_per_class, frames, bands)
-    for c in range(n_classes):
-        blocks[c] += np.outer(envelopes[c], profiles[c])
-    generator = {
-        "kind": np.array([0.0]),  # 0 = profile-x-envelope mixture family
-        "profiles": profiles,
-        "envelopes": envelopes,
-        "noise_std": np.array([noise_std]),
-    }
-    return _class_block_dataset(matrix, frames, bands, n_classes, generator, split)
+# kind: (generator code, noise std, the ingredients each class draws for itself); the pretext's noise std is
+# synth_dataset's. A profile x envelope family draws one shared copy of an ingredient its classes do not own;
+# texture's classes differ in how their noise is smoothed and scaled instead.
+_FAMILIES = {
+    "pretext": (0, None, ("profile", "envelope")),
+    "bandprofile": (1, 0.35, ("profile",)),
+    "temporal": (2, 0.25, ("envelope",)),
+    "texture": (3, 1.0, ()),
+}
 
 
-def _make_task(
-    kind: str,
-    seed: int,
-    n_classes: int,
-    n_train: int,
-    n_test: int,
-    frames: int,
-    bands: int,
-) -> tuple[SynthDataset, SynthDataset]:
-    """A train/test pair of one task family; ``fill`` turns a class's block of raw noise into its clips in place."""
-    gen_rng = rng_for(seed, f"task-{kind}-generator")
-    if kind == "bandprofile":
-        profiles = np.stack([_band_profile(gen_rng, bands) for _ in range(n_classes)])
-        shared_env = _envelope(gen_rng, frames)
-        generator = {"kind": np.array([1.0]), "profiles": profiles, "envelope": shared_env}
-        noise_std = 0.35
+def _family(kind: str, rng: np.random.Generator, n_classes: int, frames: int, bands: int, noise_std: float | None):
+    """A family's noise std, its class fill and its generator record, drawn from rng.
 
-        def fill(block, c):
-            block += np.outer(shared_env, profiles[c])
-
-    elif kind == "temporal":
-        shared_profile = _band_profile(gen_rng, bands)
-        envelopes = np.stack([_envelope(gen_rng, frames) for _ in range(n_classes)])
-        generator = {"kind": np.array([2.0]), "profile": shared_profile, "envelopes": envelopes}
-        noise_std = 0.25
-
-        def fill(block, c):
-            block += np.outer(envelopes[c], shared_profile)
-
-    elif kind == "texture":
-        smooths = gen_rng.permutation(np.arange(1, n_classes + 1)) * 2
-        scales = gen_rng.uniform(0.5, 1.0, size=n_classes)
-        base = 0.3 * np.outer(_envelope(gen_rng, frames), _band_profile(gen_rng, bands))
-        generator = {"kind": np.array([3.0]), "smooths": smooths.astype(float), "scales": scales}
-        noise_std = 1.0
+    ``fill(block, c)`` turns class c's (n_each, frames, bands) block of raw
+    noise into its clips in place. A profile x envelope family draws its
+    profiles before its envelopes.
+    """
+    if kind not in _FAMILIES:
+        raise ContractError(f"unknown task kind {kind!r}")
+    code, family_std, own = _FAMILIES[kind]
+    noise_std = family_std if noise_std is None else noise_std
+    if kind == "texture":
+        smooths = rng.permutation(np.arange(1, n_classes + 1)) * 2
+        scales = rng.uniform(0.5, 1.0, size=n_classes)
+        base = 0.3 * np.outer(_envelope(rng, frames), _band_profile(rng, bands))
+        generator = {"smooths": smooths.astype(float), "scales": scales}
 
         def fill(block, c):
             width = min(max(int(smooths[c]), 1), bands)  # convolve("same") needs kernel <= signal
@@ -211,17 +164,56 @@ def _make_task(
             block += base
 
     else:
-        raise ContractError(f"unknown task kind {kind!r}")
+        profiles = np.stack([_band_profile(rng, bands) for _ in range(n_classes if "profile" in own else 1)])
+        envelopes = np.stack([_envelope(rng, frames) for _ in range(n_classes if "envelope" in own else 1)])
+        bases = envelopes[:, :, None] * profiles[:, None, :]  # each class's np.outer; a shared ingredient broadcasts
+        generator = {"profiles": profiles, "envelopes": envelopes}
 
-    def build(split: str, n_each: int) -> SynthDataset:
-        rng = rng_for(seed, f"task-{kind}-{split}")
-        matrix = rng.normal(0.0, noise_std, size=(n_classes * n_each, frames * bands))
-        blocks = matrix.reshape(n_classes, n_each, frames, bands)
-        for c in range(n_classes):
-            fill(blocks[c], c)
-        return _class_block_dataset(matrix, frames, bands, n_classes, generator, split)
+        def fill(block, c):
+            block += bases[c]
 
-    return build("train", n_train), build("test", n_test)
+    generator.update(kind=np.array([float(code)]), noise_std=np.array([noise_std]))
+    return noise_std, fill, generator
+
+
+def _generate(rng, family, n_classes, n_each, frames, bands, split) -> SynthDataset:
+    """A split of n_each clips per class: rows of classes 0, 1, ... in equal runs.
+
+    Every clip's noise is one ``normal`` draw in clip order, filled in place
+    class by class. The matrix is checked for finiteness once and becomes
+    read-only, and every clip's features are the (frames, bands) view of its row.
+    """
+    noise_std, fill, generator = family
+    matrix = rng.normal(0.0, noise_std, size=(n_classes * n_each, frames * bands))
+    blocks = matrix.reshape(n_classes, n_each, frames, bands)
+    for c in range(n_classes):
+        fill(blocks[c], c)
+    if not np.isfinite(matrix).all():
+        raise ContractError("generated clip features must be finite (got NaN or Inf)")
+    matrix.flags.writeable = False
+    clips = [Clip(features=row, label=i // n_each) for i, row in enumerate(matrix.reshape(-1, frames, bands))]
+    return SynthDataset(clips=clips, n_classes=n_classes, generator=generator, split=split, _features=matrix)
+
+
+def synth_dataset(
+    n_classes: int, n_per_class: int, frames: int, bands: int, seed: int, noise_std: float = PRETEXT_NOISE_STD
+) -> SynthDataset:
+    """Pretext-style generator: per-class band profile x temporal envelope + noise."""
+    if min(n_classes, n_per_class, frames, bands) < 1:
+        raise ContractError("n_classes, n_per_class, frames, bands must all be >= 1")
+    family = _family("pretext", rng_for(seed, "synth-generator"), n_classes, frames, bands, noise_std)
+    return _generate(rng_for(seed, "synth-clips"), family, n_classes, n_per_class, frames, bands, "train")
+
+
+def _make_task(
+    kind: str, seed: int, n_classes: int, n_train: int, n_test: int, frames: int, bands: int
+) -> tuple[SynthDataset, SynthDataset]:
+    """A train/test pair of one task family, each split from its own stream."""
+    family = _family(kind, rng_for(seed, f"task-{kind}-generator"), n_classes, frames, bands, None)
+    return tuple(
+        _generate(rng_for(seed, f"task-{kind}-{split}"), family, n_classes, n_each, frames, bands, split)
+        for split, n_each in (("train", n_train), ("test", n_test))
+    )
 
 
 # Each downstream task's classes and clips per class; retrieval's k is at most

@@ -18,10 +18,13 @@ import numpy as np
 USING_NUMBA = False
 
 
-def pairwise_cosine(x: np.ndarray, y: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Cosine similarity matrix between row sets; rows normalized with an eps guard."""
-    xn = x / np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), eps)
-    yn = y / np.maximum(np.sqrt((y * y).sum(axis=1, keepdims=True)), eps)
+_NORM_FLOOR = 1e-12  # the least row norm divided by, so an all-zero row normalizes to zeros
+
+
+def pairwise_cosine(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cosine similarity matrix between row sets; each row norm is floored at ``_NORM_FLOOR``."""
+    xn = x / np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), _NORM_FLOOR)
+    yn = y / np.maximum(np.sqrt((y * y).sum(axis=1, keepdims=True)), _NORM_FLOOR)
     return xn @ yn.T
 
 

@@ -319,13 +319,13 @@ def run_round(
     )
 
     if round_idx % cfg.eval_every == 0:
-        sink.save_round(round_idx, new_global)
         accs = evaluate_global(
             new_global, tasks, cfg.k, round_idx=round_idx,
             feature_layer=cfg.feature_layer, metric=cfg.metric,
         )
         update_optima(tracker, round_idx, accs)
         sink.on_eval(cfg, accs)
+        sink.save_round(round_idx, new_global)  # after its rows, so a round's checkpoint never stands alone
     return new_state, steps
 
 
@@ -347,7 +347,7 @@ def run(
     tasks: list[tuple[str, SynthDataset, SynthDataset]],
     out_dir: str | os.PathLike,
 ) -> RunResult:
-    """Execute R federated rounds from a seeded init, writing the run into out_dir (see ``RunSink``)."""
+    """Execute R federated rounds from a seeded init into out_dir (see ``RunSink``); a round's error names it."""
     check_k(cfg.k, tasks)  # before RunSink opens out_dir, so a k no task can serve leaves the directory as it was
     partition = dirichlet_partition(
         pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition")
@@ -357,8 +357,11 @@ def run(
     sink = RunSink(out_dir)
     total_steps = 0
     try:
-        for _ in range(cfg.rounds):
-            state, steps = run_round(state, cfg, partition, pretext, tasks, tracker, sink)
+        for round_idx in range(1, cfg.rounds + 1):
+            try:
+                state, steps = run_round(state, cfg, partition, pretext, tasks, tracker, sink)
+            except ContractError as exc:
+                raise ContractError(f"round {round_idx}: {exc}") from exc
             total_steps += steps
     finally:
         # a failed run keeps its results.csv prefix but writes no final.ckpt / optima.csv

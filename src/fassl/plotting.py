@@ -149,19 +149,17 @@ def _svg_for_task(task: str, by_label: dict[str, list[tuple[int, float]]]) -> ET
     return svg
 
 
-def plot_results(results_dir: str | Path, out_dir: str | Path | None = None) -> list[Path]:
-    """One SVG per task from every results.csv found under results_dir."""
+def plot_results(results_dir: str | Path) -> list[Path]:
+    """One SVG per task, written into results_dir, from every results.csv found under it."""
     root = Path(results_dir)
     csvs = sorted(root.rglob("results.csv"))
     if not csvs:
         raise ContractError(f"no results.csv found under {root}")
     series = collect_series(csvs)
-    target = Path(out_dir) if out_dir is not None else root
-    target.mkdir(parents=True, exist_ok=True)
     written = []
     for task, by_label in sorted(series.items()):
         svg = _svg_for_task(task, by_label)
-        path = target / f"task_{task}.svg"
+        path = root / f"task_{task}.svg"
         path.write_bytes(ET.tostring(svg, xml_declaration=True, encoding="utf-8"))
         written.append(path)
     return written

@@ -1,6 +1,6 @@
 """Guards on the package's shape: public names and methods have callers, public defaults have callers that rely on
-them, no autodiff in data, no data in ssl_tasks, concurrency in the CLI, no asserts, and config states no rule of its
-own.
+them and callers that override them, no autodiff in data, no data in ssl_tasks, concurrency in the CLI, no asserts,
+and config states no rule of its own.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -17,7 +17,10 @@ A default of a public function or method (a class call reaches its
 passes ``*args`` or ``**kwargs``. A default that every program call
 overrides is a second statement of a value the callers already own, so only
 tests would read it; a dataclass field's default is where a setting's value
-lives, and is no function's default.
+lives, and is no function's default. A default counts as a setting when some
+program call passes it, or passes ``*args`` or ``**kwargs``: one that no
+program call overrides is a constant of its function, and only tests would
+set it (``cli.main(argv)`` is the named exception).
 """
 
 from __future__ import annotations
@@ -355,25 +358,43 @@ def omitted_defaults(call: ast.Call, callee: Callee) -> set[str]:
     return defaulted(callee.fn) - {a.arg for a in passed} - {k.arg for k in call.keywords}
 
 
-def defaults_no_program_call_omits() -> list[str]:
+def passed_defaults(call: ast.Call, callee: Callee) -> set[str]:
+    """The defaulted parameters this call passes: all of them under ``*`` or ``**``."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return defaulted(callee.fn)
+    return defaulted(callee.fn) - omitted_defaults(call, callee)
+
+
+def defaults_no_program_call(seen) -> list[str]:
+    """Each public default that ``seen(call, callee)`` names for no program call."""
     trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE + BENCHMARK}
     functions, methods = public_functions({p.stem: trees[p] for p in PACKAGE})
     exported = reexports()
-    relied_on: set[tuple[str, str]] = set()
+    hits: set[tuple[str, str]] = set()
     for path, tree in trees.items():
         own = path.stem if path in PACKAGE else None
         for call, callee in calls_reaching(tree, own, functions, methods, exported):
-            relied_on |= {(callee.label, name) for name in omitted_defaults(call, callee)}
+            hits |= {(callee.label, name) for name in seen(call, callee)}
     callees = list(functions.values()) + [c for found in methods.values() for c in found]
-    return sorted(
-        f"{c.label}({name})" for c in callees for name in defaulted(c.fn) if (c.label, name) not in relied_on
-    )
+    return sorted(f"{c.label}({name})" for c in callees for name in defaulted(c.fn) if (c.label, name) not in hits)
 
 
 def test_every_public_default_is_omitted_by_a_program_call():
     """A default that every program call overrides states the value a second time; the callers own it."""
-    unused = defaults_no_program_call_omits()
+    unused = defaults_no_program_call(omitted_defaults)
     assert not unused, f"defaults no program call relies on (delete them; tests pass the value): {unused}"
+
+
+# Defaults no program call passes that stay parameters, with the reason.
+CONSTANT_DEFAULTS_KEPT = {
+    "cli.main(argv)": "the console script calls main(), and the tests pass argv through that seam",
+}
+
+
+def test_every_public_default_is_passed_by_a_program_call():
+    """A default that no program call overrides is a constant of its function, not a setting."""
+    constant = [d for d in defaults_no_program_call(passed_defaults) if d not in CONSTANT_DEFAULTS_KEPT]
+    assert not constant, f"defaults no program call overrides (make them constants): {constant}"
 
 
 def test_calls_resolve_as_references_do():
@@ -397,3 +418,8 @@ def test_calls_resolve_as_references_do():
         (8, "orchestrator.run", {"out_dir"}),
         (9, "orchestrator.Sink.__init__", {"out_dir"}),
     ]
+    passed = [
+        (call.lineno, passed_defaults(call, callee))
+        for call, callee in calls_reaching(tree, None, functions, methods, exported)
+    ]
+    assert sorted(passed) == [(5, set()), (6, {"out_dir"}), (7, set()), (8, {"out_dir"}), (9, {"out_dir"})]

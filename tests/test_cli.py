@@ -455,15 +455,15 @@ class TestCmdRun:
     def test_failed_rerun_leaves_no_file_of_the_previous_run(self, tmp_path, monkeypatch, capsys):
         """A re-run replaces the cell's run files and keeps its config.txt, so a failed one shows no old result.
 
-        At tau = 1e-300 round 1 saves its model, then its evaluation overflows.
+        At tau = 1e-300 round 1's evaluation overflows before the round saves its model.
         """
         monkeypatch.setenv("FASSL_OUT", str(tmp_path))
         assert main(["run", *FAST_FLAGS]) == 0
         assert main(["run", *FAST_FLAGS, "--tau", "1e-300"]) == 2
-        failed = "[simclr-fedavg-full-e1] FAILED: tensor values must be finite (got NaN or Inf)\n"
+        failed = "[simclr-fedavg-full-e1] FAILED: round 1: tensor values must be finite (got NaN or Inf)\n"
         assert capsys.readouterr().err.endswith(failed)
         cell = tmp_path / "simclr-fedavg-full-e1"
-        assert sorted(p.name for p in cell.iterdir()) == ["config.txt", "results.csv", "round_0001.ckpt"]
+        assert sorted(p.name for p in cell.iterdir()) == ["config.txt", "results.csv"]
         assert (cell / "results.csv").read_text() == CSV_HEADER + "\n"
         assert "tau = 1e-300\n" in (cell / "config.txt").read_text()
 

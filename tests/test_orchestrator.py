@@ -455,9 +455,9 @@ class TestRun:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.txt", "final.ckpt", "optima.csv", "results.csv", "round_0002.ckpt", "round_0004.ckpt",
         ]
-        with pytest.raises(ContractError, match="finite"):  # round 1 saves its model, then its evaluation overflows
+        with pytest.raises(ContractError, match="finite"):  # round 1's evaluation overflows before it saves its model
             run(replace(cfg, tau=1e-300), pretext, tasks, tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "results.csv", "round_0001.ckpt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "results.csv"]
         assert (tmp_path / "results.csv").read_text() == CSV_HEADER + "\n"
 
     def test_csv_and_checkpoints_written(self, tmp_path):
@@ -501,3 +501,9 @@ class TestRun:
         assert [line.split(",")[0] for line in lines[1:]] == ["1"] * len(tasks)
         assert not (tmp_path / "final.ckpt").exists()
         assert not (tmp_path / "optima.csv").exists()
+
+    def test_a_failed_rounds_error_names_the_round(self, tmp_path):
+        cfg = replace(SMALL, rounds=2, eval_every=1, tau=1e-300)
+        pretext, tasks = small_world(cfg)
+        with pytest.raises(ContractError, match=r"^round 1: tensor values must be finite \(got NaN or Inf\)$"):
+            run(cfg, pretext, tasks, tmp_path)
