@@ -1,9 +1,10 @@
 """Command-line surface: run experiments, plot results, inspect partitions.
 
-Subcommands: run, plot, partition-stats, emit-defaults. Every config key is
-also available as a flag (flag > file > default); the FASSL_OUT env var
-overrides the output directory. Exit codes: 0 success, 1 config or usage
-error, 2 runtime failure.
+Subcommands: run, plot, partition-stats, emit-defaults. Every config key,
+the output root ``out_dir`` among them, is also a flag (flag > file >
+default), and nothing else sets one, so a cell's config.txt states the whole
+cell. Exit codes: 0 success, 1 config or usage error, 2 runtime failure (an
+allocation numpy refuses is one).
 
 ``run`` resolves every matrix cell up front and runs them on
 ``min(workers, cells, cpu count)`` spawned processes, or in this process
@@ -26,9 +27,9 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ExperimentSpec, apply_overrides, default_spec, emit_defaults, parse_config
-from .data import dirichlet_partition, downstream_suite, partition_label_entropies, synth_dataset
+from .data import dirichlet_partition, partition_label_entropies, synth_dataset
 from .errors import ConfigError, ContractError
-from .orchestrator import RunConfig, check_k, run
+from .orchestrator import RunConfig, run
 from .plotting import plot_results
 from .seeding import derive_seed
 
@@ -61,17 +62,6 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     return apply_overrides(spec, overrides)
 
 
-def _out_root(spec: ExperimentSpec) -> Path:
-    return Path(os.environ.get("FASSL_OUT", spec["out_dir"]))
-
-
-def _build_pretext(spec: ExperimentSpec):
-    return synth_dataset(
-        spec["pretext_classes"], spec["pretext_per_class"], spec["frames"], spec["bands"],
-        seed=derive_seed(spec["master_seed"], "pretext-data"),
-    )
-
-
 def _run_cell(job: tuple[str, ExperimentSpec, RunConfig, Path]) -> list[tuple[str, int, float]] | str:
     """Run one matrix cell into its directory; its optima summary rows, or its error text.
 
@@ -80,12 +70,10 @@ def _run_cell(job: tuple[str, ExperimentSpec, RunConfig, Path]) -> list[tuple[st
     """
     name, cell, cfg, cell_dir = job
     try:
-        pretext = _build_pretext(cell)
-        tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
         cell_dir.mkdir(parents=True, exist_ok=True)
         config_text = cell.to_text(f"resolved configuration for cell {name}")
         (cell_dir / "config.txt").write_text(config_text, encoding="utf-8")
-        return run(cfg, pretext, tasks, out_dir=cell_dir).tracker.summary_rows()
+        return run(cfg, cell_dir).tracker.summary_rows()
     except Exception as exc:  # noqa: BLE001 - cell isolation; partial results stay on disk
         return str(exc)
 
@@ -119,15 +107,9 @@ def _cell_mapper(processes: int):
 
 def cmd_run(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    root = _out_root(spec)
+    root = Path(spec["out_dir"])
     # every cell resolves before any runs, so a config error leaves no cell directory
     jobs = [(name, cell, cell.base_run_config(), root / name) for name, cell in spec.cells()]
-    # k is checked against each distinct suite the cells score on, so a k no task can serve leaves no directory
-    for seed, frames, bands in sorted({(cfg.master_seed, cfg.frames, cfg.bands) for _, _, cfg, _ in jobs}):
-        try:
-            check_k(spec["k"], downstream_suite(derive_seed(seed, "downstream-data"), frames, bands))
-        except ContractError as exc:
-            raise ConfigError(str(exc)) from exc
     failures = 0
     try:
         with _cell_mapper(min(spec["workers"], len(jobs), os.cpu_count() or 1)) as cell_map:
@@ -158,7 +140,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_partition_stats(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    pretext = _build_pretext(spec)
+    pretext = synth_dataset(
+        spec["pretext_classes"], spec["pretext_per_class"], spec["frames"], spec["bands"],
+        seed=derive_seed(spec["master_seed"], "pretext-data"),
+    )
     partition = dirichlet_partition(
         pretext, spec["clients"], spec["alpha"], derive_seed(spec["master_seed"], "partition")
     )
@@ -209,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContractError, OSError) as exc:
+    except (ContractError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -11,7 +11,8 @@ Rules across keys (``clients_per_round <= clients``, enough pretext clips
 for every client, enough frames for the pretext task's views or segments)
 are checked when ``base_run_config`` builds the run, so a command that
 trains nothing does not enforce them.
-Flags override file values, which override defaults. ``SCHEMA`` is the one
+Flags override file values, which override defaults, and nothing else sets
+a key (the output root is ``out_dir``'s). ``SCHEMA`` is the one
 table of keys: it maps each key to the ``RunConfig`` field it sets, and run
 defaults are read from the dataclasses, so a spec, its ``RunConfig`` and
 its config text cannot drift apart.
@@ -98,7 +99,7 @@ SCHEMA: dict[str, tuple] = {
     "projection_dim": (int, "projection_dim", "projection head output width"),
     "feature_layer": (str, "feature_layer", "retrieval feature layer"),
     "metric": (str, "metric", "retrieval distance"),
-    "out_dir": (str, None, "output directory (FASSL_OUT env overrides)"),
+    "out_dir": (str, None, "output root: one directory per matrix cell"),
     "plot": (_parse_bool, None, "emit SVG plots after a run"),
 }
 

@@ -216,10 +216,10 @@ def _make_task(
     )
 
 
-# Each downstream task's classes and clips per class; retrieval's k is at most
-# SUITE_CLASSES * SUITE_TRAIN_PER_CLASS, the train clips of a task.
+# Each downstream task's classes and train clips per class; retrieval's k is at most a task's train clips.
 SUITE_CLASSES = 4
 SUITE_TRAIN_PER_CLASS = 30
+SUITE_TRAIN_CLIPS = SUITE_CLASSES * SUITE_TRAIN_PER_CLASS
 
 
 def downstream_suite(seed: int, frames: int, bands: int) -> list[tuple[str, SynthDataset, SynthDataset]]:

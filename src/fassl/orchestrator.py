@@ -11,6 +11,10 @@ size and BLAS thread count, alone or next to other cells in processes (only
 ``errors``) and checks the rules across fields after it, so a bad setting
 fails where the config is built and never inside a round.
 
+A run is its config: ``run`` derives its pretext set and downstream suite
+from the config's seed and sizes, so ``k``'s bound is one of ``RULES``. A
+caller with inputs of its own drives ``initial_state`` and ``run_round``.
+
 Clients train on rows: a partition's shard names rows of the pretext, and
 each round views the pretext as one (n, frames, bands) clip array and hands
 every sampled client the rows of its shard, taken as one array.
@@ -48,7 +52,7 @@ from . import ssl_tasks
 from .aggregation import ClientUpdate, Strategy, aggregate, scope_apply
 from .autodiff import Graph, backward
 from .checkpoint import save_params
-from .data import Partition, SynthDataset, dirichlet_partition
+from .data import SUITE_TRAIN_CLIPS, Partition, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check_fields, instance_of, one_of
 from .evaluator import (
     FEATURE_LAYERS,
@@ -117,7 +121,10 @@ class RunConfig:
         "alpha": POSITIVE,
         # derive_seed reads the seed as 64 unsigned bits, so a seed outside them would alias another's streams
         "master_seed": (int, lambda v: 0 <= v < 2**64, "{name} must lie in [0, 2**64), got {value}"),
-        "eval_every": COUNT, "k": COUNT, "workers": COUNT, "tau": POSITIVE, "bt_lambda": NON_NEGATIVE,
+        "eval_every": COUNT,
+        "k": (int, lambda v: 1 <= v <= SUITE_TRAIN_CLIPS,
+              f"{{name}} must lie in [1, {SUITE_TRAIN_CLIPS}] (train clips of a downstream task), got {{value}}"),
+        "workers": COUNT, "tau": POSITIVE, "bt_lambda": NON_NEGATIVE,
         "bt_eps": POSITIVE, "augment": instance_of(AugmentPolicy), "frames": COUNT, "bands": COUNT,
         "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT, "pretext_classes": COUNT,
         "pretext_per_class": COUNT, "feature_layer": one_of(*FEATURE_LAYERS), "metric": one_of(*METRICS),
@@ -334,21 +341,16 @@ def initial_state(cfg: RunConfig) -> RoundState:
     return RoundState(round_idx=0, global_params=params, retained_heads={})
 
 
-def check_k(k: int, tasks: list[tuple[str, SynthDataset, SynthDataset]]) -> None:
-    """Every task's kNN query needs k train clips to rank."""
-    for name, train, _ in tasks:
-        if k > len(train):
-            raise ContractError(f"k must lie in [1, {len(train)}] (train clips of task {name!r}), got {k}")
+def run(cfg: RunConfig, out_dir: str | os.PathLike) -> RunResult:
+    """Execute R federated rounds from a seeded init into out_dir (see ``RunSink``); a round's error names it.
 
-
-def run(
-    cfg: RunConfig,
-    pretext: SynthDataset,
-    tasks: list[tuple[str, SynthDataset, SynthDataset]],
-    out_dir: str | os.PathLike,
-) -> RunResult:
-    """Execute R federated rounds from a seeded init into out_dir (see ``RunSink``); a round's error names it."""
-    check_k(cfg.k, tasks)  # before RunSink opens out_dir, so a k no task can serve leaves the directory as it was
+    The pretext set and the downstream suite are the ones the config's seed and sizes derive, as in a CLI cell.
+    """
+    pretext = synth_dataset(
+        cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands,
+        seed=derive_seed(cfg.master_seed, "pretext-data"),
+    )
+    tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
     partition = dirichlet_partition(
         pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition")
     )

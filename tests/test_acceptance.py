@@ -256,7 +256,7 @@ def test_criterion_06_tracker_oracle():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_07_end_to_end_determinism(tmp_path, monkeypatch):
+def test_criterion_07_end_to_end_determinism(tmp_path):
     flags = [
         "run", "--rounds", "6", "--clients", "10", "--clients-per-round", "4",
         "--eval-every", "2", "--pretext-classes", "4", "--pretext-per-class", "15",
@@ -265,8 +265,7 @@ def test_criterion_07_end_to_end_determinism(tmp_path, monkeypatch):
     ]
     outputs = []
     for sub in ("first", "second"):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path / sub))
-        assert cli_main(flags) == 0
+        assert cli_main([*flags, "--out-dir", str(tmp_path / sub)]) == 0
         outputs.append({
             (cell.name, artifact): (cell / artifact).read_bytes()
             for cell in sorted((tmp_path / sub).iterdir())
@@ -284,10 +283,7 @@ def test_criterion_07_end_to_end_determinism(tmp_path, monkeypatch):
 def test_criterion_08_learning_improvement(tmp_path):
     t0 = time.perf_counter()
     cfg = RunConfig(rounds=30, n_clients=20, clients_per_round=5, eval_every=10, master_seed=7)
-    pretext = synth_dataset(
-        cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands,
-        seed=derive_seed(cfg.master_seed, "pretext-data"),
-    )
+    # the baseline scores on the suite run derives from the config
     tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
 
     baseline = {
@@ -297,16 +293,14 @@ def test_criterion_08_learning_improvement(tmp_path):
             round_idx=0, feature_layer=cfg.feature_layer, metric=cfg.metric,
         )
     }
-    fed = run(cfg, pretext, tasks, tmp_path / "fed")
+    fed = run(cfg, tmp_path / "fed")
     fed_rows = read_results_csv(tmp_path / "fed" / "results.csv")
     fed_acc = {a["task"]: a["accuracy"] for a in fed_rows if a["round"] == cfg.rounds}
 
-    # centralized twin: N = s = 1, matched total gradient steps
-    probe = run(replace(cfg, n_clients=1, clients_per_round=1, rounds=1, eval_every=10**6),
-                pretext, tasks, tmp_path / "probe")
+    # centralized twin: N = s = 1, matched total gradient steps, on the same pretext set and suite
+    probe = run(replace(cfg, n_clients=1, clients_per_round=1, rounds=1, eval_every=10**6), tmp_path / "probe")
     cent_rounds = max(1, round(fed.total_steps / probe.total_steps))
-    run(replace(cfg, n_clients=1, clients_per_round=1, rounds=cent_rounds,
-                eval_every=cent_rounds), pretext, tasks, tmp_path / "cent")
+    run(replace(cfg, n_clients=1, clients_per_round=1, rounds=cent_rounds, eval_every=cent_rounds), tmp_path / "cent")
     cent_rows = read_results_csv(tmp_path / "cent" / "results.csv")
     cent_acc = {a["task"]: a["accuracy"] for a in cent_rows if a["round"] == cent_rounds}
 
@@ -329,10 +323,7 @@ def test_criterion_09_backbone_scoping(tmp_path):
         ssl_task="simclr", pretext_classes=4, pretext_per_class=12, frames=16, bands=8,
         hidden_dim=12, embed_dim=8, projection_dim=8, master_seed=33,
     )
-    pretext = synth_dataset(cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands,
-                            seed=derive_seed(cfg.master_seed, "pretext-data"))
-    tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
-    result = run(cfg, pretext, tasks, out_dir=tmp_path)
+    result = run(cfg, tmp_path)
 
     init_heads = split(initial_state(cfg).global_params, "backbone")[1]
     heads_frozen = True

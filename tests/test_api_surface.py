@@ -1,6 +1,6 @@
 """Guards on the package's shape: public names and methods have callers, public defaults have callers that rely on
 them and callers that override them, no autodiff in data, no data in ssl_tasks, concurrency in the CLI, no asserts,
-and config states no rule of its own.
+no setting read from the environment, and config states no rule of its own.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -188,6 +188,46 @@ def test_config_only_converts_text():
         for alias in node.names if module is not None else ():
             imported = getattr(importlib.import_module(f"fassl.{module}" if module else "fassl"), alias.name)
             assert not isinstance(imported, tuple), f"config imports the choice tuple {alias.name}"
+
+
+def _is_os(node: ast.AST, name: str) -> bool:
+    """Whether node is ``os.<name>``."""
+    return (
+        isinstance(node, ast.Attribute) and node.attr == name
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+    )
+
+
+def environment_reads(tree: ast.Module) -> list[int]:
+    """Lines that read a value from the environment: ``os.getenv(...)``, ``os.environ.get(...)``, ``os.environ[...]``.
+
+    Testing for a variable (``var in os.environ``), setting one and deleting one are no reads of a value.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            environ_get = isinstance(func, ast.Attribute) and func.attr == "get" and _is_os(func.value, "environ")
+            if environ_get or _is_os(func, "getenv"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and _is_os(node.value, "environ"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_package_module_reads_a_setting_from_the_environment():
+    """A setting is a config key, so a cell's config.txt states all of it; the CLI only pins BLAS threads."""
+    for path in PACKAGE:
+        lines = environment_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        assert not lines, f"{path.name} reads the environment at lines {lines}"
+
+
+def test_environment_reads_sees_each_read_and_no_write():
+    source = (
+        "x = os.getenv('A')\ny = os.environ.get('B', 'b')\nz = os.environ['C']\n"
+        "if 'D' not in os.environ:\n    os.environ.update(D='1')\nos.environ['E'] = '1'\ndel os.environ['E']\n"
+    )
+    assert environment_reads(ast.parse(source)) == [1, 2, 3]
 
 
 def test_no_assert_statement_in_the_package():

@@ -23,9 +23,8 @@ from fassl.config import (
     parse_config,
     parse_config_text,
 )
-from fassl.data import synth_dataset
 from fassl.errors import ConfigError, ContractError
-from fassl.orchestrator import CSV_HEADER, RunConfig
+from fassl.orchestrator import CSV_HEADER, RunConfig, run
 from fassl.plotting import INT_COLUMNS, collect_series, plot_results, read_results_csv
 
 
@@ -106,6 +105,11 @@ class TestParseConfig:
         message = str(config_error.value)
         assert message.startswith(f"<config>:2: bad value for '{key}': ")
         assert message.endswith(str(owner_error.value).replace(name, key, 1))
+
+    def test_k_above_a_suite_tasks_train_clips_is_error_with_line_number(self):
+        rule = r"k must lie in \[1, 120\] \(train clips of a downstream task\), got 121"
+        with pytest.raises(ConfigError, match=rf"^<config>:1: bad value for 'k': {rule}$"):
+            parse_config_text("k = 121\n", "<config>")
 
     def test_matrix_axes_default_to_singletons(self):
         spec = parse_config_text("strategy = ldawa\nscope = backbone\n", "<config>")
@@ -264,9 +268,9 @@ def _blas_threads(job):
 
 
 class TestCmdRun:
-    def test_matrix_produces_one_directory_per_cell(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
-        code = main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg", "--scope", "full,backbone"])
+    def test_matrix_produces_one_directory_per_cell(self, tmp_path):
+        grid = ["--strategy", "fedavg,fairavg", "--scope", "full,backbone"]
+        code = main(["run", *FAST_FLAGS, *grid, "--out-dir", str(tmp_path / "out")])
         assert code == 0
         dirs = sorted(p.name for p in (tmp_path / "out").iterdir() if p.is_dir())
         assert len(dirs) == 4
@@ -275,10 +279,9 @@ class TestCmdRun:
             assert (tmp_path / "out" / d / "final.ckpt").exists()
             assert (tmp_path / "out" / d / "optima.csv").exists()
 
-    def test_rerun_is_byte_identical(self, tmp_path, monkeypatch):
+    def test_rerun_is_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
-            monkeypatch.setenv("FASSL_OUT", str(tmp_path / sub))
-            assert main(["run", *FAST_FLAGS]) == 0
+            assert main(["run", *FAST_FLAGS, "--out-dir", str(tmp_path / sub)]) == 0
         cell = "simclr-fedavg-full-e1"
         a = (tmp_path / "a" / cell / "results.csv").read_bytes()
         b = (tmp_path / "b" / cell / "results.csv").read_bytes()
@@ -287,9 +290,8 @@ class TestCmdRun:
         b_ck = (tmp_path / "b" / cell / "final.ckpt").read_bytes()
         assert a_ck == b_ck
 
-    def test_optima_table_printed(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
-        assert main(["run", *FAST_FLAGS]) == 0
+    def test_optima_table_printed(self, tmp_path, capsys):
+        assert main(["run", *FAST_FLAGS, "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "optimal global model per task" in out
         assert "(" in out and ")" in out  # "acc (round)" style
@@ -304,7 +306,7 @@ class TestCmdRun:
         assert named in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         assert main(["run", "--alpha", "-3"]) == 1
         assert main(["run", "--lr", "nan"]) == 1
 
@@ -318,47 +320,41 @@ class TestCmdRun:
         (["--clients", "40", "--pretext-classes", "2", "--pretext-per-class", "4"], "8 pretext clips cannot cover"),
         (["--k", "121"], "k must lie in [1, 120]"),
     ])
-    def test_cross_field_error_exits_1_before_any_cell_directory(self, tmp_path, monkeypatch, capsys, flags, message):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
-        assert main(["run", *FAST_FLAGS, *flags]) == 1
+    def test_cross_field_error_exits_1_before_any_cell_directory(self, tmp_path, capsys, flags, message):
+        assert main(["run", *FAST_FLAGS, *flags, "--out-dir", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_acop_runs_on_one_clip_batches(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
-        assert main(["run", *FAST_FLAGS, "--ssl-task", "acop", "--batch-size", "1"]) == 0
+    def test_acop_runs_on_one_clip_batches(self, tmp_path):
+        assert main(["run", *FAST_FLAGS, "--ssl-task", "acop", "--batch-size", "1", "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "acop-fedavg-full-e1" / "final.ckpt").is_file()
 
-    def test_k_bound_is_the_downstream_train_clip_count(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
-        assert main(["run", *FAST_FLAGS, "--k", "120"]) == 0
+    def test_k_bound_is_the_downstream_train_clip_count(self, tmp_path):
+        assert main(["run", *FAST_FLAGS, "--k", "120", "--out-dir", str(tmp_path)]) == 0
         rows = (tmp_path / "simclr-fedavg-full-e1" / "results.csv").read_text().splitlines()[1:]
         assert rows and all(row.split(",")[6] == "120" for row in rows)
 
-    def test_k_bound_follows_the_suite_the_cells_score_on(self, tmp_path, monkeypatch, capsys):
-        def six_clip_suite(seed, frames, bands):
-            train = synth_dataset(2, 3, frames, bands, seed=seed)
-            return [("tiny", train, train)]
+    def test_allocation_numpy_refuses_is_the_cell_failed_line(self, tmp_path, capsys):
+        """A cell builds its own data, so an array too large for any address space fails that cell, not the run.
 
-        monkeypatch.setattr(cli, "downstream_suite", six_clip_suite)
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
-        assert main(["run", *FAST_FLAGS, "--k", "7"]) == 1
-        assert "k must lie in [1, 6] (train clips of task 'tiny')" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        A band count of 10**15 makes the pretext's first band profile ask for 8 PB at once.
+        """
+        assert main(["run", *FAST_FLAGS, "--bands", "1000000000000000", "--out-dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("[simclr-fedavg-full-e1] FAILED: Unable to allocate ")
 
     @pytest.mark.parametrize("flags", [
         ["--strategy", "fedavg,fedavg", "--local-epochs", "1,1"],
         ["--scope", "backbone,full,backbone"],
     ])
-    def test_repeated_matrix_flag_value_exits_1_before_any_cell_directory(self, tmp_path, monkeypatch, capsys, flags):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path / "out"))
-        assert main(["run", *FAST_FLAGS, *flags]) == 1
+    def test_repeated_matrix_flag_value_exits_1_before_any_cell_directory(self, tmp_path, capsys, flags):
+        assert main(["run", *FAST_FLAGS, *flags, "--out-dir", str(tmp_path / "out")]) == 1
         assert "repeated values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "partition-stats"])
     def test_non_utf8_config_exits_1_naming_file_and_line(self, tmp_path, monkeypatch, capsys, command):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "bad.txt"
         path.write_bytes(b"rounds = 2\n\xff\xfe = 3\n")
         assert main([command, "--config", str(path)]) == 1
@@ -371,8 +367,7 @@ class TestCmdRun:
         out = tmp_path / "out"
         out.mkdir()
         (out / "simclr-fedavg-full-e1").write_text("a file where the first cell's directory goes\n")
-        monkeypatch.setenv("FASSL_OUT", str(out))
-        flags = [*FAST_FLAGS, "--strategy", "fedavg,fairavg", "--workers", workers]
+        flags = [*FAST_FLAGS, "--strategy", "fedavg,fairavg", "--workers", workers, "--out-dir", str(out)]
         assert main(["run", *flags]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("[simclr-fedavg-full-e1] FAILED: ")
@@ -406,7 +401,8 @@ class TestCmdRun:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         stdout = {}
         for workers in ("1", "2"):
-            monkeypatch.setenv("FASSL_OUT", str(tmp_path / workers))
+            (tmp_path / workers).mkdir()
+            monkeypatch.chdir(tmp_path / workers)  # config.txt records the default out_dir, which both legs share
             flags = [*FAST_FLAGS, *grid, "--scope", "full,backbone", "--workers", workers]
             assert main(["run", *flags]) == 0
             stdout[workers] = capsys.readouterr().out
@@ -422,9 +418,8 @@ class TestCmdRun:
             elif a.is_file():
                 assert a.read_bytes() == b.read_bytes(), rel
 
-    def test_alpha_whose_draw_overflows_is_the_cell_failed_line(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
-        assert main(["run", *FAST_FLAGS, "--alpha", "1e308"]) == 2
+    def test_alpha_whose_draw_overflows_is_the_cell_failed_line(self, tmp_path, capsys):
+        assert main(["run", *FAST_FLAGS, "--alpha", "1e308", "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "[simclr-fedavg-full-e1] FAILED: alpha=1e+308 is too large for 6 clients: its proportions do not sum to 1",
         ]
@@ -432,8 +427,7 @@ class TestCmdRun:
     def test_dead_cell_process_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "_run_cell", _exit_process)
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
-        assert main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg"]) == 2
+        assert main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg", "--out-dir", str(tmp_path)]) == 2
         assert "a cell process died" in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
@@ -444,28 +438,38 @@ class TestCmdRun:
         if preset is not None:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
         monkeypatch.setattr(cli, "_run_cell", _blas_threads)
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
-        assert main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg"]) == 2
+        assert main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg", "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"[simclr-fedavg-full-e1] FAILED: {seen}", f"[simclr-fairavg-full-e1] FAILED: {seen}",
         ]
         assert os.environ.get("OPENBLAS_NUM_THREADS") == preset
         assert [var for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS") if var in os.environ] == []
 
-    def test_failed_rerun_leaves_no_file_of_the_previous_run(self, tmp_path, monkeypatch, capsys):
+    def test_failed_rerun_leaves_no_file_of_the_previous_run(self, tmp_path, capsys):
         """A re-run replaces the cell's run files and keeps its config.txt, so a failed one shows no old result.
 
         At tau = 1e-300 round 1's evaluation overflows before the round saves its model.
         """
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
-        assert main(["run", *FAST_FLAGS]) == 0
-        assert main(["run", *FAST_FLAGS, "--tau", "1e-300"]) == 2
+        assert main(["run", *FAST_FLAGS, "--out-dir", str(tmp_path)]) == 0
+        assert main(["run", *FAST_FLAGS, "--tau", "1e-300", "--out-dir", str(tmp_path)]) == 2
         failed = "[simclr-fedavg-full-e1] FAILED: round 1: tensor values must be finite (got NaN or Inf)\n"
         assert capsys.readouterr().err.endswith(failed)
         cell = tmp_path / "simclr-fedavg-full-e1"
         assert sorted(p.name for p in cell.iterdir()) == ["config.txt", "results.csv"]
         assert (cell / "results.csv").read_text() == CSV_HEADER + "\n"
         assert "tau = 1e-300\n" in (cell / "config.txt").read_text()
+
+    def test_a_cli_cell_and_the_library_write_the_same_bytes(self, tmp_path):
+        """``run(cfg, out_dir)`` derives the inputs a CLI cell trains and scores on from the same config."""
+        assert main(["run", *FAST_FLAGS, "--out-dir", str(tmp_path / "cli")]) == 0
+        flags = dict(zip(FAST_FLAGS[::2], FAST_FLAGS[1::2]))
+        spec = apply_overrides(default_spec(), {flag[2:].replace("-", "_"): raw for flag, raw in flags.items()})
+        ((name, cell),) = spec.cells()
+        run(cell.base_run_config(), tmp_path / "library")
+        written = sorted(p.name for p in (tmp_path / "library").iterdir())
+        assert written == ["final.ckpt", "optima.csv", "results.csv", "round_0001.ckpt", "round_0002.ckpt"]
+        for artifact in written:
+            assert (tmp_path / "library" / artifact).read_bytes() == (tmp_path / "cli" / name / artifact).read_bytes()
 
     def test_partial_csv_on_crash_is_valid_prefix(self, tmp_path):
         """Line-buffered appends: a truncated run leaves a parseable CSV."""
@@ -497,12 +501,12 @@ NON_DEFAULT = {
 class TestCellConfigReproducesCell:
     @pytest.fixture(scope="class")
     def matrix_run(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("matrix")
+        here = tmp_path_factory.mktemp("matrix")
         flags = [arg for key, raw in NON_DEFAULT.items() for arg in (f"--{key.replace('_', '-')}", raw)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("FASSL_OUT", str(out))
+            mp.chdir(here)
             assert main(["run", *flags]) == 0
-        return out, apply_overrides(default_spec(), NON_DEFAULT)
+        return here / NON_DEFAULT["out_dir"], apply_overrides(default_spec(), NON_DEFAULT)
 
     def test_every_key_is_off_default(self):
         spec = apply_overrides(default_spec(), NON_DEFAULT)
@@ -522,11 +526,12 @@ class TestCellConfigReproducesCell:
     def test_rerun_from_config_txt_is_byte_identical(self, matrix_run, tmp_path, monkeypatch):
         out, _ = matrix_run
         cell = "barlow_twins-loss-backbone-e2"
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(out / cell / "config.txt")]) == 0
-        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [cell]
+        rerun = tmp_path / NON_DEFAULT["out_dir"]  # the root config.txt records
+        assert [p.name for p in rerun.iterdir() if p.is_dir()] == [cell]
         for artifact in ("results.csv", "final.ckpt"):
-            assert (tmp_path / cell / artifact).read_bytes() == (out / cell / artifact).read_bytes()
+            assert (rerun / cell / artifact).read_bytes() == (out / cell / artifact).read_bytes()
 
 
 class TestCmdPartitionStats:
@@ -541,6 +546,14 @@ class TestCmdPartitionStats:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: alpha=1e+308 is too large for 3 clients: its proportions do not sum to 1\n"
+
+    def test_allocation_numpy_refuses_exits_2_with_one_error_line(self, capsys):
+        """8 * 10**12 pretext clips ask numpy for 29.1 PiB at once, which no address space holds."""
+        assert main(["partition-stats", "--clients", "3", "--pretext-per-class", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate 29.1 PiB ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_stats_output(self, capsys):
         code = main([
@@ -592,12 +605,11 @@ class TestEmitDefaults:
 
 
 class TestCmdPlot:
-    def _run_results(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FASSL_OUT", str(tmp_path))
-        assert main(["run", *FAST_FLAGS]) == 0
+    def _run_results(self, tmp_path):
+        assert main(["run", *FAST_FLAGS, "--out-dir", str(tmp_path)]) == 0
 
-    def test_svg_per_task_well_formed(self, tmp_path, monkeypatch, capsys):
-        self._run_results(tmp_path, monkeypatch)
+    def test_svg_per_task_well_formed(self, tmp_path, capsys):
+        self._run_results(tmp_path)
         assert main(["plot", str(tmp_path)]) == 0
         svgs = sorted(tmp_path.glob("task_*.svg"))
         assert len(svgs) == 3
@@ -605,8 +617,8 @@ class TestCmdPlot:
             root = ET.parse(svg).getroot()  # raises on malformed XML
             assert root.tag.endswith("svg")
 
-    def test_polyline_point_count_matches_csv_rows(self, tmp_path, monkeypatch):
-        self._run_results(tmp_path, monkeypatch)
+    def test_polyline_point_count_matches_csv_rows(self, tmp_path):
+        self._run_results(tmp_path)
         plot_results(tmp_path)
         csv_lines = (tmp_path / "simclr-fedavg-full-e1" / "results.csv").read_text().strip().split("\n")
         rows_per_task = sum(1 for ln in csv_lines[1:] if ",bandprofile," in ln)
@@ -670,8 +682,8 @@ class TestCmdPlot:
         assert main(["plot", str(tmp_path)]) == 2
         assert f"{path}:4:" in capsys.readouterr().err
 
-    def test_single_run_single_polyline_per_task(self, tmp_path, monkeypatch):
-        self._run_results(tmp_path, monkeypatch)
+    def test_single_run_single_polyline_per_task(self, tmp_path):
+        self._run_results(tmp_path)
         series = collect_series(sorted(Path(tmp_path).rglob("results.csv")))
         for task, by_label in series.items():
             assert len(by_label) == 1

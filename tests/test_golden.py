@@ -38,9 +38,7 @@ import numpy as np
 import pytest
 
 from fassl.aggregation import STRATEGY_KINDS, Strategy
-from fassl.data import downstream_suite, synth_dataset
 from fassl.orchestrator import SSL_TASKS, RunConfig, run
-from fassl.seeding import derive_seed
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 SCOPES = ("full", "backbone")
@@ -67,13 +65,7 @@ def cell_config(cell: str) -> RunConfig:
 
 
 def cell_digests(cell: str, out_dir: Path) -> dict[str, str]:
-    cfg = cell_config(cell)
-    pretext = synth_dataset(
-        cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands,
-        seed=derive_seed(cfg.master_seed, "pretext-data"),
-    )
-    tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
-    run(cfg, pretext, tasks, out_dir=out_dir)
+    run(cell_config(cell), out_dir)
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in OUTPUTS}
 
 

@@ -47,8 +47,12 @@ SMALL = RunConfig(
 
 
 def small_world(cfg=SMALL):
-    pretext = synth_dataset(cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands, seed=5)
-    tasks = downstream_suite(6, cfg.frames, cfg.bands)
+    """The pretext set and downstream suite ``run`` derives from the config."""
+    pretext = synth_dataset(
+        cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands,
+        seed=derive_seed(cfg.master_seed, "pretext-data"),
+    )
+    tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
     return pretext, tasks
 
 
@@ -210,11 +214,22 @@ class TestRunConfigValidation:
             replace(SMALL, **{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("alpha", 0.0), ("eval_every", 0), ("k", 0), ("workers", -1), ("hidden_dim", 0), ("bands", 0), ("embed_dim", -3),
+        ("alpha", 0.0), ("eval_every", 0), ("workers", -1), ("hidden_dim", 0), ("bands", 0), ("embed_dim", -3),
     ])
     def test_positive_field_error_names_the_field_and_value(self, field, value):
         with pytest.raises(ContractError, match=rf"^{field} must be positive, got {value}$"):
             replace(SMALL, **{field: value})
+
+    def test_k_bound_is_the_train_clips_of_every_task_a_run_scores_on(self):
+        assert replace(SMALL, k=120).k == 120
+        _, tasks = small_world()
+        assert [len(train) for _, train, _ in tasks] == [120] * 3
+
+    @pytest.mark.parametrize("k", [0, 121])
+    def test_k_outside_the_bound_is_refused_naming_it(self, k):
+        message = rf"^k must lie in \[1, 120\] \(train clips of a downstream task\), got {k}$"
+        with pytest.raises(ContractError, match=message):
+            replace(SMALL, k=k)
 
     def test_boundary_values_accepted(self):
         cfg = replace(SMALL, bt_lambda=0.0, tau=1e-3, bt_eps=1e-12)
@@ -339,9 +354,8 @@ class TestRunRound:
 class TestRun:
     def test_row_bookkeeping(self, tmp_path):
         cfg = SMALL  # 6 rounds, eval every 2 -> 3 evals x 3 tasks
-        pretext, tasks = small_world(cfg)
-        run(cfg, pretext, tasks, tmp_path)
-        assert len(read_results_csv(tmp_path / "results.csv")) == (cfg.rounds // cfg.eval_every) * len(tasks)
+        run(cfg, tmp_path)
+        assert len(read_results_csv(tmp_path / "results.csv")) == (cfg.rounds // cfg.eval_every) * 3
 
     def test_single_round_reproduces_run_round(self, sink, tmp_path):
         cfg = replace(SMALL, rounds=1, eval_every=1)
@@ -353,22 +367,20 @@ class TestRun:
         )
         state = initial_state(cfg)
         manual, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), sink)
-        result = run(cfg, pretext, tasks, tmp_path / "run")
+        result = run(cfg, tmp_path / "run")
         assert result.state.global_params.equal_bytes(manual.global_params)
 
     def test_end_to_end_determinism(self, tmp_path):
         """Same config twice -> byte-identical results."""
-        pretext, tasks = small_world()
-        r1 = run(SMALL, pretext, tasks, tmp_path / "1")
-        r2 = run(SMALL, pretext, tasks, tmp_path / "2")
+        r1 = run(SMALL, tmp_path / "1")
+        r2 = run(SMALL, tmp_path / "2")
         assert params_bytes(r1.state.global_params) == params_bytes(r2.state.global_params)
         assert (tmp_path / "1" / "results.csv").read_bytes() == (tmp_path / "2" / "results.csv").read_bytes()
 
     def test_backbone_scope_heads(self, tmp_path):
         """Server heads never move; a sampled client's retained head does."""
         cfg = replace(SMALL, scope="backbone", ssl_task="barlow_twins", rounds=4)
-        pretext, tasks = small_world(cfg)
-        result = run(cfg, pretext, tasks, tmp_path)
+        result = run(cfg, tmp_path)
         init_heads = split(initial_state(cfg).global_params, "backbone")[1]
         _, final_heads = split(result.state.global_params, "backbone")
         assert final_heads.equal_bytes(init_heads)
@@ -379,8 +391,7 @@ class TestRun:
     @pytest.mark.parametrize("scope", ["full", "backbone"])
     def test_retained_heads_hold_exactly_the_sampled_clients(self, scope, tmp_path):
         cfg = replace(SMALL, scope=scope, rounds=2)
-        pretext, tasks = small_world(cfg)
-        result = run(cfg, pretext, tasks, tmp_path)
+        result = run(cfg, tmp_path)
         sampled = set().union(*(
             sample_clients(cfg.n_clients, cfg.clients_per_round, r, cfg.master_seed) for r in range(1, cfg.rounds + 1)
         ))
@@ -390,8 +401,8 @@ class TestRun:
     @pytest.mark.parametrize("ssl_task", ["simclr", "acop"])
     def test_retained_heads_share_the_global_unread_head(self, ssl_task, tmp_path):
         cfg = replace(SMALL, scope="backbone", ssl_task=ssl_task, rounds=3)
-        pretext, tasks = small_world(cfg)
-        result = run(cfg, pretext, tasks, tmp_path)
+        pretext, _ = small_world(cfg)
+        result = run(cfg, tmp_path)
         partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition"))
         trained = [cid for cid in result.state.retained_heads if len(partition.shards[cid]) >= 2]
         assert trained
@@ -405,7 +416,6 @@ class TestRun:
         import fassl.orchestrator as orchestrator
 
         cfg = replace(SMALL, scope=scope, rounds=2, eval_every=1)
-        pretext, tasks = small_world(cfg)
         refs = []
         evals = []
         real_aggregate, real_eval = orchestrator.aggregate, orchestrator.evaluate_global
@@ -423,47 +433,32 @@ class TestRun:
 
         monkeypatch.setattr(orchestrator, "aggregate", recording_aggregate)
         monkeypatch.setattr(orchestrator, "evaluate_global", checking_eval)
-        run(cfg, pretext, tasks, tmp_path)
+        run(cfg, tmp_path)
         assert len(evals) == cfg.rounds
         assert all(dead and all(dead) for dead in evals)
 
     def test_acop_task_runs(self, tmp_path):
         cfg = replace(SMALL, ssl_task="acop", rounds=2)
-        pretext, tasks = small_world(cfg)
-        result = run(cfg, pretext, tasks, tmp_path)
+        result = run(cfg, tmp_path)
         assert result.total_steps > 0
-
-    def test_k_above_a_task_train_size_raises_before_any_file(self, tmp_path):
-        cfg = replace(SMALL, rounds=2, eval_every=1)
-        pretext, tasks = small_world(cfg)
-        tasks = [tasks[0], ("tiny", synth_dataset(2, 3, cfg.frames, cfg.bands, seed=1), tasks[0][2])]
-        out = tmp_path / "run"
-        with pytest.raises(ContractError, match=r"k must lie in \[1, 6\] \(train clips of task 'tiny'\), got 7"):
-            run(replace(cfg, k=7), pretext, tasks, out_dir=out)
-        assert not out.exists()
-        run(replace(cfg, k=6), pretext, tasks, out_dir=out)
-        rows = read_results_csv(out / "results.csv")
-        assert [(row["task"], row["k"]) for row in rows] == [(tasks[0][0], 6), ("tiny", 6)] * 2
 
     def test_a_new_run_removes_the_previous_runs_files_and_no_other(self, tmp_path):
         cfg = replace(SMALL, rounds=4, eval_every=1)
-        pretext, tasks = small_world(cfg)
-        run(cfg, pretext, tasks, tmp_path)
+        run(cfg, tmp_path)
         (tmp_path / "config.txt").write_text("# not a run's file\n")
         (tmp_path / "round_0009.ckpt.tmp").write_bytes(b"torn")
-        run(replace(cfg, eval_every=2), pretext, tasks, tmp_path)
+        run(replace(cfg, eval_every=2), tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.txt", "final.ckpt", "optima.csv", "results.csv", "round_0002.ckpt", "round_0004.ckpt",
         ]
         with pytest.raises(ContractError, match="finite"):  # round 1's evaluation overflows before it saves its model
-            run(replace(cfg, tau=1e-300), pretext, tasks, tmp_path)
+            run(replace(cfg, tau=1e-300), tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "results.csv"]
         assert (tmp_path / "results.csv").read_text() == CSV_HEADER + "\n"
 
     def test_csv_and_checkpoints_written(self, tmp_path):
         cfg = replace(SMALL, rounds=2, eval_every=1)
-        pretext, tasks = small_world(cfg)
-        run(cfg, pretext, tasks, out_dir=tmp_path)
+        run(cfg, out_dir=tmp_path)
         csv = (tmp_path / "results.csv").read_text()
         lines = csv.strip().split("\n")
         assert lines[0] == CSV_HEADER
@@ -476,7 +471,6 @@ class TestRun:
         import fassl.orchestrator as orchestrator
 
         cfg = replace(SMALL, rounds=3, eval_every=1)
-        pretext, tasks = small_world(cfg)
         real_eval = orchestrator.evaluate_global
 
         def eval_failing_at_round_2(w_g, tasks, k, round_idx, **kwargs):
@@ -494,16 +488,15 @@ class TestRun:
         monkeypatch.setattr(orchestrator, "evaluate_global", eval_failing_at_round_2)
         monkeypatch.setattr(RunSink, "__init__", recording_init)
         with pytest.raises(ContractError, match="evaluation failed"):
-            run(cfg, pretext, tasks, out_dir=tmp_path)
+            run(cfg, out_dir=tmp_path)
         assert len(handles) == 1 and handles[0].closed
         lines = (tmp_path / "results.csv").read_text().strip().split("\n")
         assert lines[0] == CSV_HEADER
-        assert [line.split(",")[0] for line in lines[1:]] == ["1"] * len(tasks)
+        assert [line.split(",")[0] for line in lines[1:]] == ["1"] * 3
         assert not (tmp_path / "final.ckpt").exists()
         assert not (tmp_path / "optima.csv").exists()
 
     def test_a_failed_rounds_error_names_the_round(self, tmp_path):
         cfg = replace(SMALL, rounds=2, eval_every=1, tau=1e-300)
-        pretext, tasks = small_world(cfg)
         with pytest.raises(ContractError, match=r"^round 1: tensor values must be finite \(got NaN or Inf\)$"):
-            run(cfg, pretext, tasks, tmp_path)
+            run(cfg, tmp_path)
