@@ -9,8 +9,10 @@ allocation numpy refuses is one).
 ``run`` resolves every matrix cell up front and runs them on
 ``min(workers, cells, cpu count)`` spawned processes, or in this process
 through plain ``map`` when that count is 1. Cells share only a read-only
-config, write only their own directories, print in cell order and take no
-byte from BLAS threads, so outputs never depend on ``workers``, at any size.
+config, write only their own directories and print in cell order, so
+outputs do not depend on ``workers``, at any size, wherever the BLAS
+kernels' products do not depend on their thread count (OpenBLAS's Haswell
+kernels' do: ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ExperimentSpec, apply_overrides, default_spec, emit_defaults, parse_config
-from .data import dirichlet_partition, partition_label_entropies, synth_dataset
+from .data import partition_label_entropies
 from .errors import ConfigError, ContractError
-from .orchestrator import RunConfig, run
+from .orchestrator import RunConfig, pretext_and_partition, run
 from .plotting import plot_results
-from .seeding import derive_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -140,12 +141,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_partition_stats(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    pretext = synth_dataset(
-        spec["pretext_classes"], spec["pretext_per_class"], spec["frames"], spec["bands"],
-        seed=derive_seed(spec["master_seed"], "pretext-data"),
-    )
-    partition = dirichlet_partition(
-        pretext, spec["clients"], spec["alpha"], derive_seed(spec["master_seed"], "partition")
+    pretext, partition = pretext_and_partition(
+        spec["master_seed"], spec["pretext_classes"], spec["pretext_per_class"], spec["frames"], spec["bands"],
+        spec["clients"], spec["alpha"],
     )
     print(f"alpha = {spec['alpha']}, clients = {spec['clients']}, clips = {len(pretext)}")
     print(f"{'client':>6s} {'size':>6s} {'label_entropy':>14s}")

@@ -8,8 +8,9 @@ parser only converts text (``SCHEMA``'s converters are ``int``, ``float``,
 its key's name, by the ``RULES`` entry of the dataclass that owns the key's
 field (see ``errors``), so the message is the one that dataclass gives.
 Rules across keys (``clients_per_round <= clients``, enough pretext clips
-for every client, enough frames for the pretext task's views or segments)
-are checked when ``base_run_config`` builds the run, so a command that
+for every client, enough frames and clips for the pretext task's batches,
+``feature_layer = projection`` only where a run trains ``head.proj``) are
+checked when ``base_run_config`` builds the run, so a command that
 trains nothing does not enforce them.
 Flags override file values, which override defaults, and nothing else sets
 a key (the output root is ``out_dir``'s). ``SCHEMA`` is the one

@@ -5,15 +5,19 @@ round, client id), clients train one after another in ascending id order
 and share no mutable state, and updates are sorted by client_id before
 aggregation so the floating-point reduction order is fixed. Two runs with
 the same config produce byte-identical CSVs and checkpoints at any model
-size and BLAS thread count, alone or next to other cells in processes (only
-``fassl run`` reads ``workers``: how many processes its cells spread over).
+size, alone or next to other cells in processes (only ``fassl run`` reads
+``workers``: how many processes its cells spread over), and at any BLAS
+thread count only under kernels whose products ignore it: not OpenBLAS's
+Haswell ones (ROADMAP item 1).
 ``RunConfig`` states each field's rule in its ``RULES`` table (see
 ``errors``) and checks the rules across fields after it, so a bad setting
 fails where the config is built and never inside a round.
 
 A run is its config: ``run`` derives its pretext set and downstream suite
-from the config's seed and sizes, so ``k``'s bound is one of ``RULES``. A
-caller with inputs of its own drives ``initial_state`` and ``run_round``.
+from the config's seed and sizes, so ``k``'s bound is one of ``RULES``.
+``pretext_and_partition`` is the one derivation of the pretext set and its
+partition, which ``fassl partition-stats`` prints too. A caller with inputs
+of its own drives ``initial_state`` and ``run_round``.
 
 Clients train on rows: a partition's shard names rows of the pretext, and
 each round views the pretext as one (n, frames, bands) clip array and hands
@@ -63,13 +67,10 @@ from .evaluator import (
     optima_csv,
     update_optima,
 )
-from .model import (
-    ACOP_SEGMENTS, SCOPES, EncoderConfig, ParamTree, encode, init_encoder, merge, project, sgd_step, split,
-)
+from .model import SCOPES, EncoderConfig, ParamTree, encode, init_encoder, merge, project, sgd_step, split
 from .seeding import derive_seed, rng_for
-from .ssl_tasks import AugmentPolicy, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
+from .ssl_tasks import TASKS, AugmentPolicy, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 
-SSL_TASKS = ("acop", "simclr", "barlow_twins")
 CSV_HEADER = "round,strategy,scope,ssl_task,local_epochs,task,k,accuracy"
 
 
@@ -78,11 +79,6 @@ def csv_row(cfg: "RunConfig", acc: TaskAccuracy) -> str:
         f"{acc.round},{cfg.strategy.kind},{cfg.scope},{cfg.ssl_task},"
         f"{cfg.local_epochs},{acc.task},{acc.k},{acc.accuracy:.6f}"
     )
-
-
-def _min_batch_clips(ssl_task: str) -> int:
-    """Fewest clips a batch of the task trains on: the pair losses need two."""
-    return 1 if ssl_task == "acop" else 2
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ class RunConfig:
 
     RULES = {
         "rounds": COUNT, "n_clients": COUNT, "clients_per_round": COUNT, "local_epochs": COUNT, "batch_size": COUNT,
-        "lr": POSITIVE, "ssl_task": one_of(*SSL_TASKS), "strategy": instance_of(Strategy), "scope": one_of(*SCOPES),
+        "lr": POSITIVE, "ssl_task": one_of(*TASKS), "strategy": instance_of(Strategy), "scope": one_of(*SCOPES),
         "alpha": POSITIVE,
         # derive_seed reads the seed as 64 unsigned bits, so a seed outside them would alias another's streams
         "master_seed": (int, lambda v: 0 <= v < 2**64, "{name} must lie in [0, 2**64), got {value}"),
@@ -134,13 +130,16 @@ class RunConfig:
         check_fields(self)
         if self.clients_per_round > self.n_clients:
             raise ContractError(f"need clients_per_round <= n_clients, got {self.clients_per_round}/{self.n_clients}")
-        min_frames = ssl_tasks.MIN_FRAMES * (ACOP_SEGMENTS if self.ssl_task == "acop" else 1)
-        if self.frames < min_frames:
-            raise ContractError(f"{self.ssl_task} needs frames >= {min_frames}, got {self.frames}")
-        min_batch = _min_batch_clips(self.ssl_task)
-        if self.batch_size < min_batch:
+        needs = TASKS[self.ssl_task]
+        if self.frames < needs.min_frames:
+            raise ContractError(f"{self.ssl_task} needs frames >= {needs.min_frames}, got {self.frames}")
+        if self.batch_size < needs.min_clips:
             # local_train drops a batch too small for the loss, so such a run would never step
-            raise ContractError(f"{self.ssl_task} needs batch_size >= {min_batch}, got {self.batch_size}")
+            raise ContractError(f"{self.ssl_task} needs batch_size >= {needs.min_clips}, got {self.batch_size}")
+        if self.feature_layer == "projection" and (self.scope, needs.head) != ("full", "head.proj"):
+            # retrieval would score the global head.proj's random initial weights
+            conflict = f"scope {self.scope}" if self.scope != "full" else f"ssl_task {self.ssl_task}"
+            raise ContractError(f"feature_layer projection scores the global head.proj, which {conflict} never trains")
         pretext_clips = self.pretext_classes * self.pretext_per_class
         if self.n_clients > pretext_clips:
             raise ContractError(f"{pretext_clips} pretext clips cannot cover n_clients={self.n_clients}")
@@ -204,8 +203,8 @@ def local_train(
     The shard is the client's clips as one non-empty (n, frames, bands)
     float64 array, and each batch is one ``take`` of its rows. The local
     model starts from the transceived global merged with the client's
-    retained head (empty in full scope). Batches too small for the task
-    (fewer than 2 clips for the pair losses) are dropped. Training
+    retained head (empty in full scope). Batches with fewer clips than the
+    task's ``TASKS`` entry names (2 for the pair losses) are dropped. Training
     starts on the input trees' own immutable tensors and every step makes
     new ones, so neither input tree is written to and the trained trees are
     handed out as they are.
@@ -219,7 +218,7 @@ def local_train(
     n_clips = ssl_tasks.clips_shape(shard, f"client {client_id}'s shard")[0]
     params = merge(w_g, retained_head) if len(retained_head) else w_g
     rng = rng_for(cfg.master_seed, "train", round_idx, client_id)
-    min_clips = _min_batch_clips(cfg.ssl_task)
+    min_clips = TASKS[cfg.ssl_task].min_clips
     steps = 0
     for _ in range(cfg.local_epochs):  # RULES make local_epochs >= 1, so losses ends as the last epoch's
         order = rng.permutation(n_clips)
@@ -341,19 +340,31 @@ def initial_state(cfg: RunConfig) -> RoundState:
     return RoundState(round_idx=0, global_params=params, retained_heads={})
 
 
+def pretext_and_partition(
+    master_seed: int, pretext_classes: int, pretext_per_class: int, frames: int, bands: int, n_clients: int,
+    alpha: float,
+) -> tuple[SynthDataset, Partition]:
+    """A cell's pretext set and its clients' shards of it, from the seed's pretext-data and partition streams.
+
+    It takes plain values, not a ``RunConfig``, so ``fassl partition-stats``
+    prints the partition ``run`` trains on without enforcing the rules
+    across keys.
+    """
+    pretext = synth_dataset(
+        pretext_classes, pretext_per_class, frames, bands, seed=derive_seed(master_seed, "pretext-data")
+    )
+    return pretext, dirichlet_partition(pretext, n_clients, alpha, derive_seed(master_seed, "partition"))
+
+
 def run(cfg: RunConfig, out_dir: str | os.PathLike) -> RunResult:
     """Execute R federated rounds from a seeded init into out_dir (see ``RunSink``); a round's error names it.
 
     The pretext set and the downstream suite are the ones the config's seed and sizes derive, as in a CLI cell.
     """
-    pretext = synth_dataset(
-        cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands,
-        seed=derive_seed(cfg.master_seed, "pretext-data"),
+    pretext, partition = pretext_and_partition(
+        cfg.master_seed, cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands, cfg.n_clients, cfg.alpha
     )
     tasks = downstream_suite(derive_seed(cfg.master_seed, "downstream-data"), cfg.frames, cfg.bands)
-    partition = dirichlet_partition(
-        pretext, cfg.n_clients, cfg.alpha, derive_seed(cfg.master_seed, "partition")
-    )
     state = initial_state(cfg)
     tracker = OptimaTracker()
     sink = RunSink(out_dir)

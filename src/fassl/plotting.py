@@ -1,7 +1,8 @@
 """Static SVG plots of accuracy-vs-round curves from result CSVs.
 
-One SVG per downstream task; one polyline per (strategy, scope, local
-epochs) series found across the CSVs. Output is plain XML built with
+One SVG per downstream task, titled by the k of its rows (all of them,
+comma-separated, when the CSVs differ); one polyline per (strategy, scope,
+local epochs) series found across the CSVs. Output is plain XML built with
 ElementTree, with no scripting or interactivity.
 """
 
@@ -72,20 +73,19 @@ def read_results_csv(path: Path) -> list[dict]:
     return rows
 
 
-def collect_series(csv_paths: list[Path]) -> dict[str, dict[str, list[tuple[int, float]]]]:
-    """task -> series label -> [(round, accuracy)] sorted by round."""
+def collect_series(rows: list[dict]) -> dict[str, dict[str, list[tuple[int, float]]]]:
+    """task -> series label -> [(round, accuracy)] sorted by round, from ``read_results_csv`` rows."""
     series: dict[str, dict[str, list[tuple[int, float]]]] = {}
-    for path in csv_paths:
-        for row in read_results_csv(path):
-            label = f"{row['strategy']}/{row['scope']}/E{row['local_epochs']}"
-            series.setdefault(row["task"], {}).setdefault(label, []).append((row["round"], row["accuracy"]))
+    for row in rows:
+        label = f"{row['strategy']}/{row['scope']}/E{row['local_epochs']}"
+        series.setdefault(row["task"], {}).setdefault(label, []).append((row["round"], row["accuracy"]))
     for by_label in series.values():
         for pts in by_label.values():
             pts.sort()
     return series
 
 
-def _svg_for_task(task: str, by_label: dict[str, list[tuple[int, float]]]) -> ET.Element:
+def _svg_for_task(task: str, ks: list[int], by_label: dict[str, list[tuple[int, float]]]) -> ET.Element:
     max_round = max(r for pts in by_label.values() for r, _ in pts)
     svg = ET.Element(
         "svg",
@@ -122,7 +122,7 @@ def _svg_for_task(task: str, by_label: dict[str, list[tuple[int, float]]]) -> ET
         svg, "text", x=str(MARGIN_L), y=str(MARGIN_T - 6),
         fill="#000", **{"font-size": "14"},
     )
-    title.text = f"top-1 retrieval vs round: {task}"
+    title.text = f"top-{','.join(map(str, ks))} retrieval vs round: {task}"
     xlabel = ET.SubElement(
         svg, "text", x=str(MARGIN_L + plot_w // 2), y=str(HEIGHT - 10),
         fill="#333", **{"text-anchor": "middle", "font-size": "12"},
@@ -155,10 +155,10 @@ def plot_results(results_dir: str | Path) -> list[Path]:
     csvs = sorted(root.rglob("results.csv"))
     if not csvs:
         raise ContractError(f"no results.csv found under {root}")
-    series = collect_series(csvs)
+    rows = [row for path in csvs for row in read_results_csv(path)]
     written = []
-    for task, by_label in sorted(series.items()):
-        svg = _svg_for_task(task, by_label)
+    for task, by_label in sorted(collect_series(rows).items()):
+        svg = _svg_for_task(task, sorted({row["k"] for row in rows if row["task"] == task}), by_label)
         path = root / f"task_{task}.svg"
         path.write_bytes(ET.tostring(svg, xml_declaration=True, encoding="utf-8"))
         written.append(path)

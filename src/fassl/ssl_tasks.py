@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,21 @@ from .errors import NON_NEGATIVE, ContractError, check_fields
 
 # Fewest frames a view's source clip and an acop segment may have.
 MIN_FRAMES = 2
+
+
+class TaskNeeds(NamedTuple):
+    min_clips: int  # fewest clips a batch trains on: the pair losses need two
+    min_frames: int  # fewest frames a clip may have: acop cuts it into segments of MIN_FRAMES each
+    head: str  # the head the task's loss reads, so the one its steps train
+
+
+# What each pretext task needs of a batch and a clip, and the head it trains;
+# RunConfig's rules and local_train's drop threshold read it.
+TASKS = {
+    "acop": TaskNeeds(1, MIN_FRAMES * model.ACOP_SEGMENTS, "head.acop"),
+    "simclr": TaskNeeds(2, MIN_FRAMES, "head.proj"),
+    "barlow_twins": TaskNeeds(2, MIN_FRAMES, "head.proj"),
+}
 
 # Additive mask that zeroes self-similarity terms after exp(); finite so it
 # survives tensor validation, small enough that exp underflows to exactly 0.

@@ -1,6 +1,7 @@
 """Guards on the package's shape: public names and methods have callers, public defaults have callers that rely on
 them and callers that override them, no autodiff in data, no data in ssl_tasks, concurrency in the CLI, no asserts,
-no setting read from the environment, and config states no rule of its own.
+no setting read from the environment, config states no rule of its own, and each literal stream tag is derived in one
+call.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -463,3 +464,41 @@ def test_calls_resolve_as_references_do():
         for call, callee in calls_reaching(tree, None, functions, methods, exported)
     ]
     assert sorted(passed) == [(5, set()), (6, {"out_dir"}), (7, set()), (8, {"out_dir"}), (9, {"out_dir"})]
+
+
+STREAM_FUNCTIONS = ("derive_seed", "rng_for")
+
+
+def stream_tags(tree: ast.Module) -> list[str]:
+    """The literal purpose tag of each ``derive_seed`` or ``rng_for`` call, in walk order; f-string tags skip."""
+    tags = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        purpose = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "purpose"), None
+        )
+        if name in STREAM_FUNCTIONS and isinstance(purpose, ast.Constant) and isinstance(purpose.value, str):
+            tags.append(purpose.value)
+    return tags
+
+
+def test_each_literal_stream_tag_is_derived_in_one_call():
+    """Two calls deriving one stream state its derivation twice; one helper both callers share keeps it once."""
+    calls: dict[str, int] = {}
+    for path in PACKAGE:
+        for tag in stream_tags(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            calls[tag] = calls.get(tag, 0) + 1
+    assert calls, "no stream tag found"
+    repeated = sorted(tag for tag, n in calls.items() if n > 1)
+    assert not repeated, f"stream tags derived in more than one call: {repeated}"
+
+
+def test_stream_tags_sees_every_call_form():
+    source = (
+        "derive_seed(s, 'a')\nseeding.rng_for(s, 'b', r, c)\nrng_for(s, purpose='c')\n"
+        "derive_seed(s, f'task-{kind}')\nrng_for(s, tag)\nother(s, 'd')\nderive_seed(s)\n"
+    )
+    assert stream_tags(ast.parse(source)) == ["a", "b", "c"]

@@ -5,7 +5,6 @@ import hashlib
 import os
 import sys
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -325,6 +324,25 @@ class TestCmdRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--scope", "backbone"], "feature_layer projection scores the global head.proj, which scope backbone"),
+        (["--ssl-task", "acop"], "feature_layer projection scores the global head.proj, which ssl_task acop"),
+    ])
+    def test_projection_features_of_an_untrained_head_exit_1_before_any_cell_directory(
+        self, tmp_path, capsys, flags, message
+    ):
+        base = ["--rounds", "2", "--clients", "6", "--clients-per-round", "3", "--eval-every", "1",
+                "--pretext-per-class", "8", "--feature-layer", "projection"]
+        assert main(["run", *base, *flags, "--out-dir", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ssl_task", ["simclr", "barlow_twins"])
+    def test_projection_features_of_a_trained_head_run(self, tmp_path, ssl_task):
+        flags = ["--ssl-task", ssl_task, "--feature-layer", "projection", "--out-dir", str(tmp_path)]
+        assert main(["run", *FAST_FLAGS, *flags]) == 0
+        assert read_results_csv(tmp_path / f"{ssl_task}-fedavg-full-e1" / "results.csv")
+
     def test_acop_runs_on_one_clip_batches(self, tmp_path):
         assert main(["run", *FAST_FLAGS, "--ssl-task", "acop", "--batch-size", "1", "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "acop-fedavg-full-e1" / "final.ckpt").is_file()
@@ -497,22 +515,35 @@ NON_DEFAULT = {
     "feature_layer": "projection", "metric": "euclidean", "out_dir": "elsewhere", "plot": "true",
 }
 
+# NON_DEFAULT as a run: feature_layer = projection needs the default scope,
+# full, so the run keeps the 2x2 grid and scores the backbone instead.
+NON_DEFAULT_RUN = dict(NON_DEFAULT, feature_layer="backbone")
+
 
 class TestCellConfigReproducesCell:
     @pytest.fixture(scope="class")
     def matrix_run(self, tmp_path_factory):
         here = tmp_path_factory.mktemp("matrix")
-        flags = [arg for key, raw in NON_DEFAULT.items() for arg in (f"--{key.replace('_', '-')}", raw)]
+        flags = [arg for key, raw in NON_DEFAULT_RUN.items() for arg in (f"--{key.replace('_', '-')}", raw)]
         with pytest.MonkeyPatch.context() as mp:
             mp.chdir(here)
             assert main(["run", *flags]) == 0
-        return here / NON_DEFAULT["out_dir"], apply_overrides(default_spec(), NON_DEFAULT)
+        return here / NON_DEFAULT_RUN["out_dir"], apply_overrides(default_spec(), NON_DEFAULT_RUN)
 
     def test_every_key_is_off_default(self):
         spec = apply_overrides(default_spec(), NON_DEFAULT)
         assert sorted(NON_DEFAULT) == sorted(SCHEMA)
         defaults = default_spec()
         assert [k for k in SCHEMA if spec[k] == defaults[k]] == []
+
+    def test_the_run_sets_only_feature_layer_back_as_the_projection_rule_asks(self):
+        assert [k for k in SCHEMA if NON_DEFAULT_RUN[k] != NON_DEFAULT[k]] == ["feature_layer"]
+        for name, cell in apply_overrides(default_spec(), NON_DEFAULT).cells():
+            if cell["scope"] == ("full",):
+                assert cell.base_run_config().feature_layer == "projection"
+                continue
+            with pytest.raises(ConfigError, match="^feature_layer projection .* which scope backbone never trains$"):
+                cell.base_run_config()
 
     def test_config_txt_parses_to_the_cell_run_config(self, matrix_run):
         out, spec = matrix_run
@@ -528,7 +559,7 @@ class TestCellConfigReproducesCell:
         cell = "barlow_twins-loss-backbone-e2"
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(out / cell / "config.txt")]) == 0
-        rerun = tmp_path / NON_DEFAULT["out_dir"]  # the root config.txt records
+        rerun = tmp_path / NON_DEFAULT_RUN["out_dir"]  # the root config.txt records
         assert [p.name for p in rerun.iterdir() if p.is_dir()] == [cell]
         for artifact in ("results.csv", "final.ckpt"):
             assert (rerun / cell / artifact).read_bytes() == (out / cell / artifact).read_bytes()
@@ -617,6 +648,23 @@ class TestCmdPlot:
             root = ET.parse(svg).getroot()  # raises on malformed XML
             assert root.tag.endswith("svg")
 
+    def test_title_states_the_k_of_the_rows(self, tmp_path):
+        assert main(["run", *FAST_FLAGS, "--k", "3", "--plot", "true", "--out-dir", str(tmp_path)]) == 0
+        svgs = sorted(tmp_path.glob("task_*.svg"))
+        assert len(svgs) == 3
+        ns = "{http://www.w3.org/2000/svg}"
+        for svg in svgs:
+            titles = [t.text for t in ET.parse(svg).getroot().findall(f"{ns}text") if "retrieval" in t.text]
+            assert titles == [f"top-3 retrieval vs round: {svg.stem[len('task_'):]}"]
+
+    def test_title_lists_every_k_of_a_tasks_rows(self, tmp_path):
+        for name, k in (("a", 1), ("b", 5)):
+            path = tmp_path / name / "results.csv"
+            path.parent.mkdir()
+            path.write_text(f"{CSV_HEADER}\n1,fedavg,full,simclr,1,bandprofile,{k},0.250000\n")
+        plot_results(tmp_path)
+        assert b">top-1,5 retrieval vs round: bandprofile<" in (tmp_path / "task_bandprofile.svg").read_bytes()
+
     def test_polyline_point_count_matches_csv_rows(self, tmp_path):
         self._run_results(tmp_path)
         plot_results(tmp_path)
@@ -684,6 +732,6 @@ class TestCmdPlot:
 
     def test_single_run_single_polyline_per_task(self, tmp_path):
         self._run_results(tmp_path)
-        series = collect_series(sorted(Path(tmp_path).rglob("results.csv")))
+        series = collect_series(read_results_csv(tmp_path / "simclr-fedavg-full-e1" / "results.csv"))
         for task, by_label in series.items():
             assert len(by_label) == 1

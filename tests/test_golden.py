@@ -38,12 +38,13 @@ import numpy as np
 import pytest
 
 from fassl.aggregation import STRATEGY_KINDS, Strategy
-from fassl.orchestrator import SSL_TASKS, RunConfig, run
+from fassl.orchestrator import RunConfig, run
+from fassl.ssl_tasks import TASKS
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 SCOPES = ("full", "backbone")
 OUTPUTS = ("results.csv", "final.ckpt")
-CELLS = [f"{task}/{kind}/{scope}" for task in SSL_TASKS for kind in STRATEGY_KINDS for scope in SCOPES]
+CELLS = [f"{task}/{kind}/{scope}" for task in TASKS for kind in STRATEGY_KINDS for scope in SCOPES]
 
 
 def environment() -> dict:

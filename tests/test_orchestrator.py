@@ -10,11 +10,9 @@ from fassl.aggregation import Strategy
 from fassl.data import SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ContractError
 from fassl.evaluator import OptimaTracker
-from fassl.model import ACOP_SEGMENTS, EncoderConfig, ParamTree, split
-from fassl import ssl_tasks
+from fassl.model import EncoderConfig, ParamTree, split
 from fassl.orchestrator import (
     CSV_HEADER,
-    SSL_TASKS,
     RunConfig,
     RunSink,
     initial_state,
@@ -25,7 +23,7 @@ from fassl.orchestrator import (
 )
 from fassl.plotting import read_results_csv
 from fassl.seeding import derive_seed
-from fassl.ssl_tasks import AugmentPolicy
+from fassl.ssl_tasks import TASKS, AugmentPolicy
 
 from conftest import BAD_BATCH_MESSAGE, BAD_BATCHES, params_bytes
 
@@ -63,6 +61,12 @@ def sink(tmp_path):
     yield opened
     opened.close_csv()
 
+
+# The fewest frames a clip and clips a batch of each task may have, worked
+# out from the losses (acop cuts a clip into 3 segments of >= 2 frames; a
+# pair loss needs two clips), not read from ssl_tasks.TASKS.
+LEAST_FRAMES = {"acop": 6, "simclr": 2, "barlow_twins": 2}
+LEAST_CLIPS = {"acop": 1, "simclr": 2, "barlow_twins": 2}
 
 # the head each pretext task's loss never reads
 UNREAD_HEAD = {"simclr": "head.acop.", "barlow_twins": "head.acop.", "acop": "head.proj."}
@@ -260,25 +264,59 @@ class TestRunConfigValidation:
     def test_rules_table_covers_every_field_in_order(self, owner):
         assert list(owner.RULES) == [f.name for f in fields(owner)]
 
-    @pytest.mark.parametrize("ssl_task", SSL_TASKS)
+    def test_tasks_are_the_three_pretext_tasks_in_order(self):
+        assert list(TASKS) == list(LEAST_FRAMES) == list(LEAST_CLIPS) == ["acop", "simclr", "barlow_twins"]
+
+    @pytest.mark.parametrize("ssl_task", TASKS)
     def test_frames_bound_is_the_fewest_a_step_takes(self, ssl_task):
-        least = ssl_tasks.MIN_FRAMES * (ACOP_SEGMENTS if ssl_task == "acop" else 1)
-        with pytest.raises(ContractError, match=f"frames >= {least}"):
+        least = LEAST_FRAMES[ssl_task]
+        with pytest.raises(ContractError, match=f"^{ssl_task} needs frames >= {least}, got {least - 1}$"):
             replace(SMALL, ssl_task=ssl_task, frames=least - 1)
         cfg = replace(SMALL, ssl_task=ssl_task, frames=least)
         shard = synth_dataset(2, 4, cfg.frames, cfg.bands, seed=5).clip_array()
         _, _, steps = local_train(shard, initial_state(cfg).global_params, ParamTree.empty(), cfg, 0, 1)
         assert steps == 1
 
-    @pytest.mark.parametrize("ssl_task", ["simclr", "barlow_twins"])
-    def test_pair_loss_rejects_one_clip_batches(self, ssl_task):
-        """A pair loss drops a one-clip batch, so batch_size 1 would train no client at all."""
-        with pytest.raises(ContractError, match=f"^{ssl_task} needs batch_size >= 2, got 1$"):
-            RunConfig(rounds=3, n_clients=4, clients_per_round=2, batch_size=1, pretext_per_class=5, ssl_task=ssl_task)
+    @pytest.mark.parametrize("ssl_task", TASKS)
+    def test_batch_size_bound_is_the_fewest_clips_a_step_takes(self, ssl_task):
+        least = LEAST_CLIPS[ssl_task]
+        if least > 1:
+            with pytest.raises(ContractError, match=f"^{ssl_task} needs batch_size >= {least}, got {least - 1}$"):
+                replace(SMALL, ssl_task=ssl_task, batch_size=least - 1)
+        assert replace(SMALL, ssl_task=ssl_task, batch_size=least).batch_size == least
+        # a pair loss drops a one-clip batch, so below its bound no client would ever step; five clips in
+        # batches of 2: local_train drops the one-clip tail exactly when the task needs two
         cfg = replace(SMALL, ssl_task=ssl_task, batch_size=2)
-        shard = synth_dataset(2, 3, cfg.frames, cfg.bands, seed=5).clip_array()
+        shard = synth_dataset(1, 5, cfg.frames, cfg.bands, seed=5).clip_array()
         _, _, steps = local_train(shard, initial_state(cfg).global_params, ParamTree.empty(), cfg, 0, 1)
-        assert steps == 3
+        assert steps == 2 + (least == 1)
+
+    @pytest.mark.parametrize("ssl_task, scope, conflict", [
+        ("simclr", "backbone", "scope backbone"), ("acop", "backbone", "scope backbone"), ("acop", "full", "ssl_task acop"),
+    ])
+    def test_projection_features_refused_where_no_step_trains_the_head(self, ssl_task, scope, conflict):
+        message = f"^feature_layer projection scores the global head.proj, which {conflict} never trains$"
+        with pytest.raises(ContractError, match=message):
+            replace(SMALL, ssl_task=ssl_task, scope=scope, feature_layer="projection")
+
+    @pytest.mark.parametrize("scope", ["full", "backbone"])
+    @pytest.mark.parametrize("ssl_task", TASKS)
+    def test_projection_features_accepted_exactly_where_a_round_moves_the_global_head(self, sink, ssl_task, scope):
+        cfg = replace(SMALL, ssl_task=ssl_task, scope=scope)
+        pretext, tasks = small_world(cfg)
+        partition = dirichlet_partition(pretext, cfg.n_clients, cfg.alpha, 0)
+        state = initial_state(cfg)
+        new_state, _ = run_round(state, cfg, partition, pretext, tasks, OptimaTracker(), sink)
+        before, after = state.global_params.as_dict(), new_state.global_params.as_dict()
+        head = [n for n in before if n.startswith("head.proj.")]
+        moved = any(after[n].data.tobytes() != before[n].data.tobytes() for n in head)
+        try:
+            replace(cfg, feature_layer="projection")
+        except ContractError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == moved
 
     def test_acop_trains_on_one_clip_batches(self):
         cfg = replace(SMALL, ssl_task="acop", batch_size=1)
