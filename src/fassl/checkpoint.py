@@ -29,6 +29,7 @@ from .model import ParamTree
 
 MAGIC = b"FSSL"
 FORMAT_VERSION = 1
+TMP_SUFFIX = ".tmp"  # of the sibling a file is written to before it is renamed over its target
 
 
 def _pack_entries(entries) -> bytes:
@@ -86,7 +87,7 @@ def _unpack_entries(blob: bytes) -> list[tuple[str, Tensor]]:
 def save_params(params: ParamTree, path: str | Path) -> None:
     path = Path(path)
     blob = _pack_entries(list(params.items()))
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(path.name + TMP_SUFFIX)
     try:
         tmp.write_bytes(blob)
         os.replace(tmp, path)

@@ -5,7 +5,9 @@ features, and a query counts as correct when its true class appears among
 the classes of its k nearest training samples. The tracker keeps, per task,
 the best ``TaskAccuracy`` row seen so far, which names the round that
 produced it, replacing it only on strict improvement (ties keep the earlier
-model). A run saves that round's model as ``round_<r:04d>.ckpt``.
+model). ``TaskAccuracy`` states its fields' rules in its ``RULES`` table,
+which the results reader in ``orchestrator`` checks the columns by; this
+module writes and reads no file.
 
 A generated dataset is encoded straight from the one feature matrix it
 owns, so evaluating it copies no clip. The orchestrator evaluates after a
@@ -22,7 +24,7 @@ import numpy as np
 from . import kernels
 from .autodiff import Tensor
 from .data import SynthDataset
-from .errors import ContractError
+from .errors import COUNT, ContractError, check_fields
 from .model import ParamTree, encode, project
 
 FEATURE_LAYERS = ("backbone", "projection")
@@ -38,9 +40,16 @@ class TaskAccuracy:
     accuracy: float
     k: int
 
+    RULES = {
+        # a task name is a results.csv field and part of a plot's file name
+        "task": (str, lambda v: v != "" and v.isprintable() and not set(v) & set(",/\\"),
+                 "{name} must be a non-empty printable name without ',', '/' or '\\', got {value!r}"),
+        "round": (int, lambda v: v >= 0, "{name} must be non-negative, got {value}"),  # round 0: the initial model
+        "accuracy": (float, lambda v: 0 <= v <= 1, "{name} must lie in [0, 1], got {value}"), "k": COUNT,
+    }
+
     def __post_init__(self):
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ContractError(f"accuracy must lie in [0, 1], got {self.accuracy}")
+        check_fields(self)
 
 
 def knn_retrieval_accuracy(train_feats, train_labels, test_feats, test_labels, k: int, metric: str) -> float:
@@ -141,10 +150,3 @@ def update_optima(tracker: OptimaTracker, round_idx: int, accs: list[TaskAccurac
         cur = tracker.best.get(acc.task)
         if cur is None or acc.accuracy > cur.accuracy:
             tracker.best[acc.task] = acc
-
-
-def optima_csv(tracker: OptimaTracker) -> str:
-    lines = ["task,best_round,best_accuracy"]
-    for task, rnd, acc in tracker.summary_rows():
-        lines.append(f"{task},{rnd},{acc:.6f}")
-    return "\n".join(lines) + "\n"

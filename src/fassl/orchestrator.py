@@ -24,7 +24,9 @@ each round views the pretext as one (n, frames, bands) clip array and hands
 every sampled client the rows of its shard, taken as one array.
 
 A run's one record is the directory ``RunSink`` writes; ``RunResult`` keeps
-only the tracker, the step count and the final state.
+only the tracker, the step count and the final state. This module alone
+writes and reads the record's CSVs: ``read_results_csv`` checks each column
+by its ``COLUMN_RULES`` entry, the ``RULES`` rule its writer's value obeys.
 
 In backbone-only scope the server transmits and receives just the backbone;
 each client's head lives in the server-side state purely as simulation
@@ -46,6 +48,7 @@ evaluation do not run on top of every sampled client's tree.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -55,30 +58,13 @@ from . import autodiff as ad
 from . import ssl_tasks
 from .aggregation import ClientUpdate, Strategy, aggregate, scope_apply
 from .autodiff import Graph, backward
-from .checkpoint import save_params
+from .checkpoint import TMP_SUFFIX, save_params
 from .data import SUITE_TRAIN_CLIPS, Partition, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
-from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check_fields, instance_of, one_of
-from .evaluator import (
-    FEATURE_LAYERS,
-    METRICS,
-    OptimaTracker,
-    TaskAccuracy,
-    evaluate_global,
-    optima_csv,
-    update_optima,
-)
+from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check, check_fields, instance_of, one_of
+from .evaluator import FEATURE_LAYERS, METRICS, OptimaTracker, TaskAccuracy, evaluate_global, update_optima
 from .model import SCOPES, EncoderConfig, ParamTree, encode, init_encoder, merge, project, sgd_step, split
 from .seeding import derive_seed, rng_for
 from .ssl_tasks import TASKS, AugmentPolicy, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
-
-CSV_HEADER = "round,strategy,scope,ssl_task,local_epochs,task,k,accuracy"
-
-
-def csv_row(cfg: "RunConfig", acc: TaskAccuracy) -> str:
-    return (
-        f"{acc.round},{cfg.strategy.kind},{cfg.scope},{cfg.ssl_task},"
-        f"{cfg.local_epochs},{acc.task},{acc.k},{acc.accuracy:.6f}"
-    )
 
 
 @dataclass(frozen=True)
@@ -155,6 +141,69 @@ class RunConfig:
             embed_dim=self.embed_dim,
             projection_dim=self.projection_dim,
         )
+
+
+RESULTS_CSV = "results.csv"
+# Each results.csv column, in order, and the rule its writer's value obeys.
+COLUMN_RULES = {
+    "round": TaskAccuracy.RULES["round"], "strategy": Strategy.RULES["kind"], "scope": RunConfig.RULES["scope"],
+    "ssl_task": RunConfig.RULES["ssl_task"], "local_epochs": RunConfig.RULES["local_epochs"],
+    "task": TaskAccuracy.RULES["task"], "k": RunConfig.RULES["k"], "accuracy": TaskAccuracy.RULES["accuracy"],
+}
+CSV_HEADER = ",".join(COLUMN_RULES)
+# the text forms read back: ASCII decimal integers, and ASCII digits with an optional ASCII fraction
+_TEXT_FORMS = {int: re.compile(r"[0-9]+"), float: re.compile(r"[0-9]+(\.[0-9]+)?")}
+
+
+def _accuracy_text(accuracy: float) -> str:  # as results.csv and optima.csv write it
+    return f"{accuracy:.6f}"
+
+
+def csv_row(cfg: RunConfig, acc: TaskAccuracy) -> str:
+    return (
+        f"{acc.round},{cfg.strategy.kind},{cfg.scope},{cfg.ssl_task},"
+        f"{cfg.local_epochs},{acc.task},{acc.k},{_accuracy_text(acc.accuracy)}"
+    )
+
+
+def _field_value(text: str, kind: type):
+    """A field's text as its column's kind; text of another form stays text, which the kind's check refuses."""
+    form = _TEXT_FORMS.get(kind)
+    try:
+        return kind(text) if form and form.fullmatch(text) else text
+    except ValueError:  # more digits than int() converts
+        return text
+
+
+def read_results_csv(path: Path) -> list[dict]:
+    """Rows of one results.csv, each field converted to its column's kind and checked by its ``COLUMN_RULES`` rule.
+
+    A row ``run`` cannot write is a ContractError naming the file and its line.
+    """
+    blob = path.read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob[:exc.start].count(b"\n") + 1
+        raise ContractError(f"{path}:{line}: not valid UTF-8") from None
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
+    if not lines:
+        raise ContractError(f"empty results file: {path}")
+    if lines[0][1] != CSV_HEADER:
+        raise ContractError(f"{path}:{lines[0][0]}: unexpected CSV header {lines[0][1]!r}")
+    rows = []
+    for lineno, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(COLUMN_RULES):
+            raise ContractError(f"{path}:{lineno}: malformed row {ln!r}")
+        row = {col: _field_value(raw, rule[0]) for (col, rule), raw in zip(COLUMN_RULES.items(), parts)}
+        for col, rule in COLUMN_RULES.items():
+            try:
+                check(col, row[col], rule)
+            except ContractError as exc:
+                raise ContractError(f"{path}:{lineno}: {exc}") from None
+        rows.append(row)
+    return rows
 
 
 @dataclass
@@ -241,7 +290,7 @@ def local_train(
 
 
 # What a run writes besides results.csv, and the temporary siblings its checkpoints are written to.
-_RUN_FILES = ("round_*.ckpt", "round_*.ckpt.tmp", "final.ckpt", "final.ckpt.tmp", "optima.csv")
+_RUN_FILES = ("round_*.ckpt", f"round_*.ckpt{TMP_SUFFIX}", "final.ckpt", f"final.ckpt{TMP_SUFFIX}", "optima.csv")
 
 
 class RunSink:
@@ -259,7 +308,7 @@ class RunSink:
         for pattern in _RUN_FILES:
             for stale in self.out_dir.glob(pattern):
                 stale.unlink()
-        self._csv = open(self.out_dir / "results.csv", "w", encoding="utf-8", newline="\n")
+        self._csv = open(self.out_dir / RESULTS_CSV, "w", encoding="utf-8", newline="\n")
         self._csv.write(CSV_HEADER + "\n")
         self._csv.flush()
 
@@ -281,7 +330,8 @@ class RunSink:
     def close(self, cfg: RunConfig, final_params: ParamTree, tracker: OptimaTracker) -> None:
         self.close_csv()
         save_params(final_params, self.out_dir / "final.ckpt")
-        (self.out_dir / "optima.csv").write_text(optima_csv(tracker), encoding="utf-8")
+        rows = "".join(f"{task},{rnd},{_accuracy_text(acc)}\n" for task, rnd, acc in tracker.summary_rows())
+        (self.out_dir / "optima.csv").write_text("task,best_round,best_accuracy\n" + rows, encoding="utf-8")
 
 
 def run_round(

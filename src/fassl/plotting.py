@@ -1,19 +1,20 @@
 """Static SVG plots of accuracy-vs-round curves from result CSVs.
 
 One SVG per downstream task, titled by the k of its rows (all of them,
-comma-separated, when the CSVs differ); one polyline per (strategy, scope,
-local epochs) series found across the CSVs. Output is plain XML built with
-ElementTree, with no scripting or interactivity.
+comma-separated, when the CSVs differ); one polyline per cell, that is per
+results.csv, labelled by its directory under the plotted root (the root's
+own name for a CSV at the root). ``orchestrator.read_results_csv`` reads and
+checks the rows; this module only draws them. Output is plain XML built
+with ElementTree, with no scripting or interactivity.
 """
 
 from __future__ import annotations
 
-import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from .errors import ContractError
-from .orchestrator import CSV_HEADER
+from .orchestrator import RESULTS_CSV, read_results_csv
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 170, 20, 40
@@ -24,61 +25,12 @@ PALETTE = [
 ]
 
 
-# integer columns and the least value ``run`` writes in each
-INT_COLUMNS = {"round": 0, "local_epochs": 1, "k": 1}
-# the accuracy forms read back: ASCII digits with an optional ASCII fraction
-ACCURACY = re.compile(r"[0-9]+(\.[0-9]+)?")
-
-
-def read_results_csv(path: Path) -> list[dict]:
-    """Rows of one results.csv, with round/local_epochs/k as int and accuracy as float.
-
-    Any row that is not what ``run`` writes (a wrong field count, a count
-    that is not an ASCII decimal integer at or above its least value, an
-    accuracy that is not ASCII ``digits[.digits]`` in [0, 1]) is a
-    ContractError naming the file and its line.
-    """
-    blob = path.read_bytes()
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = blob[:exc.start].count(b"\n") + 1
-        raise ContractError(f"{path}:{line}: not valid UTF-8") from None
-    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
-    if not lines:
-        raise ContractError(f"empty results file: {path}")
-    if lines[0][1] != CSV_HEADER:
-        raise ContractError(f"{path}:{lines[0][0]}: unexpected CSV header {lines[0][1]!r}")
-    header = CSV_HEADER.split(",")
-    rows = []
-    for lineno, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ContractError(f"{path}:{lineno}: malformed row {ln!r}")
-        row: dict = dict(zip(header, parts))
-        for col, least in INT_COLUMNS.items():
-            raw = row[col]
-            try:
-                value = int(raw) if raw.isascii() and raw.isdigit() else -1
-            except ValueError:  # more digits than int() converts
-                value = -1
-            if value < least:
-                raise ContractError(f"{path}:{lineno}: {col} must be an integer >= {least}, got {raw!r}")
-            row[col] = value
-        acc = float(row["accuracy"]) if ACCURACY.fullmatch(row["accuracy"]) else float("nan")
-        if not 0.0 <= acc <= 1.0:  # also false for NaN
-            raise ContractError(f"{path}:{lineno}: accuracy must be a number in [0, 1], got {row['accuracy']!r}")
-        row["accuracy"] = acc
-        rows.append(row)
-    return rows
-
-
-def collect_series(rows: list[dict]) -> dict[str, dict[str, list[tuple[int, float]]]]:
-    """task -> series label -> [(round, accuracy)] sorted by round, from ``read_results_csv`` rows."""
+def collect_series(runs: list[tuple[str, list[dict]]]) -> dict[str, dict[str, list[tuple[int, float]]]]:
+    """task -> series label -> [(round, accuracy)] sorted by round, from (label, ``read_results_csv`` rows) pairs."""
     series: dict[str, dict[str, list[tuple[int, float]]]] = {}
-    for row in rows:
-        label = f"{row['strategy']}/{row['scope']}/E{row['local_epochs']}"
-        series.setdefault(row["task"], {}).setdefault(label, []).append((row["round"], row["accuracy"]))
+    for label, rows in runs:
+        for row in rows:
+            series.setdefault(row["task"], {}).setdefault(label, []).append((row["round"], row["accuracy"]))
     for by_label in series.values():
         for pts in by_label.values():
             pts.sort()
@@ -152,13 +104,16 @@ def _svg_for_task(task: str, ks: list[int], by_label: dict[str, list[tuple[int, 
 def plot_results(results_dir: str | Path) -> list[Path]:
     """One SVG per task, written into results_dir, from every results.csv found under it."""
     root = Path(results_dir)
-    csvs = sorted(root.rglob("results.csv"))
+    csvs = sorted(root.rglob(RESULTS_CSV))
     if not csvs:
-        raise ContractError(f"no results.csv found under {root}")
-    rows = [row for path in csvs for row in read_results_csv(path)]
+        raise ContractError(f"no {RESULTS_CSV} found under {root}")
+    runs = []
+    for path in csvs:
+        label = path.parent.relative_to(root).as_posix()  # "." for a CSV at the root
+        runs.append((label if label != "." else root.resolve().name, read_results_csv(path)))
     written = []
-    for task, by_label in sorted(collect_series(rows).items()):
-        svg = _svg_for_task(task, sorted({row["k"] for row in rows if row["task"] == task}), by_label)
+    for task, by_label in sorted(collect_series(runs).items()):
+        svg = _svg_for_task(task, sorted({r["k"] for _, rows in runs for r in rows if r["task"] == task}), by_label)
         path = root / f"task_{task}.svg"
         path.write_bytes(ET.tostring(svg, xml_declaration=True, encoding="utf-8"))
         written.append(path)

@@ -17,8 +17,7 @@ from fassl.cli import main as cli_main
 from fassl.data import dirichlet_partition, downstream_suite, partition_label_entropies, synth_dataset
 from fassl.evaluator import OptimaTracker, TaskAccuracy, evaluate_global, knn_retrieval_accuracy, update_optima
 from fassl.model import encode, project, split
-from fassl.orchestrator import RunConfig, initial_state, run
-from fassl.plotting import read_results_csv
+from fassl.orchestrator import RunConfig, initial_state, read_results_csv, run
 from fassl.seeding import derive_seed, rng_for
 from fassl.ssl_tasks import acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 

@@ -1,7 +1,7 @@
 """Guards on the package's shape: public names and methods have callers, public defaults have callers that rely on
 them and callers that override them, no autodiff in data, no data in ssl_tasks, concurrency in the CLI, no asserts,
-no setting read from the environment, config states no rule of its own, and each literal stream tag is derived in one
-call.
+no setting read from the environment, config states no rule of its own, each literal stream tag is derived in one
+call, and a cell's files are named only where they are written.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -502,3 +502,39 @@ def test_stream_tags_sees_every_call_form():
         "derive_seed(s, f'task-{kind}')\nrng_for(s, tag)\nother(s, 'd')\nderive_seed(s)\n"
     )
     assert stream_tags(ast.parse(source)) == ["a", "b", "c"]
+
+
+CELL_FILE_SUFFIXES = (".csv", ".ckpt", ".tmp")
+# orchestrator writes and reads a cell's record; checkpoint writes each file through a temporary sibling
+CELL_FILE_OWNERS = ("orchestrator.py", "checkpoint.py")
+
+
+def cell_file_names(tree: ast.Module) -> list[str]:
+    """String constants ending in a cell file's suffix, f-string parts among them, sorted; docstrings are prose."""
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+    }
+    return sorted(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.endswith(CELL_FILE_SUFFIXES)
+        and id(node) not in docstrings
+    )
+
+
+def test_a_cells_files_are_named_only_where_they_are_written():
+    """A second statement of a file name is a reader that can look for a file its writer no longer writes."""
+    for path in PACKAGE:
+        if path.name not in CELL_FILE_OWNERS:
+            names = cell_file_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            assert not names, f"{path.name} names cell files {names}; take the name from its writer"
+
+
+def test_cell_file_names_sees_every_constant_form_and_no_docstring():
+    source = (
+        '"""Writes results.csv"""\n'
+        'def f():\n    """Reads a.ckpt"""\n    return "results.csv", f"round_{r}.ckpt", p + ".tmp", "config.txt", "a.csv!"\n'
+        'class C:\n    """x.tmp"""\n    NAME = "optima.csv"\n'
+    )
+    assert cell_file_names(ast.parse(source)) == [".ckpt", ".tmp", "optima.csv", "results.csv"]

@@ -22,9 +22,11 @@ from fassl.config import (
     parse_config,
     parse_config_text,
 )
-from fassl.errors import ConfigError, ContractError
-from fassl.orchestrator import CSV_HEADER, RunConfig, run
-from fassl.plotting import INT_COLUMNS, collect_series, plot_results, read_results_csv
+from fassl.aggregation import STRATEGY_KINDS
+from fassl.errors import ConfigError, ContractError, check
+from fassl.model import SCOPES
+from fassl.orchestrator import COLUMN_RULES, CSV_HEADER, RunConfig, read_results_csv, run
+from fassl.plotting import collect_series, plot_results
 
 
 class TestParseConfig:
@@ -250,9 +252,10 @@ def test_results_csv_bytes_parse_or_raise_contract_error(tmp_path, header, blob)
         return
     for row in rows:
         assert list(row) == CSV_HEADER.split(",")
-        for col, least in INT_COLUMNS.items():
-            assert type(row[col]) is int and row[col] >= least
-        assert type(row["accuracy"]) is float and 0.0 <= row["accuracy"] <= 1.0
+        for col, rule in COLUMN_RULES.items():
+            check(col, row[col], rule)  # each value obeys the rule its writer obeys
+        assert all(type(row[col]) is int for col in ("round", "local_epochs", "k"))
+        assert type(row["accuracy"]) is float
         assert all(type(row[col]) is str for col in ("strategy", "scope", "ssl_task", "task"))
 
 
@@ -294,6 +297,27 @@ class TestCmdRun:
         out = capsys.readouterr().out
         assert "optimal global model per task" in out
         assert "(" in out and ")" in out  # "acc (round)" style
+
+    def test_optima_follow_the_tie_rule_over_results_csv_in_every_cell(self, tmp_path, capsys):
+        """Strict maximum per task, the earliest round on ties, in optima.csv and in the printed summary."""
+        flags = ["--rounds", "4", "--strategy", ",".join(STRATEGY_KINDS), "--scope", ",".join(SCOPES)]
+        assert main(["run", *FAST_FLAGS, *flags, "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        cells = sorted(p.parent for p in tmp_path.rglob("results.csv"))
+        assert len(cells) == len(STRATEGY_KINDS) * len(SCOPES)
+        for cell in cells:
+            best: dict[str, tuple[int, float]] = {}
+            for row in read_results_csv(cell / "results.csv"):
+                if row["task"] not in best or row["accuracy"] > best[row["task"]][1]:
+                    best[row["task"]] = (row["round"], row["accuracy"])
+            assert len(best) == 3 and {rnd for rnd, _ in best.values()} <= {1, 2, 3, 4}
+            assert (cell / "optima.csv").read_text() == "task,best_round,best_accuracy\n" + "".join(
+                f"{task},{rnd},{accuracy:.6f}\n" for task, (rnd, accuracy) in sorted(best.items())
+            )
+            printed = out.split(f"[{cell.name}] optimal global model per task (accuracy % (round)):\n")[1]
+            assert printed.splitlines()[:3] == [
+                f"  {task:<14s} {100.0 * accuracy:6.2f} ({rnd})" for task, (rnd, accuracy) in sorted(best.items())
+            ]
 
     @pytest.mark.parametrize("argv, named", [
         (["run", "--strategies", "fedavg,ldawa"], "unrecognized arguments: --strategies"),
@@ -712,11 +736,18 @@ class TestCmdPlot:
             "3,fedavg,full,simclr,1,bandprofile,1,0.2_5",
             "3,fedavg,full,simclr,1,bandprofile,1,\u0660.\u0665",
             "3,fedavg,full,simclr,1,bandprofile,1, 0.5 ",
+            "3,fedavg,full,simclr,1,bandprofile,121,0.500000",
+            "3,fedsgd,full,simclr,1,bandprofile,1,0.500000",
+            "3,fedavg,heads,simclr,1,bandprofile,1,0.500000",
+            "3,fedavg,full,byol,1,bandprofile,1,0.500000",
+            "3,fedavg,full,simclr,1,,1,0.500000",
+            "3,fedavg,full,simclr,1,band\\profile,1,0.500000",
         ],
         ids=[
             "round", "local_epochs", "k", "acc-nan", "acc-inf", "acc-above-one", "acc-negative", "acc-text", "short",
             "round-negative", "local_epochs-zero", "k-zero", "round-arabic-indic-digit", "k-underscore",
-            "acc-underscore", "acc-arabic-indic-digits", "acc-spaces",
+            "acc-underscore", "acc-arabic-indic-digits", "acc-spaces", "k-above-train-clips", "strategy-unknown",
+            "scope-unknown", "ssl_task-unknown", "task-empty", "task-backslash",
         ],
     )
     def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, bad_row):
@@ -730,8 +761,52 @@ class TestCmdPlot:
         assert main(["plot", str(tmp_path)]) == 2
         assert f"{path}:4:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["x/../../evil", "a\0b"], ids=["path", "nul"])
+    def test_task_no_file_name_holds_exits_2_with_one_error_line_and_no_svg(self, tmp_path, capsys, task):
+        root = tmp_path / "root"
+        (root / "task_x").mkdir(parents=True)  # lets task_x/../../evil.svg resolve, one level above the root
+        path = self._write_csv(root, [f"1,fedavg,full,simclr,1,{task},1,0.250000"])
+        assert main(["plot", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: task ") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.svg"))
+
+    def _polylines(self, svg_path) -> dict[str, str]:
+        """Legend label -> polyline points of one task's SVG."""
+        ns = "{http://www.w3.org/2000/svg}"
+        svg = ET.parse(svg_path).getroot()
+        lines = [p.attrib["points"] for p in svg.findall(f"{ns}polyline")]
+        legends = [t.text for t in svg.findall(f"{ns}text") if t.attrib.get("font-size") == "11"]
+        assert len(lines) == len(legends)
+        return dict(zip(legends, lines))
+
+    def test_runs_sharing_strategy_scope_and_epochs_plot_apart(self, tmp_path):
+        for name in ("a", "b"):
+            path = tmp_path / name / "results.csv"
+            path.parent.mkdir()
+            path.write_text("\n".join([CSV_HEADER, *self.GOOD_ROWS, ""]))
+        plot_results(tmp_path)
+        by_label = self._polylines(tmp_path / "task_bandprofile.svg")
+        assert sorted(by_label) == ["a", "b"]
+        assert all(len(points.split()) == 2 for points in by_label.values())
+
+    def test_cells_named_alike_under_two_seeds_plot_apart(self, tmp_path):
+        for seed in ("seed1", "seed2"):
+            self._run_results(tmp_path / seed)
+        plot_results(tmp_path)
+        by_label = self._polylines(tmp_path / "task_bandprofile.svg")
+        assert sorted(by_label) == ["seed1/simclr-fedavg-full-e1", "seed2/simclr-fedavg-full-e1"]
+
+    def test_a_csv_at_the_root_is_labelled_by_the_roots_name(self, tmp_path):
+        root = tmp_path / "one-run"
+        root.mkdir()
+        (root / "results.csv").write_text("\n".join([CSV_HEADER, *self.GOOD_ROWS, ""]))
+        plot_results(root)
+        assert list(self._polylines(root / "task_bandprofile.svg")) == ["one-run"]
+
     def test_single_run_single_polyline_per_task(self, tmp_path):
         self._run_results(tmp_path)
-        series = collect_series(read_results_csv(tmp_path / "simclr-fedavg-full-e1" / "results.csv"))
+        rows = read_results_csv(tmp_path / "simclr-fedavg-full-e1" / "results.csv")
+        series = collect_series([("simclr-fedavg-full-e1", rows)])
         for task, by_label in series.items():
             assert len(by_label) == 1

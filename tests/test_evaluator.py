@@ -11,16 +11,9 @@ from fassl import kernels
 from fassl.autodiff import Tensor
 from fassl.data import Clip, SynthDataset, downstream_suite
 from fassl.errors import ContractError
-from fassl.evaluator import (
-    OptimaTracker,
-    TaskAccuracy,
-    evaluate_global,
-    knn_retrieval_accuracy,
-    optima_csv,
-    update_optima,
-)
+from fassl.evaluator import OptimaTracker, TaskAccuracy, evaluate_global, knn_retrieval_accuracy, update_optima
 from fassl.model import init_encoder
-from fassl.orchestrator import RunConfig
+from fassl.orchestrator import RunConfig, RunSink
 
 from conftest import map_values, params_bytes
 
@@ -251,9 +244,30 @@ class TestEvaluateGlobal:
         with pytest.raises(ContractError):
             evaluate_global(params, [], k=1, round_idx=0, feature_layer="backbone", metric="cosine")
 
+    def test_a_task_name_results_csv_cannot_hold_is_refused_where_its_row_is_made(self):
+        params = init_encoder(self.CFG.encoder_config(), seed=0)
+        _, train, test = self._tasks()[0]
+        with pytest.raises(ContractError, match=r"^task must be a non-empty printable name .*, got 'a,b'$"):
+            evaluate_global(params, [("a,b", train, test)], k=1, round_idx=0, feature_layer="backbone", metric="cosine")
+
 
 def acc(task, rnd, value, k=1):
     return TaskAccuracy(task=task, round=rnd, accuracy=value, k=k)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("task", "a,b"), ("task", "x/y"), ("task", "x\\y"), ("task", ""), ("task", "a\0b"), ("task", "a\nb"),
+    ("task", 7), ("round", -1), ("round", 1.0), ("accuracy", 1.5), ("accuracy", -0.1), ("accuracy", float("nan")),
+    ("k", 0),
+])
+def test_task_accuracy_refuses_a_row_results_csv_cannot_hold(field, value):
+    with pytest.raises(ContractError, match=f"^{field} "):
+        TaskAccuracy(**{"task": "t", "round": 0, "accuracy": 0.5, "k": 1, field: value})
+
+
+def test_task_accuracy_takes_round_0_and_the_ends_of_the_unit_interval():
+    for value in (0, 0.0, 1.0):
+        assert TaskAccuracy(task="band profile", round=0, accuracy=value, k=1).accuracy == value
 
 
 class TestOptimaTracker:
@@ -300,10 +314,12 @@ class TestOptimaTracker:
         update_optima(b, 1, list(reversed(accs)))
         assert a.summary_rows() == b.summary_rows()
 
-    def test_summary_csv_format(self):
+    def test_summary_csv_format(self, tmp_path):
         tracker = OptimaTracker()
         update_optima(tracker, 10, [acc("b", 10, 0.125), acc("a", 10, 0.5)])
-        assert optima_csv(tracker) == "task,best_round,best_accuracy\na,10,0.500000\nb,10,0.125000\n"
+        cfg = TestEvaluateGlobal.CFG
+        RunSink(tmp_path).close(cfg, init_encoder(cfg.encoder_config(), seed=0), tracker)
+        assert (tmp_path / "optima.csv").read_text() == "task,best_round,best_accuracy\na,10,0.500000\nb,10,0.125000\n"
 
 
 @settings(max_examples=100, deadline=None)

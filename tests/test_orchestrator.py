@@ -5,23 +5,26 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fassl.aggregation import Strategy
-from fassl.data import SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
-from fassl.errors import ContractError
-from fassl.evaluator import OptimaTracker
-from fassl.model import EncoderConfig, ParamTree, split
+from fassl.aggregation import STRATEGY_KINDS, Strategy
+from fassl.config import apply_overrides, default_spec
+from fassl.data import SUITE_TRAIN_CLIPS, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
+from fassl.errors import ConfigError, ContractError
+from fassl.evaluator import OptimaTracker, TaskAccuracy
+from fassl.model import SCOPES, EncoderConfig, ParamTree, split
 from fassl.orchestrator import (
     CSV_HEADER,
     RunConfig,
     RunSink,
     initial_state,
     local_train,
+    read_results_csv,
     run,
     run_round,
     sample_clients,
 )
-from fassl.plotting import read_results_csv
 from fassl.seeding import derive_seed
 from fassl.ssl_tasks import TASKS, AugmentPolicy
 
@@ -538,3 +541,62 @@ class TestRun:
         cfg = replace(SMALL, rounds=2, eval_every=1, tau=1e-300)
         with pytest.raises(ContractError, match=r"^round 1: tensor values must be finite \(got NaN or Inf\)$"):
             run(cfg, tmp_path)
+
+
+# printable task names a results.csv field holds: no ',', '/' or '\\'
+TASK_NAMES = st.text(st.characters(codec="utf-8", exclude_characters=",/\\"), min_size=1, max_size=12).filter(
+    str.isprintable
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(STRATEGY_KINDS), scope=st.sampled_from(SCOPES), ssl_task=st.sampled_from(list(TASKS)),
+    local_epochs=st.integers(1, 3), k=st.integers(1, SUITE_TRAIN_CLIPS),
+    accs=st.lists(
+        st.tuples(TASK_NAMES, st.integers(min_value=0), st.integers(1, 10**6).flatmap(
+            lambda n: st.tuples(st.integers(0, n), st.just(n))
+        )),
+        min_size=1, max_size=4,
+    ),
+)
+def test_rows_the_sink_writes_read_back_as_written(tmp_path, kind, scope, ssl_task, local_epochs, k, accs):
+    cfg = RunConfig(strategy=Strategy(kind), scope=scope, ssl_task=ssl_task, local_epochs=local_epochs, k=k)
+    rows = [TaskAccuracy(task=task, round=rnd, accuracy=m / n, k=k) for task, rnd, (m, n) in accs]
+    sink = RunSink(tmp_path)
+    sink.on_eval(cfg, rows)
+    sink.close_csv()
+    assert read_results_csv(tmp_path / "results.csv") == [
+        {
+            "round": acc.round, "strategy": kind, "scope": scope, "ssl_task": ssl_task, "local_epochs": local_epochs,
+            "task": acc.task, "k": k, "accuracy": float(f"{acc.accuracy:.6f}"),
+        }
+        for acc in rows
+    ]
+
+
+GOOD_FIELDS = {
+    "round": "1", "strategy": "fedavg", "scope": "full", "ssl_task": "simclr", "local_epochs": "1",
+    "task": "bandprofile", "k": "1", "accuracy": "0.500000",
+}
+
+
+@pytest.mark.parametrize("column, text, make", [
+    ("k", "121", lambda: RunConfig(k=121)),
+    # Strategy's rule names its field kind; a config's strategy key is checked by that rule under the column's name
+    ("strategy", "fedsgd", lambda: apply_overrides(default_spec(), {"strategy": "fedsgd"})),
+    ("scope", "heads", lambda: RunConfig(scope="heads")),
+    ("ssl_task", "byol", lambda: RunConfig(ssl_task="byol")),
+    ("task", "x/y", lambda: TaskAccuracy(task="x/y", round=1, accuracy=0.5, k=1)),
+    ("accuracy", "1.5", lambda: TaskAccuracy(task="t", round=1, accuracy=1.5, k=1)),
+])
+def test_a_refused_column_value_reads_as_its_writer_refuses_it(tmp_path, column, text, make):
+    with pytest.raises((ContractError, ConfigError)) as owner:
+        make()
+    message = str(owner.value).removeprefix("bad value for flag --strategy: ")
+    assert column in message and text in message
+    path = tmp_path / "results.csv"
+    path.write_text(f"{CSV_HEADER}\n{','.join(dict(GOOD_FIELDS, **{column: text}).values())}\n")
+    with pytest.raises(ContractError) as reader:
+        read_results_csv(path)
+    assert str(reader.value) == f"{path}:2: {message}"
