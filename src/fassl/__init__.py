@@ -6,6 +6,26 @@ pluggable strategy family (full-model or backbone-only transceiving), and
 tracks the per-downstream-task optimal global model via kNN retrieval.
 """
 
+import ctypes
+from pathlib import Path
+
+import numpy as np
+
+
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, so no byte depends on how many threads BLAS would run.
+
+    Called once, as ``fassl`` loads. The pin is process-wide (every numpy call
+    in the process runs one BLAS thread) and overrides ``OPENBLAS_NUM_THREADS``.
+    On a numpy without ``numpy.libs/libscipy_openblas64_*.so`` or its
+    ``scipy_openblas_set_num_threads64_`` (another BLAS build) it does nothing.
+    """
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", lambda threads: None)(1)
+
+
+_pin_blas_threads()
+
 from .aggregation import ClientUpdate, Strategy, aggregate, scope_apply
 from .autodiff import Graph, Tensor, backward
 from .data import Clip, Partition, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset

@@ -15,10 +15,9 @@ first member as reference. That form makes unanimity and single-client
 identity bit-exact while remaining the same convex combination. The fold
 accumulates through one scratch array per entry, in the same client order
 and with the same bits as ``acc += beta_i * (w_i - ref)``. The updates are
-sorted and checked once per ``aggregate`` call. Weights and gates are numpy
-reductions read in place: a norm or inner product over a group adds one
-einsum per entry in name order, with no BLAS call and no copy, so no byte
-depends on how many threads BLAS runs.
+sorted and checked once per ``aggregate`` call. Weights and gates are
+inner products read in place: a norm or inner product over a group adds one
+``np.dot`` per entry in name order, with no concatenated copy.
 """
 
 from __future__ import annotations
@@ -91,8 +90,8 @@ def _fold(name: str, members: list[ClientUpdate], weights: np.ndarray) -> Tensor
 
 
 def _dot(xs: list[np.ndarray], ys: list[np.ndarray]) -> float:
-    """sum_k <xs[k], ys[k]>: one numpy sum-of-products loop per entry pair, read in place, no BLAS."""
-    return sum(float(np.einsum("i,i->", x.reshape(-1), y.reshape(-1))) for x, y in zip(xs, ys))
+    """sum_k <xs[k], ys[k]>: one ``np.dot`` per entry pair, read in place."""
+    return sum(float(np.dot(x.reshape(-1), y.reshape(-1))) for x, y in zip(xs, ys))
 
 
 def beta_fedavg(updates: list[ClientUpdate]) -> np.ndarray:

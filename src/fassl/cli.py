@@ -10,9 +10,8 @@ allocation numpy refuses is one).
 ``min(workers, cells, cpu count)`` spawned processes, or in this process
 through plain ``map`` when that count is 1. Cells share only a read-only
 config, write only their own directories and print in cell order, so
-outputs do not depend on ``workers``, at any size, wherever the BLAS
-kernels' products do not depend on their thread count (OpenBLAS's Haswell
-kernels' do: ROADMAP item 1).
+outputs do not depend on ``workers``, at any size. A cell process runs one
+BLAS thread, as every process that loads ``fassl`` does.
 """
 
 from __future__ import annotations
@@ -79,31 +78,15 @@ def _run_cell(job: tuple[str, ExperimentSpec, RunConfig, Path]) -> list[tuple[st
         return str(exc)
 
 
-# A cell's BLAS threads would compete with the other cells' processes for the
-# same cores: on 2 cores, a 2x2 grid ran 2-4x slower on two processes than on
-# one unless each process kept BLAS to one thread.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 @contextmanager
 def _cell_mapper(processes: int):
-    """``map`` over cells: in this process for 1, else on that many spawned processes.
-
-    The processes start with one BLAS thread each, unless the environment
-    already sets the thread count.
-    """
+    """``map`` over cells: in this process for 1, else on that many spawned processes."""
     if processes == 1:
         yield map
         return
-    pinned = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
-    os.environ.update(dict.fromkeys(pinned, "1"))  # read by each child as it loads numpy
-    try:
-        # spawn: a child inherits neither this process's threads nor a changed default start method
-        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn")) as pool:
-            yield pool.map
-    finally:
-        for var in pinned:
-            del os.environ[var]
+    # spawn: a child inherits neither this process's threads nor a changed default start method
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield pool.map
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -156,10 +156,10 @@ def _family(kind: str, rng: np.random.Generator, n_classes: int, frames: int, ba
         generator = {"smooths": smooths.astype(float), "scales": scales}
 
         def fill(block, c):
-            width = min(max(int(smooths[c]), 1), bands)  # convolve("same") needs kernel <= signal
-            kernel = np.ones(width) / width
+            width = min(max(int(smooths[c]), 1), bands)  # correlate("same") needs kernel <= signal
+            kernel = np.ones(width) / width  # a box: correlating with it is convolving with it
             for row in block.reshape(-1, bands):  # every frame of every clip, smoothed along its bands
-                row[:] = np.convolve(row, kernel, mode="same")
+                row[:] = np.correlate(row, kernel, mode="same")
             block *= scales[c]
             block += base
 

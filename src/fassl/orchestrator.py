@@ -7,8 +7,7 @@ aggregation so the floating-point reduction order is fixed. Two runs with
 the same config produce byte-identical CSVs and checkpoints at any model
 size, alone or next to other cells in processes (only ``fassl run`` reads
 ``workers``: how many processes its cells spread over), and at any BLAS
-thread count only under kernels whose products ignore it: not OpenBLAS's
-Haswell ones (ROADMAP item 1).
+thread count the environment asks for, since ``fassl`` pins BLAS to one.
 ``RunConfig`` states each field's rule in its ``RULES`` table (see
 ``errors``) and checks the rules across fields after it, so a bad setting
 fails where the config is built and never inside a round.
@@ -126,6 +125,8 @@ class RunConfig:
             # retrieval would score the global head.proj's random initial weights
             conflict = f"scope {self.scope}" if self.scope != "full" else f"ssl_task {self.ssl_task}"
             raise ContractError(f"feature_layer projection scores the global head.proj, which {conflict} never trains")
+        if (self.strategy.kind, self.scope) == ("fedu", "backbone"):  # else fedavg under fedu's name
+            raise ContractError("strategy fedu gates only the heads, which scope backbone never transceives")
         pretext_clips = self.pretext_classes * self.pretext_per_class
         if self.n_clients > pretext_clips:
             raise ContractError(f"{pretext_clips} pretext clips cannot cover n_clients={self.n_clients}")

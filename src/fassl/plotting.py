@@ -2,10 +2,10 @@
 
 One SVG per downstream task, titled by the k of its rows (all of them,
 comma-separated, when the CSVs differ); one polyline per cell, that is per
-results.csv, labelled by its directory under the plotted root (the root's
-own name for a CSV at the root). ``orchestrator.read_results_csv`` reads and
-checks the rows; this module only draws them. Output is plain XML built
-with ElementTree, with no scripting or interactivity.
+results.csv, labelled by its directory under the plotted root (``.`` for a
+CSV at the root, a label no cell directory has). ``orchestrator.read_results_csv``
+reads and checks the rows; this module only draws them. Output is plain XML
+built with ElementTree, with no scripting or interactivity.
 """
 
 from __future__ import annotations
@@ -107,10 +107,7 @@ def plot_results(results_dir: str | Path) -> list[Path]:
     csvs = sorted(root.rglob(RESULTS_CSV))
     if not csvs:
         raise ContractError(f"no {RESULTS_CSV} found under {root}")
-    runs = []
-    for path in csvs:
-        label = path.parent.relative_to(root).as_posix()  # "." for a CSV at the root
-        runs.append((label if label != "." else root.resolve().name, read_results_csv(path)))
+    runs = [(path.parent.relative_to(root).as_posix(), read_results_csv(path)) for path in csvs]  # "." at the root
     written = []
     for task, by_label in sorted(collect_series(runs).items()):
         svg = _svg_for_task(task, sorted({r["k"] for _, rows in runs for r in rows if r["task"] == task}), by_label)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import tempfile
 from pathlib import Path
@@ -102,6 +103,16 @@ def flatten_layer(params: ParamTree, layer: str) -> list[np.ndarray]:
     if not parts:
         raise ContractError(f"unknown layer {layer!r}")
     return parts
+
+
+def bundled_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that numpy's wheel bundles, as ``fassl`` pins it, or None on a numpy built otherwise."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))
+    lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    return lib
 
 
 def tiny_encoder_config(input_dim: int = 10) -> EncoderConfig:

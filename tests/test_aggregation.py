@@ -320,7 +320,7 @@ def reference_combine(trees, weights) -> ParamTree:
 def reference_dot(xs, ys) -> float:
     total = 0.0
     for x, y in zip(xs, ys):
-        total += float(np.einsum("i,i->", x, y))
+        total += float(np.dot(x, y))
     return total
 
 

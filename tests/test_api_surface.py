@@ -217,7 +217,7 @@ def environment_reads(tree: ast.Module) -> list[int]:
 
 
 def test_no_package_module_reads_a_setting_from_the_environment():
-    """A setting is a config key, so a cell's config.txt states all of it; the CLI only pins BLAS threads."""
+    """A setting is a config key, so a cell's config.txt states all of it."""
     for path in PACKAGE:
         lines = environment_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         assert not lines, f"{path.name} reads the environment at lines {lines}"

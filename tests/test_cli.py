@@ -28,6 +28,8 @@ from fassl.model import SCOPES
 from fassl.orchestrator import COLUMN_RULES, CSV_HEADER, RunConfig, read_results_csv, run
 from fassl.plotting import collect_series, plot_results
 
+from conftest import bundled_openblas
+
 
 class TestParseConfig:
     def test_empty_file_gives_all_defaults(self):
@@ -265,8 +267,8 @@ def _exit_process(job):
 
 
 def _blas_threads(job):
-    """Stands in for a cell; its error text is the BLAS thread count its process started with."""
-    return os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    """Stands in for a cell; its error text is the number of threads its process's BLAS runs."""
+    return str(bundled_openblas().scipy_openblas_get_num_threads64_())
 
 
 class TestCmdRun:
@@ -300,11 +302,13 @@ class TestCmdRun:
 
     def test_optima_follow_the_tie_rule_over_results_csv_in_every_cell(self, tmp_path, capsys):
         """Strict maximum per task, the earliest round on ties, in optima.csv and in the printed summary."""
-        flags = ["--rounds", "4", "--strategy", ",".join(STRATEGY_KINDS), "--scope", ",".join(SCOPES)]
-        assert main(["run", *FAST_FLAGS, *flags, "--out-dir", str(tmp_path)]) == 0
+        grids = [(",".join(k for k in STRATEGY_KINDS if k != "fedu"), ",".join(SCOPES)), ("fedu", "full")]
+        for strategy, scope in grids:  # fedu's backbone cell is a config error
+            flags = ["--rounds", "4", "--strategy", strategy, "--scope", scope]
+            assert main(["run", *FAST_FLAGS, *flags, "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         cells = sorted(p.parent for p in tmp_path.rglob("results.csv"))
-        assert len(cells) == len(STRATEGY_KINDS) * len(SCOPES)
+        assert len(cells) == len(STRATEGY_KINDS) * len(SCOPES) - 1
         for cell in cells:
             best: dict[str, tuple[int, float]] = {}
             for row in read_results_csv(cell / "results.csv"):
@@ -342,6 +346,7 @@ class TestCmdRun:
         (["--ssl-task", "barlow_twins", "--batch-size", "1"], "barlow_twins needs batch_size >= 2"),
         (["--clients", "40", "--pretext-classes", "2", "--pretext-per-class", "4"], "8 pretext clips cannot cover"),
         (["--k", "121"], "k must lie in [1, 120]"),
+        (["--strategy", "fedavg,fedu", "--scope", "full,backbone"], "strategy fedu gates only the heads, which scope backbone"),
     ])
     def test_cross_field_error_exits_1_before_any_cell_directory(self, tmp_path, capsys, flags, message):
         assert main(["run", *FAST_FLAGS, *flags, "--out-dir", str(tmp_path / "out")]) == 1
@@ -430,10 +435,10 @@ class TestCmdRun:
         """The same at a 512-input, 32-unit encoder: 16,384 backbone.fc1 weights, where FAST_FLAGS has 1,024.
 
         Size matters because OpenBLAS splits a long dot product across its threads, and how it splits
-        changes the sum's last bits; 1,024 elements are too few for it to split. The spawned cells run
-        one BLAS thread, the in-process leg (--workers 1) as many as this process has, so an ldawa
-        cosine through BLAS gives the two legs different bytes here. On a 1-CPU host the in-process
-        leg runs one BLAS thread too, and this case cannot tell.
+        changes the sum's last bits; 1,024 elements are too few for it to split. Loading fassl pins
+        BLAS to one thread in both legs; without the pin the in-process leg (--workers 1) would run as
+        many as this process has, and an ldawa cosine would give the two legs different bytes here. On
+        a 1-CPU host the in-process leg runs one BLAS thread in any case, and this case cannot tell.
         """
         grid = ["--frames", "32", "--bands", "16", "--hidden-dim", "32", "--strategy", "ldawa,fedavg"]
         self.check_workers_change_no_cell_byte(tmp_path, monkeypatch, capsys, grid)
@@ -472,20 +477,21 @@ class TestCmdRun:
         assert main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg", "--out-dir", str(tmp_path)]) == 2
         assert "a cell process died" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
-    def test_cell_processes_keep_blas_to_one_thread_unless_set(self, tmp_path, monkeypatch, capsys, preset, seen):
+    @pytest.mark.skipif(bundled_openblas() is None, reason="numpy bundles no scipy-openblas to ask")
+    def test_cell_processes_run_one_blas_thread_whatever_the_environment_asks(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        for var in cli._BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        if preset is not None:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.setattr(cli, "_run_cell", _blas_threads)
         assert main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg", "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"[simclr-fedavg-full-e1] FAILED: {seen}", f"[simclr-fairavg-full-e1] FAILED: {seen}",
+            "[simclr-fedavg-full-e1] FAILED: 1", "[simclr-fairavg-full-e1] FAILED: 1",
         ]
-        assert os.environ.get("OPENBLAS_NUM_THREADS") == preset
-        assert [var for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS") if var in os.environ] == []
+
+    def test_run_leaves_the_environment_as_it_found_it(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two cells on two processes on any host
+        before = dict(os.environ)
+        assert main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg", "--out-dir", str(tmp_path)]) == 0
+        assert dict(os.environ) == before
 
     def test_failed_rerun_leaves_no_file_of_the_previous_run(self, tmp_path, capsys):
         """A re-run replaces the cell's run files and keeps its config.txt, so a failed one shows no old result.
@@ -527,10 +533,10 @@ class TestCmdRun:
 
 
 # A value other than the default for every schema key; the matrix axes give
-# a 2x2 strategy x scope grid.
+# a 2x2 strategy x scope grid (no fedu: its backbone cell is a config error).
 NON_DEFAULT = {
     "rounds": "2", "clients": "6", "clients_per_round": "3", "local_epochs": "2",
-    "batch_size": "8", "lr": "0.03", "ssl_task": "barlow_twins", "strategy": "fedu,loss",
+    "batch_size": "8", "lr": "0.03", "ssl_task": "barlow_twins", "strategy": "ldawa,loss",
     "scope": "full,backbone", "alpha": "0.5", "master_seed": "11", "eval_every": "1", "k": "3",
     "workers": "2", "fedu_mu": "0.7", "loss_weight_direction": "low", "tau": "0.3",
     "bt_lambda": "0.01", "bt_eps": "1e-8", "crop_fraction": "0.6", "noise_std": "0.02",
@@ -797,12 +803,21 @@ class TestCmdPlot:
         by_label = self._polylines(tmp_path / "task_bandprofile.svg")
         assert sorted(by_label) == ["seed1/simclr-fedavg-full-e1", "seed2/simclr-fedavg-full-e1"]
 
-    def test_a_csv_at_the_root_is_labelled_by_the_roots_name(self, tmp_path):
+    def test_a_csv_at_the_root_is_labelled_dot(self, tmp_path):
         root = tmp_path / "one-run"
         root.mkdir()
         (root / "results.csv").write_text("\n".join([CSV_HEADER, *self.GOOD_ROWS, ""]))
         plot_results(root)
-        assert list(self._polylines(root / "task_bandprofile.svg")) == ["one-run"]
+        assert list(self._polylines(root / "task_bandprofile.svg")) == ["."]
+
+    def test_a_root_csv_and_a_cell_named_like_the_root_plot_apart(self, tmp_path):
+        root = tmp_path / "out"
+        for csv_dir, rows in ((root, self.GOOD_ROWS[:1]), (root / "out", self.GOOD_ROWS)):
+            csv_dir.mkdir(parents=True, exist_ok=True)
+            (csv_dir / "results.csv").write_text("\n".join([CSV_HEADER, *rows, ""]))
+        plot_results(root)
+        by_label = self._polylines(root / "task_bandprofile.svg")
+        assert {label: len(points.split()) for label, points in by_label.items()} == {".": 1, "out": 2}
 
     def test_single_run_single_polyline_per_task(self, tmp_path):
         self._run_results(tmp_path)

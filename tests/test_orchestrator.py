@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fassl.aggregation import STRATEGY_KINDS, Strategy
@@ -561,6 +561,7 @@ TASK_NAMES = st.text(st.characters(codec="utf-8", exclude_characters=",/\\"), mi
     ),
 )
 def test_rows_the_sink_writes_read_back_as_written(tmp_path, kind, scope, ssl_task, local_epochs, k, accs):
+    assume((kind, scope) != ("fedu", "backbone"))  # a config error: fedu gates only heads, which backbone never sends
     cfg = RunConfig(strategy=Strategy(kind), scope=scope, ssl_task=ssl_task, local_epochs=local_epochs, k=k)
     rows = [TaskAccuracy(task=task, round=rnd, accuracy=m / n, k=k) for task, rnd, (m, n) in accs]
     sink = RunSink(tmp_path)
