@@ -8,8 +8,10 @@ class's block in place. The pretext family and the ``bandprofile`` and
 pretext's classes each draw both, ``bandprofile``'s classes their own
 profile under one shared envelope, and ``temporal``'s their own envelope
 over one shared profile. ``texture``'s classes differ in how their noise
-is smoothed and scaled. So the downstream suite holds heterogeneous tasks
-whose generators are disjoint from the pretext set's.
+is smoothed and scaled: a class's box smoothing is one zero-padded sum of
+shifted slices in kernel order over its whole block, with no BLAS call, so
+no generated byte depends on the BLAS kernel. So the downstream suite holds
+heterogeneous tasks whose generators are disjoint from the pretext set's.
 
 A generated dataset owns one read-only (n, frames*bands) matrix: row i is
 clip i, and its label is ``labels()[i]``. A split's noise is one ``normal``
@@ -156,10 +158,18 @@ def _family(kind: str, rng: np.random.Generator, n_classes: int, frames: int, ba
         generator = {"smooths": smooths.astype(float), "scales": scales}
 
         def fill(block, c):
-            width = min(max(int(smooths[c]), 1), bands)  # correlate("same") needs kernel <= signal
-            kernel = np.ones(width) / width  # a box: correlating with it is convolving with it
-            for row in block.reshape(-1, bands):  # every frame of every clip, smoothed along its bands
-                row[:] = np.correlate(row, kernel, mode="same")
+            # The box is at most a clip's bands wide: a wider one would only add padded zeros to each band's sum
+            # and shrink it by its larger width, and the cap keeps the bytes of tasks with fewer bands than smooths.
+            width = min(max(int(smooths[c]), 1), bands)
+            tap = 1.0 / width
+            # A zero-padded box sum in kernel order: band j is sum(padded[j + k] * tap for k in 0..width-1), the band
+            # axis padded as np.correlate(..., "same") aligns a box. Every frame of every clip at once, in shifted
+            # slices and elementwise adds with no BLAS call, so no kernel changes a byte.
+            padded = np.zeros((*block.shape[:-1], bands + width - 1))
+            padded[..., width // 2 : width // 2 + bands] = block
+            np.multiply(padded[..., :bands], tap, out=block)
+            for k in range(1, width):
+                block += padded[..., k : k + bands] * tap
             block *= scales[c]
             block += base
 

@@ -105,9 +105,12 @@ class RunConfig:
         "eval_every": COUNT,
         "k": (int, lambda v: 1 <= v <= SUITE_TRAIN_CLIPS,
               f"{{name}} must lie in [1, {SUITE_TRAIN_CLIPS}] (train clips of a downstream task), got {{value}}"),
-        "workers": COUNT, "tau": POSITIVE, "bt_lambda": NON_NEGATIVE,
-        "bt_eps": POSITIVE, "augment": instance_of(AugmentPolicy), "frames": COUNT, "bands": COUNT,
-        "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT, "pretext_classes": COUNT,
+        "workers": COUNT,
+        # nt_xent's logits are cosines / tau: runs at 1e-30 trained, while at 1e-40 and below round 2 or 3 overflowed
+        # to inf, so the floor keeps 24 decades of margin and lies far below any temperature contrastive losses use
+        "tau": (float, lambda v: v >= 1e-6, "{name} must be at least 1e-06, got {value}"),
+        "bt_lambda": NON_NEGATIVE, "bt_eps": POSITIVE, "augment": instance_of(AugmentPolicy), "frames": COUNT,
+        "bands": COUNT, "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT, "pretext_classes": COUNT,
         "pretext_per_class": COUNT, "feature_layer": one_of(*FEATURE_LAYERS), "metric": one_of(*METRICS),
     }
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fassl import cli
+from fassl import cli, orchestrator
 from fassl.cli import main
 from fassl.config import (
     AXES,
@@ -346,6 +346,7 @@ class TestCmdRun:
         (["--ssl-task", "barlow_twins", "--batch-size", "1"], "barlow_twins needs batch_size >= 2"),
         (["--clients", "40", "--pretext-classes", "2", "--pretext-per-class", "4"], "8 pretext clips cannot cover"),
         (["--k", "121"], "k must lie in [1, 120]"),
+        (["--tau", "1e-300"], "tau must be at least 1e-06, got 1e-300"),
         (["--strategy", "fedavg,fedu", "--scope", "full,backbone"], "strategy fedu gates only the heads, which scope backbone"),
     ])
     def test_cross_field_error_exits_1_before_any_cell_directory(self, tmp_path, capsys, flags, message):
@@ -493,19 +494,23 @@ class TestCmdRun:
         assert main(["run", *FAST_FLAGS, "--strategy", "fedavg,fairavg", "--out-dir", str(tmp_path)]) == 0
         assert dict(os.environ) == before
 
-    def test_failed_rerun_leaves_no_file_of_the_previous_run(self, tmp_path, capsys):
+    def test_failed_rerun_leaves_no_file_of_the_previous_run(self, tmp_path, capsys, monkeypatch):
         """A re-run replaces the cell's run files and keeps its config.txt, so a failed one shows no old result.
 
-        At tau = 1e-300 round 1's evaluation overflows before the round saves its model.
+        The re-run's round 1 evaluation raises, before the round writes a row or saves its model.
         """
         assert main(["run", *FAST_FLAGS, "--out-dir", str(tmp_path)]) == 0
-        assert main(["run", *FAST_FLAGS, "--tau", "1e-300", "--out-dir", str(tmp_path)]) == 2
-        failed = "[simclr-fedavg-full-e1] FAILED: round 1: tensor values must be finite (got NaN or Inf)\n"
-        assert capsys.readouterr().err.endswith(failed)
+
+        def failing_evaluation(*args, **kwargs):
+            raise ContractError("evaluation failed")
+
+        monkeypatch.setattr(orchestrator, "evaluate_global", failing_evaluation)  # one cell runs in this process
+        assert main(["run", *FAST_FLAGS, "--tau", "0.25", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.endswith("[simclr-fedavg-full-e1] FAILED: round 1: evaluation failed\n")
         cell = tmp_path / "simclr-fedavg-full-e1"
         assert sorted(p.name for p in cell.iterdir()) == ["config.txt", "results.csv"]
         assert (cell / "results.csv").read_text() == CSV_HEADER + "\n"
-        assert "tau = 1e-300\n" in (cell / "config.txt").read_text()
+        assert "tau = 0.25\n" in (cell / "config.txt").read_text()
 
     def test_a_cli_cell_and_the_library_write_the_same_bytes(self, tmp_path):
         """``run(cfg, out_dir)`` derives the inputs a CLI cell trains and scores on from the same config."""

@@ -1,6 +1,11 @@
 """Dataset generators and Dirichlet partition tests."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,7 +164,7 @@ def oracle_synth_dataset(n_classes, n_per_class, frames, bands, seed, noise_std=
 
 
 def oracle_make_task(kind, seed, n_classes, n_train, n_test, frames, bands):
-    """The per-clip loop _make_task replaced, as (train, test) lists of feature arrays."""
+    """The per-clip loop _make_task replaced, as (train, test) lists of feature arrays; texture's box by definition."""
     gen_rng = rng_for(seed, f"task-{kind}-generator")
     if kind == "bandprofile":
         profiles = np.stack([_band_profile(gen_rng, bands) for _ in range(n_classes)])
@@ -180,11 +185,22 @@ def oracle_make_task(kind, seed, n_classes, n_train, n_test, frames, bands):
         scales = gen_rng.uniform(0.5, 1.0, size=n_classes)
         base = 0.3 * np.outer(_envelope(gen_rng, frames), _band_profile(gen_rng, bands))
 
+        def smooth(row, width):
+            """The box by definition in Python floats: band j sums padded[j + k] * (1 / width) for k = 0, 1, ..."""
+            tap = 1 / width
+            padded = [0.0] * (width // 2) + row + [0.0] * (width - width // 2 - 1)
+            out = []
+            for j in range(len(row)):
+                acc = padded[j] * tap
+                for k in range(1, width):
+                    acc += padded[j + k] * tap
+                out.append(acc)
+            return out
+
         def make(rng, c):
             noise = rng.normal(0.0, 1.0, size=(frames, bands))
             width = min(max(int(smooths[c]), 1), bands)
-            for t in range(frames):
-                noise[t] = np.convolve(noise[t], np.ones(width) / width, mode="same")
+            noise = np.array([smooth(row, width) for row in noise.tolist()])
             return base + scales[c] * noise
 
     def build(split, n_each):
@@ -236,6 +252,36 @@ class TestDownstreamSuite:
         for (_, tr_a, te_a), (_, tr_b, te_b) in zip(a, b):
             assert dataset_bytes(tr_a) == dataset_bytes(tr_b)
             assert dataset_bytes(te_a) == dataset_bytes(te_b)
+
+
+# Digests of the pretext set's and every downstream split's matrix at a default run's sizes.
+MATRIX_DIGESTS = """
+import hashlib, json
+from fassl.data import downstream_suite, synth_dataset
+from fassl.orchestrator import RunConfig
+cfg = RunConfig()
+sets = {"pretext": synth_dataset(cfg.pretext_classes, cfg.pretext_per_class, cfg.frames, cfg.bands, cfg.master_seed)}
+for name, train, test in downstream_suite(cfg.master_seed, cfg.frames, cfg.bands):
+    sets[name + "-train"], sets[name + "-test"] = train, test
+print(json.dumps({name: hashlib.sha256(ds.feature_matrix().tobytes()).hexdigest() for name, ds in sets.items()}))
+"""
+
+
+def test_generated_data_does_not_depend_on_the_blas_kernel():
+    """Two fresh processes, one on the kernels OpenBLAS picks for this CPU and one on its Haswell kernels, generate
+    the same bytes: no generator calls BLAS. On a Haswell host both run the same kernels."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(p for p in (str(here.parent / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"} | {"PYTHONPATH": path}
+    procs = [
+        subprocess.Popen([sys.executable, "-c", MATRIX_DIGESTS], stdout=subprocess.PIPE, text=True, env=env | extra)
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Haswell"})
+    ]
+    outputs = [proc.communicate()[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    host, haswell = (json.loads(out) for out in outputs)
+    assert len(host) == 7
+    assert [name for name in host if host[name] != haswell[name]] == []
 
 
 class TestDirichletPartition:
