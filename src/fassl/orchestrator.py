@@ -53,7 +53,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import ssl_tasks
 from .aggregation import ClientUpdate, Strategy, aggregate, scope_apply
 from .autodiff import Graph, backward
@@ -106,8 +105,8 @@ class RunConfig:
         "k": (int, lambda v: 1 <= v <= SUITE_TRAIN_CLIPS,
               f"{{name}} must lie in [1, {SUITE_TRAIN_CLIPS}] (train clips of a downstream task), got {{value}}"),
         "workers": COUNT,
-        # nt_xent's logits are cosines / tau: runs at 1e-30 trained, while at 1e-40 and below round 2 or 3 overflowed
-        # to inf, so the floor keeps 24 decades of margin and lies far below any temperature contrastive losses use
+        # nt_xent's logits are cosines / tau, and at 1e-40 and below round 2 or 3 overflowed to inf. The floor guards
+        # against that only: on the default config a run at 1e-3 or below has equal accuracies at rounds 1 and 10
         "tau": (float, lambda v: v >= 1e-6, "{name} must be at least 1e-06, got {value}"),
         "bt_lambda": NON_NEGATIVE, "bt_eps": POSITIVE, "augment": instance_of(AugmentPolicy), "frames": COUNT,
         "bands": COUNT, "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT, "pretext_classes": COUNT,
@@ -239,8 +238,7 @@ def _batch_loss(params: ParamTree, clips: np.ndarray, cfg: RunConfig, rng):
     z = project(params, encode(params, views))
     if cfg.ssl_task == "simclr":
         return nt_xent_loss(z, cfg.tau)
-    even, odd = ssl_tasks.view_rows(z.shape[0])
-    return barlow_twins_loss(ad.gather_rows(z, even), ad.gather_rows(z, odd), cfg.bt_lambda, cfg.bt_eps)
+    return barlow_twins_loss(z, cfg.bt_lambda, cfg.bt_eps)
 
 
 def local_train(

@@ -17,7 +17,7 @@ view, then the band-dropout coins of every view. The predictive task makes
 one permutation draw per clip.
 
 What a batch reads that depends only on its shape (the crop table, the
-acop order rows, the two views' rows, the losses' masks and pair indices)
+acop order rows, the pair layout both pair losses read, barlow_twins' masks)
 is built once per shape and kept read-only, so a step shares it without
 copying and nothing can write to it. Each cache holds at most ``_SHAPES_KEPT`` shapes: at a batch
 of up to 64 clips every contrastive shape fits (2n = 4, 6, ..., 128), about
@@ -149,16 +149,22 @@ def _row_logsumexp(x: Tensor) -> Tensor:
     return ad.add(ad.log(ad.sum_axis(ad.exp(ad.sub(x, mx)), axis=1)), mx)
 
 
-@functools.lru_cache(maxsize=_SHAPES_KEPT)
-def view_rows(two_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd rows of an interleaved 2n-row view matrix: every clip's first and second view."""
-    return _read_only(np.arange(0, two_n, 2)), _read_only(np.arange(1, two_n, 2))
+class _PairLayout(NamedTuple):
+    even: np.ndarray  # every clip's first view
+    odd: np.ndarray  # every clip's second view
+    partner: np.ndarray  # row r's pair, i.e. its clip: r // 2
+    self_mask: Tensor  # nt_xent's self-similarity mask
 
 
 @functools.lru_cache(maxsize=_SHAPES_KEPT)
-def _pair_constants(two_n: int) -> tuple[Tensor, np.ndarray]:
-    """nt_xent's constants at 2n rows: the self-similarity mask and each anchor's pair."""
-    return Tensor(_read_only(np.diag(np.full(two_n, _NEG_MASK)))), _read_only(np.repeat(np.arange(two_n // 2), 2))
+def _pair_layout(two_n: int) -> _PairLayout:
+    """The pair layout of a 2n-row view matrix, rows (2i, 2i+1) being clip i's two views; n must be >= 2."""
+    if two_n % 2 != 0 or two_n < 4:
+        raise ContractError(f"need an even number >= 4 of rows (pairs), got {two_n}")
+    return _PairLayout(
+        _read_only(np.arange(0, two_n, 2)), _read_only(np.arange(1, two_n, 2)),
+        _read_only(np.arange(two_n) // 2), Tensor(_read_only(np.diag(np.full(two_n, _NEG_MASK)))),
+    )
 
 
 def nt_xent_loss(z: Tensor, tau: float) -> Tensor:
@@ -169,18 +175,14 @@ def nt_xent_loss(z: Tensor, tau: float) -> Tensor:
     """
     if tau <= 0:
         raise ContractError(f"tau must be positive, got {tau}")
-    two_n = z.shape[0]
-    if two_n % 2 != 0 or two_n < 4:
-        raise ContractError(f"need an even number >= 4 of rows (pairs), got {two_n}")
+    pairs = _pair_layout(z.shape[0])
     zn = ad.l2_normalize_rows(z, eps=_NORM_EPS)
     sims = ad.div(ad.matmul(zn, ad.transpose(zn)), tau)
-    mask, pair_rows = _pair_constants(two_n)
-    even_rows, odd_rows = view_rows(two_n)
-    lse = _row_logsumexp(ad.add(sims, mask))
-    even = ad.gather_rows(zn, even_rows)
-    odd = ad.gather_rows(zn, odd_rows)
+    lse = _row_logsumexp(ad.add(sims, pairs.self_mask))
+    even = ad.gather_rows(zn, pairs.even)
+    odd = ad.gather_rows(zn, pairs.odd)
     pos = ad.sum_axis(ad.mul(even, odd), axis=1)
-    pos_per_anchor = ad.gather_rows(pos, pair_rows)
+    pos_per_anchor = ad.gather_rows(pos, pairs.partner)
     return ad.mean_all(ad.sub(lse, ad.div(pos_per_anchor, tau)))
 
 
@@ -190,29 +192,29 @@ def _eye_constants(d: int) -> tuple[Tensor, Tensor]:
     return Tensor(_read_only(np.eye(d))), Tensor(_read_only(1.0 - np.eye(d)))
 
 
-def barlow_twins_loss(za: Tensor, zb: Tensor, lam: float, eps: float) -> Tensor:
-    """Cross-correlation redundancy loss between two view embeddings.
+def barlow_twins_loss(z: Tensor, lam: float, eps: float) -> Tensor:
+    """Cross-correlation redundancy loss between the two views of an interleaved 2n x d embedding matrix.
 
-    Columns are standardized to mean 0 / std 1 (population std, guarded by
-    eps); the n x d inputs give C = (1/n) za_std^T zb_std and the loss
-    sum_i (1 - C_ii)^2 + lam * sum_{i != j} C_ij^2.
+    The even rows give za and the odd rows zb, each n x d. Their columns are
+    standardized to mean 0 / std 1 (population std, guarded by eps), giving
+    C = (1/n) za_std^T zb_std and the loss sum_i (1 - C_ii)^2 + lam * sum_{i != j} C_ij^2.
     """
-    if za.shape != zb.shape or za.data.ndim != 2:
-        raise ContractError(f"view embeddings must share an (n, d) shape, got {za.shape} and {zb.shape}")
-    n, d = za.shape
-    if n < 2:
-        raise ContractError(f"need >= 2 samples to standardize columns, got {n}")
+    if z.data.ndim != 2:
+        raise ContractError(f"view embeddings must be a (2n, d) matrix, got shape {z.shape}")
+    pairs = _pair_layout(z.shape[0])
+    n, d = len(pairs.even), z.shape[1]
     if lam < 0:
         raise ContractError(f"lambda must be >= 0, got {lam}")
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
 
-    def standardize(z):
-        mu = ad.div(ad.sum_axis(z, axis=0), float(n))
-        centered = ad.sub(z, mu)
+    def standardize(view):
+        mu = ad.div(ad.sum_axis(view, axis=0), float(n))
+        centered = ad.sub(view, mu)
         var = ad.div(ad.sum_axis(ad.mul(centered, centered), axis=0), float(n))
         return ad.div(centered, ad.sqrt(ad.maximum_const(var, eps * eps)))
 
+    za, zb = ad.gather_rows(z, pairs.even), ad.gather_rows(z, pairs.odd)
     c = ad.div(ad.matmul(ad.transpose(standardize(za)), standardize(zb)), float(n))
     eye, off_mask = _eye_constants(d)
     diag_err = ad.sub(eye, c)

@@ -160,12 +160,17 @@ def fd_fixture_ok(params, batch: np.ndarray, step: float = 1e-5) -> bool:
 
 # Uncached oracles of the per-shape constants ssl_tasks builds once and keeps
 # read-only, each written out from its definition.
-def oracle_pair_constants(two_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """nt_xent at 2n rows: the -1e30 self-similarity mask, the even rows, the odd rows, each anchor's pair."""
+def oracle_pair_layout(two_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pair losses at 2n rows: the even rows, the odd rows, each anchor's pair, nt_xent's -1e30 self-mask."""
     mask = np.zeros((two_n, two_n))
     np.fill_diagonal(mask, -1e30)
     anchors = np.arange(two_n)
-    return mask, anchors[anchors % 2 == 0], anchors[anchors % 2 == 1], anchors // 2
+    return anchors[anchors % 2 == 0], anchors[anchors % 2 == 1], anchors // 2, mask
+
+
+def interleave(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """The view matrix of n pairs whose rows 2i and 2i + 1 are za[i] and zb[i], as two_view_batch lays them out."""
+    return np.array([row for pair in zip(za, zb) for row in pair])
 
 
 def oracle_eye_constants(d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Guards on the package's shape: public names and methods have callers, public defaults have callers that rely on
 them and callers that override them, no autodiff in data, no data in ssl_tasks, concurrency in the CLI, no asserts,
 no setting read from the environment, config states no rule of its own, each literal stream tag is derived in one
-call, and a cell's files are named only where they are written.
+call, a cell's files are named only where they are written, and only ssl_tasks states a view batch's row layout.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -538,3 +538,45 @@ def test_cell_file_names_sees_every_constant_form_and_no_docstring():
         'class C:\n    """x.tmp"""\n    NAME = "optima.csv"\n'
     )
     assert cell_file_names(ast.parse(source)) == [".ckpt", ".tmp", "optima.csv", "results.csv"]
+
+
+# What states a view batch's row layout: the gather that splits the views and the names of ssl_tasks' pair table
+VIEW_LAYOUT_NAMES = ("gather_rows", "view_rows", "_pair_layout", "_PairLayout")
+
+
+def view_layout_statements(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, what) for each layout name this file refers to or imports, and each slice or ``arange`` of stride 2."""
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in VIEW_LAYOUT_NAMES:
+            found.append((node.lineno, name))
+        if isinstance(node, ast.Slice):
+            stride = node.step
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "arange":
+            stride = node.args[2] if len(node.args) == 3 else None
+        else:
+            stride = None
+        if isinstance(stride, ast.Constant) and stride.value == 2:
+            found.append((node.lineno, "stride 2"))
+    return sorted(found)
+
+
+def test_only_ssl_tasks_knows_a_view_batchs_row_layout():
+    """two_view_batch interleaves each clip's two views, and both pair losses take that matrix whole."""
+    for path in PACKAGE + BENCHMARK:
+        if path.name != "ssl_tasks.py":
+            found = view_layout_statements(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            assert not found, f"{path.name} states a view batch's row layout at {found}"
+
+
+def test_view_layout_statements_sees_every_form():
+    source = (
+        "ad.gather_rows(z, r)\ngather_rows(z, r)\nssl_tasks.view_rows(8)\nfrom .ssl_tasks import _pair_layout\n"
+        "z[0::2]\nz[1::2, :]\nnp.arange(0, n, 2)\narange(1, n, 2)\n"
+        "z[::3]\nnp.arange(n)\nnp.arange(0, n)\ngather(z, 2)\nrange(0, n, 2)\n'gather_rows'\n"
+    )
+    assert view_layout_statements(ast.parse(source)) == [
+        (1, "gather_rows"), (2, "gather_rows"), (3, "view_rows"), (4, "_pair_layout"),
+        (5, "stride 2"), (6, "stride 2"), (7, "stride 2"), (8, "stride 2"),
+    ]

@@ -29,11 +29,12 @@ from conftest import (
     fd_fixture_ok,
     finite_diff_grad,
     gradclose,
+    interleave,
     map_values,
     oracle_crop_rows,
     oracle_eye_constants,
     oracle_order_rows,
-    oracle_pair_constants,
+    oracle_pair_layout,
     perturbed_params,
     resample_frames,
     tiny_encoder_config,
@@ -128,22 +129,42 @@ class TestNtXentLoss:
             nt_xent_loss(Tensor(np.ones((4, 3))), tau=0.0)
 
 
+def reference_barlow_twins_loss(z: Tensor, lam: float, eps: float) -> Tensor:
+    """Two-matrix oracle: the even and odd rows gathered first, then the loss on those two n x d matrices."""
+    two_n, d = z.shape
+    za, zb = ad.gather_rows(z, np.arange(0, two_n, 2)), ad.gather_rows(z, np.arange(1, two_n, 2))
+    n = two_n // 2
+
+    def standardize(v):
+        mu = ad.div(ad.sum_axis(v, axis=0), float(n))
+        centered = ad.sub(v, mu)
+        var = ad.div(ad.sum_axis(ad.mul(centered, centered), axis=0), float(n))
+        return ad.div(centered, ad.sqrt(ad.maximum_const(var, eps * eps)))
+
+    c = ad.div(ad.matmul(ad.transpose(standardize(za)), standardize(zb)), float(n))
+    eye, off_mask = Tensor(np.eye(d)), Tensor(1.0 - np.eye(d))
+    diag_err = ad.sub(eye, c)
+    on_diag = ad.sum_all(ad.mul(ad.mul(diag_err, diag_err), eye))
+    off_diag = ad.sum_all(ad.mul(ad.mul(c, c), off_mask))
+    return ad.add(on_diag, ad.mul(off_diag, lam))
+
+
 class TestBarlowTwinsLoss:
     def test_identity_cross_correlation_gives_zero(self, rng):
         # orthonormal columns standardized to mean 0 / population std 1 -> C = I
         raw = rng.normal(size=(16, 4))
         q, _ = np.linalg.qr(raw - raw.mean(axis=0))
         z = (q - q.mean(axis=0)) / q.std(axis=0)
-        loss = barlow_twins_loss(Tensor(z), Tensor(z), lam=0.005, eps=1e-9)
+        loss = barlow_twins_loss(Tensor(interleave(z, z)), lam=0.005, eps=1e-9)
         assert loss.item() < 1e-20
 
     def test_lambda_zero_uses_only_diagonal(self, rng):
-        za = Tensor(rng.normal(size=(8, 4)))
-        zb = Tensor(rng.normal(size=(8, 4)))
-        loss_value = barlow_twins_loss(za, zb, lam=0.0, eps=1e-9).item()
+        za = rng.normal(size=(8, 4))
+        zb = rng.normal(size=(8, 4))
+        loss_value = barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.0, eps=1e-9).item()
         # direct-formula oracle, diagonal part only
-        a = (za.data - za.data.mean(0)) / np.maximum(za.data.std(0), 1e-9)
-        b = (zb.data - zb.data.mean(0)) / np.maximum(zb.data.std(0), 1e-9)
+        a = (za - za.mean(0)) / np.maximum(za.std(0), 1e-9)
+        b = (zb - zb.mean(0)) / np.maximum(zb.std(0), 1e-9)
         c = a.T @ b / 8.0
         np.testing.assert_allclose(loss_value, ((1 - np.diag(c)) ** 2).sum(), rtol=1e-10)
 
@@ -155,21 +176,33 @@ class TestBarlowTwinsLoss:
         b = (zb - zb.mean(0)) / np.maximum(zb.std(0), 1e-9)
         c = a.T @ b / 8.0
         expected = ((1 - np.diag(c)) ** 2).sum() + lam * (c**2 * (1 - np.eye(4))).sum()
-        loss = barlow_twins_loss(Tensor(za), Tensor(zb), lam=lam, eps=1e-9)
+        loss = barlow_twins_loss(Tensor(interleave(za, zb)), lam=lam, eps=1e-9)
         np.testing.assert_allclose(loss.item(), expected, atol=1e-10)
 
     def test_always_nonnegative(self, rng):
         for _ in range(50):
-            za = Tensor(rng.normal(size=(6, 3)))
-            zb = Tensor(rng.normal(size=(6, 3)))
-            assert barlow_twins_loss(za, zb, lam=0.01, eps=1e-9).item() >= 0.0
+            za = rng.normal(size=(6, 3))
+            zb = rng.normal(size=(6, 3))
+            assert barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.01, eps=1e-9).item() >= 0.0
 
     def test_pair_permutation_equivariance(self, rng):
         za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
-        base = barlow_twins_loss(Tensor(za), Tensor(zb), lam=0.005, eps=1e-9).item()
+        base = barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.005, eps=1e-9).item()
         perm = rng.permutation(8)
-        shuffled = barlow_twins_loss(Tensor(za[perm]), Tensor(zb[perm]), lam=0.005, eps=1e-9).item()
+        shuffled = barlow_twins_loss(Tensor(interleave(za[perm], zb[perm])), lam=0.005, eps=1e-9).item()
         np.testing.assert_allclose(base, shuffled, rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3), (5, 3)])
+    def test_too_few_pairs_rejected(self, shape):
+        with pytest.raises(ContractError):
+            barlow_twins_loss(Tensor(np.ones(shape)), lam=0.005, eps=1e-9)
+
+    @pytest.mark.parametrize("n, d, lam", [(2, 3, 0.005), (4, 5, 0.0), (7, 4, 0.5), (64, 16, 0.005)])
+    def test_same_bytes_as_the_two_matrix_form(self, n, d, lam):
+        """On the interleaved matrix, the loss and its gradient are those of the loss on its gathered halves."""
+        z = np.random.default_rng(n * d).normal(size=(2 * n, d))
+        ours = loss_and_grad_bytes(lambda z: barlow_twins_loss(z, lam, 1e-9), z)
+        assert ours == loss_and_grad_bytes(lambda z: reference_barlow_twins_loss(z, lam, 1e-9), z)
 
 
 class TestAcopBatch:
@@ -289,17 +322,11 @@ class TestLossGradientsThroughEncoder:
             loss = nt_xent_loss(project(params, encode(params, xb)), tau=0.5)
         assert gradclose(backward(g, loss), finite_diff_grad(f_nt, params, 1e-5))
 
-        even, odd = np.arange(0, 8, 2), np.arange(1, 8, 2)
-
         def f_bt(p):
-            zz = project(p, encode(p, xb))
-            return barlow_twins_loss(
-                ad.gather_rows(zz, even), ad.gather_rows(zz, odd), lam=0.005, eps=1e-9
-            ).item()
+            return barlow_twins_loss(project(p, encode(p, xb)), lam=0.005, eps=1e-9).item()
 
         with Graph(params.as_dict()) as g:
-            zz = project(params, encode(params, xb))
-            loss = barlow_twins_loss(ad.gather_rows(zz, even), ad.gather_rows(zz, odd), lam=0.005, eps=1e-9)
+            loss = barlow_twins_loss(project(params, encode(params, xb)), lam=0.005, eps=1e-9)
         assert gradclose(backward(g, loss), finite_diff_grad(f_bt, params, 1e-5))
 
 
@@ -573,10 +600,9 @@ class TestShapeConstantCaches:
     SEQUENCE = [(2, 16, POLICIES[0]), (3, 31, POLICIES[1]), (2, 31, POLICIES[0]), (3, 16, POLICIES[1]), (2, 16, POLICIES[1])]
 
     def cached_arrays(self) -> list[np.ndarray]:
-        mask, pair = ssl_tasks._pair_constants(8)
-        even, odd = ssl_tasks.view_rows(8)
+        even, odd, partner, mask = ssl_tasks._pair_layout(8)
         eye, off_mask = ssl_tasks._eye_constants(5)
-        return [mask.data, even, odd, pair, eye.data, off_mask.data, ssl_tasks._crop_rows(16, 0.7), ssl_tasks._order_rows(16)]
+        return [even, odd, partner, mask.data, eye.data, off_mask.data, ssl_tasks._crop_rows(16, 0.7), ssl_tasks._order_rows(16)]
 
     def test_every_cached_array_is_read_only(self):
         for a in self.cached_arrays():
@@ -586,8 +612,8 @@ class TestShapeConstantCaches:
     def test_shape_sequence_gives_the_uncached_oracle_bytes(self, monkeypatch):
         for n, frames, policy in self.SEQUENCE:
             clips = oracle_clips(n, frames, 4, seed=n)
-            (mask, pair), (even, odd) = ssl_tasks._pair_constants(2 * n), ssl_tasks.view_rows(2 * n)
-            for ours, ref in zip((mask.data, even, odd, pair), oracle_pair_constants(2 * n)):
+            even, odd, partner, mask = ssl_tasks._pair_layout(2 * n)
+            for ours, ref in zip((even, odd, partner, mask.data), oracle_pair_layout(2 * n)):
                 assert_same_bytes(ours, ref)
             for ours, ref in zip(ssl_tasks._eye_constants(n + 3), oracle_eye_constants(n + 3)):
                 assert_same_bytes(ours.data, ref)
@@ -600,30 +626,20 @@ class TestShapeConstantCaches:
             assert_same_bytes(segments.data, reference_acop_make_batch(clips, rng_for(1, "cache-acop", n, frames))[0])
 
             z = views.data[:, : n + 3]
-            pair_losses = [
-                lambda z: nt_xent_loss(z, 0.5),
-                lambda z: barlow_twins_loss(
-                    *(ad.gather_rows(z, rows) for rows in ssl_tasks.view_rows(2 * n)), 5e-3, 1e-9
-                ),
-            ]
+            pair_losses = [lambda z: nt_xent_loss(z, 0.5), lambda z: barlow_twins_loss(z, 5e-3, 1e-9)]
             cached = [loss_and_grad_bytes(fn, z) for fn in pair_losses]
             with monkeypatch.context() as m:
-                m.setattr(ssl_tasks, "_pair_constants", lambda two_n: (Tensor(oracle_pair_constants(two_n)[0]), oracle_pair_constants(two_n)[3]))
-                m.setattr(ssl_tasks, "view_rows", lambda two_n: oracle_pair_constants(two_n)[1:3])
+                m.setattr(ssl_tasks, "_pair_layout", lambda two_n: ssl_tasks._PairLayout(*oracle_pair_layout(two_n)[:3], Tensor(oracle_pair_layout(two_n)[3])))
                 m.setattr(ssl_tasks, "_eye_constants", lambda d: tuple(Tensor(a) for a in oracle_eye_constants(d)))
                 assert cached == [loss_and_grad_bytes(fn, z) for fn in pair_losses]
 
     def test_caches_stay_small_at_a_64_clip_batch(self):
         """Every contrastive shape of a batch of up to 64 clips stays cached, in under 4 MB with the rest."""
-        ssl_tasks._pair_constants.cache_clear()
-        ssl_tasks.view_rows.cache_clear()
-        pair = {two_n: ssl_tasks._pair_constants(two_n) for two_n in range(4, 129, 2)}
-        rows = {two_n: ssl_tasks.view_rows(two_n) for two_n in range(4, 129, 2)}
-        assert all(ssl_tasks._pair_constants(two_n) is kept for two_n, kept in pair.items())
-        assert all(ssl_tasks.view_rows(two_n) is kept for two_n, kept in rows.items())
-        assert max(kept[0].data.nbytes for kept in pair.values()) <= 128 * 1024
-        arrays = [a.data if isinstance(a, Tensor) else a for kept in pair.values() for a in kept]
-        arrays += [a for kept in rows.values() for a in kept]
+        ssl_tasks._pair_layout.cache_clear()
+        layouts = {two_n: ssl_tasks._pair_layout(two_n) for two_n in range(4, 129, 2)}
+        assert all(ssl_tasks._pair_layout(two_n) is kept for two_n, kept in layouts.items())
+        assert max(kept.self_mask.data.nbytes for kept in layouts.values()) <= 128 * 1024
+        arrays = [a.data if isinstance(a, Tensor) else a for kept in layouts.values() for a in kept]
         arrays += [t.data for t in ssl_tasks._eye_constants(16)]
         arrays += [ssl_tasks._crop_rows(32, AugmentPolicy().crop_fraction), ssl_tasks._order_rows(32)]
         assert sum(a.nbytes for a in arrays) < 4 * 2**20
