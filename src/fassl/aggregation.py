@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import POSITIVE, ContractError, check_fields, one_of
+from .errors import COUNT, POSITIVE, ContractError, check, check_fields, one_of
 from .model import ParamTree, merge, split
 
 STRATEGY_KINDS = ("fedavg", "fairavg", "loss", "fedu", "ldawa")
@@ -58,8 +58,7 @@ class ClientUpdate:
     mean_loss: float
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ContractError(f"n_samples must be >= 1, got {self.n_samples}")
+        check("n_samples", self.n_samples, COUNT)
         if not np.isfinite(self.mean_loss):
             raise ContractError(f"mean_loss must be finite, got {self.mean_loss}")
 

@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_schema_flags(parser: argparse.ArgumentParser) -> None:
-    for key, (_, _, doc) in cfgmod.SCHEMA.items():
+    for key, (_, doc) in cfgmod.SCHEMA.items():
         if key in cfgmod.AXES:
             doc += " (comma list: a matrix axis)"
         parser.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="V", help=doc)

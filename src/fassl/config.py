@@ -3,10 +3,10 @@
 The file format is one ``key = value`` per line; blank lines and lines
 starting with ``#`` are ignored. An unknown key, a key set twice, and a
 malformed or out-of-range value are rejected with the line number. The
-parser only converts text (``SCHEMA``'s converters are ``int``, ``float``,
-``str``, a boolean, or a comma list of one), then checks each value, under
-its key's name, by the ``RULES`` entry of the dataclass that owns the key's
-field (see ``errors``), so the message is the one that dataclass gives.
+parser states no rule: it converts a run key's text by the kind of the
+``RULES`` entry of the dataclass that owns the key's field (a comma list of
+that kind for an axis), then checks each value, under its key's name, by
+that entry (see ``errors``), so the message is the one that dataclass gives.
 Rules across keys (``clients_per_round <= clients``, enough pretext clips
 for every client, enough frames and clips for the pretext task's batches,
 ``feature_layer = projection`` only where a run trains ``head.proj``) are
@@ -63,48 +63,48 @@ def _axis(convert):
 # Keys whose value is a tuple of distinct values, one matrix cell per point.
 AXES = ("strategy", "scope", "local_epochs")
 
-# key -> (converter, RunConfig field path, help). A dotted path reaches into
-# the nested Strategy / AugmentPolicy; None marks a key that configures the
-# CLI rather than a run, whose default lives in CLI_DEFAULTS. Every other
-# default is read from RunConfig(), and every other rule from the RULES
-# table of the dataclass that owns the path's field.
+# key -> (RunConfig field path, help). A dotted path reaches into the nested
+# Strategy / AugmentPolicy; None marks a key that configures the CLI rather
+# than a run, whose (converter, default) is its _CLI_KEYS entry. Every other
+# default is read from RunConfig(), and every other rule and kind from the
+# RULES table of the dataclass that owns the path's field.
 SCHEMA: dict[str, tuple] = {
-    "rounds": (int, "rounds", "federated rounds R"),
-    "clients": (int, "n_clients", "client pool size N"),
-    "clients_per_round": (int, "clients_per_round", "clients sampled per round s"),
-    "local_epochs": (_axis(int), "local_epochs", "local epochs E per round"),
-    "batch_size": (int, "batch_size", "local batch size"),
-    "lr": (float, "lr", "constant SGD learning rate"),
-    "ssl_task": (str, "ssl_task", "pretext task"),
-    "strategy": (_axis(str), "strategy.kind", "aggregation strategy"),
-    "scope": (_axis(str), "scope", "transceived parameter scope"),
-    "alpha": (float, "alpha", "Dirichlet heterogeneity coefficient"),
-    "master_seed": (int, "master_seed", "root seed for every stream"),
-    "eval_every": (int, "eval_every", "rounds between downstream evaluations"),
-    "k": (int, "k", "k for retrieval"),
-    "workers": (int, "workers", "processes `fassl run` spreads matrix cells over; a single run ignores it"),
-    "fedu_mu": (float, "strategy.fedu_mu", "relative divergence gate for fedu heads"),
-    "loss_weight_direction": (str, "strategy.loss_direction", "loss strategy: weigh high- or low-loss clients"),
-    "tau": (float, "tau", "contrastive temperature"),
-    "bt_lambda": (float, "bt_lambda", "off-diagonal weight of the matching loss"),
-    "bt_eps": (float, "bt_eps", "std guard in column standardization"),
-    "crop_fraction": (float, "augment.crop_fraction", "time-crop fraction for views"),
-    "noise_std": (float, "augment.noise_std", "additive view noise std"),
-    "band_mask_prob": (float, "augment.band_mask_prob", "per-band dropout probability"),
-    "pretext_classes": (int, "pretext_classes", "pretext dataset classes"),
-    "pretext_per_class": (int, "pretext_per_class", "pretext clips per class"),
-    "frames": (int, "frames", "frames per clip"),
-    "bands": (int, "bands", "bands per clip"),
-    "hidden_dim": (int, "hidden_dim", "encoder hidden width"),
-    "embed_dim": (int, "embed_dim", "backbone embedding width"),
-    "projection_dim": (int, "projection_dim", "projection head output width"),
-    "feature_layer": (str, "feature_layer", "retrieval feature layer"),
-    "metric": (str, "metric", "retrieval distance"),
-    "out_dir": (str, None, "output root: one directory per matrix cell"),
-    "plot": (_parse_bool, None, "emit SVG plots after a run"),
+    "rounds": ("rounds", "federated rounds R"),
+    "clients": ("n_clients", "client pool size N"),
+    "clients_per_round": ("clients_per_round", "clients sampled per round s"),
+    "local_epochs": ("local_epochs", "local epochs E per round"),
+    "batch_size": ("batch_size", "local batch size"),
+    "lr": ("lr", "constant SGD learning rate"),
+    "ssl_task": ("ssl_task", "pretext task"),
+    "strategy": ("strategy.kind", "aggregation strategy"),
+    "scope": ("scope", "transceived parameter scope"),
+    "alpha": ("alpha", "Dirichlet heterogeneity coefficient"),
+    "master_seed": ("master_seed", "root seed for every stream"),
+    "eval_every": ("eval_every", "rounds between downstream evaluations"),
+    "k": ("k", "k for retrieval"),
+    "workers": ("workers", "processes `fassl run` spreads matrix cells over; a single run ignores it"),
+    "fedu_mu": ("strategy.fedu_mu", "relative divergence gate for fedu heads"),
+    "loss_weight_direction": ("strategy.loss_direction", "loss strategy: weigh high- or low-loss clients"),
+    "tau": ("tau", "contrastive temperature"),
+    "bt_lambda": ("bt_lambda", "off-diagonal weight of the matching loss"),
+    "bt_eps": ("bt_eps", "std guard in column standardization"),
+    "crop_fraction": ("augment.crop_fraction", "time-crop fraction for views"),
+    "noise_std": ("augment.noise_std", "additive view noise std"),
+    "band_mask_prob": ("augment.band_mask_prob", "per-band dropout probability"),
+    "pretext_classes": ("pretext_classes", "pretext dataset classes"),
+    "pretext_per_class": ("pretext_per_class", "pretext clips per class"),
+    "frames": ("frames", "frames per clip"),
+    "bands": ("bands", "bands per clip"),
+    "hidden_dim": ("hidden_dim", "encoder hidden width"),
+    "embed_dim": ("embed_dim", "backbone embedding width"),
+    "projection_dim": ("projection_dim", "projection head output width"),
+    "feature_layer": ("feature_layer", "retrieval feature layer"),
+    "metric": ("metric", "retrieval distance"),
+    "out_dir": (None, "output root: one directory per matrix cell"),
+    "plot": (None, "emit SVG plots after a run"),
 }
 
-CLI_DEFAULTS = {"out_dir": "results", "plot": False}
+_CLI_KEYS = {"out_dir": (str, "results"), "plot": (_parse_bool, False)}
 _DEFAULT_RUN = RunConfig()
 
 
@@ -126,7 +126,7 @@ class ExperimentSpec:
         """The run of a single-cell spec; each key lands on its SCHEMA path."""
         top: dict = {}
         nested: dict[str, dict] = {}
-        for key, (_, path, _) in SCHEMA.items():
+        for key, (path, _) in SCHEMA.items():
             if path is None:
                 continue
             value = self.values[key]
@@ -155,7 +155,7 @@ class ExperimentSpec:
     def to_text(self, title: str = "experiment configuration") -> str:
         """Config file text; parsing it back yields this spec exactly."""
         lines = [f"# {title} (key = value; '#' starts a comment line)"]
-        for key, (_, _, doc) in SCHEMA.items():
+        for key, (_, doc) in SCHEMA.items():
             lines.append(f"# {doc}")
             lines.append(f"{key} = {_format_value(self[key])}")
         return "\n".join(lines) + "\n"
@@ -163,20 +163,22 @@ class ExperimentSpec:
 
 def default_spec() -> ExperimentSpec:
     values = {
-        key: CLI_DEFAULTS[key] if path is None else attrgetter(path)(_DEFAULT_RUN)
-        for key, (_, path, _) in SCHEMA.items()
+        key: _CLI_KEYS[key][1] if path is None else attrgetter(path)(_DEFAULT_RUN)
+        for key, (path, _) in SCHEMA.items()
     }
     return ExperimentSpec(values=dict(values, **{key: (values[key],) for key in AXES}))
 
 
 def _parse(key: str, raw: str):
-    """Convert a key's text, then check each value against the rule its owner states for the field."""
-    convert, path, _ = SCHEMA[key]
-    value = convert(raw)
-    if path is not None:
-        head, _, name = path.rpartition(".")
-        for item in value if key in AXES else (value,):
-            check(key, item, _owner(head).RULES[name])
+    """Convert a key's text by the kind of its field's rule, then check each value by that rule."""
+    path, _ = SCHEMA[key]
+    if path is None:
+        return _CLI_KEYS[key][0](raw)
+    head, _, name = path.rpartition(".")
+    rule = _owner(head).RULES[name]
+    value = (_axis(rule[0]) if key in AXES else rule[0])(raw)
+    for item in value if key in AXES else (value,):
+        check(key, item, rule)
     return value
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import COUNT, POSITIVE, ContractError, check
 from .seeding import rng_for
 
 PRETEXT_NOISE_STD = 0.1
@@ -209,8 +209,8 @@ def synth_dataset(
     n_classes: int, n_per_class: int, frames: int, bands: int, seed: int, noise_std: float = PRETEXT_NOISE_STD
 ) -> SynthDataset:
     """Pretext-style generator: per-class band profile x temporal envelope + noise."""
-    if min(n_classes, n_per_class, frames, bands) < 1:
-        raise ContractError("n_classes, n_per_class, frames, bands must all be >= 1")
+    for name, count in (("n_classes", n_classes), ("n_per_class", n_per_class), ("frames", frames), ("bands", bands)):
+        check(name, count, COUNT)
     family = _family("pretext", rng_for(seed, "synth-generator"), n_classes, frames, bands, noise_std)
     return _generate(rng_for(seed, "synth-clips"), family, n_classes, n_per_class, frames, bands, "train")
 
@@ -262,10 +262,8 @@ def dirichlet_partition(dataset: SynthDataset, n_clients: int, alpha: float, see
     An alpha so large that the draw overflows (1e307 over 100 clients) gives
     proportions that do not sum to 1, which is a ContractError.
     """
-    if n_clients < 1:
-        raise ContractError(f"n_clients must be >= 1, got {n_clients}")
-    if alpha <= 0:
-        raise ContractError(f"alpha must be positive, got {alpha}")
+    check("n_clients", n_clients, COUNT)
+    check("alpha", alpha, POSITIVE)
     if len(dataset) < n_clients:
         raise ContractError(f"dataset of {len(dataset)} clips cannot cover {n_clients} clients")
     rng = rng_for(seed, "dirichlet-partition")

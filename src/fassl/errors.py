@@ -3,8 +3,8 @@
 A settings dataclass (``RunConfig``, ``Strategy``, ``AugmentPolicy``,
 ``EncoderConfig``) or result row (``TaskAccuracy``) states each field's rule
 once, in its ``RULES`` table, and its ``__post_init__`` is
-``check_fields(self)``; the config parser and the results reader check a
-converted value against the same entry. A rule is
+``check_fields(self)``; the config parser, the results reader and a library
+function reading the setting check a value by the same entry. A rule is
 ``(kind, test, message)``: the value must be a ``kind`` (``int`` is an
 integer and never a ``bool``, ``float`` any real number, another class an
 ``isinstance`` test), a float must be finite, and ``test(value)`` must

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import COUNT, ContractError, check_fields
+from .errors import COUNT, POSITIVE, ContractError, check, check_fields
 
 BACKBONE_PREFIX = "backbone."
 SCOPES = ("full", "backbone")
@@ -204,8 +204,7 @@ def sgd_step(params: ParamTree, grads: Mapping[str, Tensor], lr: float) -> Param
     minus it written over that same array, which gives the bits of
     ``p - lr * g``. Neither ``params`` nor ``grads`` is written to.
     """
-    if lr <= 0:
-        raise ContractError(f"lr must be positive, got {lr}")
+    check("lr", lr, POSITIVE)
     unknown = [name for name in grads if name not in params]
     if unknown:
         raise ContractError(f"gradients for unknown parameters: {sorted(unknown)}")

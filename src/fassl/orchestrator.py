@@ -61,8 +61,8 @@ from .data import SUITE_TRAIN_CLIPS, Partition, SynthDataset, dirichlet_partitio
 from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check, check_fields, instance_of, one_of
 from .evaluator import FEATURE_LAYERS, METRICS, OptimaTracker, TaskAccuracy, evaluate_global, update_optima
 from .model import SCOPES, EncoderConfig, ParamTree, encode, init_encoder, merge, project, sgd_step, split
-from .seeding import derive_seed, rng_for
-from .ssl_tasks import TASKS, AugmentPolicy, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
+from .seeding import SEED, derive_seed, rng_for
+from .ssl_tasks import TASKS, TEMPERATURE, AugmentPolicy, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 
 
 @dataclass(frozen=True)
@@ -98,19 +98,13 @@ class RunConfig:
     RULES = {
         "rounds": COUNT, "n_clients": COUNT, "clients_per_round": COUNT, "local_epochs": COUNT, "batch_size": COUNT,
         "lr": POSITIVE, "ssl_task": one_of(*TASKS), "strategy": instance_of(Strategy), "scope": one_of(*SCOPES),
-        "alpha": POSITIVE,
-        # derive_seed reads the seed as 64 unsigned bits, so a seed outside them would alias another's streams
-        "master_seed": (int, lambda v: 0 <= v < 2**64, "{name} must lie in [0, 2**64), got {value}"),
-        "eval_every": COUNT,
+        "alpha": POSITIVE, "master_seed": SEED, "eval_every": COUNT,
         "k": (int, lambda v: 1 <= v <= SUITE_TRAIN_CLIPS,
               f"{{name}} must lie in [1, {SUITE_TRAIN_CLIPS}] (train clips of a downstream task), got {{value}}"),
-        "workers": COUNT,
-        # nt_xent's logits are cosines / tau, and at 1e-40 and below round 2 or 3 overflowed to inf. The floor guards
-        # against that only: on the default config a run at 1e-3 or below has equal accuracies at rounds 1 and 10
-        "tau": (float, lambda v: v >= 1e-6, "{name} must be at least 1e-06, got {value}"),
-        "bt_lambda": NON_NEGATIVE, "bt_eps": POSITIVE, "augment": instance_of(AugmentPolicy), "frames": COUNT,
-        "bands": COUNT, "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT, "pretext_classes": COUNT,
-        "pretext_per_class": COUNT, "feature_layer": one_of(*FEATURE_LAYERS), "metric": one_of(*METRICS),
+        "workers": COUNT, "tau": TEMPERATURE, "bt_lambda": NON_NEGATIVE, "bt_eps": POSITIVE,
+        "augment": instance_of(AugmentPolicy), "frames": COUNT, "bands": COUNT, "hidden_dim": COUNT,
+        "embed_dim": COUNT, "projection_dim": COUNT, "pretext_classes": COUNT, "pretext_per_class": COUNT,
+        "feature_layer": one_of(*FEATURE_LAYERS), "metric": one_of(*METRICS),
     }
 
     def __post_init__(self):

@@ -13,15 +13,19 @@ import struct
 
 import numpy as np
 
+from .errors import check
+
+# A stream reads the seed and each index as 64 unsigned bits, so a value outside them would alias another's streams
+SEED = (int, lambda v: 0 <= v < 2**64, "{name} must lie in [0, 2**64), got {value}")
+
 
 def derive_seed(master_seed: int, purpose: str, *indices: int) -> int:
-    """Derive a 64-bit child seed from (master_seed, purpose, *indices)."""
-    h = hashlib.sha256()
-    h.update(struct.pack("<Q", master_seed & 0xFFFFFFFFFFFFFFFF))
-    h.update(purpose.encode("utf-8"))
-    h.update(b"\x00")
+    """Derive a 64-bit child seed from (master_seed, purpose, *indices), each a ``SEED``."""
+    check("master_seed", master_seed, SEED)
+    h = hashlib.sha256(struct.pack("<Q", master_seed) + purpose.encode("utf-8") + b"\x00")
     for idx in indices:
-        h.update(struct.pack("<Q", idx & 0xFFFFFFFFFFFFFFFF))
+        check("stream index", idx, SEED)
+        h.update(struct.pack("<Q", idx))
     return int.from_bytes(h.digest()[:8], "little")
 
 

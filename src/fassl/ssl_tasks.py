@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model
 from .autodiff import Tensor
-from .errors import NON_NEGATIVE, ContractError, check_fields
+from .errors import NON_NEGATIVE, POSITIVE, ContractError, check, check_fields
 
 # Fewest frames a view's source clip and an acop segment may have.
 MIN_FRAMES = 2
@@ -65,6 +65,10 @@ _NEG_MASK = -1e30
 _NORM_EPS = 1e-6
 
 _SHAPES_KEPT = 64
+
+# nt_xent's logits are cosines / tau, and at 1e-40 and below round 2 or 3 overflowed to inf. The floor guards against
+# that only: on the default config a run at 1e-3 or below has equal accuracies at rounds 1 and 10
+TEMPERATURE = (float, lambda v: v >= 1e-6, "{name} must be at least 1e-06, got {value}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -156,11 +160,16 @@ class _PairLayout(NamedTuple):
     self_mask: Tensor  # nt_xent's self-similarity mask
 
 
+def _pairs(z: Tensor) -> _PairLayout:
+    """The pair layout of a (2n, d) view matrix z, which must have n >= 2."""
+    if z.data.ndim != 2 or z.shape[0] % 2 != 0 or z.shape[0] < 4:
+        raise ContractError(f"view embeddings must be a (2n, d) matrix with n >= 2, got shape {z.shape}")
+    return _pair_layout(z.shape[0])
+
+
 @functools.lru_cache(maxsize=_SHAPES_KEPT)
 def _pair_layout(two_n: int) -> _PairLayout:
-    """The pair layout of a 2n-row view matrix, rows (2i, 2i+1) being clip i's two views; n must be >= 2."""
-    if two_n % 2 != 0 or two_n < 4:
-        raise ContractError(f"need an even number >= 4 of rows (pairs), got {two_n}")
+    """The pair layout of a 2n-row view matrix, rows (2i, 2i+1) being clip i's two views."""
     return _PairLayout(
         _read_only(np.arange(0, two_n, 2)), _read_only(np.arange(1, two_n, 2)),
         _read_only(np.arange(two_n) // 2), Tensor(_read_only(np.diag(np.full(two_n, _NEG_MASK)))),
@@ -173,9 +182,8 @@ def nt_xent_loss(z: Tensor, tau: float) -> Tensor:
     Rows are row-normalized; each anchor's positive is its pair partner and
     every other row is a negative. Returns the mean over all 2n anchors.
     """
-    if tau <= 0:
-        raise ContractError(f"tau must be positive, got {tau}")
-    pairs = _pair_layout(z.shape[0])
+    check("tau", tau, TEMPERATURE)
+    pairs = _pairs(z)
     zn = ad.l2_normalize_rows(z, eps=_NORM_EPS)
     sims = ad.div(ad.matmul(zn, ad.transpose(zn)), tau)
     lse = _row_logsumexp(ad.add(sims, pairs.self_mask))
@@ -199,14 +207,10 @@ def barlow_twins_loss(z: Tensor, lam: float, eps: float) -> Tensor:
     standardized to mean 0 / std 1 (population std, guarded by eps), giving
     C = (1/n) za_std^T zb_std and the loss sum_i (1 - C_ii)^2 + lam * sum_{i != j} C_ij^2.
     """
-    if z.data.ndim != 2:
-        raise ContractError(f"view embeddings must be a (2n, d) matrix, got shape {z.shape}")
-    pairs = _pair_layout(z.shape[0])
+    check("lam", lam, NON_NEGATIVE)
+    check("eps", eps, POSITIVE)
+    pairs = _pairs(z)
     n, d = len(pairs.even), z.shape[1]
-    if lam < 0:
-        raise ContractError(f"lambda must be >= 0, got {lam}")
-    if eps <= 0:
-        raise ContractError(f"eps must be positive, got {eps}")
 
     def standardize(view):
         mu = ad.div(ad.sum_axis(view, axis=0), float(n))

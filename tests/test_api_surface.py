@@ -1,7 +1,8 @@
 """Guards on the package's shape: public names and methods have callers, public defaults have callers that rely on
 them and callers that override them, no autodiff in data, no data in ssl_tasks, concurrency in the CLI, no asserts,
-no setting read from the environment, config states no rule of its own, each literal stream tag is derived in one
-call, a cell's files are named only where they are written, and only ssl_tasks states a view batch's row layout.
+no setting read from the environment, config states no rule or converter of a run key, a library function checks a
+setting by its rule and not by hand, each literal stream tag is derived in one call, a cell's files are named only
+where they are written, and only ssl_tasks states a view batch's row layout.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import inspect
 from pathlib import Path
 from typing import NamedTuple
 
@@ -175,20 +175,79 @@ def test_imported_package_modules_sees_every_import_form():
 
 
 def test_config_only_converts_text():
-    """A key's rule lives in its dataclass's RULES: SCHEMA holds plain converters, and config imports no choices."""
+    """A key's rule and kind live in its dataclass's RULES: SCHEMA states no run key's converter, and config imports
+    no choices."""
     from fassl import config
 
-    plain = {int, float, str, config._parse_bool}
-    for key, (convert, _, _) in config.SCHEMA.items():
-        if convert.__qualname__ == "_axis.<locals>.parse":
-            convert = inspect.getclosurevars(convert).nonlocals["convert"]
-        assert convert in plain, key
+    for key, entry in config.SCHEMA.items():
+        assert not any(callable(part) for part in entry), f"SCHEMA states a converter for {key}"
+    assert sorted(config._CLI_KEYS) == sorted(key for key, (path, _) in config.SCHEMA.items() if path is None)
     path = ROOT / "src" / "fassl" / "config.py"
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         module = _package_module(node) if isinstance(node, ast.ImportFrom) else None
         for alias in node.names if module is not None else ():
             imported = getattr(importlib.import_module(f"fassl.{module}" if module else "fassl"), alias.name)
             assert not isinstance(imported, tuple), f"config imports the choice tuple {alias.name}"
+
+
+# Each library function that reads a RunConfig setting, and the names it reads that setting under
+SETTING_READERS = {
+    ("ssl_tasks", "nt_xent_loss"): ("tau",),
+    ("ssl_tasks", "barlow_twins_loss"): ("lam", "eps"),
+    ("model", "sgd_step"): ("lr",),
+    ("data", "dirichlet_partition"): ("n_clients", "alpha"),
+    ("data", "synth_dataset"): ("n_classes", "n_per_class", "frames", "bands"),
+    ("seeding", "derive_seed"): ("master_seed", "indices"),
+}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def hand_written_bounds(func: ast.FunctionDef, settings: tuple[str, ...]) -> list[int]:
+    """Lines where func compares a setting with a constant, or masks one by a constant.
+
+    A setting is one of settings or a name a ``for`` loop binds to their items. A constant mentions no name, so
+    ``len(data) < n_clients`` bounds a setting by the data, not by a rule of its own.
+    """
+    names = set(settings)
+    for node in ast.walk(func):
+        if isinstance(node, ast.For) and _names(node.iter) & names:
+            names |= _names(node.target)
+    lines = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.Mod)):
+            operands = [node.left, node.right]
+        else:
+            continue
+        if any(_names(o) & names for o in operands) and any(not _names(o) for o in operands):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_setting_readers_check_by_the_setting_rule():
+    """A library function checks a setting by the rule RunConfig checks it by, so both reject the same values."""
+    for (module, name), settings in SETTING_READERS.items():
+        path = ROOT / "src" / "fassl" / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        [func] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+        lines = hand_written_bounds(func, settings)
+        assert not lines, f"{module}.{name} bounds a setting by hand at lines {lines}; check it by its rule"
+
+
+def test_hand_written_bounds_sees_every_form():
+    source = (
+        "def f(tau, lam, n_clients, seed, indices):\n"
+        "    if tau <= 0: pass\n    if min(lam, tau) < 1: pass\n    x = seed & 0xFFFF\n"
+        "    for idx in indices:\n        y = idx & 0xFF\n    ok = 0 <= seed < 2**64\n    z = -1 > lam\n"
+        "    if len(data) < n_clients: pass\n    check('tau', tau, RULE)\n    if other < 0: pass\n"
+        "    w = lam * lam\n"
+    )
+    [func] = ast.parse(source).body
+    assert hand_written_bounds(func, ("tau", "lam", "n_clients", "seed", "indices")) == [2, 3, 4, 6, 7, 8]
 
 
 def _is_os(node: ast.AST, name: str) -> bool:

@@ -9,11 +9,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fassl.aggregation import STRATEGY_KINDS, Strategy
+from fassl.autodiff import Tensor
 from fassl.config import apply_overrides, default_spec
 from fassl.data import SUITE_TRAIN_CLIPS, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ConfigError, ContractError
 from fassl.evaluator import OptimaTracker, TaskAccuracy
-from fassl.model import SCOPES, EncoderConfig, ParamTree, split
+from fassl.model import SCOPES, EncoderConfig, ParamTree, sgd_step, split
 from fassl.orchestrator import (
     CSV_HEADER,
     RunConfig,
@@ -26,7 +27,7 @@ from fassl.orchestrator import (
     sample_clients,
 )
 from fassl.seeding import derive_seed
-from fassl.ssl_tasks import TASKS, AugmentPolicy
+from fassl.ssl_tasks import TASKS, AugmentPolicy, barlow_twins_loss, nt_xent_loss
 
 from conftest import BAD_BATCH_MESSAGE, BAD_BATCHES, params_bytes
 
@@ -334,6 +335,66 @@ class TestRunConfigValidation:
         assert replace(SMALL, n_clients=clips).n_clients == clips
         with pytest.raises(ContractError, match="cannot cover"):
             replace(SMALL, n_clients=clips + 1)
+
+
+VIEWS = Tensor(np.random.default_rng(0).normal(size=(8, 4)))
+TINY = synth_dataset(2, 4, 4, 2, seed=3)
+# RunConfig field -> (the argument a library function reads it as, that function called with the value there)
+SETTING_CALLS = {
+    "tau": ("tau", lambda v: nt_xent_loss(VIEWS, v)),
+    "bt_lambda": ("lam", lambda v: barlow_twins_loss(VIEWS, v, 1e-9)),
+    "bt_eps": ("eps", lambda v: barlow_twins_loss(VIEWS, 5e-3, v)),
+    "lr": ("lr", lambda v: sgd_step(ParamTree.empty(), {}, v)),
+    "n_clients": ("n_clients", lambda v: dirichlet_partition(TINY, v, 0.1, 0)),
+    "alpha": ("alpha", lambda v: dirichlet_partition(TINY, 2, v, 0)),
+    "pretext_classes": ("n_classes", lambda v: synth_dataset(v, 2, 4, 2, seed=0)),
+    "pretext_per_class": ("n_per_class", lambda v: synth_dataset(2, v, 4, 2, seed=0)),
+    "frames": ("frames", lambda v: synth_dataset(2, 2, v, 2, seed=0)),
+    "bands": ("bands", lambda v: synth_dataset(2, 2, 4, v, seed=0)),
+    "master_seed": ("master_seed", lambda v: synth_dataset(2, 2, 4, 2, seed=v)),
+}
+NAN, INF = float("nan"), float("inf")
+# values each field's rule rejects: out of range, not finite, or of another type
+REJECTED_SETTINGS = {
+    "tau": [0.0, -0.5, float(np.nextafter(1e-6, 0.0)), 1e-30, NAN, INF, True, "0.5"],
+    "bt_lambda": [-1e-3, NAN, -INF, "0"], "bt_eps": [0.0, -1e-9, INF], "lr": [0.0, -0.1, NAN, "0.1", True],
+    "n_clients": [0, -1, 2.0, True], "alpha": [0.0, -0.5, NAN, INF], "pretext_classes": [0, -1, 1.5],
+    "pretext_per_class": [0, 2.0], "frames": [0, -3], "bands": [0, "2"], "master_seed": [-1, 2**64, 1.5],
+}
+
+
+class TestLibraryChecksBySettingRule:
+    """A library function that reads a setting rejects what RunConfig rejects for it, with the same message."""
+
+    @pytest.mark.parametrize("field, value", [(f, v) for f, values in REJECTED_SETTINGS.items() for v in values])
+    def test_library_rejects_what_run_config_rejects(self, field, value):
+        argument, call = SETTING_CALLS[field]
+        with pytest.raises(ContractError) as config_error:
+            replace(SMALL, **{field: value})
+        with pytest.raises(ContractError) as library_error:
+            call(value)
+        assert str(library_error.value) == str(config_error.value).replace(field, argument, 1)
+
+    def test_library_accepts_the_range_ends(self):
+        assert np.isfinite(nt_xent_loss(VIEWS, 1e-6).item())
+        assert barlow_twins_loss(VIEWS, 0.0, 1e-9).item() >= 0.0
+        assert len(synth_dataset(2, 2, 4, 2, seed=2**64 - 1)) == 4
+        assert replace(SMALL, tau=1e-6, master_seed=2**64 - 1).tau == 1e-6
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_derive_seed_refuses_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ContractError, match=rf"^master_seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            derive_seed(seed, "train", 1, 2)
+
+    @pytest.mark.parametrize("indices", [(-1,), (1, -1), (2**64,), (1.0,)])
+    def test_derive_seed_refuses_a_stream_index_outside_64_bits(self, indices):
+        with pytest.raises(ContractError, match="^stream index must "):
+            derive_seed(7, "train", *indices)
+
+    def test_in_range_seeds_keep_their_streams(self):
+        assert derive_seed(7, "train", 3, 5) == 3595002963511682147
+        assert derive_seed(2**64 - 1, "pretext-data") == 12761029413510814367
+
 
 
 class TestRunRound:

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,16 @@ class TestNtXentLoss:
     def test_tau_positive(self):
         with pytest.raises(ContractError):
             nt_xent_loss(Tensor(np.ones((4, 3))), tau=0.0)
+
+
+@pytest.mark.parametrize("shape", [(8,), (4, 2, 3)])
+@pytest.mark.parametrize("loss", [
+    lambda z: nt_xent_loss(z, tau=0.5), lambda z: barlow_twins_loss(z, lam=0.005, eps=1e-9),
+], ids=["nt_xent", "barlow_twins"])
+def test_pair_losses_refuse_a_z_that_is_not_a_matrix(loss, shape):
+    message = rf"^view embeddings must be a \(2n, d\) matrix with n >= 2, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ContractError, match=message):
+        loss(Tensor(np.ones(shape)))
 
 
 def reference_barlow_twins_loss(z: Tensor, lam: float, eps: float) -> Tensor:
