@@ -30,7 +30,7 @@ from .aggregation import ClientUpdate, Strategy, aggregate, scope_apply
 from .autodiff import Graph, Tensor, backward
 from .data import Clip, Partition, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from .evaluator import OptimaTracker, TaskAccuracy, evaluate_global, knn_retrieval_accuracy, update_optima
-from .model import EncoderConfig, ParamTree, encode, init_encoder, merge, sgd_step, split
+from .model import ParamTree, encode, init_encoder, merge, sgd_step, split
 from .orchestrator import RunConfig, RunResult, local_train, run, run_round, sample_clients
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "evaluate_global",
     "knn_retrieval_accuracy",
     "update_optima",
-    "EncoderConfig",
     "ParamTree",
     "encode",
     "init_encoder",

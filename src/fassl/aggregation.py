@@ -28,10 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import COUNT, POSITIVE, ContractError, check, check_fields, one_of
+from .errors import COUNT, POSITIVE, ContractError, check, check_fields, instance_of, one_of
 from .model import ParamTree, merge, split
 
 STRATEGY_KINDS = ("fedavg", "fairavg", "loss", "fedu", "ldawa")
+# Which clients the loss strategy weighs more: "high", the underfit ones; "low", the inverse (``beta_loss``)
+LOSS_DIRECTION = one_of("high", "low")
 
 
 @dataclass(frozen=True)
@@ -40,12 +42,15 @@ class Strategy:
 
     kind: str
     fedu_mu: float = 0.5
-    loss_direction: str = "high"  # "high": underfit clients weigh more; "low": inverse
+    loss_direction: str = "high"
 
-    RULES = {"kind": one_of(*STRATEGY_KINDS), "fedu_mu": POSITIVE, "loss_direction": one_of("high", "low")}
+    RULES = {"kind": one_of(*STRATEGY_KINDS), "fedu_mu": POSITIVE, "loss_direction": LOSS_DIRECTION}
 
     def __post_init__(self):
         check_fields(self)
+
+
+STRATEGY = instance_of(Strategy)
 
 
 @dataclass(frozen=True)
@@ -106,12 +111,13 @@ def beta_fairavg(updates: list[ClientUpdate]) -> np.ndarray:
     return np.full(s, 1.0 / s)
 
 
-def beta_loss(updates: list[ClientUpdate], direction: str) -> np.ndarray:
+def beta_loss(updates: list[ClientUpdate], loss_direction: str) -> np.ndarray:
     """Loss-proportional; zero total falls back to uniform."""
+    check("loss_direction", loss_direction, LOSS_DIRECTION)
     losses = np.array([u.mean_loss for u in updates])
     if np.any(losses < 0):
         raise ContractError("loss weighting requires non-negative mean losses")
-    if direction == "low":
+    if loss_direction == "low":
         losses = 1.0 / (losses + 1e-12)
     total = losses.sum()
     if total <= 0:
@@ -176,6 +182,7 @@ def aggregate(strategy: Strategy, global_prev: ParamTree, updates: list[ClientUp
     Every entry of every weight group is folded over the group's members;
     a group with no members keeps the previous global values.
     """
+    check("strategy", strategy, STRATEGY)
     ups = _sorted_updates(updates)
     names = ups[0].params.names()
     missing = [n for n in names if n not in global_prev]

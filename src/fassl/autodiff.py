@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import POSITIVE, ContractError, check
 
 __all__ = [
     "Tensor",
@@ -352,8 +352,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 def l2_normalize_rows(x: Tensor, eps: float) -> Tensor:
     """Divide each row by max(||row||_2, eps); zero rows stay zero."""
-    if eps <= 0:
-        raise ContractError(f"eps must be positive, got {eps}")
+    check("eps", eps, POSITIVE)
     ss = sum_axis(mul(x, x), axis=1)
     denom = sqrt(maximum_const(ss, eps * eps))
     return div(x, denom)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import COUNT, POSITIVE, ContractError, check
+from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check
 from .seeding import rng_for
 
 PRETEXT_NOISE_STD = 0.1
@@ -143,14 +143,18 @@ _FAMILIES = {
 def _family(kind: str, rng: np.random.Generator, n_classes: int, frames: int, bands: int, noise_std: float | None):
     """A family's noise std, its class fill and its generator record, drawn from rng.
 
-    ``fill(block, c)`` turns class c's (n_each, frames, bands) block of raw
-    noise into its clips in place. A profile x envelope family draws its
-    profiles before its envelopes.
+    Every generated set passes here, so its clip shape and noise std are
+    checked here. ``fill(block, c)`` turns class c's (n_each, frames, bands)
+    block of raw noise into its clips in place. A profile x envelope family
+    draws its profiles before its envelopes.
     """
     if kind not in _FAMILIES:
         raise ContractError(f"unknown task kind {kind!r}")
     code, family_std, own = _FAMILIES[kind]
     noise_std = family_std if noise_std is None else noise_std
+    for name, count in (("frames", frames), ("bands", bands)):
+        check(name, count, COUNT)
+    check("noise_std", noise_std, NON_NEGATIVE)
     if kind == "texture":
         smooths = rng.permutation(np.arange(1, n_classes + 1)) * 2
         scales = rng.uniform(0.5, 1.0, size=n_classes)
@@ -209,7 +213,7 @@ def synth_dataset(
     n_classes: int, n_per_class: int, frames: int, bands: int, seed: int, noise_std: float = PRETEXT_NOISE_STD
 ) -> SynthDataset:
     """Pretext-style generator: per-class band profile x temporal envelope + noise."""
-    for name, count in (("n_classes", n_classes), ("n_per_class", n_per_class), ("frames", frames), ("bands", bands)):
+    for name, count in (("n_classes", n_classes), ("n_per_class", n_per_class)):
         check(name, count, COUNT)
     family = _family("pretext", rng_for(seed, "synth-generator"), n_classes, frames, bands, noise_std)
     return _generate(rng_for(seed, "synth-clips"), family, n_classes, n_per_class, frames, bands, "train")

@@ -1,10 +1,12 @@
 """Exception types shared across the package, and the one check of a field's rule.
 
-A settings dataclass (``RunConfig``, ``Strategy``, ``AugmentPolicy``,
-``EncoderConfig``) or result row (``TaskAccuracy``) states each field's rule
-once, in its ``RULES`` table, and its ``__post_init__`` is
-``check_fields(self)``; the config parser, the results reader and a library
-function reading the setting check a value by the same entry. A rule is
+A settings dataclass (``RunConfig``, ``Strategy``, ``AugmentPolicy``) or
+result row (``TaskAccuracy``) names each field's rule in its ``RULES``
+table, and its ``__post_init__`` is ``check_fields(self)``. A rule the
+package reads outside its dataclass is stated once, beside the code that
+reads it (``model.SCOPE``, ``ssl_tasks.TEMPERATURE``), and ``RULES`` refers
+to it; the config parser, the results reader and every library function
+reading the setting check a value by that same rule object. A rule is
 ``(kind, test, message)``: the value must be a ``kind`` (``int`` is an
 integer and never a ``bool``, ``float`` any real number, another class an
 ``isinstance`` test), a float must be finite, and ``test(value)`` must

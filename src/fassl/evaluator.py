@@ -24,11 +24,19 @@ import numpy as np
 from . import kernels
 from .autodiff import Tensor
 from .data import SynthDataset
-from .errors import COUNT, ContractError, check_fields
+from .errors import COUNT, ContractError, check, check_fields, one_of
 from .model import ParamTree, encode, project
 
-FEATURE_LAYERS = ("backbone", "projection")
-METRICS = ("cosine", "euclidean")
+# Which embedding a query is retrieved by: the backbone's, or the projection head's on top of it
+FEATURE_LAYER = one_of("backbone", "projection")
+# How far apart two embeddings are: 1 - cosine similarity, or Euclidean distance
+METRIC = one_of("cosine", "euclidean")
+
+
+def retrieval_k(train_rows: int) -> tuple:
+    """k's rule for a train set of train_rows rows: a query's k nearest rows must exist."""
+    return (int, lambda v: 1 <= v <= train_rows,
+            f"{{name}} must lie in [1, {train_rows}] (train clips of a downstream task), got {{value}}")
 
 
 @dataclass(frozen=True)
@@ -75,14 +83,12 @@ def knn_retrieval_accuracy(train_feats, train_labels, test_feats, test_labels, k
         raise ContractError("knn retrieval needs non-empty train and test sets")
     if not (np.isfinite(train).all() and np.isfinite(test).all()):
         raise ContractError("knn retrieval needs finite features")
-    if k < 1 or k > train.shape[0]:
-        raise ContractError(f"k must lie in [1, {train.shape[0]}], got {k}")
+    check("k", k, retrieval_k(train.shape[0]))
+    check("metric", metric, METRIC)
     if metric == "cosine":
         dist = 1.0 - kernels.pairwise_cosine(test, train)
-    elif metric == "euclidean":
-        dist = kernels.pairwise_euclidean(test, train)
     else:
-        raise ContractError(f"unknown metric {metric!r}, expected one of {METRICS}")
+        dist = kernels.pairwise_euclidean(test, train)
     hits = kernels.topk_hits(dist, train_labels, test_labels, k)
     return float(hits.sum()) / test.shape[0]
 
@@ -92,8 +98,6 @@ def _dataset_features(w_g: ParamTree, dataset: SynthDataset, feature_layer: str)
     emb = encode(w_g, Tensor(dataset.feature_matrix()))
     if feature_layer == "projection":
         emb = project(w_g, emb)
-    elif feature_layer != "backbone":
-        raise ContractError(f"unknown feature layer {feature_layer!r}, expected one of {FEATURE_LAYERS}")
     return emb.data
 
 
@@ -111,6 +115,7 @@ def evaluate_global(
     """
     if not tasks:
         raise ContractError("evaluate_global needs at least one task")
+    check("feature_layer", feature_layer, FEATURE_LAYER)
     out = []
     for name, train, test in tasks:
         acc = knn_retrieval_accuracy(

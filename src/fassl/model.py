@@ -17,17 +17,17 @@ leaves, and ``sgd_step`` writes each new parameter into one array of its own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import COUNT, POSITIVE, ContractError, check, check_fields
+from .errors import COUNT, POSITIVE, ContractError, check, one_of
 
 BACKBONE_PREFIX = "backbone."
-SCOPES = ("full", "backbone")
+# What a round transceives: the whole tree, or only its backbone (``split``)
+SCOPE = one_of("full", "backbone")
 
 # The clip-order task cuts a clip into ACOP_SEGMENTS segments and presents
 # them in one of ACOP_ORDERS (lexicographic); an order's index is its class.
@@ -112,40 +112,27 @@ class ParamTree:
         )
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    """Dimensions of the encoder; input_dim is the flattened frames*bands view."""
-
-    input_dim: int
-    hidden_dim: int
-    embed_dim: int
-    projection_dim: int
-
-    RULES = {"input_dim": COUNT, "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT}
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-def _linear_layers(cfg: EncoderConfig) -> list[tuple[str, int, int]]:
-    return [
-        ("backbone.fc1", cfg.input_dim, cfg.hidden_dim),
-        ("backbone.fc2", cfg.hidden_dim, cfg.embed_dim),
-        ("head.proj.fc1", cfg.embed_dim, cfg.hidden_dim),
-        ("head.proj.fc2", cfg.hidden_dim, cfg.projection_dim),
-        ("head.acop.fc", ACOP_SEGMENTS * cfg.embed_dim, len(ACOP_ORDERS)),
-    ]
-
-
-def init_encoder(cfg: EncoderConfig, seed: int) -> ParamTree:
+def init_encoder(input_dim: int, hidden_dim: int, embed_dim: int, projection_dim: int, seed: int) -> ParamTree:
     """Seeded init: weights uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero.
 
-    Pure in (cfg, seed): the same pair always yields a bit-identical tree.
-    Weight matrices are stored (in, out) so the forward pass is x @ W + b.
+    input_dim is a clip's flattened frames*bands. Pure in (sizes, seed): the
+    same values always yield a bit-identical tree. Weight matrices are
+    stored (in, out) so the forward pass is x @ W + b.
     """
+    sizes = (("input_dim", input_dim), ("hidden_dim", hidden_dim), ("embed_dim", embed_dim),
+             ("projection_dim", projection_dim))
+    for name, size in sizes:
+        check(name, size, COUNT)
+    layers = [
+        ("backbone.fc1", input_dim, hidden_dim),
+        ("backbone.fc2", hidden_dim, embed_dim),
+        ("head.proj.fc1", embed_dim, hidden_dim),
+        ("head.proj.fc2", hidden_dim, projection_dim),
+        ("head.acop.fc", ACOP_SEGMENTS * embed_dim, len(ACOP_ORDERS)),
+    ]
     rng = np.random.default_rng(seed)
     entries = []
-    for layer, fan_in, fan_out in _linear_layers(cfg):
+    for layer, fan_in, fan_out in layers:
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         entries.append((f"{layer}.weight", Tensor(w)))
@@ -183,13 +170,12 @@ def acop_logits(params: ParamTree, concat_embeddings: Tensor) -> Tensor:
 
 def split(params: ParamTree, scope: str) -> tuple[ParamTree, ParamTree]:
     """Partition a tree into (transceived, retained) per the transfer scope."""
+    check("scope", scope, SCOPE)
     if scope == "full":
         return params, ParamTree.empty()
-    if scope == "backbone":
-        trans = [(n, t) for n, t in params.items() if n.startswith(BACKBONE_PREFIX)]
-        kept = [(n, t) for n, t in params.items() if not n.startswith(BACKBONE_PREFIX)]
-        return ParamTree._from_canonical(trans), ParamTree._from_canonical(kept)
-    raise ContractError(f"unknown scope {scope!r}, expected one of {SCOPES}")
+    trans = [(n, t) for n, t in params.items() if n.startswith(BACKBONE_PREFIX)]
+    kept = [(n, t) for n, t in params.items() if not n.startswith(BACKBONE_PREFIX)]
+    return ParamTree._from_canonical(trans), ParamTree._from_canonical(kept)
 
 
 def merge(a: ParamTree, b: ParamTree) -> ParamTree:

@@ -8,7 +8,7 @@ the same config produce byte-identical CSVs and checkpoints at any model
 size, alone or next to other cells in processes (only ``fassl run`` reads
 ``workers``: how many processes its cells spread over), and at any BLAS
 thread count the environment asks for, since ``fassl`` pins BLAS to one.
-``RunConfig`` states each field's rule in its ``RULES`` table (see
+``RunConfig`` names each field's rule in its ``RULES`` table (see
 ``errors``) and checks the rules across fields after it, so a bad setting
 fails where the config is built and never inside a round.
 
@@ -54,13 +54,13 @@ from pathlib import Path
 import numpy as np
 
 from . import ssl_tasks
-from .aggregation import ClientUpdate, Strategy, aggregate, scope_apply
+from .aggregation import STRATEGY, ClientUpdate, Strategy, aggregate, scope_apply
 from .autodiff import Graph, backward
 from .checkpoint import TMP_SUFFIX, save_params
 from .data import SUITE_TRAIN_CLIPS, Partition, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check, check_fields, instance_of, one_of
-from .evaluator import FEATURE_LAYERS, METRICS, OptimaTracker, TaskAccuracy, evaluate_global, update_optima
-from .model import SCOPES, EncoderConfig, ParamTree, encode, init_encoder, merge, project, sgd_step, split
+from .evaluator import FEATURE_LAYER, METRIC, OptimaTracker, TaskAccuracy, evaluate_global, retrieval_k, update_optima
+from .model import SCOPE, ParamTree, encode, init_encoder, merge, project, sgd_step, split
 from .seeding import SEED, derive_seed, rng_for
 from .ssl_tasks import TASKS, TEMPERATURE, AugmentPolicy, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 
@@ -97,14 +97,11 @@ class RunConfig:
 
     RULES = {
         "rounds": COUNT, "n_clients": COUNT, "clients_per_round": COUNT, "local_epochs": COUNT, "batch_size": COUNT,
-        "lr": POSITIVE, "ssl_task": one_of(*TASKS), "strategy": instance_of(Strategy), "scope": one_of(*SCOPES),
-        "alpha": POSITIVE, "master_seed": SEED, "eval_every": COUNT,
-        "k": (int, lambda v: 1 <= v <= SUITE_TRAIN_CLIPS,
-              f"{{name}} must lie in [1, {SUITE_TRAIN_CLIPS}] (train clips of a downstream task), got {{value}}"),
-        "workers": COUNT, "tau": TEMPERATURE, "bt_lambda": NON_NEGATIVE, "bt_eps": POSITIVE,
-        "augment": instance_of(AugmentPolicy), "frames": COUNT, "bands": COUNT, "hidden_dim": COUNT,
-        "embed_dim": COUNT, "projection_dim": COUNT, "pretext_classes": COUNT, "pretext_per_class": COUNT,
-        "feature_layer": one_of(*FEATURE_LAYERS), "metric": one_of(*METRICS),
+        "lr": POSITIVE, "ssl_task": one_of(*TASKS), "strategy": STRATEGY, "scope": SCOPE, "alpha": POSITIVE,
+        "master_seed": SEED, "eval_every": COUNT, "k": retrieval_k(SUITE_TRAIN_CLIPS), "workers": COUNT,
+        "tau": TEMPERATURE, "bt_lambda": NON_NEGATIVE, "bt_eps": POSITIVE, "augment": instance_of(AugmentPolicy),
+        "frames": COUNT, "bands": COUNT, "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT,
+        "pretext_classes": COUNT, "pretext_per_class": COUNT, "feature_layer": FEATURE_LAYER, "metric": METRIC,
     }
 
     def __post_init__(self):
@@ -126,18 +123,6 @@ class RunConfig:
         pretext_clips = self.pretext_classes * self.pretext_per_class
         if self.n_clients > pretext_clips:
             raise ContractError(f"{pretext_clips} pretext clips cannot cover n_clients={self.n_clients}")
-
-    @property
-    def input_dim(self) -> int:
-        return self.frames * self.bands
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            input_dim=self.input_dim,
-            hidden_dim=self.hidden_dim,
-            embed_dim=self.embed_dim,
-            projection_dim=self.projection_dim,
-        )
 
 
 RESULTS_CSV = "results.csv"
@@ -219,8 +204,10 @@ class RunResult:
 
 def sample_clients(n_clients: int, s: int, round_idx: int, master_seed: int) -> list[int]:
     """s distinct client ids for this round, sorted ascending."""
-    if not 1 <= s <= n_clients:
-        raise ContractError(f"need 1 <= s <= N, got s={s}, N={n_clients}")
+    check("n_clients", n_clients, COUNT)
+    check("s", s, COUNT)
+    if s > n_clients:
+        raise ContractError(f"need s <= n_clients, got s={s}, n_clients={n_clients}")
     rng = rng_for(master_seed, "sample", round_idx)
     return sorted(int(c) for c in rng.choice(n_clients, size=s, replace=False))
 
@@ -382,7 +369,9 @@ def run_round(
 
 
 def initial_state(cfg: RunConfig) -> RoundState:
-    params = init_encoder(cfg.encoder_config(), derive_seed(cfg.master_seed, "init"))
+    params = init_encoder(
+        cfg.frames * cfg.bands, cfg.hidden_dim, cfg.embed_dim, cfg.projection_dim, derive_seed(cfg.master_seed, "init")
+    )
     return RoundState(round_idx=0, global_params=params, retained_heads={})
 
 

@@ -14,7 +14,7 @@ import pytest
 from fassl.autodiff import Tensor
 from fassl.checkpoint import save_params
 from fassl.errors import ContractError
-from fassl.model import EncoderConfig, ParamTree, init_encoder
+from fassl.model import ParamTree, init_encoder
 
 
 # Inputs that are not a batch of clips; the batch builders and local_train reject each.
@@ -27,6 +27,8 @@ BAD_BATCHES = {
     "list": [np.zeros((12, 4))] * 3,
 }
 BAD_BATCH_MESSAGE = r"needs a non-empty \(n, frames, bands\) float64 array, got a "
+# The choices of model.SCOPE, which states them only inside its rule
+SCOPES = ("full", "backbone")
 
 
 def gradclose(analytic: dict, numeric: dict, rtol: float = 1e-4, atol: float = 1e-8) -> bool:
@@ -115,16 +117,15 @@ def bundled_openblas() -> ctypes.CDLL | None:
     return lib
 
 
-def tiny_encoder_config(input_dim: int = 10) -> EncoderConfig:
-    return EncoderConfig(
-        input_dim=input_dim, hidden_dim=7, embed_dim=6, projection_dim=5
-    )
+def tiny_sizes(input_dim: int = 10) -> tuple[int, int, int, int]:
+    """A small encoder's (input_dim, hidden_dim, embed_dim, projection_dim), as ``init_encoder`` takes them."""
+    return input_dim, 7, 6, 5
 
 
-def perturbed_params(cfg: EncoderConfig, seed: int):
+def perturbed_params(sizes: tuple[int, int, int, int], seed: int):
     """An encoder tree nudged off the zero-bias init, emulating mid-training state."""
     rng = np.random.default_rng(seed)
-    base = init_encoder(cfg, seed=seed + 1000)
+    base = init_encoder(*sizes, seed=seed + 1000)
     return map_values(
         base, lambda _, t: Tensor(t.data + rng.normal(0.0, 0.3, size=t.shape))
     )

@@ -20,7 +20,7 @@ from fassl.orchestrator import RunConfig, initial_state, read_results_csv, run
 from fassl.seeding import derive_seed, rng_for
 from fassl.ssl_tasks import acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 
-from conftest import fd_fixture_ok, finite_diff_grad, gradclose, map_values, perturbed_params, tiny_encoder_config
+from conftest import fd_fixture_ok, finite_diff_grad, gradclose, map_values, perturbed_params, tiny_sizes
 from test_aggregation import ldawa_oracle, random_updates, tree_from, update
 from test_evaluator import brute_force_accuracy
 
@@ -39,15 +39,15 @@ def _report(num: int, desc: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_loss_gradients():
     t0 = time.perf_counter()
-    cfg = tiny_encoder_config()
+    sizes = tiny_sizes()
     checked = {"nt_xent": 0, "barlow": 0, "acop": 0}
     target = 20
 
     seed = 0
     while min(checked["nt_xent"], checked["barlow"]) < target and seed < 200:
         rng = np.random.default_rng(seed)
-        params = perturbed_params(cfg, seed=seed)
-        xb = Tensor(rng.uniform(0.05, 1.5, size=(8, cfg.input_dim)))
+        params = perturbed_params(sizes, seed=seed)
+        xb = Tensor(rng.uniform(0.05, 1.5, size=(8, sizes[0])))
         seed += 1
         if not fd_fixture_ok(params, xb.data):
             continue
@@ -71,7 +71,7 @@ def test_criterion_01_loss_gradients():
     seed = 1000
     while checked["acop"] < target and seed < 1200:
         rng = np.random.default_rng(seed)
-        params = perturbed_params(cfg, seed=seed)
+        params = perturbed_params(sizes, seed=seed)
         clips = np.stack([rng.uniform(0.0, 1.5, size=(10, 1)) for _ in range(4)])
         batch = acop_make_batch(clips, rng_for(seed, "acop-fixture"))
         seed += 1

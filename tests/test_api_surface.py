@@ -190,15 +190,86 @@ def test_config_only_converts_text():
             assert not isinstance(imported, tuple), f"config imports the choice tuple {alias.name}"
 
 
-# Each library function that reads a RunConfig setting, and the names it reads that setting under
+# Each public library function that reads a run setting, and the names it reads settings under, in parameter order
 SETTING_READERS = {
+    ("aggregation", "beta_loss"): ("loss_direction",),
+    ("aggregation", "aggregate"): ("strategy",),
+    ("aggregation", "scope_apply"): ("scope",),
+    ("autodiff", "l2_normalize_rows"): ("eps",),
+    ("data", "synth_dataset"): ("n_classes", "n_per_class", "frames", "bands", "noise_std"),
+    ("data", "downstream_suite"): ("frames", "bands"),
+    ("data", "dirichlet_partition"): ("n_clients", "alpha"),
+    ("evaluator", "knn_retrieval_accuracy"): ("k", "metric"),
+    ("evaluator", "evaluate_global"): ("k", "feature_layer", "metric"),
+    ("model", "init_encoder"): ("hidden_dim", "embed_dim", "projection_dim"),
+    ("model", "split"): ("scope",),
+    ("model", "sgd_step"): ("lr",),
+    ("orchestrator", "sample_clients"): ("n_clients", "s", "master_seed"),
+    ("orchestrator", "pretext_and_partition"): (
+        "master_seed", "pretext_classes", "pretext_per_class", "frames", "bands", "n_clients", "alpha",
+    ),
+    ("seeding", "derive_seed"): ("master_seed", "indices"),
+    ("seeding", "rng_for"): ("master_seed", "indices"),
     ("ssl_tasks", "nt_xent_loss"): ("tau",),
     ("ssl_tasks", "barlow_twins_loss"): ("lam", "eps"),
-    ("model", "sgd_step"): ("lr",),
-    ("data", "dirichlet_partition"): ("n_clients", "alpha"),
-    ("data", "synth_dataset"): ("n_classes", "n_per_class", "frames", "bands"),
-    ("seeding", "derive_seed"): ("master_seed", "indices"),
 }
+# Names a library function reads a setting under besides the setting's own field name
+SETTING_ALIASES = {
+    "lam": "bt_lambda", "eps": "bt_eps", "s": "clients_per_round", "n_classes": "pretext_classes",
+    "n_per_class": "pretext_per_class", "indices": "master_seed",
+}
+# Public functions that read a setting and check nothing, and why
+UNCHECKED_READERS = {
+    ("kernels", "topk_hits"): "a kernel converts and checks nothing; knn_retrieval_accuracy hands it a checked k",
+}
+
+
+def setting_names() -> set[str]:
+    """The fields of RunConfig and of the settings dataclasses it nests, and their aliases."""
+    from fassl.orchestrator import RunConfig
+
+    names = set(RunConfig.RULES) | set(SETTING_ALIASES)
+    for kind, _, _ in RunConfig.RULES.values():
+        names |= set(getattr(kind, "RULES", ()))
+    return names
+
+
+def setting_parameters(tree: ast.Module, settings: set[str]) -> dict[str, tuple[str, ...]]:
+    """Each public function or public method of a public class, by name, with its parameters named after a setting."""
+    funcs = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef) and not n.name.startswith("_")):
+        funcs += [(f"{cls.name}.{n.name}", n) for n in cls.body if isinstance(n, ast.FunctionDef)]
+    found = {}
+    for name, func in funcs:
+        args = func.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs) if a is not None]
+        read = tuple(p for p in params if p in settings)
+        if read and not name.rpartition(".")[2].startswith("_"):
+            found[name] = read
+    return found
+
+
+def test_every_public_function_reading_a_setting_is_a_setting_reader():
+    """A function with a parameter named after a setting is in SETTING_READERS, so the guards below reach it."""
+    settings = setting_names()
+    found = {}
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.update({(path.stem, name): read for name, read in setting_parameters(tree, settings).items()})
+    assert set(UNCHECKED_READERS) <= set(found), "an unchecked reader no longer reads a setting"
+    readers = {key: read for key, read in found.items() if key not in UNCHECKED_READERS}
+    assert readers == SETTING_READERS
+
+
+def test_setting_parameters_sees_every_form():
+    source = (
+        "def f(tau, x, *indices, k=1): pass\ndef _g(tau): pass\ndef h(x): pass\n"
+        "class C:\n    def m(self, scope): pass\n    def _n(self, scope): pass\n"
+        "class _D:\n    def m(self, scope): pass\n"
+    )
+    assert setting_parameters(ast.parse(source), {"tau", "indices", "k", "scope"}) == {
+        "f": ("tau", "indices", "k"), "C.m": ("scope",),
+    }
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -209,16 +280,27 @@ def hand_written_bounds(func: ast.FunctionDef, settings: tuple[str, ...]) -> lis
     """Lines where func compares a setting with a constant, or masks one by a constant.
 
     A setting is one of settings or a name a ``for`` loop binds to their items. A constant mentions no name, so
-    ``len(data) < n_clients`` bounds a setting by the data, not by a rule of its own.
+    ``len(data) < n_clients`` bounds a setting by the data, not by a rule of its own. An equality test branches on a
+    choice, and counts only where func has not checked the setting by a rule (``check(name, setting, rule)``) on an
+    earlier line, so a reader that raises for a choice none of its branches takes is seen.
     """
     names = set(settings)
     for node in ast.walk(func):
         if isinstance(node, ast.For) and _names(node.iter) & names:
             names |= _names(node.target)
+    checked: dict[str, int] = {}  # a setting checked by a rule, and the first line that checks it
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "check":
+            if len(node.args) == 3 and isinstance(node.args[1], ast.Name):
+                name = node.args[1].id
+                checked[name] = min(checked.get(name, node.lineno), node.lineno)
     lines = []
     for node in ast.walk(func):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
+            branch = all(isinstance(op, ast.Eq) for op in node.ops)
+            if branch and all(checked.get(n, node.lineno) < node.lineno for n in set().union(*map(_names, operands))):
+                continue
         elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.Mod)):
             operands = [node.left, node.right]
         else:
@@ -240,14 +322,18 @@ def test_setting_readers_check_by_the_setting_rule():
 
 def test_hand_written_bounds_sees_every_form():
     source = (
-        "def f(tau, lam, n_clients, seed, indices):\n"
+        "def f(tau, lam, n_clients, seed, indices, scope, metric, strategy):\n"
         "    if tau <= 0: pass\n    if min(lam, tau) < 1: pass\n    x = seed & 0xFFFF\n"
         "    for idx in indices:\n        y = idx & 0xFF\n    ok = 0 <= seed < 2**64\n    z = -1 > lam\n"
         "    if len(data) < n_clients: pass\n    check('tau', tau, RULE)\n    if other < 0: pass\n"
-        "    w = lam * lam\n"
+        "    w = lam * lam\n    if scope == 'full': pass\n    check('scope', scope, SCOPE)\n"
+        "    if scope == 'full': pass\n    if scope != 'full': pass\n    if scope in ('full',): pass\n"
+        "    if metric == 'cosine': pass\n    if strategy.kind == 'loss': pass\n    check('strategy', strategy, S)\n"
+        "    if strategy.kind == 'loss': pass\n"
     )
     [func] = ast.parse(source).body
-    assert hand_written_bounds(func, ("tau", "lam", "n_clients", "seed", "indices")) == [2, 3, 4, 6, 7, 8]
+    settings = ("tau", "lam", "n_clients", "seed", "indices", "scope", "metric", "strategy")
+    assert hand_written_bounds(func, settings) == [2, 3, 4, 6, 7, 8, 13, 16, 17, 18, 19]
 
 
 def _is_os(node: ast.AST, name: str) -> bool:

@@ -7,7 +7,7 @@ from fassl import autodiff as ad
 from fassl.autodiff import Graph, Tensor, backward
 from fassl.errors import ContractError
 from fassl.data import synth_dataset
-from fassl.model import EncoderConfig, ParamTree, encode, init_encoder, project, sgd_step
+from fassl.model import ParamTree, encode, init_encoder, project, sgd_step
 from fassl.orchestrator import RunConfig, initial_state, local_train
 from fassl.seeding import rng_for
 from fassl.ssl_tasks import (
@@ -290,8 +290,7 @@ class TestTrackedInputsOnly:
     def test_step_tape_node_counts(self):
         """Nodes per step, as recorded before vjps were pruned (perfbench's autodiff.tape_nodes)."""
         ds = synth_dataset(2, 4, 12, 4, seed=0)
-        cfg = EncoderConfig(input_dim=48, hidden_dim=7, embed_dim=6, projection_dim=5)
-        params = init_encoder(cfg, seed=1)
+        params = init_encoder(48, 7, 6, 5, seed=1)
         clips = ds.clip_array()[:4]
         with Graph(params.as_dict()) as g:
             z = project(params, encode(params, two_view_batch(clips, AugmentPolicy(), rng_for(0, "v"))))
@@ -486,7 +485,7 @@ class TestScalarOperands:
             ad.div(Tensor([1.0]), float("nan"))
 
 
-_PARAMS_4 = init_encoder(EncoderConfig(input_dim=4, hidden_dim=3, embed_dim=2, projection_dim=2), seed=0)
+_PARAMS_4 = init_encoder(4, 3, 2, 2, seed=0)
 
 
 @pytest.mark.parametrize("call, type_name", [

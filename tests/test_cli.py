@@ -24,11 +24,10 @@ from fassl.config import (
 )
 from fassl.aggregation import STRATEGY_KINDS
 from fassl.errors import ConfigError, ContractError, check
-from fassl.model import SCOPES
 from fassl.orchestrator import COLUMN_RULES, CSV_HEADER, RunConfig, read_results_csv, run
 from fassl.plotting import collect_series, plot_results
 
-from conftest import bundled_openblas
+from conftest import SCOPES, bundled_openblas
 
 
 class TestParseConfig:
@@ -530,8 +529,9 @@ class TestCmdRun:
         sink = RunSink(tmp_path)
         cfg = RunConfig()
         sink.on_eval(cfg, [TaskAccuracy(task="x", round=10, accuracy=0.5, k=1)])
-        # simulate a crash: never close the sink; the file must already be complete
+        # simulate a crash: read the file before the sink is closed; it must already be complete
         text = (tmp_path / "results.csv").read_text()
+        sink.close_csv()
         assert text == CSV_HEADER + "\n10,fedavg,full,simclr,1,x,1,0.500000\n"
 
 

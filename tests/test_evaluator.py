@@ -189,13 +189,14 @@ class TestPairwiseEuclidean:
 class TestEvaluateGlobal:
     CFG = RunConfig(rounds=1, n_clients=4, clients_per_round=1, frames=16, bands=8,
                     pretext_classes=3, pretext_per_class=10)
+    SIZES = (CFG.frames * CFG.bands, CFG.hidden_dim, CFG.embed_dim, CFG.projection_dim)
 
     def _tasks(self):
         return downstream_suite(seed=3, frames=16, bands=8)
 
     def test_zero_weight_backbone_is_deterministic(self):
         params = map_values(
-            init_encoder(self.CFG.encoder_config(), seed=0),
+            init_encoder(*self.SIZES, seed=0),
             lambda _, t: Tensor(np.zeros_like(t.data))
         )
         a = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
@@ -203,31 +204,31 @@ class TestEvaluateGlobal:
         assert [x.accuracy for x in a] == [x.accuracy for x in b]
 
     def test_accuracies_in_unit_interval(self):
-        params = init_encoder(self.CFG.encoder_config(), seed=1)
+        params = init_encoder(*self.SIZES, seed=1)
         for acc in evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine"):
             assert 0.0 <= acc.accuracy <= 1.0
 
     def test_random_encoder_beats_chance_on_separable_task(self):
         """Random-feature baseline oracle: band-profile task has 4 classes."""
-        params = init_encoder(self.CFG.encoder_config(), seed=2)
+        params = init_encoder(*self.SIZES, seed=2)
         accs = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
         accs = {a.task: a.accuracy for a in accs}
         assert accs["bandprofile"] > 1.0 / 4.0
 
     def test_evaluation_does_not_mutate_model(self):
-        params = init_encoder(self.CFG.encoder_config(), seed=3)
+        params = init_encoder(*self.SIZES, seed=3)
         before = params_bytes(params)
         evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
         assert params_bytes(params) == before
 
     def test_projection_feature_layer_runs(self):
-        params = init_encoder(self.CFG.encoder_config(), seed=4)
+        params = init_encoder(*self.SIZES, seed=4)
         accs = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="projection", metric="cosine")
         assert len(accs) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_clip_in_clip_list_dataset_rejected(self, bad):
-        params = init_encoder(self.CFG.encoder_config(), seed=0)
+        params = init_encoder(*self.SIZES, seed=0)
         name, train, test = self._tasks()[0]
         features = test.clips[2].features.copy()
         features[3, 1] = bad
@@ -240,12 +241,12 @@ class TestEvaluateGlobal:
             )
 
     def test_empty_tasks_rejected(self):
-        params = init_encoder(self.CFG.encoder_config(), seed=0)
+        params = init_encoder(*self.SIZES, seed=0)
         with pytest.raises(ContractError):
             evaluate_global(params, [], k=1, round_idx=0, feature_layer="backbone", metric="cosine")
 
     def test_a_task_name_results_csv_cannot_hold_is_refused_where_its_row_is_made(self):
-        params = init_encoder(self.CFG.encoder_config(), seed=0)
+        params = init_encoder(*self.SIZES, seed=0)
         _, train, test = self._tasks()[0]
         with pytest.raises(ContractError, match=r"^task must be a non-empty printable name .*, got 'a,b'$"):
             evaluate_global(params, [("a,b", train, test)], k=1, round_idx=0, feature_layer="backbone", metric="cosine")
@@ -318,7 +319,7 @@ class TestOptimaTracker:
         tracker = OptimaTracker()
         update_optima(tracker, 10, [acc("b", 10, 0.125), acc("a", 10, 0.5)])
         cfg = TestEvaluateGlobal.CFG
-        RunSink(tmp_path).close(cfg, init_encoder(cfg.encoder_config(), seed=0), tracker)
+        RunSink(tmp_path).close(cfg, init_encoder(*TestEvaluateGlobal.SIZES, seed=0), tracker)
         assert (tmp_path / "optima.csv").read_text() == "task,best_round,best_accuracy\na,10,0.500000\nb,10,0.125000\n"
 
 

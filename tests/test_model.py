@@ -13,7 +13,6 @@ from fassl.autodiff import Tensor
 from fassl.checkpoint import load_params, save_params
 from fassl.errors import ContractError
 from fassl.model import (
-    EncoderConfig,
     ParamTree,
     encode,
     init_encoder,
@@ -23,7 +22,7 @@ from fassl.model import (
 
 from conftest import flatten_layer, map_values, params_bytes
 
-CFG = EncoderConfig(input_dim=64, hidden_dim=32, embed_dim=16, projection_dim=8)
+SIZES = (64, 32, 16, 8)  # input_dim, hidden_dim, embed_dim, projection_dim
 
 
 class TestParamTree:
@@ -63,29 +62,29 @@ class TestClone:
             assert np.shares_memory(new.data, old.data)
 
     def test_clone_is_a_full_tree(self):
-        out = init_encoder(CFG, seed=3).clone()
+        out = init_encoder(*SIZES, seed=3).clone()
         assert out.get("backbone.fc1.weight") is out.as_dict()["backbone.fc1.weight"]
         assert "head.acop.fc.bias" in out and len(out) == 10
-        assert params_bytes(out) == params_bytes(init_encoder(CFG, seed=3))
+        assert params_bytes(out) == params_bytes(init_encoder(*SIZES, seed=3))
 
 
 class TestInitEncoder:
     def test_same_seed_byte_identical(self):
-        a, b = init_encoder(CFG, seed=9), init_encoder(CFG, seed=9)
+        a, b = init_encoder(*SIZES, seed=9), init_encoder(*SIZES, seed=9)
         assert params_bytes(a) == params_bytes(b)
 
     def test_different_seeds_differ(self):
-        a, b = init_encoder(CFG, seed=9), init_encoder(CFG, seed=10)
+        a, b = init_encoder(*SIZES, seed=9), init_encoder(*SIZES, seed=10)
         assert params_bytes(a) != params_bytes(b)
 
     def test_backbone_parameter_count_formula(self):
         # in*hidden + hidden + hidden*embed + embed
-        tree = init_encoder(CFG, seed=0)
+        tree = init_encoder(*SIZES, seed=0)
         backbone, _ = split(tree, "backbone")
         assert sum(t.data.size for _, t in backbone.items()) == 64 * 32 + 32 + 32 * 16 + 16 == 2608
 
     def test_biases_zero_weights_bounded(self):
-        tree = init_encoder(CFG, seed=3)
+        tree = init_encoder(*SIZES, seed=3)
         for name, t in tree.items():
             if name.endswith(".bias"):
                 assert np.all(t.data == 0.0)
@@ -97,14 +96,14 @@ class TestInitEncoder:
 class TestEncode:
     def test_zero_weights_give_zero_embedding(self):
         tree = map_values(
-            init_encoder(CFG, seed=0),
+            init_encoder(*SIZES, seed=0),
             lambda _, t: Tensor(np.zeros_like(t.data))
         )
         out = encode(tree, Tensor(np.ones((3, 64))))
         np.testing.assert_array_equal(out.data, np.zeros((3, 16)))
 
     def test_batch_independence(self, rng):
-        tree = init_encoder(CFG, seed=1)
+        tree = init_encoder(*SIZES, seed=1)
         x = rng.normal(size=(2, 64))
         single = encode(tree, Tensor(x[:1]))
         double = encode(tree, Tensor(x))
@@ -112,16 +111,16 @@ class TestEncode:
         np.testing.assert_allclose(single.data[0], double.data[0], rtol=1e-12, atol=1e-15)
 
     def test_output_shape(self, rng):
-        tree = init_encoder(CFG, seed=1)
+        tree = init_encoder(*SIZES, seed=1)
         assert encode(tree, Tensor(rng.normal(size=(5, 64)))).shape == (5, 16)
 
     def test_width_mismatch_rejected(self, rng):
-        tree = init_encoder(CFG, seed=1)
+        tree = init_encoder(*SIZES, seed=1)
         with pytest.raises(ContractError):
             encode(tree, Tensor(rng.normal(size=(5, 63))))
 
     def test_batch_order_equivariant(self, rng):
-        tree = init_encoder(CFG, seed=2)
+        tree = init_encoder(*SIZES, seed=2)
         x = rng.normal(size=(6, 64))
         perm = rng.permutation(6)
         out = encode(tree, Tensor(x)).data
@@ -131,33 +130,33 @@ class TestEncode:
 
 class TestSplitMerge:
     def test_full_scope_retains_nothing(self):
-        tree = init_encoder(CFG, seed=0)
+        tree = init_encoder(*SIZES, seed=0)
         trans, kept = split(tree, "full")
         assert len(kept) == 0 and trans.names() == tree.names()
 
     def test_backbone_scope_prefixes(self):
-        tree = init_encoder(CFG, seed=0)
+        tree = init_encoder(*SIZES, seed=0)
         trans, kept = split(tree, "backbone")
         assert all(n.startswith("backbone.") for n in trans.names())
         assert all(not n.startswith("backbone.") for n in kept.names())
 
     def test_split_then_merge_roundtrip(self):
-        tree = init_encoder(CFG, seed=0)
+        tree = init_encoder(*SIZES, seed=0)
         trans, kept = split(tree, "backbone")
         assert params_bytes(merge(trans, kept)) == params_bytes(tree)
 
     def test_merge_with_empty_is_identity(self):
-        tree = init_encoder(CFG, seed=0)
+        tree = init_encoder(*SIZES, seed=0)
         assert params_bytes(merge(tree, ParamTree.empty())) == params_bytes(tree)
 
     def test_overlapping_merge_rejected(self):
-        tree = init_encoder(CFG, seed=0)
+        tree = init_encoder(*SIZES, seed=0)
         with pytest.raises(ContractError):
             merge(tree, tree)
 
     def test_unknown_scope_rejected(self):
         with pytest.raises(ContractError):
-            split(init_encoder(CFG, seed=0), "half")
+            split(init_encoder(*SIZES, seed=0), "half")
 
 
 class TestFlattenLayer:
@@ -175,13 +174,13 @@ class TestFlattenLayer:
 
     def test_unknown_layer_rejected(self):
         with pytest.raises(ContractError):
-            flatten_layer(init_encoder(CFG, seed=0), "nope")
+            flatten_layer(init_encoder(*SIZES, seed=0), "nope")
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_congruence_preserved_by_split_and_merge(seed):
-    tree = init_encoder(CFG, seed=seed)
+    tree = init_encoder(*SIZES, seed=seed)
     trans, kept = split(tree, "backbone")
     rebuilt = merge(trans, kept)
     assert rebuilt.congruent_with(tree)
@@ -190,7 +189,7 @@ def test_congruence_preserved_by_split_and_merge(seed):
 
 class TestCheckpointFormat:
     def test_roundtrip(self, tmp_path):
-        tree = init_encoder(CFG, seed=5)
+        tree = init_encoder(*SIZES, seed=5)
         path = tmp_path / "model.ckpt"
         save_params(tree, path)
         assert params_bytes(load_params(path)) == params_bytes(tree)
@@ -211,8 +210,8 @@ class TestCheckpointFormat:
         np.testing.assert_array_equal(payload, [1.0, 2.0])
 
     def test_identical_trees_serialize_identically(self):
-        a = init_encoder(CFG, seed=6)
-        b = init_encoder(CFG, seed=6)
+        a = init_encoder(*SIZES, seed=6)
+        b = init_encoder(*SIZES, seed=6)
         assert params_bytes(a) == params_bytes(b)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -240,7 +239,7 @@ class TestCheckpointFormat:
     @pytest.mark.parametrize("failure", ["write", "replace"])
     def test_failed_save_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch, failure):
         path = tmp_path / "final.ckpt"
-        save_params(init_encoder(CFG, seed=1), path)
+        save_params(init_encoder(*SIZES, seed=1), path)
         old = path.read_bytes()
         if failure == "write":
             real_write_bytes = Path.write_bytes
@@ -256,15 +255,15 @@ class TestCheckpointFormat:
 
             monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError):
-            save_params(init_encoder(CFG, seed=2), path)
+            save_params(init_encoder(*SIZES, seed=2), path)
         monkeypatch.undo()
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["final.ckpt"]
 
     def test_save_overwrites_atomically_named_target(self, tmp_path):
         path = tmp_path / "round_0001.ckpt"
-        save_params(init_encoder(CFG, seed=1), path)
-        tree = init_encoder(CFG, seed=2)
+        save_params(init_encoder(*SIZES, seed=1), path)
+        tree = init_encoder(*SIZES, seed=2)
         save_params(tree, path)
         assert path.read_bytes() == params_bytes(tree)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["round_0001.ckpt"]

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from fassl.aggregation import STRATEGY_KINDS, Strategy
-from fassl.autodiff import Tensor
+from fassl.aggregation import STRATEGY_KINDS, ClientUpdate, Strategy, aggregate, beta_loss, scope_apply
+from fassl.autodiff import Tensor, l2_normalize_rows
 from fassl.config import apply_overrides, default_spec
 from fassl.data import SUITE_TRAIN_CLIPS, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ConfigError, ContractError
-from fassl.evaluator import OptimaTracker, TaskAccuracy
-from fassl.model import SCOPES, EncoderConfig, ParamTree, sgd_step, split
+from fassl.evaluator import OptimaTracker, TaskAccuracy, evaluate_global, knn_retrieval_accuracy
+from fassl.model import ParamTree, init_encoder, sgd_step, split
 from fassl.orchestrator import (
     CSV_HEADER,
     RunConfig,
@@ -29,7 +29,7 @@ from fassl.orchestrator import (
 from fassl.seeding import derive_seed
 from fassl.ssl_tasks import TASKS, AugmentPolicy, barlow_twins_loss, nt_xent_loss
 
-from conftest import BAD_BATCH_MESSAGE, BAD_BATCHES, params_bytes
+from conftest import BAD_BATCH_MESSAGE, BAD_BATCHES, SCOPES, params_bytes
 
 SMALL = RunConfig(
     rounds=6,
@@ -265,7 +265,7 @@ class TestRunConfigValidation:
         with pytest.raises(ContractError, match=rf"^master_seed must lie in \[0, 2\*\*64\), got {seed}$"):
             replace(SMALL, master_seed=seed)
 
-    @pytest.mark.parametrize("owner", [RunConfig, Strategy, AugmentPolicy, EncoderConfig])
+    @pytest.mark.parametrize("owner", [RunConfig, Strategy, AugmentPolicy])
     def test_rules_table_covers_every_field_in_order(self, owner):
         assert list(owner.RULES) == [f.name for f in fields(owner)]
 
@@ -339,47 +339,94 @@ class TestRunConfigValidation:
 
 VIEWS = Tensor(np.random.default_rng(0).normal(size=(8, 4)))
 TINY = synth_dataset(2, 4, 4, 2, seed=3)
-# RunConfig field -> (the argument a library function reads it as, that function called with the value there)
-SETTING_CALLS = {
-    "tau": ("tau", lambda v: nt_xent_loss(VIEWS, v)),
-    "bt_lambda": ("lam", lambda v: barlow_twins_loss(VIEWS, v, 1e-9)),
-    "bt_eps": ("eps", lambda v: barlow_twins_loss(VIEWS, 5e-3, v)),
-    "lr": ("lr", lambda v: sgd_step(ParamTree.empty(), {}, v)),
-    "n_clients": ("n_clients", lambda v: dirichlet_partition(TINY, v, 0.1, 0)),
-    "alpha": ("alpha", lambda v: dirichlet_partition(TINY, 2, v, 0)),
-    "pretext_classes": ("n_classes", lambda v: synth_dataset(v, 2, 4, 2, seed=0)),
-    "pretext_per_class": ("n_per_class", lambda v: synth_dataset(2, v, 4, 2, seed=0)),
-    "frames": ("frames", lambda v: synth_dataset(2, 2, v, 2, seed=0)),
-    "bands": ("bands", lambda v: synth_dataset(2, 2, 4, v, seed=0)),
-    "master_seed": ("master_seed", lambda v: synth_dataset(2, 2, 4, 2, seed=v)),
-}
+TREE = init_encoder(8, 3, 2, 2, seed=0)  # over TINY's 4 frames x 2 bands
+# a train set of as many rows as a downstream task's, so retrieval's k bound is RunConfig's
+FEATS = np.random.default_rng(1).normal(size=(SUITE_TRAIN_CLIPS, 3))
+LABELS = np.arange(SUITE_TRAIN_CLIPS) % 4
+UPDATES = [ClientUpdate(client_id=0, params=TREE, n_samples=1, mean_loss=0.5)]
+# Each setting a library function reads (a RunConfig field, or "owner.field" of a settings dataclass it nests), the
+# argument that function reads it as, and the function called with a value there
+SETTING_CALLS = [
+    ("tau", "tau", lambda v: nt_xent_loss(VIEWS, v)),
+    ("bt_lambda", "lam", lambda v: barlow_twins_loss(VIEWS, v, 1e-9)),
+    ("bt_eps", "eps", lambda v: barlow_twins_loss(VIEWS, 5e-3, v)),
+    ("bt_eps", "eps", lambda v: l2_normalize_rows(VIEWS, v)),
+    ("lr", "lr", lambda v: sgd_step(ParamTree.empty(), {}, v)),
+    ("n_clients", "n_clients", lambda v: dirichlet_partition(TINY, v, 0.1, 0)),
+    ("n_clients", "n_clients", lambda v: sample_clients(v, 1, 1, 0)),
+    ("clients_per_round", "s", lambda v: sample_clients(8, v, 1, 0)),
+    ("alpha", "alpha", lambda v: dirichlet_partition(TINY, 2, v, 0)),
+    ("pretext_classes", "n_classes", lambda v: synth_dataset(v, 2, 4, 2, seed=0)),
+    ("pretext_per_class", "n_per_class", lambda v: synth_dataset(2, v, 4, 2, seed=0)),
+    ("frames", "frames", lambda v: synth_dataset(2, 2, v, 2, seed=0)),
+    ("frames", "frames", lambda v: downstream_suite(1, v, 4)),
+    ("bands", "bands", lambda v: synth_dataset(2, 2, 4, v, seed=0)),
+    ("bands", "bands", lambda v: downstream_suite(1, 4, v)),
+    ("augment.noise_std", "noise_std", lambda v: synth_dataset(2, 2, 4, 2, seed=0, noise_std=v)),
+    ("master_seed", "master_seed", lambda v: synth_dataset(2, 2, 4, 2, seed=v)),
+    ("hidden_dim", "hidden_dim", lambda v: init_encoder(4, v, 2, 2, seed=0)),
+    ("embed_dim", "embed_dim", lambda v: init_encoder(4, 3, v, 2, seed=0)),
+    ("projection_dim", "projection_dim", lambda v: init_encoder(4, 3, 2, v, seed=0)),
+    ("scope", "scope", lambda v: split(TREE, v)),
+    ("scope", "scope", lambda v: scope_apply(v, TREE, TREE)),
+    ("strategy", "strategy", lambda v: aggregate(v, TREE, UPDATES)),
+    ("strategy.loss_direction", "loss_direction", lambda v: beta_loss(UPDATES, v)),
+    ("k", "k", lambda v: knn_retrieval_accuracy(FEATS, LABELS, FEATS[:5], LABELS[:5], v, "cosine")),
+    ("metric", "metric", lambda v: knn_retrieval_accuracy(FEATS, LABELS, FEATS[:5], LABELS[:5], 1, v)),
+    ("feature_layer", "feature_layer", lambda v: evaluate_global(TREE, [("t", TINY, TINY)], 1, 0, v, "cosine")),
+]
 NAN, INF = float("nan"), float("inf")
 # values each field's rule rejects: out of range, not finite, or of another type
 REJECTED_SETTINGS = {
     "tau": [0.0, -0.5, float(np.nextafter(1e-6, 0.0)), 1e-30, NAN, INF, True, "0.5"],
-    "bt_lambda": [-1e-3, NAN, -INF, "0"], "bt_eps": [0.0, -1e-9, INF], "lr": [0.0, -0.1, NAN, "0.1", True],
-    "n_clients": [0, -1, 2.0, True], "alpha": [0.0, -0.5, NAN, INF], "pretext_classes": [0, -1, 1.5],
-    "pretext_per_class": [0, 2.0], "frames": [0, -3], "bands": [0, "2"], "master_seed": [-1, 2**64, 1.5],
+    "bt_lambda": [-1e-3, NAN, -INF, "0"], "bt_eps": [0.0, -1e-9, NAN, INF], "lr": [0.0, -0.1, NAN, "0.1", True],
+    "n_clients": [0, -1, 2.0, True], "clients_per_round": [0, 1.0, True], "alpha": [0.0, -0.5, NAN, INF],
+    "pretext_classes": [0, -1, 1.5], "pretext_per_class": [0, 2.0], "frames": [0, -3], "bands": [0, "2"],
+    "augment.noise_std": [-1.0, NAN, INF], "master_seed": [-1, 2**64, 1.5], "hidden_dim": [0, 2.0],
+    "embed_dim": [0, True], "projection_dim": [0, -1], "scope": ["Full", "", None], "strategy": ["fedavg"],
+    "strategy.loss_direction": ["sideways", "HIGH", 1], "k": [0, SUITE_TRAIN_CLIPS + 1, True, 1.0],
+    "metric": ["l1", "Cosine"], "feature_layer": ["fc1", "Backbone"],
 }
+
+
+def config_error(field: str, value) -> str:
+    """RunConfig's message for value in field; "owner.field" puts it in the settings dataclass RunConfig nests."""
+    owner, _, nested = field.partition(".")
+    with pytest.raises(ContractError) as error:
+        replace(SMALL, **{owner: replace(getattr(SMALL, owner), **{nested: value}) if nested else value})
+    return str(error.value)
 
 
 class TestLibraryChecksBySettingRule:
     """A library function that reads a setting rejects what RunConfig rejects for it, with the same message."""
 
-    @pytest.mark.parametrize("field, value", [(f, v) for f, values in REJECTED_SETTINGS.items() for v in values])
-    def test_library_rejects_what_run_config_rejects(self, field, value):
-        argument, call = SETTING_CALLS[field]
-        with pytest.raises(ContractError) as config_error:
-            replace(SMALL, **{field: value})
+    @pytest.mark.parametrize("field, argument, call, value", [
+        # the id names the field, the function (the first global its call loads) and the value
+        pytest.param(field, argument, call, value, id=f"{field}-{call.__code__.co_names[0]}-{value!r}")
+        for field, argument, call in SETTING_CALLS for value in REJECTED_SETTINGS[field]
+    ])
+    def test_library_rejects_what_run_config_rejects(self, field, argument, call, value):
+        expected = config_error(field, value).replace(field.rpartition(".")[2], argument, 1)
         with pytest.raises(ContractError) as library_error:
             call(value)
-        assert str(library_error.value) == str(config_error.value).replace(field, argument, 1)
+        assert str(library_error.value) == expected
+
+    def test_every_rejected_setting_has_a_reader(self):
+        assert sorted(REJECTED_SETTINGS) == sorted({field for field, _, _ in SETTING_CALLS})
 
     def test_library_accepts_the_range_ends(self):
         assert np.isfinite(nt_xent_loss(VIEWS, 1e-6).item())
         assert barlow_twins_loss(VIEWS, 0.0, 1e-9).item() >= 0.0
-        assert len(synth_dataset(2, 2, 4, 2, seed=2**64 - 1)) == 4
+        assert len(synth_dataset(2, 2, 4, 2, seed=2**64 - 1, noise_std=0.0)) == 4
         assert replace(SMALL, tau=1e-6, master_seed=2**64 - 1).tau == 1e-6
+        assert sample_clients(3, 3, 1, 0) == [0, 1, 2]
+        assert 0.0 <= knn_retrieval_accuracy(FEATS, LABELS, FEATS[:5], LABELS[:5], SUITE_TRAIN_CLIPS, "euclidean") <= 1
+        assert beta_loss(UPDATES, "low").tolist() == [1.0]
+        assert len(evaluate_global(TREE, [("t", TINY, TINY)], 1, 0, "backbone", "cosine")) == 1
+
+    def test_input_dim_is_checked_as_a_count(self):
+        with pytest.raises(ContractError, match=r"^input_dim must be positive, got 0$"):
+            init_encoder(0, 3, 2, 2, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_derive_seed_refuses_a_seed_outside_64_bits(self, seed):
@@ -394,7 +441,6 @@ class TestLibraryChecksBySettingRule:
     def test_in_range_seeds_keep_their_streams(self):
         assert derive_seed(7, "train", 3, 5) == 3595002963511682147
         assert derive_seed(2**64 - 1, "pretext-data") == 12761029413510814367
-
 
 
 class TestRunRound:

@@ -12,7 +12,7 @@ from fassl import ssl_tasks
 from fassl.autodiff import Graph, Tensor, backward
 from fassl.data import synth_dataset
 from fassl.errors import ContractError
-from fassl.model import ACOP_ORDERS, EncoderConfig, encode, init_encoder, project, sgd_step
+from fassl.model import ACOP_ORDERS, encode, init_encoder, project, sgd_step
 from fassl.seeding import rng_for
 from fassl.ssl_tasks import (
     AcopBatch,
@@ -38,7 +38,7 @@ from conftest import (
     oracle_pair_layout,
     perturbed_params,
     resample_frames,
-    tiny_encoder_config,
+    tiny_sizes,
 )
 
 
@@ -268,9 +268,9 @@ class TestAcopBatch:
 
 class TestAcopLoss:
     def test_uniform_logits_give_log_p(self, rng):
-        cfg = tiny_encoder_config()
+        sizes = tiny_sizes()
         params = map_values(
-            init_encoder(cfg, seed=1),
+            init_encoder(*sizes, seed=1),
             lambda n, t: Tensor(np.zeros_like(t.data))
             if n.startswith("head.acop")
             else t
@@ -281,8 +281,8 @@ class TestAcopLoss:
         np.testing.assert_allclose(loss.item(), np.log(6.0), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
-        cfg = tiny_encoder_config()
-        params = perturbed_params(cfg, seed=5)
+        sizes = tiny_sizes()
+        params = perturbed_params(sizes, seed=5)
         clips = make_clips(rng, 4, frames=10, bands=1)
         batch = acop_make_batch(clips, rng_for(1, "x"))
 
@@ -298,8 +298,8 @@ class TestAcopLoss:
     def test_loss_decreases_over_sgd_steps(self):
         """Training smoke oracle: 50 steps on a fixed 32-clip fixture."""
         data_rng = np.random.default_rng(77)
-        cfg = tiny_encoder_config()
-        params = init_encoder(cfg, seed=7)
+        sizes = tiny_sizes()
+        params = init_encoder(*sizes, seed=7)
         clips = make_clips(data_rng, 32, frames=10, bands=1)
         stream = rng_for(9, "acop-train")
         first = None
@@ -321,9 +321,9 @@ class TestLossGradientsThroughEncoder:
     @pytest.mark.parametrize("seed", [0, 2, 3, 5])
     def test_nt_xent_and_barlow(self, seed):
         rng = np.random.default_rng(seed)
-        cfg = tiny_encoder_config()
-        params = perturbed_params(cfg, seed=seed)
-        xb = Tensor(rng.uniform(0.05, 1.5, size=(8, cfg.input_dim)))
+        sizes = tiny_sizes()
+        params = perturbed_params(sizes, seed=seed)
+        xb = Tensor(rng.uniform(0.05, 1.5, size=(8, sizes[0])))
         assert fd_fixture_ok(params, xb.data), "fixture seeds are pre-screened; regenerate if this trips"
 
         def f_nt(p):
@@ -345,8 +345,7 @@ class TestSeparableFixtureTraining:
     def test_nt_xent_decreases_under_gradient_steps(self):
         """The pair loss has no floor claim; instead it must train down."""
         ds = synth_dataset(4, 8, 16, 8, seed=13)
-        cfg = EncoderConfig(input_dim=128, hidden_dim=12, embed_dim=8, projection_dim=8)
-        params = init_encoder(cfg, seed=13)
+        params = init_encoder(128, 12, 8, 8, seed=13)
         policy = AugmentPolicy(0.8, 0.05, 0.1)
         probe = two_view_batch(ds.clip_array(), policy, rng_for(14, "nt-probe"))
 
@@ -367,8 +366,8 @@ class TestAcopLossBatchOrder:
     def test_loss_invariant_to_consistent_clip_reshuffle(self, rng):
         clips = make_clips(rng, 5, frames=9, bands=2)
         batch = acop_make_batch(clips, rng_for(3, "x"))
-        cfg = tiny_encoder_config(input_dim=18)
-        params = perturbed_params(cfg, seed=3)
+        sizes = tiny_sizes(input_dim=18)
+        params = perturbed_params(sizes, seed=3)
         base = acop_loss(params, batch).item()
         order = rng.permutation(5)
         seg_rows = np.concatenate([np.arange(3 * c, 3 * c + 3) for c in order])
