@@ -2,7 +2,8 @@
 
 Every strategy produces a new global tree as a weighted combination of the
 client trees; they differ only in how the weights are formed (sample counts,
-uniform, loss magnitude, per-layer angular similarity, or divergence-gated).
+uniform, loss magnitude with high-loss clients weighing more, per-layer
+angular similarity, or divergence-gated).
 So each strategy only forms its weight groups, ``(entry names, member
 updates, weights)``: one group over every entry for fedavg, fairavg and
 loss, one per layer for ldawa, and for fedu the backbone over all updates
@@ -30,10 +31,9 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import COUNT, POSITIVE, ContractError, check, check_fields, instance_of, one_of
 from .model import ParamTree, merge, split
+from .seeding import SEED
 
 STRATEGY_KINDS = ("fedavg", "fairavg", "loss", "fedu", "ldawa")
-# Which clients the loss strategy weighs more: "high", the underfit ones; "low", the inverse (``beta_loss``)
-LOSS_DIRECTION = one_of("high", "low")
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,8 @@ class Strategy:
 
     kind: str
     fedu_mu: float = 0.5
-    loss_direction: str = "high"
 
-    RULES = {"kind": one_of(*STRATEGY_KINDS), "fedu_mu": POSITIVE, "loss_direction": LOSS_DIRECTION}
+    RULES = {"kind": one_of(*STRATEGY_KINDS), "fedu_mu": POSITIVE}
 
     def __post_init__(self):
         check_fields(self)
@@ -62,10 +61,14 @@ class ClientUpdate:
     n_samples: int
     mean_loss: float
 
+    RULES = {
+        "client_id": SEED,  # a client id keys its training stream
+        "params": instance_of(ParamTree), "n_samples": COUNT,
+        "mean_loss": (float, lambda v: True, ""),  # any finite number; beta_loss refuses a negative one
+    }
+
     def __post_init__(self):
-        check("n_samples", self.n_samples, COUNT)
-        if not np.isfinite(self.mean_loss):
-            raise ContractError(f"mean_loss must be finite, got {self.mean_loss}")
+        check_fields(self)
 
 
 def _sorted_updates(updates: list[ClientUpdate]) -> list[ClientUpdate]:
@@ -111,14 +114,11 @@ def beta_fairavg(updates: list[ClientUpdate]) -> np.ndarray:
     return np.full(s, 1.0 / s)
 
 
-def beta_loss(updates: list[ClientUpdate], loss_direction: str) -> np.ndarray:
-    """Loss-proportional; zero total falls back to uniform."""
-    check("loss_direction", loss_direction, LOSS_DIRECTION)
+def beta_loss(updates: list[ClientUpdate]) -> np.ndarray:
+    """Loss-proportional, so a high-loss client weighs more; zero total falls back to uniform."""
     losses = np.array([u.mean_loss for u in updates])
     if np.any(losses < 0):
         raise ContractError("loss weighting requires non-negative mean losses")
-    if loss_direction == "low":
-        losses = 1.0 / (losses + 1e-12)
     total = losses.sum()
     if total <= 0:
         return beta_fairavg(updates)
@@ -197,7 +197,7 @@ def aggregate(strategy: Strategy, global_prev: ParamTree, updates: list[ClientUp
     elif strategy.kind == "fairavg":
         groups = [(names, ups, beta_fairavg(ups))]
     else:
-        groups = [(names, ups, beta_loss(ups, strategy.loss_direction))]
+        groups = [(names, ups, beta_loss(ups))]
     folded: dict[str, Tensor] = {}
     for group_names, members, weights in groups:
         for name in group_names:

@@ -84,10 +84,8 @@ SCHEMA: dict[str, tuple] = {
     "k": ("k", "k for retrieval"),
     "workers": ("workers", "processes `fassl run` spreads matrix cells over; a single run ignores it"),
     "fedu_mu": ("strategy.fedu_mu", "relative divergence gate for fedu heads"),
-    "loss_weight_direction": ("strategy.loss_direction", "loss strategy: weigh high- or low-loss clients"),
     "tau": ("tau", "contrastive temperature"),
     "bt_lambda": ("bt_lambda", "off-diagonal weight of the matching loss"),
-    "bt_eps": ("bt_eps", "std guard in column standardization"),
     "crop_fraction": ("augment.crop_fraction", "time-crop fraction for views"),
     "noise_std": ("augment.noise_std", "additive view noise std"),
     "band_mask_prob": ("augment.band_mask_prob", "per-band dropout probability"),
@@ -99,7 +97,6 @@ SCHEMA: dict[str, tuple] = {
     "embed_dim": ("embed_dim", "backbone embedding width"),
     "projection_dim": ("projection_dim", "projection head output width"),
     "feature_layer": ("feature_layer", "retrieval feature layer"),
-    "metric": ("metric", "retrieval distance"),
     "out_dir": (None, "output root: one directory per matrix cell"),
     "plot": (None, "emit SVG plots after a run"),
 }

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check
-from .seeding import rng_for
+from .seeding import SEED, rng_for
 
 PRETEXT_NOISE_STD = 0.1
 
@@ -71,7 +71,8 @@ class SynthDataset:
     A dataset built from any other clip list keeps the clips as given, so a
     selection from a generated dataset goes on viewing that dataset's rows
     and copies nothing; its ``feature_matrix`` stacks them into a new matrix
-    on each call. Clips of mixed shapes are a ContractError at construction.
+    on each call. Clips of mixed shapes, and a label that is not an integer
+    in [0, n_classes), are a ContractError at construction.
     """
 
     clips: list[Clip]
@@ -88,6 +89,14 @@ class SynthDataset:
                     raise ContractError(
                         f"a dataset needs clips of one shape, got {shape} and {c.features.shape} (row {row})"
                     )
+            # dirichlet_partition shards by class, so a label outside the classes would belong to no shard. Plain
+            # ints in range pass in one sweep; any other list is checked label by label, which names the first bad row.
+            n = self.n_classes
+            labels = [c.label for c in self.clips]
+            if {type(v) for v in labels} != {int} or min(labels) < 0 or max(labels) >= n:
+                rule = (int, lambda v: 0 <= v < n, f"{{name}} must lie in [0, {n}), got {{value}}")
+                for row, v in enumerate(labels):
+                    check(f"label of row {row}", v, rule)
 
     def __len__(self) -> int:
         return len(self.clips)
@@ -215,6 +224,7 @@ def synth_dataset(
     """Pretext-style generator: per-class band profile x temporal envelope + noise."""
     for name, count in (("n_classes", n_classes), ("n_per_class", n_per_class)):
         check(name, count, COUNT)
+    check("seed", seed, SEED)
     family = _family("pretext", rng_for(seed, "synth-generator"), n_classes, frames, bands, noise_std)
     return _generate(rng_for(seed, "synth-clips"), family, n_classes, n_per_class, frames, bands, "train")
 
@@ -238,6 +248,7 @@ SUITE_TRAIN_CLIPS = SUITE_CLASSES * SUITE_TRAIN_PER_CLASS
 
 def downstream_suite(seed: int, frames: int, bands: int) -> list[tuple[str, SynthDataset, SynthDataset]]:
     """Three retrieval tasks whose class identity lives in different ingredients."""
+    check("seed", seed, SEED)
     tasks = []
     for kind in ("bandprofile", "temporal", "texture"):
         train, test = _make_task(
@@ -268,6 +279,7 @@ def dirichlet_partition(dataset: SynthDataset, n_clients: int, alpha: float, see
     """
     check("n_clients", n_clients, COUNT)
     check("alpha", alpha, POSITIVE)
+    check("seed", seed, SEED)
     if len(dataset) < n_clients:
         raise ContractError(f"dataset of {len(dataset)} clips cannot cover {n_clients} clients")
     rng = rng_for(seed, "dirichlet-partition")

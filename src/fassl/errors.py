@@ -1,9 +1,9 @@
 """Exception types shared across the package, and the one check of a field's rule.
 
-A settings dataclass (``RunConfig``, ``Strategy``, ``AugmentPolicy``) or
-result row (``TaskAccuracy``) names each field's rule in its ``RULES``
-table, and its ``__post_init__`` is ``check_fields(self)``. A rule the
-package reads outside its dataclass is stated once, beside the code that
+A settings dataclass (``RunConfig``, ``Strategy``, ``AugmentPolicy``) or a
+result (``TaskAccuracy``, ``ClientUpdate``) names each field's rule in its
+``RULES`` table, and its ``__post_init__`` is ``check_fields(self)``. A rule
+the package reads outside its dataclass is stated once, beside the code that
 reads it (``model.SCOPE``, ``ssl_tasks.TEMPERATURE``), and ``RULES`` refers
 to it; the config parser, the results reader and every library function
 reading the setting check a value by that same rule object. A rule is

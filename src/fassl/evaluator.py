@@ -2,12 +2,13 @@
 
 Evaluation is training-free: test-set features query the training-set
 features, and a query counts as correct when its true class appears among
-the classes of its k nearest training samples. The tracker keeps, per task,
-the best ``TaskAccuracy`` row seen so far, which names the round that
-produced it, replacing it only on strict improvement (ties keep the earlier
-model). ``TaskAccuracy`` states its fields' rules in its ``RULES`` table,
-which the results reader in ``orchestrator`` checks the columns by; this
-module writes and reads no file.
+the classes of its k nearest training samples, nearest by 1 - cosine
+similarity. The tracker keeps, per task, the best ``TaskAccuracy`` row seen
+so far, which names the round that produced it, replacing it only on strict
+improvement (ties keep the earlier model). ``TaskAccuracy`` states its
+fields' rules in its ``RULES`` table, which the results reader in
+``orchestrator`` checks the columns by; this module writes and reads no
+file.
 
 A generated dataset is encoded straight from the one feature matrix it
 owns, so evaluating it copies no clip. The orchestrator evaluates after a
@@ -29,8 +30,6 @@ from .model import ParamTree, encode, project
 
 # Which embedding a query is retrieved by: the backbone's, or the projection head's on top of it
 FEATURE_LAYER = one_of("backbone", "projection")
-# How far apart two embeddings are: 1 - cosine similarity, or Euclidean distance
-METRIC = one_of("cosine", "euclidean")
 
 
 def retrieval_k(train_rows: int) -> tuple:
@@ -60,18 +59,17 @@ class TaskAccuracy:
         check_fields(self)
 
 
-def knn_retrieval_accuracy(train_feats, train_labels, test_feats, test_labels, k: int, metric: str) -> float:
+def knn_retrieval_accuracy(train_feats, train_labels, test_feats, test_labels, k: int) -> float:
     """Fraction of test queries whose class appears among the k nearest train rows.
 
-    Cosine distance is 1 - cosine similarity on eps-normalized rows
-    (invariant to any common positive feature scaling); "euclidean" is the
-    flag-switchable alternative. Distance ties resolve to the lower
-    training index. Features must be finite.
+    The distance is 1 - cosine similarity on eps-normalized rows, so it is
+    invariant to any common positive feature scaling. Distance ties resolve
+    to the lower training index. Features must be finite, and labels arrays
+    of an integer dtype: a float label is refused, never truncated.
     """
     train = np.asarray(train_feats, dtype=np.float64)
     test = np.asarray(test_feats, dtype=np.float64)
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    test_labels = np.asarray(test_labels, dtype=np.int64)
+    train_labels, test_labels = np.asarray(train_labels), np.asarray(test_labels)
     if train.ndim != 2 or test.ndim != 2 or train.shape[1] != test.shape[1]:
         raise ContractError(f"feature shapes disagree: train {train.shape}, test {test.shape}")
     if train_labels.shape != (train.shape[0],) or test_labels.shape != (test.shape[0],):
@@ -83,13 +81,12 @@ def knn_retrieval_accuracy(train_feats, train_labels, test_feats, test_labels, k
         raise ContractError("knn retrieval needs non-empty train and test sets")
     if not (np.isfinite(train).all() and np.isfinite(test).all()):
         raise ContractError("knn retrieval needs finite features")
+    for side, labels in (("train", train_labels), ("test", test_labels)):
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ContractError(f"knn retrieval needs integer labels, got {side} labels of dtype {labels.dtype}")
     check("k", k, retrieval_k(train.shape[0]))
-    check("metric", metric, METRIC)
-    if metric == "cosine":
-        dist = 1.0 - kernels.pairwise_cosine(test, train)
-    else:
-        dist = kernels.pairwise_euclidean(test, train)
-    hits = kernels.topk_hits(dist, train_labels, test_labels, k)
+    dist = 1.0 - kernels.pairwise_cosine(test, train)
+    hits = kernels.topk_hits(dist, train_labels.astype(np.int64), test_labels.astype(np.int64), k)
     return float(hits.sum()) / test.shape[0]
 
 
@@ -107,7 +104,6 @@ def evaluate_global(
     k: int,
     round_idx: int,
     feature_layer: str,
-    metric: str,
 ) -> list[TaskAccuracy]:
     """Retrieval accuracy of the global model on every downstream task.
 
@@ -119,12 +115,8 @@ def evaluate_global(
     out = []
     for name, train, test in tasks:
         acc = knn_retrieval_accuracy(
-            _dataset_features(w_g, train, feature_layer),
-            train.labels(),
-            _dataset_features(w_g, test, feature_layer),
-            test.labels(),
-            k,
-            metric=metric,
+            _dataset_features(w_g, train, feature_layer), train.labels(),
+            _dataset_features(w_g, test, feature_layer), test.labels(), k,
         )
         out.append(TaskAccuracy(task=name, round=round_idx, accuracy=acc, k=k))
     return out

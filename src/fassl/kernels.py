@@ -1,10 +1,9 @@
 """Numeric kernels for retrieval evaluation.
 
-Pairwise cosine similarity runs through one BLAS matrix product; Euclidean
-distances are formed one query row at a time, so no (queries, train, dim)
-temporary is ever held. The k-nearest scan is one vectorized pass over the
-whole distance matrix and resolves distance ties toward the lower training
-index. The kernels convert and check nothing:
+Pairwise cosine similarity runs through one BLAS matrix product, and
+retrieval's distance is 1 minus it. The k-nearest scan is one vectorized
+pass over the whole distance matrix and resolves distance ties toward the
+lower training index. The kernels convert and check nothing:
 ``evaluator.knn_retrieval_accuracy`` hands them finite float64 features and
 int64 labels of agreeing shapes, and a k in [1, train rows].
 """
@@ -26,19 +25,6 @@ def pairwise_cosine(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     xn = x / np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), _NORM_FLOOR)
     yn = y / np.maximum(np.sqrt((y * y).sum(axis=1, keepdims=True)), _NORM_FLOOR)
     return xn @ yn.T
-
-
-def pairwise_euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between row sets, one row of x at a time.
-
-    Each entry is ``sqrt(sum((x_i - y_j) ** 2))``, bit for bit what a
-    broadcast over a (len(x), len(y), dim) difference array gives, without
-    that array: peak memory is one (len(y), dim) difference block.
-    """
-    dist = np.empty((x.shape[0], y.shape[0]))
-    for i, row in enumerate(x):
-        np.sqrt(((row - y) ** 2).sum(axis=1), out=dist[i])
-    return dist
 
 
 def topk_hits(dist: np.ndarray, train_labels: np.ndarray, test_labels: np.ndarray, k: int) -> np.ndarray:

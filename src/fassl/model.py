@@ -24,6 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import COUNT, POSITIVE, ContractError, check, one_of
+from .seeding import SEED
 
 BACKBONE_PREFIX = "backbone."
 # What a round transceives: the whole tree, or only its backbone (``split``)
@@ -123,6 +124,7 @@ def init_encoder(input_dim: int, hidden_dim: int, embed_dim: int, projection_dim
              ("projection_dim", projection_dim))
     for name, size in sizes:
         check(name, size, COUNT)
+    check("seed", seed, SEED)
     layers = [
         ("backbone.fc1", input_dim, hidden_dim),
         ("backbone.fc2", hidden_dim, embed_dim),

@@ -59,7 +59,7 @@ from .autodiff import Graph, backward
 from .checkpoint import TMP_SUFFIX, save_params
 from .data import SUITE_TRAIN_CLIPS, Partition, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check, check_fields, instance_of, one_of
-from .evaluator import FEATURE_LAYER, METRIC, OptimaTracker, TaskAccuracy, evaluate_global, retrieval_k, update_optima
+from .evaluator import FEATURE_LAYER, OptimaTracker, TaskAccuracy, evaluate_global, retrieval_k, update_optima
 from .model import SCOPE, ParamTree, encode, init_encoder, merge, project, sgd_step, split
 from .seeding import SEED, derive_seed, rng_for
 from .ssl_tasks import TASKS, TEMPERATURE, AugmentPolicy, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
@@ -83,7 +83,6 @@ class RunConfig:
     workers: int = 1  # processes `fassl run` spreads matrix cells over; a single run ignores it
     tau: float = 0.5
     bt_lambda: float = 5e-3
-    bt_eps: float = 1e-9
     augment: AugmentPolicy = AugmentPolicy()
     frames: int = 32
     bands: int = 16
@@ -93,15 +92,14 @@ class RunConfig:
     pretext_classes: int = 8
     pretext_per_class: int = 100
     feature_layer: str = "backbone"
-    metric: str = "cosine"
 
     RULES = {
         "rounds": COUNT, "n_clients": COUNT, "clients_per_round": COUNT, "local_epochs": COUNT, "batch_size": COUNT,
         "lr": POSITIVE, "ssl_task": one_of(*TASKS), "strategy": STRATEGY, "scope": SCOPE, "alpha": POSITIVE,
         "master_seed": SEED, "eval_every": COUNT, "k": retrieval_k(SUITE_TRAIN_CLIPS), "workers": COUNT,
-        "tau": TEMPERATURE, "bt_lambda": NON_NEGATIVE, "bt_eps": POSITIVE, "augment": instance_of(AugmentPolicy),
+        "tau": TEMPERATURE, "bt_lambda": NON_NEGATIVE, "augment": instance_of(AugmentPolicy),
         "frames": COUNT, "bands": COUNT, "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT,
-        "pretext_classes": COUNT, "pretext_per_class": COUNT, "feature_layer": FEATURE_LAYER, "metric": METRIC,
+        "pretext_classes": COUNT, "pretext_per_class": COUNT, "feature_layer": FEATURE_LAYER,
     }
 
     def __post_init__(self):
@@ -219,7 +217,7 @@ def _batch_loss(params: ParamTree, clips: np.ndarray, cfg: RunConfig, rng):
     z = project(params, encode(params, views))
     if cfg.ssl_task == "simclr":
         return nt_xent_loss(z, cfg.tau)
-    return barlow_twins_loss(z, cfg.bt_lambda, cfg.bt_eps)
+    return barlow_twins_loss(z, cfg.bt_lambda)
 
 
 def local_train(
@@ -358,10 +356,7 @@ def run_round(
     )
 
     if round_idx % cfg.eval_every == 0:
-        accs = evaluate_global(
-            new_global, tasks, cfg.k, round_idx=round_idx,
-            feature_layer=cfg.feature_layer, metric=cfg.metric,
-        )
+        accs = evaluate_global(new_global, tasks, cfg.k, round_idx=round_idx, feature_layer=cfg.feature_layer)
         update_optima(tracker, round_idx, accs)
         sink.on_eval(cfg, accs)
         sink.save_round(round_idx, new_global)  # after its rows, so a round's checkpoint never stands alone

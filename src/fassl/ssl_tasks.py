@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model
 from .autodiff import Tensor
-from .errors import NON_NEGATIVE, POSITIVE, ContractError, check, check_fields
+from .errors import NON_NEGATIVE, ContractError, check, check_fields
 
 # Fewest frames a view's source clip and an acop segment may have.
 MIN_FRAMES = 2
@@ -63,6 +63,9 @@ _NEG_MASK = -1e30
 # Row-norm guard for the contrastive loss. ReLU-terminated encoders can emit
 # exactly-zero rows; the guard bounds the normalization gradient at 1/eps.
 _NORM_EPS = 1e-6
+
+# Column-std guard for barlow_twins' standardization: a constant column divides by it, not by zero.
+_STD_EPS = 1e-9
 
 _SHAPES_KEPT = 64
 
@@ -200,15 +203,14 @@ def _eye_constants(d: int) -> tuple[Tensor, Tensor]:
     return Tensor(_read_only(np.eye(d))), Tensor(_read_only(1.0 - np.eye(d)))
 
 
-def barlow_twins_loss(z: Tensor, lam: float, eps: float) -> Tensor:
+def barlow_twins_loss(z: Tensor, lam: float) -> Tensor:
     """Cross-correlation redundancy loss between the two views of an interleaved 2n x d embedding matrix.
 
     The even rows give za and the odd rows zb, each n x d. Their columns are
-    standardized to mean 0 / std 1 (population std, guarded by eps), giving
+    standardized to mean 0 / std 1 (population std, floored at ``_STD_EPS``), giving
     C = (1/n) za_std^T zb_std and the loss sum_i (1 - C_ii)^2 + lam * sum_{i != j} C_ij^2.
     """
     check("lam", lam, NON_NEGATIVE)
-    check("eps", eps, POSITIVE)
     pairs = _pairs(z)
     n, d = len(pairs.even), z.shape[1]
 
@@ -216,7 +218,7 @@ def barlow_twins_loss(z: Tensor, lam: float, eps: float) -> Tensor:
         mu = ad.div(ad.sum_axis(view, axis=0), float(n))
         centered = ad.sub(view, mu)
         var = ad.div(ad.sum_axis(ad.mul(centered, centered), axis=0), float(n))
-        return ad.div(centered, ad.sqrt(ad.maximum_const(var, eps * eps)))
+        return ad.div(centered, ad.sqrt(ad.maximum_const(var, _STD_EPS * _STD_EPS)))
 
     za, zb = ad.gather_rows(z, pairs.even), ad.gather_rows(z, pairs.odd)
     c = ad.div(ad.matmul(ad.transpose(standardize(za)), standardize(zb)), float(n))

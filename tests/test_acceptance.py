@@ -61,10 +61,10 @@ def test_criterion_01_loss_gradients():
             checked["nt_xent"] += 1
         if checked["barlow"] < target:
             def f_bt(p):
-                return barlow_twins_loss(project(p, encode(p, xb)), 0.005, eps=1e-9).item()
+                return barlow_twins_loss(project(p, encode(p, xb)), 0.005).item()
 
             with Graph(params.as_dict()) as g:
-                loss = barlow_twins_loss(project(params, encode(params, xb)), 0.005, eps=1e-9)
+                loss = barlow_twins_loss(project(params, encode(params, xb)), 0.005)
             assert gradclose(backward(g, loss), finite_diff_grad(f_bt, params, 1e-5))
             checked["barlow"] += 1
 
@@ -213,7 +213,7 @@ def test_criterion_05_knn_oracle():
         train_labels = rng.integers(0, 4, size=n)
         test_labels = rng.integers(0, 4, size=q)
         k = int(rng.integers(1, n + 1))
-        ours = knn_retrieval_accuracy(train, train_labels, test, test_labels, k, metric="cosine")
+        ours = knn_retrieval_accuracy(train, train_labels, test, test_labels, k)
         oracle = brute_force_accuracy(train, train_labels, test, test_labels, k)
         mismatches += int(ours != oracle)
     ok = mismatches == 0
@@ -283,8 +283,7 @@ def test_criterion_08_learning_improvement(tmp_path):
     baseline = {
         a.task: a.accuracy
         for a in evaluate_global(
-            initial_state(cfg).global_params, tasks, cfg.k,
-            round_idx=0, feature_layer=cfg.feature_layer, metric=cfg.metric,
+            initial_state(cfg).global_params, tasks, cfg.k, round_idx=0, feature_layer=cfg.feature_layer
         )
     }
     fed = run(cfg, tmp_path / "fed")

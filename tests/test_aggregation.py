@@ -1,5 +1,6 @@
 """Aggregation strategy tests: beta formulas, algebraic properties, oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -83,18 +84,18 @@ class TestBetaFormulas:
 
     def test_loss_examples(self):
         ups = [update(0, tree_from(0.0), mean_loss=1.0), update(1, tree_from(0.0), mean_loss=1.0)]
-        np.testing.assert_array_equal(beta_loss(ups, "high"), [0.5, 0.5])
+        np.testing.assert_array_equal(beta_loss(ups), [0.5, 0.5])
         ups = [update(0, tree_from(0.0), mean_loss=1.0), update(1, tree_from(0.0), mean_loss=3.0)]
-        np.testing.assert_array_equal(beta_loss(ups, "high"), [0.25, 0.75])
+        np.testing.assert_array_equal(beta_loss(ups), [0.25, 0.75])
 
     def test_loss_zero_total_falls_back_to_uniform(self):
         ups = [update(0, tree_from(0.0), mean_loss=0.0), update(1, tree_from(0.0), mean_loss=0.0)]
-        np.testing.assert_array_equal(beta_loss(ups, "high"), [0.5, 0.5])
+        np.testing.assert_array_equal(beta_loss(ups), [0.5, 0.5])
 
     def test_negative_loss_rejected(self):
         ups = [update(0, tree_from(0.0), mean_loss=-1.0)]
         with pytest.raises(ContractError):
-            beta_loss(ups, "high")
+            beta_loss(ups)
 
 
 class TestAggregateBasics:
@@ -301,6 +302,27 @@ class TestClientUpdateValidation:
         with pytest.raises(ContractError):
             ClientUpdate(client_id=0, params=tree_from(rng), n_samples=1, mean_loss=float("nan"))
 
+    def test_rules_table_covers_every_field_in_order(self):
+        assert list(ClientUpdate.RULES) == [f.name for f in dataclasses.fields(ClientUpdate)]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("client_id", "x", "client_id must be an integer, got 'x'"),
+        ("client_id", 1.0, "client_id must be an integer, got 1.0"),
+        ("client_id", -1, r"client_id must lie in \[0, 2\*\*64\), got -1"),
+        ("params", {}, "params must be of type ParamTree, got {}"),
+        ("n_samples", True, "n_samples must be an integer, got True"),
+        ("mean_loss", "a", "mean_loss must be a number, got 'a'"),
+        ("mean_loss", float("inf"), "mean_loss must be finite, got inf"),
+    ])
+    def test_each_field_is_checked_by_its_rule(self, rng, field, value, message):
+        fields = dict(client_id=0, params=tree_from(rng), n_samples=1, mean_loss=0.5)
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            ClientUpdate(**dict(fields, **{field: value}))
+
+    def test_any_finite_loss_and_integral_id_are_accepted(self, rng):
+        u = ClientUpdate(client_id=np.uint64(2**63), params=tree_from(rng), n_samples=np.int64(3), mean_loss=-0.25)
+        assert (u.client_id, u.n_samples, u.mean_loss) == (2**63, 3, -0.25)
+
 
 # Reference copies of the aggregation arithmetic as it was before the
 # scratch-array accumulation: a fresh temporary per client and entry, and
@@ -375,7 +397,7 @@ def reference_aggregate(strategy: Strategy, global_prev: ParamTree, updates) -> 
     elif strategy.kind == "fairavg":
         weights = beta_fairavg(ups)
     else:
-        weights = beta_loss(ups, strategy.loss_direction)
+        weights = beta_loss(ups)
     return reference_combine([u.params for u in ups], weights)
 
 
@@ -430,7 +452,6 @@ BYTE_IDENTITY_STRATEGIES = [
     Strategy("fedavg"),
     Strategy("fairavg"),
     Strategy("loss"),
-    Strategy("loss", loss_direction="low"),
     Strategy("ldawa"),
     Strategy("fedu", fedu_mu=0.5),
     Strategy("fedu", fedu_mu=0.05),
@@ -440,7 +461,7 @@ BYTE_IDENTITY_STRATEGIES = [
 
 class TestMatchesReferenceArithmetic:
     @pytest.mark.parametrize("scope", ["full", "backbone"])
-    @pytest.mark.parametrize("strategy", BYTE_IDENTITY_STRATEGIES, ids=lambda s: f"{s.kind}-{s.fedu_mu}-{s.loss_direction}")
+    @pytest.mark.parametrize("strategy", BYTE_IDENTITY_STRATEGIES, ids=lambda s: f"{s.kind}-{s.fedu_mu}")
     @pytest.mark.parametrize("seed", range(4))
     def test_aggregate_bytes_match_reference(self, strategy, scope, seed):
         g, ups = mixed_round(np.random.default_rng(seed), scope)

@@ -192,16 +192,14 @@ def test_config_only_converts_text():
 
 # Each public library function that reads a run setting, and the names it reads settings under, in parameter order
 SETTING_READERS = {
-    ("aggregation", "beta_loss"): ("loss_direction",),
     ("aggregation", "aggregate"): ("strategy",),
     ("aggregation", "scope_apply"): ("scope",),
-    ("autodiff", "l2_normalize_rows"): ("eps",),
-    ("data", "synth_dataset"): ("n_classes", "n_per_class", "frames", "bands", "noise_std"),
-    ("data", "downstream_suite"): ("frames", "bands"),
-    ("data", "dirichlet_partition"): ("n_clients", "alpha"),
-    ("evaluator", "knn_retrieval_accuracy"): ("k", "metric"),
-    ("evaluator", "evaluate_global"): ("k", "feature_layer", "metric"),
-    ("model", "init_encoder"): ("hidden_dim", "embed_dim", "projection_dim"),
+    ("data", "synth_dataset"): ("n_classes", "n_per_class", "frames", "bands", "seed", "noise_std"),
+    ("data", "downstream_suite"): ("seed", "frames", "bands"),
+    ("data", "dirichlet_partition"): ("n_clients", "alpha", "seed"),
+    ("evaluator", "knn_retrieval_accuracy"): ("k",),
+    ("evaluator", "evaluate_global"): ("k", "feature_layer"),
+    ("model", "init_encoder"): ("hidden_dim", "embed_dim", "projection_dim", "seed"),
     ("model", "split"): ("scope",),
     ("model", "sgd_step"): ("lr",),
     ("orchestrator", "sample_clients"): ("n_clients", "s", "master_seed"),
@@ -211,12 +209,12 @@ SETTING_READERS = {
     ("seeding", "derive_seed"): ("master_seed", "indices"),
     ("seeding", "rng_for"): ("master_seed", "indices"),
     ("ssl_tasks", "nt_xent_loss"): ("tau",),
-    ("ssl_tasks", "barlow_twins_loss"): ("lam", "eps"),
+    ("ssl_tasks", "barlow_twins_loss"): ("lam",),
 }
 # Names a library function reads a setting under besides the setting's own field name
 SETTING_ALIASES = {
-    "lam": "bt_lambda", "eps": "bt_eps", "s": "clients_per_round", "n_classes": "pretext_classes",
-    "n_per_class": "pretext_per_class", "indices": "master_seed",
+    "lam": "bt_lambda", "s": "clients_per_round", "n_classes": "pretext_classes",
+    "n_per_class": "pretext_per_class", "seed": "master_seed", "indices": "master_seed",
 }
 # Public functions that read a setting and check nothing, and why
 UNCHECKED_READERS = {
@@ -322,17 +320,18 @@ def test_setting_readers_check_by_the_setting_rule():
 
 def test_hand_written_bounds_sees_every_form():
     source = (
-        "def f(tau, lam, n_clients, seed, indices, scope, metric, strategy):\n"
+        "def f(tau, lam, n_clients, seed, indices, scope, feature_layer, strategy):\n"
         "    if tau <= 0: pass\n    if min(lam, tau) < 1: pass\n    x = seed & 0xFFFF\n"
         "    for idx in indices:\n        y = idx & 0xFF\n    ok = 0 <= seed < 2**64\n    z = -1 > lam\n"
         "    if len(data) < n_clients: pass\n    check('tau', tau, RULE)\n    if other < 0: pass\n"
         "    w = lam * lam\n    if scope == 'full': pass\n    check('scope', scope, SCOPE)\n"
         "    if scope == 'full': pass\n    if scope != 'full': pass\n    if scope in ('full',): pass\n"
-        "    if metric == 'cosine': pass\n    if strategy.kind == 'loss': pass\n    check('strategy', strategy, S)\n"
+        "    if feature_layer == 'backbone': pass\n    if strategy.kind == 'loss': pass\n"
+        "    check('strategy', strategy, S)\n"
         "    if strategy.kind == 'loss': pass\n"
     )
     [func] = ast.parse(source).body
-    settings = ("tau", "lam", "n_clients", "seed", "indices", "scope", "metric", "strategy")
+    settings = ("tau", "lam", "n_clients", "seed", "indices", "scope", "feature_layer", "strategy")
     assert hand_written_bounds(func, settings) == [2, 3, 4, 6, 7, 8, 13, 16, 17, 18, 19]
 
 

@@ -47,7 +47,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("line", [
         "lr = nan", "alpha = inf", "tau = nan", "bt_lambda = inf",
-        "noise_std = nan", "fedu_mu = inf", "bt_eps = nan",
+        "noise_std = nan", "fedu_mu = inf",
     ])
     def test_nonfinite_value_is_range_error_with_line_number(self, line):
         with pytest.raises(ConfigError, match=r":2: bad value"):
@@ -193,10 +193,10 @@ REJECTED = {
     "rounds": "0", "clients": "0", "clients_per_round": "0", "local_epochs": "0", "batch_size": "-1",
     "lr": "nan", "ssl_task": "rotation", "strategy": "fedprox", "scope": "head", "alpha": "-0.5",
     "master_seed": "-1", "eval_every": "0", "k": "0", "workers": "0", "fedu_mu": "-1",
-    "loss_weight_direction": "middle", "tau": "0", "bt_lambda": "-0.001", "bt_eps": "inf",
+    "tau": "0", "bt_lambda": "-0.001",
     "crop_fraction": "1.5", "noise_std": "-0.1", "band_mask_prob": "1.01", "pretext_classes": "0",
     "pretext_per_class": "0", "frames": "0", "bands": "0", "hidden_dim": "0", "embed_dim": "-3",
-    "projection_dim": "0", "feature_layer": "fc1", "metric": "l1",
+    "projection_dim": "0", "feature_layer": "fc1",
 }
 
 
@@ -541,11 +541,11 @@ NON_DEFAULT = {
     "rounds": "2", "clients": "6", "clients_per_round": "3", "local_epochs": "2",
     "batch_size": "8", "lr": "0.03", "ssl_task": "barlow_twins", "strategy": "ldawa,loss",
     "scope": "full,backbone", "alpha": "0.5", "master_seed": "11", "eval_every": "1", "k": "3",
-    "workers": "2", "fedu_mu": "0.7", "loss_weight_direction": "low", "tau": "0.3",
-    "bt_lambda": "0.01", "bt_eps": "1e-8", "crop_fraction": "0.6", "noise_std": "0.02",
+    "workers": "2", "fedu_mu": "0.7", "tau": "0.3",
+    "bt_lambda": "0.01", "crop_fraction": "0.6", "noise_std": "0.02",
     "band_mask_prob": "0.2", "pretext_classes": "3", "pretext_per_class": "8", "frames": "16",
     "bands": "8", "hidden_dim": "8", "embed_dim": "6", "projection_dim": "5",
-    "feature_layer": "projection", "metric": "euclidean", "out_dir": "elsewhere", "plot": "true",
+    "feature_layer": "projection", "out_dir": "elsewhere", "plot": "true",
 }
 
 # NON_DEFAULT as a run: feature_layer = projection needs the default scope,
@@ -666,6 +666,22 @@ class TestEmitDefaults:
         assert main(["emit-defaults"]) == 0
         text = capsys.readouterr().out
         assert parse_config_text(text, "<config>") == default_spec()
+
+    # The keys that set retrieval's distance, the loss strategy's weighting and barlow_twins' std guard, each as an
+    # old emit-defaults wrote it; each is now the constant of its old default.
+    DELETED_KEYS = ["metric = cosine", "loss_weight_direction = high", "bt_eps = 1e-09"]
+
+    def test_deleted_keys_are_unknown_naming_the_first_and_its_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["emit-defaults"]) == 0
+        text = capsys.readouterr().out
+        assert not {line.split(" = ")[0] for line in self.DELETED_KEYS} & set(SCHEMA)
+        path = tmp_path / "old.cfg"
+        path.write_text(text + "\n".join(self.DELETED_KEYS) + "\n")
+        assert main(["run", "--config", str(path)]) == 1
+        lineno = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == f"config error: {path}:{lineno}: unknown key 'metric'\n"
+        assert list(tmp_path.iterdir()) == [path]  # refused before any cell directory exists
 
 
 class TestCmdPlot:

@@ -115,6 +115,20 @@ class TestFeatureMatrix:
         with pytest.raises(ContractError, match=r"one shape, got \(8, 4\) and \(4, 8\) \(row 2\)"):
             SynthDataset(clips, 1, {})
 
+    @pytest.mark.parametrize("label, message", [
+        (5, r"must lie in \[0, 2\), got 5"), (-1, r"must lie in \[0, 2\), got -1"),
+        (1.0, "must be an integer, got 1.0"), (True, "must be an integer, got True"),
+    ])
+    def test_label_outside_the_classes_rejected_at_construction(self, rng, label, message):
+        # dirichlet_partition gives such a label's rows no shard, and its repair then has no row to take
+        clips = [Clip(rng.normal(size=(4, 2)), 0)] + [Clip(rng.normal(size=(4, 2)), label) for _ in range(7)]
+        with pytest.raises(ContractError, match=rf"^label of row 1 {message}$"):
+            SynthDataset(clips, 2, {})
+
+    def test_labels_of_any_integer_type_in_range_accepted(self, rng):
+        clips = [Clip(rng.normal(size=(4, 2)), label) for label in (0, np.int64(1), np.uint8(2))]
+        assert SynthDataset(clips, 3, {}).labels().tolist() == [0, 1, 2]
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
             SynthDataset([], 1, {}).feature_matrix()

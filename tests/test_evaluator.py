@@ -1,7 +1,5 @@
 """Retrieval evaluation, retrieval kernels, and optimum-tracker tests."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,20 +16,16 @@ from fassl.orchestrator import RunConfig, RunSink
 from conftest import map_values, params_bytes
 
 
-def brute_force_accuracy(train, train_labels, test, test_labels, k, metric="cosine"):
-    """Exhaustive O(nq) scan with an explicit per-pair distance and tie sort."""
+def brute_force_accuracy(train, train_labels, test, test_labels, k):
+    """Exhaustive O(nq) scan with an explicit per-pair cosine distance and tie sort."""
     correct = 0
     for i in range(len(test)):
         dists = []
         for j in range(len(train)):
-            if metric == "cosine":
-                a, b = test[i], train[j]
-                na = max(np.sqrt(float(a @ a)), 1e-12)
-                nb = max(np.sqrt(float(b @ b)), 1e-12)
-                d = 1.0 - float(a @ b) / (na * nb)
-            else:
-                d = float(np.sqrt(((test[i] - train[j]) ** 2).sum()))
-            dists.append((d, j))
+            a, b = test[i], train[j]
+            na = max(np.sqrt(float(a @ a)), 1e-12)
+            nb = max(np.sqrt(float(b @ b)), 1e-12)
+            dists.append((1.0 - float(a @ b) / (na * nb), j))
         dists.sort(key=lambda t: (t[0], t[1]))
         classes = {train_labels[j] for _, j in dists[:k]}
         correct += int(test_labels[i] in classes)
@@ -41,7 +35,7 @@ def brute_force_accuracy(train, train_labels, test, test_labels, k, metric="cosi
 class TestKnnRetrieval:
     def test_exact_match_is_correct_at_k1(self):
         train = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = knn_retrieval_accuracy(train, [0, 1], train[:1], [0], k=1, metric="cosine")
+        out = knn_retrieval_accuracy(train, [0, 1], train[:1], [0], k=1)
         assert out == 1.0
 
     def test_k_equals_n_degenerates_to_label_presence(self, rng):
@@ -49,7 +43,7 @@ class TestKnnRetrieval:
         train_labels = np.array([0, 0, 1, 1, 2, 2])
         test = rng.normal(size=(5, 3))
         test_labels = np.array([0, 2, 1, 3, 3])
-        out = knn_retrieval_accuracy(train, train_labels, test, test_labels, k=6, metric="cosine")
+        out = knn_retrieval_accuracy(train, train_labels, test, test_labels, k=6)
         assert out == 3 / 5  # classes 0,1,2 present; 3 absent
 
     def test_matches_brute_force_oracle_exactly(self, rng):
@@ -60,7 +54,7 @@ class TestKnnRetrieval:
             train_labels = rng.integers(0, 4, size=n)
             test_labels = rng.integers(0, 4, size=q)
             k = int(rng.integers(1, n + 1))
-            ours = knn_retrieval_accuracy(train, train_labels, test, test_labels, k, metric="cosine")
+            ours = knn_retrieval_accuracy(train, train_labels, test, test_labels, k)
             oracle = brute_force_accuracy(train, train_labels, test, test_labels, k)
             assert ours == oracle
 
@@ -68,23 +62,23 @@ class TestKnnRetrieval:
         # duplicated training rows with different labels: index 0 wins
         train = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         test = np.array([[1.0, 0.0]])
-        assert knn_retrieval_accuracy(train, [5, 6, 7], test, [5], k=1, metric="cosine") == 1.0
-        assert knn_retrieval_accuracy(train, [5, 6, 7], test, [6], k=1, metric="cosine") == 0.0
+        assert knn_retrieval_accuracy(train, [5, 6, 7], test, [5], k=1) == 1.0
+        assert knn_retrieval_accuracy(train, [5, 6, 7], test, [6], k=1) == 0.0
 
     def test_scale_invariance_of_cosine(self, rng):
         train = rng.normal(size=(10, 4))
         test = rng.normal(size=(4, 4))
         tl, ql = rng.integers(0, 3, 10), rng.integers(0, 3, 4)
-        a = knn_retrieval_accuracy(train, tl, test, ql, k=3, metric="cosine")
-        b = knn_retrieval_accuracy(train * 100.0, tl, test * 100.0, ql, k=3, metric="cosine")
+        a = knn_retrieval_accuracy(train, tl, test, ql, k=3)
+        b = knn_retrieval_accuracy(train * 100.0, tl, test * 100.0, ql, k=3)
         assert a == b
 
     def test_empty_sets_rejected(self, rng):
         x = rng.normal(size=(3, 2))
         with pytest.raises(ContractError):
-            knn_retrieval_accuracy(np.zeros((0, 2)), [], x, [0, 1, 2], k=1, metric="cosine")
+            knn_retrieval_accuracy(np.zeros((0, 2)), [], x, [0, 1, 2], k=1)
         with pytest.raises(ContractError):
-            knn_retrieval_accuracy(x, [0, 1, 2], np.zeros((0, 2)), [], k=1, metric="cosine")
+            knn_retrieval_accuracy(x, [0, 1, 2], np.zeros((0, 2)), [], k=1)
 
     @pytest.mark.parametrize(
         "train_labels, test_labels",
@@ -93,14 +87,12 @@ class TestKnnRetrieval:
     )
     def test_label_count_must_match_feature_rows(self, rng, train_labels, test_labels):
         with pytest.raises(ContractError, match="one label per feature row"):
-            knn_retrieval_accuracy(
-                rng.normal(size=(3, 2)), train_labels, rng.normal(size=(2, 2)), test_labels, k=1, metric="cosine"
-            )
+            knn_retrieval_accuracy(rng.normal(size=(3, 2)), train_labels, rng.normal(size=(2, 2)), test_labels, k=1)
 
     def test_k_out_of_range_rejected(self, rng):
         x = rng.normal(size=(3, 2))
         with pytest.raises(ContractError):
-            knn_retrieval_accuracy(x, [0, 1, 2], x, [0, 1, 2], k=4, metric="cosine")
+            knn_retrieval_accuracy(x, [0, 1, 2], x, [0, 1, 2], k=4)
 
     @pytest.mark.parametrize("side", ["train", "test"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -108,15 +100,25 @@ class TestKnnRetrieval:
         feats = {"train": rng.normal(size=(5, 3)), "test": rng.normal(size=(2, 3))}
         feats[side][1, 2] = bad
         with pytest.raises(ContractError, match="finite"):
-            knn_retrieval_accuracy(feats["train"], [0, 1, 2, 0, 1], feats["test"], [0, 1], k=1, metric="cosine")
+            knn_retrieval_accuracy(feats["train"], [0, 1, 2, 0, 1], feats["test"], [0, 1], k=1)
 
-    def test_euclidean_matches_oracle(self, rng):
-        train = rng.normal(size=(12, 3))
-        test = rng.normal(size=(5, 3))
+    @pytest.mark.parametrize("side", ["train", "test"])
+    @pytest.mark.parametrize(
+        "labels", [[0.0, 1.7, 2.2], [True, False, True], ["0", "1", "2"]], ids=["float", "bool", "str"]
+    )
+    def test_labels_without_an_integer_dtype_are_refused(self, rng, side, labels):
+        # a cast to int64 would score [0.0, 1.7, 2.2] as [0, 1, 2]
+        x = rng.normal(size=(3, 2))
+        given = {"train": [0, 1, 2], "test": [0, 1, 2], side: labels}
+        with pytest.raises(ContractError, match=f"^knn retrieval needs integer labels, got {side} labels of dtype"):
+            knn_retrieval_accuracy(x, given["train"], x, given["test"], k=1)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64])
+    def test_labels_of_any_integer_dtype_score_alike(self, rng, dtype):
+        train, test = rng.normal(size=(12, 3)), rng.normal(size=(5, 3))
         tl, ql = rng.integers(0, 3, 12), rng.integers(0, 3, 5)
-        ours = knn_retrieval_accuracy(train, tl, test, ql, k=2, metric="euclidean")
-        oracle = brute_force_accuracy(train, tl, test, ql, 2, metric="euclidean")
-        assert ours == oracle
+        expected = knn_retrieval_accuracy(train, tl, test, ql, k=2)
+        assert knn_retrieval_accuracy(train, tl.astype(dtype), test, ql.astype(dtype), k=2) == expected
 
 
 class TestKernelPaths:
@@ -151,41 +153,6 @@ class TestKernelPaths:
         assert np.all(sims <= 1.0 + 1e-12)
 
 
-class TestPairwiseEuclidean:
-    @staticmethod
-    def broadcast_reference(x, y):
-        return np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2))
-
-    @pytest.mark.parametrize("dim", [1, 3, 8, 17, 64, 129])
-    def test_bytes_match_broadcast_on_random_inputs(self, rng, dim):
-        x, y = rng.normal(size=(23, dim)), rng.normal(size=(41, dim))
-        ours = kernels.pairwise_euclidean(x, y)
-        assert ours.shape == (23, 41)
-        assert ours.tobytes() == self.broadcast_reference(x, y).tobytes()
-
-    def test_bytes_match_broadcast_with_duplicated_rows(self, rng):
-        base = np.round(rng.normal(size=(6, 16)), 1)
-        y = base[rng.integers(0, 6, size=40)]  # every train row repeated, exact ties
-        x = np.concatenate([base, base[::-1], rng.normal(size=(4, 16))])
-        ours = kernels.pairwise_euclidean(x, y)
-        assert ours.tobytes() == self.broadcast_reference(x, y).tobytes()
-        assert (ours == 0.0).sum() >= 40
-        labels = np.arange(40) % 3
-        hits = kernels.topk_hits(ours, labels, np.zeros(len(x), dtype=np.int64), 3)
-        ref_hits = kernels.topk_hits(self.broadcast_reference(x, y), labels, np.zeros(len(x), dtype=np.int64), 3)
-        np.testing.assert_array_equal(hits, ref_hits)
-
-    def test_peak_memory_has_no_three_d_temporary(self, rng):
-        x, y = rng.normal(size=(300, 64)), rng.normal(size=(600, 64))
-        tracemalloc.start()
-        try:
-            kernels.pairwise_euclidean(x, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2**20  # the broadcast held 300 * 600 * 64 * 8 B = 92 MB
-
-
 class TestEvaluateGlobal:
     CFG = RunConfig(rounds=1, n_clients=4, clients_per_round=1, frames=16, bands=8,
                     pretext_classes=3, pretext_per_class=10)
@@ -199,31 +166,31 @@ class TestEvaluateGlobal:
             init_encoder(*self.SIZES, seed=0),
             lambda _, t: Tensor(np.zeros_like(t.data))
         )
-        a = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
-        b = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
+        a = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone")
+        b = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone")
         assert [x.accuracy for x in a] == [x.accuracy for x in b]
 
     def test_accuracies_in_unit_interval(self):
         params = init_encoder(*self.SIZES, seed=1)
-        for acc in evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine"):
+        for acc in evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone"):
             assert 0.0 <= acc.accuracy <= 1.0
 
     def test_random_encoder_beats_chance_on_separable_task(self):
         """Random-feature baseline oracle: band-profile task has 4 classes."""
         params = init_encoder(*self.SIZES, seed=2)
-        accs = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
+        accs = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone")
         accs = {a.task: a.accuracy for a in accs}
         assert accs["bandprofile"] > 1.0 / 4.0
 
     def test_evaluation_does_not_mutate_model(self):
         params = init_encoder(*self.SIZES, seed=3)
         before = params_bytes(params)
-        evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone", metric="cosine")
+        evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="backbone")
         assert params_bytes(params) == before
 
     def test_projection_feature_layer_runs(self):
         params = init_encoder(*self.SIZES, seed=4)
-        accs = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="projection", metric="cosine")
+        accs = evaluate_global(params, self._tasks(), k=1, round_idx=0, feature_layer="projection")
         assert len(accs) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -236,20 +203,18 @@ class TestEvaluateGlobal:
         clips[2] = Clip(features=features, label=clips[2].label)
         bad_test = SynthDataset(clips=clips, n_classes=test.n_classes, generator=test.generator, split="test")
         with pytest.raises(ContractError, match="finite"):
-            evaluate_global(
-                params, [(name, train, bad_test)], k=1, round_idx=0, feature_layer="backbone", metric="cosine"
-            )
+            evaluate_global(params, [(name, train, bad_test)], k=1, round_idx=0, feature_layer="backbone")
 
     def test_empty_tasks_rejected(self):
         params = init_encoder(*self.SIZES, seed=0)
         with pytest.raises(ContractError):
-            evaluate_global(params, [], k=1, round_idx=0, feature_layer="backbone", metric="cosine")
+            evaluate_global(params, [], k=1, round_idx=0, feature_layer="backbone")
 
     def test_a_task_name_results_csv_cannot_hold_is_refused_where_its_row_is_made(self):
         params = init_encoder(*self.SIZES, seed=0)
         _, train, test = self._tasks()[0]
         with pytest.raises(ContractError, match=r"^task must be a non-empty printable name .*, got 'a,b'$"):
-            evaluate_global(params, [("a,b", train, test)], k=1, round_idx=0, feature_layer="backbone", metric="cosine")
+            evaluate_global(params, [("a,b", train, test)], k=1, round_idx=0, feature_layer="backbone")
 
 
 def acc(task, rnd, value, k=1):

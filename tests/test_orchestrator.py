@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fassl.aggregation import STRATEGY_KINDS, ClientUpdate, Strategy, aggregate, beta_loss, scope_apply
-from fassl.autodiff import Tensor, l2_normalize_rows
+from fassl.autodiff import Tensor
 from fassl.config import apply_overrides, default_spec
 from fassl.data import SUITE_TRAIN_CLIPS, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ConfigError, ContractError
@@ -202,7 +202,7 @@ class TestLocalTrain:
 
 
 class TestRunConfigValidation:
-    @pytest.mark.parametrize("field", ["lr", "alpha", "tau", "bt_lambda", "bt_eps"])
+    @pytest.mark.parametrize("field", ["lr", "alpha", "tau", "bt_lambda"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_values_rejected(self, field, value):
         with pytest.raises(ContractError, match="finite"):
@@ -210,14 +210,13 @@ class TestRunConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("tau", 0.0), ("tau", -0.5), ("tau", float(np.nextafter(1e-6, 0.0))), ("tau", 1e-300), ("bt_eps", 0.0),
-         ("bt_eps", -1e-9), ("bt_lambda", -1e-3)],
+        [("tau", 0.0), ("tau", -0.5), ("tau", float(np.nextafter(1e-6, 0.0))), ("tau", 1e-300), ("bt_lambda", -1e-3)],
     )
     def test_loss_parameters_range_checked(self, field, value):
         with pytest.raises(ContractError, match=field):
             replace(SMALL, **{field: value})
 
-    @pytest.mark.parametrize("field, value", [("feature_layer", "fc1"), ("metric", "l1")])
+    @pytest.mark.parametrize("field, value", [("feature_layer", "fc1")])
     def test_unknown_choice_rejected_at_construction(self, field, value):
         with pytest.raises(ContractError, match=f"unknown {field}"):
             replace(SMALL, **{field: value})
@@ -241,13 +240,13 @@ class TestRunConfigValidation:
             replace(SMALL, k=k)
 
     def test_boundary_values_accepted(self):
-        cfg = replace(SMALL, bt_lambda=0.0, tau=1e-6, bt_eps=1e-12)
+        cfg = replace(SMALL, bt_lambda=0.0, tau=1e-6)
         assert cfg.bt_lambda == 0.0
 
     @pytest.mark.parametrize("field, value, kind", [
         ("rounds", 2.5, "an integer"), ("batch_size", True, "an integer"), ("k", 1.0, "an integer"),
         ("n_clients", "8", "an integer"), ("lr", "0.1", "a number"), ("tau", True, "a number"),
-        ("metric", 1, "a string"), ("strategy", "fedavg", "of type Strategy"),
+        ("ssl_task", 1, "a string"), ("strategy", "fedavg", "of type Strategy"),
     ])
     def test_value_of_another_type_is_refused_naming_the_type(self, field, value, kind):
         with pytest.raises(ContractError, match=rf"^{field} must be {kind}, got {value!r}$"):
@@ -348,9 +347,7 @@ UPDATES = [ClientUpdate(client_id=0, params=TREE, n_samples=1, mean_loss=0.5)]
 # argument that function reads it as, and the function called with a value there
 SETTING_CALLS = [
     ("tau", "tau", lambda v: nt_xent_loss(VIEWS, v)),
-    ("bt_lambda", "lam", lambda v: barlow_twins_loss(VIEWS, v, 1e-9)),
-    ("bt_eps", "eps", lambda v: barlow_twins_loss(VIEWS, 5e-3, v)),
-    ("bt_eps", "eps", lambda v: l2_normalize_rows(VIEWS, v)),
+    ("bt_lambda", "lam", lambda v: barlow_twins_loss(VIEWS, v)),
     ("lr", "lr", lambda v: sgd_step(ParamTree.empty(), {}, v)),
     ("n_clients", "n_clients", lambda v: dirichlet_partition(TINY, v, 0.1, 0)),
     ("n_clients", "n_clients", lambda v: sample_clients(v, 1, 1, 0)),
@@ -363,29 +360,29 @@ SETTING_CALLS = [
     ("bands", "bands", lambda v: synth_dataset(2, 2, 4, v, seed=0)),
     ("bands", "bands", lambda v: downstream_suite(1, 4, v)),
     ("augment.noise_std", "noise_std", lambda v: synth_dataset(2, 2, 4, 2, seed=0, noise_std=v)),
-    ("master_seed", "master_seed", lambda v: synth_dataset(2, 2, 4, 2, seed=v)),
+    ("master_seed", "seed", lambda v: synth_dataset(2, 2, 4, 2, seed=v)),
+    ("master_seed", "seed", lambda v: downstream_suite(v, 4, 2)),
+    ("master_seed", "seed", lambda v: dirichlet_partition(TINY, 2, 0.1, v)),
+    ("master_seed", "seed", lambda v: init_encoder(4, 3, 2, 2, seed=v)),
     ("hidden_dim", "hidden_dim", lambda v: init_encoder(4, v, 2, 2, seed=0)),
     ("embed_dim", "embed_dim", lambda v: init_encoder(4, 3, v, 2, seed=0)),
     ("projection_dim", "projection_dim", lambda v: init_encoder(4, 3, 2, v, seed=0)),
     ("scope", "scope", lambda v: split(TREE, v)),
     ("scope", "scope", lambda v: scope_apply(v, TREE, TREE)),
     ("strategy", "strategy", lambda v: aggregate(v, TREE, UPDATES)),
-    ("strategy.loss_direction", "loss_direction", lambda v: beta_loss(UPDATES, v)),
-    ("k", "k", lambda v: knn_retrieval_accuracy(FEATS, LABELS, FEATS[:5], LABELS[:5], v, "cosine")),
-    ("metric", "metric", lambda v: knn_retrieval_accuracy(FEATS, LABELS, FEATS[:5], LABELS[:5], 1, v)),
-    ("feature_layer", "feature_layer", lambda v: evaluate_global(TREE, [("t", TINY, TINY)], 1, 0, v, "cosine")),
+    ("k", "k", lambda v: knn_retrieval_accuracy(FEATS, LABELS, FEATS[:5], LABELS[:5], v)),
+    ("feature_layer", "feature_layer", lambda v: evaluate_global(TREE, [("t", TINY, TINY)], 1, 0, v)),
 ]
 NAN, INF = float("nan"), float("inf")
 # values each field's rule rejects: out of range, not finite, or of another type
 REJECTED_SETTINGS = {
     "tau": [0.0, -0.5, float(np.nextafter(1e-6, 0.0)), 1e-30, NAN, INF, True, "0.5"],
-    "bt_lambda": [-1e-3, NAN, -INF, "0"], "bt_eps": [0.0, -1e-9, NAN, INF], "lr": [0.0, -0.1, NAN, "0.1", True],
+    "bt_lambda": [-1e-3, NAN, -INF, "0"], "lr": [0.0, -0.1, NAN, "0.1", True],
     "n_clients": [0, -1, 2.0, True], "clients_per_round": [0, 1.0, True], "alpha": [0.0, -0.5, NAN, INF],
     "pretext_classes": [0, -1, 1.5], "pretext_per_class": [0, 2.0], "frames": [0, -3], "bands": [0, "2"],
-    "augment.noise_std": [-1.0, NAN, INF], "master_seed": [-1, 2**64, 1.5], "hidden_dim": [0, 2.0],
+    "augment.noise_std": [-1.0, NAN, INF], "master_seed": [-1, 2**64, 1.5, True], "hidden_dim": [0, 2.0],
     "embed_dim": [0, True], "projection_dim": [0, -1], "scope": ["Full", "", None], "strategy": ["fedavg"],
-    "strategy.loss_direction": ["sideways", "HIGH", 1], "k": [0, SUITE_TRAIN_CLIPS + 1, True, 1.0],
-    "metric": ["l1", "Cosine"], "feature_layer": ["fc1", "Backbone"],
+    "k": [0, SUITE_TRAIN_CLIPS + 1, True, 1.0], "feature_layer": ["fc1", "Backbone"],
 }
 
 
@@ -416,13 +413,16 @@ class TestLibraryChecksBySettingRule:
 
     def test_library_accepts_the_range_ends(self):
         assert np.isfinite(nt_xent_loss(VIEWS, 1e-6).item())
-        assert barlow_twins_loss(VIEWS, 0.0, 1e-9).item() >= 0.0
+        assert barlow_twins_loss(VIEWS, 0.0).item() >= 0.0
         assert len(synth_dataset(2, 2, 4, 2, seed=2**64 - 1, noise_std=0.0)) == 4
+        assert len(downstream_suite(2**64 - 1, 4, 2)) == 3
+        assert len(dirichlet_partition(TINY, 2, 0.1, 2**64 - 1).shards) == 2
+        assert init_encoder(4, 3, 2, 2, seed=2**64 - 1).equal_bytes(init_encoder(4, 3, 2, 2, seed=2**64 - 1))
         assert replace(SMALL, tau=1e-6, master_seed=2**64 - 1).tau == 1e-6
         assert sample_clients(3, 3, 1, 0) == [0, 1, 2]
-        assert 0.0 <= knn_retrieval_accuracy(FEATS, LABELS, FEATS[:5], LABELS[:5], SUITE_TRAIN_CLIPS, "euclidean") <= 1
-        assert beta_loss(UPDATES, "low").tolist() == [1.0]
-        assert len(evaluate_global(TREE, [("t", TINY, TINY)], 1, 0, "backbone", "cosine")) == 1
+        assert 0.0 <= knn_retrieval_accuracy(FEATS, LABELS, FEATS[:5], LABELS[:5], SUITE_TRAIN_CLIPS) <= 1
+        assert beta_loss(UPDATES).tolist() == [1.0]
+        assert len(evaluate_global(TREE, [("t", TINY, TINY)], 1, 0, "backbone")) == 1
 
     def test_input_dim_is_checked_as_a_count(self):
         with pytest.raises(ContractError, match=r"^input_dim must be positive, got 0$"):

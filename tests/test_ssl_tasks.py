@@ -132,7 +132,7 @@ class TestNtXentLoss:
 
 @pytest.mark.parametrize("shape", [(8,), (4, 2, 3)])
 @pytest.mark.parametrize("loss", [
-    lambda z: nt_xent_loss(z, tau=0.5), lambda z: barlow_twins_loss(z, lam=0.005, eps=1e-9),
+    lambda z: nt_xent_loss(z, tau=0.5), lambda z: barlow_twins_loss(z, lam=0.005),
 ], ids=["nt_xent", "barlow_twins"])
 def test_pair_losses_refuse_a_z_that_is_not_a_matrix(loss, shape):
     message = rf"^view embeddings must be a \(2n, d\) matrix with n >= 2, got shape {re.escape(str(shape))}$"
@@ -140,8 +140,11 @@ def test_pair_losses_refuse_a_z_that_is_not_a_matrix(loss, shape):
         loss(Tensor(np.ones(shape)))
 
 
-def reference_barlow_twins_loss(z: Tensor, lam: float, eps: float) -> Tensor:
-    """Two-matrix oracle: the even and odd rows gathered first, then the loss on those two n x d matrices."""
+def reference_barlow_twins_loss(z: Tensor, lam: float) -> Tensor:
+    """Two-matrix oracle: the even and odd rows gathered first, then the loss on those two n x d matrices.
+
+    Each column's std is floored at 1e-9, the constant barlow_twins_loss reads.
+    """
     two_n, d = z.shape
     za, zb = ad.gather_rows(z, np.arange(0, two_n, 2)), ad.gather_rows(z, np.arange(1, two_n, 2))
     n = two_n // 2
@@ -150,7 +153,7 @@ def reference_barlow_twins_loss(z: Tensor, lam: float, eps: float) -> Tensor:
         mu = ad.div(ad.sum_axis(v, axis=0), float(n))
         centered = ad.sub(v, mu)
         var = ad.div(ad.sum_axis(ad.mul(centered, centered), axis=0), float(n))
-        return ad.div(centered, ad.sqrt(ad.maximum_const(var, eps * eps)))
+        return ad.div(centered, ad.sqrt(ad.maximum_const(var, 1e-9 * 1e-9)))
 
     c = ad.div(ad.matmul(ad.transpose(standardize(za)), standardize(zb)), float(n))
     eye, off_mask = Tensor(np.eye(d)), Tensor(1.0 - np.eye(d))
@@ -166,13 +169,13 @@ class TestBarlowTwinsLoss:
         raw = rng.normal(size=(16, 4))
         q, _ = np.linalg.qr(raw - raw.mean(axis=0))
         z = (q - q.mean(axis=0)) / q.std(axis=0)
-        loss = barlow_twins_loss(Tensor(interleave(z, z)), lam=0.005, eps=1e-9)
+        loss = barlow_twins_loss(Tensor(interleave(z, z)), lam=0.005)
         assert loss.item() < 1e-20
 
     def test_lambda_zero_uses_only_diagonal(self, rng):
         za = rng.normal(size=(8, 4))
         zb = rng.normal(size=(8, 4))
-        loss_value = barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.0, eps=1e-9).item()
+        loss_value = barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.0).item()
         # direct-formula oracle, diagonal part only
         a = (za - za.mean(0)) / np.maximum(za.std(0), 1e-9)
         b = (zb - zb.mean(0)) / np.maximum(zb.std(0), 1e-9)
@@ -187,33 +190,33 @@ class TestBarlowTwinsLoss:
         b = (zb - zb.mean(0)) / np.maximum(zb.std(0), 1e-9)
         c = a.T @ b / 8.0
         expected = ((1 - np.diag(c)) ** 2).sum() + lam * (c**2 * (1 - np.eye(4))).sum()
-        loss = barlow_twins_loss(Tensor(interleave(za, zb)), lam=lam, eps=1e-9)
+        loss = barlow_twins_loss(Tensor(interleave(za, zb)), lam=lam)
         np.testing.assert_allclose(loss.item(), expected, atol=1e-10)
 
     def test_always_nonnegative(self, rng):
         for _ in range(50):
             za = rng.normal(size=(6, 3))
             zb = rng.normal(size=(6, 3))
-            assert barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.01, eps=1e-9).item() >= 0.0
+            assert barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.01).item() >= 0.0
 
     def test_pair_permutation_equivariance(self, rng):
         za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
-        base = barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.005, eps=1e-9).item()
+        base = barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.005).item()
         perm = rng.permutation(8)
-        shuffled = barlow_twins_loss(Tensor(interleave(za[perm], zb[perm])), lam=0.005, eps=1e-9).item()
+        shuffled = barlow_twins_loss(Tensor(interleave(za[perm], zb[perm])), lam=0.005).item()
         np.testing.assert_allclose(base, shuffled, rtol=1e-10)
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3), (5, 3)])
     def test_too_few_pairs_rejected(self, shape):
         with pytest.raises(ContractError):
-            barlow_twins_loss(Tensor(np.ones(shape)), lam=0.005, eps=1e-9)
+            barlow_twins_loss(Tensor(np.ones(shape)), lam=0.005)
 
     @pytest.mark.parametrize("n, d, lam", [(2, 3, 0.005), (4, 5, 0.0), (7, 4, 0.5), (64, 16, 0.005)])
     def test_same_bytes_as_the_two_matrix_form(self, n, d, lam):
         """On the interleaved matrix, the loss and its gradient are those of the loss on its gathered halves."""
         z = np.random.default_rng(n * d).normal(size=(2 * n, d))
-        ours = loss_and_grad_bytes(lambda z: barlow_twins_loss(z, lam, 1e-9), z)
-        assert ours == loss_and_grad_bytes(lambda z: reference_barlow_twins_loss(z, lam, 1e-9), z)
+        ours = loss_and_grad_bytes(lambda z: barlow_twins_loss(z, lam), z)
+        assert ours == loss_and_grad_bytes(lambda z: reference_barlow_twins_loss(z, lam), z)
 
 
 class TestAcopBatch:
@@ -334,10 +337,10 @@ class TestLossGradientsThroughEncoder:
         assert gradclose(backward(g, loss), finite_diff_grad(f_nt, params, 1e-5))
 
         def f_bt(p):
-            return barlow_twins_loss(project(p, encode(p, xb)), lam=0.005, eps=1e-9).item()
+            return barlow_twins_loss(project(p, encode(p, xb)), lam=0.005).item()
 
         with Graph(params.as_dict()) as g:
-            loss = barlow_twins_loss(project(params, encode(params, xb)), lam=0.005, eps=1e-9)
+            loss = barlow_twins_loss(project(params, encode(params, xb)), lam=0.005)
         assert gradclose(backward(g, loss), finite_diff_grad(f_bt, params, 1e-5))
 
 
@@ -636,7 +639,7 @@ class TestShapeConstantCaches:
             assert_same_bytes(segments.data, reference_acop_make_batch(clips, rng_for(1, "cache-acop", n, frames))[0])
 
             z = views.data[:, : n + 3]
-            pair_losses = [lambda z: nt_xent_loss(z, 0.5), lambda z: barlow_twins_loss(z, 5e-3, 1e-9)]
+            pair_losses = [lambda z: nt_xent_loss(z, 0.5), lambda z: barlow_twins_loss(z, 5e-3)]
             cached = [loss_and_grad_bytes(fn, z) for fn in pair_losses]
             with monkeypatch.context() as m:
                 m.setattr(ssl_tasks, "_pair_layout", lambda two_n: ssl_tasks._PairLayout(*oracle_pair_layout(two_n)[:3], Tensor(oracle_pair_layout(two_n)[3])))
