@@ -138,6 +138,13 @@ class TestParseConfig:
         old_comment = f"# {key} = <comma list>  (matrix axis; empty = [{key}])\n"
         assert parse_config_text(emit_defaults() + old_comment, "<config>") == default_spec()
 
+    @pytest.mark.parametrize("line", ["metric = cosine", "loss_weight_direction = high", "bt_eps = 1e-09"])
+    def test_deleted_setting_keys_are_unknown_with_line_number(self, line):
+        # each key is now the constant of the value shown, so deleting its line runs the same cell
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^<config>:2: unknown key '{key}'$"):
+            parse_config_text(f"rounds = 2\n{line}\n", "<config>")
+
     def test_matrix_cells_cartesian_product(self):
         spec = parse_config_text(
             "strategy = fedavg,ldawa\nscope = full,backbone\nlocal_epochs = 1,5\n", "<config>"
@@ -322,6 +329,9 @@ class TestCmdRun:
 
     @pytest.mark.parametrize("argv, named", [
         (["run", "--strategies", "fedavg,ldawa"], "unrecognized arguments: --strategies"),
+        (["run", "--metric", "cosine"], "unrecognized arguments: --metric"),
+        (["run", "--loss-weight-direction", "high"], "unrecognized arguments: --loss-weight-direction"),
+        (["run", "--bt-eps", "1e-9"], "unrecognized arguments: --bt-eps"),
         (["run", "--rounds"], "argument --rounds: expected one argument"),
         ([], "required: command"),
     ])

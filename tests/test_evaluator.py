@@ -1,5 +1,7 @@
 """Retrieval evaluation, retrieval kernels, and optimum-tracker tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,16 @@ class TestKernelPaths:
         sims = kernels.pairwise_cosine(x, x)
         np.testing.assert_allclose(np.diag(sims), 1.0, atol=1e-12)
         assert np.all(sims <= 1.0 + 1e-12)
+
+    def test_pairwise_cosine_peak_memory_has_no_three_d_temporary(self, rng):
+        x, y = rng.normal(size=(300, 64)), rng.normal(size=(600, 64))
+        tracemalloc.start()
+        try:
+            kernels.pairwise_cosine(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20  # a broadcast over the rows would hold 300 * 600 * 64 * 8 B = 92 MB
 
 
 class TestEvaluateGlobal:

@@ -193,6 +193,17 @@ class TestBarlowTwinsLoss:
         loss = barlow_twins_loss(Tensor(interleave(za, zb)), lam=lam)
         np.testing.assert_allclose(loss.item(), expected, atol=1e-10)
 
+    def test_column_std_below_the_floor_is_divided_by_the_floor(self, rng):
+        # a column of std about 1e-10 in both views standardizes to about 0.1, so its C_ii is about 0.01, not 1
+        z = rng.normal(size=(8, 3)) * np.array([1e-10, 1.0, 1.0])
+        assert z[:, 0].std() < 1e-9
+        a = (z - z.mean(0)) / np.maximum(z.std(0), 1e-9)
+        c = a.T @ a / 8.0
+        assert c[0, 0] < 0.1
+        expected = ((1 - np.diag(c)) ** 2).sum() + 0.005 * (c**2 * (1 - np.eye(3))).sum()
+        loss = barlow_twins_loss(Tensor(interleave(z, z)), lam=0.005)
+        np.testing.assert_allclose(loss.item(), expected, rtol=1e-10)
+
     def test_always_nonnegative(self, rng):
         for _ in range(50):
             za = rng.normal(size=(6, 3))
