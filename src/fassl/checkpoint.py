@@ -7,11 +7,12 @@ Checkpoint container layout (all integers little-endian):
                | payload as little-endian f64
 
 Entries are written in canonical name order, so identical trees produce
-byte-identical files. A file is written to a temporary sibling and renamed
-over its target, so a killed process or a failed write leaves either the old
-file or the new one, never a torn one. Decoding rejects any malformed or
-truncated container, non-finite payload or repeated entry name with a
-ContractError that names the file.
+byte-identical files. A checkpoint, like a run's optima.csv and a cell's
+config.txt, is written to a temporary sibling and renamed over its target,
+so a killed process or a failed write leaves either the old file or the new
+one, never a torn one. Decoding rejects any malformed or truncated
+container, non-finite payload or repeated entry name with a ContractError
+that names the file.
 """
 
 from __future__ import annotations
@@ -84,9 +85,8 @@ def _unpack_entries(blob: bytes) -> list[tuple[str, Tensor]]:
     return entries
 
 
-def save_params(params: ParamTree, path: str | Path) -> None:
-    path = Path(path)
-    blob = _pack_entries(list(params.items()))
+def _write_replacing(path: Path, blob: bytes) -> None:
+    """Write blob to path through a temporary sibling renamed over it; a failed write leaves no sibling."""
     tmp = path.with_name(path.name + TMP_SUFFIX)
     try:
         tmp.write_bytes(blob)
@@ -94,6 +94,10 @@ def save_params(params: ParamTree, path: str | Path) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_params(params: ParamTree, path: str | Path) -> None:
+    _write_replacing(Path(path), _pack_entries(list(params.items())))
 
 
 def load_params(path: str | Path) -> ParamTree:

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
+from .checkpoint import _write_replacing
 from .config import ExperimentSpec, apply_overrides, default_spec, emit_defaults, parse_config
 from .data import partition_label_entropies
 from .errors import ConfigError, ContractError
@@ -72,7 +73,7 @@ def _run_cell(job: tuple[str, ExperimentSpec, RunConfig, Path]) -> list[tuple[st
     try:
         cell_dir.mkdir(parents=True, exist_ok=True)
         config_text = cell.to_text(f"resolved configuration for cell {name}")
-        (cell_dir / "config.txt").write_text(config_text, encoding="utf-8")
+        _write_replacing(cell_dir / "config.txt", config_text.encode("utf-8"))
         return run(cfg, cell_dir).tracker.summary_rows()
     except Exception as exc:  # noqa: BLE001 - cell isolation; partial results stay on disk
         return str(exc)
@@ -91,9 +92,8 @@ def _cell_mapper(processes: int):
 
 def cmd_run(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    root = Path(spec["out_dir"])
     # every cell resolves before any runs, so a config error leaves no cell directory
-    jobs = [(name, cell, cell.base_run_config(), root / name) for name, cell in spec.cells()]
+    jobs = [(name, cell, cell.base_run_config(), Path(spec["out_dir"]) / name) for name, cell in spec.cells()]
     failures = 0
     try:
         with _cell_mapper(min(spec["workers"], len(jobs), os.cpu_count() or 1)) as cell_map:
@@ -108,11 +108,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except BrokenExecutor as exc:
         print(f"error: a cell process died: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    if spec["plot"] and failures < len(jobs):
-        plot_results(root)
-    if failures:
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return EXIT_RUNTIME if failures else EXIT_OK
 
 
 def cmd_plot(args: argparse.Namespace) -> int:

@@ -36,15 +36,6 @@ from .errors import ConfigError, ContractError, check
 from .orchestrator import RunConfig
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _axis(convert):
     """Converter of a matrix axis: a comma list of distinct values, each read by convert."""
 
@@ -64,10 +55,10 @@ def _axis(convert):
 AXES = ("strategy", "scope", "local_epochs")
 
 # key -> (RunConfig field path, help). A dotted path reaches into the nested
-# Strategy / AugmentPolicy; None marks a key that configures the CLI rather
-# than a run, whose (converter, default) is its _CLI_KEYS entry. Every other
-# default is read from RunConfig(), and every other rule and kind from the
-# RULES table of the dataclass that owns the path's field.
+# Strategy / AugmentPolicy; None marks out_dir, which configures the CLI
+# rather than a run: its text is the output root, "results" by default.
+# Every other default is read from RunConfig(), and every other rule and kind
+# from the RULES table of the dataclass that owns the path's field.
 SCHEMA: dict[str, tuple] = {
     "rounds": ("rounds", "federated rounds R"),
     "clients": ("n_clients", "client pool size N"),
@@ -98,10 +89,8 @@ SCHEMA: dict[str, tuple] = {
     "projection_dim": ("projection_dim", "projection head output width"),
     "feature_layer": ("feature_layer", "retrieval feature layer"),
     "out_dir": (None, "output root: one directory per matrix cell"),
-    "plot": (None, "emit SVG plots after a run"),
 }
 
-_CLI_KEYS = {"out_dir": (str, "results"), "plot": (_parse_bool, False)}
 _DEFAULT_RUN = RunConfig()
 
 
@@ -160,7 +149,7 @@ class ExperimentSpec:
 
 def default_spec() -> ExperimentSpec:
     values = {
-        key: _CLI_KEYS[key][1] if path is None else attrgetter(path)(_DEFAULT_RUN)
+        key: "results" if path is None else attrgetter(path)(_DEFAULT_RUN)
         for key, (path, _) in SCHEMA.items()
     }
     return ExperimentSpec(values=dict(values, **{key: (values[key],) for key in AXES}))
@@ -170,7 +159,7 @@ def _parse(key: str, raw: str):
     """Convert a key's text by the kind of its field's rule, then check each value by that rule."""
     path, _ = SCHEMA[key]
     if path is None:
-        return _CLI_KEYS[key][0](raw)
+        return raw
     head, _, name = path.rpartition(".")
     rule = _owner(head).RULES[name]
     value = (_axis(rule[0]) if key in AXES else rule[0])(raw)
@@ -230,8 +219,6 @@ def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> Experime
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)

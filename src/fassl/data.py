@@ -14,9 +14,9 @@ no generated byte depends on the BLAS kernel. So the downstream suite holds
 heterogeneous tasks whose generators are disjoint from the pretext set's.
 
 A generated dataset owns one read-only (n, frames*bands) matrix: row i is
-clip i, and its label is ``labels()[i]``. A split's noise is one ``normal``
-call straight into that matrix (the same stream and bytes as one call per
-clip), and the whole matrix is checked for finiteness once.
+clip i, and its label is ``labels()[i]``. A split's noise is one scaled
+``standard_normal`` call straight into that matrix (the stream and bytes of
+one ``normal`` call per clip), and the matrix is checked for finiteness once.
 Training and evaluation read the rows: a partition's shards are row
 indices, a client trains on ``clip_array()`` rows taken by its shard, and
 evaluation encodes the matrix as it is. Each ``Clip`` is a plain float64
@@ -202,12 +202,15 @@ def _family(kind: str, rng: np.random.Generator, n_classes: int, frames: int, ba
 def _generate(rng, family, n_classes, n_each, frames, bands, split) -> SynthDataset:
     """A split of n_each clips per class: rows of classes 0, 1, ... in equal runs.
 
-    Every clip's noise is one ``normal`` draw in clip order, filled in place
-    class by class. The matrix is checked for finiteness once and becomes
-    read-only, and every clip's features are the (frames, bands) view of its row.
+    Every clip's noise is one ``standard_normal`` draw in clip order, scaled
+    by the std in place (``normal(0.0, std)``'s bytes: the fill's bases, all
+    >= +0.0, clear the -0.0s a std of 0 leaves) and filled class by class.
+    The matrix is checked for finiteness once and becomes read-only, and
+    every clip's features are the (frames, bands) view of its row.
     """
     noise_std, fill, generator = family
-    matrix = rng.normal(0.0, noise_std, size=(n_classes * n_each, frames * bands))
+    matrix = rng.standard_normal((n_classes * n_each, frames * bands))
+    matrix *= noise_std
     blocks = matrix.reshape(n_classes, n_each, frames, bands)
     for c in range(n_classes):
         fill(blocks[c], c)

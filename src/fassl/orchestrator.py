@@ -56,7 +56,7 @@ import numpy as np
 from . import ssl_tasks
 from .aggregation import STRATEGY, ClientUpdate, Strategy, aggregate, scope_apply
 from .autodiff import Graph, backward
-from .checkpoint import TMP_SUFFIX, save_params
+from .checkpoint import TMP_SUFFIX, _write_replacing, save_params
 from .data import SUITE_TRAIN_CLIPS, Partition, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check, check_fields, instance_of, one_of
 from .evaluator import FEATURE_LAYER, OptimaTracker, TaskAccuracy, evaluate_global, retrieval_k, update_optima
@@ -270,8 +270,11 @@ def local_train(
     return update, retained, steps
 
 
-# What a run writes besides results.csv, and the temporary siblings its checkpoints are written to.
-_RUN_FILES = ("round_*.ckpt", f"round_*.ckpt{TMP_SUFFIX}", "final.ckpt", f"final.ckpt{TMP_SUFFIX}", "optima.csv")
+# What a run writes besides results.csv, and the temporary siblings those files are written to.
+_RUN_FILES = (
+    "round_*.ckpt", f"round_*.ckpt{TMP_SUFFIX}", "final.ckpt", f"final.ckpt{TMP_SUFFIX}",
+    "optima.csv", f"optima.csv{TMP_SUFFIX}",
+)
 
 
 class RunSink:
@@ -312,7 +315,7 @@ class RunSink:
         self.close_csv()
         save_params(final_params, self.out_dir / "final.ckpt")
         rows = "".join(f"{task},{rnd},{_accuracy_text(acc)}\n" for task, rnd, acc in tracker.summary_rows())
-        (self.out_dir / "optima.csv").write_text("task,best_round,best_accuracy\n" + rows, encoding="utf-8")
+        _write_replacing(self.out_dir / "optima.csv", ("task,best_round,best_accuracy\n" + rows).encode("utf-8"))
 
 
 def run_round(

@@ -126,11 +126,11 @@ def two_view_batch(clips: np.ndarray, policy: AugmentPolicy, rng: np.random.Gene
 
     Each view is crop + nearest-frame resample, noise and band dropout. The
     draws are batched, in order and each only when the policy uses it:
-    ``integers`` for the 2n crop starts, ``normal`` for the (2n, frames,
-    bands) noise, ``uniform`` for the (2n, bands) band-dropout coins, a
-    dropped band zeroed across every frame of its one view. Pure in (clips,
-    policy, rng state); the identity policy (1.0, 0, 0) repeats each clip's
-    features bit-exactly.
+    ``integers`` for the 2n crop starts, ``standard_normal`` scaled in place
+    by noise_std for the (2n, frames, bands) noise (the bytes of ``normal``),
+    ``uniform`` for the (2n, bands) band-dropout coins, a dropped band zeroed
+    across every frame of its one view. Pure in (clips, policy, rng state);
+    the identity policy (1.0, 0, 0) repeats each clip's features bit-exactly.
     """
     n, frames, bands = clips_shape(clips, "two_view_batch")
     crop_rows = _crop_rows(frames, policy.crop_fraction)
@@ -143,7 +143,9 @@ def two_view_batch(clips: np.ndarray, policy: AugmentPolicy, rng: np.random.Gene
         rows = crop_rows[rng.integers(0, len(crop_rows), size=n_views)]
     views = clips.reshape(n * frames, bands).take(first + rows, axis=0)  # (2n, frames, bands)
     if policy.noise_std > 0:
-        views += rng.normal(0.0, policy.noise_std, size=views.shape)
+        noise = rng.standard_normal(views.shape)
+        noise *= policy.noise_std
+        views += noise
     if policy.band_mask_prob > 0:
         dropped = rng.uniform(size=(n_views, bands)) < policy.band_mask_prob
         views.transpose(0, 2, 1)[dropped] = 0.0

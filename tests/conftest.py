@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import os
 import tempfile
 from pathlib import Path
 from typing import Callable
@@ -195,6 +196,33 @@ def oracle_order_rows(frames: int, segments: int = 3) -> np.ndarray:
         [[j * seg_len + f * seg_len // frames for f in range(frames)] for j in order]
         for order in itertools.permutations(range(segments))
     ])
+
+
+# Where a file written through a temporary sibling can fail: the sibling's write, or its rename over the target
+FILE_WRITE_FAILURES = ("write", "replace")
+
+
+def fail_file_writes(monkeypatch: pytest.MonkeyPatch, failure: str, name: str) -> None:
+    """Make every later write of the file ``name`` fail: a torn write of half its bytes, or a failed rename."""
+    if failure == "write":
+        real_write_bytes = Path.write_bytes
+
+        def torn_write(self, data):
+            if not self.name.startswith(name):
+                return real_write_bytes(self, data)
+            real_write_bytes(self, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+    else:
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name != name:
+                return real_replace(src, dst)
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
 
 
 @pytest.fixture

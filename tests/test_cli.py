@@ -27,7 +27,7 @@ from fassl.errors import ConfigError, ContractError, check
 from fassl.orchestrator import COLUMN_RULES, CSV_HEADER, RunConfig, read_results_csv, run
 from fassl.plotting import collect_series, plot_results
 
-from conftest import SCOPES, bundled_openblas
+from conftest import FILE_WRITE_FAILURES, SCOPES, bundled_openblas, fail_file_writes
 
 
 class TestParseConfig:
@@ -138,7 +138,9 @@ class TestParseConfig:
         old_comment = f"# {key} = <comma list>  (matrix axis; empty = [{key}])\n"
         assert parse_config_text(emit_defaults() + old_comment, "<config>") == default_spec()
 
-    @pytest.mark.parametrize("line", ["metric = cosine", "loss_weight_direction = high", "bt_eps = 1e-09"])
+    @pytest.mark.parametrize("line", [
+        "metric = cosine", "loss_weight_direction = high", "bt_eps = 1e-09", "plot = false",
+    ])
     def test_deleted_setting_keys_are_unknown_with_line_number(self, line):
         # each key is now the constant of the value shown, so deleting its line runs the same cell
         key = line.split(" = ")[0]
@@ -332,6 +334,7 @@ class TestCmdRun:
         (["run", "--metric", "cosine"], "unrecognized arguments: --metric"),
         (["run", "--loss-weight-direction", "high"], "unrecognized arguments: --loss-weight-direction"),
         (["run", "--bt-eps", "1e-9"], "unrecognized arguments: --bt-eps"),
+        (["run", "--plot", "true"], "unrecognized arguments: --plot true"),
         (["run", "--rounds"], "argument --rounds: expected one argument"),
         ([], "required: command"),
     ])
@@ -519,6 +522,19 @@ class TestCmdRun:
         assert (cell / "results.csv").read_text() == CSV_HEADER + "\n"
         assert "tau = 0.25\n" in (cell / "config.txt").read_text()
 
+    @pytest.mark.parametrize("failure", FILE_WRITE_FAILURES)
+    def test_failed_config_txt_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, capsys, monkeypatch, failure):
+        """config.txt is written through a temporary sibling, as a checkpoint is; the cell then fails unrun."""
+        assert main(["run", *FAST_FLAGS, "--out-dir", str(tmp_path)]) == 0
+        cell = tmp_path / "simclr-fedavg-full-e1"
+        old = {p.name: p.read_bytes() for p in cell.iterdir()}
+        fail_file_writes(monkeypatch, failure, "config.txt")  # one cell runs in this process
+        assert main(["run", *FAST_FLAGS, "--tau", "0.25", "--out-dir", str(tmp_path)]) == 2
+        monkeypatch.undo()
+        message = "disk full" if failure == "write" else "rename failed"
+        assert capsys.readouterr().err.endswith(f"[simclr-fedavg-full-e1] FAILED: {message}\n")
+        assert {p.name: p.read_bytes() for p in cell.iterdir()} == old
+
     def test_a_cli_cell_and_the_library_write_the_same_bytes(self, tmp_path):
         """``run(cfg, out_dir)`` derives the inputs a CLI cell trains and scores on from the same config."""
         assert main(["run", *FAST_FLAGS, "--out-dir", str(tmp_path / "cli")]) == 0
@@ -555,7 +571,7 @@ NON_DEFAULT = {
     "bt_lambda": "0.01", "crop_fraction": "0.6", "noise_std": "0.02",
     "band_mask_prob": "0.2", "pretext_classes": "3", "pretext_per_class": "8", "frames": "16",
     "bands": "8", "hidden_dim": "8", "embed_dim": "6", "projection_dim": "5",
-    "feature_layer": "projection", "out_dir": "elsewhere", "plot": "true",
+    "feature_layer": "projection", "out_dir": "elsewhere",
 }
 
 # NON_DEFAULT as a run: feature_layer = projection needs the default scope,
@@ -677,20 +693,28 @@ class TestEmitDefaults:
         text = capsys.readouterr().out
         assert parse_config_text(text, "<config>") == default_spec()
 
-    # The keys that set retrieval's distance, the loss strategy's weighting and barlow_twins' std guard, each as an
-    # old emit-defaults wrote it; each is now the constant of its old default.
-    DELETED_KEYS = ["metric = cosine", "loss_weight_direction = high", "bt_eps = 1e-09"]
+    # The keys that set retrieval's distance, the loss strategy's weighting, barlow_twins' std guard and whether
+    # `run` also drew the figures, each as an old emit-defaults wrote it; each is now the constant of its old
+    # default (figures come from `fassl plot <root>` alone).
+    DELETED_KEYS = ["metric = cosine", "loss_weight_direction = high", "bt_eps = 1e-09", "plot = false"]
 
     def test_deleted_keys_are_unknown_naming_the_first_and_its_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["emit-defaults"]) == 0
         text = capsys.readouterr().out
         assert not {line.split(" = ")[0] for line in self.DELETED_KEYS} & set(SCHEMA)
+        # the text emit-defaults wrote while plot was a key: this one with plot's help and key lines last
+        with_plot = text + "# emit SVG plots after a run\nplot = false\n"
+        assert hashlib.sha256(with_plot.encode()).hexdigest() == (
+            "36de3ea930b850a9b505621bf2b25ab04d86e910bea527e56adc88614e240f60"
+        )
         path = tmp_path / "old.cfg"
         path.write_text(text + "\n".join(self.DELETED_KEYS) + "\n")
         assert main(["run", "--config", str(path)]) == 1
         lineno = len(text.splitlines()) + 1
         assert capsys.readouterr().err == f"config error: {path}:{lineno}: unknown key 'metric'\n"
+        assert main(["run", "--plot", "true"]) == 1
+        assert capsys.readouterr().err.endswith("config error: unrecognized arguments: --plot true\n")
         assert list(tmp_path.iterdir()) == [path]  # refused before any cell directory exists
 
 
@@ -708,7 +732,8 @@ class TestCmdPlot:
             assert root.tag.endswith("svg")
 
     def test_title_states_the_k_of_the_rows(self, tmp_path):
-        assert main(["run", *FAST_FLAGS, "--k", "3", "--plot", "true", "--out-dir", str(tmp_path)]) == 0
+        assert main(["run", *FAST_FLAGS, "--k", "3", "--out-dir", str(tmp_path)]) == 0
+        assert main(["plot", str(tmp_path)]) == 0
         svgs = sorted(tmp_path.glob("task_*.svg"))
         assert len(svgs) == 3
         ns = "{http://www.w3.org/2000/svg}"

@@ -227,7 +227,9 @@ def oracle_make_task(kind, seed, n_classes, n_train, n_test, frames, bands):
 class TestGeneratorOracles:
     """The batched generators give the per-clip loops' bytes and labels."""
 
-    @pytest.mark.parametrize("args", [(3, 5, 8, 4, 42, 0.1), (8, 25, 32, 16, 7, 0.9), (1, 1, 1, 1, 0, 0.1)])
+    @pytest.mark.parametrize("args", [
+        (3, 5, 8, 4, 42, 0.1), (8, 25, 32, 16, 7, 0.9), (1, 1, 1, 1, 0, 0.1), (3, 5, 8, 4, 42, 0.0),
+    ])
     def test_synth_dataset_matches_per_clip_loop(self, args):
         n_classes, n_per_class, frames, bands, seed, noise = args
         ds = synth_dataset(n_classes, n_per_class, frames, bands, seed=seed, noise_std=noise)
@@ -244,6 +246,27 @@ class TestGeneratorOracles:
         assert dataset_bytes(test) == b"".join(f.tobytes() for f in expected_test)
         assert [c.label for c in train.clips] == [i // 6 for i in range(24)]
         assert [c.label for c in test.clips] == [i // 3 for i in range(12)]
+
+
+# Every noise std the package, the tests and perfbench draw Gaussian noise with
+NOISE_STDS = [0.0, 0.02, 0.05, 0.1, 0.25, 0.35, 0.6, 0.9, 1.0, 1.2]
+
+
+@pytest.mark.parametrize("std", NOISE_STDS)
+def test_scaled_standard_normal_gives_normals_bytes_and_stream(std):
+    """data and ssl_tasks draw noise as standard_normal scaled in place, for normal(0.0, std)'s bytes.
+
+    normal computes 0.0 + std * z, so the forms differ only at std 0, where a
+    negative z leaves the scaled form a -0.0: data's fill adds a base >= +0.0
+    to every element, which clears it, and two_view_batch draws no noise at 0.
+    """
+    size = (64, 1024)
+    old, new = np.random.default_rng(11), np.random.default_rng(11)
+    expected = old.normal(0.0, std, size=size)
+    scaled = new.standard_normal(size)
+    scaled *= std
+    assert (scaled + 0.0 if std == 0.0 else scaled).tobytes() == expected.tobytes()
+    assert new.bit_generator.state == old.bit_generator.state
 
 
 class TestDownstreamSuite:

@@ -1,8 +1,6 @@
 """Parameter tree, encoder init/forward, scoping, and checkpoint format tests."""
 
-import os
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from fassl.model import (
     split,
 )
 
-from conftest import flatten_layer, map_values, params_bytes
+from conftest import FILE_WRITE_FAILURES, fail_file_writes, flatten_layer, map_values, params_bytes
 
 SIZES = (64, 32, 16, 8)  # input_dim, hidden_dim, embed_dim, projection_dim
 
@@ -236,24 +234,12 @@ class TestCheckpointFormat:
             with pytest.raises(ContractError):
                 load_params(path)
 
-    @pytest.mark.parametrize("failure", ["write", "replace"])
+    @pytest.mark.parametrize("failure", FILE_WRITE_FAILURES)
     def test_failed_save_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch, failure):
         path = tmp_path / "final.ckpt"
         save_params(init_encoder(*SIZES, seed=1), path)
         old = path.read_bytes()
-        if failure == "write":
-            real_write_bytes = Path.write_bytes
-
-            def torn_write(self, data):
-                real_write_bytes(self, data[: len(data) // 2])
-                raise OSError("disk full")
-
-            monkeypatch.setattr(Path, "write_bytes", torn_write)
-        else:
-            def failing_replace(src, dst):
-                raise OSError("rename failed")
-
-            monkeypatch.setattr(os, "replace", failing_replace)
+        fail_file_writes(monkeypatch, failure, path.name)
         with pytest.raises(OSError):
             save_params(init_encoder(*SIZES, seed=2), path)
         monkeypatch.undo()

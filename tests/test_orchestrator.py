@@ -29,7 +29,7 @@ from fassl.orchestrator import (
 from fassl.seeding import derive_seed
 from fassl.ssl_tasks import TASKS, AugmentPolicy, barlow_twins_loss, nt_xent_loss
 
-from conftest import BAD_BATCH_MESSAGE, BAD_BATCHES, SCOPES, params_bytes
+from conftest import BAD_BATCH_MESSAGE, BAD_BATCHES, FILE_WRITE_FAILURES, SCOPES, fail_file_writes, params_bytes
 
 SMALL = RunConfig(
     rounds=6,
@@ -603,6 +603,7 @@ class TestRun:
         run(cfg, tmp_path)
         (tmp_path / "config.txt").write_text("# not a run's file\n")
         (tmp_path / "round_0009.ckpt.tmp").write_bytes(b"torn")
+        (tmp_path / "optima.csv.tmp").write_bytes(b"torn")
         run(replace(cfg, eval_every=2), tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.txt", "final.ckpt", "optima.csv", "results.csv", "round_0002.ckpt", "round_0004.ckpt",
@@ -623,6 +624,22 @@ class TestRun:
         assert (tmp_path / "final.ckpt").exists()
         assert (tmp_path / "round_0001.ckpt").exists()
         assert (tmp_path / "optima.csv").read_text().startswith("task,best_round,best_accuracy")
+
+    @pytest.mark.parametrize("failure", FILE_WRITE_FAILURES)
+    def test_failed_optima_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch, failure):
+        """optima.csv is written through a temporary sibling, as a checkpoint is."""
+        cfg = replace(SMALL, rounds=2, eval_every=1)
+        result = run(cfg, tmp_path)
+        sink = RunSink(tmp_path)
+        sink.close(cfg, result.state.global_params, result.tracker)
+        old = (tmp_path / "optima.csv").read_bytes()
+        files = sorted(p.name for p in tmp_path.iterdir())
+        fail_file_writes(monkeypatch, failure, "optima.csv")
+        with pytest.raises(OSError):
+            sink.close(cfg, result.state.global_params, OptimaTracker())  # a header-only table
+        monkeypatch.undo()
+        assert (tmp_path / "optima.csv").read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
 
     def test_failed_run_closes_csv_and_keeps_prefix(self, tmp_path, monkeypatch):
         import fassl.orchestrator as orchestrator
