@@ -2,15 +2,16 @@
 
 Subcommands: run, plot, partition-stats, emit-defaults. Every config key,
 the output root ``out_dir`` among them, is also a flag (flag > file >
-default), and nothing else sets one, so a cell's config.txt states the whole
+default), and nothing else sets one. A cell's config.txt is printed from the
+``RunConfig`` the cell runs and its output root, so it states the whole
 cell. Exit codes: 0 success, 1 config or usage error, 2 runtime failure (an
 allocation numpy refuses is one).
 
-``run`` resolves every matrix cell up front and runs them on
-``min(workers, cells, cpu count)`` spawned processes, or in this process
-through plain ``map`` when that count is 1. Cells share only a read-only
-config, write only their own directories and print in cell order, so
-outputs do not depend on ``workers``, at any size. A cell process runs one
+``run`` resolves every matrix cell to its ``RunConfig`` up front and runs
+them on ``min(workers, cells, cpu count)`` spawned processes, or in this
+process through plain ``map`` when that count is 1. A cell's job carries
+its own ``RunConfig``; cells write only their own directories and print in
+cell order, so outputs do not depend on ``workers``, at any size. A cell process runs one
 BLAS thread, as every process that loads ``fassl`` does.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .checkpoint import _write_replacing
-from .config import ExperimentSpec, apply_overrides, default_spec, emit_defaults, parse_config
+from .config import apply_overrides, cells, config_text, default_values, emit_defaults, parse_config
 from .data import partition_label_entropies
 from .errors import ConfigError, ContractError
 from .orchestrator import RunConfig, pretext_and_partition, run
@@ -53,27 +54,28 @@ def _add_schema_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="V", help=doc)
 
 
-def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    spec = parse_config(args.config) if args.config else default_spec()
+def _build_values(args: argparse.Namespace) -> dict:
+    values = parse_config(args.config) if args.config else default_values()
     overrides = {
         key: getattr(args, f"cfg_{key}")
         for key in cfgmod.SCHEMA
         if getattr(args, f"cfg_{key}", None) is not None
     }
-    return apply_overrides(spec, overrides)
+    return apply_overrides(values, overrides)
 
 
-def _run_cell(job: tuple[str, ExperimentSpec, RunConfig, Path]) -> list[tuple[str, int, float]] | str:
-    """Run one matrix cell into its directory; its optima summary rows, or its error text.
+def _run_cell(job: tuple[str, RunConfig, str]) -> list[tuple[str, int, float]] | str:
+    """Run one matrix cell into its directory under the output root; its optima summary rows, or its error text.
 
     Cells are isolated: a failing cell keeps its partial results on disk
     and leaves the other cells running.
     """
-    name, cell, cfg, cell_dir = job
+    name, cfg, root = job
+    cell_dir = Path(root) / name
     try:
         cell_dir.mkdir(parents=True, exist_ok=True)
-        config_text = cell.to_text(f"resolved configuration for cell {name}")
-        _write_replacing(cell_dir / "config.txt", config_text.encode("utf-8"))
+        text = config_text(cfg, root, f"resolved configuration for cell {name}")
+        _write_replacing(cell_dir / "config.txt", text.encode("utf-8"))
         return run(cfg, cell_dir).tracker.summary_rows()
     except Exception as exc:  # noqa: BLE001 - cell isolation; partial results stay on disk
         return str(exc)
@@ -91,12 +93,12 @@ def _cell_mapper(processes: int):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
+    values = _build_values(args)
     # every cell resolves before any runs, so a config error leaves no cell directory
-    jobs = [(name, cell, cell.base_run_config(), Path(spec["out_dir"]) / name) for name, cell in spec.cells()]
+    jobs = [(name, cfg, values["out_dir"]) for name, cfg in cells(values)]
     failures = 0
     try:
-        with _cell_mapper(min(spec["workers"], len(jobs), os.cpu_count() or 1)) as cell_map:
+        with _cell_mapper(min(values["workers"], len(jobs), os.cpu_count() or 1)) as cell_map:
             for (name, *_), outcome in zip(jobs, cell_map(_run_cell, jobs)):
                 if isinstance(outcome, str):
                     failures += 1
@@ -119,12 +121,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_partition_stats(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
+    values = _build_values(args)
     pretext, partition = pretext_and_partition(
-        spec["master_seed"], spec["pretext_classes"], spec["pretext_per_class"], spec["frames"], spec["bands"],
-        spec["clients"], spec["alpha"],
+        values["master_seed"], values["pretext_classes"], values["pretext_per_class"], values["frames"],
+        values["bands"], values["clients"], values["alpha"],
     )
-    print(f"alpha = {spec['alpha']}, clients = {spec['clients']}, clips = {len(pretext)}")
+    print(f"alpha = {values['alpha']}, clients = {values['clients']}, clips = {len(pretext)}")
     print(f"{'client':>6s} {'size':>6s} {'label_entropy':>14s}")
     entropies = partition_label_entropies(pretext, partition)
     for client, (shard, h) in enumerate(zip(partition.shards, entropies)):

@@ -7,28 +7,30 @@ parser states no rule: it converts a run key's text by the kind of the
 ``RULES`` entry of the dataclass that owns the key's field (a comma list of
 that kind for an axis), then checks each value, under its key's name, by
 that entry (see ``errors``), so the message is the one that dataclass gives.
+``out_dir`` is the output root as written, refused only where a config line
+could not carry it back: leading or trailing whitespace, a line break, or a
+character UTF-8 cannot encode. Parsing gives a plain dict of key values.
 Rules across keys (``clients_per_round <= clients``, enough pretext clips
 for every client, enough frames and clips for the pretext task's batches,
 ``feature_layer = projection`` only where a run trains ``head.proj``) are
-checked when ``base_run_config`` builds the run, so a command that
-trains nothing does not enforce them.
+checked when ``cells`` builds the runs, so a command that trains nothing
+does not enforce them.
 Flags override file values, which override defaults, and nothing else sets
 a key (the output root is ``out_dir``'s). ``SCHEMA`` is the one
-table of keys: it maps each key to the ``RunConfig`` field it sets, and run
-defaults are read from the dataclasses, so a spec, its ``RunConfig`` and
-its config text cannot drift apart.
+table of keys: it maps each key to the ``RunConfig`` field it sets. Run
+defaults are read from the dataclasses, and ``config_text`` reads each key
+off the ``RunConfig`` a cell runs, so a cell's config text and its run
+cannot drift apart.
 
 The matrix axes (``AXES``: ``strategy``, ``scope``, ``local_epochs``) take
 a comma-separated list of distinct values, and one value is a one-cell
-axis. ``cells()`` yields one single-cell spec per point of their cartesian
-product, so every cell has a directory of its own; ``base_run_config``
-describes one cell and rejects an axis that lists more than one value.
+axis. ``cells()`` yields one named ``RunConfig`` per point of their
+cartesian product, so every cell has a directory of its own.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
@@ -99,67 +101,62 @@ def _owner(head: str) -> type:
     return type(getattr(_DEFAULT_RUN, head)) if head else RunConfig
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Resolved experiment: every key's value, a tuple for each of AXES."""
-
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def base_run_config(self) -> RunConfig:
-        """The run of a single-cell spec; each key lands on its SCHEMA path."""
-        top: dict = {}
-        nested: dict[str, dict] = {}
-        for key, (path, _) in SCHEMA.items():
-            if path is None:
-                continue
-            value = self.values[key]
-            if key in AXES:
-                if len(value) != 1:
-                    raise ConfigError(f"{key} lists {len(value)} values, but one run takes one")
-                (value,) = value
-            head, _, name = path.rpartition(".")
-            (nested.setdefault(head, {}) if head else top)[name] = value
-        try:
-            for head, kwargs in nested.items():
-                top[head] = _owner(head)(**kwargs)
-            return RunConfig(**top)
-        except ContractError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def cells(self) -> list[tuple[str, ExperimentSpec]]:
-        """(cell name, single-cell spec) per point of the strategy x scope x E grid."""
-        out = []
-        for strategy, scope, epochs in itertools.product(*(self[key] for key in AXES)):
-            name = f"{self['ssl_task']}-{strategy}-{scope}-e{epochs}"
-            values = dict(self.values, strategy=(strategy,), scope=(scope,), local_epochs=(epochs,))
-            out.append((name, ExperimentSpec(values=values)))
-        return out
-
-    def to_text(self, title: str = "experiment configuration") -> str:
-        """Config file text; parsing it back yields this spec exactly."""
-        lines = [f"# {title} (key = value; '#' starts a comment line)"]
-        for key, (_, doc) in SCHEMA.items():
-            lines.append(f"# {doc}")
-            lines.append(f"{key} = {_format_value(self[key])}")
-        return "\n".join(lines) + "\n"
-
-
-def default_spec() -> ExperimentSpec:
+def default_values() -> dict:
+    """Every key's default value, a one-value tuple for each of AXES."""
     values = {
         key: "results" if path is None else attrgetter(path)(_DEFAULT_RUN)
         for key, (path, _) in SCHEMA.items()
     }
-    return ExperimentSpec(values=dict(values, **{key: (values[key],) for key in AXES}))
+    return dict(values, **{key: (values[key],) for key in AXES})
+
+
+def cells(values: dict) -> list[tuple[str, RunConfig]]:
+    """(cell name, run) per point of the strategy x scope x E grid; each key lands on its SCHEMA path."""
+    out = []
+    for point in itertools.product(*(values[key] for key in AXES)):
+        cell = dict(values, **dict(zip(AXES, point)))
+        top: dict = {}
+        nested: dict[str, dict] = {}
+        for key, (path, _) in SCHEMA.items():
+            if path is not None:
+                head, _, name = path.rpartition(".")
+                (nested.setdefault(head, {}) if head else top)[name] = cell[key]
+        try:
+            top.update({head: _owner(head)(**kwargs) for head, kwargs in nested.items()})
+            cfg = RunConfig(**top)
+        except ContractError as exc:
+            raise ConfigError(str(exc)) from exc
+        out.append((f"{cfg.ssl_task}-{cfg.strategy.kind}-{cfg.scope}-e{cfg.local_epochs}", cfg))
+    return out
+
+
+def config_text(cfg: RunConfig, out_dir: str, title: str) -> str:
+    """Config file text of one run, each key read off cfg by its SCHEMA path; parsing it back gives cfg's cell."""
+    lines = [f"# {title} (key = value; '#' starts a comment line)"]
+    for key, (path, doc) in SCHEMA.items():
+        lines.append(f"# {doc}")
+        lines.append(f"{key} = {out_dir if path is None else attrgetter(path)(cfg)}")
+    return "\n".join(lines) + "\n"
+
+
+def _out_dir(raw: str) -> str:
+    """The output root as given, refused where a config.txt line could not carry it back unchanged."""
+    if raw != raw.strip():
+        raise ValueError(f"{raw!r} has leading or trailing whitespace, which a config line drops")
+    if len(raw.splitlines()) > 1:
+        raise ValueError(f"{raw!r} holds a line break, which would end its config line")
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{raw!r} holds a character UTF-8 cannot encode") from None
+    return raw
 
 
 def _parse(key: str, raw: str):
     """Convert a key's text by the kind of its field's rule, then check each value by that rule."""
     path, _ = SCHEMA[key]
     if path is None:
-        return raw
+        return _out_dir(raw)
     head, _, name = path.rpartition(".")
     rule = _owner(head).RULES[name]
     value = (_axis(rule[0]) if key in AXES else rule[0])(raw)
@@ -168,8 +165,8 @@ def _parse(key: str, raw: str):
     return value
 
 
-def parse_config_text(text: str, source: str) -> ExperimentSpec:
-    values = dict(default_spec().values)
+def parse_config_text(text: str, source: str) -> dict:
+    values = default_values()
     first_line: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -188,10 +185,10 @@ def parse_config_text(text: str, source: str) -> ExperimentSpec:
             values[key] = _parse(key, raw_value.strip())
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return ExperimentSpec(values=values)
+    return values
 
 
-def parse_config(path: str | Path) -> ExperimentSpec:
+def parse_config(path: str | Path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
@@ -205,9 +202,9 @@ def parse_config(path: str | Path) -> ExperimentSpec:
     return parse_config_text(text, source=str(p))
 
 
-def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> ExperimentSpec:
-    """Apply raw flag values on top of a spec (flag > file > default)."""
-    values = dict(spec.values)
+def apply_overrides(values: dict, overrides: dict[str, str]) -> dict:
+    """Apply raw flag values on top of key values (flag > file > default)."""
+    values = dict(values)
     for key, raw in overrides.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
@@ -215,15 +212,9 @@ def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> Experime
             values[key] = _parse(key, raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for flag --{key.replace('_', '-')}: {exc}") from exc
-    return ExperimentSpec(values=values)
-
-
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
+    return values
 
 
 def emit_defaults() -> str:
-    """Default config file; parsing it back yields the default spec exactly."""
-    return default_spec().to_text()
+    """Default config file; parsing it back yields default_values() exactly."""
+    return config_text(_DEFAULT_RUN, default_values()["out_dir"], "experiment configuration")

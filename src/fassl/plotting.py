@@ -102,14 +102,17 @@ def _svg_for_task(task: str, ks: list[int], by_label: dict[str, list[tuple[int, 
 
 
 def plot_results(results_dir: str | Path) -> list[Path]:
-    """One SVG per task, written into results_dir, from every results.csv found under it."""
+    """One SVG per task, written into results_dir, from every results.csv found under it; some CSV must hold a row."""
     root = Path(results_dir)
     csvs = sorted(root.rglob(RESULTS_CSV))
     if not csvs:
         raise ContractError(f"no {RESULTS_CSV} found under {root}")
     runs = [(path.parent.relative_to(root).as_posix(), read_results_csv(path)) for path in csvs]  # "." at the root
+    series = collect_series(runs)
+    if not series:  # every cell failed before its first row; an earlier plot's SVGs must not pass for this one's
+        raise ContractError(f"no {RESULTS_CSV} under {root} holds a row")
     written = []
-    for task, by_label in sorted(collect_series(runs).items()):
+    for task, by_label in sorted(series.items()):
         svg = _svg_for_task(task, sorted({r["k"] for _, rows in runs for r in rows if r["task"] == task}), by_label)
         path = root / f"task_{task}.svg"
         path.write_bytes(ET.tostring(svg, xml_declaration=True, encoding="utf-8"))

@@ -3,8 +3,12 @@
 import dataclasses
 import hashlib
 import os
+import re
+import shlex
 import sys
 import xml.etree.ElementTree as ET
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -15,9 +19,10 @@ from fassl.cli import main
 from fassl.config import (
     AXES,
     SCHEMA,
-    ExperimentSpec,
     apply_overrides,
-    default_spec,
+    cells,
+    config_text,
+    default_values,
     emit_defaults,
     parse_config,
     parse_config_text,
@@ -32,8 +37,7 @@ from conftest import FILE_WRITE_FAILURES, SCOPES, bundled_openblas, fail_file_wr
 
 class TestParseConfig:
     def test_empty_file_gives_all_defaults(self):
-        spec = parse_config_text("", "<config>")
-        cfg = spec.base_run_config()
+        [(_, cfg)] = cells(parse_config_text("", "<config>"))
         assert cfg.rounds == 100
         assert cfg.n_clients == 100
         assert cfg.clients_per_round == 10
@@ -66,15 +70,15 @@ class TestParseConfig:
             parse_config(tmp_path / "absent.cfg")
 
     def test_emit_defaults_round_trip(self):
-        assert parse_config_text(emit_defaults(), "<config>") == default_spec()
+        assert parse_config_text(emit_defaults(), "<config>") == default_values()
 
     def test_comments_and_blanks_ignored(self):
-        spec = parse_config_text("# a comment\n\nrounds = 7\n", "<config>")
-        assert spec["rounds"] == 7
+        values = parse_config_text("# a comment\n\nrounds = 7\n", "<config>")
+        assert values["rounds"] == 7
 
     def test_cross_field_validation(self):
         with pytest.raises(ConfigError):
-            parse_config_text("clients = 5\nclients_per_round = 10\n", "<config>").base_run_config()
+            cells(parse_config_text("clients = 5\nclients_per_round = 10\n", "<config>"))
 
     def test_repeated_key_is_error_naming_both_lines(self):
         with pytest.raises(ConfigError, match=r"^<config>:3: key 'strategy' is already set on line 1$"):
@@ -82,7 +86,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_master_seed_range_ends_parse(self, seed):
-        assert parse_config_text(f"master_seed = {seed}\n", "<config>").base_run_config().master_seed == seed
+        [(_, cfg)] = cells(parse_config_text(f"master_seed = {seed}\n", "<config>"))
+        assert cfg.master_seed == seed
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_master_seed_outside_64_bits_is_error_with_line_number(self, seed):
@@ -112,11 +117,11 @@ class TestParseConfig:
             parse_config_text("k = 121\n", "<config>")
 
     def test_matrix_axes_default_to_singletons(self):
-        spec = parse_config_text("strategy = ldawa\nscope = backbone\n", "<config>")
-        [(name, cell)] = spec.cells()
+        values = parse_config_text("strategy = ldawa\nscope = backbone\n", "<config>")
+        assert [values[key] for key in AXES] == [("ldawa",), ("backbone",), (1,)]
+        [(name, cfg)] = cells(values)
         assert name == "simclr-ldawa-backbone-e1"
-        assert cell == spec
-        assert [cell[key] for key in AXES] == [("ldawa",), ("backbone",), (1,)]
+        assert (cfg.strategy.kind, cfg.scope, cfg.local_epochs) == ("ldawa", "backbone", 1)
 
     @pytest.mark.parametrize("line, lineno", [
         ("strategy = fedavg,ldawa,fedavg", 2), ("local_epochs = 1,2,1", 2), ("scope = full, full", 2),
@@ -136,7 +141,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"<config>:2: unknown key '{key}'"):
             parse_config_text(f"rounds = 2\n{key} = 1\n", "<config>")
         old_comment = f"# {key} = <comma list>  (matrix axis; empty = [{key}])\n"
-        assert parse_config_text(emit_defaults() + old_comment, "<config>") == default_spec()
+        assert parse_config_text(emit_defaults() + old_comment, "<config>") == default_values()
 
     @pytest.mark.parametrize("line", [
         "metric = cosine", "loss_weight_direction = high", "bt_eps = 1e-09", "plot = false",
@@ -148,41 +153,35 @@ class TestParseConfig:
             parse_config_text(f"rounds = 2\n{line}\n", "<config>")
 
     def test_matrix_cells_cartesian_product(self):
-        spec = parse_config_text(
+        values = parse_config_text(
             "strategy = fedavg,ldawa\nscope = full,backbone\nlocal_epochs = 1,5\n", "<config>"
         )
-        names = [name for name, _ in spec.cells()]
+        grid = cells(values)
+        names = [name for name, _ in grid]
         assert len(names) == 8
         assert "simclr-ldawa-backbone-e5" in names
-
-    @pytest.mark.parametrize("key", AXES)
-    def test_multi_value_axis_has_no_single_run(self, key):
-        spec = parse_config_text("strategy = fedavg,ldawa\nscope = full,backbone\nlocal_epochs = 1,5\n", "<config>")
-        one_axis_open = ExperimentSpec({**spec.values, **{other: spec[other][:1] for other in AXES if other != key}})
-        with pytest.raises(ConfigError, match=rf"^{key} lists 2 values, but one run takes one$"):
-            one_axis_open.base_run_config()
-        assert [cell.base_run_config().local_epochs for _, cell in spec.cells()] == [1, 5] * 4
+        assert [cfg.local_epochs for _, cfg in grid] == [1, 5] * 4
 
     @pytest.mark.parametrize("key", SCHEMA)
     def test_flag_overrides_file(self, tmp_path, key):
         defaults = dict(line.split(" = ", 1) for line in emit_defaults().splitlines() if not line.startswith("#"))
         path = tmp_path / "exp.cfg"
         path.write_text(f"{key} = {NON_DEFAULT[key]}\n")
-        from_file = cli._build_spec(cli.build_parser().parse_args(["run", "--config", str(path)]))
-        assert from_file[key] != default_spec()[key]
+        from_file = cli._build_values(cli.build_parser().parse_args(["run", "--config", str(path)]))
+        assert from_file[key] != default_values()[key]
         flag = f"--{key.replace('_', '-')}"
         args = cli.build_parser().parse_args(["run", "--config", str(path), flag, defaults[key]])
-        assert cli._build_spec(args) == default_spec()
+        assert cli._build_values(args) == default_values()
 
     def test_axis_flag_replaces_the_file_axis(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("strategy = fedavg,ldawa\n")
         args = cli.build_parser().parse_args(["run", "--config", str(path), "--strategy", "fedu"])
-        assert [name for name, _ in cli._build_spec(args).cells()] == ["simclr-fedu-full-e1"]
+        assert [name for name, _ in cells(cli._build_values(args))] == ["simclr-fedu-full-e1"]
 
     def test_bad_flag_value(self):
         with pytest.raises(ConfigError):
-            apply_overrides(default_spec(), {"rounds": "zero"})
+            apply_overrides(default_values(), {"rounds": "zero"})
 
     def test_every_run_config_field_is_set_by_exactly_one_key(self):
         base = RunConfig()
@@ -231,10 +230,14 @@ def test_config_bytes_parse_or_raise_config_error(tmp_path, blob):
     path = tmp_path / "fuzz.cfg"
     path.write_bytes(blob)
     try:
-        spec = parse_config(path)
+        values = parse_config(path)
+        grid = cells(values)
     except ConfigError:
         return
-    assert isinstance(spec, ExperimentSpec)
+    # each cell's config.txt text parses back to values whose one cell is that cell
+    for name, cfg in grid:
+        text = config_text(cfg, values["out_dir"], f"resolved configuration for cell {name}")
+        assert cells(parse_config_text(text, "<config.txt>")) == [(name, cfg)]
 
 
 # pieces that reach past the header check into the field parsers
@@ -410,6 +413,17 @@ class TestCmdRun:
         assert "repeated values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out_dir", [" res", "res ", "a\nb", "a\u2028b", "\udcff"])
+    def test_out_dir_no_config_line_carries_back_exits_1_before_any_directory(
+        self, tmp_path, monkeypatch, capsys, out_dir
+    ):
+        """config.txt records the root as given; a stripped, split or unencodable root would re-run elsewhere."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", *FAST_FLAGS, "--out-dir", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad value for flag --out-dir: {out_dir!r} ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["run", "partition-stats"])
     def test_non_utf8_config_exits_1_naming_file_and_line(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
@@ -539,9 +553,9 @@ class TestCmdRun:
         """``run(cfg, out_dir)`` derives the inputs a CLI cell trains and scores on from the same config."""
         assert main(["run", *FAST_FLAGS, "--out-dir", str(tmp_path / "cli")]) == 0
         flags = dict(zip(FAST_FLAGS[::2], FAST_FLAGS[1::2]))
-        spec = apply_overrides(default_spec(), {flag[2:].replace("-", "_"): raw for flag, raw in flags.items()})
-        ((name, cell),) = spec.cells()
-        run(cell.base_run_config(), tmp_path / "library")
+        values = apply_overrides(default_values(), {flag[2:].replace("-", "_"): raw for flag, raw in flags.items()})
+        ((name, cfg),) = cells(values)
+        run(cfg, tmp_path / "library")
         written = sorted(p.name for p in (tmp_path / "library").iterdir())
         assert written == ["final.ckpt", "optima.csv", "results.csv", "round_0001.ckpt", "round_0002.ckpt"]
         for artifact in written:
@@ -587,31 +601,29 @@ class TestCellConfigReproducesCell:
         with pytest.MonkeyPatch.context() as mp:
             mp.chdir(here)
             assert main(["run", *flags]) == 0
-        return here / NON_DEFAULT_RUN["out_dir"], apply_overrides(default_spec(), NON_DEFAULT_RUN)
+        return here / NON_DEFAULT_RUN["out_dir"], apply_overrides(default_values(), NON_DEFAULT_RUN)
 
     def test_every_key_is_off_default(self):
-        spec = apply_overrides(default_spec(), NON_DEFAULT)
+        values = apply_overrides(default_values(), NON_DEFAULT)
         assert sorted(NON_DEFAULT) == sorted(SCHEMA)
-        defaults = default_spec()
-        assert [k for k in SCHEMA if spec[k] == defaults[k]] == []
+        defaults = default_values()
+        assert [k for k in SCHEMA if values[k] == defaults[k]] == []
 
     def test_the_run_sets_only_feature_layer_back_as_the_projection_rule_asks(self):
         assert [k for k in SCHEMA if NON_DEFAULT_RUN[k] != NON_DEFAULT[k]] == ["feature_layer"]
-        for name, cell in apply_overrides(default_spec(), NON_DEFAULT).cells():
-            if cell["scope"] == ("full",):
-                assert cell.base_run_config().feature_layer == "projection"
-                continue
-            with pytest.raises(ConfigError, match="^feature_layer projection .* which scope backbone never trains$"):
-                cell.base_run_config()
+        values = apply_overrides(default_values(), NON_DEFAULT)
+        assert [cfg.feature_layer for _, cfg in cells(dict(values, scope=("full",)))] == ["projection"] * 2
+        with pytest.raises(ConfigError, match="^feature_layer projection .* which scope backbone never trains$"):
+            cells(dict(values, scope=("backbone",)))
 
     def test_config_txt_parses_to_the_cell_run_config(self, matrix_run):
-        out, spec = matrix_run
-        cells = spec.cells()
-        assert len(cells) == 4
-        for name, cell in cells:
+        out, values = matrix_run
+        grid = cells(values)
+        assert len(grid) == 4
+        for name, cfg in grid:
             parsed = parse_config(out / name / "config.txt")
-            assert parsed == cell
-            assert parsed.base_run_config() == cell.base_run_config()
+            assert parsed == dict(values, **{key: (attrgetter(SCHEMA[key][0])(cfg),) for key in AXES})
+            assert cells(parsed) == [(name, cfg)]
 
     def test_rerun_from_config_txt_is_byte_identical(self, matrix_run, tmp_path, monkeypatch):
         out, _ = matrix_run
@@ -622,6 +634,28 @@ class TestCellConfigReproducesCell:
         assert [p.name for p in rerun.iterdir() if p.is_dir()] == [cell]
         for artifact in ("results.csv", "final.ckpt"):
             assert (rerun / cell / artifact).read_bytes() == (out / cell / artifact).read_bytes()
+
+
+def readme_commands() -> list[str]:
+    """Each line of the README's ``sh`` blocks that invokes fassl, as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("fassl ")]
+
+
+def test_readme_fassl_examples_parse_and_resolve(tmp_path, monkeypatch, capsys):
+    """Every README example parses, and a run or partition-stats example resolves its cells; nothing runs."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["emit-defaults"]) == 0
+    (tmp_path / "experiment.cfg").write_text(capsys.readouterr().out)  # as the quick start writes it
+    lines = readme_commands()
+    commands = set()
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line.partition(">")[0])[1:])
+        commands.add(args.command)
+        if args.command in ("run", "partition-stats"):
+            assert cells(cli._build_values(args)), line
+    assert commands == {"emit-defaults", "run", "partition-stats", "plot"}, lines
 
 
 class TestCmdPartitionStats:
@@ -691,7 +725,7 @@ class TestEmitDefaults:
     def test_round_trips_through_parser(self, capsys):
         assert main(["emit-defaults"]) == 0
         text = capsys.readouterr().out
-        assert parse_config_text(text, "<config>") == default_spec()
+        assert parse_config_text(text, "<config>") == default_values()
 
     # The keys that set retrieval's distance, the loss strategy's weighting, barlow_twins' std guard and whether
     # `run` also drew the figures, each as an old emit-defaults wrote it; each is now the constant of its old
@@ -762,6 +796,20 @@ class TestCmdPlot:
 
     def test_missing_results_named_error(self, tmp_path):
         assert main(["plot", str(tmp_path / "nothing")]) == 2
+
+    def test_header_only_results_exit_2_and_leave_an_earlier_plot_as_it_was(self, tmp_path, capsys):
+        """A root whose every cell failed in round 1 holds header-only CSVs; plotting it is an error, not old SVGs."""
+        for cell in ("a", "b"):
+            (tmp_path / cell).mkdir()
+            (tmp_path / cell / "results.csv").write_text(CSV_HEADER + "\n")
+        old = tmp_path / "task_bandprofile.svg"
+        old.write_text("<svg/>\n")
+        assert main(["plot", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no results.csv under {tmp_path} holds a row\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "task_bandprofile.svg"]
+        assert old.read_text() == "<svg/>\n"
 
     GOOD_ROWS = ["1,fedavg,full,simclr,1,bandprofile,1,0.250000", "2,fedavg,full,simclr,1,bandprofile,1,0.500000"]
 

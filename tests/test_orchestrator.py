@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fassl.aggregation import STRATEGY_KINDS, ClientUpdate, Strategy, aggregate, beta_loss, scope_apply
 from fassl.autodiff import Tensor
-from fassl.config import apply_overrides, default_spec
+from fassl.config import apply_overrides, default_values
 from fassl.data import SUITE_TRAIN_CLIPS, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
 from fassl.errors import ConfigError, ContractError
 from fassl.evaluator import OptimaTracker, TaskAccuracy, evaluate_global, knn_retrieval_accuracy
@@ -720,7 +720,7 @@ GOOD_FIELDS = {
 @pytest.mark.parametrize("column, text, make", [
     ("k", "121", lambda: RunConfig(k=121)),
     # Strategy's rule names its field kind; a config's strategy key is checked by that rule under the column's name
-    ("strategy", "fedsgd", lambda: apply_overrides(default_spec(), {"strategy": "fedsgd"})),
+    ("strategy", "fedsgd", lambda: apply_overrides(default_values(), {"strategy": "fedsgd"})),
     ("scope", "heads", lambda: RunConfig(scope="heads")),
     ("ssl_task", "byol", lambda: RunConfig(ssl_task="byol")),
     ("task", "x/y", lambda: TaskAccuracy(task="x/y", round=1, accuracy=0.5, k=1)),
