@@ -636,19 +636,15 @@ class TestCellConfigReproducesCell:
             assert (rerun / cell / artifact).read_bytes() == (out / cell / artifact).read_bytes()
 
 
-def readme_commands() -> list[str]:
-    """Each line of the README's ``sh`` blocks that invokes fassl, as written."""
+def test_readme_fassl_examples_parse_and_resolve(tmp_path, monkeypatch, capsys):
+    """Every ``fassl`` line of the README's ``sh`` blocks parses, and a run or partition-stats line resolves its
+    cells; nothing runs."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
-    return [line for block in blocks for line in block.splitlines() if line.startswith("fassl ")]
-
-
-def test_readme_fassl_examples_parse_and_resolve(tmp_path, monkeypatch, capsys):
-    """Every README example parses, and a run or partition-stats example resolves its cells; nothing runs."""
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("fassl ")]
     monkeypatch.chdir(tmp_path)
     assert main(["emit-defaults"]) == 0
     (tmp_path / "experiment.cfg").write_text(capsys.readouterr().out)  # as the quick start writes it
-    lines = readme_commands()
     commands = set()
     for line in lines:
         args = cli.build_parser().parse_args(shlex.split(line.partition(">")[0])[1:])
