@@ -11,8 +11,8 @@ allocation numpy refuses is one).
 them on ``min(workers, cells, cpu count)`` spawned processes, or in this
 process through plain ``map`` when that count is 1. A cell's job carries
 its own ``RunConfig``; cells write only their own directories and print in
-cell order, so outputs do not depend on ``workers``, at any size. A cell process runs one
-BLAS thread, as every process that loads ``fassl`` does.
+cell order, so outputs do not depend on ``workers``, at any size. A cell
+process runs one BLAS thread, as every process that loads ``fassl`` does.
 """
 
 from __future__ import annotations

@@ -58,7 +58,8 @@ AXES = ("strategy", "scope", "local_epochs")
 
 # key -> (RunConfig field path, help). A dotted path reaches into the nested
 # Strategy / AugmentPolicy; None marks out_dir, which configures the CLI
-# rather than a run: its text is the output root, "results" by default.
+# rather than a run: the output root as given ("results" by default),
+# refused only where a config.txt line could not carry it back.
 # Every other default is read from RunConfig(), and every other rule and kind
 # from the RULES table of the dataclass that owns the path's field.
 SCHEMA: dict[str, tuple] = {

@@ -181,7 +181,8 @@ def test_config_only_converts_text():
 
     for key, entry in config.SCHEMA.items():
         assert not any(callable(part) for part in entry), f"SCHEMA states a converter for {key}"
-    # out_dir's text is the output root as it stands; a second key without a run path would need a converter
+    # out_dir is the output root as given, refused only where a config.txt line could not carry it back;
+    # a second key without a run path would need a converter of its own
     assert [key for key, (path, _) in config.SCHEMA.items() if path is None] == ["out_dir"]
     path = ROOT / "src" / "fassl" / "config.py"
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):

@@ -613,8 +613,10 @@ class TestCellConfigReproducesCell:
         assert [k for k in SCHEMA if NON_DEFAULT_RUN[k] != NON_DEFAULT[k]] == ["feature_layer"]
         values = apply_overrides(default_values(), NON_DEFAULT)
         assert [cfg.feature_layer for _, cfg in cells(dict(values, scope=("full",)))] == ["projection"] * 2
-        with pytest.raises(ConfigError, match="^feature_layer projection .* which scope backbone never trains$"):
-            cells(dict(values, scope=("backbone",)))
+        assert len(values["strategy"]) == 2
+        for strategy in values["strategy"]:
+            with pytest.raises(ConfigError, match="^feature_layer projection .* which scope backbone never trains$"):
+                cells(dict(values, strategy=(strategy,), scope=("backbone",)))
 
     def test_config_txt_parses_to_the_cell_run_config(self, matrix_run):
         out, values = matrix_run
