@@ -4,6 +4,12 @@ Pretrains small audio-like encoders with contrastive, feature-matching, or
 clip-order pretext tasks across non-iid simulated clients, aggregates with a
 pluggable strategy family (full-model or backbone-only transceiving), and
 tracks the per-downstream-task optimal global model via kNN retrieval.
+
+The package root re-exports only the names its callers import from it:
+``run`` and its ``RunConfig``, and the ``Strategy`` and data builders the
+benchmark drives. Every other name is imported from its own module
+(``fassl.orchestrator``'s ``initial_state``, ``run_round`` and ``RunSink``,
+say).
 """
 
 import ctypes
@@ -26,45 +32,8 @@ def _pin_blas_threads() -> None:
 
 _pin_blas_threads()
 
-from .aggregation import ClientUpdate, Strategy, aggregate, scope_apply
-from .autodiff import Graph, Tensor, backward
-from .data import Clip, Partition, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
-from .evaluator import OptimaTracker, TaskAccuracy, evaluate_global, knn_retrieval_accuracy, update_optima
-from .model import ParamTree, encode, init_encoder, merge, sgd_step, split
-from .orchestrator import RunConfig, RunResult, local_train, run, run_round, sample_clients
+from .aggregation import Strategy
+from .data import SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
+from .orchestrator import RunConfig, run
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "ClientUpdate",
-    "Strategy",
-    "aggregate",
-    "scope_apply",
-    "Graph",
-    "Tensor",
-    "backward",
-    "Clip",
-    "Partition",
-    "SynthDataset",
-    "dirichlet_partition",
-    "downstream_suite",
-    "synth_dataset",
-    "OptimaTracker",
-    "TaskAccuracy",
-    "evaluate_global",
-    "knn_retrieval_accuracy",
-    "update_optima",
-    "ParamTree",
-    "encode",
-    "init_encoder",
-    "merge",
-    "sgd_step",
-    "split",
-    "RunConfig",
-    "RunResult",
-    "local_train",
-    "run",
-    "run_round",
-    "sample_clients",
-    "__version__",
-]
+__all__ = ["RunConfig", "run", "Strategy", "SynthDataset", "dirichlet_partition", "downstream_suite", "synth_dataset"]

@@ -1,13 +1,13 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The engine is define-by-run: a ``Graph`` names the leaf tensors a step
-differentiates, and while it is active every op with a tracked input (a
+differentiates, and while it records every op with a tracked input (a
 leaf or a recorded op's output) appends a record to the tape. ``backward``
 replays the tape in exact reverse construction order and returns the
 gradient of every leaf the loss reaches. Each record keeps one vjp per input
 and ``None`` in the slot of an untracked input, so backward never forms a
 gradient nobody uses (the first layer's gradient with respect to the input
-batch, for one). With no active graph the same ops run as plain numpy
+batch, for one). With no recording graph the same ops run as plain numpy
 forward computations, which is what evaluation-only code paths use.
 
 Every ``Tensor`` construction checks its values are finite, intermediates
@@ -20,9 +20,11 @@ input, and it gives the bits of the same value wrapped in a ``Tensor``. Any
 other operand is a ``ContractError``.
 
 Tensors are immutable values (``data`` must never be mutated after
-construction), so one tensor can be a leaf of any number of graphs. The
-active graphs form one module-level stack: graphs are recorded from one
-thread only, and parallel work runs in processes, each with its own stack.
+construction), so one tensor can be a leaf of any number of graphs. At
+most one graph records at a time: entering a graph while another records is
+a ``ContractError``, as is exiting one that is not recording. Graphs are
+recorded from one thread only, and parallel work runs in processes, each
+with its own recording graph.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class _Node:
         self.vjps = vjps
 
 
-_GRAPHS: list["Graph"] = []  # active graphs, innermost last
+_recording: Graph | None = None  # the graph ops record into, if any
 
 
 class Graph:
@@ -128,13 +130,17 @@ class Graph:
         self._tracked: set[int] = {id(t) for t in self.leaves.values()}
 
     def __enter__(self) -> "Graph":
-        _GRAPHS.append(self)
+        global _recording
+        if _recording is not None:
+            raise ContractError("another graph is recording; graphs do not nest")
+        _recording = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if not _GRAPHS or _GRAPHS[-1] is not self:
-            raise ContractError("graphs must exit innermost first")
-        _GRAPHS.pop()
+        global _recording
+        if _recording is not self:
+            raise ContractError("exiting a graph that is not recording")
+        _recording = None
 
 
 def backward(graph: Graph, loss: Tensor) -> dict[str, Tensor]:
@@ -197,11 +203,11 @@ def _filled(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(out_data, inputs: tuple, vjps: tuple) -> Tensor:
-    """Wrap an op's output and, under an active graph, record its tracked inputs' vjps."""
+    """Wrap an op's output and, under a recording graph, record its tracked inputs' vjps."""
     out = Tensor(out_data)
-    if not _GRAPHS:
+    g = _recording
+    if g is None:
         return out
-    g = _GRAPHS[-1]
     tracked = g._tracked
     if len(inputs) == 1:
         if id(inputs[0]) not in tracked:

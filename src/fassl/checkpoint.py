@@ -10,9 +10,10 @@ Entries are written in canonical name order, so identical trees produce
 byte-identical files. A checkpoint, like a run's optima.csv and a cell's
 config.txt, is written to a temporary sibling and renamed over its target,
 so a killed process or a failed write leaves either the old file or the new
-one, never a torn one. Decoding rejects any malformed or truncated
-container, non-finite payload or repeated entry name with a ContractError
-that names the file.
+one, never a torn one. Decoding rejects any container ``save_params``
+cannot write (malformed or truncated, a non-finite payload, a rank-0 entry,
+entries out of canonical order or a repeated name) with a ContractError
+that names the file, so a checkpoint that loads saves back to its own bytes.
 """
 
 from __future__ import annotations
@@ -65,8 +66,12 @@ def _unpack_entries(blob: bytes) -> list[tuple[str, Tensor]]:
             offset += 2
             name = blob[offset:offset + name_len].decode("utf-8")
             offset += name_len
+            if entries and name < entries[-1][0]:  # a repeated name reaches ParamTree's duplicate check
+                raise ContractError(f"entry {name!r} is out of canonical order (after {entries[-1][0]!r})")
             (rank,) = struct.unpack_from("<B", blob, offset)
             offset += 1
+            if rank == 0:  # a Tensor holds a scalar as shape (1,)
+                raise ContractError(f"entry {name!r} has rank 0, which save_params never writes")
             dims = struct.unpack_from(f"<{rank}I", blob, offset)
             offset += 4 * rank
             n = math.prod(dims)

@@ -25,7 +25,8 @@ every sampled client the rows of its shard, taken as one array.
 A run's one record is the directory ``RunSink`` writes; ``RunResult`` keeps
 only the tracker, the step count and the final state. This module alone
 writes and reads the record's CSVs: ``read_results_csv`` checks each column
-by its ``COLUMN_RULES`` entry, the ``RULES`` rule its writer's value obeys.
+by its ``COLUMN_RULES`` entry, the ``RULES`` rule its writer's value obeys,
+and takes a field only as the text the writer prints for its value.
 
 In backbone-only scope the server transmits and receives just the backbone;
 each client's head lives in the server-side state purely as simulation
@@ -47,7 +48,6 @@ evaluation do not run on top of every sampled client's tree.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -131,34 +131,36 @@ COLUMN_RULES = {
     "task": TaskAccuracy.RULES["task"], "k": RunConfig.RULES["k"], "accuracy": TaskAccuracy.RULES["accuracy"],
 }
 CSV_HEADER = ",".join(COLUMN_RULES)
-# the text forms read back: ASCII decimal integers, and ASCII digits with an optional ASCII fraction
-_TEXT_FORMS = {int: re.compile(r"[0-9]+"), float: re.compile(r"[0-9]+(\.[0-9]+)?")}
 
 
 def _accuracy_text(accuracy: float) -> str:  # as results.csv and optima.csv write it
     return f"{accuracy:.6f}"
 
 
+def _field_text(value, kind: type) -> str:
+    """The one text results.csv writes for a column's value, and the only text its reader takes for that value."""
+    return _accuracy_text(value) if kind is float else str(value)
+
+
 def csv_row(cfg: RunConfig, acc: TaskAccuracy) -> str:
-    return (
-        f"{acc.round},{cfg.strategy.kind},{cfg.scope},{cfg.ssl_task},"
-        f"{cfg.local_epochs},{acc.task},{acc.k},{_accuracy_text(acc.accuracy)}"
-    )
+    values = (acc.round, cfg.strategy.kind, cfg.scope, cfg.ssl_task, cfg.local_epochs, acc.task, acc.k, acc.accuracy)
+    return ",".join(_field_text(value, rule[0]) for value, rule in zip(values, COLUMN_RULES.values()))
 
 
 def _field_value(text: str, kind: type):
-    """A field's text as its column's kind; text of another form stays text, which the kind's check refuses."""
-    form = _TEXT_FORMS.get(kind)
+    """A field's text as its column's kind; text no such value has stays text, which the kind's check refuses."""
     try:
-        return kind(text) if form and form.fullmatch(text) else text
-    except ValueError:  # more digits than int() converts
+        return text if kind is str else kind(text)
+    except ValueError:  # not a number, or more digits than int() converts
         return text
 
 
 def read_results_csv(path: Path) -> list[dict]:
     """Rows of one results.csv, each field converted to its column's kind and checked by its ``COLUMN_RULES`` rule.
 
-    A row ``run`` cannot write is a ContractError naming the file and its line.
+    A field must then be the text ``run`` writes for its value (``7``, not
+    ``007``; ``0.500000``, not ``0.5``). A row ``run`` cannot write is a
+    ContractError naming the file and its line.
     """
     blob = path.read_bytes()
     try:
@@ -176,10 +178,13 @@ def read_results_csv(path: Path) -> list[dict]:
         parts = ln.split(",")
         if len(parts) != len(COLUMN_RULES):
             raise ContractError(f"{path}:{lineno}: malformed row {ln!r}")
-        row = {col: _field_value(raw, rule[0]) for (col, rule), raw in zip(COLUMN_RULES.items(), parts)}
-        for col, rule in COLUMN_RULES.items():
+        row = {}
+        for (col, rule), raw in zip(COLUMN_RULES.items(), parts):
+            row[col] = value = _field_value(raw, rule[0])
             try:
-                check(col, row[col], rule)
+                check(col, value, rule)
+                if (written := _field_text(value, rule[0])) != raw:
+                    raise ContractError(f"{col} must be written {written!r}, got {raw!r}")
             except ContractError as exc:
                 raise ContractError(f"{path}:{lineno}: {exc}") from None
         rows.append(row)

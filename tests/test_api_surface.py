@@ -1,8 +1,9 @@
-"""Guards on the package's shape: public names and methods have callers, public defaults have callers that rely on
-them and callers that override them, no autodiff in data, no data in ssl_tasks, concurrency in the CLI, no asserts,
-no setting read from the environment, config states no rule or converter of a run key, a library function checks a
-setting by its rule and not by hand, each literal stream tag is derived in one call, a cell's files are named only
-where they are written, and only ssl_tasks states a view batch's row layout.
+"""Guards on the package's shape: public names and methods have callers, the package root re-exports exactly what
+program files and README examples import from it, public defaults have callers that rely on them and callers that
+override them, no autodiff in data, no data in ssl_tasks, concurrency in the CLI, no asserts, no setting read from
+the environment, config states no rule or converter of a run key, a library function checks a setting by its rule
+and not by hand, each literal stream tag is derived in one call, a cell's files are named only where they are
+written, and only ssl_tasks states a view batch's row layout.
 
 A public function, class or constant of ``src/fassl/<module>.py`` counts as
 used when some program file refers to it: a loaded name in its own module
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -457,6 +459,33 @@ def reexports() -> dict[str, tuple[str, str]]:
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
         for alias in node.names
     }
+
+
+def root_imports(tree: ast.Module) -> set[str]:
+    """Non-module names this file imports from the package root (``run`` for ``from fassl import run``)."""
+    modules = {p.stem for p in PACKAGE}
+    return {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and _package_module(node) == ""
+        for alias in node.names if alias.name not in modules
+    }
+
+
+def test_the_package_root_exports_exactly_what_its_callers_import():
+    """A re-export that no program file and no README example imports is surface only tests could reach."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "src").rglob("*.py")) + BENCHMARK]
+    sources += re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    imported = set().union(*(root_imports(ast.parse(source)) for source in sources))
+    assert sorted(importlib.import_module("fassl").__all__) == sorted(imported)
+    assert set(reexports()) == imported
+
+
+def test_root_imports_sees_every_root_import_form():
+    tree = ast.parse(
+        "from fassl import run, RunConfig as Cfg\nfrom fassl import kernels\nfrom . import data\n"
+        "from .model import encode\nfrom fassl.orchestrator import run_round\nimport fassl\n"
+    )
+    assert root_imports(tree) == {"run", "RunConfig"}
 
 
 class Callee(NamedTuple):

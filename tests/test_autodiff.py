@@ -204,24 +204,25 @@ class TestBackward:
         np.testing.assert_allclose(backward(g, loss)["x"].data, [5.0])
 
 
-class TestGraphStack:
-    def test_exiting_out_of_order_raises_and_keeps_the_stack(self):
-        outer, inner = Graph({}), Graph({})
-        try:
-            outer.__enter__()
-            inner.__enter__()
-            with pytest.raises(ContractError, match="innermost first"):
-                outer.__exit__(None, None, None)
-            assert ad._GRAPHS == [outer, inner]
-            inner.__exit__(None, None, None)
-            outer.__exit__(None, None, None)
-            assert ad._GRAPHS == []
-        finally:
-            ad._GRAPHS.clear()
+class TestRecordingGraph:
+    def test_entering_a_second_graph_raises_and_the_first_still_records(self):
+        x = Tensor([3.0])
+        with Graph({"x": x}) as g:
+            with pytest.raises(ContractError, match="another graph is recording"):
+                with Graph({}):
+                    pass
+            loss = ad.sum_all(ad.mul(x, x))
+        np.testing.assert_allclose(backward(g, loss)["x"].data, [6.0])
 
-    def test_exiting_a_graph_never_entered_raises(self):
-        with pytest.raises(ContractError, match="innermost first"):
+    def test_exiting_a_graph_that_is_not_recording_raises(self):
+        with pytest.raises(ContractError, match="not recording"):
             Graph({}).__exit__(None, None, None)
+        x = Tensor([3.0])
+        with Graph({"x": x}) as g:
+            with pytest.raises(ContractError, match="not recording"):
+                Graph({}).__exit__(None, None, None)
+            loss = ad.sum_all(ad.mul(x, x))
+        np.testing.assert_allclose(backward(g, loss)["x"].data, [6.0])
 
     def test_only_the_named_leaves_are_tracked(self):
         x, w = Tensor([1.0]), Tensor([2.0])

@@ -9,6 +9,7 @@ import sys
 import xml.etree.ElementTree as ET
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -252,7 +253,8 @@ CSV_FRAGMENTS = [field.encode() for field in CSV_HEADER.split(",")] + [
     header=st.booleans(),
     blob=st.lists(st.binary(max_size=6) | st.sampled_from(CSV_FRAGMENTS), max_size=32).map(b"".join),
 )
-@example(header=True, blob=b"1,fedavg,full,simclr,1,bandprofile,1,0.5\n")
+@example(header=True, blob=b"1,fedavg,full,simclr,1,bandprofile,1,0.500000\n")
+@example(header=True, blob=b"007,fedavg,full,simclr,01,bandprofile,1,0.5\n")  # values run writes, in other text
 @example(header=True, blob=b"0,a,b,c,1,t,1,1e400\n")
 def test_results_csv_bytes_parse_or_raise_contract_error(tmp_path, header, blob):
     path = tmp_path / "results.csv"
@@ -268,6 +270,15 @@ def test_results_csv_bytes_parse_or_raise_contract_error(tmp_path, header, blob)
         assert all(type(row[col]) is int for col in ("round", "local_epochs", "k"))
         assert type(row["accuracy"]) is float
         assert all(type(row[col]) is str for col in ("strategy", "scope", "ssl_task", "task"))
+    # each data line is the text the writer prints for its row
+    lines = [ln for ln in path.read_bytes().decode("utf-8").split("\n") if ln][1:]
+    for row, line in zip(rows, lines, strict=True):
+        cfg = SimpleNamespace(
+            strategy=SimpleNamespace(kind=row["strategy"]), scope=row["scope"], ssl_task=row["ssl_task"],
+            local_epochs=row["local_epochs"],
+        )
+        acc = SimpleNamespace(round=row["round"], task=row["task"], k=row["k"], accuracy=row["accuracy"])
+        assert orchestrator.csv_row(cfg, acc) == line
 
 
 def _exit_process(job):

@@ -736,3 +736,17 @@ def test_a_refused_column_value_reads_as_its_writer_refuses_it(tmp_path, column,
     with pytest.raises(ContractError) as reader:
         read_results_csv(path)
     assert str(reader.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("column, text, written", [
+    ("round", "007", "7"), ("round", "+7", "7"), ("round", "1_0", "10"), ("round", " 7", "7"),
+    ("round", "\u0667", "7"), ("local_epochs", "01", "1"), ("k", "1 ", "1"),
+    ("accuracy", "0.5", "0.500000"), ("accuracy", "1", "1.000000"), ("accuracy", "0.1234567", "0.123457"),
+    ("accuracy", "5e-01", "0.500000"), ("accuracy", "0.500000\r", "0.500000"),
+])
+def test_a_value_read_from_other_text_than_its_writers_is_refused(tmp_path, column, text, written):
+    path = tmp_path / "results.csv"
+    path.write_text(f"{CSV_HEADER}\n{','.join(dict(GOOD_FIELDS, **{column: text}).values())}\n")
+    with pytest.raises(ContractError) as info:
+        read_results_csv(path)
+    assert str(info.value) == f"{path}:2: {column} must be written {written!r}, got {text!r}"
