@@ -36,31 +36,6 @@ import numpy as np
 
 from .errors import POSITIVE, ContractError, check
 
-__all__ = [
-    "Tensor",
-    "Graph",
-    "backward",
-    "matmul",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "relu",
-    "exp",
-    "log",
-    "sqrt",
-    "sum_all",
-    "sum_axis",
-    "mean_all",
-    "maximum_const",
-    "transpose",
-    "reshape",
-    "gather_rows",
-    "l2_normalize_rows",
-    "detached_rowmax",
-]
-
-
 _FLOAT64 = np.dtype(np.float64)
 _all_finite = np.logical_and.reduce  # np.all without its Python-level wrapper
 

@@ -57,9 +57,9 @@ def _axis(convert):
 AXES = ("strategy", "scope", "local_epochs")
 
 # key -> (RunConfig field path, help). A dotted path reaches into the nested
-# Strategy / AugmentPolicy; None marks out_dir, which configures the CLI
-# rather than a run: the output root as given ("results" by default),
-# refused only where a config.txt line could not carry it back.
+# Strategy; None marks out_dir, which configures the CLI rather than a run:
+# the output root as given ("results" by default), refused only where a
+# config.txt line could not carry it back.
 # Every other default is read from RunConfig(), and every other rule and kind
 # from the RULES table of the dataclass that owns the path's field.
 SCHEMA: dict[str, tuple] = {
@@ -79,10 +79,6 @@ SCHEMA: dict[str, tuple] = {
     "workers": ("workers", "processes `fassl run` spreads matrix cells over; a single run ignores it"),
     "fedu_mu": ("strategy.fedu_mu", "relative divergence gate for fedu heads"),
     "tau": ("tau", "contrastive temperature"),
-    "bt_lambda": ("bt_lambda", "off-diagonal weight of the matching loss"),
-    "crop_fraction": ("augment.crop_fraction", "time-crop fraction for views"),
-    "noise_std": ("augment.noise_std", "additive view noise std"),
-    "band_mask_prob": ("augment.band_mask_prob", "per-band dropout probability"),
     "pretext_classes": ("pretext_classes", "pretext dataset classes"),
     "pretext_per_class": ("pretext_per_class", "pretext clips per class"),
     "frames": ("frames", "frames per clip"),

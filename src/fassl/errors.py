@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the one check of a field's rule.
 
-A settings dataclass (``RunConfig``, ``Strategy``, ``AugmentPolicy``) or a
-result (``TaskAccuracy``, ``ClientUpdate``) names each field's rule in its
+A settings dataclass (``RunConfig``, ``Strategy``) or a result
+(``TaskAccuracy``, ``ClientUpdate``) names each field's rule in its
 ``RULES`` table, and its ``__post_init__`` is ``check_fields(self)``. A rule
 the package reads outside its dataclass is stated once, beside the code that
 reads it (``model.SCOPE``, ``ssl_tasks.TEMPERATURE``), and ``RULES`` refers

@@ -26,7 +26,8 @@ A run's one record is the directory ``RunSink`` writes; ``RunResult`` keeps
 only the tracker, the step count and the final state. This module alone
 writes and reads the record's CSVs: ``read_results_csv`` checks each column
 by its ``COLUMN_RULES`` entry, the ``RULES`` rule its writer's value obeys,
-and takes a field only as the text the writer prints for its value.
+takes a field only as the text the writer prints for its value, and checks
+the one run a file's rows name as the ``RunConfig`` that would write them.
 
 In backbone-only scope the server transmits and receives just the backbone;
 each client's head lives in the server-side state purely as simulation
@@ -58,11 +59,11 @@ from .aggregation import STRATEGY, ClientUpdate, Strategy, aggregate, scope_appl
 from .autodiff import Graph, backward
 from .checkpoint import TMP_SUFFIX, _write_replacing, save_params
 from .data import SUITE_TRAIN_CLIPS, Partition, SynthDataset, dirichlet_partition, downstream_suite, synth_dataset
-from .errors import COUNT, NON_NEGATIVE, POSITIVE, ContractError, check, check_fields, instance_of, one_of
+from .errors import COUNT, POSITIVE, ContractError, check, check_fields, one_of
 from .evaluator import FEATURE_LAYER, OptimaTracker, TaskAccuracy, evaluate_global, retrieval_k, update_optima
 from .model import SCOPE, ParamTree, encode, init_encoder, merge, project, sgd_step, split
 from .seeding import SEED, derive_seed, rng_for
-from .ssl_tasks import TASKS, TEMPERATURE, AugmentPolicy, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
+from .ssl_tasks import TASKS, TEMPERATURE, acop_loss, acop_make_batch, barlow_twins_loss, nt_xent_loss
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,6 @@ class RunConfig:
     k: int = 1
     workers: int = 1  # processes `fassl run` spreads matrix cells over; a single run ignores it
     tau: float = 0.5
-    bt_lambda: float = 5e-3
-    augment: AugmentPolicy = AugmentPolicy()
     frames: int = 32
     bands: int = 16
     hidden_dim: int = 32
@@ -97,9 +96,8 @@ class RunConfig:
         "rounds": COUNT, "n_clients": COUNT, "clients_per_round": COUNT, "local_epochs": COUNT, "batch_size": COUNT,
         "lr": POSITIVE, "ssl_task": one_of(*TASKS), "strategy": STRATEGY, "scope": SCOPE, "alpha": POSITIVE,
         "master_seed": SEED, "eval_every": COUNT, "k": retrieval_k(SUITE_TRAIN_CLIPS), "workers": COUNT,
-        "tau": TEMPERATURE, "bt_lambda": NON_NEGATIVE, "augment": instance_of(AugmentPolicy),
-        "frames": COUNT, "bands": COUNT, "hidden_dim": COUNT, "embed_dim": COUNT, "projection_dim": COUNT,
-        "pretext_classes": COUNT, "pretext_per_class": COUNT, "feature_layer": FEATURE_LAYER,
+        "tau": TEMPERATURE, "frames": COUNT, "bands": COUNT, "hidden_dim": COUNT, "embed_dim": COUNT,
+        "projection_dim": COUNT, "pretext_classes": COUNT, "pretext_per_class": COUNT, "feature_layer": FEATURE_LAYER,
     }
 
     def __post_init__(self):
@@ -131,6 +129,8 @@ COLUMN_RULES = {
     "task": TaskAccuracy.RULES["task"], "k": RunConfig.RULES["k"], "accuracy": TaskAccuracy.RULES["accuracy"],
 }
 CSV_HEADER = ",".join(COLUMN_RULES)
+# The columns that name the run, so every row of one file holds the same values in them.
+_RUN_COLUMNS = ("strategy", "scope", "ssl_task", "local_epochs", "k")
 
 
 def _accuracy_text(accuracy: float) -> str:  # as results.csv and optima.csv write it
@@ -159,8 +159,10 @@ def read_results_csv(path: Path) -> list[dict]:
     """Rows of one results.csv, each field converted to its column's kind and checked by its ``COLUMN_RULES`` rule.
 
     A field must then be the text ``run`` writes for its value (``7``, not
-    ``007``; ``0.500000``, not ``0.5``). A row ``run`` cannot write is a
-    ContractError naming the file and its line.
+    ``007``; ``0.500000``, not ``0.5``). The file's rows name one run: its
+    ``_RUN_COLUMNS`` values, which must make a ``RunConfig``, are the same
+    on every row, and each (round, task) appears once. A row ``run`` cannot
+    write is a ContractError naming the file and its line.
     """
     blob = path.read_bytes()
     try:
@@ -174,6 +176,7 @@ def read_results_csv(path: Path) -> list[dict]:
     if lines[0][1] != CSV_HEADER:
         raise ContractError(f"{path}:{lines[0][0]}: unexpected CSV header {lines[0][1]!r}")
     rows = []
+    line_of: dict[tuple, int] = {}  # (round, task) -> the line that holds it
     for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(COLUMN_RULES):
@@ -187,6 +190,17 @@ def read_results_csv(path: Path) -> list[dict]:
                     raise ContractError(f"{col} must be written {written!r}, got {raw!r}")
             except ContractError as exc:
                 raise ContractError(f"{path}:{lineno}: {exc}") from None
+        try:
+            if not rows:  # the run is checked once, by the config that would run it
+                RunConfig(**dict({col: row[col] for col in _RUN_COLUMNS}, strategy=Strategy(row["strategy"])))
+            elif other := next((col for col in _RUN_COLUMNS if row[col] != rows[0][col]), None):
+                first = f"line {lines[1][0]}'s {rows[0][other]!r}"
+                raise ContractError(f"{other} {row[other]!r} differs from {first}; a file holds one run")
+            if (key := (row["round"], row["task"])) in line_of:
+                raise ContractError(f"round {row['round']} of task {row['task']!r} is already on line {line_of[key]}")
+        except ContractError as exc:
+            raise ContractError(f"{path}:{lineno}: {exc}") from None
+        line_of[key] = lineno
         rows.append(row)
     return rows
 
@@ -218,11 +232,11 @@ def sample_clients(n_clients: int, s: int, round_idx: int, master_seed: int) -> 
 def _batch_loss(params: ParamTree, clips: np.ndarray, cfg: RunConfig, rng):
     if cfg.ssl_task == "acop":
         return acop_loss(params, acop_make_batch(clips, rng))
-    views = ssl_tasks.two_view_batch(clips, cfg.augment, rng)
+    views = ssl_tasks.two_view_batch(clips, rng)
     z = project(params, encode(params, views))
     if cfg.ssl_task == "simclr":
         return nt_xent_loss(z, cfg.tau)
-    return barlow_twins_loss(z, cfg.bt_lambda)
+    return barlow_twins_loss(z)
 
 
 def local_train(

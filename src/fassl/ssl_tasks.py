@@ -11,10 +11,10 @@ client took from the pretext matrix. Batch assembly gathers every view (or
 presented segment) from it through a crop/resample index table built once
 per batch and wraps the batch in a single ``Tensor``; that construction is
 where clip values are checked for finiteness on their way to the model. A
-two-view batch of n clips makes three batched draws, in this order and each
-only when the policy uses it: all 2n crop starts, then the noise of every
-view, then the band-dropout coins of every view. The predictive task makes
-one permutation draw per clip.
+two-view batch of n clips makes three batched draws, always all three and in
+this order: all 2n crop starts, then the noise of every view, then the
+band-dropout coins of every view. The predictive task makes one permutation
+draw per clip.
 
 What a batch reads that depends only on its shape (the crop table, the
 acop order rows, the pair layout both pair losses read, barlow_twins' masks)
@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model
 from .autodiff import Tensor
-from .errors import NON_NEGATIVE, ContractError, check, check_fields
+from .errors import ContractError, check
 
 # Fewest frames a view's source clip and an acop segment may have.
 MIN_FRAMES = 2
@@ -67,6 +67,15 @@ _NORM_EPS = 1e-6
 # Column-std guard for barlow_twins' standardization: a constant column divides by it, not by zero.
 _STD_EPS = 1e-9
 
+# barlow_twins' off-diagonal weight, the published default of Barlow Twins (Zbontar et al., 2021).
+_BT_LAMBDA = 5e-3
+
+# The view policy: each view keeps this fraction of its clip's frames, adds noise of this std
+# and drops each band with this probability.
+_CROP_FRACTION = 0.7
+_NOISE_STD = 0.05
+_BAND_DROP_PROB = 0.1
+
 _SHAPES_KEPT = 64
 
 # nt_xent's logits are cosines / tau, and at 1e-40 and below round 2 or 3 overflowed to inf. The floor guards against
@@ -79,24 +88,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class AugmentPolicy:
-    """Stochastic view policy: time-crop fraction, additive noise, band dropout."""
-
-    crop_fraction: float = 0.7
-    noise_std: float = 0.05
-    band_mask_prob: float = 0.1
-
-    RULES = {
-        "crop_fraction": (float, lambda v: 0.0 < v <= 1.0, "{name} must be in (0, 1], got {value}"),
-        "noise_std": NON_NEGATIVE,
-        "band_mask_prob": (float, lambda v: 0.0 <= v <= 1.0, "{name} must be in [0, 1], got {value}"),
-    }
-
-    def __post_init__(self):
-        check_fields(self)
-
-
 def clips_shape(clips: np.ndarray, what: str) -> tuple[int, int, int]:
     """The (n, frames, bands) of a batch of clips, which must be a non-empty 3-d float64 ndarray."""
     if not (isinstance(clips, np.ndarray) and clips.ndim == 3 and clips.dtype == np.float64 and len(clips)):
@@ -106,49 +97,42 @@ def clips_shape(clips: np.ndarray, what: str) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=_SHAPES_KEPT)
-def _crop_rows(frames: int, crop_fraction: float) -> np.ndarray | None:
-    """Source rows of every possible crop, resampled to frames; None when uncropped.
+def _crop_rows(frames: int) -> np.ndarray:
+    """Source rows of every possible crop, resampled to frames.
 
     Row s of the table is what cropping at start s and nearest-frame
     resampling back to frames picks, so a batch of views is one gather:
     output frame f of a crop of c frames reads crop frame (f * c) // frames.
+    At ``_CROP_FRACTION`` a crop is shorter than its clip at any frames >= ``MIN_FRAMES``.
     """
     if frames < MIN_FRAMES:
         raise ContractError(f"view augmentation needs clips with >= {MIN_FRAMES} frames")
-    crop_len = max(1, int(round(crop_fraction * frames)))
-    if crop_len >= frames:
-        return None
+    crop_len = max(1, int(round(_CROP_FRACTION * frames)))
     return _read_only(np.arange(frames - crop_len + 1)[:, None] + (np.arange(frames) * crop_len) // frames)
 
 
-def two_view_batch(clips: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> Tensor:
+def two_view_batch(clips: np.ndarray, rng: np.random.Generator) -> Tensor:
     """Interleaved view matrix: rows (2i, 2i+1) are the two views of clip i.
 
     Each view is crop + nearest-frame resample, noise and band dropout. The
-    draws are batched, in order and each only when the policy uses it:
-    ``integers`` for the 2n crop starts, ``standard_normal`` scaled in place
-    by noise_std for the (2n, frames, bands) noise (the bytes of ``normal``),
-    ``uniform`` for the (2n, bands) band-dropout coins, a dropped band zeroed
-    across every frame of its one view. Pure in (clips, policy, rng state);
-    the identity policy (1.0, 0, 0) repeats each clip's features bit-exactly.
+    draws are batched, in this order: ``integers`` for the 2n crop starts,
+    ``standard_normal`` scaled in place by ``_NOISE_STD`` for the
+    (2n, frames, bands) noise (the bytes of ``normal``), ``uniform`` for the
+    (2n, bands) band-dropout coins, a dropped band zeroed across every frame
+    of its one view. Pure in (clips, rng state).
     """
     n, frames, bands = clips_shape(clips, "two_view_batch")
-    crop_rows = _crop_rows(frames, policy.crop_fraction)
+    crop_rows = _crop_rows(frames)
     n_views = 2 * n
     # the clips' frames stacked; view v reads clip v // 2, whose first frame is first[v]
     first = np.arange(0, n * frames, frames).repeat(2)[:, None]
-    if crop_rows is None:
-        rows = np.arange(frames)
-    else:
-        rows = crop_rows[rng.integers(0, len(crop_rows), size=n_views)]
+    rows = crop_rows[rng.integers(0, len(crop_rows), size=n_views)]
     views = clips.reshape(n * frames, bands).take(first + rows, axis=0)  # (2n, frames, bands)
-    if policy.noise_std > 0:
-        noise = rng.standard_normal(views.shape)
-        noise *= policy.noise_std
-        views += noise
-    if policy.band_mask_prob > 0:
-        dropped = rng.uniform(size=(n_views, bands)) < policy.band_mask_prob
-        views.transpose(0, 2, 1)[dropped] = 0.0
+    noise = rng.standard_normal(views.shape)
+    noise *= _NOISE_STD
+    views += noise
+    dropped = rng.uniform(size=(n_views, bands)) < _BAND_DROP_PROB
+    views.transpose(0, 2, 1)[dropped] = 0.0
     return Tensor(views.reshape(n_views, frames * bands))
 
 
@@ -205,14 +189,13 @@ def _eye_constants(d: int) -> tuple[Tensor, Tensor]:
     return Tensor(_read_only(np.eye(d))), Tensor(_read_only(1.0 - np.eye(d)))
 
 
-def barlow_twins_loss(z: Tensor, lam: float) -> Tensor:
+def barlow_twins_loss(z: Tensor) -> Tensor:
     """Cross-correlation redundancy loss between the two views of an interleaved 2n x d embedding matrix.
 
     The even rows give za and the odd rows zb, each n x d. Their columns are
     standardized to mean 0 / std 1 (population std, floored at ``_STD_EPS``), giving
-    C = (1/n) za_std^T zb_std and the loss sum_i (1 - C_ii)^2 + lam * sum_{i != j} C_ij^2.
+    C = (1/n) za_std^T zb_std and the loss sum_i (1 - C_ii)^2 + ``_BT_LAMBDA`` * sum_{i != j} C_ij^2.
     """
-    check("lam", lam, NON_NEGATIVE)
     pairs = _pairs(z)
     n, d = len(pairs.even), z.shape[1]
 
@@ -228,7 +211,7 @@ def barlow_twins_loss(z: Tensor, lam: float) -> Tensor:
     diag_err = ad.sub(eye, c)
     on_diag = ad.sum_all(ad.mul(ad.mul(diag_err, diag_err), eye))
     off_diag = ad.sum_all(ad.mul(ad.mul(c, c), off_mask))
-    return ad.add(on_diag, ad.mul(off_diag, lam))
+    return ad.add(on_diag, ad.mul(off_diag, _BT_LAMBDA))
 
 
 @dataclass

@@ -181,11 +181,9 @@ def oracle_eye_constants(d: int) -> tuple[np.ndarray, np.ndarray]:
     return eye, 1.0 - eye
 
 
-def oracle_crop_rows(frames: int, crop_fraction: float) -> np.ndarray | None:
-    """Row s: the source frame of each output frame when cropping at s and resampling back; None when uncropped."""
-    crop_len = max(1, int(round(crop_fraction * frames)))
-    if crop_len >= frames:
-        return None
+def oracle_crop_rows(frames: int) -> np.ndarray:
+    """Row s: the source frame of each output frame when cropping 0.7 of the frames at s and resampling back."""
+    crop_len = max(1, int(round(0.7 * frames)))
     return np.array([[s + f * crop_len // frames for f in range(frames)] for s in range(frames - crop_len + 1)])
 
 

@@ -61,10 +61,10 @@ def test_criterion_01_loss_gradients():
             checked["nt_xent"] += 1
         if checked["barlow"] < target:
             def f_bt(p):
-                return barlow_twins_loss(project(p, encode(p, xb)), 0.005).item()
+                return barlow_twins_loss(project(p, encode(p, xb))).item()
 
             with Graph(params.as_dict()) as g:
-                loss = barlow_twins_loss(project(params, encode(params, xb)), 0.005)
+                loss = barlow_twins_loss(project(params, encode(params, xb)))
             assert gradclose(backward(g, loss), finite_diff_grad(f_bt, params, 1e-5))
             checked["barlow"] += 1
 

@@ -198,7 +198,7 @@ def test_config_only_converts_text():
 SETTING_READERS = {
     ("aggregation", "aggregate"): ("strategy",),
     ("aggregation", "scope_apply"): ("scope",),
-    ("data", "synth_dataset"): ("n_classes", "n_per_class", "frames", "bands", "seed", "noise_std"),
+    ("data", "synth_dataset"): ("n_classes", "n_per_class", "frames", "bands", "seed"),
     ("data", "downstream_suite"): ("seed", "frames", "bands"),
     ("data", "dirichlet_partition"): ("n_clients", "alpha", "seed"),
     ("evaluator", "knn_retrieval_accuracy"): ("k",),
@@ -213,12 +213,11 @@ SETTING_READERS = {
     ("seeding", "derive_seed"): ("master_seed", "indices"),
     ("seeding", "rng_for"): ("master_seed", "indices"),
     ("ssl_tasks", "nt_xent_loss"): ("tau",),
-    ("ssl_tasks", "barlow_twins_loss"): ("lam",),
 }
 # Names a library function reads a setting under besides the setting's own field name
 SETTING_ALIASES = {
-    "lam": "bt_lambda", "s": "clients_per_round", "n_classes": "pretext_classes",
-    "n_per_class": "pretext_per_class", "seed": "master_seed", "indices": "master_seed",
+    "s": "clients_per_round", "n_classes": "pretext_classes", "n_per_class": "pretext_per_class",
+    "seed": "master_seed", "indices": "master_seed",
 }
 # Public functions that read a setting and check nothing, and why
 UNCHECKED_READERS = {
@@ -441,7 +440,7 @@ def test_public_methods_and_their_uses_are_seen():
 def test_references_resolve_through_module_aliases():
     tree = ast.parse(
         "from . import kernels as k\nfrom .model import encode\nfrom fassl import data\n"
-        "k.topk_hits(); data.Clip; cfg.augment; local_name\n"
+        "k.topk_hits(); data.Clip; cfg.tau; local_name\n"
     )
     assert references(tree, "evaluator") == {
         ("kernels", "topk_hits"), ("model", "encode"), ("data", "Clip"),

@@ -35,6 +35,15 @@ from fassl.plotting import collect_series, plot_results
 
 from conftest import FILE_WRITE_FAILURES, SCOPES, bundled_openblas, fail_file_writes
 
+# Each deleted setting key and the value an old emit-defaults wrote for it, which is now its constant, so deleting
+# its line runs the same cell: retrieval's distance, the loss strategy's weighting, barlow_twins' std guard, whether
+# `run` also drew the figures (they come from `fassl plot <root>` alone), barlow_twins' off-diagonal weight and the
+# view policy. Each key's flag is refused too.
+DELETED_KEYS = {
+    "metric": "cosine", "loss_weight_direction": "high", "bt_eps": "1e-09", "plot": "false",
+    "bt_lambda": "0.005", "crop_fraction": "0.7", "noise_std": "0.05", "band_mask_prob": "0.1",
+}
+
 
 class TestParseConfig:
     def test_empty_file_gives_all_defaults(self):
@@ -51,8 +60,7 @@ class TestParseConfig:
             parse_config_text("rounds = 5\nalpha = -1\n", "<config>")
 
     @pytest.mark.parametrize("line", [
-        "lr = nan", "alpha = inf", "tau = nan", "bt_lambda = inf",
-        "noise_std = nan", "fedu_mu = inf",
+        f"{key} = {value}" for key in ("lr", "alpha", "tau", "fedu_mu") for value in ("nan", "inf", "-inf")
     ])
     def test_nonfinite_value_is_range_error_with_line_number(self, line):
         with pytest.raises(ConfigError, match=r":2: bad value"):
@@ -144,14 +152,10 @@ class TestParseConfig:
         old_comment = f"# {key} = <comma list>  (matrix axis; empty = [{key}])\n"
         assert parse_config_text(emit_defaults() + old_comment, "<config>") == default_values()
 
-    @pytest.mark.parametrize("line", [
-        "metric = cosine", "loss_weight_direction = high", "bt_eps = 1e-09", "plot = false",
-    ])
-    def test_deleted_setting_keys_are_unknown_with_line_number(self, line):
-        # each key is now the constant of the value shown, so deleting its line runs the same cell
-        key = line.split(" = ")[0]
+    @pytest.mark.parametrize("key, value", DELETED_KEYS.items())
+    def test_deleted_setting_keys_are_unknown_with_line_number(self, key, value):
         with pytest.raises(ConfigError, match=rf"^<config>:2: unknown key '{key}'$"):
-            parse_config_text(f"rounds = 2\n{line}\n", "<config>")
+            parse_config_text(f"rounds = 2\n{key} = {value}\n", "<config>")
 
     def test_matrix_cells_cartesian_product(self):
         values = parse_config_text(
@@ -202,8 +206,7 @@ REJECTED = {
     "rounds": "0", "clients": "0", "clients_per_round": "0", "local_epochs": "0", "batch_size": "-1",
     "lr": "nan", "ssl_task": "rotation", "strategy": "fedprox", "scope": "head", "alpha": "-0.5",
     "master_seed": "-1", "eval_every": "0", "k": "0", "workers": "0", "fedu_mu": "-1",
-    "tau": "0", "bt_lambda": "-0.001",
-    "crop_fraction": "1.5", "noise_std": "-0.1", "band_mask_prob": "1.01", "pretext_classes": "0",
+    "tau": "0", "pretext_classes": "0",
     "pretext_per_class": "0", "frames": "0", "bands": "0", "hidden_dim": "0", "embed_dim": "-3",
     "projection_dim": "0", "feature_layer": "fc1",
 }
@@ -256,6 +259,8 @@ CSV_FRAGMENTS = [field.encode() for field in CSV_HEADER.split(",")] + [
 @example(header=True, blob=b"1,fedavg,full,simclr,1,bandprofile,1,0.500000\n")
 @example(header=True, blob=b"007,fedavg,full,simclr,01,bandprofile,1,0.5\n")  # values run writes, in other text
 @example(header=True, blob=b"0,a,b,c,1,t,1,1e400\n")
+@example(header=True, blob=b"1,fedavg,full,simclr,1,t,1,0.500000\n1,fedavg,full,acop,1,t,1,0.500000\n")
+@example(header=True, blob=b"1,fedu,backbone,simclr,1,t,1,0.500000\n")
 def test_results_csv_bytes_parse_or_raise_contract_error(tmp_path, header, blob):
     path = tmp_path / "results.csv"
     path.write_bytes((CSV_HEADER.encode() + b"\n" if header else b"") + blob)
@@ -345,10 +350,10 @@ class TestCmdRun:
 
     @pytest.mark.parametrize("argv, named", [
         (["run", "--strategies", "fedavg,ldawa"], "unrecognized arguments: --strategies"),
-        (["run", "--metric", "cosine"], "unrecognized arguments: --metric"),
-        (["run", "--loss-weight-direction", "high"], "unrecognized arguments: --loss-weight-direction"),
-        (["run", "--bt-eps", "1e-9"], "unrecognized arguments: --bt-eps"),
-        (["run", "--plot", "true"], "unrecognized arguments: --plot true"),
+        *[
+            (["run", flag, value], f"unrecognized arguments: {flag} {value}")
+            for flag, value in ((f"--{key.replace('_', '-')}", value) for key, value in DELETED_KEYS.items())
+        ],
         (["run", "--rounds"], "argument --rounds: expected one argument"),
         ([], "required: command"),
     ])
@@ -592,9 +597,7 @@ NON_DEFAULT = {
     "rounds": "2", "clients": "6", "clients_per_round": "3", "local_epochs": "2",
     "batch_size": "8", "lr": "0.03", "ssl_task": "barlow_twins", "strategy": "ldawa,loss",
     "scope": "full,backbone", "alpha": "0.5", "master_seed": "11", "eval_every": "1", "k": "3",
-    "workers": "2", "fedu_mu": "0.7", "tau": "0.3",
-    "bt_lambda": "0.01", "crop_fraction": "0.6", "noise_std": "0.02",
-    "band_mask_prob": "0.2", "pretext_classes": "3", "pretext_per_class": "8", "frames": "16",
+    "workers": "2", "fedu_mu": "0.7", "tau": "0.3", "pretext_classes": "3", "pretext_per_class": "8", "frames": "16",
     "bands": "8", "hidden_dim": "8", "embed_dim": "6", "projection_dim": "5",
     "feature_layer": "projection", "out_dir": "elsewhere",
 }
@@ -736,26 +739,32 @@ class TestEmitDefaults:
         text = capsys.readouterr().out
         assert parse_config_text(text, "<config>") == default_values()
 
-    # The keys that set retrieval's distance, the loss strategy's weighting, barlow_twins' std guard and whether
-    # `run` also drew the figures, each as an old emit-defaults wrote it; each is now the constant of its old
-    # default (figures come from `fassl plot <root>` alone).
-    DELETED_KEYS = ["metric = cosine", "loss_weight_direction = high", "bt_eps = 1e-09", "plot = false"]
-
     def test_deleted_keys_are_unknown_naming_the_first_and_its_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["emit-defaults"]) == 0
         text = capsys.readouterr().out
-        assert not {line.split(" = ")[0] for line in self.DELETED_KEYS} & set(SCHEMA)
-        # the text emit-defaults wrote while plot was a key: this one with plot's help and key lines last
-        with_plot = text + "# emit SVG plots after a run\nplot = false\n"
+        assert not set(DELETED_KEYS) & set(SCHEMA)
+        # the text emit-defaults wrote while barlow_twins' weight and the view policy were keys, their help and key
+        # lines after tau's, and then that text while plot was a key too, plot's help and key lines last
+        view_keys = {
+            "bt_lambda": "off-diagonal weight of the matching loss", "crop_fraction": "time-crop fraction for views",
+            "noise_std": "additive view noise std", "band_mask_prob": "per-band dropout probability",
+        }
+        with_view = text.replace("tau = 0.5\n", "tau = 0.5\n" + "".join(
+            f"# {doc}\n{key} = {DELETED_KEYS[key]}\n" for key, doc in view_keys.items()
+        ))
+        assert hashlib.sha256(with_view.encode()).hexdigest() == (
+            "85481cf02279ded1f36d1942df5e8939ebffaffdb90f3017e306b3395d327404"
+        )
+        with_plot = with_view + "# emit SVG plots after a run\nplot = false\n"
         assert hashlib.sha256(with_plot.encode()).hexdigest() == (
             "36de3ea930b850a9b505621bf2b25ab04d86e910bea527e56adc88614e240f60"
         )
         path = tmp_path / "old.cfg"
-        path.write_text(text + "\n".join(self.DELETED_KEYS) + "\n")
+        path.write_text(with_plot)
         assert main(["run", "--config", str(path)]) == 1
-        lineno = len(text.splitlines()) + 1
-        assert capsys.readouterr().err == f"config error: {path}:{lineno}: unknown key 'metric'\n"
+        lineno = with_plot.splitlines().index("bt_lambda = 0.005") + 1
+        assert capsys.readouterr().err == f"config error: {path}:{lineno}: unknown key 'bt_lambda'\n"
         assert main(["run", "--plot", "true"]) == 1
         assert capsys.readouterr().err.endswith("config error: unrecognized arguments: --plot true\n")
         assert list(tmp_path.iterdir()) == [path]  # refused before any cell directory exists
@@ -859,18 +868,36 @@ class TestCmdPlot:
             "3,fedavg,full,byol,1,bandprofile,1,0.500000",
             "3,fedavg,full,simclr,1,,1,0.500000",
             "3,fedavg,full,simclr,1,band\\profile,1,0.500000",
+            "3,fedu,backbone,simclr,1,bandprofile,1,0.500000",
+            "3,ldawa,full,simclr,1,bandprofile,1,0.500000",
+            "3,fedavg,backbone,simclr,1,bandprofile,1,0.500000",
+            "3,fedavg,full,acop,1,bandprofile,1,0.500000",
+            "3,fedavg,full,simclr,2,bandprofile,1,0.500000",
+            "3,fedavg,full,simclr,1,bandprofile,3,0.500000",
+            "2,fedavg,full,simclr,1,bandprofile,1,0.750000",
         ],
         ids=[
             "round", "local_epochs", "k", "acc-nan", "acc-inf", "acc-above-one", "acc-negative", "acc-text", "short",
             "round-negative", "local_epochs-zero", "k-zero", "round-arabic-indic-digit", "k-underscore",
             "acc-underscore", "acc-arabic-indic-digits", "acc-spaces", "k-above-train-clips", "strategy-unknown",
-            "scope-unknown", "ssl_task-unknown", "task-empty", "task-backslash",
+            "scope-unknown", "ssl_task-unknown", "task-empty", "task-backslash", "run-fedu-backbone",
+            "strategy-second", "scope-second", "ssl_task-second", "local_epochs-second", "k-second",
+            "round-task-repeated",
         ],
     )
     def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, bad_row):
         path = self._write_csv(tmp_path, [*self.GOOD_ROWS, bad_row])
         assert main(["plot", str(tmp_path)]) == 2
         assert f"{path}:4:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.svg"))
+
+    def test_file_of_a_run_no_config_allows_exits_2_naming_its_first_row(self, tmp_path, capsys):
+        rows = [row.replace("fedavg,full", "fedu,backbone") for row in self.GOOD_ROWS]
+        path = self._write_csv(tmp_path, rows)
+        assert main(["plot", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: strategy fedu gates only the heads, which scope backbone never transceives\n"
+        )
         assert not list(tmp_path.glob("*.svg"))
 
     def test_non_utf8_csv_exits_2_naming_file_and_line(self, tmp_path, capsys):

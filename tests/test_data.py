@@ -63,9 +63,13 @@ class TestSynthDataset:
         with pytest.raises(ContractError):
             synth_dataset(0, 5, 8, 4, seed=0)
 
-    def test_non_finite_noise_rejected_at_generation(self):
-        with pytest.raises(ContractError, match="finite"):
-            synth_dataset(2, 3, 8, 4, seed=0, noise_std=float("inf"))
+    @pytest.mark.parametrize("value, message", [
+        (-1.0, "noise_std must be non-negative, got -1.0"), (float("nan"), "noise_std must be finite, got nan"),
+        (float("inf"), "noise_std must be finite, got inf"),
+    ])
+    def test_noise_std_is_checked_by_its_rule(self, value, message):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            synth_dataset(2, 3, 8, 4, seed=0, noise_std=value)
 
 
 class TestClip:
@@ -258,7 +262,7 @@ def test_scaled_standard_normal_gives_normals_bytes_and_stream(std):
 
     normal computes 0.0 + std * z, so the forms differ only at std 0, where a
     negative z leaves the scaled form a -0.0: data's fill adds a base >= +0.0
-    to every element, which clears it, and two_view_batch draws no noise at 0.
+    to every element, which clears it, and two_view_batch's noise std is 0.05.
     """
     size = (64, 1024)
     old, new = np.random.default_rng(11), np.random.default_rng(11)

@@ -15,8 +15,8 @@ from fassl.errors import ContractError
 from fassl.model import ACOP_ORDERS, encode, init_encoder, project, sgd_step
 from fassl.seeding import rng_for
 from fassl.ssl_tasks import (
+    MIN_FRAMES,
     AcopBatch,
-    AugmentPolicy,
     acop_loss,
     acop_make_batch,
     barlow_twins_loss,
@@ -52,45 +52,23 @@ def make_clips(rng, n, frames=12, bands=4) -> np.ndarray:
 
 
 class TestAugment:
-    def test_identity_policy_returns_original(self, rng):
-        clip = make_clip(rng)
-        views = two_view_batch(clip[None], AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "aug"))
-        np.testing.assert_array_equal(views.data, np.tile(clip.reshape(-1), (2, 1)))
-
     def test_same_rng_state_same_view(self, rng):
         clip = make_clip(rng)
-        policy = AugmentPolicy(0.6, 0.1, 0.2)
-        a = two_view_batch(clip[None], policy, rng_for(3, "aug"))
-        b = two_view_batch(clip[None], policy, rng_for(3, "aug"))
+        a = two_view_batch(clip[None], rng_for(3, "aug"))
+        b = two_view_batch(clip[None], rng_for(3, "aug"))
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_noise_magnitude_monte_carlo(self, rng):
-        """|view - clean| has half-normal mean std*sqrt(2/pi) ~ 0.0798 at std 0.1."""
-        clip = make_clip(rng)
-        clean = clip.reshape(-1)
-        policy = AugmentPolicy(1.0, 0.1, 0.0)
+    def test_noise_magnitude_monte_carlo(self):
+        """|view - clean| has half-normal mean std*sqrt(2/pi) ~ 0.0399 at the view noise std 0.05.
+
+        Every frame of the clip holds 5.0, so a crop reads the clean value and
+        only a dropped band, which is exactly 0, is not 5.0 plus noise.
+        """
+        clip = np.full((12, 4), 5.0)
         stream = rng_for(4, "aug-mc")
-        devs = [np.mean(np.abs(two_view_batch(clip[None], policy, stream).data - clean)) for _ in range(500)]
-        assert 0.05 < np.mean(devs) < 0.15
-
-    def test_band_mask_zeroes_columns(self, rng):
-        clip = make_clip(rng)
-        views = two_view_batch(clip[None], AugmentPolicy(1.0, 0.0, 1.0), rng_for(5, "aug"))
-        np.testing.assert_array_equal(views.data, np.zeros((2, clip.size)))
-
-    def test_policy_validation(self):
-        with pytest.raises(ContractError):
-            AugmentPolicy(crop_fraction=0.0)
-        with pytest.raises(ContractError):
-            AugmentPolicy(noise_std=-0.1)
-        with pytest.raises(ContractError):
-            AugmentPolicy(band_mask_prob=1.5)
-
-    @pytest.mark.parametrize("field", ["crop_fraction", "noise_std", "band_mask_prob"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_policy_rejects_nonfinite(self, field, value):
-        with pytest.raises(ContractError):
-            AugmentPolicy(**{field: value})
+        batches = [two_view_batch(clip[None], stream).data for _ in range(500)]
+        devs = np.concatenate([np.abs(views[views != 0.0] - 5.0) for views in batches])
+        assert 0.035 < devs.mean() < 0.045
 
 
 class TestNtXentLoss:
@@ -132,7 +110,7 @@ class TestNtXentLoss:
 
 @pytest.mark.parametrize("shape", [(8,), (4, 2, 3)])
 @pytest.mark.parametrize("loss", [
-    lambda z: nt_xent_loss(z, tau=0.5), lambda z: barlow_twins_loss(z, lam=0.005),
+    lambda z: nt_xent_loss(z, tau=0.5), barlow_twins_loss,
 ], ids=["nt_xent", "barlow_twins"])
 def test_pair_losses_refuse_a_z_that_is_not_a_matrix(loss, shape):
     message = rf"^view embeddings must be a \(2n, d\) matrix with n >= 2, got shape {re.escape(str(shape))}$"
@@ -140,10 +118,11 @@ def test_pair_losses_refuse_a_z_that_is_not_a_matrix(loss, shape):
         loss(Tensor(np.ones(shape)))
 
 
-def reference_barlow_twins_loss(z: Tensor, lam: float) -> Tensor:
+def reference_barlow_twins_loss(z: Tensor) -> Tensor:
     """Two-matrix oracle: the even and odd rows gathered first, then the loss on those two n x d matrices.
 
-    Each column's std is floored at 1e-9, the constant barlow_twins_loss reads.
+    Each column's std is floored at 1e-9 and the off-diagonal weight is 5e-3,
+    the constants barlow_twins_loss reads.
     """
     two_n, d = z.shape
     za, zb = ad.gather_rows(z, np.arange(0, two_n, 2)), ad.gather_rows(z, np.arange(1, two_n, 2))
@@ -160,7 +139,7 @@ def reference_barlow_twins_loss(z: Tensor, lam: float) -> Tensor:
     diag_err = ad.sub(eye, c)
     on_diag = ad.sum_all(ad.mul(ad.mul(diag_err, diag_err), eye))
     off_diag = ad.sum_all(ad.mul(ad.mul(c, c), off_mask))
-    return ad.add(on_diag, ad.mul(off_diag, lam))
+    return ad.add(on_diag, ad.mul(off_diag, 5e-3))
 
 
 class TestBarlowTwinsLoss:
@@ -169,28 +148,17 @@ class TestBarlowTwinsLoss:
         raw = rng.normal(size=(16, 4))
         q, _ = np.linalg.qr(raw - raw.mean(axis=0))
         z = (q - q.mean(axis=0)) / q.std(axis=0)
-        loss = barlow_twins_loss(Tensor(interleave(z, z)), lam=0.005)
+        loss = barlow_twins_loss(Tensor(interleave(z, z)))
         assert loss.item() < 1e-20
-
-    def test_lambda_zero_uses_only_diagonal(self, rng):
-        za = rng.normal(size=(8, 4))
-        zb = rng.normal(size=(8, 4))
-        loss_value = barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.0).item()
-        # direct-formula oracle, diagonal part only
-        a = (za - za.mean(0)) / np.maximum(za.std(0), 1e-9)
-        b = (zb - zb.mean(0)) / np.maximum(zb.std(0), 1e-9)
-        c = a.T @ b / 8.0
-        np.testing.assert_allclose(loss_value, ((1 - np.diag(c)) ** 2).sum(), rtol=1e-10)
 
     def test_matches_direct_formula_oracle(self, rng):
         za = rng.normal(size=(8, 4))
         zb = rng.normal(size=(8, 4))
-        lam = 0.005
         a = (za - za.mean(0)) / np.maximum(za.std(0), 1e-9)
         b = (zb - zb.mean(0)) / np.maximum(zb.std(0), 1e-9)
         c = a.T @ b / 8.0
-        expected = ((1 - np.diag(c)) ** 2).sum() + lam * (c**2 * (1 - np.eye(4))).sum()
-        loss = barlow_twins_loss(Tensor(interleave(za, zb)), lam=lam)
+        expected = ((1 - np.diag(c)) ** 2).sum() + 5e-3 * (c**2 * (1 - np.eye(4))).sum()
+        loss = barlow_twins_loss(Tensor(interleave(za, zb)))
         np.testing.assert_allclose(loss.item(), expected, atol=1e-10)
 
     def test_column_std_below_the_floor_is_divided_by_the_floor(self, rng):
@@ -201,33 +169,32 @@ class TestBarlowTwinsLoss:
         c = a.T @ a / 8.0
         assert c[0, 0] < 0.1
         expected = ((1 - np.diag(c)) ** 2).sum() + 0.005 * (c**2 * (1 - np.eye(3))).sum()
-        loss = barlow_twins_loss(Tensor(interleave(z, z)), lam=0.005)
+        loss = barlow_twins_loss(Tensor(interleave(z, z)))
         np.testing.assert_allclose(loss.item(), expected, rtol=1e-10)
 
     def test_always_nonnegative(self, rng):
         for _ in range(50):
             za = rng.normal(size=(6, 3))
             zb = rng.normal(size=(6, 3))
-            assert barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.01).item() >= 0.0
+            assert barlow_twins_loss(Tensor(interleave(za, zb))).item() >= 0.0
 
     def test_pair_permutation_equivariance(self, rng):
         za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
-        base = barlow_twins_loss(Tensor(interleave(za, zb)), lam=0.005).item()
+        base = barlow_twins_loss(Tensor(interleave(za, zb))).item()
         perm = rng.permutation(8)
-        shuffled = barlow_twins_loss(Tensor(interleave(za[perm], zb[perm])), lam=0.005).item()
+        shuffled = barlow_twins_loss(Tensor(interleave(za[perm], zb[perm]))).item()
         np.testing.assert_allclose(base, shuffled, rtol=1e-10)
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3), (5, 3)])
     def test_too_few_pairs_rejected(self, shape):
         with pytest.raises(ContractError):
-            barlow_twins_loss(Tensor(np.ones(shape)), lam=0.005)
+            barlow_twins_loss(Tensor(np.ones(shape)))
 
-    @pytest.mark.parametrize("n, d, lam", [(2, 3, 0.005), (4, 5, 0.0), (7, 4, 0.5), (64, 16, 0.005)])
-    def test_same_bytes_as_the_two_matrix_form(self, n, d, lam):
+    @pytest.mark.parametrize("n, d", [(2, 3), (4, 5), (7, 4), (64, 16)])
+    def test_same_bytes_as_the_two_matrix_form(self, n, d):
         """On the interleaved matrix, the loss and its gradient are those of the loss on its gathered halves."""
         z = np.random.default_rng(n * d).normal(size=(2 * n, d))
-        ours = loss_and_grad_bytes(lambda z: barlow_twins_loss(z, lam), z)
-        assert ours == loss_and_grad_bytes(lambda z: reference_barlow_twins_loss(z, lam), z)
+        assert loss_and_grad_bytes(barlow_twins_loss, z) == loss_and_grad_bytes(reference_barlow_twins_loss, z)
 
 
 class TestAcopBatch:
@@ -348,10 +315,10 @@ class TestLossGradientsThroughEncoder:
         assert gradclose(backward(g, loss), finite_diff_grad(f_nt, params, 1e-5))
 
         def f_bt(p):
-            return barlow_twins_loss(project(p, encode(p, xb)), lam=0.005).item()
+            return barlow_twins_loss(project(p, encode(p, xb))).item()
 
         with Graph(params.as_dict()) as g:
-            loss = barlow_twins_loss(project(params, encode(params, xb)), lam=0.005)
+            loss = barlow_twins_loss(project(params, encode(params, xb)))
         assert gradclose(backward(g, loss), finite_diff_grad(f_bt, params, 1e-5))
 
 
@@ -360,8 +327,7 @@ class TestSeparableFixtureTraining:
         """The pair loss has no floor claim; instead it must train down."""
         ds = synth_dataset(4, 8, 16, 8, seed=13)
         params = init_encoder(128, 12, 8, 8, seed=13)
-        policy = AugmentPolicy(0.8, 0.05, 0.1)
-        probe = two_view_batch(ds.clip_array(), policy, rng_for(14, "nt-probe"))
+        probe = two_view_batch(ds.clip_array(), rng_for(14, "nt-probe"))
 
         def probe_loss(p):
             return nt_xent_loss(project(p, encode(p, probe)), tau=0.5).item()
@@ -369,7 +335,7 @@ class TestSeparableFixtureTraining:
         before = probe_loss(params)
         stream = rng_for(13, "nt-train")
         for _ in range(60):
-            batch = two_view_batch(ds.clip_array(), policy, stream)
+            batch = two_view_batch(ds.clip_array(), stream)
             with Graph(params.as_dict()) as g:
                 loss = nt_xent_loss(project(params, encode(params, batch)), tau=0.5)
             params = sgd_step(params, backward(g, loss), lr=0.01)
@@ -393,14 +359,14 @@ class TestAcopLossBatchOrder:
 
 
 class TestTwoViewBatch:
-    def test_interleaved_rows(self, rng):
-        ds = synth_dataset(2, 3, 12, 4, seed=0)
-        batch = two_view_batch(ds.clip_array()[:3], AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "v"))
+    def test_interleaved_rows(self):
+        # clip i holds 10 * (i + 1) everywhere, so a view of it is that value plus noise of std 0.05, or 0 where dropped
+        clips = np.stack([np.full((12, 4), 10.0 * (i + 1)) for i in range(3)])
+        batch = two_view_batch(clips, rng_for(0, "v"))
         assert batch.shape == (6, 48)
-        for i, clip in enumerate(ds.clip_array()[:3]):
-            flat = clip.reshape(-1)
-            np.testing.assert_array_equal(batch.data[2 * i], flat)
-            np.testing.assert_array_equal(batch.data[2 * i + 1], flat)
+        for row, view in enumerate(batch.data):
+            kept = view[view != 0.0]
+            assert kept.size and np.all(np.abs(kept - 10.0 * (row // 2 + 1)) < 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -409,40 +375,35 @@ class TestNonFiniteClipRejectedByBatch:
 
     def clips(self, rng, bad):
         clips = make_clips(rng, 3)
-        clips[1, 0, 0] = bad  # frame 0 is in every uncropped view and in acop's first segment
+        clips[1] = bad  # every view and every segment of clip 1 reads it
         return clips
 
     def test_two_view_batch(self, rng, bad):
         with pytest.raises(ContractError, match="finite"):
-            two_view_batch(self.clips(rng, bad), AugmentPolicy(1.0, 0.05, 0.0), rng_for(0, "v"))
+            two_view_batch(self.clips(rng, bad), rng_for(0, "v"))
 
     def test_acop_make_batch(self, rng, bad):
         with pytest.raises(ContractError, match="finite"):
             acop_make_batch(self.clips(rng, bad), rng_for(0, "x"))
 
 
-def reference_two_view_batch(clips, policy, rng) -> np.ndarray:
+def reference_two_view_batch(clips, rng) -> np.ndarray:
     """Loop oracle: the batched draws in documented order, then one view at a time.
 
-    Draws all 2n crop starts, then the (2n, frames, bands) noise, then the
-    (2n, bands) band-dropout coins, each only when the policy uses it; view
-    v is clip v // 2 cropped, resampled, noised and band-masked.
+    Draws all 2n crop starts, then the (2n, frames, bands) noise of std 0.05,
+    then the (2n, bands) band-dropout coins; view v is clip v // 2 cropped to
+    0.7 of its frames, resampled, noised and masked where its coin is below 0.1.
     """
     frames, bands = clips.shape[1:]
     n_views = 2 * len(clips)
-    crop_len = max(1, int(round(policy.crop_fraction * frames)))
-    starts = rng.integers(0, frames - crop_len + 1, size=n_views) if crop_len < frames else None
-    noise = rng.normal(0.0, policy.noise_std, size=(n_views, frames, bands)) if policy.noise_std > 0 else None
-    coins = rng.uniform(size=(n_views, bands)) if policy.band_mask_prob > 0 else None
+    crop_len = max(1, int(round(0.7 * frames)))
+    starts = rng.integers(0, frames - crop_len + 1, size=n_views)
+    noise = rng.normal(0.0, 0.05, size=(n_views, frames, bands))
+    coins = rng.uniform(size=(n_views, bands))
     rows = []
     for v in range(n_views):
-        feats = clips[v // 2]
-        crop = feats if starts is None else feats[starts[v]:starts[v] + crop_len]
-        view = resample_frames(crop, frames).copy()
-        if noise is not None:
-            view = view + noise[v]
-        if coins is not None:
-            view[:, coins[v] < policy.band_mask_prob] = 0.0
+        view = resample_frames(clips[v // 2][starts[v]:starts[v] + crop_len], frames) + noise[v]
+        view[:, coins[v] < 0.1] = 0.0
         rows.append(view.reshape(-1))
     return np.stack(rows)
 
@@ -463,14 +424,6 @@ def reference_acop_make_batch(clips, rng) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(rows), np.array(labels, dtype=np.int64)
 
 
-ORACLE_POLICIES = {
-    "identity": AugmentPolicy(1.0, 0.0, 0.0),
-    "crop_only": AugmentPolicy(0.7, 0.0, 0.0),
-    "noise_only": AugmentPolicy(1.0, 0.05, 0.0),
-    "band_mask_0": AugmentPolicy(0.6, 0.05, 0.0),
-    "band_mask_1": AugmentPolicy(0.6, 0.05, 1.0),
-    "default": AugmentPolicy(),
-}
 ORACLE_SHAPES = [(32, 16), (31, 5), (14, 3)]  # none has a frame count divisible by 3
 
 
@@ -494,35 +447,34 @@ class TestBatchedViewDraw:
         features = fill(np.arange(self.FRAMES * self.BANDS, dtype=float).reshape(self.FRAMES, self.BANDS))
         return np.tile(features, (self.N, 1, 1))
 
-    def batches(self, clips, policy, count, purpose):
+    def batches(self, clips, count, purpose):
         stream = rng_for(11, purpose)
         for _ in range(count):
-            yield two_view_batch(clips, policy, stream).data.reshape(2 * self.N, self.FRAMES, self.BANDS)
+            yield two_view_batch(clips, stream).data.reshape(2 * self.N, self.FRAMES, self.BANDS)
 
     def test_every_crop_start_occurs(self):
-        # frame f of every clip holds f, so a view's first frame is its crop start
+        # frame f of every clip holds f, so a view's first frame is its crop start plus noise, or 0 where dropped
         clips = self.clips(lambda x: x // self.BANDS)
-        policy = AugmentPolicy(0.7, 0.0, 0.0)
         crop_len = round(0.7 * self.FRAMES)
         seen = set()
-        for views in self.batches(clips, policy, 20, "starts"):
-            seen.update(views[:, 0, 0].astype(int).tolist())
+        for views in self.batches(clips, 20, "starts"):
+            seen.update(np.rint(views[:, 0, :].max(axis=1)).astype(int).tolist())
         assert seen == set(range(self.FRAMES - crop_len + 1))
 
     def test_dropped_band_rate_within_binomial_bound(self):
-        p = 0.3
-        clips = self.clips(lambda x: np.ones_like(x))
+        p = 0.1
+        clips = self.clips(lambda x: np.ones_like(x))  # noise of std 0.05 never takes 1 to 0
         dropped = trials = 0
-        for views in self.batches(clips, AugmentPolicy(1.0, 0.0, p), 50, "rate"):
+        for views in self.batches(clips, 50, "rate"):
             dropped += int((views[:, 0, :] == 0.0).sum())
             trials += views.shape[0] * self.BANDS
         assert abs(dropped / trials - p) <= 5 * np.sqrt(p * (1 - p) / trials)
 
     def test_band_dropout_is_per_view_and_spans_every_frame(self):
-        p = 0.3
+        p = 0.1
         clips = self.clips(lambda x: 1.0 + x)  # positive; noise of std 0.05 never reaches 0
         both = pairs = 0
-        for views in self.batches(clips, AugmentPolicy(0.7, 0.05, p), 50, "spans"):
+        for views in self.batches(clips, 50, "spans"):
             zero = views == 0.0
             band_dropped = zero.all(axis=1)  # (2n, bands)
             assert (zero.any(axis=1) == band_dropped).all(), "a band is zeroed in only some frames"
@@ -531,29 +483,33 @@ class TestBatchedViewDraw:
         # independent coins per view: both siblings drop a band at rate p^2, not p
         assert abs(both / pairs - p * p) <= 5 * np.sqrt(p * p * (1 - p * p) / pairs)
 
-    def test_default_policy_views_of_one_clip_differ(self):
+    def test_views_of_one_clip_differ(self):
         clips = self.clips(lambda x: 1.0 + x)
-        for views in self.batches(clips, AugmentPolicy(), 5, "differ"):
+        for views in self.batches(clips, 5, "differ"):
             assert all(not np.array_equal(views[2 * i], views[2 * i + 1]) for i in range(self.N))
-
-    def test_identity_policy_bit_exact_at_full_batch(self):
-        clips = oracle_clips(self.N, self.FRAMES, self.BANDS)
-        batch = two_view_batch(clips, AugmentPolicy(1.0, 0.0, 0.0), rng_for(0, "identity"))
-        expected = clips.reshape(self.N, -1).repeat(2, axis=0)
-        assert_same_bytes(batch.data, expected)
 
 
 class TestBatchBuildersMatchPerViewOracle:
     """The batch builders draw the loop oracles' streams and write their bytes."""
 
-    @pytest.mark.parametrize("policy", ORACLE_POLICIES.values(), ids=ORACLE_POLICIES.keys())
     @pytest.mark.parametrize("n", [1, 64])
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
-    def test_two_view_batch(self, policy, n, shape):
+    def test_two_view_batch(self, n, shape):
         clips = oracle_clips(n, *shape)
         ours_rng, ref_rng = rng_for(9, "oracle-views", n), rng_for(9, "oracle-views", n)
-        batch = two_view_batch(clips, policy, ours_rng)
-        assert_same_bytes(batch.data, reference_two_view_batch(clips, policy, ref_rng))
+        batch = two_view_batch(clips, ours_rng)
+        assert_same_bytes(batch.data, reference_two_view_batch(clips, ref_rng))
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("frames", range(MIN_FRAMES, 33))
+    def test_two_view_batch_at_every_frame_count_to_the_default(self, n, frames):
+        """Every view is cropped: at 0.7 a crop is shorter than its clip, so there is more than one crop start."""
+        assert len(ssl_tasks._crop_rows(frames)) >= 2
+        clips = oracle_clips(n, frames, 3)
+        ours_rng, ref_rng = rng_for(7, "oracle-frames", n, frames), rng_for(7, "oracle-frames", n, frames)
+        batch = two_view_batch(clips, ours_rng)
+        assert_same_bytes(batch.data, reference_two_view_batch(clips, ref_rng))
         assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("n", [1, 64])
@@ -580,8 +536,8 @@ class TestPinnedBatchDigests:
     digests hold on every platform numpy's Generator streams are stable on.
     """
 
-    def test_two_view_batch_default_policy(self):
-        batch = two_view_batch(pinned_clips(), AugmentPolicy(), rng_for(1, "pinned-views"))
+    def test_two_view_batch(self):
+        batch = two_view_batch(pinned_clips(), rng_for(1, "pinned-views"))
         assert batch.shape == (16, 512)
         assert hashlib.sha256(batch.data.tobytes()).hexdigest() == (
             "e7ba38fde58c417fc1cbb189a0a5cb850b3e9b50869f6e2af7e28a4299894e49"
@@ -600,7 +556,7 @@ class TestPinnedBatchDigests:
 class TestBatchInputContract:
     def test_two_view_batch_rejects(self, batch):
         with pytest.raises(ContractError, match="^two_view_batch " + BAD_BATCH_MESSAGE):
-            two_view_batch(batch, AugmentPolicy(), rng_for(0, "x"))
+            two_view_batch(batch, rng_for(0, "x"))
 
     def test_acop_make_batch_rejects(self, batch):
         with pytest.raises(ContractError, match="^acop_make_batch " + BAD_BATCH_MESSAGE):
@@ -619,14 +575,13 @@ def loss_and_grad_bytes(loss_fn, *arrays) -> bytes:
 class TestShapeConstantCaches:
     """What a step reads per batch shape is built once, kept read-only and keyed by the whole shape."""
 
-    POLICIES = (AugmentPolicy(), AugmentPolicy(0.5, 0.05, 0.2))
-    # 2n = 4, 6, 4 for the pair losses; frame counts and policies alternate under them
-    SEQUENCE = [(2, 16, POLICIES[0]), (3, 31, POLICIES[1]), (2, 31, POLICIES[0]), (3, 16, POLICIES[1]), (2, 16, POLICIES[1])]
+    # 2n = 4, 6, 4 for the pair losses; frame counts alternate under them
+    SEQUENCE = [(2, 16), (3, 31), (2, 31), (3, 16), (2, 16)]
 
     def cached_arrays(self) -> list[np.ndarray]:
         even, odd, partner, mask = ssl_tasks._pair_layout(8)
         eye, off_mask = ssl_tasks._eye_constants(5)
-        return [even, odd, partner, mask.data, eye.data, off_mask.data, ssl_tasks._crop_rows(16, 0.7), ssl_tasks._order_rows(16)]
+        return [even, odd, partner, mask.data, eye.data, off_mask.data, ssl_tasks._crop_rows(16), ssl_tasks._order_rows(16)]
 
     def test_every_cached_array_is_read_only(self):
         for a in self.cached_arrays():
@@ -634,23 +589,23 @@ class TestShapeConstantCaches:
                 a[(0,) * a.ndim] = 1
 
     def test_shape_sequence_gives_the_uncached_oracle_bytes(self, monkeypatch):
-        for n, frames, policy in self.SEQUENCE:
+        for n, frames in self.SEQUENCE:
             clips = oracle_clips(n, frames, 4, seed=n)
             even, odd, partner, mask = ssl_tasks._pair_layout(2 * n)
             for ours, ref in zip((even, odd, partner, mask.data), oracle_pair_layout(2 * n)):
                 assert_same_bytes(ours, ref)
             for ours, ref in zip(ssl_tasks._eye_constants(n + 3), oracle_eye_constants(n + 3)):
                 assert_same_bytes(ours.data, ref)
-            assert_same_bytes(ssl_tasks._crop_rows(frames, policy.crop_fraction), oracle_crop_rows(frames, policy.crop_fraction))
+            assert_same_bytes(ssl_tasks._crop_rows(frames), oracle_crop_rows(frames))
             assert_same_bytes(ssl_tasks._order_rows(frames), oracle_order_rows(frames))
 
-            views = two_view_batch(clips, policy, rng_for(1, "cache-views", n, frames))
-            assert_same_bytes(views.data, reference_two_view_batch(clips, policy, rng_for(1, "cache-views", n, frames)))
+            views = two_view_batch(clips, rng_for(1, "cache-views", n, frames))
+            assert_same_bytes(views.data, reference_two_view_batch(clips, rng_for(1, "cache-views", n, frames)))
             segments = acop_make_batch(clips, rng_for(1, "cache-acop", n, frames)).segments
             assert_same_bytes(segments.data, reference_acop_make_batch(clips, rng_for(1, "cache-acop", n, frames))[0])
 
             z = views.data[:, : n + 3]
-            pair_losses = [lambda z: nt_xent_loss(z, 0.5), lambda z: barlow_twins_loss(z, 5e-3)]
+            pair_losses = [lambda z: nt_xent_loss(z, 0.5), barlow_twins_loss]
             cached = [loss_and_grad_bytes(fn, z) for fn in pair_losses]
             with monkeypatch.context() as m:
                 m.setattr(ssl_tasks, "_pair_layout", lambda two_n: ssl_tasks._PairLayout(*oracle_pair_layout(two_n)[:3], Tensor(oracle_pair_layout(two_n)[3])))
@@ -665,6 +620,6 @@ class TestShapeConstantCaches:
         assert max(kept.self_mask.data.nbytes for kept in layouts.values()) <= 128 * 1024
         arrays = [a.data if isinstance(a, Tensor) else a for kept in layouts.values() for a in kept]
         arrays += [t.data for t in ssl_tasks._eye_constants(16)]
-        arrays += [ssl_tasks._crop_rows(32, AugmentPolicy().crop_fraction), ssl_tasks._order_rows(32)]
+        arrays += [ssl_tasks._crop_rows(32), ssl_tasks._order_rows(32)]
         assert sum(a.nbytes for a in arrays) < 4 * 2**20
 
